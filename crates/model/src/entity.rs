@@ -36,9 +36,28 @@ impl Entity {
     ) -> Result<Self, ModelError> {
         let mut attrs: Vec<(AttrId, Value)> = attrs.into_iter().collect();
         attrs.sort_by_key(|(a, _)| *a);
+        Self::from_sorted(id, attrs)
+    }
+
+    /// Creates an entity from pairs already in strictly ascending attribute
+    /// order, taking the vector as is — the record decoder's constructor:
+    /// one comparison per attribute instead of [`Entity::new`]'s collect and
+    /// sort.
+    ///
+    /// # Errors
+    /// Returns [`ModelError::DuplicateEntityAttribute`] if an attribute
+    /// appears twice in a row and [`ModelError::UnsortedEntityAttribute`] if
+    /// an attribute id is smaller than its predecessor.
+    pub fn from_sorted(id: EntityId, attrs: Vec<(AttrId, Value)>) -> Result<Self, ModelError> {
         for w in attrs.windows(2) {
-            if w[0].0 == w[1].0 {
-                return Err(ModelError::DuplicateEntityAttribute { entity: id, attr: w[0].0 });
+            match w[0].0.cmp(&w[1].0) {
+                std::cmp::Ordering::Less => {}
+                std::cmp::Ordering::Equal => {
+                    return Err(ModelError::DuplicateEntityAttribute { entity: id, attr: w[0].0 });
+                }
+                std::cmp::Ordering::Greater => {
+                    return Err(ModelError::UnsortedEntityAttribute { entity: id, attr: w[1].0 });
+                }
             }
         }
         Ok(Self { id, attrs })
@@ -142,6 +161,24 @@ mod tests {
         assert!(matches!(
             r,
             Err(ModelError::DuplicateEntityAttribute { attr: AttrId(2), .. })
+        ));
+    }
+
+    #[test]
+    fn from_sorted_accepts_only_strictly_ascending() {
+        let pairs = |ids: &[u32]| -> Vec<(AttrId, Value)> {
+            ids.iter().map(|&a| (AttrId(a), Value::Int(i64::from(a)))).collect()
+        };
+        let ent = Entity::from_sorted(EntityId(1), pairs(&[1, 3, 5])).unwrap();
+        assert_eq!(ent, e(1, &[(5, 5), (1, 1), (3, 3)]));
+        assert_eq!(Entity::from_sorted(EntityId(1), Vec::new()).unwrap(), Entity::empty(EntityId(1)));
+        assert!(matches!(
+            Entity::from_sorted(EntityId(1), pairs(&[1, 3, 3])),
+            Err(ModelError::DuplicateEntityAttribute { attr: AttrId(3), .. })
+        ));
+        assert!(matches!(
+            Entity::from_sorted(EntityId(1), pairs(&[1, 5, 3])),
+            Err(ModelError::UnsortedEntityAttribute { attr: AttrId(3), .. })
         ));
     }
 

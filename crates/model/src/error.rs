@@ -14,6 +14,14 @@ pub enum ModelError {
         /// The attribute that appeared twice.
         attr: AttrId,
     },
+    /// An entity was built from pairs claimed to be sorted by attribute id
+    /// that were not.
+    UnsortedEntityAttribute {
+        /// The offending entity.
+        entity: EntityId,
+        /// The first attribute smaller than its predecessor.
+        attr: AttrId,
+    },
 }
 
 impl std::fmt::Display for ModelError {
@@ -24,6 +32,9 @@ impl std::fmt::Display for ModelError {
             }
             ModelError::DuplicateEntityAttribute { entity, attr } => {
                 write!(f, "entity {entity} instantiates attribute {attr} twice")
+            }
+            ModelError::UnsortedEntityAttribute { entity, attr } => {
+                write!(f, "entity {entity} lists attribute {attr} out of order")
             }
         }
     }

@@ -1,22 +1,24 @@
 //! Plan execution over the universal table.
 //!
-//! Two strategies share one result shape: [`execute_with`] walks the
-//! surviving segments in plan order on the calling thread, and
-//! [`execute_parallel`] fans them out over a scoped worker pool. Workers
-//! claim branches from a shared atomic cursor, scan through the table's
-//! [`ReadView`](cind_storage::ReadView) (per-shard pool locks, lock-free
-//! I/O counters), and record per-segment partial aggregates; the partials
-//! are merged *in plan order*, so `rows`, `cells`, and `entities_scanned`
-//! — and the row order of [`execute_collect`] — are identical to the
-//! sequential run regardless of worker interleaving.
+//! One per-segment kernel, [`scan_branch`], does all the work: it walks a
+//! surviving segment's raw records and lets the query's compiled
+//! [`Projection`] match and project each one straight off its bytes, so
+//! only the projected values of matching records are ever materialised.
+//! Sequential plans run the kernel branch by branch on the calling thread;
+//! parallel plans fan the branches out over a scoped worker pool, where
+//! workers claim them from a shared atomic cursor and scan through the
+//! table's [`ReadView`](cind_storage::ReadView) (per-shard pool locks,
+//! lock-free I/O counters). Either way the per-branch partials are merged
+//! *in plan order*, so `rows`, `cells`, and `entities_scanned` — and the row
+//! order of [`execute_collect`] — are identical regardless of strategy or
+//! worker interleaving.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use cind_model::{Entity, Value};
-use cind_storage::{IoStats, ReadView, StorageError, UniversalTable};
+use cind_storage::{IoStats, ReadView, SegmentId, StorageError, UniversalTable};
 
-use crate::{Parallelism, Plan, Query};
+use crate::{Plan, Projection, Query, Row};
 
 /// Measurements of one query execution.
 #[derive(Clone, Debug)]
@@ -52,62 +54,9 @@ impl QueryResult {
     }
 }
 
-/// Executes `plan` for `query`, streaming matching entities into `sink`.
-///
-/// The scan goes segment by segment (the `UNION ALL`), touching the buffer
-/// pool once per page; the returned [`QueryResult`] carries the I/O delta
-/// and the wall time.
-pub fn execute_with(
-    table: &UniversalTable,
-    query: &Query,
-    plan: &Plan,
-    sink: impl FnMut(&Entity),
-) -> Result<QueryResult, StorageError> {
-    execute_with_view(table.read_view(), query, plan, sink)
-}
-
-/// [`execute_with`] over an explicit [`ReadView`] — the entry point for
-/// callers scanning an owned [`cind_storage::TableSnapshot`] instead of a
-/// live table (epoch snapshot reads).
-pub fn execute_with_view(
-    view: ReadView<'_>,
-    query: &Query,
-    plan: &Plan,
-    mut sink: impl FnMut(&Entity),
-) -> Result<QueryResult, StorageError> {
-    let start = Instant::now();
-    let mut io = IoStats::default();
-    let mut rows = 0u64;
-    let mut cells = 0u64;
-    let mut entities_scanned = 0u64;
-    for &seg in &plan.segments {
-        view.scan_tracked(
-            seg,
-            |e| {
-                entities_scanned += 1;
-                if query.matches(e) {
-                    rows += 1;
-                    cells += u64::from(query.projected_cells(e));
-                    sink(e);
-                }
-            },
-            &mut io,
-        )?;
-    }
-    Ok(QueryResult {
-        rows,
-        cells,
-        entities_scanned,
-        segments_read: plan.segments.len(),
-        segments_pruned: plan.pruned,
-        io,
-        duration: start.elapsed(),
-    })
-}
-
 /// Executes `plan`, discarding row data (measurement runs). Honours the
 /// plan's [`Parallelism`] knob: sequential plans run on the calling
-/// thread, parallel plans fan out via [`execute_parallel`].
+/// thread, parallel plans fan out as in [`execute_parallel`].
 pub fn execute(
     table: &UniversalTable,
     query: &Query,
@@ -116,23 +65,20 @@ pub fn execute(
     execute_view(table.read_view(), query, plan)
 }
 
-/// [`execute`] over an explicit [`ReadView`].
+/// [`execute`] over an explicit [`ReadView`] — the entry point for callers
+/// scanning an owned [`cind_storage::TableSnapshot`] instead of a live
+/// table (epoch snapshot reads).
 pub fn execute_view(
     view: ReadView<'_>,
     query: &Query,
     plan: &Plan,
 ) -> Result<QueryResult, StorageError> {
-    match plan.parallelism {
-        Parallelism::Sequential => execute_with_view(view, query, plan, |_| {}),
-        p => execute_parallel_view(view, query, plan, p.workers(plan.segments.len())),
-    }
+    let workers = plan.parallelism.workers(plan.segments.len());
+    run(view, &Projection::of(query), plan, workers, false).map(|(result, _)| result)
 }
 
-/// A materialised result row: requested attributes in query order, `None`
-/// for NULL.
-pub type Row = Vec<Option<Value>>;
-
-/// Executes `plan` and materialises the projected rows. Honours the plan's
+/// Executes `plan` and materialises the projected rows (requested
+/// attributes in query order, `None` for NULL). Honours the plan's
 /// [`Parallelism`] knob; row order (plan order, then scan order within a
 /// segment) is identical for every strategy.
 pub fn execute_collect(
@@ -149,21 +95,20 @@ pub fn execute_collect_view(
     query: &Query,
     plan: &Plan,
 ) -> Result<(QueryResult, Vec<Row>), StorageError> {
-    match plan.parallelism {
-        Parallelism::Sequential => {
-            let mut rows = Vec::new();
-            let result = execute_with_view(view, query, plan, |e| {
-                rows.push(query.project(e).into_iter().map(|v| v.cloned()).collect());
-            })?;
-            Ok((result, rows))
-        }
-        p => {
-            let workers = p.workers(plan.segments.len());
-            let (result, partials) = scan_parallel(view, query, plan, workers, true)?;
-            let rows = partials.into_iter().flat_map(|p| p.out).collect();
-            Ok((result, rows))
-        }
-    }
+    execute_collect_projection(view, &Projection::of(query), plan)
+}
+
+/// [`execute_collect_view`] for a caller-compiled [`Projection`], whose
+/// output columns need not be the planned query's attributes one to one —
+/// a shard leg of a fan-out query projects at the full request width, NULL
+/// in the columns its catalog does not know.
+pub fn execute_collect_projection(
+    view: ReadView<'_>,
+    projection: &Projection,
+    plan: &Plan,
+) -> Result<(QueryResult, Vec<Row>), StorageError> {
+    let workers = plan.parallelism.workers(plan.segments.len());
+    run(view, projection, plan, workers, true)
 }
 
 /// Executes `plan` with `threads` workers, fanning the surviving segments
@@ -171,15 +116,13 @@ pub fn execute_collect_view(
 ///
 /// Aggregates (`rows`, `cells`, `entities_scanned`, pruning counts) are
 /// merged in plan order and equal the sequential result exactly; the I/O
-/// counters are accumulated per worker from per-access attribution and
+/// counters are accumulated per branch from per-access attribution and
 /// folded together, so they cover exactly this execution's accesses even
 /// under concurrent sessions. `threads` is clamped to `[1, branches]`.
 ///
 /// # Errors
-/// A storage error from one of the workers, if any branch fails.
-///
-/// # Panics
-/// Panics if a worker thread panics.
+/// A storage error from one of the workers, if any branch fails;
+/// [`StorageError::ScanWorkerPanicked`] if a worker thread panicked.
 pub fn execute_parallel(
     table: &UniversalTable,
     query: &Query,
@@ -192,21 +135,17 @@ pub fn execute_parallel(
 /// [`execute_parallel`] over an explicit [`ReadView`].
 ///
 /// # Errors
-/// A storage error from one of the workers, if any branch fails.
-///
-/// # Panics
-/// Panics if a worker thread panics.
+/// As [`execute_parallel`].
 pub fn execute_parallel_view(
     view: ReadView<'_>,
     query: &Query,
     plan: &Plan,
     threads: usize,
 ) -> Result<QueryResult, StorageError> {
-    let (result, _) = scan_parallel(view, query, plan, threads, false)?;
-    Ok(result)
+    run(view, &Projection::of(query), plan, threads, false).map(|(result, _)| result)
 }
 
-/// Per-segment partial aggregates produced by one worker.
+/// One branch's partial aggregates.
 #[derive(Default)]
 struct SegPartial {
     rows: u64,
@@ -216,20 +155,84 @@ struct SegPartial {
     out: Vec<Row>,
 }
 
-/// The shared parallel scan: workers claim branch indices from an atomic
-/// cursor, each branch's partial lands in its plan-order slot, and the
-/// merge walks the slots in order.
-fn scan_parallel(
+/// The scan kernel, shared by every strategy: one pass over `seg`'s raw
+/// records, each matched and — when `collect` — projected by `projection`.
+fn scan_branch(
     view: ReadView<'_>,
-    query: &Query,
+    seg: SegmentId,
+    projection: &Projection,
+    collect: bool,
+) -> Result<SegPartial, StorageError> {
+    let mut p = SegPartial::default();
+    let mut io = IoStats::default();
+    view.scan_records(
+        seg,
+        |record| {
+            p.entities_scanned += 1;
+            if let Some(m) = projection.match_record(record, collect)? {
+                p.rows += 1;
+                p.cells += u64::from(m.cells);
+                p.out.extend(m.row);
+            }
+            Ok(())
+        },
+        &mut io,
+    )?;
+    p.io = io;
+    Ok(p)
+}
+
+/// Scans every branch of `plan` — inline for one worker, fanned out
+/// otherwise — and folds the partials in plan order.
+fn run(
+    view: ReadView<'_>,
+    projection: &Projection,
     plan: &Plan,
     threads: usize,
     collect: bool,
-) -> Result<(QueryResult, Vec<SegPartial>), StorageError> {
-    let branches = plan.segments.len();
-    let workers = threads.clamp(1, branches.max(1));
+) -> Result<(QueryResult, Vec<Row>), StorageError> {
     let start = Instant::now();
+    let branches = plan.segments.len();
+    let workers = threads.min(branches);
+    let partials = if workers <= 1 {
+        plan.segments
+            .iter()
+            .map(|&seg| scan_branch(view, seg, projection, collect))
+            .collect::<Result<Vec<_>, _>>()?
+    } else {
+        scan_parallel(view, projection, plan, workers, collect)?
+    };
+    let mut result = QueryResult {
+        rows: 0,
+        cells: 0,
+        entities_scanned: 0,
+        segments_read: branches,
+        segments_pruned: plan.pruned,
+        io: IoStats::default(),
+        duration: Duration::ZERO,
+    };
+    let mut rows = Vec::with_capacity(partials.iter().map(|p| p.out.len()).sum());
+    for mut p in partials {
+        result.rows += p.rows;
+        result.cells += p.cells;
+        result.entities_scanned += p.entities_scanned;
+        result.io += p.io;
+        rows.append(&mut p.out);
+    }
+    result.duration = start.elapsed();
+    Ok((result, rows))
+}
 
+/// The parallel fan-out: `workers` threads claim branch indices from an
+/// atomic cursor and run [`scan_branch`] on each; the partials come back in
+/// plan order.
+fn scan_parallel(
+    view: ReadView<'_>,
+    projection: &Projection,
+    plan: &Plan,
+    workers: usize,
+    collect: bool,
+) -> Result<Vec<SegPartial>, StorageError> {
     let cursor = AtomicUsize::new(0);
     let worker_results: Vec<Result<Vec<(usize, SegPartial)>, StorageError>> =
         std::thread::scope(|scope| {
@@ -240,95 +243,35 @@ fn scan_parallel(
                         let mut done: Vec<(usize, SegPartial)> = Vec::new();
                         loop {
                             let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            if i >= branches {
+                            let Some(&seg) = plan.segments.get(i) else {
                                 return Ok(done);
-                            }
-                            let mut p = SegPartial::default();
-                            let mut io = IoStats::default();
-                            view.scan_tracked(
-                                plan.segments[i],
-                                |e| {
-                                    p.entities_scanned += 1;
-                                    if query.matches(e) {
-                                        p.rows += 1;
-                                        p.cells += u64::from(query.projected_cells(e));
-                                        if collect {
-                                            p.out.push(
-                                                query
-                                                    .project(e)
-                                                    .into_iter()
-                                                    .map(|v| v.cloned())
-                                                    .collect(),
-                                            );
-                                        }
-                                    }
-                                },
-                                &mut io,
-                            )?;
-                            p.io = io;
-                            done.push((i, p));
+                            };
+                            done.push((i, scan_branch(view, seg, projection, collect)?));
                         }
                     })
                 })
                 .collect();
             handles
                 .into_iter()
-                .map(|h| h.join().expect("query worker panicked"))
+                .map(|h| h.join().unwrap_or(Err(StorageError::ScanWorkerPanicked)))
                 .collect()
         });
 
-    // Merge the per-thread deltas in plan order: slot each partial by its
-    // branch index, then fold the slots left to right.
-    let mut slots: Vec<Option<SegPartial>> = (0..branches).map(|_| None).collect();
-    let mut first_error: Option<StorageError> = None;
+    // Every branch index was claimed exactly once, so with no worker in
+    // error the claimed partials, sorted by index, are the plan's branches.
+    let mut claimed = Vec::with_capacity(plan.segments.len());
     for r in worker_results {
-        match r {
-            Ok(parts) => {
-                for (i, p) in parts {
-                    slots[i] = Some(p);
-                }
-            }
-            Err(e) => {
-                first_error.get_or_insert(e);
-            }
-        }
+        claimed.extend(r?);
     }
-    if let Some(e) = first_error {
-        return Err(e);
-    }
-    let mut rows = 0u64;
-    let mut cells = 0u64;
-    let mut entities_scanned = 0u64;
-    let mut io = IoStats::default();
-    let partials: Vec<SegPartial> = slots
-        .into_iter()
-        .map(|s| s.expect("every branch either completed or errored"))
-        .inspect(|p| {
-            rows += p.rows;
-            cells += p.cells;
-            entities_scanned += p.entities_scanned;
-            io += p.io;
-        })
-        .collect();
-    Ok((
-        QueryResult {
-            rows,
-            cells,
-            entities_scanned,
-            segments_read: branches,
-            segments_pruned: plan.pruned,
-            io,
-            duration: start.elapsed(),
-        },
-        partials,
-    ))
+    claimed.sort_unstable_by_key(|&(i, _)| i);
+    Ok(claimed.into_iter().map(|(_, p)| p).collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::planner;
-    use cind_model::{AttrId, EntityId, Synopsis};
+    use crate::{planner, Parallelism};
+    use cind_model::{AttrId, Entity, EntityId, Synopsis, Value};
 
     /// Two segments: 0 holds "cameras" (attrs 0,1), 1 holds "drives"
     /// (attrs 2,3).

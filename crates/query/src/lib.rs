@@ -15,7 +15,10 @@
 //! partitions; here the [`planner`] produces the surviving segment list and
 //! the [`executor`] scans them, counting rows, cells, pages, and wall time.
 //!
-//! * [`Query`] — requested attributes + synopsis + match/projection logic.
+//! * [`Query`] — requested attributes + synopsis + the match/projection
+//!   definitions on a decoded entity (the oracle the scan is tested against).
+//! * [`Projection`] — the query compiled for the scan: a sorted
+//!   `(attribute → output column)` map merged against each record's bytes.
 //! * [`planner::plan`] — pruning against any partition view (Cinderella's
 //!   catalog or a baseline's).
 //! * [`executor::execute`] — runs the plan, returning a [`QueryResult`]
@@ -58,14 +61,16 @@
 pub mod cost;
 pub mod executor;
 pub mod planner;
+mod projection;
 mod query;
 pub mod selectivity;
 
 pub use cost::{estimate, CostEstimate};
 pub use executor::{
-    execute, execute_collect, execute_collect_view, execute_parallel, execute_parallel_view,
-    execute_view, QueryResult,
+    execute, execute_collect, execute_collect_projection, execute_collect_view,
+    execute_parallel, execute_parallel_view, execute_view, QueryResult,
 };
 pub use planner::{plan, plan_from_survivors, plan_with, Parallelism, Plan};
+pub use projection::{Projection, Row};
 pub use query::Query;
 pub use selectivity::{selectivity, selectivity_of};

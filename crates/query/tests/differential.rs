@@ -1,19 +1,24 @@
 //! Differential suite: the parallel executor against the sequential
-//! reference, on randomized tables, synopses, and queries.
+//! reference, and the projection-pushdown scan against the decode-everything
+//! oracle, on randomized tables, synopses, and queries.
 //!
 //! For every generated instance, `execute_parallel` with 1, 2, and 8
 //! workers must report the same `rows`, `cells`, `entities_scanned`,
 //! `segments_read`, and `segments_pruned` as the sequential `execute`,
 //! and `execute_collect` must return the same rows in the same order
-//! regardless of the plan's parallelism knob.
+//! regardless of the plan's parallelism knob. The scan kernel, which
+//! matches and projects straight off record bytes, must agree with
+//! "`decode_entity`, then `Query::{matches, projected_cells, project}`"
+//! on rows, aggregates and I/O.
 
 use std::collections::BTreeSet;
 
 use cind_model::{AttrId, Entity, EntityId, Synopsis, Value};
 use cind_query::{
-    execute, execute_collect, execute_parallel, plan, Parallelism, Query,
+    execute, execute_collect, execute_collect_projection, execute_parallel, plan,
+    plan_from_survivors, Parallelism, Projection, Query, Row,
 };
-use cind_storage::{BufferPool, SegmentId, UniversalTable};
+use cind_storage::{BufferPool, IoStats, SegmentId, UniversalTable};
 use proptest::prelude::*;
 
 const UNIVERSE: usize = 16;
@@ -46,8 +51,127 @@ fn build(
     (table, view)
 }
 
+/// Attribute ids with one- and two-byte varints, far enough apart that
+/// queries reach beyond a record's last attribute and records beyond a
+/// query's.
+const WIDE_UNIVERSE: usize = 300;
+
+fn wide_attr() -> impl Strategy<Value = u32> {
+    prop_oneof![3 => 0u32..12, 1 => 120u32..136, 1 => 290u32..300]
+}
+
+/// All four value tags; text empty, multi-byte, and long enough for a
+/// two-byte length.
+fn value() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        2 => any::<bool>().prop_map(Value::Bool),
+        2 => any::<i64>().prop_map(Value::Int),
+        2 => (-1.0e9f64..1.0e9).prop_map(Value::Float),
+        3 => "[a-zé日 ]{0,10}".prop_map(Value::Text),
+        1 => "[a-z]{120,300}".prop_map(Value::Text),
+    ]
+}
+
+/// What a scan of `segments` must produce by definition: decode every
+/// record in full, then ask the query.
+fn oracle(
+    table: &UniversalTable,
+    q: &Query,
+    segments: &[SegmentId],
+) -> (Vec<Row>, u64, u64, IoStats) {
+    let (mut rows, mut cells, mut scanned, mut io) = (Vec::new(), 0, 0, IoStats::default());
+    for &seg in segments {
+        table
+            .read_view()
+            .scan_tracked(
+                seg,
+                |e| {
+                    scanned += 1;
+                    if q.matches(e) {
+                        cells += u64::from(q.projected_cells(e));
+                        rows.push(q.project(e).into_iter().map(|v| v.cloned()).collect());
+                    }
+                },
+                &mut io,
+            )
+            .expect("oracle scan");
+    }
+    (rows, cells, scanned, io)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn pushdown_matches_decode_then_project_oracle(
+        entities in prop::collection::vec(
+            prop::collection::btree_map(wide_attr(), value(), 0..9),
+            1..50,
+        ),
+        nsegs in 1usize..5,
+        // Unsorted, and from a small domain so attributes repeat.
+        qattrs in prop::collection::vec(wide_attr(), 1..6),
+        pool_pages in 1usize..6,
+        threads in 1usize..4,
+    ) {
+        // A pool smaller than the data churns; both sides replay the same
+        // page sequence against it, so even misses and evictions must agree.
+        let mut table = UniversalTable::with_pool(BufferPool::new(pool_pages));
+        for i in 0..WIDE_UNIVERSE {
+            table.catalog_mut().intern(&format!("a{i}"));
+        }
+        let segs: Vec<SegmentId> = (0..nsegs).map(|_| table.create_segment()).collect();
+        for (i, attrs) in entities.iter().enumerate() {
+            let e = Entity::new(
+                EntityId(i as u64 * 97),
+                attrs.iter().map(|(&a, v)| (AttrId(a), v.clone())),
+            )
+            .expect("map keys are unique");
+            table.insert(segs[i % nsegs], &e).expect("insert");
+        }
+        let q = Query::from_attrs(WIDE_UNIVERSE, qattrs.iter().map(|&a| AttrId(a)));
+        let p = plan_from_survivors(segs.clone(), 0);
+
+        let _warm = oracle(&table, &q, &segs);
+        let (want_rows, want_cells, want_scanned, want_io) = oracle(&table, &q, &segs);
+        let (got, got_rows) = execute_collect(&table, &q, &p).expect("pushdown");
+        prop_assert_eq!(&got_rows, &want_rows);
+        prop_assert_eq!(got.rows, want_rows.len() as u64);
+        prop_assert_eq!(got.cells, want_cells);
+        prop_assert_eq!(got.entities_scanned, want_scanned);
+        prop_assert_eq!(got.io, want_io);
+
+        // Counting without collecting agrees too.
+        let counted = execute(&table, &q, &p).expect("count");
+        prop_assert_eq!(
+            (counted.rows, counted.cells, counted.entities_scanned, counted.io),
+            (got.rows, got.cells, got.entities_scanned, want_io)
+        );
+
+        // Fanned out, workers interleave their page accesses, so only the
+        // pages touched — not which of them missed — are determined.
+        let p = p.with_parallelism(Parallelism::Threads(threads));
+        let (par, par_rows) = execute_collect(&table, &q, &p).expect("parallel pushdown");
+        prop_assert_eq!(&par_rows, &want_rows);
+        prop_assert_eq!(
+            (par.rows, par.cells, par.entities_scanned, par.io.logical_reads),
+            (got.rows, got.cells, got.entities_scanned, want_io.logical_reads)
+        );
+
+        // A projection wider than the query (a shard leg that does not know
+        // every requested attribute): the odd columns stay NULL.
+        let wide = Projection::new(
+            qattrs.iter().flat_map(|&a| [Some(AttrId(a)), None]),
+        );
+        let (got, got_rows) =
+            execute_collect_projection(table.read_view(), &wide, &p).expect("wide");
+        let want_wide: Vec<Row> = want_rows
+            .iter()
+            .map(|row| row.iter().flat_map(|cell| [cell.clone(), None]).collect())
+            .collect();
+        prop_assert_eq!(&got_rows, &want_wide);
+        prop_assert_eq!((got.rows, got.cells), (want_rows.len() as u64, want_cells));
+    }
 
     #[test]
     fn parallel_matches_sequential_aggregates(

@@ -33,7 +33,7 @@ use std::time::Duration;
 
 use cind_model::{Entity, EntityId, Synopsis};
 use cind_query::planner::{plan_from_survivors, plan_with, Parallelism, Plan};
-use cind_query::{execute_collect_view, Query};
+use cind_query::{execute_collect_projection, Projection, Query};
 use cind_reorg::{ReorgDriver, ReorgStats, StepReport};
 use cind_storage::{wal, RealVfs, SegmentId, StorageError, TableSnapshot, UniversalTable, Vfs};
 use cinderella_core::{
@@ -485,7 +485,7 @@ impl Engine {
                 .unwrap_or_else(|| "<empty attribute list>".to_string());
             return Err(ServerError::UnknownAttribute(missing));
         };
-        let (result, rows) = self.run_on_snapshot(&snap, &query)?;
+        let (result, rows) = self.run_on_snapshot(&snap, &query, &Projection::of(&query))?;
         Ok((rows, result))
     }
 
@@ -507,42 +507,29 @@ impl Engine {
         let ids: Vec<Option<cind_model::AttrId>> =
             attrs.iter().map(|a| catalog.lookup(a)).collect();
         let known: Vec<bool> = ids.iter().map(Option::is_some).collect();
-        let present: Vec<(usize, cind_model::AttrId)> = ids
-            .iter()
-            .enumerate()
-            .filter_map(|(i, id)| id.map(|id| (i, id)))
-            .collect();
-        if present.is_empty() {
+        if !known.contains(&true) {
             // No requested attribute exists here: no entity of this shard
             // can match (matching needs at least one requested attribute).
             return Ok((Vec::new(), QueryStats::default(), known));
         }
-        let query =
-            Query::from_attrs(catalog.len(), present.iter().map(|&(_, id)| id));
-        let (result, narrow) = self.run_on_snapshot(&snap, &query)?;
-        let rows = narrow
-            .into_iter()
-            .map(|row| {
-                let mut wide: crate::client::Row = vec![None; attrs.len()];
-                for (cell, &(i, _)) in row.into_iter().zip(present.iter()) {
-                    wide[i] = cell;
-                }
-                wide
-            })
-            .collect();
+        let query = Query::from_attrs(catalog.len(), ids.iter().copied().flatten());
+        // Project at the request's width, so rows leave the scan final.
+        let (result, rows) =
+            self.run_on_snapshot(&snap, &query, &Projection::new(ids.iter().copied()))?;
         Ok((rows, result, known))
     }
 
-    /// Plans and executes `query` against `snap` — entirely outside the
-    /// engine lock.
+    /// Plans `query` against `snap` and executes it with `projection` —
+    /// entirely outside the engine lock.
     fn run_on_snapshot(
         &self,
         snap: &EngineSnapshot,
         query: &Query,
+        projection: &Projection,
     ) -> Result<(QueryStats, Vec<crate::client::Row>), ServerError> {
         self.note_query(snap, query);
         let plan = self.plan_snapshot(snap, query);
-        let (result, rows) = execute_collect_view(snap.table.view(), query, &plan)?;
+        let (result, rows) = execute_collect_projection(snap.table.view(), projection, &plan)?;
         let stats = QueryStats {
             entities_scanned: result.entities_scanned,
             segments_read: result.segments_read as u64,

@@ -11,7 +11,8 @@
 //! Payloads: `Bool` = 1 byte, `Int`/`Float` = 8 bytes little-endian,
 //! `Text` = varint length + UTF-8 bytes. Attributes are written in ascending
 //! id order (entities keep them sorted), which decodes back into a valid
-//! [`Entity`] without re-sorting.
+//! [`Entity`] without re-sorting, and lets a reader that wants only some
+//! attributes merge against the record in one pass ([`RecordView`]).
 
 use crate::{varint, StorageError};
 use cind_model::{AttrId, Entity, EntityId, Value};
@@ -20,6 +21,8 @@ const TAG_BOOL: u8 = 0;
 const TAG_INT: u8 = 1;
 const TAG_FLOAT: u8 = 2;
 const TAG_TEXT: u8 = 3;
+/// Payload bytes by tag; a text payload carries its own length.
+const FIXED_LEN: [usize; 4] = [1, 8, 8, 0];
 
 /// Serializes `entity` into a fresh byte vector.
 pub fn encode_entity(entity: &Entity) -> Vec<u8> {
@@ -51,50 +54,219 @@ pub fn encode_entity(entity: &Entity) -> Vec<u8> {
     out
 }
 
+/// A borrowed, zero-allocation cursor over one serialized record.
+///
+/// [`RecordView::new`] reads the header; each [`RecordView::next_attr`]
+/// step reads one attribute id and tag and *delimits* the payload by its
+/// tag and length without building a [`Value`]. A caller that does not want
+/// an attribute simply does not call [`RawValue::to_value`] on it, and may
+/// stop stepping as soon as it has what it came for.
+///
+/// Every step checks what the walk itself depends on: well-formed varints,
+/// attribute ids that fit `u32` and strictly ascend, a known tag, a payload
+/// that lies inside the record. What a caller skips is *not* checked: the
+/// UTF-8 of a text payload it never materialises, everything behind the
+/// point where it stops, and trailing bytes unless it asks with
+/// [`RecordView::finish`].
+pub struct RecordView<'a> {
+    id: EntityId,
+    arity: usize,
+    remaining: usize,
+    /// Smallest id the next attribute may carry (ids strictly ascend).
+    floor: u64,
+    rest: &'a [u8],
+}
+
+/// One attribute's value as it lies in the record: a validated tag and the
+/// payload bytes, not yet decoded.
+#[derive(Clone, Copy)]
+pub struct RawValue<'a> {
+    tag: u8,
+    payload: &'a [u8],
+}
+
+fn corrupt(what: &'static str) -> StorageError {
+    StorageError::CorruptRecord(what)
+}
+
+#[inline]
+fn take_varint(rest: &mut &[u8]) -> Result<u64, StorageError> {
+    let (v, n) = varint::decode(rest).ok_or(corrupt("varint"))?;
+    *rest = &rest[n..];
+    Ok(v)
+}
+
+#[inline]
+fn take<'a>(rest: &mut &'a [u8], len: usize, what: &'static str) -> Result<&'a [u8], StorageError> {
+    if len > rest.len() {
+        return Err(corrupt(what));
+    }
+    let (head, tail) = rest.split_at(len);
+    *rest = tail;
+    Ok(head)
+}
+
+#[inline]
+fn take_array<const N: usize>(
+    rest: &mut &[u8],
+    what: &'static str,
+) -> Result<[u8; N], StorageError> {
+    take(rest, N, what)?.try_into().map_err(|_| corrupt(what))
+}
+
+/// Reads one attribute off the front of `rest`, whose id must not be below
+/// `floor`: `(id, value, bytes after it)`. Cursor state goes in and out by
+/// value so a caller's loop can keep it in registers.
+#[inline]
+fn step(rest: &[u8], floor: u64) -> Result<(AttrId, RawValue<'_>, &[u8]), StorageError> {
+    // The common shape, decided without a data-dependent branch on the tag
+    // (tags are as good as random to a branch predictor): a one-byte
+    // attribute id, a known tag, and for text a one-byte length.
+    if let [attr, tag, len, ..] = *rest {
+        let text = tag == TAG_TEXT;
+        let start = 2 + usize::from(text);
+        let len = FIXED_LEN[usize::from(tag & 3)] + usize::from(text) * usize::from(len);
+        let plain = (attr < 0x80) & (tag <= TAG_TEXT) & (len < 0x80);
+        if plain & (u64::from(attr) >= floor) {
+            if let Some((head, after)) = rest.split_at_checked(start + len) {
+                let payload = &head[start..];
+                return Ok((AttrId(u32::from(attr)), RawValue { tag, payload }, after));
+            }
+        }
+    }
+    step_general(rest, floor)
+}
+
+/// [`step`] for a record of any shape.
+fn step_general(
+    mut rest: &[u8],
+    floor: u64,
+) -> Result<(AttrId, RawValue<'_>, &[u8]), StorageError> {
+    let attr = take_varint(&mut rest)?;
+    let id = u32::try_from(attr).map_err(|_| corrupt("attr id overflow"))?;
+    if attr < floor {
+        return Err(corrupt("attribute order"));
+    }
+    let tag = take(&mut rest, 1, "missing tag")?[0];
+    let payload = match tag {
+        TAG_BOOL | TAG_INT | TAG_FLOAT => {
+            take(&mut rest, FIXED_LEN[usize::from(tag)], "fixed payload")?
+        }
+        TAG_TEXT => {
+            let len = take_varint(&mut rest)?;
+            let len = usize::try_from(len).map_err(|_| corrupt("text payload"))?;
+            take(&mut rest, len, "text payload")?
+        }
+        _ => return Err(corrupt("unknown tag")),
+    };
+    Ok((AttrId(id), RawValue { tag, payload }, rest))
+}
+
+impl<'a> RecordView<'a> {
+    /// Opens a cursor on `buf`, reading the `(entity id, arity)` header.
+    ///
+    /// # Errors
+    /// [`StorageError::CorruptRecord`] if the header is truncated.
+    #[inline]
+    pub fn new(buf: &'a [u8]) -> Result<Self, StorageError> {
+        let mut rest = buf;
+        let id = EntityId(take_varint(&mut rest)?);
+        let arity = usize::try_from(take_varint(&mut rest)?).map_err(|_| corrupt("arity"))?;
+        Ok(Self { id, arity, remaining: arity, floor: 0, rest })
+    }
+
+    /// The entity id.
+    pub fn id(&self) -> EntityId {
+        self.id
+    }
+
+    /// Number of attributes the header announces.
+    pub fn arity(&self) -> usize {
+        self.arity
+    }
+
+    /// Steps to the next attribute; `None` once all `arity` were read.
+    ///
+    /// # Errors
+    /// [`StorageError::CorruptRecord`] on truncation, an attribute id that
+    /// overflows or does not ascend, or an unknown tag.
+    #[inline]
+    pub fn next_attr(&mut self) -> Result<Option<(AttrId, RawValue<'a>)>, StorageError> {
+        if self.remaining == 0 {
+            return Ok(None);
+        }
+        let (attr, raw, rest) = step(self.rest, self.floor)?;
+        self.remaining -= 1;
+        self.floor = u64::from(attr.0) + 1;
+        self.rest = rest;
+        Ok(Some((attr, raw)))
+    }
+
+    /// Ends a full walk: every attribute was read and nothing follows.
+    ///
+    /// # Errors
+    /// [`StorageError::CorruptRecord`] if attributes or bytes are left.
+    pub fn finish(self) -> Result<(), StorageError> {
+        if self.remaining != 0 || !self.rest.is_empty() {
+            return Err(corrupt("trailing bytes"));
+        }
+        Ok(())
+    }
+}
+
+impl RawValue<'_> {
+    /// Materialises the value — the only place a text payload's UTF-8 is
+    /// validated and copied.
+    ///
+    /// # Errors
+    /// [`StorageError::CorruptRecord`] on invalid UTF-8.
+    pub fn to_value(&self) -> Result<Value, StorageError> {
+        let fixed = |what| <[u8; 8]>::try_from(self.payload).map_err(|_| corrupt(what));
+        Ok(match self.tag {
+            TAG_BOOL => Value::Bool(self.payload != [0]),
+            TAG_INT => Value::Int(i64::from_le_bytes(fixed("int payload")?)),
+            TAG_FLOAT => Value::Float(f64::from_le_bytes(fixed("float payload")?)),
+            _ => Value::Text(
+                std::str::from_utf8(self.payload)
+                    .map_err(|_| corrupt("text utf8"))?
+                    .to_owned(),
+            ),
+        })
+    }
+}
+
 /// Deserializes an entity from `buf`.
 ///
 /// # Errors
 /// Returns [`StorageError::CorruptRecord`] on truncation, an unknown value
-/// tag, invalid UTF-8, or trailing garbage.
+/// tag, invalid UTF-8, attribute ids that do not strictly ascend, or
+/// trailing garbage.
 pub fn decode_entity(buf: &[u8]) -> Result<Entity, StorageError> {
-    let corrupt = |what: &'static str| StorageError::CorruptRecord(what);
-    let mut pos = 0usize;
-    let read_varint = |buf: &[u8], pos: &mut usize| -> Result<u64, StorageError> {
-        let (v, n) = varint::decode(&buf[*pos..]).ok_or(corrupt("varint"))?;
-        *pos += n;
-        Ok(v)
-    };
-
-    let id = read_varint(buf, &mut pos)?;
-    let arity = read_varint(buf, &mut pos)? as usize;
-    let mut attrs = Vec::with_capacity(arity);
+    let mut rest = buf;
+    let id = take_varint(&mut rest)?;
+    let arity = usize::try_from(take_varint(&mut rest)?).map_err(|_| corrupt("arity"))?;
+    // An attribute occupies at least three bytes (id, tag, payload), which
+    // bounds the allocation a corrupt arity can ask for.
+    let mut attrs = Vec::with_capacity(arity.min(rest.len() / 3));
+    let mut floor = 0;
     for _ in 0..arity {
-        let attr = read_varint(buf, &mut pos)?;
+        let attr = take_varint(&mut rest)?;
+        if attr < floor {
+            return Err(corrupt("attribute order"));
+        }
+        floor = attr.saturating_add(1);
         let attr = AttrId(u32::try_from(attr).map_err(|_| corrupt("attr id overflow"))?);
-        let tag = *buf.get(pos).ok_or(corrupt("missing tag"))?;
-        pos += 1;
+        let tag = take(&mut rest, 1, "missing tag")?[0];
+        // Every value is materialised, so the tag is branched on once here;
+        // `RecordView`'s branch-free step pays off only for skipped values.
         let value = match tag {
-            TAG_BOOL => {
-                let b = *buf.get(pos).ok_or(corrupt("bool payload"))?;
-                pos += 1;
-                Value::Bool(b != 0)
-            }
-            TAG_INT => {
-                let bytes = buf.get(pos..pos + 8).ok_or(corrupt("int payload"))?;
-                pos += 8;
-                let bytes = bytes.try_into().map_err(|_| corrupt("int payload"))?;
-                Value::Int(i64::from_le_bytes(bytes))
-            }
-            TAG_FLOAT => {
-                let bytes = buf.get(pos..pos + 8).ok_or(corrupt("float payload"))?;
-                pos += 8;
-                let bytes = bytes.try_into().map_err(|_| corrupt("float payload"))?;
-                Value::Float(f64::from_le_bytes(bytes))
-            }
+            TAG_BOOL => Value::Bool(take(&mut rest, 1, "bool payload")?[0] != 0),
+            TAG_INT => Value::Int(i64::from_le_bytes(take_array(&mut rest, "int payload")?)),
+            TAG_FLOAT => Value::Float(f64::from_le_bytes(take_array(&mut rest, "float payload")?)),
             TAG_TEXT => {
-                let len = read_varint(buf, &mut pos)? as usize;
-                let bytes = buf.get(pos..pos + len).ok_or(corrupt("text payload"))?;
-                pos += len;
+                let len = take_varint(&mut rest)?;
+                let len = usize::try_from(len).map_err(|_| corrupt("text payload"))?;
+                let bytes = take(&mut rest, len, "text payload")?;
                 Value::Text(
                     std::str::from_utf8(bytes)
                         .map_err(|_| corrupt("text utf8"))?
@@ -105,10 +277,10 @@ pub fn decode_entity(buf: &[u8]) -> Result<Entity, StorageError> {
         };
         attrs.push((attr, value));
     }
-    if pos != buf.len() {
+    if !rest.is_empty() {
         return Err(corrupt("trailing bytes"));
     }
-    Entity::new(EntityId(id), attrs).map_err(|_| corrupt("duplicate attribute"))
+    Entity::from_sorted(EntityId(id), attrs).map_err(|_| corrupt("attribute order"))
 }
 
 /// Decodes only the entity id from the front of a record — cheap peeking for
@@ -196,6 +368,65 @@ mod tests {
             decode_entity(&bytes),
             Err(StorageError::CorruptRecord("unknown tag"))
         ));
+    }
+
+    #[test]
+    fn non_ascending_attributes_are_detected() {
+        // entity id 1, arity 2, bool attrs 5 then 5 / 5 then 2
+        for second in [5u8, 2] {
+            let bytes = vec![1, 2, 5, TAG_BOOL, 1, second, TAG_BOOL, 0];
+            assert!(matches!(
+                decode_entity(&bytes),
+                Err(StorageError::CorruptRecord("attribute order"))
+            ));
+        }
+    }
+
+    #[test]
+    fn huge_arity_and_length_fail_without_allocating_or_overflowing() {
+        let mut bytes = vec![1];
+        varint::encode(u64::MAX, &mut bytes);
+        assert!(decode_entity(&bytes).is_err());
+        // entity id 1, arity 1, attr 0, text of length u64::MAX
+        let mut bytes = vec![1, 1, 0, TAG_TEXT];
+        varint::encode(u64::MAX, &mut bytes);
+        assert!(matches!(
+            decode_entity(&bytes),
+            Err(StorageError::CorruptRecord("text payload"))
+        ));
+    }
+
+    #[test]
+    fn view_walks_without_materialising() {
+        let e = sample();
+        let bytes = encode_entity(&e);
+        let mut view = RecordView::new(&bytes).unwrap();
+        assert_eq!((view.id(), view.arity()), (e.id(), e.arity()));
+        let mut seen = Vec::new();
+        while let Some((attr, raw)) = view.next_attr().unwrap() {
+            // Materialise every other attribute only.
+            let value = (seen.len() % 2 == 0).then(|| raw.to_value().unwrap());
+            seen.push((attr, value));
+        }
+        view.finish().unwrap();
+        for ((attr, value), (want_attr, want)) in seen.iter().zip(e.attrs()) {
+            assert_eq!(attr, want_attr);
+            assert!(value.as_ref().is_none_or(|v| v == want));
+        }
+        assert_eq!(seen.len(), e.arity());
+    }
+
+    #[test]
+    fn view_skips_text_it_never_validates() {
+        // entity id 1, arity 2: attr 0 = invalid UTF-8 text, attr 1 = true
+        let bytes = vec![1, 2, 0, TAG_TEXT, 1, 0xff, 1, TAG_BOOL, 1];
+        let mut view = RecordView::new(&bytes).unwrap();
+        let (_, bad) = view.next_attr().unwrap().unwrap();
+        assert!(bad.to_value().is_err());
+        let (attr, good) = view.next_attr().unwrap().unwrap();
+        assert_eq!((attr, good.to_value().unwrap()), (AttrId(1), Value::Bool(true)));
+        assert!(view.next_attr().unwrap().is_none());
+        view.finish().unwrap();
     }
 
     #[test]

@@ -549,15 +549,38 @@ impl ReadView<'_> {
     }
 
     /// Like [`ReadView::scan`], but additionally accumulates *this scan's*
-    /// page accesses into `io` — `logical_reads` per page touched,
-    /// `physical_reads` per buffer-pool miss, `evictions` per page the
-    /// admissions displaced. The pool's global counters are updated too;
-    /// the local delta is what lets concurrent sessions report per-query
-    /// I/O without double-counting each other's traffic.
+    /// page accesses into `io` (see [`ReadView::scan_records`]).
     pub fn scan_tracked(
         &self,
         seg: SegmentId,
         mut f: impl FnMut(&Entity),
+        io: &mut IoStats,
+    ) -> Result<(), StorageError> {
+        self.scan_records(
+            seg,
+            |bytes| {
+                f(&decode_entity(bytes)?);
+                Ok(())
+            },
+            io,
+        )
+    }
+
+    /// The page walk under every scan: hands each live record's raw bytes
+    /// of `seg` to `f`, page by page in slot order, and stops at `f`'s
+    /// first error. What to decode is the caller's business (see
+    /// [`crate::record::RecordView`]).
+    ///
+    /// Accumulates *this scan's* page accesses into `io` —
+    /// `logical_reads` per page touched, `physical_reads` per buffer-pool
+    /// miss, `evictions` per page the admissions displaced. The pool's
+    /// global counters are updated too; the local delta is what lets
+    /// concurrent sessions report per-query I/O without double-counting
+    /// each other's traffic.
+    pub fn scan_records(
+        &self,
+        seg: SegmentId,
+        mut f: impl FnMut(&[u8]) -> Result<(), StorageError>,
         io: &mut IoStats,
     ) -> Result<(), StorageError> {
         let segment = self.segment(seg)?;
@@ -579,7 +602,7 @@ impl ReadView<'_> {
                 ));
             };
             for (_, bytes) in page.iter() {
-                f(&decode_entity(bytes)?);
+                f(bytes)?;
             }
         }
         Ok(())

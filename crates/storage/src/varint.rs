@@ -26,7 +26,16 @@ pub fn encode(mut v: u64, out: &mut Vec<u8>) -> usize {
 ///
 /// Returns `(value, bytes_consumed)`, or `None` if the buffer ends inside a
 /// varint or the encoding overflows 64 bits.
+#[inline]
 pub fn decode(buf: &[u8]) -> Option<(u64, usize)> {
+    // Sparse records mostly carry ids, arities and lengths below 128.
+    match buf.first() {
+        Some(&byte) if byte < 0x80 => Some((u64::from(byte), 1)),
+        _ => decode_multibyte(buf),
+    }
+}
+
+fn decode_multibyte(buf: &[u8]) -> Option<(u64, usize)> {
     let mut v: u64 = 0;
     for (i, &byte) in buf.iter().enumerate().take(MAX_LEN) {
         let payload = (byte & 0x7f) as u64;

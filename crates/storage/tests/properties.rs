@@ -1,11 +1,16 @@
 //! Property tests on storage internals: the buffer pool against a
-//! reference LRU, pages under random operation sequences, and snapshot
-//! corruption resistance.
+//! reference LRU, pages under random operation sequences, snapshot
+//! corruption resistance, and the record cursor against the full decoder
+//! on arbitrary bytes.
 
 use cind_bitset as _; // silence unused-dep lint paths in some cargo setups
 use cind_model::{AttrId, Entity, EntityId, Value};
 use cind_storage::buffer::PageKey;
-use cind_storage::{BufferPool, Page, SegmentId, UniversalTable};
+use cind_storage::record::RecordView;
+use cind_storage::{
+    decode_entity, encode_entity, varint, BufferPool, Page, SegmentId, StorageError,
+    UniversalTable,
+};
 use proptest::prelude::*;
 use std::collections::VecDeque;
 
@@ -36,6 +41,147 @@ impl RefLru {
             }
             self.order.push_front(key);
             false
+        }
+    }
+}
+
+/// Walks `bytes` with the cursor, materialising only the attributes whose
+/// turn `keep` says yes to: the ids seen, the values asked for, and where
+/// and why the walk stopped early, if it did.
+type Walk = (Vec<AttrId>, Vec<(usize, Value)>, Option<StorageError>);
+
+fn walk(bytes: &[u8], keep: impl Fn(usize) -> bool, finish: bool) -> Walk {
+    let (mut ids, mut values) = (Vec::new(), Vec::new());
+    let mut run = || {
+        let mut view = RecordView::new(bytes)?;
+        while let Some((attr, raw)) = view.next_attr()? {
+            if keep(ids.len()) {
+                values.push((ids.len(), raw.to_value()?));
+            }
+            ids.push(attr);
+        }
+        if finish {
+            view.finish()?;
+        }
+        Ok(())
+    };
+    let stopped = run().err();
+    (ids, values, stopped)
+}
+
+/// `Value` equality that also holds for a NaN an overwrite produced.
+fn same(a: &Value, b: &Value) -> bool {
+    match (a, b) {
+        (Value::Float(a), Value::Float(b)) => a.to_bits() == b.to_bits(),
+        _ => a == b,
+    }
+}
+
+fn arbitrary_value() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        any::<bool>().prop_map(Value::Bool),
+        any::<i64>().prop_map(Value::Int),
+        (-1.0e9f64..1.0e9).prop_map(Value::Float),
+        "[a-zé日]{0,9}".prop_map(Value::Text),
+        "[a-z]{125,135}".prop_map(Value::Text),
+    ]
+}
+
+/// Encodes attributes in the order given — unlike `encode_entity`, which
+/// can only produce ascending, duplicate-free records.
+fn encode_unchecked(id: u64, attrs: &[(u32, Value)]) -> Vec<u8> {
+    let mut out = Vec::new();
+    varint::encode(id, &mut out);
+    varint::encode(attrs.len() as u64, &mut out);
+    for (attr, value) in attrs {
+        let one = Entity::new(EntityId(0), [(AttrId(*attr), value.clone())]).expect("one attr");
+        // Skip the single-attribute record's two header bytes.
+        out.extend_from_slice(&encode_entity(&one)[2..]);
+    }
+    out
+}
+
+/// Bytes that get deep into the format: a record whose attributes may be
+/// out of order or repeated, with up to three bytes overwritten, then cut
+/// or extended — or pure noise.
+fn record_like_bytes() -> impl Strategy<Value = Vec<u8>> {
+    let mutated = (
+        any::<u64>(),
+        prop::collection::vec(
+            (prop_oneof![0u32..20, 100u32..160, 16_000u32..17_000], arbitrary_value()),
+            0..8,
+        ),
+        any::<bool>(),
+        prop::collection::vec((any::<prop::sample::Index>(), any::<u8>()), 0..4),
+        (
+            prop::option::of(any::<prop::sample::Index>()),
+            prop::collection::vec(any::<u8>(), 0..3),
+        ),
+    )
+        .prop_map(|(id, mut attrs, sort, overwrites, (cut, tail))| {
+            if sort {
+                attrs.sort_by_key(|(a, _)| *a);
+                attrs.dedup_by_key(|(a, _)| *a);
+            }
+            let mut bytes = encode_unchecked(id, &attrs);
+            for (at, byte) in overwrites {
+                let at = at.index(bytes.len());
+                bytes[at] = byte;
+            }
+            if let Some(cut) = cut {
+                bytes.truncate(cut.index(bytes.len() + 1));
+            }
+            bytes.extend(tail);
+            bytes
+        });
+    prop_oneof![4 => mutated, 1 => prop::collection::vec(any::<u8>(), 0..40)]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// On arbitrary bytes the cursor never panics and never disagrees with
+    /// the (independently written) full decoder: materialising everything
+    /// and finishing, it accepts exactly what `decode_entity` accepts, with
+    /// the same content; skipping values and stopping early, whatever it
+    /// yields is a prefix of that content, and it may only be more lenient
+    /// about what it did not look at.
+    #[test]
+    fn record_view_agrees_with_decode_entity_on_arbitrary_bytes(
+        bytes in record_like_bytes(),
+        keep_mask in any::<u16>(),
+    ) {
+        let decoded = decode_entity(&bytes);
+
+        let (ids, values, stopped) = walk(&bytes, |_| true, true);
+        match (&decoded, &stopped) {
+            (Ok(entity), None) => {
+                prop_assert_eq!(RecordView::new(&bytes).unwrap().id(), entity.id());
+                prop_assert_eq!(RecordView::new(&bytes).unwrap().arity(), entity.arity());
+                prop_assert_eq!(values.len(), entity.arity());
+                for ((attr, (_, value)), want) in ids.iter().zip(&values).zip(entity.attrs()) {
+                    prop_assert!(*attr == want.0 && same(value, &want.1), "{attr} {value:?}");
+                }
+            }
+            (Err(StorageError::CorruptRecord(_)), Some(StorageError::CorruptRecord(_))) => {}
+            (d, s) => prop_assert!(false, "decode_entity {d:?} but full walk stopped with {s:?}"),
+        }
+
+        let keep = |i: usize| keep_mask >> (i % 16) & 1 == 1;
+        let (ids, values, stopped) = walk(&bytes, keep, false);
+        match (&decoded, &stopped) {
+            (Ok(entity), stopped) => {
+                prop_assert!(stopped.is_none(), "walk refused a valid record: {stopped:?}");
+                prop_assert_eq!(ids.len(), entity.arity());
+                for (i, attr) in ids.iter().enumerate() {
+                    prop_assert_eq!(*attr, entity.attrs()[i].0);
+                }
+                for (i, value) in &values {
+                    prop_assert!(same(value, &entity.attrs()[*i].1), "{value:?} at {i}");
+                }
+            }
+            (Err(_), Some(StorageError::CorruptRecord(_)) | None) => {}
+            (d, s) => prop_assert!(false, "decode_entity {d:?} but skip walk stopped with {s:?}"),
         }
     }
 }
