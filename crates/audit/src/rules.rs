@@ -252,14 +252,15 @@ fn config_fields(raw: &str, struct_name: &str) -> Vec<ConfigField> {
 /// `Instant::now()` that leaks into a decision breaks replayability.
 #[must_use]
 pub fn no_wall_clock(files: &[SourceFile]) -> Vec<Finding> {
-    const DETERMINISTIC: [&str; 7] = [
+    const DETERMINISTIC: [&str; 8] = [
         "storage/src/wal.rs",
         "storage/src/persist.rs",
         "query/src/planner.rs",
         "core/src/catalog.rs",
         "core/src/arena.rs",
         "core/src/rating.rs",
-        "core/src/placement.rs",
+        "core/src/index.rs",
+        "core/src/tier.rs",
     ];
     const CLOCKS: [&str; 2] = ["Instant::now", "SystemTime"];
     let mut out = Vec::new();

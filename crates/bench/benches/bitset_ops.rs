@@ -1,13 +1,12 @@
-//! Microbench: the fused synopsis count operations across representations.
+//! Microbench: the fused synopsis count operations.
 //!
 //! Every Cinderella rating is two fused passes over two synopses, so these
-//! counts are the innermost loop of the whole system. Compares the dense
-//! [`FixedBitSet`], the sorted-vec [`SparseBitSet`], and the adaptive
-//! [`HybridBitSet`] at the population sizes the DBpedia data actually
+//! counts are the innermost loop of the whole system. Measures the dense
+//! [`FixedBitSet`] at the population sizes the DBpedia data actually
 //! produces (entities ≈ 7 bits, partitions ≈ 30–70 bits of a 100-bit
 //! universe).
 
-use cind_bitset::{BitSetOps, FixedBitSet, HybridBitSet, SparseBitSet};
+use cind_bitset::{BitSetOps, FixedBitSet};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 const UNIVERSE: usize = 100;
@@ -24,16 +23,6 @@ fn bench_counts(c: &mut Criterion) {
         let fb = FixedBitSet::from_iter(UNIVERSE, bits(nb, 7));
         g.bench_function(format!("fixed/{name}"), |b| {
             b.iter(|| black_box(&fa).and_count(black_box(&fb)))
-        });
-        let sa = SparseBitSet::from_iter(bits(na, 3));
-        let sb = SparseBitSet::from_iter(bits(nb, 7));
-        g.bench_function(format!("sparse/{name}"), |b| {
-            b.iter(|| black_box(&sa).and_count(black_box(&sb)))
-        });
-        let ha = HybridBitSet::from_iter(UNIVERSE, bits(na, 3));
-        let hb = HybridBitSet::from_iter(UNIVERSE, bits(nb, 7));
-        g.bench_function(format!("hybrid/{name}"), |b| {
-            b.iter(|| black_box(&ha).and_count(black_box(&hb)))
         });
     }
     g.finish();

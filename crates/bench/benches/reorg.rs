@@ -11,12 +11,12 @@
 //! * `flash_crowd` — one attribute pair gets hammered mid-run.
 //! * `churn` — Zipf-skewed inserts plus deletes of the oldest entities.
 //!
-//! Results go to `BENCH_PR9.json` at the workspace root. Run with
-//! `cargo bench -p cind-bench --bench reorg`. Not a criterion bench: the
+//! One result line per scenario goes to stdout, with both EFFICIENCY
+//! timelines (the PR 9 record is in EXPERIMENTS.md, "Historical per-PR
+//! results"). Run with `cargo bench -p cind-bench --bench reorg`. Not a criterion bench: the
 //! runs are deterministic (seeded streams, no threads), so one wall-clock
 //! measurement per (scenario, mode) pair is the signal.
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
 use cind_datagen::{DriftConfig, DriftMode, DriftOp, DriftScenario};
@@ -122,11 +122,6 @@ fn run(mode: DriftMode, reorg: ReorgMode) -> RunOut {
     RunOut { eff_timeline, final_eff, elapsed_s, stats: driver.stats() }
 }
 
-fn timeline_json(t: &[f64]) -> String {
-    let cells: Vec<String> = t.iter().map(|v| format!("{v:.4}")).collect();
-    format!("[{}]", cells.join(", "))
-}
-
 fn main() {
     let scenarios = [
         ("steady", DriftMode::Steady),
@@ -134,62 +129,25 @@ fn main() {
         ("flash_crowd", DriftMode::FlashCrowd),
         ("churn", DriftMode::Churn),
     ];
-    let mut blocks = Vec::new();
     for (name, mode) in scenarios {
-        eprintln!("reorg bench: {name}");
         let off = run(mode, ReorgMode::Off);
         let auto = run(mode, ReorgMode::Auto);
-        let gain = auto.final_eff - off.final_eff;
-        eprintln!(
-            "  off {:.4} -> auto {:.4} (gain {gain:+.4}); auto took {} steps \
-             ({} resplits, {} migrations, {} merges, {} entities moved)",
+        println!(
+            "{name:<12} off {:.4} ({:.2}s) -> auto {:.4} ({:.2}s), gain {:+.4}; auto took \
+             {} steps ({} resplits, {} migrations, {} merges, {} entities moved)\n  \
+             off  timeline {:.4?}\n  auto timeline {:.4?}",
             off.final_eff,
-            auto.final_eff,
-            auto.stats.steps,
-            auto.stats.resplits,
-            auto.stats.migrations,
-            auto.stats.merges,
-            auto.stats.entities_moved,
-        );
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "    \"{name}\": {{\n      \"ops\": {OPS}, \"groups\": {GROUPS}, \
-             \"capacity\": {CAPACITY}, \"seed\": {SEED},\n      \
-             \"off\": {{ \"elapsed_s\": {:.3}, \"final_eff\": {:.4}, \
-             \"eff_timeline\": {} }},\n      \
-             \"auto\": {{ \"elapsed_s\": {:.3}, \"final_eff\": {:.4}, \
-             \"eff_timeline\": {},\n        \"steps\": {}, \"resplits\": {}, \
-             \"migrations\": {}, \"merges\": {}, \"entities_moved\": {} }},\n      \
-             \"final_gain\": {gain:+.4}\n    }}",
             off.elapsed_s,
-            off.final_eff,
-            timeline_json(&off.eff_timeline),
-            auto.elapsed_s,
             auto.final_eff,
-            timeline_json(&auto.eff_timeline),
+            auto.elapsed_s,
+            auto.final_eff - off.final_eff,
             auto.stats.steps,
             auto.stats.resplits,
             auto.stats.migrations,
             auto.stats.merges,
             auto.stats.entities_moved,
+            off.eff_timeline,
+            auto.eff_timeline,
         );
-        blocks.push(out);
     }
-
-    let json = format!(
-        "{{\n  \"pr\": 9,\n  \"date\": \"2026-08-08\",\n  \"description\": \"Workload-adaptive \
-         background reorganizer: Definition-1 EFFICIENCY against the trailing distinct-query \
-         window, sampled {CHECKPOINTS} times over {OPS}-op seeded DriftScenario streams, \
-         reorg auto vs off on identical streams. steady is the honest control (no drift, so \
-         moved entities are pure overhead); drift/flash_crowd/churn are the shapes the \
-         reorganizer exists for. From `cargo bench -p cind-bench --bench reorg`.\",\n  \
-         \"machine_note\": \"Linux container, release profile, in-memory core engine \
-         (UniversalTable + Cinderella + ReorgDriver), no I/O in the measured loop\",\n  \
-         \"reorg\": {{\n{}\n  }}\n}}\n",
-        blocks.join(",\n")
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_PR9.json");
-    std::fs::write(path, &json).expect("write BENCH_PR9.json");
-    eprintln!("wrote {path}");
 }

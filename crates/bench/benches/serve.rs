@@ -1,7 +1,8 @@
 //! Serving-layer shard sweep: an in-process `cind-server` on a loopback
 //! socket, driven by the closed-loop load generator, measured across
-//! shard counts 1/2/4/8 × client connections 1/4/8, with the numbers
-//! recorded to `BENCH_PR6.json` at the workspace root.
+//! shard counts 1/2/4/8 × client connections 1/4/8, one table row per
+//! scenario on stdout (the PR 4 / PR 6 records are in EXPERIMENTS.md,
+//! "Historical per-PR results").
 //!
 //! The sweep is the measurement behind the sharding tentpole: per-shard
 //! writer locks mean concurrent inserts only contend when they hash to
@@ -19,7 +20,6 @@
 //! percentiles over thousands of operations), so statistical resampling
 //! would only re-run minutes of socket traffic for no extra information.
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -37,9 +37,9 @@ struct Scenario {
 
 fn scenarios() -> Vec<Scenario> {
     let mut out = Vec::new();
-    // Workers fixed at 4 — the shape BENCH_PR4.json measured — so the
-    // sweep isolates the effect of the shard count alone and the PR4
-    // numbers stay directly comparable.
+    // Workers fixed at 4 — the shape PR 4 measured — so the sweep
+    // isolates the effect of the shard count alone and the PR 4 numbers
+    // stay directly comparable.
     for &shards in &[1usize, 2, 4, 8] {
         for &connections in &[1usize, 4, 8] {
             out.push(Scenario {
@@ -94,64 +94,33 @@ fn run_scenario(sc: &Scenario) -> (LoadReport, u64) {
     (report, partitions)
 }
 
-fn json_block(sc: &Scenario, report: &mut LoadReport, partitions: u64) -> String {
-    let mut out = String::new();
-    let p = |h: &mut cind_metrics::LatencyHistogram, q: f64| {
-        h.percentile(q).map_or(0.0, us)
-    };
-    let (ins_p50, ins_p99) =
-        (p(&mut report.insert_latency, 50.0), p(&mut report.insert_latency, 99.0));
-    let (q_p50, q_p99) =
-        (p(&mut report.query_latency, 50.0), p(&mut report.query_latency, 99.0));
-    let _ = write!(
-        out,
-        "    \"{}\": {{\n      \"shards\": {}, \"connections\": {}, \"workers\": {}, \
-         \"queue_depth\": {},\n      \
-         \"inserts\": {}, \"queries\": {}, \"rows\": {}, \"busy_sheds\": {}, \"errors\": {},\n      \
-         \"partitions\": {partitions}, \"elapsed_s\": {:.3}, \"throughput_ops_s\": {:.0},\n      \
-         \"insert_p50_us\": {ins_p50:.1}, \"insert_p99_us\": {ins_p99:.1},\n      \
-         \"query_p50_us\": {q_p50:.1}, \"query_p99_us\": {q_p99:.1}\n    }}",
-        sc.name,
-        sc.serve.effective_shards(),
-        sc.load.connections,
-        sc.serve.effective_workers(),
-        sc.serve.effective_queue_depth(),
-        report.inserts,
-        report.queries,
-        report.rows,
-        report.busy_sheds,
-        report.errors,
-        report.elapsed.as_secs_f64(),
-        report.throughput(),
-    );
-    out
-}
-
 fn main() {
-    let mut blocks = Vec::new();
+    let mut t = cind_metrics::Table::new([
+        "scenario",
+        "ops/s",
+        "busy sheds",
+        "errors",
+        "partitions",
+        "insert p50/p99 [us]",
+        "query p50/p99 [us]",
+    ]);
     for sc in scenarios() {
         eprintln!("serve bench: {}", sc.name);
         let (mut report, partitions) = run_scenario(&sc);
         eprintln!("{}", report.render());
-        blocks.push(json_block(&sc, &mut report, partitions));
+        let pair = |h: &mut cind_metrics::LatencyHistogram| {
+            let mut p = |q| h.percentile(q).map_or(0.0, us);
+            format!("{:.1} / {:.1}", p(50.0), p(99.0))
+        };
+        t.row([
+            sc.name.clone(),
+            format!("{:.0}", report.throughput()),
+            report.busy_sheds.to_string(),
+            report.errors.to_string(),
+            partitions.to_string(),
+            pair(&mut report.insert_latency),
+            pair(&mut report.query_latency),
+        ]);
     }
-
-    let json = format!(
-        "{{\n  \"pr\": 6,\n  \"date\": \"2026-08-08\",\n  \"description\": \"cind-server \
-         sharded serving layer: closed-loop load generator (DBpedia-like entities, mixed \
-         insert/query 10:1) against an in-process server on loopback. Scenarios sweep \
-         engine shards (1/2/4/8) x client connections (1/4/8) at fixed workers=4/queue=64 \
-         — per-shard writer locks keep inserts off each other, epoch snapshots keep \
-         queries off the writer path, and on a 1-hardware-thread host fan-out legs run \
-         inline so shards > 1 measures the sharding tax, not parallel speedup — plus a \
-         deliberate overload shape (workers=1, queue_depth=1, 8 connections, 4 shards) \
-         exercising admission control. From `cargo bench -p cind-bench --bench serve`.\",\n  \
-         \"machine_note\": \"Linux container, 1 hardware thread, release profile, loopback \
-         TCP, per-shard writer locks + epoch snapshot reads, inline query fan-out\",\n  \
-         \"serve\": {{\n{}\n  }}\n}}\n",
-        blocks.join(",\n")
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_PR6.json");
-    std::fs::write(path, &json).expect("write BENCH_PR6.json");
-    eprintln!("wrote {path}");
+    println!("{}", t.render());
 }

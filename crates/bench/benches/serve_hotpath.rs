@@ -1,7 +1,8 @@
 //! Server hot-path sweep: quantifies the three PR7 levers — request
 //! pipelining, wire-level batch frames, and WAL group commit — against
-//! the closed-loop per-op baseline BENCH_PR6.json measured, with the
-//! numbers recorded to `BENCH_PR7.json` at the workspace root.
+//! the closed-loop per-op baseline PR 6 measured, one table row per
+//! scenario on stdout (the PR 7 record is in EXPERIMENTS.md, "Historical
+//! per-PR results").
 //!
 //! Two scenario families:
 //!
@@ -23,7 +24,6 @@
 //! Run with `cargo bench -p cind-bench --bench serve_hotpath`. Not a
 //! criterion bench: one load run *is* the measurement.
 
-use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -77,7 +77,7 @@ fn shape(
 fn scenarios() -> Vec<Scenario> {
     let mut out = vec![
         // In-memory mixed family: same engine shape and 10:1 mix as
-        // BENCH_PR6's shards_4_connections_8, so mem_closed_loop
+        // PR 6's shards_4_connections_8, so mem_closed_loop
         // re-measures that baseline on the pipelined server and the other
         // two isolate the wire-level levers.
         shape("mem_closed_loop", 1, 1, 10, 0, false),
@@ -164,65 +164,22 @@ fn per(n: u64, d: u64) -> f64 {
     }
 }
 
-fn json_block(sc: &Scenario, report: &mut LoadReport, io: &IoCounters) -> String {
-    let mut out = String::new();
-    let p = |h: &mut cind_metrics::LatencyHistogram, q: f64| h.percentile(q).map_or(0.0, us);
-    let (e2e_p50, e2e_p99) =
-        (p(&mut report.insert_latency, 50.0), p(&mut report.insert_latency, 99.0));
-    let (svc_p50, svc_p99) =
-        (p(&mut report.insert_service, 50.0), p(&mut report.insert_service, 99.0));
-    let (q_p50, q_p99) = (p(&mut report.query_latency, 50.0), p(&mut report.query_latency, 99.0));
-    let ops = report.inserts + report.queries;
-    let _ = write!(
-        out,
-        "    \"{}\": {{\n      \
-         \"durable\": {}, \"pipeline\": {}, \"batch\": {}, \"gc_window_us\": {},\n      \
-         \"workers\": {}, \"queue_depth\": {}, \"shards\": {}, \"connections\": {},\n      \
-         \"inserts\": {}, \"queries\": {}, \"rows\": {}, \"busy_sheds\": {}, \"errors\": {},\n      \
-         \"elapsed_s\": {:.3}, \"throughput_ops_s\": {:.0},\n      \
-         \"insert_e2e_p50_us\": {e2e_p50:.1}, \"insert_e2e_p99_us\": {e2e_p99:.1},\n      \
-         \"insert_svc_p50_us\": {svc_p50:.1}, \"insert_svc_p99_us\": {svc_p99:.1},\n      \
-         \"query_e2e_p50_us\": {q_p50:.1}, \"query_e2e_p99_us\": {q_p99:.1},\n      \
-         \"wal_appends\": {}, \"wal_syncs\": {}, \"wal_groups\": {}, \"wal_ops\": {},\n      \
-         \"wal_syncs_per_op\": {:.4}, \"ops_per_commit_group\": {:.2},\n      \
-         \"net_reads\": {}, \"net_writes\": {}, \"frames_in\": {}, \"frames_out\": {},\n      \
-         \"frames_per_read\": {:.2}, \"frames_per_write\": {:.2}, \
-         \"socket_syscalls_per_op\": {:.3}\n    }}",
-        sc.name,
-        sc.durable,
-        sc.load.pipeline,
-        sc.load.batch,
-        sc.window_us,
-        sc.serve.effective_workers(),
-        sc.serve.effective_queue_depth(),
-        sc.serve.effective_shards(),
-        sc.load.connections,
-        report.inserts,
-        report.queries,
-        report.rows,
-        report.busy_sheds,
-        report.errors,
-        report.elapsed.as_secs_f64(),
-        report.throughput(),
-        io.wal_appends,
-        io.wal_syncs,
-        io.wal_groups,
-        io.wal_ops,
-        per(io.wal_syncs, io.wal_ops),
-        per(io.wal_ops, io.wal_groups),
-        io.net_reads,
-        io.net_writes,
-        io.frames_in,
-        io.frames_out,
-        per(io.frames_in, io.net_reads),
-        per(io.frames_out, io.net_writes),
-        per(io.net_reads + io.net_writes, ops),
-    );
-    out
-}
-
 fn main() {
-    let mut blocks = Vec::new();
+    let mut t = cind_metrics::Table::new([
+        "scenario",
+        "ops/s",
+        "x baseline",
+        "busy sheds",
+        "errors",
+        "insert e2e p50/p99 [us]",
+        "insert svc p50/p99 [us]",
+        "query p50/p99 [us]",
+        "fsyncs/op",
+        "ops/commit group",
+        "frames/read",
+        "frames/write",
+        "socket syscalls/op",
+    ]);
     let mut baseline_ops = 0.0f64;
     for sc in scenarios() {
         eprintln!("serve_hotpath bench: {}", sc.name);
@@ -230,35 +187,27 @@ fn main() {
         eprintln!("{}", report.render());
         if sc.name == "mem_closed_loop" {
             baseline_ops = report.throughput();
-        } else if baseline_ops > 0.0 {
-            eprintln!(
-                "  -> {:.2}x the closed-loop baseline",
-                report.throughput() / baseline_ops
-            );
         }
-        blocks.push(json_block(&sc, &mut report, &io));
+        let pair = |h: &mut cind_metrics::LatencyHistogram| {
+            let mut p = |q| h.percentile(q).map_or(0.0, us);
+            format!("{:.1} / {:.1}", p(50.0), p(99.0))
+        };
+        let ops = report.inserts + report.queries;
+        t.row([
+            sc.name.clone(),
+            format!("{:.0}", report.throughput()),
+            format!("{:.2}", report.throughput() / baseline_ops),
+            report.busy_sheds.to_string(),
+            report.errors.to_string(),
+            pair(&mut report.insert_latency),
+            pair(&mut report.insert_service),
+            pair(&mut report.query_latency),
+            format!("{:.4}", per(io.wal_syncs, io.wal_ops)),
+            format!("{:.2}", per(io.wal_ops, io.wal_groups)),
+            format!("{:.2}", per(io.frames_in, io.net_reads)),
+            format!("{:.2}", per(io.frames_out, io.net_writes)),
+            format!("{:.3}", per(io.net_reads + io.net_writes, ops)),
+        ]);
     }
-
-    let json = format!(
-        "{{\n  \"pr\": 7,\n  \"date\": \"2026-08-08\",\n  \"description\": \"cind-server hot \
-         path: WAL group commit, request pipelining, and wire-level batch frames, measured \
-         against the closed-loop per-op baseline. In-memory scenarios re-run BENCH_PR6's \
-         shards_4_connections_8 shape (workers=4, queue=64, shards=4, connections=8, 9018 \
-         ops/s there) closed-loop vs pipelined (16 in flight) vs batched (32 inserts per \
-         InsertBatch frame), isolating the wire-level levers. Durable scenarios run the same \
-         shapes on an on-disk sharded store with the group-commit window at 0 vs 4000 us, \
-         recording the server's own IoCounters: wal_syncs per committed op (the fsync \
-         amortisation), ops per commit group (the coalescing factor), and frames per socket \
-         read/write syscall (the pipelining amortisation). An overload shape (workers=1, \
-         queue_depth=8, 8 pipelined connections) keeps admission control measured under \
-         pipelined pressure. From `cargo bench -p cind-bench --bench serve_hotpath`.\",\n  \
-         \"machine_note\": \"Linux container, 1 hardware thread, release profile, loopback \
-         TCP; durable stores on local tmpdir, so fsync cost is the container's, not a \
-         datacenter disk's\",\n  \
-         \"serve_hotpath\": {{\n{}\n  }}\n}}\n",
-        blocks.join(",\n")
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_PR7.json");
-    std::fs::write(path, &json).expect("write BENCH_PR7.json");
-    eprintln!("wrote {path}");
+    println!("{}", t.render());
 }

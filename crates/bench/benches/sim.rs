@@ -2,14 +2,14 @@
 //! steps per second the deterministic simulator sustains, with and
 //! without fault injection, plus the crash-point sweep's recoveries per
 //! second. The numbers bound how much schedule space a CI minute buys —
-//! the knob behind the `sim` job's 32×2000 matrix — and are recorded to
-//! `BENCH_PR5.json` at the workspace root.
+//! the knob behind the `sim` job's 32×2000 matrix — and go to stdout,
+//! one line per scenario (the PR 5 record is in EXPERIMENTS.md,
+//! "Historical per-PR results").
 //!
 //! Run with `cargo bench -p cind-bench --bench sim`. Not a criterion
 //! bench: each run is thousands of internally-checked steps, so one
 //! wall-clock measurement per scenario is the signal.
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
 use cind_sim::{crash_sweep, generate, run_ops, FaultPlan, RunSpec};
@@ -50,9 +50,7 @@ fn scenarios() -> Vec<Scenario> {
 }
 
 fn main() {
-    let mut blocks = Vec::new();
     for sc in scenarios() {
-        eprintln!("sim bench: {}", sc.name);
         let plan = if sc.faults { FaultPlan::all() } else { FaultPlan::none() };
         let ops = generate(sc.seed, sc.ops, sc.faults, sc.shards);
         let start = Instant::now();
@@ -69,63 +67,25 @@ fn main() {
         .expect("committed seeds pass");
         let elapsed = start.elapsed().as_secs_f64();
         let steps_per_s = sc.ops as f64 / elapsed;
-        eprintln!(
-            "  {} steps in {elapsed:.2}s = {steps_per_s:.0} steps/s, {} restarts, \
-             {} entities, hash {:016x}",
-            sc.ops,
-            report.restarts,
-            report.final_entities,
-            report.trace.hash()
-        );
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "    \"{}\": {{\n      \"ops\": {}, \"faults\": {}, \"shards\": {}, \
-             \"check_every\": {},\n      \
-             \"elapsed_s\": {elapsed:.3}, \"steps_per_s\": {steps_per_s:.0},\n      \
-             \"restarts\": {}, \"final_entities\": {}, \"vfs_mutations\": {}\n    }}",
+        println!(
+            "{:<22} {} steps in {elapsed:.2}s = {steps_per_s:.0} steps/s, {} restarts, \
+             {} entities, {} vfs mutations, hash {:016x}",
             sc.name,
             sc.ops,
-            sc.faults,
-            sc.shards,
-            sc.check_every,
             report.restarts,
             report.final_entities,
             report.vfs_mutations,
+            report.trace.hash()
         );
-        blocks.push(out);
     }
 
     // The sweep: one full run per (shard, mutating VFS operation) pair.
-    eprintln!("sim bench: sweep_40");
     let start = Instant::now();
     let points = crash_sweep(3, 40, 2).expect("sweep passes");
     let elapsed = start.elapsed().as_secs_f64();
-    eprintln!(
-        "  {points} crash-points in {elapsed:.2}s = {:.0} recoveries/s",
+    println!(
+        "{:<22} {points} crash-points in {elapsed:.2}s = {:.0} recoveries/s",
+        "sweep_40",
         points as f64 / elapsed
     );
-    let mut sweep = String::new();
-    let _ = write!(
-        sweep,
-        "    \"sweep_40\": {{\n      \"ops\": 40, \"shards\": 2, \"crash_points\": {points},\n      \
-         \"elapsed_s\": {elapsed:.3}, \"recoveries_per_s\": {:.0}\n    }}",
-        points as f64 / elapsed
-    );
-    blocks.push(sweep);
-
-    let json = format!(
-        "{{\n  \"pr\": 5,\n  \"date\": \"2026-08-06\",\n  \"description\": \"cind-sim \
-         deterministic simulation harness: fully-oracle-checked schedule steps per second \
-         (model-table diff + structural validation + independent EFFICIENCY(P) recompute \
-         each step) with faults off/on, the check_every=16 batched variant, a 4-shard \
-         world (per-shard crash domains + per-shard oracle diffs), and the \
-         kill-at-every-(shard, crash-point) sweep. From `cargo bench -p cind-bench --bench sim`.\",\n  \
-         \"machine_note\": \"Linux container, release profile, in-memory SimVfs, virtual \
-         clock\",\n  \"sim\": {{\n{}\n  }}\n}}\n",
-        blocks.join(",\n")
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_PR5.json");
-    std::fs::write(path, &json).expect("write BENCH_PR5.json");
-    eprintln!("wrote {path}");
 }

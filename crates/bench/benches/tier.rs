@@ -22,17 +22,17 @@
 //! * acceptance summary — resident-byte ratio and plan-latency ratio at
 //!   10⁵ (the PR's bar: ≥ 5× memory reduction, latency ≤ 1.5× exact).
 //!
-//! Results go to `BENCH_PR10.json` at the workspace root. Run with
+//! The result table goes to stdout (the PR 10 record is in EXPERIMENTS.md,
+//! "Historical per-PR results"). Run with
 //! `cargo bench -p cind-bench --bench tier`. Not a criterion bench: the
 //! catalogs are deterministic (splitmix-seeded, no threads), so one
 //! wall-clock measurement per (scale, tier) cell is the signal.
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
 use cind_model::{AttrId, EntityId, Synopsis};
 use cind_storage::SegmentId;
-use cinderella_core::{IndexMode, IndexTier, PartitionCatalog, TierParams};
+use cinderella_core::{IndexTier, PartitionCatalog, TierParams};
 
 /// Attribute universe (bits in every synopsis).
 const UNIVERSE: usize = 4096;
@@ -128,7 +128,7 @@ fn run(
     postings: &[Vec<u32>],
 ) -> Cell {
     let built = Instant::now();
-    let mut cat = PartitionCatalog::with_tier_params(IndexMode::On, tier, params);
+    let mut cat = PartitionCatalog::with_tier_params(tier, params);
     for i in 0..n {
         let seg = SegmentId(i as u32);
         cat.create_partition(seg);
@@ -153,7 +153,7 @@ fn run(
     let mut tn = 0u64;
     let mut survivors_total = 0u64;
     for (qi, q) in qs.iter().enumerate() {
-        let (survivors, _) = cat.plan_survivors(q).expect("index mode on");
+        let (survivors, _) = cat.survivors(q);
         for seg in &survivors {
             cat.note_heat(*seg, 1);
         }
@@ -181,7 +181,7 @@ fn run(
     let mut checksum = 0usize;
     for _ in 0..ROUNDS {
         for q in &qs {
-            let (survivors, _) = cat.plan_survivors(q).expect("index mode on");
+            let (survivors, _) = cat.survivors(q);
             checksum = checksum.wrapping_add(survivors.len());
         }
     }
@@ -209,27 +209,29 @@ fn build_postings(n: usize, layout: Layout) -> Vec<Vec<u32>> {
     postings
 }
 
-fn cell_json(c: &Cell) -> String {
-    format!(
-        "{{ \"build_s\": {:.3}, \"resident_bytes\": {}, \"plan_us\": {:.2}, \
-         \"mean_survivors\": {:.1}, \"fp_rate\": {:.5} }}",
+/// One row of the result table.
+fn print_cell(shape: &str, tier: IndexTier, c: &Cell) {
+    println!(
+        "{shape:<22} {tier:<7} {:>9.3} {:>14} {:>9.2} {:>11.1} {:>9.5}",
         c.build_s, c.resident_bytes, c.plan_us, c.mean_survivors, c.fp_rate
-    )
+    );
 }
 
 fn main() {
-    let scales: [(usize, &str); 3] =
-        [(10_000, "1e4"), (100_000, "1e5"), (1_000_000, "1e6")];
+    let scales = [10_000usize, 100_000, 1_000_000];
     let params = TierParams::default();
+    println!(
+        "{:<22} {:<7} {:>9} {:>14} {:>9} {:>11} {:>9}",
+        "catalog", "tier", "build [s]", "resident [B]", "plan [us]", "survivors", "fp rate"
+    );
 
     // Scale sweep on the group-structured (family-clustered) catalog —
     // the layout the paper's insert clustering converges to and the one
     // the PR's acceptance bar is stated against.
-    let mut scale_blocks = Vec::new();
     let mut accept: Option<(f64, f64)> = None;
-    for (n, label) in scales {
+    for n in scales {
         let postings = build_postings(n, Layout::Clustered);
-        eprintln!("tier bench: {n} partitions (clustered)");
+        let shape = format!("clustered {n}");
         // Exact presence bitmaps are the oracle and the baseline; at 10⁶
         // they are exactly the memory wall the tier removes, so the cell
         // is measured only where it is a sane configuration.
@@ -237,30 +239,15 @@ fn main() {
             .then(|| run(n, Layout::Clustered, IndexTier::Exact, params, &postings));
         let tiered = run(n, Layout::Clustered, IndexTier::Tiered, params, &postings);
         if let Some(e) = &exact {
-            eprintln!(
-                "  exact:  {:>12} B, plan {:>7.2} us  ({:.1} survivors)",
-                e.resident_bytes, e.plan_us, e.mean_survivors
-            );
-        }
-        eprintln!(
-            "  tiered: {:>12} B, plan {:>7.2} us  ({:.1} survivors, fp {:.4})",
-            tiered.resident_bytes, tiered.plan_us, tiered.mean_survivors, tiered.fp_rate
-        );
-        if n == 100_000 {
-            if let Some(e) = &exact {
+            print_cell(&shape, IndexTier::Exact, e);
+            if n == 100_000 {
                 accept = Some((
                     e.resident_bytes as f64 / tiered.resident_bytes as f64,
                     tiered.plan_us / e.plan_us,
                 ));
             }
         }
-        let exact_json =
-            exact.map_or_else(|| "null".to_owned(), |e| cell_json(&e));
-        scale_blocks.push(format!(
-            "    \"{label}\": {{ \"partitions\": {n}, \"exact\": {exact_json}, \
-             \"tiered\": {} }}",
-            cell_json(&tiered)
-        ));
+        print_cell(&shape, IndexTier::Tiered, &tiered);
     }
 
     // The adversarial counterpart at 10⁵: family-shuffled arrival order,
@@ -268,20 +255,10 @@ fn main() {
     // and pruning leans entirely on the per-slot filter lanes. Reported
     // alongside, not part of the acceptance bar.
     let postings = build_postings(100_000, Layout::Shuffled);
-    eprintln!("tier bench: 100000 partitions (shuffled)");
-    let shuf_exact =
-        run(100_000, Layout::Shuffled, IndexTier::Exact, params, &postings);
-    let shuf_tiered =
-        run(100_000, Layout::Shuffled, IndexTier::Tiered, params, &postings);
-    eprintln!(
-        "  exact:  {:>12} B, plan {:>7.2} us\n  tiered: {:>12} B, plan {:>7.2} us \
-         (fp {:.4})",
-        shuf_exact.resident_bytes,
-        shuf_exact.plan_us,
-        shuf_tiered.resident_bytes,
-        shuf_tiered.plan_us,
-        shuf_tiered.fp_rate
-    );
+    for tier in [IndexTier::Exact, IndexTier::Tiered] {
+        let c = run(100_000, Layout::Shuffled, tier, params, &postings);
+        print_cell("shuffled 100000", tier, &c);
+    }
 
     // blocks_per_group sweep on the shuffled layout (where the filter
     // lanes do all the work): false-positive rate against filter bits per
@@ -290,60 +267,20 @@ fn main() {
     // grower walks every cell to the same equilibrium.
     let keys_per_group = postings.iter().map(Vec::len).sum::<usize>() as f64
         / (100_000.0 / 64.0);
-    let mut sweep_blocks = Vec::new();
     for blocks in [8usize, 32, 128] {
         let bits_per_key = (blocks * 64) as f64 / keys_per_group;
-        eprintln!(
-            "tier bench: blocks_per_group {blocks} pinned ({bits_per_key:.1} bits/key)"
-        );
         let p = TierParams {
             blocks_per_group: blocks,
             max_blocks_per_group: blocks,
             ..params
         };
         let c = run(100_000, Layout::Shuffled, IndexTier::Tiered, p, &postings);
-        eprintln!(
-            "  {:>12} B, plan {:>7.2} us, fp {:.4}",
-            c.resident_bytes, c.plan_us, c.fp_rate
-        );
-        sweep_blocks.push(format!(
-            "    \"{blocks}\": {{ \"bits_per_key\": {bits_per_key:.2}, \"cell\": {} }}",
-            cell_json(&c)
-        ));
+        print_cell(&format!("pinned {bits_per_key:.1} bits/key"), IndexTier::Tiered, &c);
     }
 
     let (mem_ratio, latency_ratio) = accept.expect("1e5 exact cell measured");
-    eprintln!(
-        "acceptance at 1e5 (clustered): memory ratio {mem_ratio:.1}x (bar >= 5), \
+    println!(
+        "\nacceptance at 1e5 (clustered): memory ratio {mem_ratio:.1}x (bar >= 5), \
          plan latency ratio {latency_ratio:.2}x (bar <= 1.5)"
     );
-
-    let mut json = String::new();
-    let _ = write!(
-        json,
-        "{{\n  \"pr\": 10,\n  \"date\": \"2026-08-08\",\n  \"description\": \"Tiered \
-         pruning index at catalog scale: plan-path latency, resident index bytes, and \
-         false-positive rate, exact presence bitmaps vs blocked-Bloom tier + exact hot \
-         tier, on synthetic irregular catalogs ({FAMILIES} schema families over a \
-         {UNIVERSE}-attribute universe, two-attribute family probes, ground truth from \
-         independent posting lists, every query asserting exact ⊆ tiered). Scales are \
-         group-structured (family-clustered arrival); shuffled_1e5 is the adversarial \
-         family-shuffled order; the blocks sweep pins filter growth to chart fp against \
-         bits per key. From `cargo bench -p cind-bench --bench tier`.\",\n  \
-         \"machine_note\": \"Linux container, release profile, catalog-only (no entity \
-         storage in the measured loop)\",\n  \
-         \"queries\": {QUERIES}, \"rounds\": {ROUNDS}, \"seed\": {SEED},\n  \
-         \"scales\": {{\n{}\n  }},\n  \"shuffled_1e5\": {{ \"exact\": {}, \
-         \"tiered\": {} }},\n  \"blocks_per_group_1e5\": {{\n{}\n  }},\n  \
-         \"acceptance_1e5\": {{ \"memory_ratio\": {mem_ratio:.1}, \
-         \"plan_latency_ratio\": {latency_ratio:.2}, \"memory_bar\": 5.0, \
-         \"latency_bar\": 1.5 }}\n}}\n",
-        scale_blocks.join(",\n"),
-        cell_json(&shuf_exact),
-        cell_json(&shuf_tiered),
-        sweep_blocks.join(",\n"),
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_PR10.json");
-    std::fs::write(path, &json).expect("write BENCH_PR10.json");
-    eprintln!("wrote {path}");
 }

@@ -1,11 +1,10 @@
 //! Ablations and extensions beyond the paper's figures.
 //!
-//! Three studies the paper motivates but does not measure:
+//! Studies the paper motivates but does not measure. The numbering is
+//! historical: study 1 (candidate index on/off) went with the index
+//! on/off knob it swept and study 6 (placement across nodes) with the parked
+//! multi-node module; their recorded results stay in EXPERIMENTS.md.
 //!
-//! 1. **Candidate index** (§VII future work, "management of a large number
-//!    of partition synopses with specialized data structures"): insert
-//!    throughput and ratings computed with and without the inverted
-//!    attribute→partition index, at a weight that produces many partitions.
 //! 2. **Synopsis mode** (§II): entity-based vs workload-based partitioning,
 //!    compared on Definition 1 efficiency and query pages.
 //! 3. **Policy shoot-out**: Cinderella vs unpartitioned, hash, range, and
@@ -15,9 +14,6 @@
 //!    its repair by the merge pass.
 //! 5. **Parallel bulk load** (extension): wall-clock speedup and stitched
 //!    partitioning quality vs the sequential load.
-//! 6. **Placement** (extension, §II's distribution motivation): balanced
-//!    vs affinity placement of the partitions over nodes — load imbalance
-//!    against per-query node fan-out.
 //! 7. **Workload drift** (§II's robustness claim): workload-based
 //!    partitioning tailored to workload A, evaluated under a disjoint
 //!    workload B — vs entity-based partitioning, which §II predicts is
@@ -39,83 +35,11 @@ use cinderella_core::{efficiency_of, Capacity, Cinderella, Config, SynopsisMode}
 
 fn main() {
     let env = ExperimentEnv::from_args();
-    candidate_index_study(&env);
     synopsis_mode_study(&env);
     policy_shootout(&env);
     merge_pass_study(&env);
     bulk_load_study(&env);
-    placement_study(&env);
     workload_drift_study(&env);
-}
-
-/// Study 1: the inverted candidate index. Two data sets with opposite
-/// outcomes: DBpedia entities almost always carry a near-universal
-/// attribute, so the candidate set covers the whole catalog and the
-/// cost gate falls back to the plain scan (no win, no loss); TPC-H rows
-/// have only relation-local columns, so the candidate set is exactly the
-/// partitions of the row's own relation and the scan shrinks by ~the
-/// number of relations.
-fn candidate_index_study(env: &ExperimentEnv) {
-    println!("== ablation 1: candidate index ==\n");
-    let mut t = Table::new([
-        "dataset",
-        "config",
-        "partitions",
-        "load time [ms]",
-        "ratings computed",
-        "ratings/insert",
-    ]);
-    for dataset in ["dbpedia (w=0.1)", "tpch (w=0.5, B=500)"] {
-        let mut results = Vec::new();
-        for use_index in [false, true] {
-            let mut table = UniversalTable::new(env.pool_pages);
-            let (entities, weight, b) = if dataset.starts_with("dbpedia") {
-                (dbpedia_dataset(env, &mut table), 0.1, 5000)
-            } else {
-                let gen = cind_datagen::TpchGenerator::new(cind_datagen::TpchConfig {
-                    scale: env.entities as f64 / 8_660_030.0,
-                    seed: env.seed,
-                });
-                (gen.generate(table.catalog_mut()).0, 0.5, 500)
-            };
-            let mut policy = Cinderella::new(Config {
-                weight,
-                capacity: Capacity::MaxEntities(b),
-                index: if use_index {
-                    cinderella_core::IndexMode::On
-                } else {
-                    cinderella_core::IndexMode::Off
-                },
-                ..Config::default()
-            });
-            let d = load(&mut policy, &mut table, entities);
-            let stats = policy.stats();
-            t.row([
-                dataset.to_owned(),
-                if use_index { "indexed" } else { "full scan" }.to_owned(),
-                policy.catalog().len().to_string(),
-                ms(d),
-                stats.ratings_computed.to_string(),
-                format!("{:.1}", stats.ratings_computed as f64 / stats.inserts as f64),
-            ]);
-            results.push(policy);
-        }
-        // Both paths must produce the same partitioning behaviourally:
-        // same partition count and same entities-per-partition multiset.
-        let sizes = |c: &Cinderella| {
-            let mut v: Vec<u64> = c.catalog().iter().map(|m| m.entities).collect();
-            v.sort_unstable();
-            v
-        };
-        assert_eq!(
-            sizes(&results[0]),
-            sizes(&results[1]),
-            "index must not change the partitioning ({dataset})"
-        );
-    }
-    println!("{}", t.render());
-    env.maybe_csv("ablation_index", &t);
-    println!("\nindexed and full-scan partitionings are identical ✓\n");
 }
 
 /// Study 2: entity-based vs workload-based synopses.
@@ -409,60 +333,6 @@ fn bulk_load_study(env: &ExperimentEnv) {
     }
     println!("{}", t.render());
     env.maybe_csv("ablation_bulk", &t);
-}
-
-/// Study 6: placing the partitions on nodes (§II's distribution setting).
-fn placement_study(env: &ExperimentEnv) {
-    println!("\n== ablation 6: partition placement across nodes ==\n");
-    let mut table = UniversalTable::new(env.pool_pages);
-    let entities = dbpedia_dataset(env, &mut table);
-    let universe = table.universe();
-    let specs = representative_queries(universe, &entities);
-    let query_synopses: Vec<Synopsis> = specs
-        .iter()
-        .map(|s| Synopsis::from_attrs(universe, s.attrs.iter().copied()))
-        .collect();
-    let mut policy = Cinderella::new(Config {
-        weight: 0.2,
-        capacity: Capacity::MaxEntities(2_000),
-        ..Config::default()
-    });
-    load(&mut policy, &mut table, entities);
-    println!(
-        "{} partitions placed over nodes (workload: {} queries)\n",
-        policy.catalog().len(),
-        query_synopses.len()
-    );
-
-    // Broad queries touch nearly every partition, so placement cannot help
-    // them; the interesting fan-out is the selective queries'.
-    let selective: Vec<Synopsis> = specs
-        .iter()
-        .filter(|s| s.selectivity < 0.1)
-        .map(|s| Synopsis::from_attrs(universe, s.attrs.iter().copied()))
-        .collect();
-    let mut t = Table::new([
-        "nodes",
-        "strategy",
-        "imbalance",
-        "fan-out (all)",
-        "fan-out (selective)",
-    ]);
-    for nodes in [4usize, 8, 16] {
-        let balanced = cinderella_core::place_balanced(policy.catalog(), nodes);
-        let affinity = cinderella_core::place_affinity(policy.catalog(), nodes, 0.10);
-        for (name, p) in [("balanced", &balanced), ("affinity", &affinity)] {
-            t.row([
-                nodes.to_string(),
-                name.to_owned(),
-                format!("{:.3}", p.imbalance()),
-                format!("{:.2}", p.fanout(policy.catalog(), &query_synopses)),
-                format!("{:.2}", p.fanout(policy.catalog(), &selective)),
-            ]);
-        }
-    }
-    println!("{}", t.render());
-    env.maybe_csv("ablation_placement", &t);
 }
 
 /// Study 7: §II's robustness claim under workload drift.

@@ -10,12 +10,11 @@
 //! | `fig7`   | Fig. 7 — influence of w on the partitioning |
 //! | `fig8`   | Fig. 8 — insert latency histograms and split counts |
 //! | `table1` | Table I — TPC-H schema recovery and query overhead |
-//! | `ablations` | extensions: candidate index, synopsis modes, baselines |
+//! | `ablations` | extensions: synopsis modes, baselines, merge, bulk load, drift |
 //!
 //! Every binary accepts `--entities N`, `--seed S`, `--runs R`,
 //! `--pool PAGES`, `--threads T` (fan surviving `UNION ALL` branches over
-//! `T` workers; 1 = the paper's sequential scans), `--index auto|on|off`
-//! (the catalog's candidate/survivor bitmap index), and `--csv DIR` (write
+//! `T` workers; 1 = the paper's sequential scans), and `--csv DIR` (write
 //! the series as CSV files), and prints fixed-width tables mirroring the
 //! paper's artifacts.
 
@@ -29,7 +28,7 @@ use cind_datagen::{DbpediaConfig, DbpediaGenerator, QuerySpec, WorkloadBuilder};
 use cind_model::Entity;
 use cind_query::{execute, plan_with, Parallelism, Query};
 use cind_storage::UniversalTable;
-use cinderella_core::{Capacity, Cinderella, Config, IndexMode};
+use cinderella_core::{Capacity, Cinderella, Config};
 
 /// Command-line knobs shared by all harness binaries.
 #[derive(Clone, Debug)]
@@ -47,8 +46,6 @@ pub struct ExperimentEnv {
     pub threads: usize,
     /// Directory for CSV output (`None` = console only).
     pub csv_dir: Option<std::path::PathBuf>,
-    /// Catalog index mode for Cinderella instances (`--index auto|on|off`).
-    pub index: IndexMode,
 }
 
 impl Default for ExperimentEnv {
@@ -60,7 +57,6 @@ impl Default for ExperimentEnv {
             pool_pages: 256,
             threads: 1,
             csv_dir: None,
-            index: IndexMode::default(),
         }
     }
 }
@@ -84,13 +80,10 @@ impl ExperimentEnv {
                 "--pool" => env.pool_pages = value("--pool").parse().expect("usize"),
                 "--threads" => env.threads = value("--threads").parse().expect("usize"),
                 "--csv" => env.csv_dir = Some(value("--csv").into()),
-                "--index" => {
-                    env.index = value("--index").parse().expect("auto|on|off");
-                }
                 "--help" | "-h" => {
                     eprintln!(
                         "flags: --entities N --seed S --runs R --pool PAGES --threads T \
-                         --csv DIR --index auto|on|off"
+                         --csv DIR"
                     );
                     std::process::exit(0);
                 }
@@ -132,15 +125,9 @@ pub fn dbpedia_dataset(env: &ExperimentEnv, table: &mut UniversalTable) -> Vec<E
 
 /// A Cinderella instance configured like the paper's experiments.
 pub fn cinderella(b: u64, w: f64) -> Cinderella {
-    cinderella_indexed(b, w, IndexMode::default())
-}
-
-/// [`cinderella`] with the catalog index mode chosen (the `--index` knob).
-pub fn cinderella_indexed(b: u64, w: f64, index: IndexMode) -> Cinderella {
     Cinderella::new(Config {
         weight: w,
         capacity: Capacity::MaxEntities(b),
-        index,
         ..Config::default()
     })
 }

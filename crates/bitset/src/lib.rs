@@ -7,22 +7,16 @@
 //! *fused* count operations (`and_count`, `or_count`, `xor_count`,
 //! `andnot_count`) so that a rating never materialises a temporary bitset.
 //!
-//! Three representations are provided, all implementing [`BitSetOps`]:
+//! Two representations are provided, both implementing [`BitSetOps`]:
 //!
 //! * [`FixedBitSet`] — dense `u64`-block bitset with a fixed universe size.
 //!   This is the workhorse for partition synopses, where the universe (the
 //!   attribute dictionary of the universal table) is known.
-//! * [`SparseBitSet`] — a sorted vector of bit indices. Cheaper than a dense
-//!   bitset when only a handful of bits are set, which is the common case for
-//!   *entity* synopses in long-tailed data (DBpedia: most entities have
-//!   2–15 of 100 attributes).
-//! * [`HybridBitSet`] — starts sparse and promotes itself to dense once the
-//!   population passes a density threshold. This implements the paper's
-//!   future-work item of "specialized data structures" for managing a large
-//!   number of synopses; the `ablations` bench quantifies the effect.
+//! * [`GrowableBitSet`] — wraps [`FixedBitSet`] with automatic universe
+//!   growth for callers that discover attributes on the fly.
 //!
-//! [`GrowableBitSet`] wraps [`FixedBitSet`] with automatic universe growth
-//! for callers that discover attributes on the fly.
+//! The [`words`] kernels run the same fused counts over raw `u64` slices,
+//! for the packed synopsis arena.
 //!
 //! # Example
 //!
@@ -46,16 +40,12 @@
 
 mod fixed;
 mod growable;
-mod hybrid;
 mod ops;
-mod sparse;
 pub mod words;
 
 pub use fixed::FixedBitSet;
 pub use growable::GrowableBitSet;
-pub use hybrid::{HybridBitSet, PROMOTE_AT};
 pub use ops::{BitSetOps, FusedCounts};
-pub use sparse::SparseBitSet;
 
 /// Number of bits per storage block.
 pub(crate) const BITS: usize = u64::BITS as usize;

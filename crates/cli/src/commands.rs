@@ -3,11 +3,11 @@
 use std::path::Path;
 
 use cind_model::{AttributeCatalog, SizeModel, Value};
-use cind_query::{execute_collect, plan_from_survivors, plan_with, Parallelism, Query};
+use cind_query::{execute_collect, plan_from_survivors, Parallelism, Query};
 use cind_storage::{PersistError, StorageError, UniversalTable};
 use cind_server::{EngineOptions, ServeConfig, Server, ServerError};
 use cinderella_core::{
-    bulk_load, Capacity, Cinderella, Config, CoreError, IndexMode, IndexTier, SynopsisMode,
+    bulk_load, Capacity, Cinderella, Config, CoreError, IndexTier, SynopsisMode,
 };
 
 use crate::csv::{parse_entities, CsvError};
@@ -156,8 +156,6 @@ pub struct LoadOptions {
     pub threads: usize,
     /// Buffer-pool pages for the load.
     pub pool_pages: usize,
-    /// Catalog index mode (`auto`/`on`/`off`) for the rating scan.
-    pub index: IndexMode,
     /// Pruning-index tier (`exact`/`tiered`/`auto`): `tiered` swaps the
     /// exact presence bitmaps for blocked Bloom filters plus a bounded hot
     /// tier; `auto` ratchets to tiered once the catalog is large enough.
@@ -174,7 +172,6 @@ impl Default for LoadOptions {
             record_events: false,
             threads: 1,
             pool_pages: 1024,
-            index: IndexMode::default(),
             tier: IndexTier::default(),
         }
     }
@@ -187,7 +184,6 @@ fn config_of(opts: &LoadOptions, catalog: &AttributeCatalog) -> Result<Config, C
         size_model: opts.size_model,
         mode: opts.mode.resolve(catalog)?,
         record_events: opts.record_events,
-        index: opts.index,
         tier: opts.tier,
         // Reorg is a serving-time feature (`cind serve --reorg auto`);
         // an offline bulk load has no heat to react to.
@@ -249,9 +245,6 @@ pub struct QueryOptions {
     /// Worker threads for the scan (1 = sequential; >1 fans the surviving
     /// `UNION ALL` branches over a pool).
     pub threads: usize,
-    /// Catalog index mode: `auto`/`on` plan via the attribute-presence
-    /// bitmaps, `off` tests every partition's synopsis.
-    pub index: IndexMode,
     /// Pruning-index tier (`exact`/`tiered`/`auto`); tiered planning is
     /// superset-sound, so the rendered rows are identical either way.
     pub tier: IndexTier,
@@ -263,7 +256,6 @@ impl Default for QueryOptions {
             limit: Some(20),
             pool_pages: 1024,
             threads: 1,
-            index: IndexMode::default(),
             tier: IndexTier::default(),
         }
     }
@@ -291,7 +283,7 @@ pub fn query(
     let table = UniversalTable::restore(&mut file, opts.pool_pages)?;
     let cindy = Cinderella::rebuild(
         &table,
-        Config { index: opts.index, tier: opts.tier, ..Config::default() },
+        Config { tier: opts.tier, ..Config::default() },
     )?;
 
     let q = Query::from_names(table.catalog(), attrs.iter().copied()).ok_or_else(|| {
@@ -305,21 +297,9 @@ pub fn query(
     } else {
         Parallelism::Sequential
     };
-    // Survivor set from the catalog's attribute-presence bitmaps; with the
-    // index off, fall back to the per-partition |p ∧ q| = 0 test.
-    let p = match cindy.catalog().plan_survivors(q.synopsis()) {
-        Some((segments, pruned)) => {
-            plan_from_survivors(segments, pruned).with_parallelism(parallelism)
-        }
-        None => {
-            let view: Vec<_> = cindy
-                .catalog()
-                .pruning_view()
-                .map(|(s, syn, _)| (s, syn.clone()))
-                .collect();
-            plan_with(&q, view.iter().map(|(s, syn)| (*s, syn)), parallelism)
-        }
-    };
+    // Survivor set from the catalog's pruning index.
+    let (segments, pruned) = cindy.catalog().survivors(q.synopsis());
+    let p = plan_from_survivors(segments, pruned).with_parallelism(parallelism);
     let (result, rows) = execute_collect(&table, &q, &p)?;
 
     let mut t = cind_metrics::Table::new(
@@ -427,7 +407,7 @@ pub fn check(snapshot: &Path, pool_pages: usize) -> Result<String, CliError> {
     if violations.is_empty() {
         Ok(format!(
             "ok: {} entities in {} partitions, all structural invariants hold\n\
-             (arena, presence index, catalog refcounts, starters, segment accounting)",
+             (arena, pruning index, catalog refcounts, starters, segment accounting)",
             table.entity_count(),
             cindy.catalog().len(),
         ))
@@ -571,17 +551,12 @@ mod tests {
         assert!(out.contains("(1 pruned)"), "{out}");
         assert!(out.contains("7200"), "{out}");
 
-        // Indexed and unindexed planning agree row for row.
-        let indexed = query(
+        // Both index storages plan the same rows and the same pruning:
+        // the exact report above is the oracle for the tiered one.
+        let tiered = query(
             &snap,
             &["rotation"],
-            &QueryOptions { index: IndexMode::On, ..QueryOptions::default() },
-        )
-        .unwrap();
-        let unindexed = query(
-            &snap,
-            &["rotation"],
-            &QueryOptions { index: IndexMode::Off, ..QueryOptions::default() },
+            &QueryOptions { tier: IndexTier::Tiered, ..QueryOptions::default() },
         )
         .unwrap();
         let strip_timing = |s: &str| {
@@ -590,7 +565,7 @@ mod tests {
                 .collect::<Vec<_>>()
                 .join("\n")
         };
-        assert_eq!(strip_timing(&indexed), strip_timing(&unindexed));
+        assert_eq!(strip_timing(&out), strip_timing(&tiered));
 
         let s = stats(&snap, 64).unwrap();
         assert!(s.contains("entities: 4"), "{s}");

@@ -17,9 +17,9 @@ USAGE:
   cind load  --input DATA.csv --snapshot TABLE.cind
              [--weight W] [--capacity B] [--size-model cells|bytes]
              [--mode entity|workload:a,b;c,d] [--record-events true|false]
-             [--threads N] [--index auto|on|off] [--tier exact|tiered|auto]
+             [--threads N] [--tier exact|tiered|auto]
   cind query --snapshot TABLE.cind --attrs a,b,c [--limit N] [--threads N]
-             [--index auto|on|off] [--tier exact|tiered|auto]
+             [--tier exact|tiered|auto]
   cind stats --snapshot TABLE.cind
   cind merge --snapshot TABLE.cind [--threshold T]
   cind check --snapshot TABLE.cind
@@ -43,10 +43,9 @@ relevant queries of a workload given inline (queries split by `;`,
 attribute names by `,`).
 --record-events true traces every sequential insert (latency, split flag)
 and summarises the trace in the load report.
---index routes the rating scan and query planning through the catalog's
-attribute-presence bitmap index (auto = cost-gated, the default).
---tier picks the pruning-index representation behind that index: exact
-(one presence bitmap per attribute, the default) or tiered (blocked
+--tier picks the storage of the pruning index every rating scan and
+query plan goes through: exact (one partition-presence bitmap per
+attribute, the default) or tiered (blocked
 Bloom filter rows per 64-partition group plus a bounded exact hot tier —
 memory stays bounded at million-partition catalogs, answers are
 identical because the approximate tier never produces false negatives);
@@ -97,6 +96,9 @@ oracle); see `cind sim --help` for the full flag set.
 CSV format: header row names the attributes (optional leading `id`
 column); empty cells mean the attribute is absent.";
 
+/// The `--name value` flags of one invocation. Every accessor *takes* its
+/// flag, so whatever is left when the command has read its options is a
+/// flag the command does not know ([`Args::finish`]).
 struct Args {
     flags: std::collections::HashMap<String, String>,
 }
@@ -117,19 +119,32 @@ impl Args {
         Ok(Self { flags })
     }
 
-    fn path(&self, name: &str) -> Result<PathBuf, CliError> {
+    fn required(&mut self, name: &str, what: &str) -> Result<String, CliError> {
         self.flags
-            .get(name)
-            .map(PathBuf::from)
-            .ok_or_else(|| CliError::Usage(format!("--{name} is required")))
+            .remove(name)
+            .ok_or_else(|| CliError::Usage(format!("--{name} {what} is required")))
     }
 
-    fn get<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, CliError> {
-        match self.flags.get(name) {
+    fn path(&mut self, name: &str) -> Result<PathBuf, CliError> {
+        self.required(name, "PATH").map(PathBuf::from)
+    }
+
+    fn get<T: std::str::FromStr>(&mut self, name: &str, default: T) -> Result<T, CliError> {
+        match self.flags.remove(name) {
             None => Ok(default),
             Some(raw) => raw
                 .parse()
                 .map_err(|_| CliError::Usage(format!("bad value for --{name}: {raw}"))),
+        }
+    }
+
+    /// Rejects whatever flags the command did not take.
+    fn finish(self) -> Result<(), CliError> {
+        let mut unknown: Vec<_> = self.flags.into_keys().collect();
+        unknown.sort();
+        match unknown.first() {
+            None => Ok(()),
+            Some(name) => Err(CliError::Usage(format!("unknown flag --{name}"))),
         }
     }
 }
@@ -143,7 +158,7 @@ fn run() -> Result<String, CliError> {
         // The simulator owns its flag grammar and exit codes.
         std::process::exit(cind_sim::cli::run_from_cind(&argv[1..]));
     }
-    let args = Args::parse(&argv[1..])?;
+    let mut args = Args::parse(&argv[1..])?;
     match command.as_str() {
         "load" => {
             let opts = LoadOptions {
@@ -154,35 +169,41 @@ fn run() -> Result<String, CliError> {
                 record_events: args.get("record-events", false)?,
                 threads: args.get("threads", 1)?,
                 pool_pages: args.get("pool", 1024)?,
-                index: args.get("index", cinderella_core::IndexMode::default())?,
                 tier: args.get("tier", cinderella_core::IndexTier::default())?,
             };
-            load(&args.path("input")?, &args.path("snapshot")?, &opts)
+            let (input, snapshot) = (args.path("input")?, args.path("snapshot")?);
+            args.finish()?;
+            load(&input, &snapshot, &opts)
         }
         "query" => {
-            let attrs_raw = args
-                .flags
-                .get("attrs")
-                .ok_or_else(|| CliError::Usage("--attrs a,b,… is required".into()))?
-                .clone();
+            let attrs_raw = args.required("attrs", "a,b,…")?;
             let attrs: Vec<&str> =
                 attrs_raw.split(',').map(str::trim).filter(|s| !s.is_empty()).collect();
             let opts = QueryOptions {
                 limit: Some(args.get("limit", 20usize)?),
                 pool_pages: args.get("pool", 1024)?,
                 threads: args.get("threads", 1)?,
-                index: args.get("index", cinderella_core::IndexMode::default())?,
                 tier: args.get("tier", cinderella_core::IndexTier::default())?,
             };
-            query(&args.path("snapshot")?, &attrs, &opts)
+            let snapshot = args.path("snapshot")?;
+            args.finish()?;
+            query(&snapshot, &attrs, &opts)
         }
-        "stats" => stats(&args.path("snapshot")?, args.get("pool", 1024)?),
-        "check" => check(&args.path("snapshot")?, args.get("pool", 1024)?),
-        "merge" => merge(
-            &args.path("snapshot")?,
-            args.get("threshold", 0.5)?,
-            args.get("pool", 1024)?,
-        ),
+        "stats" | "check" => {
+            let (snapshot, pool) = (args.path("snapshot")?, args.get("pool", 1024)?);
+            args.finish()?;
+            if command == "stats" {
+                stats(&snapshot, pool)
+            } else {
+                check(&snapshot, pool)
+            }
+        }
+        "merge" => {
+            let snapshot = args.path("snapshot")?;
+            let (threshold, pool) = (args.get("threshold", 0.5)?, args.get("pool", 1024)?);
+            args.finish()?;
+            merge(&snapshot, threshold, pool)
+        }
         "serve" => {
             let reorg_defaults = cinderella_core::ReorgConfig::default();
             let cfg = cind_server::ServeConfig {
@@ -199,14 +220,12 @@ fn run() -> Result<String, CliError> {
                 reorg_epoch_ops: args.get("reorg-epoch-ops", reorg_defaults.epoch_ops)?,
                 tier: args.get("tier", cinderella_core::IndexTier::default())?,
             };
-            serve(&args.path("store")?, &cfg)
+            let store = args.path("store")?;
+            args.finish()?;
+            serve(&store, &cfg)
         }
         "workload" => {
-            let remote = args
-                .flags
-                .get("remote")
-                .ok_or_else(|| CliError::Usage("--remote HOST:PORT is required".into()))?
-                .clone();
+            let remote = args.required("remote", "HOST:PORT")?;
             let opts = WorkloadOptions {
                 connections: args.get("connections", 4)?,
                 entities: args.get("entities", 2_000)?,
@@ -218,6 +237,7 @@ fn run() -> Result<String, CliError> {
                 mode: args.get("mode", cind_server::DriftMode::Steady)?,
                 shutdown: args.get("shutdown", false)?,
             };
+            args.finish()?;
             workload(&remote, &opts)
         }
         "help" | "--help" | "-h" => Ok(USAGE.into()),

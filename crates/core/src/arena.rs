@@ -15,7 +15,9 @@
 //! Both structures are maintained exactly on insert, delete, split, and
 //! merge by [`PartitionCatalog`](crate::PartitionCatalog); rows and presence
 //! columns clear when a partition is removed, so there are no stale entries
-//! to validate at read time.
+//! to validate at read time. The bitmaps are the exact storage of the
+//! [`PruningIndex`](crate::PruningIndex) (and the hot tier of its
+//! approximate one).
 
 use cind_bitset::{BitSetOps, FixedBitSet};
 use cind_storage::SegmentId;
@@ -65,6 +67,11 @@ impl SynopsisArena {
     /// The segment bound to `slot`.
     pub fn seg(&self, slot: usize) -> SegmentId {
         self.segs[slot]
+    }
+
+    /// The slot → segment column (entries of dead slots are stale).
+    pub fn segs(&self) -> &[SegmentId] {
+        &self.segs
     }
 
     /// `SIZE(p)` of the partition at `slot`.

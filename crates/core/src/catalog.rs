@@ -1,17 +1,18 @@
 //! The partition catalog: synopses, sizes, starters, candidate index.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use cind_bitset::{words, BitSetOps, FixedBitSet};
 
 use cind_model::{EntityId, Synopsis};
 use cind_storage::SegmentId;
 
-use crate::arena::{PresenceIndex, SynopsisArena};
-use crate::config::{IndexMode, IndexTier};
+use crate::arena::SynopsisArena;
+use crate::config::IndexTier;
+use crate::index::{PruningIndex, PruningSnapshot};
 use crate::rating::{global_rating, RatingInputs};
 use crate::starters::SplitStarters;
-use crate::tier::{Space, TierParams, TierSnapshot, TieredIndex, SLOTS_PER_GROUP};
+use crate::tier::{Space, TierParams};
 use crate::validate::InvariantViolation;
 
 /// Catalog entry of one partition.
@@ -42,7 +43,7 @@ pub struct PartitionMeta {
 }
 
 impl PartitionMeta {
-    fn new(segment: SegmentId, slot: usize) -> Self {
+    fn new(segment: SegmentId) -> Self {
         Self {
             segment,
             attr_synopsis: Synopsis::default(),
@@ -51,8 +52,13 @@ impl PartitionMeta {
             starters: SplitStarters::new(),
             rating_counts: Vec::new(),
             attr_counts: Vec::new(),
-            slot,
+            slot: 0,
         }
+    }
+
+    /// The partition's arena slot.
+    pub(crate) fn slot(&self) -> usize {
+        self.slot
     }
 
     /// Materialises the partition's synopsis in *rating* space (attributes
@@ -73,7 +79,7 @@ impl PartitionMeta {
 
     /// The rating-space bits, ascending — the refcount view without
     /// materialising a bitset.
-    fn rating_bits(&self) -> impl Iterator<Item = u32> + '_ {
+    pub(crate) fn rating_bits(&self) -> impl Iterator<Item = u32> + '_ {
         self.rating_counts
             .iter()
             .enumerate()
@@ -129,81 +135,62 @@ fn drop_counts(counts: &mut [u32], bits: &Synopsis, mut on_clear: impl FnMut(u32
 ///
 /// Invariant (property-tested): each partition's synopses equal the OR of
 /// its members' synopses, maintained exactly via per-attribute reference
-/// counts; the packed arena row and the presence bitmaps mirror the
-/// refcount view exactly.
+/// counts; the packed arena row mirrors the refcount view exactly, and
+/// the pruning index admits every pair of it (holds exactly those pairs
+/// on exact storage).
 ///
 /// The two hot loops never walk the `BTreeMap`:
 ///
-/// * the rating scan sweeps the [`SynopsisArena`] — one contiguous
-///   fixed-stride row per partition, rated with a single fused word pass —
-///   and, with the index on, first ORs per-attribute *presence bitmaps*
-///   into the candidate set (partitions that could rate `≥ 0`: those
-///   sharing a rating bit with the entity, plus those with `SIZE(p) = 0`);
-/// * the planner's survivor set is the OR of `|q|` presence bitmaps in
-///   attribute space ([`PartitionCatalog::plan_survivors`]).
+/// * the rating scan first asks the [`PruningIndex`] for the candidate set
+///   (partitions that could rate `≥ 0`: those sharing a rating bit with
+///   the entity, plus those with `SIZE(p) = 0`) and rates only those rows
+///   of the [`SynopsisArena`] — one contiguous fixed-stride row per
+///   partition, rated with a single fused word pass;
+/// * the planner's survivor set is the index's attribute-space candidate
+///   set ([`PartitionCatalog::survivors`]).
 ///
 /// Candidate soundness: with `w < 1` a disjoint pair with both sizes
 /// positive rates strictly negative, so skipping non-candidates cannot
 /// change a non-negative argmax. At `w = 1` negative evidence has weight
-/// zero and disjoint pairs rate `0`, so the indexed path falls back to the
-/// full sweep (as it does for `SIZE(e) = 0`, where every partition rates
-/// neutrally).
+/// zero and disjoint pairs rate `0`, so the scan falls back to the full
+/// sweep ([`PartitionCatalog::best_sweep`]), as it does for `SIZE(e) = 0`,
+/// where every partition rates neutrally.
 #[derive(Clone, Debug)]
 pub struct PartitionCatalog {
     parts: BTreeMap<SegmentId, PartitionMeta>,
-    mode: IndexMode,
     /// Packed rating synopses + `SIZE(p)` + segment, one slot per
     /// partition.
     arena: SynopsisArena,
-    /// rating-bit → slot bitmap (candidate index for the insert scan).
-    rating_presence: PresenceIndex,
-    /// attribute-bit → slot bitmap (survivor index for the planner).
-    attr_presence: PresenceIndex,
+    /// The candidate / survivor index over both synopsis spaces, in
+    /// whichever storage the knob selected.
+    index: PruningIndex,
     /// Slots of partitions with `SIZE(p) = 0` (rate neutrally against
     /// anything, so they are always candidates).
     zero_size: FixedBitSet,
     /// The configured index-tier knob (`exact`, `tiered`, or the
     /// partition-count-gated `auto` ratchet).
     tier: IndexTier,
-    /// Knobs for the tiered index, applied on (re)activation.
+    /// Knobs for the tiered storage, applied whenever it is (re)built.
     tier_params: TierParams,
-    /// The approximate tier. While active, the exact presence bitmaps
-    /// above are dropped (that memory is what the tier exists to save) and
-    /// every refcount transition routes here instead.
-    tiered: Option<TieredIndex>,
 }
 
 impl PartitionCatalog {
-    /// Creates an empty catalog with the given candidate-index mode and
-    /// the exact presence tier.
-    pub fn new(mode: IndexMode) -> Self {
-        Self::with_tier(mode, IndexTier::Exact)
+    /// Creates an empty catalog with the given index tier.
+    pub fn new(tier: IndexTier) -> Self {
+        Self::with_tier_params(tier, TierParams::default())
     }
 
-    /// Creates an empty catalog with the given candidate-index mode and
-    /// index tier.
-    pub fn with_tier(mode: IndexMode, tier: IndexTier) -> Self {
-        Self::with_tier_params(mode, tier, TierParams::default())
-    }
-
-    /// [`PartitionCatalog::with_tier`] with explicit tier knobs (tests and
+    /// [`PartitionCatalog::new`] with explicit tier knobs (tests and
     /// benches tune group filter sizes and hot-tier capacity).
-    pub fn with_tier_params(mode: IndexMode, tier: IndexTier, params: TierParams) -> Self {
-        let mut cat = Self {
+    pub fn with_tier_params(tier: IndexTier, params: TierParams) -> Self {
+        Self {
             parts: BTreeMap::new(),
-            mode,
             arena: SynopsisArena::new(),
-            rating_presence: PresenceIndex::new(),
-            attr_presence: PresenceIndex::new(),
+            index: PruningIndex::new(tier, params),
             zero_size: FixedBitSet::default(),
             tier,
             tier_params: params,
-            tiered: None,
-        };
-        if tier == IndexTier::Tiered {
-            cat.tiered = Some(TieredIndex::new(params));
         }
-        cat
     }
 
     /// The configured index-tier knob.
@@ -215,66 +202,31 @@ impl PartitionCatalog {
     /// under `tiered`; under `auto` once the partition count crossed
     /// [`IndexTier::AUTO_MIN_PARTITIONS`] — a one-way ratchet).
     pub fn tier_active(&self) -> bool {
-        self.tiered.is_some()
+        self.index.is_tiered()
     }
 
-    /// Switches the index tier at runtime. `exact` rebuilds the exact
-    /// presence bitmaps from the refcount state and drops the filters;
-    /// `tiered` builds the filters from the refcount state and drops the
-    /// bitmaps; `auto` arms the partition-count ratchet (an already-active
-    /// tier stays active).
+    /// Switches the index tier at runtime: the index is rebuilt from the
+    /// refcount state in the storage the knob asks for (`auto` arms the
+    /// partition-count ratchet; an already-active tier stays active).
     pub fn set_tier(&mut self, tier: IndexTier) {
         self.tier = tier;
-        match tier {
-            IndexTier::Exact => self.deactivate_tiered(),
-            IndexTier::Tiered => self.activate_tiered(),
-            IndexTier::Auto => {
-                if self.parts.len() >= IndexTier::AUTO_MIN_PARTITIONS {
-                    self.activate_tiered();
-                }
-            }
-        }
+        self.apply_tier();
     }
 
-    /// Builds the approximate tier from the exact refcount state and drops
-    /// the exact presence bitmaps. Idempotent.
-    fn activate_tiered(&mut self) {
-        if self.tiered.is_some() {
-            return;
-        }
-        let mut t = TieredIndex::new(self.tier_params);
-        for slot in self.arena.live_slots() {
-            t.on_slot_alloc(slot);
-        }
-        for meta in self.parts.values() {
-            for bit in meta.rating_bits() {
-                t.set(Space::Rating, bit, meta.slot);
-            }
-            for bit in meta.attr_synopsis.iter() {
-                t.set(Space::Attr, bit.index(), meta.slot);
-            }
-        }
-        self.rating_presence = PresenceIndex::new();
-        self.attr_presence = PresenceIndex::new();
-        self.tiered = Some(t);
-        self.service_tier();
+    /// Lets the index follow the knob at the current partition count —
+    /// the one place the `auto` ratchet is checked: wherever a slot is
+    /// allocated ([`adopt`](Self::adopt)) or the knob turned.
+    fn apply_tier(&mut self) {
+        self.index.retarget(self.tier, self.tier_params, self.parts.values());
+        self.service_index();
     }
 
-    /// Rebuilds the exact presence bitmaps from the refcount state and
-    /// drops the approximate tier. Idempotent.
-    fn deactivate_tiered(&mut self) {
-        if self.tiered.take().is_none() {
-            return;
-        }
-        let Self { parts, rating_presence, attr_presence, .. } = self;
-        for meta in parts.values() {
-            for bit in meta.rating_bits() {
-                rating_presence.set(bit, meta.slot);
-            }
-            for bit in meta.attr_synopsis.iter() {
-                attr_presence.set(bit.index(), meta.slot);
-            }
-        }
+    /// Drains the index's deferred maintenance against the exact refcount
+    /// state the catalog owns. Runs after every mutation; a no-op when
+    /// nothing is queued.
+    fn service_index(&mut self) {
+        let Self { parts, arena, index, .. } = self;
+        index.service(&|space, slot| exact_bits(arena, parts, space, slot));
     }
 
     /// Number of partitions.
@@ -307,23 +259,14 @@ impl PartitionCatalog {
     /// # Panics
     /// Panics if `seg` is already cataloged.
     pub fn create_partition(&mut self, seg: SegmentId) {
-        let slot = self.arena.alloc(seg);
-        let prev = self.parts.insert(seg, PartitionMeta::new(seg, slot));
-        assert!(prev.is_none(), "partition {seg} already cataloged");
-        self.zero_size.grow(slot + 1);
-        self.zero_size.insert(slot as u32);
-        if let Some(t) = self.tiered.as_mut() {
-            t.on_slot_alloc(slot);
-        } else if self.tier == IndexTier::Auto
-            && self.parts.len() >= IndexTier::AUTO_MIN_PARTITIONS
-        {
-            self.activate_tiered();
-        }
+        self.adopt(PartitionMeta::new(seg), seg);
     }
 
     /// Adopts a ready-made partition under a (new) segment id — the bulk
-    /// loader's stitch path. The metadata keeps its counts, synopses, and
-    /// starters; only the segment id (and arena slot) is rebound.
+    /// loader's stitch path, and (with empty metadata) every fresh
+    /// partition. The metadata keeps its counts, synopses, and starters;
+    /// only the segment id and arena slot are rebound. The one place a
+    /// slot is allocated, so the one place the `auto` ratchet is checked.
     ///
     /// # Panics
     /// Panics if `seg` is already cataloged.
@@ -332,32 +275,20 @@ impl PartitionCatalog {
             !self.parts.contains_key(&seg),
             "partition {seg} already cataloged"
         );
-        meta.segment = seg;
         let slot = self.arena.alloc(seg);
+        meta.segment = seg;
         meta.slot = slot;
-        if let Some(t) = self.tiered.as_mut() {
-            t.on_slot_alloc(slot);
-        }
         for bit in meta.rating_bits() {
             self.arena.insert_bit(slot, bit);
-            match self.tiered.as_mut() {
-                Some(t) => t.set(Space::Rating, bit, slot),
-                None => self.rating_presence.set(bit, slot),
-            }
-        }
-        for bit in meta.attr_synopsis.iter() {
-            match self.tiered.as_mut() {
-                Some(t) => t.set(Space::Attr, bit.index(), slot),
-                None => self.attr_presence.set(bit.index(), slot),
-            }
         }
         self.arena.set_size(slot, meta.size);
+        self.index.insert_partition(&meta);
         self.zero_size.grow(slot + 1);
         if meta.size == 0 {
             self.zero_size.insert(slot as u32);
         }
         self.parts.insert(seg, meta);
-        self.service_tier();
+        self.apply_tier();
     }
 
     /// Removes a partition from the catalog, returning its metadata.
@@ -366,23 +297,10 @@ impl PartitionCatalog {
     /// Panics if `seg` is not cataloged.
     pub fn remove_partition(&mut self, seg: SegmentId) -> PartitionMeta {
         let meta = self.parts.remove(&seg).expect("partition cataloged");
-        let slot = meta.slot;
-        match self.tiered.as_mut() {
-            // The tier drops the whole slot at once (live mask + hot tier);
-            // per-bit clears would only add staleness.
-            Some(t) => t.on_slot_release(slot),
-            None => {
-                for bit in meta.rating_bits() {
-                    self.rating_presence.clear(bit, slot);
-                }
-                for bit in meta.attr_synopsis.iter() {
-                    self.attr_presence.clear(bit.index(), slot);
-                }
-            }
-        }
-        self.zero_size.remove(slot as u32);
-        self.arena.release(slot);
-        self.service_tier();
+        self.index.remove_partition(&meta);
+        self.zero_size.remove(meta.slot as u32);
+        self.arena.release(meta.slot);
+        self.service_index();
         meta
     }
 
@@ -400,25 +318,18 @@ impl PartitionCatalog {
         size: u64,
         offer_starters: bool,
     ) {
-        let Self { parts, arena, rating_presence, attr_presence, zero_size, tiered, .. } =
-            self;
+        let Self { parts, arena, index, zero_size, .. } = self;
         let meta = parts.get_mut(&seg).expect("partition cataloged");
         let slot = meta.slot;
         bump(&mut meta.rating_counts, rating_syn, |bit| {
             arena.insert_bit(slot, bit);
-            match tiered.as_mut() {
-                Some(t) => t.set(Space::Rating, bit, slot),
-                None => rating_presence.set(bit, slot),
-            }
+            index.set(Space::Rating, bit, slot);
         });
         let attr_synopsis = &mut meta.attr_synopsis;
         bump(&mut meta.attr_counts, attr_syn, |bit| {
             attr_synopsis.bits_mut().grow(bit as usize + 1);
             attr_synopsis.bits_mut().insert(bit);
-            match tiered.as_mut() {
-                Some(t) => t.set(Space::Attr, bit, slot),
-                None => attr_presence.set(bit, slot),
-            }
+            index.set(Space::Attr, bit, slot);
         });
         meta.entities += 1;
         meta.size += size;
@@ -429,10 +340,8 @@ impl PartitionCatalog {
         if meta.size > 0 {
             zero_size.remove(slot as u32);
         }
-        if let Some(t) = tiered.as_mut() {
-            t.note_op(slot);
-        }
-        self.service_tier();
+        index.note_op(slot);
+        self.service_index();
     }
 
     /// Accounts the removal of a member entity. Returns the remaining
@@ -445,24 +354,17 @@ impl PartitionCatalog {
         attr_syn: &Synopsis,
         size: u64,
     ) -> u64 {
-        let Self { parts, arena, rating_presence, attr_presence, zero_size, tiered, .. } =
-            self;
+        let Self { parts, arena, index, zero_size, .. } = self;
         let meta = parts.get_mut(&seg).expect("partition cataloged");
         let slot = meta.slot;
         drop_counts(&mut meta.rating_counts, rating_syn, |bit| {
             arena.remove_bit(slot, bit);
-            match tiered.as_mut() {
-                Some(t) => t.clear(Space::Rating, bit, slot),
-                None => rating_presence.clear(bit, slot),
-            }
+            index.clear(Space::Rating, bit, slot);
         });
         let attr_synopsis = &mut meta.attr_synopsis;
         drop_counts(&mut meta.attr_counts, attr_syn, |bit| {
             attr_synopsis.bits_mut().remove(bit);
-            match tiered.as_mut() {
-                Some(t) => t.clear(Space::Attr, bit, slot),
-                None => attr_presence.clear(bit, slot),
-            }
+            index.clear(Space::Attr, bit, slot);
         });
         meta.entities -= 1;
         meta.size -= size;
@@ -473,20 +375,9 @@ impl PartitionCatalog {
             zero_size.insert(slot as u32);
         }
         let left = meta.entities;
-        if let Some(t) = tiered.as_mut() {
-            t.note_op(slot);
-        }
-        self.service_tier();
+        index.note_op(slot);
+        self.service_index();
         left
-    }
-
-    /// Whether the rating scan goes through the candidate index.
-    fn rate_indexed(&self) -> bool {
-        match self.mode {
-            IndexMode::On => true,
-            IndexMode::Off => false,
-            IndexMode::Auto => self.parts.len() >= IndexMode::AUTO_MIN_PARTITIONS,
-        }
     }
 
     /// Algorithm 1 lines 3–7: scans the catalog and returns the best-rated
@@ -507,7 +398,7 @@ impl PartitionCatalog {
         // definition) even when that partition is not in any presence row.
         // In those cases non-candidates can tie the argmax, so only the
         // full sweep is exact.
-        if self.rate_indexed() && size_e > 0 && weight < 1.0 && !rating_syn.is_empty() {
+        if size_e > 0 && weight < 1.0 && !rating_syn.is_empty() {
             self.best_indexed(rating_syn, size_e, weight)
         } else {
             self.best_sweep(rating_syn, size_e, weight)
@@ -549,8 +440,11 @@ impl PartitionCatalog {
     /// The full linear sweep over the packed arena: every live slot is
     /// rated. Slot order is allocation order, not segment order, so the
     /// scan tie-break (lowest segment id among maximal ratings) is applied
-    /// explicitly — the winner is order-independent.
-    fn best_sweep(
+    /// explicitly — the winner is order-independent. The paper
+    /// prototype's scan: [`best_partition`](Self::best_partition)'s
+    /// fallback where the index is not exact, and the differential-test
+    /// oracle everywhere else.
+    pub fn best_sweep(
         &self,
         rating_syn: &Synopsis,
         size_e: u64,
@@ -570,11 +464,11 @@ impl PartitionCatalog {
         (best, ratings)
     }
 
-    /// The indexed scan: OR the presence bitmaps of the entity's rating
-    /// bits (plus the zero-size slots) into the candidate set, then rate
-    /// only the candidates. Each candidate is rated exactly once — the
-    /// bitmap OR deduplicates partitions that share several attributes
-    /// with the entity by construction.
+    /// The indexed scan: the index's candidates for the entity's rating
+    /// bits, plus the zero-size slots, are the only partitions rated. Each
+    /// candidate is rated exactly once — the bitmap OR deduplicates
+    /// partitions that share several attributes with the entity by
+    /// construction.
     fn best_indexed(
         &self,
         rating_syn: &Synopsis,
@@ -582,15 +476,7 @@ impl PartitionCatalog {
         weight: f64,
     ) -> (Option<(SegmentId, f64)>, u32) {
         let mut candidates = self.zero_size.clone();
-        match &self.tiered {
-            Some(t) => {
-                let attrs: Vec<u32> = rating_syn.iter().map(|a| a.index()).collect();
-                t.candidates_into(Space::Rating, &attrs, &mut candidates);
-            }
-            None => self
-                .rating_presence
-                .union_rows_into(rating_syn.iter().map(|a| a.index()), &mut candidates),
-        }
+        self.index.candidates_into(Space::Rating, rating_syn, &mut candidates);
 
         let e_words = rating_syn.bits().blocks();
         let mut best: Option<(SegmentId, f64)> = None;
@@ -618,162 +504,64 @@ impl PartitionCatalog {
         (best, ratings)
     }
 
-    /// The planner's survivor set for query synopsis `q` via the
-    /// attribute-presence bitmaps: segments whose partition shares at least
-    /// one attribute with `q` (ascending — the catalog's plan order), plus
-    /// the pruned count. Returns `None` when the index mode is `Off`, in
-    /// which case callers fall back to the per-partition `is_disjoint`
-    /// test over [`PartitionCatalog::pruning_view`].
+    /// The planner's survivor set for query synopsis `q`: segments whose
+    /// partition may share an attribute with `q` (ascending — the
+    /// catalog's plan order), plus the pruned count.
     ///
-    /// Exactness (property-tested): a partition survives the `|p ∧ q| = 0`
-    /// test iff it carries one of `q`'s attributes, iff its slot is set in
-    /// one of the ORed presence rows.
+    /// Exact storage (property-tested): a partition survives the
+    /// `|p ∧ q| = 0` test iff it carries one of `q`'s attributes, iff its
+    /// slot is set in one of the ORed presence rows. Tiered storage: a
+    /// *superset* of that set — filter false positives add scanned
+    /// partitions, and the executor's per-row `matches` keeps answers
+    /// identical; exact-present pairs are never missed (validate checks
+    /// the implication).
+    pub fn survivors(&self, q: &Synopsis) -> (Vec<SegmentId>, usize) {
+        self.index.survivors(q, |slot| self.arena.seg(slot), self.parts.len())
+    }
+
+    /// [`PartitionCatalog::survivors`] in its historical `Option` shape.
+    /// Always `Some` since the index can no longer be switched off; kept
+    /// so callers written against the old signature still compile.
     pub fn plan_survivors(&self, q: &Synopsis) -> Option<(Vec<SegmentId>, usize)> {
-        if self.mode == IndexMode::Off {
-            return None;
-        }
-        let mut acc = FixedBitSet::default();
-        match &self.tiered {
-            // Tiered: a *superset* of the exact survivor set — filter false
-            // positives add scanned partitions, and the executor's per-row
-            // `matches` keeps answers identical. Exact-present pairs are
-            // never missed (validate checks the implication).
-            Some(t) => {
-                let attrs: Vec<u32> = q.iter().map(|a| a.index()).collect();
-                t.candidates_into(Space::Attr, &attrs, &mut acc);
-            }
-            None => self
-                .attr_presence
-                .union_rows_into(q.iter().map(|a| a.index()), &mut acc),
-        }
-        let mut survivors: Vec<SegmentId> =
-            acc.iter_ones().map(|slot| self.arena.seg(slot as usize)).collect();
-        survivors.sort_unstable();
-        let pruned = self.parts.len() - survivors.len();
-        Some((survivors, pruned))
-    }
-
-    /// Services the tiered index's deferred maintenance — filter grows and
-    /// rebuilds, hot-tier promotions and demotions — using the exact
-    /// refcount state the catalog owns. Runs after every mutation; a no-op
-    /// when the queue is empty or the tier inactive.
-    fn service_tier(&mut self) {
-        while let Some(work) = self.tiered.as_mut().and_then(|t| t.take_pending()) {
-            for (space, group, grow) in work.rebuilds {
-                let members = self.group_members(space, group);
-                if let Some(t) = self.tiered.as_mut() {
-                    t.rebuild_group(space, group, grow, &members);
-                }
-            }
-            for slot in work.promotes {
-                self.promote_slot(slot);
-            }
-            for slot in work.demotes {
-                if let Some(t) = self.tiered.as_mut() {
-                    t.demote_now(slot);
-                }
-            }
-        }
-    }
-
-    /// Exact per-slot bit lists of one filter group, recomputed from the
-    /// refcount state — the group-rebuild source.
-    fn group_members(&self, space: Space, group: usize) -> Vec<(usize, Vec<u32>)> {
-        let lo = group * SLOTS_PER_GROUP;
-        let hi = (lo + SLOTS_PER_GROUP).min(self.arena.slots());
-        let mut members = Vec::new();
-        for slot in lo..hi {
-            if !self.arena.is_live(slot) {
-                continue;
-            }
-            let bits: Vec<u32> = match space {
-                Space::Rating => words::iter_ones(self.arena.row(slot)).collect(),
-                Space::Attr => {
-                    let Some(meta) = self.parts.get(&self.arena.seg(slot)) else {
-                        continue;
-                    };
-                    meta.attr_synopsis.iter().map(|a| a.index()).collect()
-                }
-            };
-            members.push((slot, bits));
-        }
-        members
-    }
-
-    /// Promotes `slot` into the hot tier with its exact bits, if it is
-    /// live and the tier has room.
-    fn promote_slot(&mut self, slot: usize) {
-        let Some(t) = self.tiered.as_ref() else { return };
-        if t.is_hot(slot) || t.hot_len() >= t.params().hot_capacity {
-            return;
-        }
-        if slot >= self.arena.slots() || !self.arena.is_live(slot) {
-            return;
-        }
-        let Some(meta) = self.parts.get(&self.arena.seg(slot)) else { return };
-        let rating_bits: Vec<u32> = words::iter_ones(self.arena.row(slot)).collect();
-        let attr_bits: Vec<u32> = meta.attr_synopsis.iter().map(|a| a.index()).collect();
-        if let Some(t) = self.tiered.as_mut() {
-            t.promote_now(slot, rating_bits, attr_bits);
-        }
+        Some(self.survivors(q))
     }
 
     /// Adds external heat (e.g. the reorganizer's scan counters) to a
-    /// partition — the tier's promotion signal. A no-op when the tier is
-    /// inactive or the partition unknown.
+    /// partition — the tier's promotion signal. A no-op on exact storage
+    /// or for an unknown partition.
     pub fn note_heat(&mut self, seg: SegmentId, amount: u32) {
         if let Some(meta) = self.parts.get(&seg) {
-            let slot = meta.slot;
-            if let Some(t) = self.tiered.as_mut() {
-                t.note_heat(slot, amount);
-            }
+            self.index.note_heat(meta.slot, amount);
         }
-        self.service_tier();
+        self.service_index();
     }
 
     /// Forces a partition in or out of the hot tier — the property tests'
-    /// random promotion/demotion lever. A no-op when the tier is inactive.
+    /// random promotion/demotion lever. A no-op on exact storage.
     pub fn tier_set_hot(&mut self, seg: SegmentId, hot: bool) {
-        let Some(meta) = self.parts.get(&seg) else { return };
-        let slot = meta.slot;
-        if hot {
-            self.promote_slot(slot);
-        } else if let Some(t) = self.tiered.as_mut() {
-            t.demote_now(slot);
+        let Self { parts, arena, index, .. } = self;
+        if let Some(meta) = parts.get(&seg) {
+            index.set_hot(meta.slot, hot, &|space, slot| exact_bits(arena, parts, space, slot));
         }
     }
 
-    /// The live tiered index, while active.
-    pub fn tiered(&self) -> Option<&TieredIndex> {
-        self.tiered.as_ref()
-    }
-
-    /// A frozen copy of the attribute-space tier plus the slot→segment
+    /// A frozen copy of the attribute-space index plus the slot→segment
     /// map, for lock-free survivor planning (the server's epoch
-    /// snapshots). `None` while the exact tier is active.
-    pub fn tier_snapshot(&self) -> Option<TierSnapshot> {
-        let t = self.tiered.as_ref()?;
-        let mut segs = vec![SegmentId(0); self.arena.slots()];
-        for slot in self.arena.live_slots() {
-            segs[slot] = self.arena.seg(slot);
-        }
-        Some(t.snapshot(segs, self.parts.len()))
+    /// snapshots).
+    pub fn freeze(&self) -> PruningSnapshot {
+        self.index.freeze(self.arena.segs().to_vec(), self.parts.len())
     }
 
     /// Heap bytes resident in the plan-path index structures — the number
     /// the tier bench compares across `IndexTier` settings.
     pub fn index_resident_bytes(&self) -> usize {
-        match &self.tiered {
-            Some(t) => t.resident_bytes(),
-            None => {
-                self.rating_presence.resident_bytes() + self.attr_presence.resident_bytes()
-            }
-        }
+        self.index.resident_bytes()
     }
 
     /// View for the query planner: `(segment, attribute synopsis, SIZE(p))`
     /// per partition, ascending by segment — the per-partition pruning
-    /// oracle (and the fallback when the index is off).
+    /// oracle the index is differential-tested against (and what the
+    /// efficiency and cost models read).
     pub fn pruning_view(&self) -> impl Iterator<Item = (SegmentId, &Synopsis, u64)> {
         self.parts
             .values()
@@ -782,14 +570,12 @@ impl PartitionCatalog {
 
     /// Cross-checks every catalog-internal invariant — the consistency of
     /// the refcount view (source of truth) with the packed arena rows, the
-    /// presence bitmaps, the zero-size candidate set, and the starter pairs
+    /// pruning index, the zero-size candidate set, and the starter pairs
     /// — returning every violation found. Metadata-only: no storage access;
     /// the entity-level cross-check against stored segments is
     /// [`Cinderella::validate`](crate::Cinderella::validate).
     pub fn validate(&self) -> Vec<InvariantViolation> {
         let mut out = self.arena.validate();
-        out.extend(self.rating_presence.validate(&self.arena));
-        out.extend(self.attr_presence.validate(&self.arena));
         let live = self.arena.live_slots().count();
         if live != self.parts.len() {
             push_cat(&mut out, format!(
@@ -801,10 +587,8 @@ impl PartitionCatalog {
 
         // Expected presence-bit sets, rebuilt from the refcounts as the
         // per-partition checks walk the metas.
-        let mut want_rating: std::collections::BTreeSet<(u32, usize)> =
-            std::collections::BTreeSet::new();
-        let mut want_attr: std::collections::BTreeSet<(u32, usize)> =
-            std::collections::BTreeSet::new();
+        let mut want_rating: BTreeSet<(u32, usize)> = BTreeSet::new();
+        let mut want_attr: BTreeSet<(u32, usize)> = BTreeSet::new();
         let mut slot_owner: BTreeMap<usize, SegmentId> = BTreeMap::new();
 
         for (seg, meta) in &self.parts {
@@ -897,103 +681,7 @@ impl PartitionCatalog {
             want_attr.extend(attr_bits.iter().map(|&b| (b, slot)));
         }
 
-        if let Some(t) = &self.tiered {
-            out.extend(t.validate_internal());
-            // The exact bitmaps must be gone — retaining them would void
-            // the tier's memory claim (and mean double maintenance).
-            for (space, index) in [
-                ("rating", &self.rating_presence),
-                ("attr", &self.attr_presence),
-            ] {
-                if index.attrs() != 0 {
-                    out.push(InvariantViolation::new(
-                        "tier",
-                        format!("exact {space} presence rows retained while tiered"),
-                    ));
-                }
-            }
-            // The no-false-negative implication: every exact-present
-            // (attr, slot) pair must be admitted by the approximate tier.
-            for (space, label, want) in [
-                (Space::Rating, "rating", &want_rating),
-                (Space::Attr, "attr", &want_attr),
-            ] {
-                for &(bit, slot) in want.iter() {
-                    if !t.approx_contains(space, bit, slot) {
-                        out.push(InvariantViolation::new(
-                            "tier",
-                            format!(
-                                "{label} bit {bit} of slot {slot} ({}) absent from the \
-                                 approximate tier — a false negative",
-                                self.arena.seg(slot)
-                            ),
-                        ));
-                    }
-                }
-            }
-            // Hot-tier bitmaps ⇔ refcounts, both directions, per hot slot.
-            // (BTreeSet order is (bit, slot), so per-slot pushes ascend.)
-            let by_slot = |want: &std::collections::BTreeSet<(u32, usize)>| {
-                let mut m: BTreeMap<usize, Vec<u32>> = BTreeMap::new();
-                for &(bit, slot) in want {
-                    m.entry(slot).or_default().push(bit);
-                }
-                m
-            };
-            let exact_rating = by_slot(&want_rating);
-            let exact_attr = by_slot(&want_attr);
-            for &slot in t.hot_slot_ids() {
-                if slot >= self.arena.slots() || !self.arena.is_live(slot) {
-                    continue; // flagged by validate_internal
-                }
-                let seg = self.arena.seg(slot);
-                for (space, label, exact) in [
-                    (Space::Rating, "rating", &exact_rating),
-                    (Space::Attr, "attr", &exact_attr),
-                ] {
-                    let exact = exact.get(&slot).cloned().unwrap_or_default();
-                    let hot = t.hot_bits(space, slot).unwrap_or_default();
-                    if exact != hot {
-                        out.push(InvariantViolation::new(
-                            "tier",
-                            format!(
-                                "{seg}: hot {label} row {hot:?} but refcounts say {exact:?}"
-                            ),
-                        ));
-                    }
-                }
-            }
-        } else {
-            for (space, index, want) in [
-                ("rating", &self.rating_presence, &want_rating),
-                ("attr", &self.attr_presence, &want_attr),
-            ] {
-                let mut have: std::collections::BTreeSet<(u32, usize)> =
-                    std::collections::BTreeSet::new();
-                for attr in 0..index.attrs() as u32 {
-                    if let Some(row) = index.row(attr) {
-                        have.extend(row.iter_ones().map(|slot| (attr, slot as usize)));
-                    }
-                }
-                for (bit, slot) in want.difference(&have) {
-                    out.push(InvariantViolation::new(
-                        "presence",
-                        format!(
-                            "{space} bit {bit} of slot {slot} ({}) missing from the index",
-                            self.arena.seg(*slot)
-                        ),
-                    ));
-                }
-                for (bit, slot) in have.difference(want) {
-                    out.push(InvariantViolation::new(
-                        "presence",
-                        format!(
-                            "{space} index claims bit {bit} for slot {slot}, refcounts disagree"
-                        ),
-                    ));
-                }
-            }
-        }
+        out.extend(self.index.validate(&self.arena, &want_rating, &want_attr));
 
         for slot in self.zero_size.iter_ones() {
             let slot = slot as usize;
@@ -1087,6 +775,27 @@ impl PartitionCatalog {
     }
 }
 
+/// The refcount view of one slot in one space — its exact bits, ascending,
+/// or `None` for a dead slot: what the tiered storage rebuilds filter
+/// groups and fills hot rows from.
+fn exact_bits(
+    arena: &SynopsisArena,
+    parts: &BTreeMap<SegmentId, PartitionMeta>,
+    space: Space,
+    slot: usize,
+) -> Option<Vec<u32>> {
+    if slot >= arena.slots() || !arena.is_live(slot) {
+        return None;
+    }
+    Some(match space {
+        Space::Rating => words::iter_ones(arena.row(slot)).collect(),
+        Space::Attr => {
+            let meta = parts.get(&arena.seg(slot))?;
+            meta.attr_synopsis.iter().map(|a| a.index()).collect()
+        }
+    })
+}
+
 /// Appends a catalog-structure violation (shared by the validators).
 fn push_cat(out: &mut Vec<InvariantViolation>, detail: String) {
     out.push(InvariantViolation::new("catalog", detail));
@@ -1113,7 +822,7 @@ mod tests {
 
     #[test]
     fn synopsis_is_or_of_members_with_refcounts() {
-        let mut cat = PartitionCatalog::new(IndexMode::Off);
+        let mut cat = PartitionCatalog::new(IndexTier::Exact);
         cat.create_partition(SegmentId(0));
         add(&mut cat, SegmentId(0), 1, &[0, 1], 2);
         add(&mut cat, SegmentId(0), 2, &[1, 2], 2);
@@ -1134,7 +843,7 @@ mod tests {
     fn arena_row_mirrors_refcount_synopsis() {
         // The packed row the hot path scans must equal the refcount view
         // through adds, removes, and partition removal/adoption.
-        let mut cat = PartitionCatalog::new(IndexMode::On);
+        let mut cat = PartitionCatalog::new(IndexTier::Exact);
         cat.create_partition(SegmentId(0));
         add(&mut cat, SegmentId(0), 1, &[0, 5, 31], 3);
         add(&mut cat, SegmentId(0), 2, &[5, 7], 2);
@@ -1147,11 +856,11 @@ mod tests {
         assert_eq!(row_bits, vec![5, 7]);
     }
 
-    /// A healthy two-partition catalog validates clean in every index mode.
+    /// A healthy two-partition catalog validates clean at every tier knob.
     #[test]
     fn validate_accepts_healthy_catalog() {
-        for mode in [IndexMode::Off, IndexMode::On, IndexMode::Auto] {
-            let mut cat = PartitionCatalog::new(mode);
+        for tier in [IndexTier::Exact, IndexTier::Tiered, IndexTier::Auto] {
+            let mut cat = PartitionCatalog::new(tier);
             cat.create_partition(SegmentId(0));
             cat.create_partition(SegmentId(1));
             add(&mut cat, SegmentId(0), 1, &[0, 1], 2);
@@ -1169,7 +878,7 @@ mod tests {
     #[test]
     fn validate_reports_each_seeded_catalog_corruption() {
         let corrupted = |f: fn(&mut PartitionCatalog), needle: &str| {
-            let mut cat = PartitionCatalog::new(IndexMode::On);
+            let mut cat = PartitionCatalog::new(IndexTier::Exact);
             cat.create_partition(SegmentId(0));
             cat.create_partition(SegmentId(7));
             add(&mut cat, SegmentId(0), 1, &[0, 1], 2);
@@ -1214,7 +923,7 @@ mod tests {
         corrupted(
             |c| {
                 let slot = c.parts[&SegmentId(0)].slot;
-                c.rating_presence.clear(0, slot);
+                c.index.clear(Space::Rating, 0, slot);
             },
             "rating bit 0 of slot 0 (seg0) missing from the index",
         );
@@ -1222,7 +931,7 @@ mod tests {
         corrupted(
             |c| {
                 let slot = c.parts[&SegmentId(7)].slot;
-                c.attr_presence.set(30, slot);
+                c.index.set(Space::Attr, 30, slot);
             },
             "attr index claims bit 30 for slot 1, refcounts disagree",
         );
@@ -1254,7 +963,7 @@ mod tests {
     /// split-starter membership.
     #[test]
     fn validate_members_reports_stored_vs_cataloged_drift() {
-        let mut cat = PartitionCatalog::new(IndexMode::On);
+        let mut cat = PartitionCatalog::new(IndexTier::Exact);
         cat.create_partition(SegmentId(0));
         add(&mut cat, SegmentId(0), 1, &[0, 1], 2);
         add(&mut cat, SegmentId(0), 2, &[1, 2], 2);
@@ -1287,7 +996,7 @@ mod tests {
 
     #[test]
     fn best_partition_prefers_overlap() {
-        let mut cat = PartitionCatalog::new(IndexMode::Off);
+        let mut cat = PartitionCatalog::new(IndexTier::Exact);
         cat.create_partition(SegmentId(0));
         cat.create_partition(SegmentId(1));
         add(&mut cat, SegmentId(0), 1, &[0, 1, 2], 3);
@@ -1296,13 +1005,16 @@ mod tests {
         let (seg, r) = best.unwrap();
         assert_eq!(seg, SegmentId(0));
         assert!(r > 0.0);
-        assert_eq!(ratings, 2);
+        assert_eq!(ratings, 1, "the disjoint partition is never rated");
+        let (swept, ratings) = cat.best_sweep(&syn(&[0, 1]), 2, 0.5);
+        assert_eq!(swept, best);
+        assert_eq!(ratings, 2, "the sweep oracle rates every partition");
     }
 
     #[test]
     fn empty_catalog_returns_none() {
-        for mode in [IndexMode::Off, IndexMode::On, IndexMode::Auto] {
-            let cat = PartitionCatalog::new(mode);
+        for tier in [IndexTier::Exact, IndexTier::Tiered, IndexTier::Auto] {
+            let cat = PartitionCatalog::new(tier);
             let (best, ratings) = cat.best_partition(&syn(&[0]), 1, 0.5);
             assert!(best.is_none());
             assert_eq!(ratings, 0);
@@ -1311,7 +1023,7 @@ mod tests {
 
     #[test]
     fn ties_go_to_lowest_segment() {
-        let mut cat = PartitionCatalog::new(IndexMode::Off);
+        let mut cat = PartitionCatalog::new(IndexTier::Exact);
         cat.create_partition(SegmentId(0));
         cat.create_partition(SegmentId(1));
         add(&mut cat, SegmentId(0), 1, &[0, 1], 2);
@@ -1323,67 +1035,60 @@ mod tests {
     #[test]
     fn ties_go_to_lowest_segment_against_slot_order() {
         // Recycle slots so that slot order disagrees with segment order:
-        // the sweep's explicit tie-break must still pick the lowest segment.
-        let mut cat = PartitionCatalog::new(IndexMode::Off);
-        cat.create_partition(SegmentId(7));
-        add(&mut cat, SegmentId(7), 1, &[0, 1], 2); // slot 0
-        cat.create_partition(SegmentId(9));
-        add(&mut cat, SegmentId(9), 2, &[0, 1], 2); // slot 1
-        cat.remove_partition(SegmentId(7)); // frees slot 0
-        cat.create_partition(SegmentId(3)); // recycles slot 0… wait, 3 < 9
-        add(&mut cat, SegmentId(3), 3, &[0, 1], 2);
-        let (best, _) = cat.best_partition(&syn(&[0, 1]), 2, 0.5);
-        assert_eq!(best.unwrap().0, SegmentId(3));
-        // And for the indexed path.
-        let mut cat2 = PartitionCatalog::new(IndexMode::On);
-        cat2.create_partition(SegmentId(7));
-        add(&mut cat2, SegmentId(7), 1, &[0, 1], 2);
-        cat2.create_partition(SegmentId(9));
-        add(&mut cat2, SegmentId(9), 2, &[0, 1], 2);
-        cat2.remove_partition(SegmentId(7));
-        cat2.create_partition(SegmentId(3));
-        add(&mut cat2, SegmentId(3), 3, &[0, 1], 2);
-        let (best, _) = cat2.best_partition(&syn(&[0, 1]), 2, 0.5);
-        assert_eq!(best.unwrap().0, SegmentId(3));
+        // the explicit tie-break must still pick the lowest segment, on
+        // the sweep and through the index in either storage.
+        for tier in [IndexTier::Exact, IndexTier::Tiered] {
+            let mut cat = PartitionCatalog::new(tier);
+            cat.create_partition(SegmentId(7));
+            add(&mut cat, SegmentId(7), 1, &[0, 1], 2); // slot 0
+            cat.create_partition(SegmentId(9));
+            add(&mut cat, SegmentId(9), 2, &[0, 1], 2); // slot 1
+            cat.remove_partition(SegmentId(7)); // frees slot 0
+            cat.create_partition(SegmentId(3)); // recycles slot 0, and 3 < 9
+            add(&mut cat, SegmentId(3), 3, &[0, 1], 2);
+            let (best, _) = cat.best_partition(&syn(&[0, 1]), 2, 0.5);
+            assert_eq!(best.unwrap().0, SegmentId(3));
+            let (best, _) = cat.best_sweep(&syn(&[0, 1]), 2, 0.5);
+            assert_eq!(best.unwrap().0, SegmentId(3));
+        }
     }
 
     #[test]
-    fn indexed_matches_unindexed() {
-        // Mirror a mutation sequence across both catalogs and compare the
-        // argmax for several probe entities.
+    fn index_matches_sweep_oracle() {
+        // The one index path against the full sweep, in either storage,
+        // for several probe entities after a mutation sequence.
         let probes: Vec<Vec<u32>> =
             vec![vec![0, 1], vec![5], vec![2, 9], vec![], vec![0, 9, 11]];
-        let mut plain = PartitionCatalog::new(IndexMode::Off);
-        let mut indexed = PartitionCatalog::new(IndexMode::On);
-        for cat in [&mut plain, &mut indexed] {
+        for tier in [IndexTier::Exact, IndexTier::Tiered] {
+            let mut cat = PartitionCatalog::new(tier);
             for s in 0..4u32 {
                 cat.create_partition(SegmentId(s));
             }
-            add(cat, SegmentId(0), 1, &[0, 1, 2], 3);
-            add(cat, SegmentId(1), 2, &[5, 6], 2);
-            add(cat, SegmentId(2), 3, &[9, 10, 11], 3);
-            add(cat, SegmentId(3), 4, &[0, 9], 2);
+            add(&mut cat, SegmentId(0), 1, &[0, 1, 2], 3);
+            add(&mut cat, SegmentId(1), 2, &[5, 6], 2);
+            add(&mut cat, SegmentId(2), 3, &[9, 10, 11], 3);
+            add(&mut cat, SegmentId(3), 4, &[0, 9], 2);
             // Shrink partition 0 so bit 2 clears from row and presence.
             let s = syn(&[0, 1, 2]);
             cat.remove_entity(SegmentId(0), EntityId(1), &s, &s, 3);
-            add(cat, SegmentId(0), 5, &[0, 1], 2);
-        }
-        for probe in &probes {
-            let s = syn(probe);
-            let size = probe.len() as u64;
-            for w in [0.0, 0.2, 0.5, 1.0] {
-                let (a, _) = plain.best_partition(&s, size, w);
-                let (b, _) = indexed.best_partition(&s, size, w);
-                let (sa, ra) = a.unwrap();
-                let (sb, rb) = b.unwrap();
-                if ra >= 0.0 {
-                    // Non-negative best: the algorithm inserts into it, so
-                    // the argmax must match exactly.
-                    assert_eq!((sa, ra), (sb, rb), "probe {probe:?} w={w}");
-                } else {
-                    // Negative best: a new partition is created either way;
-                    // only the sign must agree.
-                    assert!(rb < 0.0, "probe {probe:?} w={w}: {ra} vs {rb}");
+            add(&mut cat, SegmentId(0), 5, &[0, 1], 2);
+            for probe in &probes {
+                let s = syn(probe);
+                let size = probe.len() as u64;
+                for w in [0.0, 0.2, 0.5, 1.0] {
+                    let (a, _) = cat.best_sweep(&s, size, w);
+                    let (b, _) = cat.best_partition(&s, size, w);
+                    let (sa, ra) = a.unwrap();
+                    let (sb, rb) = b.unwrap();
+                    if ra >= 0.0 {
+                        // Non-negative best: the algorithm inserts into it,
+                        // so the argmax must match exactly.
+                        assert_eq!((sa, ra), (sb, rb), "{tier} probe {probe:?} w={w}");
+                    } else {
+                        // Negative best: a new partition is created either
+                        // way; only the sign must agree.
+                        assert!(rb < 0.0, "{tier} probe {probe:?} w={w}: {ra} vs {rb}");
+                    }
                 }
             }
         }
@@ -1391,7 +1096,7 @@ mod tests {
 
     #[test]
     fn indexed_scans_fewer_partitions() {
-        let mut cat = PartitionCatalog::new(IndexMode::On);
+        let mut cat = PartitionCatalog::new(IndexTier::Exact);
         for s in 0..10u32 {
             cat.create_partition(SegmentId(s));
             add(&mut cat, SegmentId(s), u64::from(s), &[s, s + 10], 2);
@@ -1404,7 +1109,7 @@ mod tests {
     fn candidates_are_deduplicated() {
         // A partition sharing many attributes with the entity must be
         // rated once, not once per shared attribute.
-        let mut cat = PartitionCatalog::new(IndexMode::On);
+        let mut cat = PartitionCatalog::new(IndexTier::Exact);
         cat.create_partition(SegmentId(0));
         add(&mut cat, SegmentId(0), 1, &[0, 1, 2, 3, 4, 5], 6);
         cat.create_partition(SegmentId(1));
@@ -1415,24 +1120,56 @@ mod tests {
     }
 
     #[test]
-    fn auto_mode_gates_on_partition_count() {
-        let mut cat = PartitionCatalog::new(IndexMode::Auto);
-        for s in 0..IndexMode::AUTO_MIN_PARTITIONS as u32 {
+    fn small_catalogs_rate_through_the_index_too() {
+        // No partition-count gate: two partitions, one rating.
+        let mut cat = PartitionCatalog::new(IndexTier::Exact);
+        for s in 0..2u32 {
             cat.create_partition(SegmentId(s));
-            add(&mut cat, SegmentId(s), u64::from(s), &[s % 32], 2);
+            add(&mut cat, SegmentId(s), u64::from(s), &[s], 2);
         }
-        // At the gate: candidates only.
-        let (_, ratings) = cat.best_partition(&syn(&[0]), 1, 0.5);
-        assert!(ratings < IndexMode::AUTO_MIN_PARTITIONS as u32);
-        // Below the gate: full sweep.
-        cat.remove_partition(SegmentId(0));
-        let (_, ratings) = cat.best_partition(&syn(&[1]), 1, 0.5);
-        assert_eq!(ratings, IndexMode::AUTO_MIN_PARTITIONS as u32 - 1);
+        let (best, ratings) = cat.best_partition(&syn(&[1]), 1, 0.5);
+        assert_eq!(best.unwrap().0, SegmentId(1));
+        assert_eq!(ratings, 1);
+    }
+
+    #[test]
+    fn auto_ratchets_on_create_and_on_bulk_adopt() {
+        let fill = |cat: &mut PartitionCatalog, segs: std::ops::Range<usize>, via_adopt: bool| {
+            for s in segs.map(|s| s as u32) {
+                if via_adopt {
+                    // A detached single-member partition, as the bulk
+                    // loader's shards hand them over.
+                    let mut shard = PartitionCatalog::new(IndexTier::Exact);
+                    shard.create_partition(SegmentId(0));
+                    add(&mut shard, SegmentId(0), u64::from(s), &[s % 32], 2);
+                    cat.adopt(shard.remove_partition(SegmentId(0)), SegmentId(s));
+                } else {
+                    cat.create_partition(SegmentId(s));
+                    add(cat, SegmentId(s), u64::from(s), &[s % 32], 2);
+                }
+            }
+        };
+        for via_adopt in [false, true] {
+            let mut cat = PartitionCatalog::new(IndexTier::Auto);
+            let gate = IndexTier::AUTO_MIN_PARTITIONS;
+            fill(&mut cat, 0..gate - 1, via_adopt);
+            assert!(!cat.tier_active(), "below the ratchet point (adopt={via_adopt})");
+            fill(&mut cat, gate - 1..gate, via_adopt);
+            assert!(cat.tier_active(), "crossing it ratchets (adopt={via_adopt})");
+            // One way: shrinking does not ratchet back.
+            cat.remove_partition(SegmentId(0));
+            assert!(cat.tier_active());
+            let report = crate::validate::render(&cat.validate());
+            assert!(report.is_empty(), "{report}");
+            // The adopted bits made it into the rebuilt tier.
+            let (survivors, _) = cat.survivors(&syn(&[5]));
+            assert!(survivors.contains(&SegmentId(5)));
+        }
     }
 
     #[test]
     fn remove_partition_cleans_presence() {
-        let mut cat = PartitionCatalog::new(IndexMode::On);
+        let mut cat = PartitionCatalog::new(IndexTier::Exact);
         cat.create_partition(SegmentId(0));
         cat.create_partition(SegmentId(1));
         add(&mut cat, SegmentId(0), 1, &[0], 1);
@@ -1442,14 +1179,14 @@ mod tests {
         let (best, _) = cat.best_partition(&syn(&[0]), 1, 0.5);
         assert_eq!(best.unwrap().0, SegmentId(1));
         assert_eq!(cat.len(), 1);
-        let (survivors, pruned) = cat.plan_survivors(&syn(&[0])).unwrap();
+        let (survivors, pruned) = cat.survivors(&syn(&[0]));
         assert_eq!(survivors, vec![SegmentId(1)]);
         assert_eq!(pruned, 0);
     }
 
     #[test]
     fn plan_survivors_matches_disjoint_oracle() {
-        let mut cat = PartitionCatalog::new(IndexMode::On);
+        let mut cat = PartitionCatalog::new(IndexTier::Exact);
         for (s, bits) in [(0u32, &[0u32, 1][..]), (1, &[5][..]), (2, &[1, 9][..])] {
             cat.create_partition(SegmentId(s));
             add(&mut cat, SegmentId(s), u64::from(s), bits, 2);
@@ -1461,18 +1198,17 @@ mod tests {
                 .filter(|(_, p, _)| !q.is_disjoint(p))
                 .map(|(s, _, _)| s)
                 .collect();
-            let (survivors, pruned) = cat.plan_survivors(&q).unwrap();
+            let (survivors, pruned) = cat.survivors(&q);
             assert_eq!(survivors, oracle);
             assert_eq!(pruned, cat.len() - survivors.len());
+            assert_eq!(cat.plan_survivors(&q), Some((survivors.clone(), pruned)));
+            assert_eq!(cat.freeze().survivors(&q), (survivors, pruned));
         }
-        assert!(PartitionCatalog::new(IndexMode::Off)
-            .plan_survivors(&syn(&[0]))
-            .is_none());
     }
 
     #[test]
     fn sparseness_of_partition() {
-        let mut cat = PartitionCatalog::new(IndexMode::Off);
+        let mut cat = PartitionCatalog::new(IndexTier::Exact);
         cat.create_partition(SegmentId(0));
         // 2 entities, 3 partition attrs, 4 filled cells → 1 - 4/6.
         add(&mut cat, SegmentId(0), 1, &[0, 1], 2);
@@ -1483,7 +1219,7 @@ mod tests {
 
     #[test]
     fn zero_size_partitions_stay_candidates() {
-        let mut cat = PartitionCatalog::new(IndexMode::On);
+        let mut cat = PartitionCatalog::new(IndexTier::Exact);
         cat.create_partition(SegmentId(0));
         // Partition 0 holds one zero-size entity with an empty synopsis.
         cat.add_entity(SegmentId(0), EntityId(1), &syn(&[]), &syn(&[]), 0, true);

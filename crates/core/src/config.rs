@@ -27,53 +27,10 @@ impl Capacity {
     }
 }
 
-/// Whether the catalog maintains the packed candidate/survivor index (the
-/// attribute-presence bitmaps of [`crate::arena`]) and routes the rating
-/// scan and query planning through it.
-///
-/// The index is semantics-preserving at every mode: the indexed rating scan
-/// returns the same best partition as the full sweep whenever the best
-/// rating is non-negative (the only case Algorithm 1 acts on), and the
-/// survivor set equals per-partition `|p ∧ q| = 0` pruning exactly — both
-/// are property-tested. The knob exists for A/B measurement and for
-/// workloads small enough that the index's constant overhead is not worth
-/// paying.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum IndexMode {
-    /// Cost-gated: the rating scan uses the index once the catalog has at
-    /// least [`IndexMode::AUTO_MIN_PARTITIONS`] partitions (below that, the
-    /// linear arena sweep is already a handful of cache lines); planning
-    /// always uses it. The default.
-    #[default]
-    Auto,
-    /// Always rate and plan through the index.
-    On,
-    /// Never: every insert sweeps all partitions, every plan tests every
-    /// partition — the paper prototype's behaviour and the A/B baseline.
-    Off,
-}
-
-impl IndexMode {
-    /// The `Auto` gate: catalogs smaller than this are swept linearly.
-    pub const AUTO_MIN_PARTITIONS: usize = 64;
-}
-
-impl std::str::FromStr for IndexMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "auto" => Ok(Self::Auto),
-            "on" => Ok(Self::On),
-            "off" => Ok(Self::Off),
-            other => Err(format!("bad index mode {other:?}; use auto|on|off")),
-        }
-    }
-}
-
-/// How the catalog *stores* the attribute→partition presence metadata the
-/// candidate/survivor index is built from: exact bitmaps for every
-/// partition, or the tiered approximate structure of [`crate::tier`].
+/// How the catalog's [`PruningIndex`](crate::PruningIndex) *stores* the
+/// attribute→partition presence metadata every rating scan and query plan
+/// goes through: exact bitmaps for every partition, or the tiered
+/// approximate structure of [`crate::tier`]. The index's only knob.
 ///
 /// `Exact` is the oracle: one [`crate::arena::PresenceIndex`] row per
 /// attribute, O(attrs × partitions) bits. `Tiered` replaces those bitmaps
@@ -120,7 +77,7 @@ impl std::str::FromStr for IndexTier {
 
 impl std::fmt::Display for IndexTier {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
+        f.pad(match self {
             Self::Exact => "exact",
             Self::Tiered => "tiered",
             Self::Auto => "auto",
@@ -219,12 +176,7 @@ pub struct Config {
     pub size_model: SizeModel,
     /// Entity-based or workload-based partitioning (§II).
     pub mode: SynopsisMode,
-    /// The candidate/survivor index mode: rate and plan through the
-    /// attribute-presence bitmaps (`On`), never (`Off`), or cost-gated
-    /// (`Auto`). Semantics-preserving; the `ablations` and `index` benches
-    /// measure the speedup.
-    pub index: IndexMode,
-    /// How the index's presence metadata is stored: exact per-partition
+    /// How the pruning index's presence metadata is stored: exact per-partition
     /// bitmaps (`exact`), the approximate filter tier plus bounded exact
     /// hot tier (`tiered`), or a partition-count-gated ratchet (`auto`).
     /// Superset-sound at every setting; see [`IndexTier`].
@@ -244,7 +196,6 @@ impl Default for Config {
             capacity: Capacity::MaxEntities(5000),
             size_model: SizeModel::Cells,
             mode: SynopsisMode::EntityBased,
-            index: IndexMode::Auto,
             tier: IndexTier::Exact,
             record_events: false,
             reorg: ReorgConfig::default(),
@@ -299,14 +250,6 @@ mod tests {
     #[test]
     fn default_is_valid() {
         Config::default().validate();
-    }
-
-    #[test]
-    fn index_mode_parses() {
-        assert_eq!("auto".parse::<IndexMode>().unwrap(), IndexMode::Auto);
-        assert_eq!("on".parse::<IndexMode>().unwrap(), IndexMode::On);
-        assert_eq!("off".parse::<IndexMode>().unwrap(), IndexMode::Off);
-        assert!("ON".parse::<IndexMode>().is_err());
     }
 
     #[test]

@@ -1,0 +1,324 @@
+//! The pruning index: the one answer to "which partitions can share an
+//! attribute with this synopsis?" — the paper's `|p ∧ q| = 0` test (§II,
+//! Definition 1) turned inside out.
+//!
+//! [`PruningIndex`] owns the rating-space and attribute-space presence
+//! metadata in one of two storages, chosen by the single
+//! [`IndexTier`] knob:
+//!
+//! * **exact** — one [`PresenceIndex`] bitmap row per attribute and space;
+//!   candidate sets are exact;
+//! * **tiered** — the blocked-Bloom / hot-tier structure of
+//!   [`crate::tier`]; candidate sets are supersets (no false negatives by
+//!   construction), an order of magnitude smaller on large catalogs.
+//!
+//! [`PartitionCatalog`](crate::PartitionCatalog) drives it through the
+//! methods below and never looks at which storage is live;
+//! [`PruningIndex::freeze`] copies the attribute space into an immutable
+//! [`PruningSnapshot`] that plans survivors through the very same
+//! [`PruningIndex::survivors`] walk, so the server's epoch reads and the
+//! live planner cannot drift apart.
+
+use std::collections::BTreeSet;
+
+use cind_bitset::{BitSetOps, FixedBitSet};
+use cind_model::Synopsis;
+use cind_storage::SegmentId;
+
+use crate::arena::{PresenceIndex, SynopsisArena};
+use crate::catalog::PartitionMeta;
+use crate::config::IndexTier;
+use crate::tier::{Space, TierParams, TieredIndex};
+use crate::validate::InvariantViolation;
+
+/// Presence metadata of both synopsis spaces, in either storage.
+#[derive(Clone, Debug)]
+pub enum PruningIndex {
+    /// Exact per-attribute slot bitmaps.
+    Exact {
+        /// rating-bit → slot bitmap (candidates of the insert scan).
+        rating: PresenceIndex,
+        /// attribute-bit → slot bitmap (survivors of the planner).
+        attr: PresenceIndex,
+    },
+    /// Approximate filter rows plus a bounded exact hot tier.
+    Tiered(Box<TieredIndex>),
+}
+
+impl PruningIndex {
+    /// An empty index in the storage `tier` starts with (`auto` starts
+    /// exact and ratchets once the catalog is large enough).
+    pub fn new(tier: IndexTier, params: TierParams) -> Self {
+        Self::empty(tier == IndexTier::Tiered, params)
+    }
+
+    fn empty(tiered: bool, params: TierParams) -> Self {
+        if tiered {
+            Self::Tiered(Box::new(TieredIndex::new(params)))
+        } else {
+            Self::Exact {
+                rating: PresenceIndex::new(),
+                attr: PresenceIndex::new(),
+            }
+        }
+    }
+
+    /// Whether the approximate storage is live.
+    pub fn is_tiered(&self) -> bool {
+        matches!(self, Self::Tiered(_))
+    }
+
+    /// Builds the index in the given storage from the catalog's refcount
+    /// state — the one rebuild path behind every storage switch.
+    pub(crate) fn rebuild_from_refcounts<'a>(
+        tiered: bool,
+        params: TierParams,
+        metas: impl Iterator<Item = &'a PartitionMeta>,
+    ) -> Self {
+        let mut index = Self::empty(tiered, params);
+        for meta in metas {
+            index.insert_partition(meta);
+        }
+        index
+    }
+
+    /// Applies the knob: switches storage (rebuilding from `metas`) when
+    /// `knob` asks for the other one. `auto` is the one ratchet — exact
+    /// until the catalog holds [`IndexTier::AUTO_MIN_PARTITIONS`]
+    /// partitions, tiered from then on, never back.
+    pub(crate) fn retarget<'a>(
+        &mut self,
+        knob: IndexTier,
+        params: TierParams,
+        metas: impl ExactSizeIterator<Item = &'a PartitionMeta>,
+    ) {
+        let want_tiered = match knob {
+            IndexTier::Exact => false,
+            IndexTier::Tiered => true,
+            IndexTier::Auto => self.is_tiered() || metas.len() >= IndexTier::AUTO_MIN_PARTITIONS,
+        };
+        if want_tiered != self.is_tiered() {
+            *self = Self::rebuild_from_refcounts(want_tiered, params, metas);
+        }
+    }
+
+    /// Registers a partition's freshly allocated slot with every bit its
+    /// refcounts already carry (none for a new partition, all of them for
+    /// an adopted one).
+    pub(crate) fn insert_partition(&mut self, meta: &PartitionMeta) {
+        let slot = meta.slot();
+        if let Self::Tiered(t) = self {
+            t.on_slot_alloc(slot);
+        }
+        for bit in meta.rating_bits() {
+            self.set(Space::Rating, bit, slot);
+        }
+        for bit in meta.attr_synopsis.iter() {
+            self.set(Space::Attr, bit.index(), slot);
+        }
+    }
+
+    /// Drops a partition's slot. The tier drops the whole slot at once
+    /// (live mask + hot tier); per-bit clears would only add staleness.
+    pub(crate) fn remove_partition(&mut self, meta: &PartitionMeta) {
+        let slot = meta.slot();
+        match self {
+            Self::Tiered(t) => t.on_slot_release(slot),
+            Self::Exact { rating, attr } => {
+                for bit in meta.rating_bits() {
+                    rating.clear(bit, slot);
+                }
+                for bit in meta.attr_synopsis.iter() {
+                    attr.clear(bit.index(), slot);
+                }
+            }
+        }
+    }
+
+    /// Records a refcount 0→1 transition of `(bit, slot)` in `space`.
+    pub(crate) fn set(&mut self, space: Space, bit: u32, slot: usize) {
+        match (self, space) {
+            (Self::Tiered(t), _) => t.set(space, bit, slot),
+            (Self::Exact { rating, .. }, Space::Rating) => rating.set(bit, slot),
+            (Self::Exact { attr, .. }, Space::Attr) => attr.set(bit, slot),
+        }
+    }
+
+    /// Records a refcount 1→0 transition of `(bit, slot)` in `space`.
+    pub(crate) fn clear(&mut self, space: Space, bit: u32, slot: usize) {
+        match (self, space) {
+            (Self::Tiered(t), _) => t.clear(space, bit, slot),
+            (Self::Exact { rating, .. }, Space::Rating) => rating.clear(bit, slot),
+            (Self::Exact { attr, .. }, Space::Attr) => attr.clear(bit, slot),
+        }
+    }
+
+    /// Advances the tier's op-count heat clock (no-op on exact storage).
+    pub(crate) fn note_op(&mut self, slot: usize) {
+        if let Self::Tiered(t) = self {
+            t.note_op(slot);
+        }
+    }
+
+    /// Adds external heat to `slot` — the hot tier's promotion signal
+    /// (no-op on exact storage).
+    pub(crate) fn note_heat(&mut self, slot: usize, amount: u32) {
+        if let Self::Tiered(t) = self {
+            t.note_heat(slot, amount);
+        }
+    }
+
+    /// Drains the tier's pending maintenance against the catalog's exact
+    /// refcount view (see [`TieredIndex::service`]; no-op on exact
+    /// storage, which has none).
+    pub(crate) fn service(&mut self, exact: &impl Fn(Space, usize) -> Option<Vec<u32>>) {
+        if let Self::Tiered(t) = self {
+            t.service(exact);
+        }
+    }
+
+    /// Forces `slot` in or out of the hot tier (the property tests'
+    /// lever; no-op on exact storage).
+    pub(crate) fn set_hot(
+        &mut self,
+        slot: usize,
+        hot: bool,
+        exact: &impl Fn(Space, usize) -> Option<Vec<u32>>,
+    ) {
+        if let Self::Tiered(t) = self {
+            t.set_hot(slot, hot, exact);
+        }
+    }
+
+    /// ORs into `acc` every slot that may carry one of `syn`'s bits in
+    /// `space`: exactly those slots on exact storage, a superset on
+    /// tiered. Deduplicated by construction.
+    pub fn candidates_into(&self, space: Space, syn: &Synopsis, acc: &mut FixedBitSet) {
+        let bits = syn.iter().map(|a| a.index());
+        match (self, space) {
+            (Self::Tiered(t), _) => {
+                t.candidates_into(space, &bits.collect::<Vec<u32>>(), acc);
+            }
+            (Self::Exact { rating, .. }, Space::Rating) => rating.union_rows_into(bits, acc),
+            (Self::Exact { attr, .. }, Space::Attr) => attr.union_rows_into(bits, acc),
+        }
+    }
+
+    /// The planner's survivor set for query synopsis `q`: the segments of
+    /// the attribute-space candidates (ascending — plan order) plus the
+    /// pruned count. The one walk behind both the live catalog and the
+    /// frozen [`PruningSnapshot`]; they differ only in `seg_of`.
+    pub fn survivors(
+        &self,
+        q: &Synopsis,
+        seg_of: impl Fn(usize) -> SegmentId,
+        partitions: usize,
+    ) -> (Vec<SegmentId>, usize) {
+        let mut acc = FixedBitSet::default();
+        self.candidates_into(Space::Attr, q, &mut acc);
+        let mut survivors: Vec<SegmentId> =
+            acc.iter_ones().map(|slot| seg_of(slot as usize)).collect();
+        survivors.sort_unstable();
+        let pruned = partitions - survivors.len();
+        (survivors, pruned)
+    }
+
+    /// Copies the attribute space plus the slot→segment map into an
+    /// immutable snapshot for lock-free planning.
+    pub fn freeze(&self, segs: Vec<SegmentId>, partitions: usize) -> PruningSnapshot {
+        let index = match self {
+            Self::Exact { attr, .. } => Self::Exact {
+                rating: PresenceIndex::new(),
+                attr: attr.clone(),
+            },
+            Self::Tiered(t) => Self::Tiered(Box::new(t.freeze_attr())),
+        };
+        PruningSnapshot {
+            index,
+            segs,
+            partitions,
+        }
+    }
+
+    /// Heap bytes resident in the index structures.
+    pub fn resident_bytes(&self) -> usize {
+        match self {
+            Self::Exact { rating, attr } => rating.resident_bytes() + attr.resident_bytes(),
+            Self::Tiered(t) => t.resident_bytes(),
+        }
+    }
+
+    /// Cross-checks the index against the catalog's exact `(bit, slot)`
+    /// sets: exact storage must hold precisely those pairs (and only live
+    /// slots); tiered storage must admit every one of them (see
+    /// [`TieredIndex::validate`]).
+    pub(crate) fn validate(
+        &self,
+        arena: &SynopsisArena,
+        want_rating: &BTreeSet<(u32, usize)>,
+        want_attr: &BTreeSet<(u32, usize)>,
+    ) -> Vec<InvariantViolation> {
+        let (rating, attr) = match self {
+            Self::Tiered(t) => return t.validate(arena, want_rating, want_attr),
+            Self::Exact { rating, attr } => (rating, attr),
+        };
+        let mut out = Vec::new();
+        for (space, index, want) in [("rating", rating, want_rating), ("attr", attr, want_attr)] {
+            out.extend(index.validate(arena));
+            let mut have = BTreeSet::new();
+            for bit in 0..index.attrs() as u32 {
+                if let Some(row) = index.row(bit) {
+                    have.extend(row.iter_ones().map(|slot| (bit, slot as usize)));
+                }
+            }
+            for (bit, slot) in want.difference(&have) {
+                out.push(InvariantViolation::new(
+                    "presence",
+                    format!(
+                        "{space} bit {bit} of slot {slot} ({}) missing from the index",
+                        arena.seg(*slot)
+                    ),
+                ));
+            }
+            for (bit, slot) in have.difference(want) {
+                out.push(InvariantViolation::new(
+                    "presence",
+                    format!("{space} index claims bit {bit} for slot {slot}, refcounts disagree"),
+                ));
+            }
+        }
+        out
+    }
+}
+
+/// A frozen attribute-space [`PruningIndex`] plus the slot→segment map of
+/// the instant it was taken — what an epoch snapshot needs to plan a query
+/// without the catalog or its lock. Survivors are exactly what
+/// [`PartitionCatalog::plan_survivors`](crate::PartitionCatalog::plan_survivors)
+/// returned at freeze time (a superset of the exact set on tiered storage;
+/// the executor's per-row match keeps answers identical).
+#[derive(Clone, Debug)]
+pub struct PruningSnapshot {
+    index: PruningIndex,
+    segs: Vec<SegmentId>,
+    partitions: usize,
+}
+
+impl PruningSnapshot {
+    /// Partition count at freeze time.
+    pub fn partitions(&self) -> usize {
+        self.partitions
+    }
+
+    /// The surviving segments for query synopsis `q` (ascending) plus the
+    /// pruned count.
+    pub fn survivors(&self, q: &Synopsis) -> (Vec<SegmentId>, usize) {
+        self.index
+            .survivors(q, |slot| self.segs[slot], self.partitions)
+    }
+
+    /// Heap bytes resident in the snapshot.
+    pub fn resident_bytes(&self) -> usize {
+        self.index.resident_bytes() + self.segs.len() * std::mem::size_of::<SegmentId>()
+    }
+}

@@ -10,14 +10,18 @@
 //! Module map:
 //!
 //! * [`config`] — weight `w`, capacity `B`, size model, synopsis mode,
-//!   catalog-index toggle.
+//!   index tier.
 //! * [`rating`] — §IV verbatim: homogeneity and heterogeneity scores, the
 //!   local rating `r'` and the normalised global rating `r`.
 //! * [`starters`] — split-starter pair maintenance (Algorithm 1 lines
 //!   15–24) and seed selection for splits.
 //! * [`catalog`] — the partition catalog: per-partition synopses (exact,
-//!   via attribute reference counts), sizes, starters, and an optional
-//!   inverted attribute→partition index that prunes the rating scan.
+//!   via attribute reference counts), sizes, starters, and the packed
+//!   synopsis [`arena`] the rating scan sweeps.
+//! * [`index`] — the one [`PruningIndex`] behind both the rating scan's
+//!   candidate set and the planner's survivor set, in exact
+//!   ([`arena::PresenceIndex`]) or tiered ([`tier`]) storage, plus its
+//!   frozen [`PruningSnapshot`].
 //! * [`partitioner`] — Algorithm 1: `insert`, plus the paper's `delete` and
 //!   `update` adjustment routines and the split procedure.
 //! * [`modes`] — entity-based vs. workload-based entity synopses.
@@ -54,17 +58,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod advisor;
 pub mod arena;
 pub mod bulk;
 pub mod catalog;
 pub mod config;
 pub mod efficiency;
 pub mod events;
+pub mod index;
 pub mod merge;
 pub mod modes;
 pub mod partitioner;
-pub mod placement;
 pub mod rating;
 pub mod starters;
 pub mod tier;
@@ -72,18 +75,17 @@ pub mod validate;
 
 mod error;
 
-pub use advisor::{recommend, AdvisorConfig, CandidateScore, Recommendation};
 pub use arena::{PresenceIndex, SynopsisArena};
 pub use bulk::{bulk_load, BulkLoadReport};
 pub use catalog::{PartitionCatalog, PartitionMeta};
-pub use config::{Capacity, Config, IndexMode, IndexTier, ReorgConfig, ReorgMode};
+pub use config::{Capacity, Config, IndexTier, ReorgConfig, ReorgMode};
 pub use efficiency::{efficiency, efficiency_counters, efficiency_counters_for, efficiency_of};
 pub use error::CoreError;
 pub use events::{InsertEvent, InsertOutcome, Stats};
+pub use index::{PruningIndex, PruningSnapshot};
 pub use merge::MergeReport;
 pub use modes::SynopsisMode;
 pub use partitioner::Cinderella;
-pub use placement::{place_affinity, place_balanced, Placement};
 pub use rating::{global_rating, local_rating, RatingInputs};
-pub use tier::{TierParams, TierSnapshot, TieredIndex};
+pub use tier::{Space, TierParams, TieredIndex};
 pub use validate::InvariantViolation;

@@ -46,7 +46,7 @@ impl Cinderella {
     /// Panics if the configuration is invalid (see [`Config::validate`]).
     pub fn new(config: Config) -> Self {
         config.validate();
-        let catalog = PartitionCatalog::with_tier(config.index, config.tier);
+        let catalog = PartitionCatalog::new(config.tier);
         Self { config, catalog, stats: Stats::default(), events: Vec::new() }
     }
 

@@ -1,5 +1,5 @@
 //! Tiered approximate pruning metadata — the `IndexTier::Tiered` storage
-//! behind the candidate/survivor index.
+//! of [`PruningIndex`](crate::PruningIndex).
 //!
 //! The exact [`PresenceIndex`](crate::PresenceIndex) keeps one partition
 //! bitmap per attribute: O(attrs × partitions) bits, the scaling ceiling a
@@ -34,13 +34,11 @@
 //! same path that doubles a saturated group's block array (`grow`), which
 //! therefore preserves membership exactly (property-tested).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use cind_bitset::{BitSetOps, FixedBitSet};
-use cind_model::Synopsis;
-use cind_storage::SegmentId;
 
-use crate::arena::PresenceIndex;
+use crate::arena::{PresenceIndex, SynopsisArena};
 use crate::validate::InvariantViolation;
 
 /// Slots per filter group — one `u64` mask word.
@@ -60,7 +58,7 @@ const SUMMARY_WORDS: usize = 64;
 /// growth stops when a block carries at most this many keys, i.e. at
 /// ≥ 64/GROW_LOAD filter bits per key — 16 at the current setting, which
 /// with three probes prices the per-slot false-positive rate well under
-/// one percent (BENCH_PR10 measures it).
+/// one percent (EXPERIMENTS.md, historical PR 10 row, measures it).
 const GROW_LOAD: u32 = 4;
 
 /// Clear events tolerated before a group is rebuilt from exact state.
@@ -383,15 +381,16 @@ impl FilterBank {
     }
 }
 
-/// Deferred maintenance the catalog services with exact state in hand.
-#[derive(Debug, Default)]
-pub(crate) struct PendingWork {
+/// Deferred maintenance, drained by [`TieredIndex::service`] with the
+/// catalog's exact state in hand.
+#[derive(Clone, Debug, Default)]
+struct PendingWork {
     /// Groups to rebuild: `(space, group, grow)`.
-    pub rebuilds: Vec<(Space, usize, bool)>,
+    rebuilds: Vec<(Space, usize, bool)>,
     /// Slots whose heat crossed the promotion bar.
-    pub promotes: Vec<usize>,
+    promotes: Vec<usize>,
     /// Hot slots whose heat decayed to zero.
-    pub demotes: Vec<usize>,
+    demotes: Vec<usize>,
 }
 
 impl PendingWork {
@@ -402,7 +401,7 @@ impl PendingWork {
 
 /// The tiered index: filter banks for both synopsis spaces, the live-slot
 /// mask, the hot tier, and the op-count heat clock.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct TieredIndex {
     params: TierParams,
     rating: FilterBank,
@@ -423,32 +422,7 @@ pub struct TieredIndex {
     /// Per-slot op-count heat, halved every epoch.
     heat: Vec<u32>,
     ops_in_epoch: u64,
-    epochs: u64,
     pending: PendingWork,
-}
-
-impl Clone for TieredIndex {
-    fn clone(&self) -> Self {
-        Self {
-            params: self.params,
-            rating: self.rating.clone(),
-            attr: self.attr.clone(),
-            live_words: self.live_words.clone(),
-            hot_words: self.hot_words.clone(),
-            hot_slots: self.hot_slots.clone(),
-            hot_pos: self.hot_pos.clone(),
-            hot_rating: self.hot_rating.clone(),
-            hot_attr: self.hot_attr.clone(),
-            heat: self.heat.clone(),
-            ops_in_epoch: self.ops_in_epoch,
-            epochs: self.epochs,
-            pending: PendingWork {
-                rebuilds: self.pending.rebuilds.clone(),
-                promotes: self.pending.promotes.clone(),
-                demotes: self.pending.demotes.clone(),
-            },
-        }
-    }
 }
 
 impl TieredIndex {
@@ -466,14 +440,8 @@ impl TieredIndex {
             hot_attr: PresenceIndex::new(),
             heat: Vec::new(),
             ops_in_epoch: 0,
-            epochs: 0,
             pending: PendingWork::default(),
         }
-    }
-
-    /// The configured knobs.
-    pub fn params(&self) -> &TierParams {
-        &self.params
     }
 
     fn bank(&self, space: Space) -> &FilterBank {
@@ -583,7 +551,6 @@ impl TieredIndex {
         self.ops_in_epoch += 1;
         if self.ops_in_epoch >= self.params.epoch_ops {
             self.ops_in_epoch = 0;
-            self.epochs += 1;
             for h in &mut self.heat {
                 *h /= 2;
             }
@@ -612,11 +579,6 @@ impl TieredIndex {
         }
     }
 
-    /// Completed heat epochs so far.
-    pub fn epochs(&self) -> u64 {
-        self.epochs
-    }
-
     /// Whether `slot` is in the exact hot tier.
     pub fn is_hot(&self, slot: usize) -> bool {
         self.hot_pos.contains_key(&slot)
@@ -627,33 +589,52 @@ impl TieredIndex {
         self.hot_slots.len()
     }
 
-    /// Slots currently in the hot tier, in position order.
-    pub fn hot_slot_ids(&self) -> &[usize] {
-        &self.hot_slots
-    }
-
-    /// Whether maintenance is queued (tests poke this through the catalog).
-    pub(crate) fn take_pending(&mut self) -> Option<PendingWork> {
-        if self.pending.is_empty() {
-            return None;
+    /// Drains the deferred maintenance — filter grows and rebuilds,
+    /// hot-tier promotions and demotions — deterministically, after every
+    /// catalog mutation; no background thread. `exact(space, slot)` is the
+    /// catalog's refcount view: the slot's exact bits, or `None` for a
+    /// dead slot.
+    pub(crate) fn service(&mut self, exact: &impl Fn(Space, usize) -> Option<Vec<u32>>) {
+        while !self.pending.is_empty() {
+            let work = std::mem::take(&mut self.pending);
+            for (space, group, grow) in work.rebuilds {
+                let lo = group * SLOTS_PER_GROUP;
+                let members: Vec<(usize, Vec<u32>)> = (lo..lo + SLOTS_PER_GROUP)
+                    .filter_map(|slot| Some((slot, exact(space, slot)?)))
+                    .collect();
+                self.bank_mut(space).rebuild_group(group, grow, &members);
+            }
+            for slot in work.promotes {
+                self.set_hot(slot, true, exact);
+            }
+            for slot in work.demotes {
+                self.demote_now(slot);
+            }
         }
-        Some(std::mem::take(&mut self.pending))
     }
 
-    /// Rebuilds one group of one space from exact `(slot, bits)` state.
-    pub(crate) fn rebuild_group(
+    /// Moves `slot` into the hot tier with its exact bits (if it is live,
+    /// cold, and the tier has room) or out of it.
+    pub(crate) fn set_hot(
         &mut self,
-        space: Space,
-        group: usize,
-        grow: bool,
-        members: &[(usize, Vec<u32>)],
+        slot: usize,
+        hot: bool,
+        exact: &impl Fn(Space, usize) -> Option<Vec<u32>>,
     ) {
-        self.bank_mut(space).rebuild_group(group, grow, members);
+        if !hot {
+            self.demote_now(slot);
+        } else if !self.is_hot(slot) && self.hot_len() < self.params.hot_capacity {
+            if let (Some(rating), Some(attr)) =
+                (exact(Space::Rating, slot), exact(Space::Attr, slot))
+            {
+                self.promote_now(slot, rating, attr);
+            }
+        }
     }
 
     /// Promotes `slot` into the hot tier with its exact bits. Caller
     /// guarantees room and liveness.
-    pub(crate) fn promote_now(
+    fn promote_now(
         &mut self,
         slot: usize,
         rating_bits: impl IntoIterator<Item = u32>,
@@ -675,7 +656,7 @@ impl TieredIndex {
 
     /// Demotes `slot` from the hot tier (swap-remove on positions; the
     /// moved slot's exact rows move with it).
-    pub(crate) fn demote_now(&mut self, slot: usize) {
+    fn demote_now(&mut self, slot: usize) {
         let Some(pos) = self.hot_pos.remove(&slot) else { return };
         self.hot_words[slot / SLOTS_PER_GROUP] &= !(1u64 << (slot % SLOTS_PER_GROUP));
         let last = self.hot_slots.len() - 1;
@@ -703,7 +684,7 @@ impl TieredIndex {
     /// The exact bits of a hot slot's row in `space`, ascending — `None`
     /// if the slot is not hot. Validate compares this against the
     /// refcount view (hot bitmaps ⇔ refcounts).
-    pub fn hot_bits(&self, space: Space, slot: usize) -> Option<Vec<u32>> {
+    fn hot_bits(&self, space: Space, slot: usize) -> Option<Vec<u32>> {
         let &pos = self.hot_pos.get(&slot)?;
         let rows = self.hot_rows(space);
         Some(
@@ -777,8 +758,8 @@ impl TieredIndex {
         }
     }
 
-    /// Heap bytes resident in the tiered index (the number BENCH_PR10
-    /// compares against the exact presence bitmaps).
+    /// Heap bytes resident in the tiered index (the number the `tier`
+    /// bench compares against the exact presence bitmaps).
     pub fn resident_bytes(&self) -> usize {
         let mut bytes = self.rating.resident_bytes() + self.attr.resident_bytes();
         bytes += (self.live_words.len() + self.hot_words.len()) * 8;
@@ -790,9 +771,61 @@ impl TieredIndex {
         bytes
     }
 
+    /// Tier invariants against the catalog's exact `(bit, slot)` sets: the
+    /// no-false-negative implication (every exact-present pair is admitted
+    /// by the approximate tier), hot rows ⇔ refcounts in both directions,
+    /// and the internal position/mask/capacity checks.
+    pub(crate) fn validate(
+        &self,
+        arena: &SynopsisArena,
+        want_rating: &BTreeSet<(u32, usize)>,
+        want_attr: &BTreeSet<(u32, usize)>,
+    ) -> Vec<InvariantViolation> {
+        let mut out = self.validate_internal();
+        for (space, label, want) in [
+            (Space::Rating, "rating", want_rating),
+            (Space::Attr, "attr", want_attr),
+        ] {
+            for &(bit, slot) in want {
+                if !self.approx_contains(space, bit, slot) {
+                    out.push(InvariantViolation::new(
+                        "tier",
+                        format!(
+                            "{label} bit {bit} of slot {slot} ({}) absent from the \
+                             approximate tier — a false negative",
+                            arena.seg(slot)
+                        ),
+                    ));
+                }
+            }
+            // (BTreeSet order is (bit, slot), so per-slot pushes ascend.)
+            let mut exact: BTreeMap<usize, Vec<u32>> = BTreeMap::new();
+            for &(bit, slot) in want {
+                exact.entry(slot).or_default().push(bit);
+            }
+            for &slot in &self.hot_slots {
+                if slot >= arena.slots() || !arena.is_live(slot) {
+                    continue; // flagged by validate_internal
+                }
+                let exact = exact.get(&slot).map_or(&[][..], Vec::as_slice);
+                let hot = self.hot_bits(space, slot).unwrap_or_default();
+                if exact != hot.as_slice() {
+                    out.push(InvariantViolation::new(
+                        "tier",
+                        format!(
+                            "{}: hot {label} row {hot:?} but refcounts say {exact:?}",
+                            arena.seg(slot)
+                        ),
+                    ));
+                }
+            }
+        }
+        out
+    }
+
     /// Tier-internal structural invariants: hot position maps, hot/live
     /// masks, capacity, and hot rows staying within position range.
-    pub fn validate_internal(&self) -> Vec<InvariantViolation> {
+    fn validate_internal(&self) -> Vec<InvariantViolation> {
         let mut out = Vec::new();
         let mut v = |detail: String| out.push(InvariantViolation::new("tier", detail));
         if self.hot_slots.len() != self.hot_pos.len() {
@@ -848,97 +881,21 @@ impl TieredIndex {
         out
     }
 
-    /// A compact, immutable clone of the attribute-space tier for the
-    /// server's epoch snapshots: enough to plan survivors without the
-    /// catalog (or its lock).
-    pub fn snapshot(&self, segs: Vec<SegmentId>, partitions: usize) -> TierSnapshot {
-        TierSnapshot {
-            bank: self.attr.clone(),
+    /// A compact clone of the attribute-space tier only — filter bank,
+    /// masks, hot rows — enough to answer
+    /// `candidates_into(Space::Attr, ..)` exactly as the live index does.
+    /// The rating space, heat, and maintenance state are left empty, so
+    /// the result must never be mutated or validated; it lives inside an
+    /// immutable [`PruningSnapshot`](crate::PruningSnapshot).
+    pub(crate) fn freeze_attr(&self) -> Self {
+        Self {
+            attr: self.attr.clone(),
             live_words: self.live_words.clone(),
             hot_words: self.hot_words.clone(),
             hot_slots: self.hot_slots.clone(),
             hot_attr: self.hot_attr.clone(),
-            segs,
-            partitions,
+            ..Self::new(self.params)
         }
-    }
-}
-
-/// A frozen copy of the attribute-space tier plus the slot→segment map —
-/// the server's snapshot replaces its O(partitions × universe) synopsis
-/// clone with this.
-#[derive(Clone, Debug)]
-pub struct TierSnapshot {
-    bank: FilterBank,
-    live_words: Vec<u64>,
-    hot_words: Vec<u64>,
-    hot_slots: Vec<usize>,
-    hot_attr: PresenceIndex,
-    segs: Vec<SegmentId>,
-    partitions: usize,
-}
-
-impl TierSnapshot {
-    /// Partition count at freeze time.
-    pub fn partitions(&self) -> usize {
-        self.partitions
-    }
-
-    /// The surviving segments for query synopsis `q` (ascending) plus the
-    /// pruned count. A superset of the exact survivor set; the executor's
-    /// per-row `matches` keeps answers identical.
-    pub fn survivors(&self, q: &Synopsis) -> (Vec<SegmentId>, usize) {
-        let mut survivors = Vec::new();
-        let groups = self.bank.groups().min(self.live_words.len());
-        let gwords = groups.div_ceil(64);
-        for a in q.iter().map(|a| a.index()) {
-            let h = mix(u64::from(a));
-            let (s1, s2) = summary_indices(h);
-            let (p1, p2) = (self.bank.plane(s1), self.bank.plane(s2));
-            for gw in 0..gwords {
-                let mut gm = p1[gw] & p2[gw];
-                while gm != 0 {
-                    let g = gw * 64 + gm.trailing_zeros() as usize;
-                    gm &= gm - 1;
-                    if g >= groups {
-                        break;
-                    }
-                    let mut word = self.bank.block_word_h(g, h)
-                        & self.live_words[g]
-                        & !self.hot_words[g];
-                    while word != 0 {
-                        let b = word.trailing_zeros() as usize;
-                        let slot = g * SLOTS_PER_GROUP + b;
-                        if let Some(&seg) = self.segs.get(slot) {
-                            survivors.push(seg);
-                        }
-                        word &= word - 1;
-                    }
-                }
-            }
-            if let Some(row) = self.hot_attr.row(a) {
-                for pos in row.iter_ones() {
-                    if let Some(&slot) = self.hot_slots.get(pos as usize) {
-                        if let Some(&seg) = self.segs.get(slot) {
-                            survivors.push(seg);
-                        }
-                    }
-                }
-            }
-        }
-        survivors.sort_unstable();
-        survivors.dedup();
-        let pruned = self.partitions.saturating_sub(survivors.len());
-        (survivors, pruned)
-    }
-
-    /// Heap bytes resident in the snapshot.
-    pub fn resident_bytes(&self) -> usize {
-        self.bank.resident_bytes()
-            + (self.live_words.len() + self.hot_words.len()) * 8
-            + self.hot_slots.len() * 8
-            + self.hot_attr.resident_bytes()
-            + self.segs.len() * 4
     }
 }
 
@@ -1051,9 +1008,9 @@ mod tests {
         t.on_slot_alloc(0);
         t.note_op(0);
         t.note_op(0);
-        assert!(t.take_pending().is_none(), "below the bar");
+        assert!(t.pending.is_empty(), "below the bar");
         t.note_op(0);
-        let work = t.take_pending().expect("promotion queued");
+        let work = std::mem::take(&mut t.pending);
         assert_eq!(work.promotes, vec![0]);
         t.promote_now(0, [1], [1]);
         // Run epochs with no further traffic: heat 3 → 1 → 0 → demote.
@@ -1065,32 +1022,30 @@ mod tests {
         for _ in 0..3 {
             t.note_heat(1, 1);
         }
-        let work = t.take_pending().expect("second promotion");
-        assert!(work.promotes.contains(&1));
+        assert!(t.pending.promotes.contains(&1), "second promotion");
     }
 
     #[test]
-    fn snapshot_survivors_match_live_candidates() {
+    fn frozen_attr_tier_answers_like_the_live_one() {
         let mut t = TieredIndex::new(TierParams::default());
-        let segs: Vec<SegmentId> = (0..100).map(SegmentId).collect();
         for slot in 0..100 {
             t.on_slot_alloc(slot);
         }
         t.set(Space::Attr, 4, 10);
         t.set(Space::Attr, 4, 65);
+        t.set(Space::Rating, 4, 30);
         t.promote_now(65, [], [4]);
         t.on_slot_release(20);
-        let snap = t.snapshot(segs, 99);
-        let q = Synopsis::from_bits(32, [4u32]);
-        let (survivors, pruned) = snap.survivors(&q);
-        assert!(survivors.contains(&SegmentId(10)));
-        assert!(survivors.contains(&SegmentId(65)));
-        assert_eq!(pruned, 99 - survivors.len());
-        let mut acc = FixedBitSet::default();
-        t.candidates_into(Space::Attr, &[4], &mut acc);
-        let from_live: Vec<SegmentId> =
-            acc.iter_ones().map(SegmentId).collect();
-        assert_eq!(survivors, from_live);
+        let frozen = t.freeze_attr();
+        let (mut live, mut cold) = (FixedBitSet::default(), FixedBitSet::default());
+        t.candidates_into(Space::Attr, &[4], &mut live);
+        frozen.candidates_into(Space::Attr, &[4], &mut cold);
+        assert!(live.contains(10) && live.contains(65));
+        assert_eq!(
+            live.iter_ones().collect::<Vec<_>>(),
+            cold.iter_ones().collect::<Vec<_>>()
+        );
+        assert!(frozen.resident_bytes() < t.resident_bytes(), "attr space only");
     }
 
     mod properties {

@@ -4,8 +4,8 @@
 //! partition can be skipped) is only sound while three redundant views of
 //! the same state agree: the per-partition reference counts (the source of
 //! truth), the packed [`SynopsisArena`](crate::SynopsisArena) rows the hot
-//! loops sweep, and the [`PresenceIndex`](crate::PresenceIndex) bitmaps
-//! that produce candidate and survivor sets. Each structure exposes a
+//! loops sweep, and the [`PruningIndex`](crate::PruningIndex) that
+//! produces candidate and survivor sets. Each structure exposes a
 //! `validate()` that cross-checks its invariants and returns *every*
 //! violation it finds — not just the first — as an [`InvariantViolation`]
 //! with a precise diagnostic naming the slot/segment/attribute and both

@@ -1,18 +1,24 @@
-//! Differential suite for the catalog's candidate index: the indexed
-//! rating scan against the full arena sweep, on randomized catalogs that
-//! see entity additions, removals, zero-size partitions, and splits
-//! (partition removal + redistribution onto fresh segments, which also
-//! exercises arena slot recycling).
+//! Differential suite for the catalog's one pruning-index path against
+//! its two oracles — the full arena sweep (`best_sweep`) for the rating
+//! scan, the per-partition `|p ∧ q| = 0` test over `pruning_view` for the
+//! planner — under both index storages (`IndexTier::Exact` and
+//! `IndexTier::Tiered`), on randomized catalogs that see entity additions,
+//! removals, zero-size partitions, and splits (partition removal +
+//! redistribution onto fresh segments, which also exercises arena slot
+//! recycling).
 //!
 //! Contract (see `PartitionCatalog::best_partition`): whenever the best
 //! rating is non-negative — the only case Algorithm 1 acts on the returned
 //! partition — the indexed argmax equals the sweep argmax exactly,
 //! including the lowest-segment tie-break; when negative, both paths agree
 //! the best is negative (the caller creates a new partition either way).
+//! Survivors equal the oracle set on exact storage and contain it on
+//! tiered; the frozen `PruningSnapshot` answers exactly like the live
+//! index in both.
 
 use cind_model::{EntityId, Synopsis};
 use cind_storage::SegmentId;
-use cinderella_core::{IndexMode, PartitionCatalog};
+use cinderella_core::{IndexTier, PartitionCatalog};
 use proptest::prelude::*;
 
 const UNIVERSE: usize = 24;
@@ -21,7 +27,7 @@ fn syn(bits: &[u32]) -> Synopsis {
     Synopsis::from_bits(UNIVERSE, bits.iter().copied())
 }
 
-/// One randomized catalog history, replayed identically on any mode.
+/// One randomized catalog history, replayed identically on any tier.
 #[derive(Clone, Debug)]
 struct Script {
     nparts: usize,
@@ -37,10 +43,10 @@ struct Script {
 /// Mirror member: (entity id, attrs, size).
 type Member = (u64, Vec<u32>, u64);
 
-/// Replays `script` on a fresh catalog of the given mode. Both modes see
+/// Replays `script` on a fresh catalog of the given tier. Both tiers see
 /// byte-identical mutation sequences, so any divergence is the index's.
-fn build(script: &Script, mode: IndexMode) -> PartitionCatalog {
-    let mut cat = PartitionCatalog::new(mode);
+fn build(script: &Script, tier: IndexTier) -> PartitionCatalog {
+    let mut cat = PartitionCatalog::new(tier);
     // Mirror of live partitions: (seg, members).
     let mut live: Vec<(u32, Vec<Member>)> = Vec::new();
     let mut next_seg = 0u32;
@@ -133,35 +139,36 @@ proptest! {
         ),
     ) {
         let script = Script { nparts, entities, removals, splits };
-        let plain = build(&script, IndexMode::Off);
-        let indexed = build(&script, IndexMode::On);
-        prop_assert_eq!(plain.len(), indexed.len());
-
-        for (attrs, size) in &probes {
-            let e = syn(attrs);
-            // 1.0 exercises the w = 1 fallback; the rest the indexed path.
-            for w in [0.0, 0.3, 0.7, 1.0] {
-                let (a, _) = plain.best_partition(&e, *size, w);
-                let (b, _) = indexed.best_partition(&e, *size, w);
-                let (sa, ra) = a.expect("catalog never empty");
-                let (sb, rb) = b.expect("catalog never empty");
-                if ra >= 0.0 {
-                    prop_assert_eq!(
-                        (sa, ra), (sb, rb),
-                        "probe {:?} size {} w {}", attrs, size, w
-                    );
-                } else {
-                    prop_assert!(
-                        rb < 0.0,
-                        "probe {:?} w {}: sweep {} vs indexed {}", attrs, w, ra, rb
-                    );
+        for tier in [IndexTier::Exact, IndexTier::Tiered] {
+            let cat = build(&script, tier);
+            for (attrs, size) in &probes {
+                let e = syn(attrs);
+                // 1.0 exercises the w = 1 fallback; the rest the indexed path.
+                for w in [0.0, 0.3, 0.7, 1.0] {
+                    let (a, swept) = cat.best_sweep(&e, *size, w);
+                    let (b, rated) = cat.best_partition(&e, *size, w);
+                    prop_assert_eq!(swept as usize, cat.len());
+                    prop_assert!(rated <= swept);
+                    let (sa, ra) = a.expect("catalog never empty");
+                    let (sb, rb) = b.expect("catalog never empty");
+                    if ra >= 0.0 {
+                        prop_assert_eq!(
+                            (sa, ra), (sb, rb),
+                            "{} probe {:?} size {} w {}", tier, attrs, size, w
+                        );
+                    } else {
+                        prop_assert!(
+                            rb < 0.0,
+                            "{} probe {:?} w {}: sweep {} vs indexed {}", tier, attrs, w, ra, rb
+                        );
+                    }
                 }
             }
         }
     }
 
     #[test]
-    fn survivor_bitmap_matches_disjoint_pruning(
+    fn survivors_match_disjoint_pruning(
         nparts in 1usize..8,
         entities in prop::collection::vec(
             (
@@ -182,8 +189,10 @@ proptest! {
         ),
     ) {
         let script = Script { nparts, entities, removals, splits };
-        for mode in [IndexMode::On, IndexMode::Auto] {
-            let cat = build(&script, mode);
+        for tier in [IndexTier::Exact, IndexTier::Tiered, IndexTier::Auto] {
+            let cat = build(&script, tier);
+            let frozen = cat.freeze();
+            prop_assert_eq!(frozen.partitions(), cat.len());
             for qattrs in &queries {
                 let q = syn(qattrs);
                 let oracle: Vec<SegmentId> = cat
@@ -191,10 +200,17 @@ proptest! {
                     .filter(|(_, p, _)| !q.is_disjoint(p))
                     .map(|(s, _, _)| s)
                     .collect();
-                let (survivors, pruned) =
-                    cat.plan_survivors(&q).expect("index not off");
-                prop_assert_eq!(&survivors, &oracle, "query {:?}", qattrs);
+                let (survivors, pruned) = cat.survivors(&q);
+                if cat.tier_active() {
+                    prop_assert!(
+                        oracle.iter().all(|s| survivors.binary_search(s).is_ok()),
+                        "query {:?}: {:?} must contain {:?}", qattrs, survivors, oracle
+                    );
+                } else {
+                    prop_assert_eq!(&survivors, &oracle, "query {:?}", qattrs);
+                }
                 prop_assert_eq!(pruned, cat.len() - survivors.len());
+                prop_assert_eq!(frozen.survivors(&q), (survivors, pruned));
             }
         }
     }

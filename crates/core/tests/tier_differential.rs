@@ -16,13 +16,12 @@ use std::collections::BTreeMap;
 use cind_datagen::{DbpediaConfig, DbpediaGenerator, TpchConfig, TpchGenerator};
 use cind_model::{Entity, EntityId, Synopsis};
 use cind_storage::{SegmentId, UniversalTable};
-use cinderella_core::{Capacity, Cinderella, Config, IndexMode, IndexTier};
+use cinderella_core::{Capacity, Cinderella, Config, IndexTier};
 
 fn config(tier: IndexTier) -> Config {
     Config {
         weight: 0.3,
         capacity: Capacity::MaxEntities(32),
-        index: IndexMode::On,
         tier,
         ..Config::default()
     }
@@ -107,9 +106,9 @@ fn assert_differential(generate: &dyn Fn(&mut UniversalTable) -> Vec<Entity>) {
 
     for q in queries(&entities, universe) {
         let (exact_s, exact_pruned) =
-            exact.catalog().plan_survivors(&q).expect("index on");
+            exact.catalog().survivors(&q);
         let (tiered_s, tiered_pruned) =
-            tiered.catalog().plan_survivors(&q).expect("index on");
+            tiered.catalog().survivors(&q);
 
         // Candidate sets may only be supersets — asserted explicitly.
         assert!(
@@ -175,7 +174,7 @@ fn runtime_tier_switch_roundtrips() {
     let qs = queries(&entities, universe);
     let before: Vec<_> = qs
         .iter()
-        .map(|q| cindy.catalog().plan_survivors(q).expect("index on"))
+        .map(|q| cindy.catalog().survivors(q))
         .collect();
 
     // Exact → tiered: the tier is built from the catalog; survivors may
@@ -185,7 +184,7 @@ fn runtime_tier_switch_roundtrips() {
     let report = cindy.validate(&table).expect("storage readable");
     assert!(report.is_empty(), "{}", cinderella_core::validate::render(&report));
     for (q, (exact_s, _)) in qs.iter().zip(&before) {
-        let (tiered_s, _) = cindy.catalog().plan_survivors(q).expect("index on");
+        let (tiered_s, _) = cindy.catalog().survivors(q);
         assert!(exact_s.iter().all(|s| tiered_s.binary_search(s).is_ok()));
     }
 
@@ -196,7 +195,7 @@ fn runtime_tier_switch_roundtrips() {
     let report = cindy.validate(&table).expect("storage readable");
     assert!(report.is_empty(), "{}", cinderella_core::validate::render(&report));
     for (q, want) in qs.iter().zip(&before) {
-        let got = cindy.catalog().plan_survivors(q).expect("index on");
+        let got = cindy.catalog().survivors(q);
         assert_eq!(&got, want);
     }
 }

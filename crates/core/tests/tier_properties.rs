@@ -17,7 +17,7 @@
 
 use cind_model::{EntityId, Synopsis};
 use cind_storage::SegmentId;
-use cinderella_core::{IndexMode, IndexTier, PartitionCatalog, TierParams};
+use cinderella_core::{IndexTier, PartitionCatalog, TierParams};
 use proptest::prelude::*;
 
 const UNIVERSE: usize = 24;
@@ -86,12 +86,8 @@ struct Harness {
 impl Harness {
     fn new(nparts: usize) -> Self {
         let mut h = Self {
-            tiered: PartitionCatalog::with_tier_params(
-                IndexMode::On,
-                IndexTier::Tiered,
-                tiny_params(),
-            ),
-            exact: PartitionCatalog::new(IndexMode::On),
+            tiered: PartitionCatalog::with_tier_params(IndexTier::Tiered, tiny_params()),
+            exact: PartitionCatalog::new(IndexTier::Exact),
             live: Vec::new(),
             next_seg: 0,
             next_id: 0,
@@ -232,7 +228,7 @@ impl Harness {
                 .filter(|(_, p, _)| !q.is_disjoint(p))
                 .map(|(s, _, _)| s)
                 .collect();
-            let (tiered_s, _) = self.tiered.plan_survivors(&q).expect("index on");
+            let (tiered_s, _) = self.tiered.survivors(&q);
             prop_assert!(
                 oracle.iter().all(|s| tiered_s.binary_search(s).is_ok()),
                 "query {:?}: tiered {:?} must contain oracle {:?}",
@@ -240,7 +236,7 @@ impl Harness {
                 tiered_s,
                 oracle
             );
-            let (exact_s, _) = self.exact.plan_survivors(&q).expect("index on");
+            let (exact_s, _) = self.exact.survivors(&q);
             prop_assert_eq!(&exact_s, &oracle);
 
             // Insert scan: exact argmax agreement for non-negative best.

@@ -106,12 +106,12 @@ pub fn plan_with<'a>(
 }
 
 /// Builds the plan from a precomputed survivor set — the output of
-/// `cinderella_core::PartitionCatalog::plan_survivors`, which derives the
-/// same set as [`plan`]'s per-partition `|p ∧ q| = 0` test from the
-/// catalog's attribute-presence bitmaps in `O(|q| · P/64)` words instead of
-/// `O(P)` synopsis tests. The two are differential-tested against each
-/// other; [`plan`] stays the oracle and the fallback when the catalog index
-/// is off.
+/// `cinderella_core::PartitionCatalog::survivors` (or a frozen
+/// `PruningSnapshot`), which derives the same set as [`plan`]'s
+/// per-partition `|p ∧ q| = 0` test — or, on the tiered index storage, a
+/// superset of it — from the catalog's pruning index in `O(|q| · P/64)`
+/// words instead of `O(P)` synopsis tests. The two are differential-tested
+/// against each other; [`plan`] stays the oracle.
 ///
 /// `segments` must be in catalog (ascending segment) order — the executor
 /// merges results deterministically in plan order.

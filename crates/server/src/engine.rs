@@ -8,7 +8,7 @@
 //! Queries do **not** take that lock for the scan: every write bumps an
 //! epoch counter, and a query grabs (or lazily rebuilds) the cached
 //! [`EngineSnapshot`] for the current epoch — an owned copy-on-write
-//! [`cind_storage::TableSnapshot`] plus the partition pruning pairs — and
+//! [`cind_storage::TableSnapshot`] plus the frozen pruning index — and
 //! scans it entirely outside the engine lock. Rebuilding a snapshot takes
 //! the read lock only for the O(segments + locator) clone, so a query
 //! never blocks writers for the duration of its scan, and a writer never
@@ -31,13 +31,13 @@ use std::sync::PoisonError;
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Duration;
 
-use cind_model::{Entity, EntityId, Synopsis};
-use cind_query::planner::{plan_from_survivors, plan_with, Parallelism, Plan};
+use cind_model::{Entity, EntityId};
+use cind_query::planner::{plan_from_survivors, Parallelism};
 use cind_query::{execute_collect_projection, Projection, Query};
 use cind_reorg::{ReorgDriver, ReorgStats, StepReport};
 use cind_storage::{wal, RealVfs, SegmentId, StorageError, TableSnapshot, UniversalTable, Vfs};
 use cinderella_core::{
-    validate::render, Cinderella, Config, CoreError, IndexTier, MergeReport, TierSnapshot,
+    validate::render, Cinderella, Config, CoreError, IndexTier, MergeReport, PruningSnapshot,
 };
 
 use crate::commit::{GroupCommit, GroupSink, WalCounters};
@@ -121,44 +121,22 @@ struct EngineState {
     commit: Option<Arc<GroupCommit>>,
 }
 
-/// The pruning metadata frozen into an [`EngineSnapshot`]: either the
-/// exact per-partition synopsis pairs, or — when the catalog runs the
-/// tiered index — a frozen [`TierSnapshot`] whose survivor sets are
-/// supersets of the exact ones (the executor's per-row `matches` keeps
-/// answers identical either way).
-enum SnapshotPruning {
-    Exact(Vec<(SegmentId, Synopsis)>),
-    Tiered(Box<TierSnapshot>),
-}
-
 /// An owned, immutable view of the engine at one write epoch: the table
-/// snapshot plus the partition pruning metadata captured from the
-/// partitioner's catalog at the same instant. Queries plan and scan
-/// against this object with no engine lock held.
+/// snapshot plus the catalog's frozen pruning index captured at the same
+/// instant. Queries plan and scan against this object with no engine lock
+/// held.
 pub struct EngineSnapshot {
     table: TableSnapshot,
-    pruning: SnapshotPruning,
+    pruning: PruningSnapshot,
 }
 
 impl EngineSnapshot {
-    /// Survivors of `syn` under this snapshot's pruning metadata, with the
-    /// pruned-partition count (tiered survivors are superset-sound).
-    fn survivors_of(&self, syn: &Synopsis) -> (Vec<SegmentId>, usize) {
-        match &self.pruning {
-            SnapshotPruning::Exact(pairs) => {
-                let mut survivors = Vec::new();
-                let mut pruned = 0usize;
-                for (seg, psyn) in pairs {
-                    if syn.is_disjoint(psyn) {
-                        pruned += 1;
-                    } else {
-                        survivors.push(*seg);
-                    }
-                }
-                (survivors, pruned)
-            }
-            SnapshotPruning::Tiered(snap) => snap.survivors(syn),
-        }
+    /// The segments a query over `query` scans under this snapshot
+    /// (ascending), plus the pruned-partition count — the same set the
+    /// live catalog's `plan_survivors` returned at freeze time.
+    #[must_use]
+    pub fn survivors(&self, query: &Query) -> (Vec<SegmentId>, usize) {
+        self.pruning.survivors(query.synopsis())
     }
 }
 
@@ -335,20 +313,7 @@ impl Engine {
         let epoch = self.epoch.load(Ordering::Acquire);
         let snap = Arc::new(EngineSnapshot {
             table: state.table.freeze(),
-            // Freeze whichever pruning index the catalog runs: the tiered
-            // snapshot clones filter words instead of per-partition
-            // synopses, so a million-partition freeze stays cheap.
-            pruning: match state.cindy.catalog().tier_snapshot() {
-                Some(tier) => SnapshotPruning::Tiered(Box::new(tier)),
-                None => SnapshotPruning::Exact(
-                    state
-                        .cindy
-                        .catalog()
-                        .pruning_view()
-                        .map(|(seg, syn, _)| (seg, syn.clone()))
-                        .collect(),
-                ),
-            },
+            pruning: state.cindy.catalog().freeze(),
         });
         drop(state);
         let mut cache = self.snap_cache.lock().unwrap_or_else(PoisonError::into_inner);
@@ -520,15 +485,28 @@ impl Engine {
     }
 
     /// Plans `query` against `snap` and executes it with `projection` —
-    /// entirely outside the engine lock.
+    /// entirely outside the engine lock. The survivor set is computed
+    /// once: the reorganizer's heat map records exactly the segments the
+    /// plan then scans (a partition heats when it survives pruning). Heat
+    /// recording locks the reorg mutex *alone*; queries never trigger a
+    /// step themselves, so the read path stays write-lock-free.
     fn run_on_snapshot(
         &self,
         snap: &EngineSnapshot,
         query: &Query,
         projection: &Projection,
     ) -> Result<(QueryStats, Vec<crate::client::Row>), ServerError> {
-        self.note_query(snap, query);
-        let plan = self.plan_snapshot(snap, query);
+        let (survivors, pruned) = snap.survivors(query);
+        self.reorg
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .record_query(query.synopsis(), survivors.iter().copied());
+        let parallelism = if self.query_threads > 1 {
+            Parallelism::Threads(self.query_threads)
+        } else {
+            Parallelism::Sequential
+        };
+        let plan = plan_from_survivors(survivors, pruned).with_parallelism(parallelism);
         let (result, rows) = execute_collect_projection(snap.table.view(), projection, &plan)?;
         let stats = QueryStats {
             entities_scanned: result.entities_scanned,
@@ -538,40 +516,6 @@ impl Engine {
             physical_reads: result.io.physical_reads,
         };
         Ok((stats, rows))
-    }
-
-    fn plan_snapshot(&self, snap: &EngineSnapshot, query: &Query) -> Plan {
-        let parallelism = if self.query_threads > 1 {
-            Parallelism::Threads(self.query_threads)
-        } else {
-            Parallelism::Sequential
-        };
-        match &snap.pruning {
-            SnapshotPruning::Exact(pairs) => plan_with(
-                query,
-                pairs.iter().map(|(seg, syn)| (*seg, syn)),
-                parallelism,
-            ),
-            SnapshotPruning::Tiered(tier) => {
-                let (segments, pruned) = tier.survivors(query.synopsis());
-                plan_from_survivors(segments, pruned).with_parallelism(parallelism)
-            }
-        }
-    }
-
-    /// Feeds one query into the reorganizer's heat map: its synopsis plus
-    /// the partitions that survive pruning for it (recomputed from the
-    /// snapshot's pruning pairs — the same test the planner applies). Locks
-    /// the reorg mutex *alone*; queries never trigger a step themselves, so
-    /// the read path stays write-lock-free and infallible.
-    fn note_query(&self, snap: &EngineSnapshot, query: &Query) {
-        let syn = query.synopsis();
-        // Under the tiered index the survivor set is approximate
-        // (superset); heat is advisory, so feeding the few extra false
-        // positives is harmless.
-        let (survivors, _) = snap.survivors_of(syn);
-        let mut driver = self.reorg.lock().unwrap_or_else(PoisonError::into_inner);
-        driver.record_query(syn, survivors);
     }
 
     /// Advances the reorganizer's cadence clock after a committed mutation
@@ -613,6 +557,14 @@ impl Engine {
     #[must_use]
     pub fn reorg_stats(&self) -> ReorgStats {
         self.reorg.lock().unwrap_or_else(PoisonError::into_inner).stats()
+    }
+
+    /// The decayed scan heat the reorganizer currently holds for `seg`: one
+    /// per query that planned a scan of it (always 0 while the reorganizer
+    /// is off).
+    #[must_use]
+    pub fn partition_heat(&self, seg: SegmentId) -> u64 {
+        self.reorg.lock().unwrap_or_else(PoisonError::into_inner).heat().heat(seg)
     }
 
     /// Runs `f` with shared read access to the table and partitioner —
@@ -667,9 +619,9 @@ impl Engine {
     }
 
     /// Cumulative WAL I/O counters (appends, fsyncs, flush groups, ops) —
-    /// the observability surface BENCH_PR7 uses to prove the group-commit
-    /// amortisation. Net counters are zero here; the server layer fills
-    /// them in.
+    /// the observability surface the `serve_hotpath` bench uses to prove
+    /// the group-commit amortisation. Net counters are zero here; the
+    /// server layer fills them in.
     #[must_use]
     pub fn io_counters(&self) -> IoCounters {
         let w = self.wal_counters.snapshot();

@@ -114,7 +114,8 @@ pub struct EngineStats {
 /// Cumulative server-side I/O counters answered to
 /// [`Request::IoCounters`]: the observability surface that makes the
 /// group-commit and pipelining amortisation measurable over the wire
-/// (BENCH_PR7 records fsyncs-per-op and syscalls-per-op from deltas of
+/// (the `serve_hotpath` bench — EXPERIMENTS.md, historical PR 7 row —
+/// records fsyncs-per-op and syscalls-per-op from deltas of
 /// these).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct IoCounters {

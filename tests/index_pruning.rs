@@ -1,36 +1,54 @@
-//! End-to-end differential: planning through the catalog's
-//! attribute-presence bitmap index (`plan_survivors` →
-//! `plan_from_survivors`) against the per-partition `|p ∧ q| = 0` oracle
-//! (`plan` over `pruning_view`), on tables partitioned by the real
-//! Cinderella insert path — and identical query answers through both plans.
+//! End-to-end differential for the one pruning-index path, under both
+//! index storages (`IndexTier::Exact` and `IndexTier::Tiered`), on tables
+//! partitioned by the real Cinderella insert path:
+//!
+//! * planning through the index (`survivors` → `plan_from_survivors`)
+//!   against the per-partition `|p ∧ q| = 0` oracle (`plan` over
+//!   `pruning_view`) — identical survivors on exact storage, a superset on
+//!   tiered, identical query answers on both;
+//! * every rating scan Algorithm 1 performs against the full-sweep oracle
+//!   (`best_sweep`), so the index never changes a placement — and the two
+//!   storages produce the same partitioning;
+//! * the tier-1 slice of `crates/server/tests/snapshot_pruning.rs`: an
+//!   engine's epoch snapshot plans like its live catalog through a runtime
+//!   `set_index_tier` flip, and heat records exactly the planned segments.
 
 use std::collections::BTreeSet;
 
 use cind_model::{AttrId, Entity, EntityId, Value};
 use cind_query::{execute_collect, plan, plan_from_survivors, Query};
-use cind_storage::UniversalTable;
-use cinderella_core::{Capacity, Cinderella, Config, IndexMode};
+use cind_server::{Engine, EngineOptions, WireEntity};
+use cind_storage::{SegmentId, UniversalTable};
+use cinderella_core::{Capacity, Cinderella, Config, IndexTier, ReorgConfig, ReorgMode};
 use proptest::prelude::*;
 
 mod common;
 
 const UNIVERSE: usize = 16;
+const TIERS: [IndexTier; 2] = [IndexTier::Exact, IndexTier::Tiered];
 
+fn config(capacity: u64, tier: IndexTier) -> Config {
+    Config {
+        weight: 0.3,
+        capacity: Capacity::MaxEntities(capacity),
+        tier,
+        ..Config::default()
+    }
+}
+
+/// Partitions `entity_attrs` with the real insert path, checking every
+/// rating scan on the way against the full-sweep oracle.
 fn partitioned(
     entity_attrs: &[Vec<u32>],
     capacity: u64,
-    index: IndexMode,
+    tier: IndexTier,
 ) -> (UniversalTable, Cinderella) {
     let mut table = UniversalTable::new(64);
     for i in 0..UNIVERSE {
         table.catalog_mut().intern(&format!("a{i}"));
     }
-    let mut cindy = Cinderella::new(Config {
-        weight: 0.3,
-        capacity: Capacity::MaxEntities(capacity),
-        index,
-        ..Config::default()
-    });
+    let config = config(capacity, tier);
+    let mut cindy = Cinderella::new(config.clone());
     for (i, attrs) in entity_attrs.iter().enumerate() {
         let set: BTreeSet<u32> = attrs.iter().copied().collect();
         let e = Entity::new(
@@ -38,6 +56,17 @@ fn partitioned(
             set.iter().map(|&a| (AttrId(a), Value::Int(i64::from(a)))),
         )
         .expect("deduped attrs");
+        // The scan `insert` is about to run, against its oracle: the same
+        // argmax whenever it is acted on (non-negative), else both
+        // negative (a new partition either way).
+        let syn = e.synopsis(UNIVERSE);
+        let size = config.size_model.entity_size(&e);
+        let (swept, _) = cindy.catalog().best_sweep(&syn, size, config.weight);
+        let (indexed, _) = cindy.catalog().best_partition(&syn, size, config.weight);
+        match (swept, indexed) {
+            (Some((_, rs)), Some((_, ri))) if rs < 0.0 => assert!(ri < 0.0, "{tier}: {rs} vs {ri}"),
+            (swept, indexed) => assert_eq!(swept, indexed, "{tier}: entity {i}"),
+        }
         cindy.insert(&mut table, e).expect("insert");
     }
     common::assert_fully_valid(&cindy, &table);
@@ -48,7 +77,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn indexed_plan_equals_disjoint_plan(
+    fn indexed_plan_agrees_with_disjoint_plan(
         entity_attrs in prop::collection::vec(
             prop::collection::vec(0u32..UNIVERSE as u32, 1..6),
             1..60,
@@ -56,59 +85,133 @@ proptest! {
         capacity in 2u64..12,
         qattrs in prop::collection::vec(0u32..UNIVERSE as u32, 0..5),
     ) {
-        let (table, cindy) =
-            partitioned(&entity_attrs, capacity, IndexMode::On);
         let qset: BTreeSet<u32> = qattrs.iter().copied().collect();
         let q = Query::from_attrs(UNIVERSE, qset.iter().map(|&a| AttrId(a)));
+        for tier in TIERS {
+            let (table, cindy) = partitioned(&entity_attrs, capacity, tier);
 
-        // Oracle: the per-partition synopsis test of §II.
-        let view: Vec<_> = cindy
-            .catalog()
-            .pruning_view()
-            .map(|(s, syn, _)| (s, syn.clone()))
-            .collect();
-        let oracle = plan(&q, view.iter().map(|(s, syn)| (*s, syn)));
+            // Oracle: the per-partition synopsis test of §II.
+            let view: Vec<_> = cindy
+                .catalog()
+                .pruning_view()
+                .map(|(s, syn, _)| (s, syn.clone()))
+                .collect();
+            let oracle = plan(&q, view.iter().map(|(s, syn)| (*s, syn)));
 
-        // Indexed: survivor set from the presence bitmaps.
-        let (segments, pruned) = cindy
-            .catalog()
-            .plan_survivors(q.synopsis())
-            .expect("index on");
-        let indexed = plan_from_survivors(segments, pruned);
+            // Indexed: survivor set from the pruning index.
+            let (segments, pruned) = cindy.catalog().survivors(q.synopsis());
+            let indexed = plan_from_survivors(segments, pruned);
+            if tier == IndexTier::Exact {
+                prop_assert_eq!(&indexed.segments, &oracle.segments);
+                prop_assert_eq!(indexed.pruned, oracle.pruned);
+            } else {
+                prop_assert!(
+                    oracle.segments.iter().all(|s| indexed.segments.contains(s)),
+                    "tiered {:?} must contain {:?}", indexed.segments, oracle.segments
+                );
+                prop_assert_eq!(indexed.segments.len() + indexed.pruned, view.len());
+            }
 
-        prop_assert_eq!(&indexed.segments, &oracle.segments);
-        prop_assert_eq!(indexed.pruned, oracle.pruned);
-
-        // Both plans return identical rows in identical order.
-        let (ro, rows_o) = execute_collect(&table, &q, &oracle).expect("oracle");
-        let (ri, rows_i) = execute_collect(&table, &q, &indexed).expect("indexed");
-        prop_assert_eq!(ro.rows, ri.rows);
-        prop_assert_eq!(rows_o, rows_i);
+            // Both plans return identical rows in identical order (a
+            // false-positive segment contributes no matching row).
+            let (ro, rows_o) = execute_collect(&table, &q, &oracle).expect("oracle");
+            let (ri, rows_i) = execute_collect(&table, &q, &indexed).expect("indexed");
+            prop_assert_eq!(ro.rows, ri.rows);
+            prop_assert_eq!(rows_o, rows_i);
+        }
     }
 
     #[test]
-    fn index_mode_does_not_change_the_partitioning(
+    fn index_storage_does_not_change_the_partitioning(
         entity_attrs in prop::collection::vec(
             prop::collection::vec(0u32..UNIVERSE as u32, 1..6),
             1..60,
         ),
         capacity in 2u64..12,
     ) {
-        // Algorithm 1 behaves identically with the candidate index on and
-        // off: same partition count and same member multiset per partition
-        // (the indexed argmax is exact whenever the rating is acted on).
-        let (_, plain) = partitioned(&entity_attrs, capacity, IndexMode::Off);
-        let (_, indexed) = partitioned(&entity_attrs, capacity, IndexMode::On);
-        prop_assert_eq!(plain.catalog().len(), indexed.catalog().len());
-        let sizes = |c: &Cinderella| {
-            let mut v: Vec<(u64, u64)> = c
-                .catalog()
-                .iter()
-                .map(|m| (m.entities, m.size))
-                .collect();
-            v.sort_unstable();
-            v
+        // Algorithm 1 behaves identically on either storage — and, via the
+        // per-insert sweep check inside `partitioned`, identically to the
+        // paper's full scan: same partitions, same members per partition.
+        let (_, exact) = partitioned(&entity_attrs, capacity, IndexTier::Exact);
+        let (_, tiered) = partitioned(&entity_attrs, capacity, IndexTier::Tiered);
+        let shape = |c: &Cinderella| -> Vec<(SegmentId, u64, u64)> {
+            c.catalog().iter().map(|m| (m.segment, m.entities, m.size)).collect()
         };
-        prop_assert_eq!(sizes(&plain), sizes(&indexed));
+        prop_assert_eq!(shape(&exact), shape(&tiered));
     }
+}
+
+/// Tier-1 slice of the server's snapshot/heat suite.
+#[test]
+fn engine_snapshot_plans_like_live_catalog_and_feeds_heat_the_plan() {
+    let engine = Engine::in_memory(EngineOptions {
+        config: Config {
+            // Heat is recorded only while the reorganizer is on; an epoch
+            // the run never reaches keeps it from decaying or stepping.
+            reorg: ReorgConfig {
+                mode: ReorgMode::Auto,
+                epoch_ops: u64::MAX,
+                ..ReorgConfig::default()
+            },
+            ..config(6, IndexTier::Exact)
+        },
+        query_threads: 1,
+        ..EngineOptions::default()
+    });
+    let name = |a: u64| format!("a{a}");
+    for id in 0..160u64 {
+        let base = id % 4 * 3;
+        let attrs: BTreeSet<u64> = [base, base + 1 + id % 2, id % 11].into_iter().collect();
+        engine
+            .insert(&WireEntity {
+                id,
+                attrs: attrs.iter().map(|&a| (name(a), Value::Int(a as i64))).collect(),
+            })
+            .expect("insert");
+        if id % 5 == 4 {
+            engine.delete(id - 3).expect("delete");
+        }
+        match id {
+            50 => engine.set_index_tier(IndexTier::Tiered),
+            110 => engine.set_index_tier(IndexTier::Exact),
+            _ => {}
+        }
+        if id % 10 != 9 {
+            continue;
+        }
+        let snap = engine.snapshot();
+        for probe in [vec![0], vec![3, 7], vec![1, 2, 5]] {
+            let names: Vec<String> = probe.iter().map(|&a| name(a)).collect();
+            let (query, live, oracle, all) = engine.with_parts(|table, cindy| {
+                let query = Query::from_names(table.catalog(), names.iter().map(String::as_str))
+                    .expect("every probed attribute is interned by now");
+                let oracle: Vec<SegmentId> = cindy
+                    .catalog()
+                    .pruning_view()
+                    .filter(|(_, p, _)| !query.synopsis().is_disjoint(p))
+                    .map(|(s, _, _)| s)
+                    .collect();
+                let all: Vec<SegmentId> = cindy.catalog().iter().map(|m| m.segment).collect();
+                let live = cindy.catalog().survivors(query.synopsis());
+                (query, live, oracle, all)
+            });
+            let (planned, pruned) = snap.survivors(&query);
+            assert_eq!((planned.clone(), pruned), live, "snapshot vs live at {id}");
+            assert!(oracle.iter().all(|s| planned.contains(s)), "oracle ⊆ planned at {id}");
+            if !engine.tier_active() {
+                assert_eq!(planned, oracle, "exact storage at {id}");
+            }
+            let before: Vec<u64> = all.iter().map(|&s| engine.partition_heat(s)).collect();
+            engine.query(&names).expect("query");
+            for (seg, before) in all.iter().zip(before) {
+                assert_eq!(
+                    engine.partition_heat(*seg) - before,
+                    u64::from(planned.contains(seg)),
+                    "heat of {seg} must follow the plan at {id}"
+                );
+            }
+        }
+    }
+    assert!(engine.stats().partitions > 10, "the run must have split");
+    assert!(engine.validate().expect("validation scan").is_empty());
 }
