@@ -145,18 +145,12 @@ fn run(
         .iter()
         .map(|attrs| Synopsis::from_attrs(UNIVERSE, attrs.iter().copied().map(AttrId)))
         .collect();
-    // Warm-up round doubling as the engine's heat feed: survivors earn
-    // heat, so the tier's hot-tier promotion machinery runs exactly as it
-    // would under the server (and its exact bitmaps serve the hot slice
-    // of the measured rounds).
+    // Untimed accounting round (also warms the caches for the timed one).
     let mut fp = 0u64;
     let mut tn = 0u64;
     let mut survivors_total = 0u64;
     for (qi, q) in qs.iter().enumerate() {
         let (survivors, _) = cat.survivors(q);
-        for seg in &survivors {
-            cat.note_heat(*seg, 1);
-        }
         survivors_total += survivors.len() as u64;
         // Ground truth from the posting lists; assert the tier's
         // no-false-negative contract on every query.
@@ -272,7 +266,6 @@ fn main() {
         let p = TierParams {
             blocks_per_group: blocks,
             max_blocks_per_group: blocks,
-            ..params
         };
         let c = run(100_000, Layout::Shuffled, IndexTier::Tiered, p, &postings);
         print_cell(&format!("pinned {bits_per_key:.1} bits/key"), IndexTier::Tiered, &c);

@@ -46,7 +46,7 @@ and summarises the trace in the load report.
 --tier picks the storage of the pruning index every rating scan and
 query plan goes through: exact (one partition-presence bitmap per
 attribute, the default) or tiered (blocked
-Bloom filter rows per 64-partition group plus a bounded exact hot tier —
+Bloom filter rows per 64-partition group under group summaries —
 memory stays bounded at million-partition catalogs, answers are
 identical because the approximate tier never produces false negatives);
 auto starts exact and ratchets to tiered once the catalog crosses the

@@ -16,8 +16,7 @@
 //! merge by [`PartitionCatalog`](crate::PartitionCatalog); rows and presence
 //! columns clear when a partition is removed, so there are no stale entries
 //! to validate at read time. The bitmaps are the exact storage of the
-//! [`PruningIndex`](crate::PruningIndex) (and the hot tier of its
-//! approximate one).
+//! [`PruningIndex`](crate::PruningIndex).
 
 use cind_bitset::{BitSetOps, FixedBitSet};
 use cind_storage::SegmentId;

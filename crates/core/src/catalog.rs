@@ -181,7 +181,7 @@ impl PartitionCatalog {
     }
 
     /// [`PartitionCatalog::new`] with explicit tier knobs (tests and
-    /// benches tune group filter sizes and hot-tier capacity).
+    /// benches tune group filter sizes).
     pub fn with_tier_params(tier: IndexTier, params: TierParams) -> Self {
         Self {
             parts: BTreeMap::new(),
@@ -340,7 +340,6 @@ impl PartitionCatalog {
         if meta.size > 0 {
             zero_size.remove(slot as u32);
         }
-        index.note_op(slot);
         self.service_index();
     }
 
@@ -375,7 +374,6 @@ impl PartitionCatalog {
             zero_size.insert(slot as u32);
         }
         let left = meta.entities;
-        index.note_op(slot);
         self.service_index();
         left
     }
@@ -524,25 +522,6 @@ impl PartitionCatalog {
     /// so callers written against the old signature still compile.
     pub fn plan_survivors(&self, q: &Synopsis) -> Option<(Vec<SegmentId>, usize)> {
         Some(self.survivors(q))
-    }
-
-    /// Adds external heat (e.g. the reorganizer's scan counters) to a
-    /// partition — the tier's promotion signal. A no-op on exact storage
-    /// or for an unknown partition.
-    pub fn note_heat(&mut self, seg: SegmentId, amount: u32) {
-        if let Some(meta) = self.parts.get(&seg) {
-            self.index.note_heat(meta.slot, amount);
-        }
-        self.service_index();
-    }
-
-    /// Forces a partition in or out of the hot tier — the property tests'
-    /// random promotion/demotion lever. A no-op on exact storage.
-    pub fn tier_set_hot(&mut self, seg: SegmentId, hot: bool) {
-        let Self { parts, arena, index, .. } = self;
-        if let Some(meta) = parts.get(&seg) {
-            index.set_hot(meta.slot, hot, &|space, slot| exact_bits(arena, parts, space, slot));
-        }
     }
 
     /// A frozen copy of the attribute-space index plus the slot→segment
@@ -777,7 +756,7 @@ impl PartitionCatalog {
 
 /// The refcount view of one slot in one space — its exact bits, ascending,
 /// or `None` for a dead slot: what the tiered storage rebuilds filter
-/// groups and fills hot rows from.
+/// groups from.
 fn exact_bits(
     arena: &SynopsisArena,
     parts: &BTreeMap<SegmentId, PartitionMeta>,
@@ -1182,6 +1161,52 @@ mod tests {
         let (survivors, pruned) = cat.survivors(&syn(&[0]));
         assert_eq!(survivors, vec![SegmentId(1)]);
         assert_eq!(pruned, 0);
+    }
+
+    /// The arena hands a freed slot to the next partition created; the
+    /// newcomer must not answer for the previous occupant's attributes.
+    #[test]
+    fn recycled_slot_does_not_inherit_filter_bits() {
+        let run = |tier| {
+            let mut cat = PartitionCatalog::new(tier);
+            cat.create_partition(SegmentId(1));
+            add(&mut cat, SegmentId(1), 1, &[1, 2, 3], 3);
+            cat.remove_partition(SegmentId(1));
+            cat.create_partition(SegmentId(2)); // recycles the freed slot
+            add(&mut cat, SegmentId(2), 2, &[20], 1);
+            (cat.survivors(&syn(&[1])).0, cat.survivors(&syn(&[20])).0)
+        };
+        assert_eq!(run(IndexTier::Exact), (vec![], vec![SegmentId(2)]));
+        assert_eq!(run(IndexTier::Tiered), run(IndexTier::Exact));
+    }
+
+    /// Deletes only charge staleness; the rebuild at `REBUILD_STALE` clears
+    /// is what bounds the false positives they leave behind.
+    #[test]
+    fn staleness_rebuild_drops_deleted_attributes() {
+        let extra = crate::tier::REBUILD_STALE;
+        let mut cat = PartitionCatalog::new(IndexTier::Tiered);
+        cat.create_partition(SegmentId(0));
+        cat.create_partition(SegmentId(1));
+        let wide = |bit: u32| Synopsis::from_bits(128, [bit]);
+        cat.add_entity(SegmentId(0), EntityId(0), &wide(0), &wide(0), 1, true);
+        cat.add_entity(SegmentId(1), EntityId(1), &wide(10), &wide(10), 1, true);
+        for i in 0..extra {
+            let s = wide(10 + i);
+            cat.add_entity(SegmentId(0), EntityId(u64::from(100 + i)), &s, &s, 1, true);
+        }
+        assert_eq!(cat.survivors(&wide(10)).0, vec![SegmentId(0), SegmentId(1)]);
+        for i in 0..extra {
+            let s = wide(10 + i);
+            cat.remove_entity(SegmentId(0), EntityId(u64::from(100 + i)), &s, &s, 1);
+        }
+        assert_eq!(cat.survivors(&wide(10)).0, vec![SegmentId(1)]);
+        for i in 1..extra {
+            assert_eq!(cat.survivors(&wide(10 + i)).0, vec![], "removed attr {}", 10 + i);
+        }
+        assert_eq!(cat.survivors(&wide(0)).0, vec![SegmentId(0)]);
+        let report = crate::validate::render(&cat.validate());
+        assert!(report.is_empty(), "{report}");
     }
 
     #[test]

@@ -34,10 +34,9 @@ impl Capacity {
 ///
 /// `Exact` is the oracle: one [`crate::arena::PresenceIndex`] row per
 /// attribute, O(attrs × partitions) bits. `Tiered` replaces those bitmaps
-/// with per-group blocked Bloom filter rows plus a bounded hot tier of
-/// exact bitmaps (promotion driven by op-count heat, decayed on epochs —
-/// never wall clock), cutting resident index memory by an order of
-/// magnitude on large catalogs. The tier is *superset-sound* by
+/// with per-group blocked Bloom filter rows under group summaries,
+/// cutting resident index memory by an order of magnitude on large
+/// catalogs. The tier is *superset-sound* by
 /// construction: an exact-present (attr, partition) pair is always present
 /// in the approximate tier, so candidate sets can only grow — false
 /// positives cost scans, never answers. `Cinderella::validate` checks the
@@ -48,8 +47,7 @@ pub enum IndexTier {
     /// differential-test oracle).
     #[default]
     Exact,
-    /// Approximate filter tier + bounded exact hot tier, from the first
-    /// partition on.
+    /// Approximate filter tier, from the first partition on.
     Tiered,
     /// Cost-gated one-way ratchet: exact bitmaps until the catalog reaches
     /// [`IndexTier::AUTO_MIN_PARTITIONS`] partitions, tiered from then on.
@@ -177,8 +175,8 @@ pub struct Config {
     /// Entity-based or workload-based partitioning (§II).
     pub mode: SynopsisMode,
     /// How the pruning index's presence metadata is stored: exact per-partition
-    /// bitmaps (`exact`), the approximate filter tier plus bounded exact
-    /// hot tier (`tiered`), or a partition-count-gated ratchet (`auto`).
+    /// bitmaps (`exact`), the approximate filter tier (`tiered`), or a
+    /// partition-count-gated ratchet (`auto`).
     /// Superset-sound at every setting; see [`IndexTier`].
     pub tier: IndexTier,
     /// Record a per-insert [`InsertEvent`](crate::InsertEvent) trace

@@ -8,7 +8,7 @@
 //!
 //! * **exact** — one [`PresenceIndex`] bitmap row per attribute and space;
 //!   candidate sets are exact;
-//! * **tiered** — the blocked-Bloom / hot-tier structure of
+//! * **tiered** — the blocked-Bloom rows and group summaries of
 //!   [`crate::tier`]; candidate sets are supersets (no false negatives by
 //!   construction), an order of magnitude smaller on large catalogs.
 //!
@@ -41,7 +41,7 @@ pub enum PruningIndex {
         /// attribute-bit → slot bitmap (survivors of the planner).
         attr: PresenceIndex,
     },
-    /// Approximate filter rows plus a bounded exact hot tier.
+    /// Approximate filter rows under group summaries.
     Tiered(Box<TieredIndex>),
 }
 
@@ -119,7 +119,8 @@ impl PruningIndex {
     }
 
     /// Drops a partition's slot. The tier drops the whole slot at once
-    /// (live mask + hot tier); per-bit clears would only add staleness.
+    /// (live mask, then a rebuild of its group so a recycled slot starts
+    /// clean); per-bit clears would only add staleness.
     pub(crate) fn remove_partition(&mut self, meta: &PartitionMeta) {
         let slot = meta.slot();
         match self {
@@ -147,24 +148,9 @@ impl PruningIndex {
     /// Records a refcount 1→0 transition of `(bit, slot)` in `space`.
     pub(crate) fn clear(&mut self, space: Space, bit: u32, slot: usize) {
         match (self, space) {
-            (Self::Tiered(t), _) => t.clear(space, bit, slot),
+            (Self::Tiered(t), _) => t.clear(space, slot),
             (Self::Exact { rating, .. }, Space::Rating) => rating.clear(bit, slot),
             (Self::Exact { attr, .. }, Space::Attr) => attr.clear(bit, slot),
-        }
-    }
-
-    /// Advances the tier's op-count heat clock (no-op on exact storage).
-    pub(crate) fn note_op(&mut self, slot: usize) {
-        if let Self::Tiered(t) = self {
-            t.note_op(slot);
-        }
-    }
-
-    /// Adds external heat to `slot` — the hot tier's promotion signal
-    /// (no-op on exact storage).
-    pub(crate) fn note_heat(&mut self, slot: usize, amount: u32) {
-        if let Self::Tiered(t) = self {
-            t.note_heat(slot, amount);
         }
     }
 
@@ -174,19 +160,6 @@ impl PruningIndex {
     pub(crate) fn service(&mut self, exact: &impl Fn(Space, usize) -> Option<Vec<u32>>) {
         if let Self::Tiered(t) = self {
             t.service(exact);
-        }
-    }
-
-    /// Forces `slot` in or out of the hot tier (the property tests'
-    /// lever; no-op on exact storage).
-    pub(crate) fn set_hot(
-        &mut self,
-        slot: usize,
-        hot: bool,
-        exact: &impl Fn(Space, usize) -> Option<Vec<u32>>,
-    ) {
-        if let Self::Tiered(t) = self {
-            t.set_hot(slot, hot, exact);
         }
     }
 

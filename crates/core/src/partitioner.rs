@@ -68,12 +68,6 @@ impl Cinderella {
         self.catalog.set_tier(tier);
     }
 
-    /// Feeds the reorganizer's per-partition heat into the tier's
-    /// promotion machinery. A no-op while the exact tier is active.
-    pub fn note_partition_heat(&mut self, seg: SegmentId, heat: u32) {
-        self.catalog.note_heat(seg, heat);
-    }
-
     /// Cumulative statistics.
     pub fn stats(&self) -> Stats {
         self.stats

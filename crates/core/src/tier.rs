@@ -4,7 +4,7 @@
 //! The exact [`PresenceIndex`](crate::PresenceIndex) keeps one partition
 //! bitmap per attribute: O(attrs × partitions) bits, the scaling ceiling a
 //! million-partition catalog hits first. This module replaces those bitmaps
-//! with three layers:
+//! with two filter layers over one live-slot mask:
 //!
 //! * **Blocked Bloom filter rows per partition group.** Slots are grouped
 //!   64 to a group (one `u64` mask word). Each group owns a power-of-two
@@ -20,25 +20,25 @@
 //!   whole group without touching its blocks — the hierarchical miss path,
 //!   and the layer that keeps the plan sweep out of the big flat block
 //!   buffer on foreign groups.
-//! * **A bounded exact hot tier.** Up to `hot_capacity` slots are promoted
-//!   to exact per-attribute bitmaps (positions, not slots, so the tier's
-//!   memory is bounded by the cap, not the catalog). Promotion/demotion is
-//!   driven by per-slot op-count heat, decayed by halving every
-//!   `epoch_ops` operations — never wall clock (CIND-A005), so a run is a
-//!   pure function of its operation sequence.
 //!
 //! Deletes never clear shared filter blocks (a block bit may be backed by
 //! several (attr, slot) pairs); they only bump a per-group staleness
 //! counter. When staleness or load crosses its threshold the *catalog*
 //! rebuilds the group from the exact refcount state it already owns — the
 //! same path that doubles a saturated group's block array (`grow`), which
-//! therefore preserves membership exactly (property-tested).
+//! therefore preserves membership exactly (property-tested). Releasing a
+//! slot rebuilds its group at once: the arena recycles slots, and the next
+//! occupant must not answer for the previous one's bits.
+//!
+//! The index keeps no clock and no heat: nothing here depends on how often
+//! a slot is touched, only on which `(attr, slot)` pairs exist, so a run is
+//! a pure function of its operation sequence (CIND-A005).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
-use cind_bitset::{BitSetOps, FixedBitSet};
+use cind_bitset::FixedBitSet;
 
-use crate::arena::{PresenceIndex, SynopsisArena};
+use crate::arena::SynopsisArena;
 use crate::validate::InvariantViolation;
 
 /// Slots per filter group — one `u64` mask word.
@@ -62,7 +62,7 @@ const SUMMARY_WORDS: usize = 64;
 const GROW_LOAD: u32 = 4;
 
 /// Clear events tolerated before a group is rebuilt from exact state.
-const REBUILD_STALE: u32 = 64;
+pub(crate) const REBUILD_STALE: u32 = 64;
 
 /// Tuning knobs of the tiered index. The defaults target the bench's
 /// group-structured catalogs; the `tier` bench sweeps `blocks_per_group`
@@ -74,12 +74,6 @@ pub struct TierParams {
     pub blocks_per_group: usize,
     /// Ceiling for a group's block array; growth stops here.
     pub max_blocks_per_group: usize,
-    /// Maximum slots in the exact hot tier.
-    pub hot_capacity: usize,
-    /// Operations per heat epoch: heat counters halve after this many ops.
-    pub epoch_ops: u64,
-    /// Heat at which a slot is promoted into the hot tier.
-    pub promote_heat: u32,
 }
 
 impl Default for TierParams {
@@ -87,9 +81,6 @@ impl Default for TierParams {
         Self {
             blocks_per_group: 8,
             max_blocks_per_group: 128,
-            hot_capacity: 256,
-            epoch_ops: 1024,
-            promote_heat: 4,
         }
     }
 }
@@ -381,26 +372,8 @@ impl FilterBank {
     }
 }
 
-/// Deferred maintenance, drained by [`TieredIndex::service`] with the
-/// catalog's exact state in hand.
-#[derive(Clone, Debug, Default)]
-struct PendingWork {
-    /// Groups to rebuild: `(space, group, grow)`.
-    rebuilds: Vec<(Space, usize, bool)>,
-    /// Slots whose heat crossed the promotion bar.
-    promotes: Vec<usize>,
-    /// Hot slots whose heat decayed to zero.
-    demotes: Vec<usize>,
-}
-
-impl PendingWork {
-    fn is_empty(&self) -> bool {
-        self.rebuilds.is_empty() && self.promotes.is_empty() && self.demotes.is_empty()
-    }
-}
-
 /// The tiered index: filter banks for both synopsis spaces, the live-slot
-/// mask, the hot tier, and the op-count heat clock.
+/// mask, and the deferred group-rebuild queue.
 #[derive(Clone, Debug)]
 pub struct TieredIndex {
     params: TierParams,
@@ -409,20 +382,9 @@ pub struct TieredIndex {
     /// Live-slot mask, one word per group — approximate candidates are
     /// ANDed with it so a stale filter bit can never resurrect a dead slot.
     live_words: Vec<u64>,
-    /// Hot-slot mask, one word per group (parallel to `live_words`).
-    hot_words: Vec<u64>,
-    /// Hot position → slot.
-    hot_slots: Vec<usize>,
-    /// Slot → hot position.
-    hot_pos: BTreeMap<usize, usize>,
-    /// Exact attr → hot-position bitmaps, rating space.
-    hot_rating: PresenceIndex,
-    /// Exact attr → hot-position bitmaps, attribute space.
-    hot_attr: PresenceIndex,
-    /// Per-slot op-count heat, halved every epoch.
-    heat: Vec<u32>,
-    ops_in_epoch: u64,
-    pending: PendingWork,
+    /// Groups to rebuild, `(space, group, grow)`, drained by
+    /// [`TieredIndex::service`] with the catalog's exact state in hand.
+    pending: Vec<(Space, usize, bool)>,
 }
 
 impl TieredIndex {
@@ -433,14 +395,7 @@ impl TieredIndex {
             attr: FilterBank::new(&params),
             params,
             live_words: Vec::new(),
-            hot_words: Vec::new(),
-            hot_slots: Vec::new(),
-            hot_pos: BTreeMap::new(),
-            hot_rating: PresenceIndex::new(),
-            hot_attr: PresenceIndex::new(),
-            heat: Vec::new(),
-            ops_in_epoch: 0,
-            pending: PendingWork::default(),
+            pending: Vec::new(),
         }
     }
 
@@ -458,48 +413,29 @@ impl TieredIndex {
         }
     }
 
-    fn hot_rows(&self, space: Space) -> &PresenceIndex {
-        match space {
-            Space::Rating => &self.hot_rating,
-            Space::Attr => &self.hot_attr,
-        }
-    }
-
     /// Registers a freshly allocated arena slot.
     pub(crate) fn on_slot_alloc(&mut self, slot: usize) {
         let g = slot / SLOTS_PER_GROUP;
         if self.live_words.len() <= g {
             self.live_words.resize(g + 1, 0);
-            self.hot_words.resize(g + 1, 0);
         }
         self.live_words[g] |= 1u64 << (slot % SLOTS_PER_GROUP);
-        if self.heat.len() <= slot {
-            self.heat.resize(slot + 1, 0);
-        }
-        self.heat[slot] = 0;
         self.rating.ensure_group(slot);
         self.attr.ensure_group(slot);
     }
 
-    /// Unregisters a released slot: drops it from the live mask and the hot
-    /// tier, and charges its residue to both groups' staleness.
+    /// Unregisters a released slot: drops it from the live mask and queues
+    /// a rebuild of its group in both spaces. The arena hands a released
+    /// slot to the next partition created, and shared filter blocks cannot
+    /// be cleared per slot — without the rebuild the new occupant would
+    /// answer for every attribute of the old one.
     pub(crate) fn on_slot_release(&mut self, slot: usize) {
-        if let Some(w) = self.live_words.get_mut(slot / SLOTS_PER_GROUP) {
+        let g = slot / SLOTS_PER_GROUP;
+        if let Some(w) = self.live_words.get_mut(g) {
             *w &= !(1u64 << (slot % SLOTS_PER_GROUP));
         }
-        if self.hot_pos.contains_key(&slot) {
-            self.demote_now(slot);
-        }
-        if let Some(h) = self.heat.get_mut(slot) {
-            *h = 0;
-        }
-        for space in [Space::Rating, Space::Attr] {
-            if self.bank_mut(space).note_stale(slot) {
-                self.queue_rebuild(space, slot / SLOTS_PER_GROUP, false);
-            }
-        }
-        self.pending.promotes.retain(|&s| s != slot);
-        self.pending.demotes.retain(|&s| s != slot);
+        self.queue_rebuild(Space::Rating, g, false);
+        self.queue_rebuild(Space::Attr, g, false);
     }
 
     /// Records a refcount 0→1 transition for `(attr, slot)`.
@@ -507,209 +443,45 @@ impl TieredIndex {
         if self.bank_mut(space).set(attr, slot) {
             self.queue_rebuild(space, slot / SLOTS_PER_GROUP, true);
         }
-        if let Some(&pos) = self.hot_pos.get(&slot) {
-            match space {
-                Space::Rating => self.hot_rating.set(attr, pos),
-                Space::Attr => self.hot_attr.set(attr, pos),
-            }
-        }
     }
 
-    /// Records a refcount 1→0 transition for `(attr, slot)`. Filter blocks
-    /// are shared, so only staleness is charged; the hot tier clears
-    /// exactly.
-    pub(crate) fn clear(&mut self, space: Space, attr: u32, slot: usize) {
+    /// Records a refcount 1→0 transition in `slot`. Filter blocks are
+    /// shared, so only staleness is charged.
+    pub(crate) fn clear(&mut self, space: Space, slot: usize) {
         if self.bank_mut(space).note_stale(slot) {
             self.queue_rebuild(space, slot / SLOTS_PER_GROUP, false);
-        }
-        if let Some(&pos) = self.hot_pos.get(&slot) {
-            match space {
-                Space::Rating => self.hot_rating.clear(attr, pos),
-                Space::Attr => self.hot_attr.clear(attr, pos),
-            }
         }
     }
 
     fn queue_rebuild(&mut self, space: Space, group: usize, grow: bool) {
         if let Some(entry) = self
             .pending
-            .rebuilds
             .iter_mut()
             .find(|(s, g, _)| *s == space && *g == group)
         {
             entry.2 |= grow;
         } else {
-            self.pending.rebuilds.push((space, group, grow));
+            self.pending.push((space, group, grow));
         }
     }
 
-    /// Advances the op-count heat clock by one operation touching `slot`.
-    /// Epoch close halves every heat counter and queues cold hot-tier
-    /// slots for demotion — deterministic in the op sequence.
-    pub(crate) fn note_op(&mut self, slot: usize) {
-        self.note_heat(slot, 1);
-        self.ops_in_epoch += 1;
-        if self.ops_in_epoch >= self.params.epoch_ops {
-            self.ops_in_epoch = 0;
-            for h in &mut self.heat {
-                *h /= 2;
-            }
-            for &slot in &self.hot_slots {
-                if self.heat.get(slot).copied().unwrap_or(0) == 0
-                    && !self.pending.demotes.contains(&slot)
-                {
-                    self.pending.demotes.push(slot);
-                }
-            }
-        }
-    }
-
-    /// Adds external heat (e.g. the reorganizer's scan counters) to `slot`
-    /// and queues it for promotion when it crosses the bar.
-    pub(crate) fn note_heat(&mut self, slot: usize, amount: u32) {
-        if self.heat.len() <= slot {
-            self.heat.resize(slot + 1, 0);
-        }
-        self.heat[slot] = self.heat[slot].saturating_add(amount);
-        if self.heat[slot] >= self.params.promote_heat
-            && !self.hot_pos.contains_key(&slot)
-            && !self.pending.promotes.contains(&slot)
-        {
-            self.pending.promotes.push(slot);
-        }
-    }
-
-    /// Whether `slot` is in the exact hot tier.
-    pub fn is_hot(&self, slot: usize) -> bool {
-        self.hot_pos.contains_key(&slot)
-    }
-
-    /// Hot-tier occupancy.
-    pub fn hot_len(&self) -> usize {
-        self.hot_slots.len()
-    }
-
-    /// Drains the deferred maintenance — filter grows and rebuilds,
-    /// hot-tier promotions and demotions — deterministically, after every
-    /// catalog mutation; no background thread. `exact(space, slot)` is the
-    /// catalog's refcount view: the slot's exact bits, or `None` for a
-    /// dead slot.
+    /// Drains the deferred filter grows and rebuilds, deterministically,
+    /// after every catalog mutation; no background thread.
+    /// `exact(space, slot)` is the catalog's refcount view: the slot's
+    /// exact bits, or `None` for a dead slot.
     pub(crate) fn service(&mut self, exact: &impl Fn(Space, usize) -> Option<Vec<u32>>) {
-        while !self.pending.is_empty() {
-            let work = std::mem::take(&mut self.pending);
-            for (space, group, grow) in work.rebuilds {
-                let lo = group * SLOTS_PER_GROUP;
-                let members: Vec<(usize, Vec<u32>)> = (lo..lo + SLOTS_PER_GROUP)
-                    .filter_map(|slot| Some((slot, exact(space, slot)?)))
-                    .collect();
-                self.bank_mut(space).rebuild_group(group, grow, &members);
-            }
-            for slot in work.promotes {
-                self.set_hot(slot, true, exact);
-            }
-            for slot in work.demotes {
-                self.demote_now(slot);
-            }
+        for (space, group, grow) in std::mem::take(&mut self.pending) {
+            let lo = group * SLOTS_PER_GROUP;
+            let members: Vec<(usize, Vec<u32>)> = (lo..lo + SLOTS_PER_GROUP)
+                .filter_map(|slot| Some((slot, exact(space, slot)?)))
+                .collect();
+            self.bank_mut(space).rebuild_group(group, grow, &members);
         }
     }
 
-    /// Moves `slot` into the hot tier with its exact bits (if it is live,
-    /// cold, and the tier has room) or out of it.
-    pub(crate) fn set_hot(
-        &mut self,
-        slot: usize,
-        hot: bool,
-        exact: &impl Fn(Space, usize) -> Option<Vec<u32>>,
-    ) {
-        if !hot {
-            self.demote_now(slot);
-        } else if !self.is_hot(slot) && self.hot_len() < self.params.hot_capacity {
-            if let (Some(rating), Some(attr)) =
-                (exact(Space::Rating, slot), exact(Space::Attr, slot))
-            {
-                self.promote_now(slot, rating, attr);
-            }
-        }
-    }
-
-    /// Promotes `slot` into the hot tier with its exact bits. Caller
-    /// guarantees room and liveness.
-    fn promote_now(
-        &mut self,
-        slot: usize,
-        rating_bits: impl IntoIterator<Item = u32>,
-        attr_bits: impl IntoIterator<Item = u32>,
-    ) {
-        debug_assert!(!self.hot_pos.contains_key(&slot));
-        debug_assert!(self.hot_slots.len() < self.params.hot_capacity);
-        let pos = self.hot_slots.len();
-        self.hot_slots.push(slot);
-        self.hot_pos.insert(slot, pos);
-        self.hot_words[slot / SLOTS_PER_GROUP] |= 1u64 << (slot % SLOTS_PER_GROUP);
-        for bit in rating_bits {
-            self.hot_rating.set(bit, pos);
-        }
-        for bit in attr_bits {
-            self.hot_attr.set(bit, pos);
-        }
-    }
-
-    /// Demotes `slot` from the hot tier (swap-remove on positions; the
-    /// moved slot's exact rows move with it).
-    fn demote_now(&mut self, slot: usize) {
-        let Some(pos) = self.hot_pos.remove(&slot) else { return };
-        self.hot_words[slot / SLOTS_PER_GROUP] &= !(1u64 << (slot % SLOTS_PER_GROUP));
-        let last = self.hot_slots.len() - 1;
-        let moved = self.hot_slots[last];
-        for rows in [&mut self.hot_rating, &mut self.hot_attr] {
-            for attr in 0..rows.attrs() as u32 {
-                let had_last = rows.row(attr).is_some_and(|r| r.contains(last as u32));
-                if pos != last {
-                    if had_last {
-                        rows.set(attr, pos);
-                    } else {
-                        rows.clear(attr, pos);
-                    }
-                }
-                rows.clear(attr, last);
-            }
-        }
-        if pos != last {
-            self.hot_slots[pos] = moved;
-            self.hot_pos.insert(moved, pos);
-        }
-        self.hot_slots.pop();
-    }
-
-    /// The exact bits of a hot slot's row in `space`, ascending — `None`
-    /// if the slot is not hot. Validate compares this against the
-    /// refcount view (hot bitmaps ⇔ refcounts).
-    fn hot_bits(&self, space: Space, slot: usize) -> Option<Vec<u32>> {
-        let &pos = self.hot_pos.get(&slot)?;
-        let rows = self.hot_rows(space);
-        Some(
-            (0..rows.attrs() as u32)
-                .filter(|&a| rows.row(a).is_some_and(|r| r.contains(pos as u32)))
-                .collect(),
-        )
-    }
-
-    /// Whether the approximate tier admits `(attr, slot)` — exact for hot
-    /// slots, filter membership for cold ones. Every exact-present pair
-    /// must satisfy this (the no-false-negative invariant).
-    pub fn approx_contains(&self, space: Space, attr: u32, slot: usize) -> bool {
-        if let Some(&pos) = self.hot_pos.get(&slot) {
-            return self
-                .hot_rows(space)
-                .row(attr)
-                .is_some_and(|r| r.contains(pos as u32));
-        }
-        self.bank(space).contains(attr, slot)
-    }
-
-    /// ORs the candidate slots for `attrs` into `acc`: filter masks for
-    /// cold groups (ANDed with live, minus hot), exact rows for the hot
-    /// tier. The result is a superset of the exact candidate set.
+    /// ORs the candidate slots for `attrs` into `acc`: plane AND → block
+    /// probes → ∧ live. The result is a superset of the exact candidate
+    /// set.
     ///
     /// Cost shape: per attribute, the AND of its two summary planes (a
     /// few sequential words) names the candidate groups; only those few
@@ -719,41 +491,26 @@ impl TieredIndex {
     pub(crate) fn candidates_into(&self, space: Space, attrs: &[u32], acc: &mut FixedBitSet) {
         let bank = self.bank(space);
         let groups = bank.groups().min(self.live_words.len());
-        if groups > 0 {
-            acc.grow(groups * SLOTS_PER_GROUP);
-            let words = acc.blocks_mut();
-            let gwords = groups.div_ceil(64);
-            for &a in attrs {
-                let h = mix(u64::from(a));
-                let (s1, s2) = summary_indices(h);
-                let (p1, p2) = (bank.plane(s1), bank.plane(s2));
-                for gw in 0..gwords {
-                    let mut gm = p1[gw] & p2[gw];
-                    while gm != 0 {
-                        let g = gw * 64 + gm.trailing_zeros() as usize;
-                        gm &= gm - 1;
-                        if g >= groups {
-                            break;
-                        }
-                        let cold = self.live_words[g] & !self.hot_words[g];
-                        if cold == 0 {
-                            continue;
-                        }
-                        let word = bank.block_word_h(g, h) & cold;
-                        if word != 0 {
-                            words[g] |= word;
-                        }
-                    }
-                }
-            }
+        if groups == 0 {
+            return;
         }
-        let rows = self.hot_rows(space);
+        acc.grow(groups * SLOTS_PER_GROUP);
+        let words = acc.blocks_mut();
+        let gwords = groups.div_ceil(64);
         for &a in attrs {
-            let Some(row) = rows.row(a) else { continue };
-            for pos in row.iter_ones() {
-                let slot = self.hot_slots[pos as usize];
-                acc.grow(slot + 1);
-                acc.insert(slot as u32);
+            let h = mix(u64::from(a));
+            let (s1, s2) = summary_indices(h);
+            let (p1, p2) = (bank.plane(s1), bank.plane(s2));
+            for gw in 0..gwords {
+                let mut gm = p1[gw] & p2[gw];
+                while gm != 0 {
+                    let g = gw * 64 + gm.trailing_zeros() as usize;
+                    gm &= gm - 1;
+                    if g >= groups {
+                        break;
+                    }
+                    words[g] |= bank.block_word_h(g, h) & self.live_words[g];
+                }
             }
         }
     }
@@ -761,33 +518,24 @@ impl TieredIndex {
     /// Heap bytes resident in the tiered index (the number the `tier`
     /// bench compares against the exact presence bitmaps).
     pub fn resident_bytes(&self) -> usize {
-        let mut bytes = self.rating.resident_bytes() + self.attr.resident_bytes();
-        bytes += (self.live_words.len() + self.hot_words.len()) * 8;
-        bytes += self.hot_slots.len() * 8 + self.hot_pos.len() * 16;
-        bytes += self.heat.len() * 4;
-        for rows in [&self.hot_rating, &self.hot_attr] {
-            bytes += rows.resident_bytes();
-        }
-        bytes
+        self.rating.resident_bytes() + self.attr.resident_bytes() + self.live_words.len() * 8
     }
 
-    /// Tier invariants against the catalog's exact `(bit, slot)` sets: the
-    /// no-false-negative implication (every exact-present pair is admitted
-    /// by the approximate tier), hot rows ⇔ refcounts in both directions,
-    /// and the internal position/mask/capacity checks.
+    /// The tier's one invariant against the catalog's exact `(bit, slot)`
+    /// sets: every exact-present pair is admitted (no false negatives).
     pub(crate) fn validate(
         &self,
         arena: &SynopsisArena,
         want_rating: &BTreeSet<(u32, usize)>,
         want_attr: &BTreeSet<(u32, usize)>,
     ) -> Vec<InvariantViolation> {
-        let mut out = self.validate_internal();
-        for (space, label, want) in [
-            (Space::Rating, "rating", want_rating),
-            (Space::Attr, "attr", want_attr),
+        let mut out = Vec::new();
+        for (bank, label, want) in [
+            (&self.rating, "rating", want_rating),
+            (&self.attr, "attr", want_attr),
         ] {
             for &(bit, slot) in want {
-                if !self.approx_contains(space, bit, slot) {
+                if !bank.contains(bit, slot) {
                     out.push(InvariantViolation::new(
                         "tier",
                         format!(
@@ -798,102 +546,20 @@ impl TieredIndex {
                     ));
                 }
             }
-            // (BTreeSet order is (bit, slot), so per-slot pushes ascend.)
-            let mut exact: BTreeMap<usize, Vec<u32>> = BTreeMap::new();
-            for &(bit, slot) in want {
-                exact.entry(slot).or_default().push(bit);
-            }
-            for &slot in &self.hot_slots {
-                if slot >= arena.slots() || !arena.is_live(slot) {
-                    continue; // flagged by validate_internal
-                }
-                let exact = exact.get(&slot).map_or(&[][..], Vec::as_slice);
-                let hot = self.hot_bits(space, slot).unwrap_or_default();
-                if exact != hot.as_slice() {
-                    out.push(InvariantViolation::new(
-                        "tier",
-                        format!(
-                            "{}: hot {label} row {hot:?} but refcounts say {exact:?}",
-                            arena.seg(slot)
-                        ),
-                    ));
-                }
-            }
         }
         out
     }
 
-    /// Tier-internal structural invariants: hot position maps, hot/live
-    /// masks, capacity, and hot rows staying within position range.
-    fn validate_internal(&self) -> Vec<InvariantViolation> {
-        let mut out = Vec::new();
-        let mut v = |detail: String| out.push(InvariantViolation::new("tier", detail));
-        if self.hot_slots.len() != self.hot_pos.len() {
-            v(format!(
-                "hot tier: {} positions but {} mapped slots",
-                self.hot_slots.len(),
-                self.hot_pos.len()
-            ));
-        }
-        if self.hot_slots.len() > self.params.hot_capacity {
-            v(format!(
-                "hot tier holds {} slots, capacity {}",
-                self.hot_slots.len(),
-                self.params.hot_capacity
-            ));
-        }
-        for (pos, &slot) in self.hot_slots.iter().enumerate() {
-            if self.hot_pos.get(&slot) != Some(&pos) {
-                v(format!("hot slot {slot} at position {pos} not mapped back"));
-            }
-            let g = slot / SLOTS_PER_GROUP;
-            let bit = 1u64 << (slot % SLOTS_PER_GROUP);
-            if self.hot_words.get(g).copied().unwrap_or(0) & bit == 0 {
-                v(format!("hot slot {slot} missing from the hot mask"));
-            }
-            if self.live_words.get(g).copied().unwrap_or(0) & bit == 0 {
-                v(format!("hot slot {slot} is not live"));
-            }
-        }
-        let hot_bits: u32 = self.hot_words.iter().map(|w| w.count_ones()).sum();
-        if hot_bits as usize != self.hot_slots.len() {
-            v(format!(
-                "hot mask has {hot_bits} bits but the tier holds {} slots",
-                self.hot_slots.len()
-            ));
-        }
-        for (space, rows) in
-            [("rating", &self.hot_rating), ("attr", &self.hot_attr)]
-        {
-            for attr in 0..rows.attrs() as u32 {
-                let Some(row) = rows.row(attr) else { continue };
-                for pos in row.iter_ones() {
-                    if pos as usize >= self.hot_slots.len() {
-                        v(format!(
-                            "hot {space} row of attr {attr} names position {pos}, \
-                             only {} occupied",
-                            self.hot_slots.len()
-                        ));
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// A compact clone of the attribute-space tier only — filter bank,
-    /// masks, hot rows — enough to answer
-    /// `candidates_into(Space::Attr, ..)` exactly as the live index does.
-    /// The rating space, heat, and maintenance state are left empty, so
-    /// the result must never be mutated or validated; it lives inside an
-    /// immutable [`PruningSnapshot`](crate::PruningSnapshot).
+    /// A compact clone of the attribute-space tier only — filter bank and
+    /// live mask — enough to answer `candidates_into(Space::Attr, ..)`
+    /// exactly as the live index does. The rating space and the rebuild
+    /// queue are left empty, so the result must never be mutated or
+    /// validated; it lives inside an immutable
+    /// [`PruningSnapshot`](crate::PruningSnapshot).
     pub(crate) fn freeze_attr(&self) -> Self {
         Self {
             attr: self.attr.clone(),
             live_words: self.live_words.clone(),
-            hot_words: self.hot_words.clone(),
-            hot_slots: self.hot_slots.clone(),
-            hot_attr: self.hot_attr.clone(),
             ..Self::new(self.params)
         }
     }
@@ -901,6 +567,10 @@ impl TieredIndex {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
+    use cind_bitset::BitSetOps;
+
     use super::*;
 
     #[test]
@@ -956,28 +626,7 @@ mod tests {
     }
 
     #[test]
-    fn hot_tier_promote_demote_keeps_rows_consistent() {
-        let mut t = TieredIndex::new(TierParams { hot_capacity: 4, ..TierParams::default() });
-        for slot in 0..3 {
-            t.on_slot_alloc(slot);
-        }
-        t.promote_now(0, [1, 2], [1, 2]);
-        t.promote_now(1, [2, 3], [2, 3]);
-        t.promote_now(2, [9], [9]);
-        assert!(t.validate_internal().is_empty(), "{:?}", t.validate_internal());
-        assert!(t.approx_contains(Space::Rating, 2, 0));
-        assert!(t.approx_contains(Space::Rating, 2, 1));
-        assert!(!t.approx_contains(Space::Rating, 9, 1), "hot rows are exact");
-        // Demote the middle: slot 2 swaps into its position with its rows.
-        t.demote_now(1);
-        assert!(t.validate_internal().is_empty(), "{:?}", t.validate_internal());
-        assert!(t.is_hot(0) && t.is_hot(2) && !t.is_hot(1));
-        assert!(t.approx_contains(Space::Rating, 9, 2));
-        assert!(!t.approx_contains(Space::Rating, 2, 2));
-    }
-
-    #[test]
-    fn candidates_cover_filters_and_hot_rows() {
+    fn candidates_cover_filter_rows_and_mask_dead_slots() {
         let mut t = TieredIndex::new(TierParams::default());
         for slot in 0..130 {
             t.on_slot_alloc(slot);
@@ -985,44 +634,16 @@ mod tests {
         t.set(Space::Attr, 7, 3);
         t.set(Space::Attr, 7, 80);
         t.set(Space::Attr, 8, 129);
-        t.promote_now(80, [], [7]);
         let mut acc = FixedBitSet::default();
         t.candidates_into(Space::Attr, &[7], &mut acc);
         assert!(acc.contains(3));
-        assert!(acc.contains(80), "hot overlay must contribute");
+        assert!(acc.contains(80), "every group carrying the attribute contributes");
         assert!(!acc.contains(129), "attr 8 only");
         // A released slot can never be a candidate, even with stale bits.
         t.on_slot_release(3);
         let mut acc = FixedBitSet::default();
         t.candidates_into(Space::Attr, &[7], &mut acc);
         assert!(!acc.contains(3), "dead slots are masked out");
-    }
-
-    #[test]
-    fn heat_promotes_and_epoch_decay_demotes() {
-        let mut t = TieredIndex::new(TierParams {
-            epoch_ops: 8,
-            promote_heat: 3,
-            ..TierParams::default()
-        });
-        t.on_slot_alloc(0);
-        t.note_op(0);
-        t.note_op(0);
-        assert!(t.pending.is_empty(), "below the bar");
-        t.note_op(0);
-        let work = std::mem::take(&mut t.pending);
-        assert_eq!(work.promotes, vec![0]);
-        t.promote_now(0, [1], [1]);
-        // Run epochs with no further traffic: heat 3 → 1 → 0 → demote.
-        for _ in 0..24 {
-            t.note_op(0_usize.wrapping_add(0));
-        }
-        // Slot 0 keeps getting ops above, so instead cool a second slot.
-        t.on_slot_alloc(1);
-        for _ in 0..3 {
-            t.note_heat(1, 1);
-        }
-        assert!(t.pending.promotes.contains(&1), "second promotion");
     }
 
     #[test]
@@ -1034,7 +655,6 @@ mod tests {
         t.set(Space::Attr, 4, 10);
         t.set(Space::Attr, 4, 65);
         t.set(Space::Rating, 4, 30);
-        t.promote_now(65, [], [4]);
         t.on_slot_release(20);
         let frozen = t.freeze_attr();
         let (mut live, mut cold) = (FixedBitSet::default(), FixedBitSet::default());
@@ -1100,7 +720,6 @@ mod tests {
                 let mut bank = FilterBank::new(&TierParams {
                     blocks_per_group: 2,
                     max_blocks_per_group: 16,
-                    ..TierParams::default()
                 });
                 let members: Vec<(usize, Vec<u32>)> =
                     vec![(0, attrs.iter().copied().collect())];

@@ -1,7 +1,7 @@
 //! Property suite for the tiered pruning index: random interleavings of
-//! entity adds/removes, partition merges and re-splits, and random hot
-//! tier promotions/demotions, on a catalog with deliberately tiny filter
-//! groups (so grows and staleness rebuilds fire constantly).
+//! entity adds/removes and partition merges and re-splits, on a catalog
+//! with deliberately tiny filter groups (so grows and staleness rebuilds
+//! fire constantly).
 //!
 //! After EVERY operation:
 //!
@@ -27,15 +27,11 @@ fn syn(bits: &[u32]) -> Synopsis {
 }
 
 /// Tiny tier knobs: 2-block groups saturate after a handful of distinct
-/// pairs (forcing grow-rebuilds), a 3-slot hot tier overflows immediately,
-/// and 16-op epochs decay heat all the time.
+/// pairs, forcing grow-rebuilds up to the 8-block ceiling.
 fn tiny_params() -> TierParams {
     TierParams {
         blocks_per_group: 2,
         max_blocks_per_group: 8,
-        hot_capacity: 3,
-        epoch_ops: 16,
-        promote_heat: 2,
     }
 }
 
@@ -49,8 +45,6 @@ enum Op {
     Split(prop::sample::Index),
     /// Merge two picked partitions onto one fresh segment.
     Merge(prop::sample::Index, prop::sample::Index),
-    /// Force a picked partition in or out of the hot tier.
-    SetHot(prop::sample::Index, bool),
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -66,8 +60,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         1 => any::<prop::sample::Index>().prop_map(Op::Split),
         1 => (any::<prop::sample::Index>(), any::<prop::sample::Index>())
             .prop_map(|(a, b)| Op::Merge(a, b)),
-        2 => (any::<prop::sample::Index>(), any::<bool>())
-            .prop_map(|(p, h)| Op::SetHot(p, h)),
     ]
 }
 
@@ -201,18 +193,13 @@ impl Harness {
                 let n = self.live.len();
                 self.live[n - 1].1 = members;
             }
-            Op::SetHot(pick, hot) => {
-                let slot = pick.index(self.live.len());
-                let seg = self.live[slot].0;
-                self.tiered.tier_set_hot(SegmentId(seg), *hot);
-            }
         }
     }
 
     /// The invariants checked after every single operation.
     fn check(&self, probes: &[Vec<u32>]) -> Result<(), TestCaseError> {
         // Structural: includes the no-false-negative implication (every
-        // exact-present pair admitted by the tier) and hot ⇔ refcounts.
+        // exact-present pair admitted by the tier).
         let report = self.tiered.validate();
         prop_assert!(
             report.is_empty(),
@@ -276,7 +263,6 @@ proptest! {
             h.apply(op);
             h.check(&probes)?;
         }
-        // The tiny hot tier must actually have seen traffic in most runs.
         prop_assert!(h.tiered.tier_active());
     }
 }

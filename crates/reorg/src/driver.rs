@@ -193,15 +193,6 @@ impl ReorgDriver {
             .pruning_view()
             .map(|(seg, syn, size)| (seg, syn.clone(), size))
             .collect();
-        // Feed the decayed scan heat into the tiered index's promotion
-        // machinery: the partitions the workload actually hits earn exact
-        // hot-tier bitmaps. A no-op while the exact tier is active.
-        for (seg, _, _) in &parts {
-            let heat = self.heat.heat(*seg);
-            if heat > 0 {
-                cindy.note_partition_heat(*seg, u32::try_from(heat).unwrap_or(u32::MAX));
-            }
-        }
         let per_part = |seg: SegmentId| -> u128 {
             parts
                 .iter()

@@ -64,7 +64,7 @@ pub struct ServeConfig {
     pub reorg_epoch_ops: u64,
     /// Pruning-index tier per shard (`exact`, `tiered`, or `auto`).
     /// `exact` keeps one presence bitmap per attribute; `tiered` swaps the
-    /// bitmaps for blocked Bloom filter rows plus a bounded exact hot tier
+    /// bitmaps for blocked Bloom filter rows under group summaries
     /// (superset-sound: answers are identical, memory is bounded); `auto`
     /// starts exact and ratchets to tiered once a shard's catalog crosses
     /// the partition-count threshold.

@@ -42,7 +42,7 @@ use cinderella_core::{
 
 use crate::commit::{GroupCommit, GroupSink, WalCounters};
 use crate::protocol::{
-    EngineStats, ErrorCode, IoCounters, QueryStats, Request, Response, WireEntity,
+    EngineStats, ErrorCode, IoCounters, QueryStats, Response, WireEntity,
 };
 use crate::{ServeConfig, ServerError};
 
@@ -709,63 +709,6 @@ impl Engine {
             Ok(report)
         })
     }
-
-    /// Dispatches one request to the matching method and folds any error
-    /// into a typed [`Response`]. Never panics — every failure becomes an
-    /// error frame the client can decode.
-    #[must_use]
-    pub fn handle(&self, req: &Request) -> Response {
-        let result = match req {
-            Request::Insert(e) => self
-                .insert(e)
-                .map(|(segment, split)| Response::Written { segment, split }),
-            Request::Update(e) => self
-                .update(e)
-                .map(|(segment, split)| Response::Written { segment, split }),
-            Request::Delete(id) => self.delete(*id).map(|()| Response::Deleted),
-            Request::Query(attrs) => self
-                .query(attrs)
-                .map(|(rows, stats)| Response::Rows { rows, stats }),
-            Request::InsertBatch(entities) => {
-                let refs: Vec<&WireEntity> = entities.iter().collect();
-                Ok(Response::Batch(
-                    self.insert_many(&refs)
-                        .into_iter()
-                        .map(|r| {
-                            to_frame(r.map(|(segment, split)| Response::Written {
-                                segment,
-                                split,
-                            }))
-                        })
-                        .collect(),
-                ))
-            }
-            Request::QueryBatch(queries) => Ok(Response::Batch(
-                queries
-                    .iter()
-                    .map(|attrs| {
-                        to_frame(
-                            self.query(attrs)
-                                .map(|(rows, stats)| Response::Rows { rows, stats }),
-                        )
-                    })
-                    .collect(),
-            )),
-            Request::IoCounters => Ok(Response::IoCounters(self.io_counters())),
-            Request::Stats => Ok(Response::Stats(self.stats())),
-            Request::Validate => self.validate().map(Response::Validated),
-            Request::Ping(delay_ms) => {
-                if *delay_ms > 0 {
-                    std::thread::sleep(std::time::Duration::from_millis(*delay_ms));
-                }
-                Ok(Response::Pong)
-            }
-            // The server intercepts Shutdown before dispatch; answering it
-            // here (direct in-process use) is still well-formed.
-            Request::Shutdown => Ok(Response::ShutdownAck),
-        };
-        to_frame(result)
-    }
 }
 
 /// Folds an error into a typed error frame (the shared tail of every
@@ -841,17 +784,6 @@ mod tests {
             Err(ServerError::UnknownAttribute(a)) => assert_eq!(a, "nope"),
             other => panic!("expected UnknownAttribute, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn handle_folds_errors_into_frames() {
-        let eng = Engine::in_memory(EngineOptions::default());
-        let resp = eng.handle(&Request::Delete(99));
-        assert!(matches!(resp, Response::Error { code: ErrorCode::Engine, .. }));
-        let resp = eng.handle(&Request::Query(vec!["ghost".into()]));
-        assert!(
-            matches!(resp, Response::Error { code: ErrorCode::UnknownAttribute, .. })
-        );
     }
 
     #[test]

@@ -535,8 +535,9 @@ impl ShardedEngine {
         Ok(())
     }
 
-    /// Dispatches one request and folds any error into a typed
-    /// [`Response`] — the sharded counterpart of [`Engine::handle`].
+    /// Dispatches one request to the matching method and folds any error
+    /// into a typed [`Response`] — the one request dispatcher. Never
+    /// panics: every failure becomes an error frame the client can decode.
     #[must_use]
     pub fn handle(&self, req: &Request) -> Response {
         let result = match req {
@@ -714,6 +715,18 @@ mod tests {
             assert_eq!(eng.stats().entities, 1);
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn handle_folds_errors_into_frames() {
+        use crate::protocol::ErrorCode;
+        let eng = ShardedEngine::in_memory(opts(1));
+        let resp = eng.handle(&Request::Delete(99));
+        assert!(matches!(resp, Response::Error { code: ErrorCode::Engine, .. }));
+        let resp = eng.handle(&Request::Query(vec!["ghost".into()]));
+        assert!(
+            matches!(resp, Response::Error { code: ErrorCode::UnknownAttribute, .. })
+        );
     }
 
     #[test]

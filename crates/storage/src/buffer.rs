@@ -4,8 +4,7 @@ use crate::iostats::AtomicIoStats;
 use crate::segment::SegmentId;
 use crate::IoStats;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Mutex, PoisonError};
 
 /// Globally unique page address: a segment and a page index within it.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -14,22 +13,6 @@ pub struct PageKey {
     pub segment: SegmentId,
     /// Page index within the segment.
     pub page: u32,
-}
-
-/// A simulated I/O cost model: charges virtual nanoseconds per buffer-pool
-/// miss and per page write. Installed by the deterministic simulation
-/// harness so experiments advance a *virtual* clock instead of reading
-/// wall time (rule A005); production pools carry no model and pay nothing.
-///
-/// Implementations must be pure functions of the key (plus their own
-/// immutable state): the pool may invoke them from concurrent scan threads
-/// in any order, and determinism of the accumulated total relies on the
-/// charge per access being order-independent.
-pub trait IoModel: Send + Sync {
-    /// Virtual nanoseconds charged when `key` misses the pool.
-    fn miss_ns(&self, key: PageKey) -> u64;
-    /// Virtual nanoseconds charged when `key` is written.
-    fn write_ns(&self, key: PageKey) -> u64;
 }
 
 /// An LRU page cache that classifies every access as hit or miss.
@@ -54,11 +37,6 @@ pub struct BufferPool {
     /// `shards.len() - 1`; the shard count is a power of two.
     mask: usize,
     stats: AtomicIoStats,
-    /// Optional simulated I/O cost model; charged *outside* the shard
-    /// locks (the same discipline as the atomic counters).
-    io_model: Option<Arc<dyn IoModel>>,
-    /// Total virtual nanoseconds charged by `io_model` so far.
-    sim_ns: AtomicU64,
 }
 
 struct Shard {
@@ -110,22 +88,7 @@ impl BufferPool {
             shards: shards.into_boxed_slice(),
             mask: n - 1,
             stats: AtomicIoStats::default(),
-            io_model: None,
-            sim_ns: AtomicU64::new(0),
         }
-    }
-
-    /// Installs (or clears) the simulated I/O cost model. Takes `&mut
-    /// self` — the model is fixed while readers run, so accesses never
-    /// race a model swap.
-    pub fn set_io_model(&mut self, model: Option<Arc<dyn IoModel>>) {
-        self.io_model = model;
-    }
-
-    /// Total virtual nanoseconds charged by the installed [`IoModel`]
-    /// (0 without one).
-    pub fn sim_ns(&self) -> u64 {
-        self.sim_ns.load(Ordering::Relaxed)
     }
 
     /// Number of LRU shards.
@@ -169,11 +132,6 @@ impl BufferPool {
             }
         };
         self.stats.record_access(hit, evicted);
-        if !hit {
-            if let Some(model) = &self.io_model {
-                self.sim_ns.fetch_add(model.miss_ns(key), Ordering::Relaxed);
-            }
-        }
         (hit, evicted)
     }
 
@@ -192,9 +150,6 @@ impl BufferPool {
             }
         };
         self.stats.record_write(evicted);
-        if let Some(model) = &self.io_model {
-            self.sim_ns.fetch_add(model.write_ns(key), Ordering::Relaxed);
-        }
     }
 
     /// Drops all pages of `segment` from the pool (segment dropped/split).
@@ -596,28 +551,6 @@ mod tests {
             },
             "3 resident pages exceed capacity 2",
         );
-    }
-
-    #[test]
-    fn io_model_charges_misses_and_writes_only() {
-        struct Flat;
-        impl IoModel for Flat {
-            fn miss_ns(&self, _: PageKey) -> u64 {
-                100
-            }
-            fn write_ns(&self, _: PageKey) -> u64 {
-                7
-            }
-        }
-        let mut pool = BufferPool::new(4);
-        pool.set_io_model(Some(Arc::new(Flat)));
-        pool.access(key(1)); // miss: +100
-        pool.access(key(1)); // hit: free
-        pool.write(key(2)); // +7
-        assert_eq!(pool.sim_ns(), 107);
-        pool.set_io_model(None);
-        pool.access(key(3));
-        assert_eq!(pool.sim_ns(), 107);
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub mod wal;
 mod error;
 mod iostats;
 
-pub use buffer::{BufferPool, IoModel};
+pub use buffer::BufferPool;
 pub use error::StorageError;
 pub use iostats::{AtomicIoStats, IoStats};
 pub use page::{Page, SlotId, PAGE_SIZE};

@@ -129,17 +129,6 @@ impl UniversalTable {
         }
     }
 
-    /// Installs (or clears) a simulated I/O cost model on the buffer pool
-    /// (see [`crate::buffer::IoModel`]). Only possible while no
-    /// [`TableSnapshot`] shares the pool (i.e. at setup time, before any
-    /// reader exists); with snapshots outstanding the call is a no-op, so
-    /// readers never race a model swap.
-    pub fn set_io_model(&mut self, model: Option<std::sync::Arc<dyn crate::buffer::IoModel>>) {
-        if let Some(pool) = std::sync::Arc::get_mut(&mut self.pool) {
-            pool.set_io_model(model);
-        }
-    }
-
     /// The attribute catalog.
     pub fn catalog(&self) -> &AttributeCatalog {
         &self.catalog
