@@ -33,4 +33,4 @@ pub use entity::{Entity, EntityId};
 pub use error::ModelError;
 pub use size::SizeModel;
 pub use synopsis::Synopsis;
-pub use value::Value;
+pub use value::{Value, ValueRef};

@@ -17,7 +17,44 @@ pub enum Value {
     Text(String),
 }
 
+/// A [`Value`] borrowed where it lies: text is a `&str` into someone else's
+/// bytes (a stored record, an owned `Value`), so reading or re-encoding it
+/// copies nothing.
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub enum ValueRef<'a> {
+    /// Boolean flag.
+    Bool(bool),
+    /// 64-bit signed integer.
+    Int(i64),
+    /// 64-bit float.
+    Float(f64),
+    /// UTF-8 text.
+    Text(&'a str),
+}
+
+impl ValueRef<'_> {
+    /// The owned value (copies text).
+    pub fn to_value(self) -> Value {
+        match self {
+            ValueRef::Bool(b) => Value::Bool(b),
+            ValueRef::Int(i) => Value::Int(i),
+            ValueRef::Float(x) => Value::Float(x),
+            ValueRef::Text(s) => Value::Text(s.to_owned()),
+        }
+    }
+}
+
 impl Value {
+    /// This value, borrowed.
+    pub fn borrowed(&self) -> ValueRef<'_> {
+        match self {
+            Value::Bool(b) => ValueRef::Bool(*b),
+            Value::Int(i) => ValueRef::Int(*i),
+            Value::Float(x) => ValueRef::Float(*x),
+            Value::Text(s) => ValueRef::Text(s),
+        }
+    }
+
     /// Serialized payload size in bytes (type tag excluded). This feeds the
     /// byte-based [`SizeModel`](crate::SizeModel).
     pub fn payload_len(&self) -> usize {
@@ -96,6 +133,13 @@ mod tests {
         assert_eq!(Value::from(2.5f64), Value::Float(2.5));
         assert_eq!(Value::from("x"), Value::Text("x".into()));
         assert_eq!(Value::from(String::from("y")), Value::Text("y".into()));
+    }
+
+    #[test]
+    fn borrowed_roundtrip() {
+        for v in [Value::Bool(true), Value::Int(-3), Value::Float(-0.0), Value::Text("é".into())] {
+            assert_eq!(v.borrowed().to_value(), v);
+        }
     }
 
     #[test]

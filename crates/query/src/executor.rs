@@ -2,23 +2,27 @@
 //!
 //! One per-segment kernel, [`scan_branch`], does all the work: it walks a
 //! surviving segment's raw records and lets the query's compiled
-//! [`Projection`] match and project each one straight off its bytes, so
-//! only the projected values of matching records are ever materialised.
-//! Sequential plans run the kernel branch by branch on the calling thread;
-//! parallel plans fan the branches out over a scoped worker pool, where
-//! workers claim them from a shared atomic cursor and scan through the
-//! table's [`ReadView`](cind_storage::ReadView) (per-shard pool locks,
-//! lock-free I/O counters). Either way the per-branch partials are merged
-//! *in plan order*, so `rows`, `cells`, and `entities_scanned` — and the row
-//! order of [`execute_collect`] — are identical regardless of strategy or
-//! worker interleaving.
+//! [`Projection`] match each one straight off its bytes and hand the
+//! matching rows — cells still borrowed from the page — to a [`RowSink`].
+//! The sink decides what a row costs: nothing (measurement runs), owned
+//! [`Row`]s (the typed in-process API), or whatever encoding a caller's own
+//! sink writes (the server's wire buffers).
+//! Sequential plans run the kernel branch by branch on the calling thread
+//! into one sink; parallel plans fan the branches out over a scoped worker
+//! pool, where workers claim them from a shared atomic cursor and scan
+//! through the table's [`ReadView`](cind_storage::ReadView) (per-shard pool
+//! locks, lock-free I/O counters), one sink per branch. Either way the
+//! per-branch results are merged *in plan order*, so `rows`, `cells`, and
+//! `entities_scanned` — and the row order the sink ends up with — are
+//! identical regardless of strategy or worker interleaving.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use cind_storage::{IoStats, ReadView, SegmentId, StorageError, UniversalTable};
 
-use crate::{Plan, Projection, Query, Row};
+use crate::projection::CountOnly;
+use crate::{Plan, Projection, Query, Row, RowSink};
 
 /// Measurements of one query execution.
 #[derive(Clone, Debug)]
@@ -74,7 +78,7 @@ pub fn execute_view(
     plan: &Plan,
 ) -> Result<QueryResult, StorageError> {
     let workers = plan.parallelism.workers(plan.segments.len());
-    run(view, &Projection::of(query), plan, workers, false).map(|(result, _)| result)
+    run::<CountOnly>(view, &Projection::of(query), plan, workers).map(|(result, _)| result)
 }
 
 /// Executes `plan` and materialises the projected rows (requested
@@ -107,8 +111,20 @@ pub fn execute_collect_projection(
     projection: &Projection,
     plan: &Plan,
 ) -> Result<(QueryResult, Vec<Row>), StorageError> {
+    execute_into(view, projection, plan)
+}
+
+/// Executes `plan` into a sink of the caller's choosing: every matching
+/// record's projected row goes to an `S`, in the row order of
+/// [`execute_collect`], and the filled sink comes back with the
+/// measurements. Honours the plan's [`Parallelism`] knob.
+pub fn execute_into<S: RowSink>(
+    view: ReadView<'_>,
+    projection: &Projection,
+    plan: &Plan,
+) -> Result<(QueryResult, S), StorageError> {
     let workers = plan.parallelism.workers(plan.segments.len());
-    run(view, projection, plan, workers, true)
+    run(view, projection, plan, workers)
 }
 
 /// Executes `plan` with `threads` workers, fanning the surviving segments
@@ -142,26 +158,26 @@ pub fn execute_parallel_view(
     plan: &Plan,
     threads: usize,
 ) -> Result<QueryResult, StorageError> {
-    run(view, &Projection::of(query), plan, threads, false).map(|(result, _)| result)
+    run::<CountOnly>(view, &Projection::of(query), plan, threads).map(|(result, _)| result)
 }
 
-/// One branch's partial aggregates.
+/// One branch's aggregates; its rows are in the sink it scanned into.
 #[derive(Default)]
 struct SegPartial {
     rows: u64,
     cells: u64,
     entities_scanned: u64,
     io: IoStats,
-    out: Vec<Row>,
 }
 
-/// The scan kernel, shared by every strategy: one pass over `seg`'s raw
-/// records, each matched and — when `collect` — projected by `projection`.
-fn scan_branch(
+/// The scan kernel, shared by every strategy and every sink: one pass over
+/// `seg`'s raw records, each matched by `projection` and — if it matches —
+/// handed to `sink`.
+fn scan_branch<S: RowSink>(
     view: ReadView<'_>,
     seg: SegmentId,
     projection: &Projection,
-    collect: bool,
+    sink: &mut S,
 ) -> Result<SegPartial, StorageError> {
     let mut p = SegPartial::default();
     let mut io = IoStats::default();
@@ -169,11 +185,9 @@ fn scan_branch(
         seg,
         |record| {
             p.entities_scanned += 1;
-            if let Some(m) = projection.match_record(record, collect)? {
-                p.rows += 1;
-                p.cells += u64::from(m.cells);
-                p.out.extend(m.row);
-            }
+            let cells = projection.match_record(record, sink)?;
+            p.rows += u64::from(cells > 0);
+            p.cells += u64::from(cells);
             Ok(())
         },
         &mut io,
@@ -182,26 +196,18 @@ fn scan_branch(
     Ok(p)
 }
 
-/// Scans every branch of `plan` — inline for one worker, fanned out
-/// otherwise — and folds the partials in plan order.
-fn run(
+/// Scans every branch of `plan` — inline into one sink for one worker,
+/// fanned out into a sink per branch otherwise — and folds the partials in
+/// plan order.
+fn run<S: RowSink>(
     view: ReadView<'_>,
     projection: &Projection,
     plan: &Plan,
     threads: usize,
-    collect: bool,
-) -> Result<(QueryResult, Vec<Row>), StorageError> {
+) -> Result<(QueryResult, S), StorageError> {
     let start = Instant::now();
     let branches = plan.segments.len();
     let workers = threads.min(branches);
-    let partials = if workers <= 1 {
-        plan.segments
-            .iter()
-            .map(|&seg| scan_branch(view, seg, projection, collect))
-            .collect::<Result<Vec<_>, _>>()?
-    } else {
-        scan_parallel(view, projection, plan, workers, collect)?
-    };
     let mut result = QueryResult {
         rows: 0,
         cells: 0,
@@ -211,42 +217,55 @@ fn run(
         io: IoStats::default(),
         duration: Duration::ZERO,
     };
-    let mut rows = Vec::with_capacity(partials.iter().map(|p| p.out.len()).sum());
-    for mut p in partials {
+    let mut fold = |p: SegPartial| {
         result.rows += p.rows;
         result.cells += p.cells;
         result.entities_scanned += p.entities_scanned;
         result.io += p.io;
-        rows.append(&mut p.out);
+    };
+    let mut sink = S::default();
+    if workers <= 1 {
+        for &seg in &plan.segments {
+            fold(scan_branch(view, seg, projection, &mut sink)?);
+        }
+    } else {
+        for (p, rows) in scan_parallel(view, projection, plan, workers)? {
+            fold(p);
+            sink.append(rows);
+        }
     }
     result.duration = start.elapsed();
-    Ok((result, rows))
+    Ok((result, sink))
 }
 
 /// The parallel fan-out: `workers` threads claim branch indices from an
-/// atomic cursor and run [`scan_branch`] on each; the partials come back in
-/// plan order.
-fn scan_parallel(
+/// atomic cursor and run [`scan_branch`] on each into a sink of its own;
+/// the partials and their sinks come back in plan order.
+fn scan_parallel<S: RowSink>(
     view: ReadView<'_>,
     projection: &Projection,
     plan: &Plan,
     workers: usize,
-    collect: bool,
-) -> Result<Vec<SegPartial>, StorageError> {
+) -> Result<Vec<(SegPartial, S)>, StorageError> {
+    /// What one worker brings back: `(branch index, partial, sink)` per
+    /// branch it claimed.
+    type Claimed<S> = Vec<(usize, SegPartial, S)>;
     let cursor = AtomicUsize::new(0);
-    let worker_results: Vec<Result<Vec<(usize, SegPartial)>, StorageError>> =
+    let worker_results: Vec<Result<Claimed<S>, StorageError>> =
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
                     let cursor = &cursor;
                     scope.spawn(move || {
-                        let mut done: Vec<(usize, SegPartial)> = Vec::new();
+                        let mut done = Vec::new();
                         loop {
                             let i = cursor.fetch_add(1, Ordering::Relaxed);
                             let Some(&seg) = plan.segments.get(i) else {
                                 return Ok(done);
                             };
-                            done.push((i, scan_branch(view, seg, projection, collect)?));
+                            let mut sink = S::default();
+                            let p = scan_branch(view, seg, projection, &mut sink)?;
+                            done.push((i, p, sink));
                         }
                     })
                 })
@@ -263,8 +282,8 @@ fn scan_parallel(
     for r in worker_results {
         claimed.extend(r?);
     }
-    claimed.sort_unstable_by_key(|&(i, _)| i);
-    Ok(claimed.into_iter().map(|(_, p)| p).collect())
+    claimed.sort_unstable_by_key(|&(i, _, _)| i);
+    Ok(claimed.into_iter().map(|(_, p, sink)| (p, sink)).collect())
 }
 
 #[cfg(test)]

@@ -19,6 +19,9 @@
 //!   definitions on a decoded entity (the oracle the scan is tested against).
 //! * [`Projection`] — the query compiled for the scan: a sorted
 //!   `(attribute → output column)` map merged against each record's bytes.
+//! * [`RowSink`] — where a scan's matching rows go, as cells still borrowed
+//!   from the record: counted only, materialised as [`Row`]s, or encoded by
+//!   a caller's own sink ([`executor::execute_into`]).
 //! * [`planner::plan`] — pruning against any partition view (Cinderella's
 //!   catalog or a baseline's).
 //! * [`executor::execute`] — runs the plan, returning a [`QueryResult`]
@@ -67,10 +70,10 @@ pub mod selectivity;
 
 pub use cost::{estimate, CostEstimate};
 pub use executor::{
-    execute, execute_collect, execute_collect_projection, execute_collect_view,
+    execute, execute_collect, execute_collect_projection, execute_collect_view, execute_into,
     execute_parallel, execute_parallel_view, execute_view, QueryResult,
 };
 pub use planner::{plan, plan_from_survivors, plan_with, Parallelism, Plan};
-pub use projection::{Projection, Row};
+pub use projection::{Projection, Row, RowSink};
 pub use query::Query;
 pub use selectivity::{selectivity, selectivity_of};

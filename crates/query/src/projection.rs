@@ -1,13 +1,68 @@
 //! A query compiled for the scan kernel.
 
 use cind_model::{AttrId, Value};
-use cind_storage::record::RecordView;
+use cind_storage::record::{RawValue, RecordView};
 use cind_storage::StorageError;
 
 use crate::Query;
 
 /// A materialised result row: one cell per output column, `None` for NULL.
 pub type Row = Vec<Option<Value>>;
+
+/// Where the rows of a scan go. The kernel hands each matching record's
+/// output row over as cells still lying in the record's bytes; what becomes
+/// of them — nothing, owned [`Value`]s, another encoding — is the sink's
+/// business, and the only work done per row.
+pub trait RowSink: Default + Send {
+    /// Whether the sink reads the cells at all. A sink that only counts
+    /// rows spares the kernel from gathering them, and what its `row` is
+    /// then handed is not a row.
+    const READS_CELLS: bool = true;
+
+    /// One matching record: `cells[i]` is output column `i`, `None` for
+    /// NULL. The borrow ends with the call.
+    ///
+    /// # Errors
+    /// [`StorageError::CorruptRecord`] from decoding a cell.
+    fn row(&mut self, cells: &[Option<RawValue<'_>>]) -> Result<(), StorageError>;
+
+    /// Takes over the rows `later` gathered, behind this sink's own — how
+    /// the branches of a fanned-out scan are put back in plan order.
+    fn append(&mut self, later: Self);
+}
+
+/// The sink of measurement runs: rows are counted by the kernel, never
+/// looked at.
+#[derive(Default)]
+pub(crate) struct CountOnly;
+
+impl RowSink for CountOnly {
+    const READS_CELLS: bool = false;
+
+    fn row(&mut self, _: &[Option<RawValue<'_>>]) -> Result<(), StorageError> {
+        Ok(())
+    }
+
+    fn append(&mut self, _: Self) {}
+}
+
+/// The typed sink: each row materialised as owned values.
+impl RowSink for Vec<Row> {
+    fn row(&mut self, cells: &[Option<RawValue<'_>>]) -> Result<(), StorageError> {
+        let row: Result<Row, _> =
+            cells.iter().map(|cell| cell.map(|raw| raw.to_value()).transpose()).collect();
+        self.push(row?);
+        Ok(())
+    }
+
+    fn append(&mut self, mut later: Self) {
+        Vec::append(self, &mut later);
+    }
+}
+
+/// Output widths up to this gather a row's cells on the stack; a wider
+/// projection allocates its scratch row per matching record.
+const INLINE_WIDTH: usize = 8;
 
 /// The `(attribute → output column)` map of one query, sorted by attribute
 /// id so a record — whose attributes are stored ascending — is matched and
@@ -20,14 +75,6 @@ pub type Row = Vec<Option<Value>>;
 pub struct Projection {
     columns: Vec<(AttrId, usize)>,
     width: usize,
-}
-
-/// What one record contributes to a query.
-pub(crate) struct Match {
-    /// Requested cells the record instantiates (never 0).
-    pub cells: u32,
-    /// The projected row; `None` when the scan only counts.
-    pub row: Option<Row>,
 }
 
 impl Projection {
@@ -52,26 +99,30 @@ impl Projection {
     }
 
     /// Matches one serialized record against the projection, straight off
-    /// its bytes: `None` if it instantiates no requested attribute,
-    /// otherwise the cell count and — when `collect` — the output row,
-    /// holding the only values this scan ever materialises.
+    /// its bytes, and hands a matching record's output row to `sink`.
+    /// Returns the number of requested cells the record instantiates; `0`
+    /// means it matched nothing and the sink was not called.
     ///
     /// The walk stops at the first record attribute beyond the largest
     /// requested one, so the tail of the record is neither read nor
     /// checked.
     ///
     /// # Errors
-    /// [`StorageError::CorruptRecord`] from the walked part of the record.
-    pub(crate) fn match_record(
+    /// [`StorageError::CorruptRecord`] from the walked part of the record,
+    /// or from the sink.
+    pub(crate) fn match_record<S: RowSink>(
         &self,
         record: &[u8],
-        collect: bool,
-    ) -> Result<Option<Match>, StorageError> {
+        sink: &mut S,
+    ) -> Result<u32, StorageError> {
         let mut view = RecordView::new(record)?;
         let wanted = &self.columns[..];
         let mut next = 0;
         let mut cells = 0u32;
-        let mut row: Option<Row> = None;
+        // The row in output-column order, gathered while the record is
+        // walked in attribute order.
+        let mut inline = [None; INLINE_WIDTH];
+        let mut spill = Vec::new();
         while next < wanted.len() {
             let Some((attr, raw)) = view.next_attr()? else {
                 break;
@@ -81,14 +132,27 @@ impl Projection {
             }
             while next < wanted.len() && wanted[next].0 == attr {
                 cells += 1;
-                if collect {
-                    row.get_or_insert_with(|| vec![None; self.width])[wanted[next].1] =
-                        Some(raw.to_value()?);
+                if S::READS_CELLS {
+                    let row = if self.width <= INLINE_WIDTH {
+                        &mut inline[..]
+                    } else {
+                        if spill.is_empty() {
+                            spill.resize(self.width, None);
+                        }
+                        &mut spill[..]
+                    };
+                    if let Some(cell) = row.get_mut(wanted[next].1) {
+                        *cell = Some(raw);
+                    }
                 }
                 next += 1;
             }
         }
-        Ok((cells > 0).then_some(Match { cells, row }))
+        if cells > 0 {
+            let row = if self.width <= INLINE_WIDTH { &inline[..] } else { &spill[..] };
+            sink.row(row.get(..self.width).unwrap_or_default())?;
+        }
+        Ok(cells)
     }
 }
 
@@ -108,27 +172,44 @@ mod tests {
         )
     }
 
+    /// `(cells, rows handed to a typed sink)` for one record.
+    fn matched(p: &Projection, record: &[u8]) -> (u32, Vec<Row>) {
+        let mut rows = Vec::new();
+        let cells = p.match_record(record, &mut rows).unwrap();
+        (cells, rows)
+    }
+
     #[test]
     fn merge_projects_in_request_order_with_nulls_and_repeats() {
         let q = Query::from_attrs(16, [AttrId(9), AttrId(2), AttrId(9), AttrId(4)]);
         let p = Projection::of(&q);
-        let m = p.match_record(&record(&[(1, 10), (2, 20), (9, 90)]), true).unwrap().unwrap();
-        assert_eq!(m.cells, 3);
+        let (cells, rows) = matched(&p, &record(&[(1, 10), (2, 20), (9, 90)]));
+        assert_eq!(cells, 3);
         assert_eq!(
-            m.row.unwrap(),
-            vec![Some(Value::Int(90)), Some(Value::Int(20)), Some(Value::Int(90)), None]
+            rows,
+            vec![vec![Some(Value::Int(90)), Some(Value::Int(20)), Some(Value::Int(90)), None]]
         );
-        let counted = p.match_record(&record(&[(9, 90)]), false).unwrap().unwrap();
-        assert_eq!((counted.cells, counted.row), (2, None));
-        assert!(p.match_record(&record(&[(1, 10), (3, 30), (12, 1)]), true).unwrap().is_none());
-        assert!(p.match_record(&record(&[]), true).unwrap().is_none());
+        assert_eq!(p.match_record(&record(&[(9, 90)]), &mut CountOnly).unwrap(), 2);
+        assert_eq!(matched(&p, &record(&[(1, 10), (3, 30), (12, 1)])), (0, vec![]));
+        assert_eq!(matched(&p, &record(&[])), (0, vec![]));
     }
 
     #[test]
     fn unknown_columns_stay_null_at_full_width() {
         let p = Projection::new([None, Some(AttrId(5)), None]);
-        let m = p.match_record(&record(&[(5, 50)]), true).unwrap().unwrap();
-        assert_eq!(m.row.unwrap(), vec![None, Some(Value::Int(50)), None]);
+        let (_, rows) = matched(&p, &record(&[(5, 50)]));
+        assert_eq!(rows, vec![vec![None, Some(Value::Int(50)), None]]);
+    }
+
+    #[test]
+    fn rows_wider_than_the_inline_scratch_project_the_same() {
+        let width = INLINE_WIDTH + 3;
+        let p = Projection::new((0..width as u32).rev().map(|a| Some(AttrId(a))));
+        let (cells, rows) = matched(&p, &record(&[(0, 7), (width as u32 - 1, 9)]));
+        let mut want = vec![None; width];
+        want[0] = Some(Value::Int(9));
+        want[width - 1] = Some(Value::Int(7));
+        assert_eq!((cells, rows), (2, vec![want]));
     }
 
     #[test]
@@ -138,10 +219,10 @@ mod tests {
         // Garbage where attribute 7's tag was: never reached.
         let tag_of_7 = bytes.len() - 9;
         bytes[tag_of_7] = 0xee;
-        assert_eq!(p.match_record(&bytes, true).unwrap().unwrap().cells, 1);
+        assert_eq!(matched(&p, &bytes).0, 1);
         // The same garbage in front of the requested attribute is reached.
         let mut bytes = record(&[(1, 10), (2, 20)]);
         bytes[3] = 0xee;
-        assert!(p.match_record(&bytes, true).is_err());
+        assert!(p.match_record(&bytes, &mut Vec::<Row>::new()).is_err());
     }
 }

@@ -9,14 +9,20 @@
 //! regardless of the plan's parallelism knob. The scan kernel, which
 //! matches and projects straight off record bytes, must agree with
 //! "`decode_entity`, then `Query::{matches, projected_cells, project}`"
-//! on rows, aggregates and I/O.
+//! on rows, aggregates and I/O — and so must every sink: the server's wire
+//! sink, fed by the same kernel, must write exactly the bytes that encoding
+//! the typed rows gives.
 
 use std::collections::BTreeSet;
 
 use cind_model::{AttrId, Entity, EntityId, Synopsis, Value};
 use cind_query::{
-    execute, execute_collect, execute_collect_projection, execute_parallel, plan,
-    plan_from_survivors, Parallelism, Projection, Query, Row,
+    execute, execute_collect, execute_collect_projection, execute_into, execute_parallel, plan,
+    plan_from_survivors, Parallelism, Plan, Projection, Query, Row,
+};
+use cind_server::protocol::{
+    decode_response, encode_response, frame, frame_rows, split_frame, QueryStats, Response,
+    WireRows,
 };
 use cind_storage::{BufferPool, IoStats, SegmentId, UniversalTable};
 use proptest::prelude::*;
@@ -66,10 +72,37 @@ fn value() -> impl Strategy<Value = Value> {
     prop_oneof![
         2 => any::<bool>().prop_map(Value::Bool),
         2 => any::<i64>().prop_map(Value::Int),
+        1 => prop_oneof![Just(i64::MIN), Just(i64::MAX)].prop_map(Value::Int),
         2 => (-1.0e9f64..1.0e9).prop_map(Value::Float),
         3 => "[a-zé日 ]{0,10}".prop_map(Value::Text),
         1 => "[a-z]{120,300}".prop_map(Value::Text),
     ]
+}
+
+/// The wire-sink strategy: scans `plan` with `projection` into response
+/// bytes and checks them, byte for byte, against the encoding of the typed
+/// answer holding `want` — then decodes them back into that answer.
+fn assert_wire_equals_typed(
+    table: &UniversalTable,
+    projection: &Projection,
+    width: usize,
+    plan: &Plan,
+    want: &[Row],
+) -> Result<(), TestCaseError> {
+    let (result, rows) =
+        execute_into::<WireRows>(table.read_view(), projection, plan).expect("wire sink");
+    let stats = QueryStats::from(&result);
+    let mut wire = Vec::new();
+    frame_rows(&stats, width, &[rows], &mut wire);
+    let typed = Response::Rows { rows: want.to_vec(), stats };
+    let mut typed_wire = Vec::new();
+    frame(&encode_response(&typed), &mut typed_wire);
+    prop_assert_eq!(&wire, &typed_wire);
+    let (body, used) = split_frame(&wire).expect("well framed").expect("a whole frame");
+    prop_assert_eq!(used, wire.len());
+    prop_assert_eq!(decode_response(body).expect("decodes"), typed);
+    prop_assert_eq!(result.rows, want.len() as u64);
+    Ok(())
 }
 
 /// What a scan of `segments` must produce by definition: decode every
@@ -148,9 +181,14 @@ proptest! {
             (got.rows, got.cells, got.entities_scanned, want_io)
         );
 
+        // Rows as wire bytes, off the same kernel.
+        let narrow = Projection::of(&q);
+        assert_wire_equals_typed(&table, &narrow, qattrs.len(), &p, &want_rows)?;
+
         // Fanned out, workers interleave their page accesses, so only the
         // pages touched — not which of them missed — are determined.
         let p = p.with_parallelism(Parallelism::Threads(threads));
+        assert_wire_equals_typed(&table, &narrow, qattrs.len(), &p, &want_rows)?;
         let (par, par_rows) = execute_collect(&table, &q, &p).expect("parallel pushdown");
         prop_assert_eq!(&par_rows, &want_rows);
         prop_assert_eq!(
@@ -171,6 +209,7 @@ proptest! {
             .collect();
         prop_assert_eq!(&got_rows, &want_wide);
         prop_assert_eq!((got.rows, got.cells), (want_rows.len() as u64, want_cells));
+        assert_wire_equals_typed(&table, &wide, 2 * qattrs.len(), &p, &want_wide)?;
     }
 
     #[test]

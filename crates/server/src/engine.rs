@@ -33,7 +33,7 @@ use std::time::Duration;
 
 use cind_model::{Entity, EntityId};
 use cind_query::planner::{plan_from_survivors, Parallelism};
-use cind_query::{execute_collect_projection, Projection, Query};
+use cind_query::{execute_into, Projection, Query, RowSink};
 use cind_reorg::{ReorgDriver, ReorgStats, StepReport};
 use cind_storage::{wal, RealVfs, SegmentId, StorageError, TableSnapshot, UniversalTable, Vfs};
 use cinderella_core::{
@@ -429,37 +429,12 @@ impl Engine {
         self.after_write()
     }
 
-    /// Runs a `SELECT attrs` query, returning the materialised rows plus
-    /// execution measurements.
-    ///
-    /// # Errors
-    /// [`ServerError::UnknownAttribute`] when an attribute name is not in
-    /// the catalog; storage failures from the scan.
-    pub fn query(
-        &self,
-        attrs: &[String],
-    ) -> Result<(Vec<crate::client::Row>, QueryStats), ServerError> {
-        let snap = self.snapshot();
-        let catalog = snap.table.catalog();
-        let Some(query) = Query::from_names(catalog, attrs.iter().map(String::as_str))
-        else {
-            let missing = attrs
-                .iter()
-                .find(|a| catalog.lookup(a).is_none())
-                .cloned()
-                .unwrap_or_else(|| "<empty attribute list>".to_string());
-            return Err(ServerError::UnknownAttribute(missing));
-        };
-        let (result, rows) = self.run_on_snapshot(&snap, &query, &Projection::of(&query))?;
-        Ok((rows, result))
-    }
-
     /// One leg of a sharded fan-out query: requested attributes this
     /// shard's catalog does not know project as NULL columns instead of
-    /// erroring, and the returned rows are re-expanded to the *full*
-    /// requested width in request order. `known[i]` reports whether this
-    /// shard recognises `attrs[i]` — the sharded engine errors only when
-    /// an attribute is unknown to every shard.
+    /// erroring, and the returned rows are at the *full* requested width in
+    /// request order. `known[i]` reports whether this shard recognises
+    /// `attrs[i]` — the sharded engine errors only when an attribute is
+    /// unknown to every shard.
     ///
     /// # Errors
     /// Storage failures from the scan.
@@ -467,36 +442,41 @@ impl Engine {
         &self,
         attrs: &[String],
     ) -> Result<(Vec<crate::client::Row>, QueryStats, Vec<bool>), ServerError> {
+        self.query_leg(attrs, false)
+    }
+
+    /// [`Engine::query_subset`] with the rows handed to an `S` instead of
+    /// materialised — the server's network path scans into
+    /// [`crate::protocol::WireRows`]. A `lone` shard's catalog is the whole
+    /// store's, so it refuses to scan (or heat anything) for a request it
+    /// can already see failing on an attribute it does not know.
+    ///
+    /// Planning and the scan run on the epoch snapshot, entirely outside
+    /// the engine lock. The survivor set is computed once: the
+    /// reorganizer's heat map records exactly the segments the plan then
+    /// scans (a partition heats when it survives pruning). Heat recording
+    /// locks the reorg mutex *alone*; queries never trigger a step
+    /// themselves, so the read path stays write-lock-free.
+    ///
+    /// # Errors
+    /// Storage failures from the scan or the sink.
+    pub(crate) fn query_leg<S: RowSink>(
+        &self,
+        attrs: &[String],
+        lone: bool,
+    ) -> Result<(S, QueryStats, Vec<bool>), ServerError> {
         let snap = self.snapshot();
         let catalog = snap.table.catalog();
         let ids: Vec<Option<cind_model::AttrId>> =
             attrs.iter().map(|a| catalog.lookup(a)).collect();
         let known: Vec<bool> = ids.iter().map(Option::is_some).collect();
-        if !known.contains(&true) {
-            // No requested attribute exists here: no entity of this shard
-            // can match (matching needs at least one requested attribute).
-            return Ok((Vec::new(), QueryStats::default(), known));
+        // Nothing requested exists here: no entity of this shard can match
+        // (matching needs at least one requested attribute).
+        if !known.contains(&true) || (lone && known.contains(&false)) {
+            return Ok((S::default(), QueryStats::default(), known));
         }
         let query = Query::from_attrs(catalog.len(), ids.iter().copied().flatten());
-        // Project at the request's width, so rows leave the scan final.
-        let (result, rows) =
-            self.run_on_snapshot(&snap, &query, &Projection::new(ids.iter().copied()))?;
-        Ok((rows, result, known))
-    }
-
-    /// Plans `query` against `snap` and executes it with `projection` —
-    /// entirely outside the engine lock. The survivor set is computed
-    /// once: the reorganizer's heat map records exactly the segments the
-    /// plan then scans (a partition heats when it survives pruning). Heat
-    /// recording locks the reorg mutex *alone*; queries never trigger a
-    /// step themselves, so the read path stays write-lock-free.
-    fn run_on_snapshot(
-        &self,
-        snap: &EngineSnapshot,
-        query: &Query,
-        projection: &Projection,
-    ) -> Result<(QueryStats, Vec<crate::client::Row>), ServerError> {
-        let (survivors, pruned) = snap.survivors(query);
+        let (survivors, pruned) = snap.survivors(&query);
         self.reorg
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
@@ -507,15 +487,10 @@ impl Engine {
             Parallelism::Sequential
         };
         let plan = plan_from_survivors(survivors, pruned).with_parallelism(parallelism);
-        let (result, rows) = execute_collect_projection(snap.table.view(), projection, &plan)?;
-        let stats = QueryStats {
-            entities_scanned: result.entities_scanned,
-            segments_read: result.segments_read as u64,
-            segments_pruned: result.segments_pruned as u64,
-            logical_reads: result.io.logical_reads,
-            physical_reads: result.io.physical_reads,
-        };
-        Ok((stats, rows))
+        // Project at the request's width, so rows leave the scan final.
+        let projection = Projection::new(ids.iter().copied());
+        let (result, rows) = execute_into(snap.table.view(), &projection, &plan)?;
+        Ok((rows, QueryStats::from(&result), known))
     }
 
     /// Advances the reorganizer's cadence clock after a committed mutation
@@ -574,6 +549,17 @@ impl Engine {
     pub fn with_parts<T>(&self, f: impl FnOnce(&UniversalTable, &Cinderella) -> T) -> T {
         let state = self.read();
         f(&state.table, &state.cindy)
+    }
+
+    /// Swaps in the table `f` makes of the current one, as a write (the
+    /// epoch moves, so the next reader freezes the new table). How a test
+    /// puts a damaged page under a live server; segment ids and membership
+    /// must be kept, or the partitioner's catalog no longer describes it.
+    #[cfg(test)]
+    pub(crate) fn replace_table(&self, f: impl FnOnce(&UniversalTable) -> UniversalTable) {
+        let mut state = self.write();
+        state.table = f(&state.table);
+        self.epoch.fetch_add(1, Ordering::Release);
     }
 
     /// Engine-wide counters.
@@ -766,7 +752,7 @@ mod tests {
         let eng = Engine::in_memory(EngineOptions::default());
         eng.insert(&wire(1, &[("rpm", 7200)])).unwrap();
         eng.insert(&wire(2, &[("mp", 12)])).unwrap();
-        let (rows, stats) = eng.query(&["rpm".to_string()]).unwrap();
+        let (rows, stats, _) = eng.query_subset(&["rpm".to_string()]).unwrap();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0][0], Some(Value::Int(7200)));
         assert_eq!(stats.segments_pruned + stats.segments_read, 2);
@@ -777,13 +763,12 @@ mod tests {
     }
 
     #[test]
-    fn unknown_attribute_is_typed() {
+    fn unknown_attribute_is_reported_not_scanned() {
         let eng = Engine::in_memory(EngineOptions::default());
         eng.insert(&wire(1, &[("rpm", 7200)])).unwrap();
-        match eng.query(&["nope".to_string()]) {
-            Err(ServerError::UnknownAttribute(a)) => assert_eq!(a, "nope"),
-            other => panic!("expected UnknownAttribute, got {other:?}"),
-        }
+        let (rows, stats, known) = eng.query_subset(&["nope".to_string()]).unwrap();
+        assert!(rows.is_empty());
+        assert_eq!((stats, known), (QueryStats::default(), vec![false]));
     }
 
     #[test]
@@ -802,8 +787,8 @@ mod tests {
         assert!(tiered.tier_active());
         assert!(!exact.tier_active());
         for attr in ["rpm", "mp", "ghz", "kg"] {
-            let (mut a, _) = exact.query(&[attr.to_string()]).unwrap();
-            let (mut b, _) = tiered.query(&[attr.to_string()]).unwrap();
+            let (mut a, _, _) = exact.query_subset(&[attr.to_string()]).unwrap();
+            let (mut b, _, _) = tiered.query_subset(&[attr.to_string()]).unwrap();
             a.sort_by_key(|row| format!("{row:?}"));
             b.sort_by_key(|row| format!("{row:?}"));
             assert_eq!(a, b, "{attr}: tiered answers must match exact");
@@ -813,7 +798,7 @@ mod tests {
         // Runtime switch back to exact keeps serving and validating.
         tiered.set_index_tier(IndexTier::Exact);
         assert!(!tiered.tier_active());
-        let (rows, _) = tiered.query(&["rpm".to_string()]).unwrap();
+        let (rows, _, _) = tiered.query_subset(&["rpm".to_string()]).unwrap();
         assert_eq!(rows.len(), 50);
         assert!(tiered.validate().unwrap().is_empty());
     }

@@ -22,11 +22,19 @@
 //! Decoding is total: every byte sequence either parses or produces a
 //! [`ProtoError`] — malformed input can never panic the server (audit rule
 //! CIND-A002 applies to this crate).
+//!
+//! A `Rows` body has two producers that write the same bytes through the
+//! same cell codec: [`encode_response`] from typed rows (clients and
+//! in-process callers), and [`WireRows`] + [`frame_rows`] from cells still
+//! lying in stored records — the server's network path, which never builds
+//! a typed row.
 
 use std::io::Read;
 
-use cind_model::Value;
-use cind_storage::varint;
+use cind_model::{Value, ValueRef};
+use cind_query::{QueryResult, RowSink};
+use cind_storage::record::RawValue;
+use cind_storage::{varint, StorageError};
 
 /// Hard cap on one frame's body length (16 MiB).
 pub const MAX_FRAME: u64 = 16 * 1024 * 1024;
@@ -90,6 +98,18 @@ pub struct QueryStats {
     pub logical_reads: u64,
     /// Buffer-pool misses among them.
     pub physical_reads: u64,
+}
+
+impl From<&QueryResult> for QueryStats {
+    fn from(result: &QueryResult) -> Self {
+        Self {
+            entities_scanned: result.entities_scanned,
+            segments_read: result.segments_read as u64,
+            segments_pruned: result.segments_pruned as u64,
+            logical_reads: result.io.logical_reads,
+            physical_reads: result.io.physical_reads,
+        }
+    }
 }
 
 /// Engine-wide counters answered to [`Request::Stats`].
@@ -428,23 +448,36 @@ fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
-fn put_value(v: &Value, out: &mut Vec<u8>) {
+/// The one value encoder: an owned [`Value`] and a cell still lying in a
+/// stored record both come here borrowed, so they cannot encode apart.
+fn put_value(v: ValueRef<'_>, out: &mut Vec<u8>) {
     match v {
-        Value::Bool(b) => {
+        ValueRef::Bool(b) => {
             out.push(0);
-            out.push(u8::from(*b));
+            out.push(u8::from(b));
         }
-        Value::Int(i) => {
+        ValueRef::Int(i) => {
             out.push(1);
-            varint::encode(zigzag(*i), out);
+            varint::encode(zigzag(i), out);
         }
-        Value::Float(x) => {
+        ValueRef::Float(x) => {
             out.push(2);
             out.extend_from_slice(&x.to_bits().to_le_bytes());
         }
-        Value::Text(s) => {
+        ValueRef::Text(s) => {
             out.push(3);
             put_string(s, out);
+        }
+    }
+}
+
+/// One cell of a `Rows` body: a flag byte, then the value unless NULL.
+fn put_cell(cell: Option<ValueRef<'_>>, out: &mut Vec<u8>) {
+    match cell {
+        None => out.push(0),
+        Some(v) => {
+            out.push(1);
+            put_value(v, out);
         }
     }
 }
@@ -469,7 +502,7 @@ fn put_entity(e: &WireEntity, out: &mut Vec<u8>) {
     varint::encode(e.attrs.len() as u64, out);
     for (name, value) in &e.attrs {
         put_string(name, out);
-        put_value(value, out);
+        put_value(value.borrowed(), out);
     }
 }
 
@@ -632,6 +665,77 @@ const RESP_BATCH: u8 = 9;
 const RESP_BUSY: u8 = 0xFE;
 const RESP_ERROR: u8 = 0xFF;
 
+/// What follows the tag in a `Rows` body, ahead of the cells: the five
+/// execution measurements, the row count, and the row width — which is 0
+/// when there is no row to take it from.
+fn rows_header(stats: &QueryStats, rows: u64, width: usize) -> [u64; 7] {
+    [
+        stats.entities_scanned,
+        stats.segments_read,
+        stats.segments_pruned,
+        stats.logical_reads,
+        stats.physical_reads,
+        rows,
+        if rows == 0 { 0 } else { width as u64 },
+    ]
+}
+
+/// Starts a `Batch` body of `n` items in `body`. Each item then follows
+/// length-prefixed — exactly what [`frame`] and [`frame_rows`] append — so
+/// a decoder can skip or slice items without understanding every tag.
+pub fn begin_batch(n: usize, body: &mut Vec<u8>) {
+    body.push(RESP_BATCH);
+    varint::encode(n as u64, body);
+}
+
+/// The wire sink: a scan's rows, appended as they are matched in the cell
+/// format of a `Rows` body, straight off the record bytes — no [`Value`],
+/// no `String`. Text is still UTF-8-checked on the way, so a corrupt page
+/// surfaces as a typed storage error and never as a frame the client
+/// rejects.
+#[derive(Default)]
+pub struct WireRows {
+    cells: Vec<u8>,
+    rows: u64,
+}
+
+impl RowSink for WireRows {
+    fn row(&mut self, cells: &[Option<RawValue<'_>>]) -> Result<(), StorageError> {
+        for cell in cells {
+            put_cell(cell.map(|raw| raw.decode()).transpose()?, &mut self.cells);
+        }
+        self.rows += 1;
+        Ok(())
+    }
+
+    fn append(&mut self, later: Self) {
+        self.cells.extend_from_slice(&later.cells);
+        self.rows += later.rows;
+    }
+}
+
+/// Appends the `Rows` answer whose rows lie in `legs`, in that order, to
+/// `out` as `len:varint body`: one whole frame, or one item of a `Batch`
+/// body. The bytes are those of [`frame`]ing [`encode_response`] of the
+/// typed [`Response::Rows`] with the same rows and `stats`. The length is
+/// worked out from the header and the legs' sizes first, so the cells are
+/// copied once, into their final place.
+pub fn frame_rows(stats: &QueryStats, width: usize, legs: &[WireRows], out: &mut Vec<u8>) {
+    let header = rows_header(stats, legs.iter().map(|leg| leg.rows).sum(), width);
+    let len = 1
+        + header.iter().map(|&v| varint::encoded_len(v)).sum::<usize>()
+        + legs.iter().map(|leg| leg.cells.len()).sum::<usize>();
+    out.reserve(varint::encoded_len(len as u64) + len);
+    varint::encode(len as u64, out);
+    out.push(RESP_ROWS);
+    for v in header {
+        varint::encode(v, out);
+    }
+    for leg in legs {
+        out.extend_from_slice(&leg.cells);
+    }
+}
+
 /// Encodes one response body (unframed).
 #[must_use]
 pub fn encode_response(resp: &Response) -> Vec<u8> {
@@ -644,29 +748,13 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
         }
         Response::Deleted => out.push(RESP_DELETED),
         Response::Rows { rows, stats } => {
+            let width = rows.first().map_or(0, Vec::len);
             out.push(RESP_ROWS);
-            for v in [
-                stats.entities_scanned,
-                stats.segments_read,
-                stats.segments_pruned,
-                stats.logical_reads,
-                stats.physical_reads,
-            ] {
+            for v in rows_header(stats, rows.len() as u64, width) {
                 varint::encode(v, &mut out);
             }
-            varint::encode(rows.len() as u64, &mut out);
-            let width = rows.first().map_or(0, Vec::len);
-            varint::encode(width as u64, &mut out);
-            for row in rows {
-                for cell in row {
-                    match cell {
-                        None => out.push(0),
-                        Some(v) => {
-                            out.push(1);
-                            put_value(v, &mut out);
-                        }
-                    }
-                }
+            for cell in rows.iter().flatten() {
+                put_cell(cell.as_ref().map(Value::borrowed), &mut out);
             }
         }
         Response::Stats(s) => {
@@ -708,14 +796,9 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             }
         }
         Response::Batch(items) => {
-            out.push(RESP_BATCH);
-            varint::encode(items.len() as u64, &mut out);
+            begin_batch(items.len(), &mut out);
             for item in items {
-                // Length-prefixed nested bodies: a decoder can skip or
-                // slice items without understanding every tag.
-                let body = encode_response(item);
-                varint::encode(body.len() as u64, &mut out);
-                out.extend_from_slice(&body);
+                frame(&encode_response(item), &mut out);
             }
         }
         Response::Busy => out.push(RESP_BUSY),

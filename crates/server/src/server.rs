@@ -14,7 +14,7 @@
 //!                               │
 //!                   worker pool (cfg.workers threads)
 //!                               │ claims a connection, drains its batch,
-//!                               │ engine.handle(req) per job
+//!                               │ engine.answer_frame(req) per job
 //!                               ▼
 //!                 seq-ordered response writer (one write() per batch)
 //! ```
@@ -529,12 +529,6 @@ fn drain_conn(engine: &ShardedEngine, conn: &Arc<Conn>, shared: &Arc<Shared>) ->
         };
         shared.queued.fetch_sub(batch.len(), Ordering::SeqCst);
         let mut done: Vec<(u64, Vec<u8>)> = Vec::with_capacity(batch.len());
-        let push = |done: &mut Vec<(u64, Vec<u8>)>, seq: u64, resp: &Response| {
-            let body = encode_response(resp);
-            let mut wire = Vec::with_capacity(body.len() + 4);
-            frame(&body, &mut wire);
-            done.push((seq, wire));
-        };
         let mut it = batch.into_iter().peekable();
         while let Some((seq, req)) = it.next() {
             if shared.killed() {
@@ -563,7 +557,7 @@ fn drain_conn(engine: &ShardedEngine, conn: &Arc<Conn>, shared: &Arc<Shared>) ->
                         let resp = crate::engine::to_frame(
                             r.map(|(segment, split)| Response::Written { segment, split }),
                         );
-                        push(&mut done, s, &resp);
+                        done.push((s, framed(&resp)));
                     }
                 }
                 // Merge engine-side WAL counters with server-side net
@@ -574,26 +568,39 @@ fn drain_conn(engine: &ShardedEngine, conn: &Arc<Conn>, shared: &Arc<Shared>) ->
                     io.net_writes = shared.net.writes.load(Ordering::Relaxed);
                     io.frames_in = shared.net.frames_in.load(Ordering::Relaxed);
                     io.frames_out = shared.net.frames_out.load(Ordering::Relaxed);
-                    push(&mut done, seq, &Response::IoCounters(io));
+                    done.push((seq, framed(&Response::IoCounters(io))));
                 }
-                req => push(&mut done, seq, &engine.handle(&req)),
+                // Everything else leaves the engine as a finished frame:
+                // query rows are scanned straight into wire bytes, and no
+                // typed answer is built — or freed — on this worker.
+                req => {
+                    let mut wire = Vec::new();
+                    engine.answer_frame(&req, &mut wire);
+                    done.push((seq, wire));
+                }
             }
         }
         complete_many(conn, done, shared);
     }
 }
 
-/// Completes one response through the sequencer.
-fn complete(conn: &Conn, seq: u64, resp: &Response, shared: &Shared) {
+/// One typed response as a frame of its own.
+fn framed(resp: &Response) -> Vec<u8> {
     let body = encode_response(resp);
     let mut wire = Vec::with_capacity(body.len() + 4);
     frame(&body, &mut wire);
-    complete_many(conn, vec![(seq, wire)], shared);
+    wire
+}
+
+/// Completes one response through the sequencer.
+fn complete(conn: &Conn, seq: u64, resp: &Response, shared: &Shared) {
+    complete_many(conn, vec![(seq, framed(resp))], shared);
 }
 
 /// Parks framed responses in the sequencer and writes out every response
 /// that is now next-in-order — consecutive ready responses leave in one
-/// `write` call. A vanished client is not an error.
+/// `write` call, and a lone one leaves as the buffer it arrived in,
+/// uncopied. A vanished client is not an error.
 ///
 /// The `write` syscall runs with the sequencer lock *released*: a slow
 /// client must not stall the reader thread or another worker completing
@@ -617,11 +624,15 @@ fn complete_many(conn: &Conn, items: Vec<(u64, Vec<u8>)>, shared: &Shared) {
         loop {
             let next = out.next_seq;
             let Some(wire) = out.pending.remove(&next) else { break };
-            batch.extend_from_slice(&wire);
+            if released == 0 {
+                batch = wire;
+            } else {
+                batch.extend_from_slice(&wire);
+            }
             out.next_seq += 1;
             released += 1;
         }
-        if batch.is_empty() {
+        if released == 0 {
             out.writing = false;
             return;
         }
@@ -630,5 +641,99 @@ fn complete_many(conn: &Conn, items: Vec<(u64, Vec<u8>)>, shared: &Shared) {
         shared.net.writes.fetch_add(1, Ordering::Relaxed);
         shared.net.frames_out.fetch_add(released, Ordering::Relaxed);
         out = conn.out.lock().unwrap_or_else(PoisonError::into_inner);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Client, EngineOptions, ShardedOptions, WireEntity};
+    use cind_model::Value;
+    use cind_storage::{Segment, UniversalTable};
+
+    const NOTE: &str = "a note long enough to find";
+
+    /// A copy of `table` — same catalog, same segment ids, same records —
+    /// with one byte of the record holding [`NOTE`] overwritten, `back`
+    /// bytes ahead of the note (0 = its first byte, 2 = the text tag in
+    /// front of its length byte). Records are copied as bytes and segments
+    /// attached whole, which indexes entity ids and checks nothing else —
+    /// the one way bytes get into a table undecoded.
+    fn damaged(table: &UniversalTable, back: usize, byte: u8) -> UniversalTable {
+        let mut copy = UniversalTable::new(64);
+        for (_, name) in table.catalog().iter() {
+            copy.catalog_mut().intern(name);
+        }
+        let mut hits = 0;
+        for id in table.segment_ids() {
+            let mut segment = Segment::new(id);
+            for (_, record) in table.segment(id).expect("listed segment").iter() {
+                let mut record = record.to_vec();
+                if let Some(at) = record.windows(NOTE.len()).position(|w| w == NOTE.as_bytes()) {
+                    record[at - back] = byte;
+                    hits += 1;
+                }
+                segment.insert(&record).expect("copy record");
+            }
+            assert_eq!(copy.attach_segment(segment).expect("attach"), id, "segment ids kept");
+        }
+        assert_eq!(hits, 1, "exactly one record carries the note");
+        copy
+    }
+
+    /// A page that rots under a live server — a text payload that is no
+    /// longer UTF-8, a value tag that is no longer one — must reach the
+    /// client as a typed error response, alone or inside a batch: never a
+    /// frame the client rejects, never a dead connection.
+    #[test]
+    fn a_damaged_page_is_a_typed_error_over_loopback() {
+        for (back, byte) in [(0, 0xff), (2, 9)] {
+            let engine = Arc::new(ShardedEngine::in_memory(ShardedOptions::new(
+                EngineOptions::default(),
+                2,
+            )));
+            for id in 0..40u64 {
+                let mut attrs = vec![("first".to_string(), Value::Int(id as i64))];
+                if id == 7 {
+                    attrs.push(("note".to_string(), Value::Text(NOTE.to_string())));
+                }
+                engine.insert(&WireEntity { id, attrs }).expect("insert");
+            }
+            engine
+                .shard_engine(engine.shard_of(7))
+                .replace_table(|table| damaged(table, back, byte));
+
+            let handle =
+                Server::start(Arc::clone(&engine), &ServeConfig::default()).expect("start");
+            let mut client = Client::connect(("127.0.0.1", handle.port())).expect("connect");
+            client.set_timeout(Some(Duration::from_secs(5))).expect("timeout");
+            let note = vec!["note".to_string()];
+            let first = vec!["first".to_string()];
+
+            let resp = client.roundtrip(&Request::Query(note.clone())).expect("a decodable frame");
+            let Response::Error { code: ErrorCode::Engine, message } = resp else {
+                panic!("damage {back}/{byte}: expected a typed engine error, got {resp:?}");
+            };
+            assert!(message.contains("corrupt"), "{message}");
+
+            // A walk that stops ahead of the damage is not hurt by it, and
+            // a batch carries the failure as one item among good ones.
+            let batch = Request::QueryBatch(vec![first.clone(), note, first.clone()]);
+            match client.roundtrip(&batch).expect("a decodable frame") {
+                Response::Batch(items) => {
+                    assert_eq!(items.len(), 3);
+                    for good in [&items[0], &items[2]] {
+                        assert!(matches!(good, Response::Rows { rows, .. } if rows.len() == 40));
+                    }
+                    assert!(matches!(&items[1], Response::Error { code: ErrorCode::Engine, .. }));
+                }
+                other => panic!("expected a batch, got {other:?}"),
+            }
+            client.ping(0).expect("the connection answers the next request");
+            assert_eq!(client.query(["first"]).expect("query").0.len(), 40);
+
+            drop(client);
+            handle.hard_kill();
+        }
     }
 }

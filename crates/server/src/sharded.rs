@@ -28,11 +28,15 @@ use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, PoisonError, RwLock};
 
+use cind_query::RowSink;
 use cind_storage::{Manifest, Vfs};
 use cinderella_core::MergeReport;
 
 use crate::engine::{to_frame, Engine, EngineOptions, SNAPSHOT_FILE, WAL_FILE};
-use crate::protocol::{EngineStats, IoCounters, QueryStats, Request, Response, WireEntity};
+use crate::protocol::{
+    begin_batch, encode_response, frame, frame_rows, EngineStats, IoCounters, QueryStats, Request,
+    Response, WireEntity, WireRows,
+};
 use crate::shard::ShardRouter;
 use crate::ServerError;
 
@@ -300,39 +304,64 @@ impl ShardedEngine {
     /// in shard order (deterministic: each shard's rows are already in its
     /// own plan order). Per-shard stats are summed. An attribute unknown on
     /// *some* shards projects as NULL there; only an attribute unknown on
-    /// **every** shard is an error — matching the unsharded engine, where
-    /// there is exactly one catalog.
+    /// **every** shard is an error — one shard or many, the same legs run.
     ///
     /// # Errors
-    /// [`ServerError::UnknownAttribute`]; storage failures from any leg.
+    /// [`ServerError::UnknownAttribute`], also for an empty attribute
+    /// list; storage failures from any leg.
     pub fn query(
         &self,
         attrs: &[String],
     ) -> Result<(Vec<crate::client::Row>, QueryStats), ServerError> {
-        let engines = self.engines();
-        if engines.len() == 1 {
-            return engines[0].query(attrs);
+        let (legs, stats) = self.query_legs::<Vec<crate::client::Row>>(attrs)?;
+        Ok((legs.into_iter().flatten().collect(), stats))
+    }
+
+    /// [`Self::query`] answered as wire bytes: the response — `Rows`, or
+    /// the typed error — appended to `out` as `len:varint body`, what
+    /// [`frame`]ing [`encode_response`] of the typed answer would append.
+    /// Each leg scans straight into a [`WireRows`] buffer, so no row, value
+    /// or string is built on the way.
+    pub fn query_frame(&self, attrs: &[String], out: &mut Vec<u8>) {
+        match self.query_legs::<WireRows>(attrs) {
+            Ok((legs, stats)) => frame_rows(&stats, attrs.len(), &legs, out),
+            Err(e) => frame(&encode_response(&to_frame(Err(e))), out),
         }
+    }
+
+    /// The fan-out under every query: one leg per shard, each scanning into
+    /// a sink of its own; the sinks come back in shard order with the
+    /// summed stats.
+    fn query_legs<S: RowSink>(
+        &self,
+        attrs: &[String],
+    ) -> Result<(Vec<S>, QueryStats), ServerError> {
         if attrs.is_empty() {
-            // `Query::from_names` accepts an empty projection (zero rows);
-            // keep the sharded path consistent with the unsharded one.
             return Err(ServerError::UnknownAttribute("<empty attribute list>".to_string()));
         }
+        let engines = self.engines();
+        // An attribute no shard knows fails the query. A lone shard sees
+        // that for itself and fails before it scans; in a sharded store the
+        // legs that know the other attributes scan (and heat their
+        // partitions) first. The difference is visible only to the
+        // reorganizer, and the committed simulator traces pin both sides
+        // of it, so both stay.
+        let lone = engines.len() == 1;
         // Fan out on threads only when the machine can actually run legs
         // concurrently; on a single hardware thread the spawn/join overhead
         // is pure loss, so scan the shards inline. Either way the first leg
         // runs on the caller's thread. Merge order is by shard index in
         // both paths, so results are byte-identical.
         let legs: Vec<Result<_, ServerError>> = if hardware_threads() == 1 {
-            engines.iter().map(|engine| engine.query_subset(attrs)).collect()
+            engines.iter().map(|engine| engine.query_leg::<S>(attrs, lone)).collect()
         } else {
             std::thread::scope(|scope| {
                 let handles: Vec<_> = engines
                     .iter()
                     .skip(1)
-                    .map(|engine| scope.spawn(move || engine.query_subset(attrs)))
+                    .map(|engine| scope.spawn(move || engine.query_leg::<S>(attrs, lone)))
                     .collect();
-                let mut legs = vec![engines[0].query_subset(attrs)];
+                let mut legs = vec![engines[0].query_leg(attrs, lone)];
                 legs.extend(handles.into_iter().map(|h| {
                     h.join()
                         .map_err(|_| {
@@ -343,12 +372,12 @@ impl ShardedEngine {
                 legs
             })
         };
-        let mut rows = Vec::new();
+        let mut sinks = Vec::with_capacity(legs.len());
         let mut stats = QueryStats::default();
         let mut known_any = vec![false; attrs.len()];
         for leg in legs {
-            let (leg_rows, leg_stats, known) = leg?;
-            rows.extend(leg_rows);
+            let (sink, leg_stats, known) = leg?;
+            sinks.push(sink);
             stats.entities_scanned += leg_stats.entities_scanned;
             stats.segments_read += leg_stats.segments_read;
             stats.segments_pruned += leg_stats.segments_pruned;
@@ -361,7 +390,7 @@ impl ShardedEngine {
         if let Some(i) = known_any.iter().position(|k| !k) {
             return Err(ServerError::UnknownAttribute(attrs[i].clone()));
         }
-        Ok((rows, stats))
+        Ok((sinks, stats))
     }
 
     /// Aggregated counters: additive fields are summed; `attributes` is the
@@ -536,8 +565,9 @@ impl ShardedEngine {
     }
 
     /// Dispatches one request to the matching method and folds any error
-    /// into a typed [`Response`] — the one request dispatcher. Never
-    /// panics: every failure becomes an error frame the client can decode.
+    /// into a typed [`Response`] — the request dispatcher of the typed,
+    /// in-process API. Never panics: every failure becomes an error
+    /// response the caller can match on.
     #[must_use]
     pub fn handle(&self, req: &Request) -> Response {
         let result = match req {
@@ -580,6 +610,27 @@ impl ShardedEngine {
             Request::Shutdown => Ok(Response::ShutdownAck),
         };
         to_frame(result)
+    }
+
+    /// Answers any request as one encoded response frame appended to
+    /// `wire` — the request dispatcher of the network path, byte for byte
+    /// what [`frame`]ing [`encode_response`] of [`Self::handle`]'s answer
+    /// would append. Queries, alone or batched, go through
+    /// [`Self::query_frame`] and never exist as typed rows; every other
+    /// answer is small and is encoded from its typed [`Response`].
+    pub fn answer_frame(&self, req: &Request, wire: &mut Vec<u8>) {
+        match req {
+            Request::Query(attrs) => self.query_frame(attrs, wire),
+            Request::QueryBatch(queries) => {
+                let mut body = Vec::new();
+                begin_batch(queries.len(), &mut body);
+                for attrs in queries {
+                    self.query_frame(attrs, &mut body);
+                }
+                frame(&body, wire);
+            }
+            other => frame(&encode_response(&self.handle(other)), wire),
+        }
     }
 }
 

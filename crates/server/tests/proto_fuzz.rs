@@ -25,6 +25,7 @@ use cind_server::protocol::{
     split_frame, EngineStats, ErrorCode, IoCounters, ProtoError, QueryStats, Request,
     Response, WireEntity,
 };
+use cind_server::{EngineOptions, ShardedEngine, ShardedOptions};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -273,9 +274,57 @@ proptest! {
 
 // ---- seeded fuzz corpora ---------------------------------------------
 
+/// Response bodies as the server's network path writes them — rows scanned
+/// straight into wire bytes by a live two-shard engine, never a typed
+/// `Response` — for the same queries alone and batched: rows with NULL
+/// columns and every value kind, a zero-row answer, a typed error item.
+fn wire_path_bodies() -> Vec<(&'static str, Vec<u8>)> {
+    let engine = ShardedEngine::in_memory(ShardedOptions::new(EngineOptions::default(), 2));
+    for id in 0..12u64 {
+        let value = match id % 4 {
+            0 => Value::Bool(id % 8 == 0),
+            1 => Value::Int(i64::MIN + id as i64),
+            2 => Value::Float(-0.0),
+            _ => Value::Text("é".repeat(70 * (id as usize % 3))),
+        };
+        let mut attrs = vec![("v".to_string(), value)];
+        if id % 3 == 0 {
+            attrs.push((format!("only{}", engine.shard_of(id)), Value::Int(id as i64)));
+        }
+        if id >= 10 {
+            attrs = vec![("gone".to_string(), Value::Bool(true))];
+        }
+        engine.insert(&WireEntity { id, attrs }).expect("insert");
+    }
+    for id in 10..12 {
+        engine.delete(id).expect("delete");
+    }
+    let q = |attrs: &[&str]| attrs.iter().map(|a| (*a).to_string()).collect::<Vec<_>>();
+    let body_of = |req: Request| {
+        let mut wire = Vec::new();
+        engine.answer_frame(&req, &mut wire);
+        let (body, _) = split_frame(&wire).expect("well framed").expect("a whole frame");
+        body.to_vec()
+    };
+    vec![
+        ("valid_resp_wire_rows", body_of(Request::Query(q(&["only0", "v", "only1", "v"])))),
+        ("valid_resp_wire_rows_empty", body_of(Request::Query(q(&["gone"])))),
+        (
+            "valid_resp_wire_batch",
+            body_of(Request::QueryBatch(vec![q(&["v"]), q(&["ghost"]), q(&["gone"]), q(&[])])),
+        ),
+    ]
+}
+
 /// A spread of valid bodies covering every variant family — the mutation
 /// substrate and (framed) the corpus seed material.
 fn valid_bodies() -> Vec<(&'static str, Vec<u8>)> {
+    let mut bodies = typed_bodies();
+    bodies.extend(wire_path_bodies());
+    bodies
+}
+
+fn typed_bodies() -> Vec<(&'static str, Vec<u8>)> {
     let entity = WireEntity {
         id: 42,
         attrs: vec![
@@ -514,6 +563,17 @@ fn committed_corpus_decodes_as_labelled() {
         "corpus has {seen} files, expected at least {expected} — regenerate with \
          `cargo test -p cind-server --test proto_fuzz regen_corpus -- --ignored`"
     );
+}
+
+/// The wire format is frozen: what the codec — typed encoder and wire sink
+/// alike — writes today is, byte for byte, what was committed.
+#[test]
+fn committed_corpus_is_what_the_codec_writes_today() {
+    for (name, body) in valid_bodies() {
+        let committed = std::fs::read(corpus_dir().join(format!("{name}.bin")))
+            .unwrap_or_else(|e| panic!("{name}.bin must be committed: {e}"));
+        assert_eq!(body, committed, "{name}: the encoding of a fixed input moved");
+    }
 }
 
 /// Rewrites `tests/corpus/` from the current codec. Run manually after a

@@ -2,13 +2,14 @@
 //! as typed errors (never a panic or a hang), overload produces bounded
 //! `Busy` sheds, and graceful shutdown drains in-flight work.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cind_model::Value;
 use cind_server::protocol::MAX_FRAME;
 use cind_server::{
-    Client, EngineOptions, ErrorCode, Response, ServeConfig, Server, ServerError,
+    Client, EngineOptions, ErrorCode, Request, Response, ServeConfig, Server, ServerError,
     ShardedEngine, ShardedOptions, WireEntity,
 };
 use cind_storage::varint;
@@ -192,4 +193,97 @@ fn graceful_shutdown_drains_in_flight_work() {
             }
         }
     }
+}
+
+/// Soak for the rows-as-wire-bytes path (nightly Soak and TSan jobs): four
+/// connections pipeline `Query` and `QueryBatch` frames while a fifth
+/// inserts. Every response must decode, and — every entity carrying the
+/// queried attribute — each answer's row count must lie between the
+/// inserts acknowledged before its window was sent and the inserts begun
+/// by the time the window was answered.
+#[test]
+#[ignore = "soak: ~5 s in release, ~40 s in debug; run by the nightly Soak and TSan jobs"]
+fn pipelined_queries_against_a_concurrent_inserter_stay_consistent() {
+    const PRELOAD: u64 = 2_000;
+    const INSERTS: u64 = 20_000;
+    const WINDOW: usize = 3;
+    let (handle, addr) = start_server(&ServeConfig { shards: 2, ..ServeConfig::default() });
+    let mut loader = Client::connect(&addr).expect("connect");
+    for chunk in (0..PRELOAD).collect::<Vec<_>>().chunks(100) {
+        let batch = chunk.iter().map(|&id| wire(id, "x", id as i64)).collect();
+        for item in loader.insert_batch(batch).expect("preload") {
+            item.expect("preload insert");
+        }
+    }
+    let begun = AtomicU64::new(0);
+    let acked = AtomicU64::new(0);
+    let x = || vec!["x".to_string()];
+
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let mut client = Client::connect(&addr).expect("connect");
+            for i in 0..INSERTS {
+                begun.fetch_add(1, Ordering::SeqCst);
+                client.insert(wire(PRELOAD + i, "x", i as i64)).expect("insert");
+                acked.fetch_add(1, Ordering::SeqCst);
+            }
+        });
+        for conn in 0..4usize {
+            let (begun, acked, addr) = (&begun, &acked, &addr);
+            scope.spawn(move || {
+                let mut client = Client::connect(addr).expect("connect");
+                client.set_timeout(Some(Duration::from_secs(30))).expect("timeout");
+                let mut windows = 0u64;
+                while acked.load(Ordering::SeqCst) < INSERTS {
+                    let at_least = PRELOAD + acked.load(Ordering::SeqCst);
+                    for k in 0..WINDOW {
+                        let req = if (conn + k) % 2 == 0 {
+                            Request::Query(x())
+                        } else {
+                            Request::QueryBatch(vec![x(), vec!["ghost".to_string()], x()])
+                        };
+                        client.send(&req).expect("send");
+                    }
+                    let answers: Vec<Response> = (0..WINDOW)
+                        .map(|_| client.recv().expect("every response decodes"))
+                        .collect();
+                    let at_most = PRELOAD + begun.load(Ordering::SeqCst);
+                    let check = |resp: &Response| match resp {
+                        Response::Rows { rows, .. } => {
+                            let n = rows.len() as u64;
+                            assert!(
+                                (at_least..=at_most).contains(&n),
+                                "{n} rows outside [{at_least}, {at_most}]"
+                            );
+                            let one_int = |row: &Vec<_>| matches!(row[..], [Some(Value::Int(_))]);
+                            assert!(rows.iter().all(one_int));
+                        }
+                        other => panic!("expected rows, got {other:?}"),
+                    };
+                    for answer in &answers {
+                        match answer {
+                            Response::Batch(items) => {
+                                assert_eq!(items.len(), 3);
+                                check(&items[0]);
+                                assert!(matches!(
+                                    items[1],
+                                    Response::Error { code: ErrorCode::UnknownAttribute, .. }
+                                ));
+                                check(&items[2]);
+                            }
+                            single => check(single),
+                        }
+                    }
+                    windows += 1;
+                }
+                assert!(windows > 0);
+            });
+        }
+    });
+
+    let (rows, _) = loader.query(["x"]).expect("final query");
+    assert_eq!(rows.len() as u64, PRELOAD + INSERTS);
+    handle.shutdown();
+    let report = handle.join().expect("join");
+    assert!(report.violations.is_empty());
 }

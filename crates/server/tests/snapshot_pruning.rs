@@ -111,7 +111,7 @@ fn check(engine: &Engine, probes: &[Vec<u32>]) -> Result<(), TestCaseError> {
 
         let before: BTreeMap<SegmentId, u64> =
             all.iter().map(|&s| (s, engine.partition_heat(s))).collect();
-        let (_, stats) = engine.query(&names).expect("known attributes");
+        let (_, stats, _) = engine.query_subset(&names).expect("known attributes");
         prop_assert_eq!(stats.segments_read as usize, frozen.0.len());
         prop_assert_eq!(stats.segments_pruned as usize, frozen.1);
         for seg in all {

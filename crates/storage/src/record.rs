@@ -15,7 +15,7 @@
 //! attributes merge against the record in one pass ([`RecordView`]).
 
 use crate::{varint, StorageError};
-use cind_model::{AttrId, Entity, EntityId, Value};
+use cind_model::{AttrId, Entity, EntityId, Value, ValueRef};
 
 const TAG_BOOL: u8 = 0;
 const TAG_INT: u8 = 1;
@@ -59,7 +59,7 @@ pub fn encode_entity(entity: &Entity) -> Vec<u8> {
 /// [`RecordView::new`] reads the header; each [`RecordView::next_attr`]
 /// step reads one attribute id and tag and *delimits* the payload by its
 /// tag and length without building a [`Value`]. A caller that does not want
-/// an attribute simply does not call [`RawValue::to_value`] on it, and may
+/// an attribute simply does not call [`RawValue::decode`] on it, and may
 /// stop stepping as soon as it has what it came for.
 ///
 /// Every step checks what the walk itself depends on: well-formed varints,
@@ -214,24 +214,31 @@ impl<'a> RecordView<'a> {
     }
 }
 
-impl RawValue<'_> {
-    /// Materialises the value — the only place a text payload's UTF-8 is
-    /// validated and copied.
+impl<'a> RawValue<'a> {
+    /// Reads the value in place — the only place a text payload's UTF-8 is
+    /// validated; the text stays where it lies in the record.
+    ///
+    /// # Errors
+    /// [`StorageError::CorruptRecord`] on invalid UTF-8.
+    #[inline]
+    pub fn decode(&self) -> Result<ValueRef<'a>, StorageError> {
+        let fixed = |what| <[u8; 8]>::try_from(self.payload).map_err(|_| corrupt(what));
+        Ok(match self.tag {
+            TAG_BOOL => ValueRef::Bool(self.payload != [0]),
+            TAG_INT => ValueRef::Int(i64::from_le_bytes(fixed("int payload")?)),
+            TAG_FLOAT => ValueRef::Float(f64::from_le_bytes(fixed("float payload")?)),
+            _ => ValueRef::Text(
+                std::str::from_utf8(self.payload).map_err(|_| corrupt("text utf8"))?,
+            ),
+        })
+    }
+
+    /// Materialises the value ([`RawValue::decode`], text copied).
     ///
     /// # Errors
     /// [`StorageError::CorruptRecord`] on invalid UTF-8.
     pub fn to_value(&self) -> Result<Value, StorageError> {
-        let fixed = |what| <[u8; 8]>::try_from(self.payload).map_err(|_| corrupt(what));
-        Ok(match self.tag {
-            TAG_BOOL => Value::Bool(self.payload != [0]),
-            TAG_INT => Value::Int(i64::from_le_bytes(fixed("int payload")?)),
-            TAG_FLOAT => Value::Float(f64::from_le_bytes(fixed("float payload")?)),
-            _ => Value::Text(
-                std::str::from_utf8(self.payload)
-                    .map_err(|_| corrupt("text utf8"))?
-                    .to_owned(),
-            ),
-        })
+        self.decode().map(ValueRef::to_value)
     }
 }
 

@@ -22,6 +22,13 @@ pub fn encode(mut v: u64, out: &mut Vec<u8>) -> usize {
     out.len() - start
 }
 
+/// The length [`encode`] gives `v`, without encoding it — what sizing a
+/// length-prefixed buffer up front needs.
+pub fn encoded_len(v: u64) -> usize {
+    let bits = 64 - (v | 1).leading_zeros() as usize;
+    bits.div_ceil(7)
+}
+
 /// Decodes a LEB128 varint from the front of `buf`.
 ///
 /// Returns `(value, bytes_consumed)`, or `None` if the buffer ends inside a
@@ -81,6 +88,10 @@ mod tests {
         assert_eq!(encode(128, &mut buf), 2);
         buf.clear();
         assert_eq!(encode(u64::MAX, &mut buf), 10);
+        for v in [0, 1, 127, 128, 16383, 16384, (1 << 56) - 1, 1 << 56, 1 << 63, u64::MAX] {
+            buf.clear();
+            assert_eq!(encoded_len(v), encode(v, &mut buf), "{v}");
+        }
     }
 
     #[test]

@@ -202,7 +202,7 @@ fn engine_snapshot_plans_like_live_catalog_and_feeds_heat_the_plan() {
                 assert_eq!(planned, oracle, "exact storage at {id}");
             }
             let before: Vec<u64> = all.iter().map(|&s| engine.partition_heat(s)).collect();
-            engine.query(&names).expect("query");
+            engine.query_subset(&names).expect("query");
             for (seg, before) in all.iter().zip(before) {
                 assert_eq!(
                     engine.partition_heat(*seg) - before,

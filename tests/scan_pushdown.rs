@@ -3,15 +3,26 @@
 //! decode every record in full (`scan_collect`), then ask
 //! `Query::{matches, projected_cells, project}` — and the sharded engines'
 //! request-width projection against a plain model, with attributes one
-//! shard has never seen. The wide variants live in
+//! shard has never seen. Every strategy includes the wire sink: rows
+//! scanned straight into response bytes must be, byte for byte, the
+//! encoding of the typed answer. The wide variants live in
 //! `crates/query/tests/differential.rs` and
 //! `crates/storage/tests/properties.rs`.
 
 use std::collections::BTreeMap;
 
 use cind_model::{AttrId, Entity, EntityId, Value};
-use cind_query::{execute, execute_collect, plan_from_survivors, Parallelism, Query, Row};
-use cind_server::{Engine, EngineOptions, ServerError, ShardedEngine, ShardedOptions, WireEntity};
+use cind_query::{
+    execute, execute_collect, execute_into, plan_from_survivors, Parallelism, Projection, Query,
+    Row,
+};
+use cind_server::protocol::{
+    decode_response, encode_response, frame, frame_rows, split_frame, WireRows,
+};
+use cind_server::{
+    Engine, EngineOptions, QueryStats, Request, Response, ServerError, ShardedEngine,
+    ShardedOptions, WireEntity,
+};
 use cind_storage::{SegmentId, UniversalTable};
 use proptest::prelude::*;
 
@@ -31,6 +42,20 @@ fn value() -> impl Strategy<Value = Value> {
         "[a-zé日]{0,8}".prop_map(Value::Text),
         "[a-z]{126,130}".prop_map(Value::Text),
     ]
+}
+
+/// The one body inside `wire`, which must hold exactly one frame.
+fn framed_body(wire: &[u8]) -> &[u8] {
+    let (body, used) = split_frame(wire).expect("well framed").expect("a whole frame");
+    assert_eq!(used, wire.len(), "one frame, nothing after it");
+    body
+}
+
+/// `resp` as the frame the typed path would send.
+fn typed_frame(resp: &Response) -> Vec<u8> {
+    let mut wire = Vec::new();
+    frame(&encode_response(resp), &mut wire);
+    wire
 }
 
 proptest! {
@@ -82,6 +107,19 @@ proptest! {
             (counted.rows, counted.cells, counted.entities_scanned, counted.io.logical_reads),
             (got.rows, got.cells, got.entities_scanned, got.io.logical_reads)
         );
+        // The wire sink: the same kernel, rows leaving as response bytes.
+        let (wired, wire_rows) =
+            execute_into::<WireRows>(table.read_view(), &Projection::of(&q), &p).expect("wire");
+        prop_assert_eq!(
+            (wired.rows, wired.cells, wired.entities_scanned),
+            (got.rows, got.cells, got.entities_scanned)
+        );
+        let stats = QueryStats::from(&wired);
+        let typed = Response::Rows { rows: want_rows, stats };
+        let mut wire = Vec::new();
+        frame_rows(&stats, q.attrs().len(), &[wire_rows], &mut wire);
+        prop_assert_eq!(&wire, &typed_frame(&typed));
+        prop_assert_eq!(decode_response(framed_body(&wire)).expect("decodes"), typed);
         common::assert_pool_valid(&table);
     }
 }
@@ -141,6 +179,13 @@ fn sharded_queries_match_the_model_when_a_shard_lacks_an_attribute() {
             let names: Vec<String> = attrs.iter().map(|a| (*a).to_string()).collect();
             let (rows, stats) = engine.query(&names).expect("query");
             assert!(rows.iter().all(|row| row.len() == attrs.len()), "{attrs:?}: row width");
+            let mut wire = Vec::new();
+            engine.query_frame(&names, &mut wire);
+            assert_eq!(
+                decode_response(framed_body(&wire)).expect("decodes"),
+                Response::Rows { rows: rows.clone(), stats },
+                "{attrs:?} @ {query_threads}: wire answer"
+            );
             assert_eq!(sorted(rows), model_rows(&model, attrs), "{attrs:?} @ {query_threads}");
             assert!(stats.entities_scanned > 0);
         }
@@ -172,4 +217,103 @@ fn a_shard_leg_projects_at_request_width() {
     // Nothing requested is known here: no row can match.
     let (rows, stats, known) = engine.query_subset(&["elsewhere".to_string()]).expect("leg");
     assert!(rows.is_empty() && known == [false] && stats.entities_scanned == 0);
+}
+
+/// Values whose encodings have edges: the integer extremes (ten-byte
+/// zig-zag varints), float bit patterns `==` cannot tell apart or equate
+/// with themselves, empty text, and text long enough for a two-byte length.
+fn edge_values() -> Vec<Value> {
+    vec![
+        Value::Int(i64::MIN),
+        Value::Int(i64::MAX),
+        Value::Int(-1),
+        Value::Float(f64::NAN),
+        Value::Float(f64::from_bits(0x7ff8_dead_beef_0001)),
+        Value::Float(-0.0),
+        Value::Float(0.0),
+        Value::Text(String::new()),
+        Value::Text("é日".repeat(40)),
+        Value::Text("x".repeat(127)),
+        Value::Text("y".repeat(128)),
+        Value::Bool(true),
+        Value::Bool(false),
+    ]
+}
+
+/// The network path's dispatcher against the typed one: for every request,
+/// `answer_frame` must append exactly the frame that encoding `handle`'s
+/// answer gives — one shard or many, rows or errors, alone or in a batch.
+#[test]
+fn answer_frame_is_the_typed_answer_byte_for_byte() {
+    for shards in [1usize, 2, 4] {
+        let engine =
+            ShardedEngine::in_memory(ShardedOptions::new(EngineOptions::default(), shards));
+        let edges = edge_values();
+        for id in 0..240u64 {
+            // "s<k>" is known to shard k's catalog only; "gone" loses
+            // every holder below, so it is known everywhere and matches
+            // nothing.
+            let mut attrs = vec![
+                ("edge".to_string(), edges[id as usize % edges.len()].clone()),
+                (format!("s{}", engine.shard_of(id)), Value::Int(id as i64)),
+            ];
+            if id % 3 == 0 {
+                attrs.push(("third".to_string(), edges[(id / 3) as usize % edges.len()].clone()));
+            }
+            if id >= 200 {
+                attrs = vec![("gone".to_string(), Value::Bool(true))];
+            }
+            engine.insert(&WireEntity { id, attrs }).expect("insert");
+        }
+        for id in 200..240u64 {
+            engine.delete(id).expect("delete");
+        }
+        let q = |attrs: &[&str]| attrs.iter().map(|a| (*a).to_string()).collect::<Vec<_>>();
+        let queries = vec![
+            q(&["edge"]),
+            q(&["third", "edge", "third"]),
+            q(&["s0", "edge"]),
+            q(&["s0"]),
+            q(&["s3", "s0", "third"]),
+            q(&["gone"]),
+            q(&["gone", "nowhere"]),
+            q(&["nowhere"]),
+            q(&[]),
+        ];
+        let mut requests: Vec<Request> = queries.iter().cloned().map(Request::Query).collect();
+        requests.push(Request::QueryBatch(queries));
+        requests.push(Request::QueryBatch(Vec::new()));
+        requests.extend([Request::Stats, Request::Validate, Request::Ping(0)]);
+        requests.extend([Request::Delete(999), Request::IoCounters]);
+        for req in &requests {
+            // Once to warm the pool, so both answers report the same misses.
+            let _ = engine.handle(req);
+            let typed = engine.handle(req);
+            let mut wire = Vec::new();
+            engine.answer_frame(req, &mut wire);
+            assert_eq!(wire, typed_frame(&typed), "{shards} shards: {req:?}");
+            // NaN is not `==` itself, so the decoded answer is compared
+            // through its (injective) encoding.
+            let decoded = decode_response(framed_body(&wire)).expect("decodes");
+            assert_eq!(encode_response(&decoded), framed_body(&wire), "{shards} shards: {req:?}");
+        }
+        // What the cases above are there to cover did occur.
+        let rows_of = |attrs: &[&str]| match engine.handle(&Request::Query(q(attrs))) {
+            Response::Rows { rows, .. } => rows,
+            other => panic!("expected rows, got {other:?}"),
+        };
+        assert_eq!(rows_of(&["edge"]).len(), 200);
+        assert!(rows_of(&["gone"]).is_empty(), "a zero-row answer");
+        assert_eq!(
+            rows_of(&["s0", "edge"]).iter().any(|row| row[0].is_none()),
+            shards > 1,
+            "NULL columns where another shard owns the entity"
+        );
+        for attrs in [&["nowhere"][..], &["gone", "nowhere"], &[]] {
+            assert!(
+                matches!(engine.query(&q(attrs)), Err(ServerError::UnknownAttribute(_))),
+                "{shards} shards: {attrs:?} must be a typed error"
+            );
+        }
+    }
 }
