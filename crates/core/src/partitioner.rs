@@ -123,9 +123,11 @@ impl Cinderella {
     /// need storage — the catalog and the table agree on the segment set,
     /// every partition's synopses/size/entity-count equal what its stored
     /// members imply (the OR-of-members law via full refcount
-    /// recomputation), and the split starters are members with fresh cached
-    /// synopses. Scans every segment once; run it at rest (end of test,
-    /// `cind check`), not on the hot path.
+    /// recomputation), the split starters are members with fresh cached
+    /// synopses, and every page's signature column is what its records'
+    /// bytes give ([`UniversalTable::validate_signatures`]). Scans every
+    /// segment once; run it at rest (end of test, `cind check`), not on the
+    /// hot path.
     ///
     /// # Errors
     /// Storage errors from the segment scans.
@@ -134,6 +136,12 @@ impl Cinderella {
         table: &UniversalTable,
     ) -> Result<Vec<InvariantViolation>, CoreError> {
         let mut out = self.catalog.validate();
+        out.extend(
+            table
+                .validate_signatures()
+                .into_iter()
+                .map(|detail| InvariantViolation::new("signature", detail)),
+        );
         let table_segs: std::collections::BTreeSet<SegmentId> =
             table.segment_ids().collect();
         let catalog_segs: std::collections::BTreeSet<SegmentId> =

@@ -31,10 +31,10 @@
 /// One violated structural invariant.
 ///
 /// `structure` names the owning data structure (`"arena"`, `"presence"`,
-/// `"catalog"`, `"starters"`, `"table"`, `"buffer-pool"`); `detail` is a
-/// self-contained diagnostic naming the slot / segment / attribute involved
-/// and both sides of the disagreement, precise enough to act on without
-/// re-running the check under a debugger.
+/// `"catalog"`, `"starters"`, `"table"`, `"signature"`, `"buffer-pool"`);
+/// `detail` is a self-contained diagnostic naming the slot / segment /
+/// attribute involved and both sides of the disagreement, precise enough to
+/// act on without re-running the check under a debugger.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct InvariantViolation {
     /// The data structure whose invariant is violated.

@@ -32,7 +32,10 @@ pub struct QueryResult {
     /// Non-null cells returned across all rows (the data the query was
     /// actually after — the numerator of Definition 1 for this query).
     pub cells: u64,
-    /// Entities scanned, matching or not (what was *read*).
+    /// Entities scanned, matching or not (what was *read*): the records
+    /// handed to the matcher. Records of a surviving segment whose
+    /// signature shares no bit with the query's are skipped unread and not
+    /// counted.
     pub entities_scanned: u64,
     /// Segments scanned (the UNION ALL width).
     pub segments_read: usize,
@@ -171,8 +174,9 @@ struct SegPartial {
 }
 
 /// The scan kernel, shared by every strategy and every sink: one pass over
-/// `seg`'s raw records, each matched by `projection` and — if it matches —
-/// handed to `sink`.
+/// the raw records of `seg` that the projection's signature mask leaves as
+/// candidates, each matched by `projection` and — if it matches — handed to
+/// `sink`. `entities_scanned` counts the candidates: the records read.
 fn scan_branch<S: RowSink>(
     view: ReadView<'_>,
     seg: SegmentId,
@@ -183,6 +187,7 @@ fn scan_branch<S: RowSink>(
     let mut io = IoStats::default();
     view.scan_records(
         seg,
+        projection.mask(),
         |record| {
             p.entities_scanned += 1;
             let cells = projection.match_record(record, sink)?;

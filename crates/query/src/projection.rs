@@ -2,7 +2,7 @@
 
 use cind_model::{AttrId, Value};
 use cind_storage::record::{RawValue, RecordView};
-use cind_storage::StorageError;
+use cind_storage::{signature_bit, Signature, StorageError};
 
 use crate::Query;
 
@@ -71,10 +71,16 @@ const INLINE_WIDTH: usize = 8;
 /// A repeated attribute fills each of its columns; an output column without
 /// an attribute (one the table's catalog does not know) stays NULL in every
 /// row.
+///
+/// The projection also carries the query's [`Signature`] mask — the bits of
+/// its attributes — by which the page walk picks the records worth handing
+/// to [`Projection::match_record`]. The mask only ever narrows what is
+/// read; `match_record` remains the authority on what matches.
 #[derive(Clone, Debug)]
 pub struct Projection {
     columns: Vec<(AttrId, usize)>,
     width: usize,
+    mask: Signature,
 }
 
 impl Projection {
@@ -83,14 +89,22 @@ impl Projection {
     pub fn new(columns: impl IntoIterator<Item = Option<AttrId>>) -> Self {
         let mut width = 0;
         let mut sorted = Vec::new();
+        let mut mask = 0;
         for (column, attr) in columns.into_iter().enumerate() {
             width += 1;
             if let Some(attr) = attr {
                 sorted.push((attr, column));
+                mask |= signature_bit(attr);
             }
         }
         sorted.sort_unstable();
-        Self { columns: sorted, width }
+        Self { columns: sorted, width, mask }
+    }
+
+    /// The signature mask of the requested attributes: a record whose
+    /// signature shares no bit with it instantiates none of them.
+    pub(crate) fn mask(&self) -> Signature {
+        self.mask
     }
 
     /// The projection of `query`: its attributes in request order.

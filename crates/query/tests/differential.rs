@@ -9,7 +9,9 @@
 //! regardless of the plan's parallelism knob. The scan kernel, which
 //! matches and projects straight off record bytes, must agree with
 //! "`decode_entity`, then `Query::{matches, projected_cells, project}`"
-//! on rows, aggregates and I/O — and so must every sink: the server's wire
+//! on rows, aggregates and I/O — reading only the records, and touching
+//! only the pages, that the entity signatures recomputed from the decoded
+//! records leave as candidates — and so must every sink: the server's wire
 //! sink, fed by the same kernel, must write exactly the bytes that encoding
 //! the typed rows gives.
 
@@ -24,7 +26,8 @@ use cind_server::protocol::{
     decode_response, encode_response, frame, frame_rows, split_frame, QueryStats, Response,
     WireRows,
 };
-use cind_storage::{BufferPool, IoStats, SegmentId, UniversalTable};
+use cind_storage::buffer::PageKey;
+use cind_storage::{decode_entity, BufferPool, IoStats, SegmentId, UniversalTable};
 use proptest::prelude::*;
 
 const UNIVERSE: usize = 16;
@@ -105,29 +108,48 @@ fn assert_wire_equals_typed(
     Ok(())
 }
 
+/// A signature by its definition: bit `id mod 128` per attribute.
+fn fold(attrs: impl IntoIterator<Item = AttrId>) -> u128 {
+    attrs.into_iter().fold(0, |bits, a| bits | 1u128 << (a.0 % 128))
+}
+
 /// What a scan of `segments` must produce by definition: decode every
-/// record in full, then ask the query.
+/// record in full, then ask the query. What it may *read* is defined here
+/// too, without the signature column: the records whose recomputed
+/// signature shares a bit with the query's, on the pages that hold one —
+/// which the oracle touches in the pool exactly as the scan must.
 fn oracle(
     table: &UniversalTable,
     q: &Query,
     segments: &[SegmentId],
 ) -> (Vec<Row>, u64, u64, IoStats) {
+    let view = table.read_view();
+    let mask = fold(q.attrs().iter().copied());
     let (mut rows, mut cells, mut scanned, mut io) = (Vec::new(), 0, 0, IoStats::default());
     for &seg in segments {
-        table
-            .read_view()
-            .scan_tracked(
-                seg,
-                |e| {
-                    scanned += 1;
-                    if q.matches(e) {
-                        cells += u64::from(q.projected_cells(e));
-                        rows.push(q.project(e).into_iter().map(|v| v.cloned()).collect());
-                    }
-                },
-                &mut io,
-            )
-            .expect("oracle scan");
+        let segment = view.segment(seg).expect("segment");
+        for page_idx in 0..segment.page_count() as u32 {
+            let page = segment.page(page_idx).expect("page");
+            let entities: Vec<Entity> =
+                page.iter().map(|(_, bytes)| decode_entity(bytes).expect("decodes")).collect();
+            let candidates = entities
+                .iter()
+                .filter(|e| fold(e.attrs().iter().map(|(a, _)| *a)) & mask != 0)
+                .count() as u64;
+            if candidates == 0 {
+                assert!(!entities.iter().any(|e| q.matches(e)), "a skipped page held a match");
+                continue;
+            }
+            let (hit, evicted) = view.pool().access_tracked(PageKey { segment: seg, page: page_idx });
+            io.logical_reads += 1;
+            io.physical_reads += u64::from(!hit);
+            io.evictions += evicted;
+            scanned += candidates;
+            for e in entities.iter().filter(|e| q.matches(e)) {
+                cells += u64::from(q.projected_cells(e));
+                rows.push(q.project(e).into_iter().map(|v| v.cloned()).collect());
+            }
+        }
     }
     (rows, cells, scanned, io)
 }

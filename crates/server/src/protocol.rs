@@ -87,7 +87,8 @@ pub enum Request {
 /// Aggregate measurements of one remote query execution.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct QueryStats {
-    /// Entities scanned (matching or not).
+    /// Entities scanned, matching or not — the records read; those the
+    /// scan skipped by signature are not among them.
     pub entities_scanned: u64,
     /// Segments scanned (the `UNION ALL` width).
     pub segments_read: u64,

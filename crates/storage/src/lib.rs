@@ -14,7 +14,9 @@
 //!   attributes are stored as `(attr-id, tag, payload)` triples, so a sparse
 //!   entity costs space proportional to its arity, not to the table width.
 //! * [`page::Page`] — 8 KiB slotted pages with a slot directory, deletion
-//!   and compaction.
+//!   and compaction, and beside the directory one derived [`Signature`] per
+//!   record, by which a scan skips the records (and pages) that instantiate
+//!   none of a query's attributes.
 //! * [`segment::Segment`] — an unordered heap of pages holding one
 //!   *partition* of the universal table.
 //! * [`buffer::BufferPool`] — a sharded LRU page cache that *accounts*
@@ -52,7 +54,7 @@ pub use error::StorageError;
 pub use iostats::{AtomicIoStats, IoStats};
 pub use page::{Page, SlotId, PAGE_SIZE};
 pub use persist::PersistError;
-pub use record::{decode_entity, encode_entity};
+pub use record::{decode_entity, encode_entity, signature_bit, Signature};
 pub use segment::{RecordId, Segment, SegmentId};
 pub use manifest::Manifest;
 pub use table::{ReadView, TableSnapshot, UniversalTable};

@@ -1,5 +1,7 @@
 //! Slotted heap pages.
 
+use crate::record::{self, Signature};
+
 /// Page size in bytes. 8 KiB, matching the PostgreSQL default the paper's
 /// prototype ran on.
 pub const PAGE_SIZE: usize = 8192;
@@ -39,10 +41,18 @@ struct Slot {
 /// are stable across deletion and [compaction](Page::compact) — record
 /// references (`RecordId`) stay valid until the slot is explicitly deleted
 /// and reused.
+///
+/// Beside the slot directory the page keeps one [`Signature`] per slot:
+/// derived state — computed from the record bytes by [`Page::insert`], the
+/// only writer, and never stored, logged or sent — that lets a scan tell,
+/// without reading a record, that it instantiates none of the attributes a
+/// query names.
 #[derive(Clone, Debug)]
 pub struct Page {
     data: Vec<u8>,
     slots: Vec<Slot>,
+    /// One signature per entry of `slots`, zero for a dead slot.
+    signatures: Vec<Signature>,
     /// First free byte in `data`.
     free_start: usize,
     /// Bytes occupied by deleted records (reclaimable by compaction).
@@ -63,6 +73,7 @@ impl Page {
         Self {
             data: vec![0; PAGE_SIZE],
             slots: Vec::new(),
+            signatures: Vec::new(),
             free_start: 0,
             dead_bytes: 0,
             dead_slots: 0,
@@ -117,14 +128,17 @@ impl Page {
         self.data[offset..offset + rec.len()].copy_from_slice(rec);
         self.free_start += rec.len();
         let slot = Slot { offset: offset as u16, len: rec.len() as u16 };
+        let signature = record::signature(rec);
         let id = match reuse {
             Some(i) => {
                 self.slots[i] = slot;
+                self.signatures[i] = signature;
                 self.dead_slots -= 1;
                 i
             }
             None => {
                 self.slots.push(slot);
+                self.signatures.push(signature);
                 self.slots.len() - 1
             }
         };
@@ -139,6 +153,9 @@ impl Page {
             Some(s) if s.len != 0 => {
                 self.dead_bytes += s.len as usize;
                 s.len = 0;
+                if let Some(signature) = self.signatures.get_mut(slot.0 as usize) {
+                    *signature = 0;
+                }
                 self.dead_slots += 1;
                 self.live -= 1;
                 true
@@ -179,16 +196,62 @@ impl Page {
 
     /// Iterates `(slot, record-bytes)` over live records in slot order.
     pub fn iter(&self) -> impl Iterator<Item = (SlotId, &[u8])> {
+        self.candidates(Signature::MAX)
+    }
+
+    /// [`Page::iter`] over the live records whose signature shares a bit
+    /// with `mask` — the records that may instantiate one of the attributes
+    /// folded into it; no other record's bytes are read. `Signature::MAX`
+    /// asks for every live record, one without attributes included.
+    pub fn candidates(&self, mask: Signature) -> impl Iterator<Item = (SlotId, &[u8])> {
+        let all = mask == Signature::MAX;
         self.slots
             .iter()
+            .zip(&self.signatures)
             .enumerate()
-            .filter(|(_, s)| s.len != 0)
-            .map(|(i, s)| {
+            .filter(move |(_, (s, &signature))| s.len != 0 && (all || signature & mask != 0))
+            .map(|(i, (s, _))| {
                 (
                     SlotId(i as u16),
                     &self.data[s.offset as usize..(s.offset + s.len) as usize],
                 )
             })
+    }
+
+    /// Cross-checks the signature column against the records it describes:
+    /// one entry per slot, a live slot's equal to the signature recomputed
+    /// from its bytes, a dead slot's zero. Returns a diagnostic per
+    /// violation.
+    pub fn validate_signatures(&self) -> Vec<String> {
+        let mut out = Vec::new();
+        if self.signatures.len() != self.slots.len() {
+            out.push(format!(
+                "signature column has {} entries for {} slots",
+                self.signatures.len(),
+                self.slots.len()
+            ));
+        }
+        for (i, (s, &stored)) in self.slots.iter().zip(&self.signatures).enumerate() {
+            let slot = SlotId(i as u16);
+            let derived = self.get(slot).map_or(0, record::signature);
+            if stored != derived {
+                let state = if s.len == 0 { "dead" } else { "live" };
+                out.push(format!(
+                    "{state} slot {slot}: stored signature {stored:#034x}, \
+                     its bytes give {derived:#034x}"
+                ));
+            }
+        }
+        out
+    }
+}
+
+#[cfg(test)]
+impl Page {
+    /// Seeds a corruption for the validator tests: overwrites one slot's
+    /// stored signature without touching its bytes.
+    pub(crate) fn corrupt_signature(&mut self, slot: SlotId, signature: Signature) {
+        self.signatures[slot.0 as usize] = signature;
     }
 }
 
@@ -266,6 +329,78 @@ mod tests {
         p.delete(b);
         let got: Vec<(SlotId, Vec<u8>)> = p.iter().map(|(s, r)| (s, r.to_vec())).collect();
         assert_eq!(got, vec![(a, b"a".to_vec()), (c, b"c".to_vec())]);
+    }
+
+    fn record(id: u64, attrs: &[u32]) -> Vec<u8> {
+        use cind_model::{AttrId, Entity, EntityId, Value};
+        let attrs = attrs.iter().map(|&a| (AttrId(a), Value::Int(1)));
+        crate::encode_entity(&Entity::new(EntityId(id), attrs).unwrap())
+    }
+
+    fn slots_of(p: &Page, mask: Signature) -> Vec<SlotId> {
+        p.candidates(mask).map(|(slot, _)| slot).collect()
+    }
+
+    #[test]
+    fn candidates_are_the_records_sharing_a_bit_with_the_mask() {
+        let bit = |a: u32| record::signature_bit(cind_model::AttrId(a));
+        let mut p = Page::new();
+        let a = p.insert(&record(1, &[3, 9])).unwrap();
+        let b = p.insert(&record(2, &[9, 200])).unwrap();
+        let bare = p.insert(&record(3, &[])).unwrap();
+        let garbage = p.insert(&[0xff; 5]).unwrap();
+        assert_eq!(slots_of(&p, bit(3)), vec![a, garbage]);
+        assert_eq!(slots_of(&p, bit(9)), vec![a, b, garbage]);
+        // 200 and 72 fold onto one bit; bytes that are no record meet every mask.
+        assert_eq!(slots_of(&p, bit(72)), vec![b, garbage]);
+        assert_eq!(slots_of(&p, bit(4) | bit(5)), vec![garbage]);
+        assert_eq!(slots_of(&p, 0), vec![]);
+        assert_eq!(slots_of(&p, Signature::MAX), vec![a, b, bare, garbage]);
+        // A dead slot is no candidate; its successor brings its own signature.
+        p.delete(a);
+        p.delete(garbage);
+        assert_eq!(slots_of(&p, bit(3)), vec![]);
+        let c = p.insert(&record(4, &[5])).unwrap();
+        assert_eq!(c, a);
+        assert_eq!((slots_of(&p, bit(3)), slots_of(&p, bit(5))), (vec![], vec![c]));
+        // Clones (copy-on-write pages) and compaction keep the column.
+        let mut q = p.clone();
+        q.compact();
+        assert_eq!(slots_of(&q, bit(9)), vec![b]);
+        assert!(p.validate_signatures().is_empty() && q.validate_signatures().is_empty());
+    }
+
+    #[test]
+    fn validate_reports_each_seeded_signature_corruption() {
+        let mut p = Page::new();
+        let a = p.insert(&record(1, &[0, 2])).unwrap();
+        let b = p.insert(&record(2, &[127])).unwrap();
+        p.delete(a);
+        assert_eq!(p.validate_signatures(), Vec::<String>::new());
+
+        let mut bad = p.clone();
+        bad.corrupt_signature(b, 0b101);
+        assert_eq!(
+            bad.validate_signatures(),
+            vec![
+                "live slot s1: stored signature 0x00000000000000000000000000000005, \
+                 its bytes give 0x80000000000000000000000000000000"
+            ]
+        );
+
+        let mut bad = p.clone();
+        bad.corrupt_signature(a, 0b101);
+        assert_eq!(
+            bad.validate_signatures(),
+            vec![
+                "dead slot s0: stored signature 0x00000000000000000000000000000005, \
+                 its bytes give 0x00000000000000000000000000000000"
+            ]
+        );
+
+        let mut bad = p.clone();
+        bad.signatures.pop();
+        assert_eq!(bad.validate_signatures(), vec!["signature column has 1 entries for 2 slots"]);
     }
 
     #[test]

@@ -23,7 +23,6 @@
 
 use std::io::{Read, Write};
 
-use crate::record::decode_entity_id;
 use crate::segment::SegmentId;
 use crate::varint;
 use crate::{StorageError, UniversalTable};
@@ -234,11 +233,7 @@ impl UniversalTable {
             for _ in 0..records {
                 let len = next(body, &mut pos)? as usize;
                 let rec = take(body, &mut pos, len)?;
-                // Validate eagerly so a corrupt record fails the restore,
-                // not a later scan.
-                let id = decode_entity_id(rec)?;
-                crate::record::decode_entity(rec)?;
-                table.restore_record(seg, id, rec)?;
+                table.restore_record(seg, rec)?;
             }
         }
         if pos != body.len() {

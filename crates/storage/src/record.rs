@@ -54,6 +54,37 @@ pub fn encode_entity(entity: &Entity) -> Vec<u8> {
     out
 }
 
+/// An entity's attribute synopsis folded to one word: bit `attr id mod 128`
+/// is set for every attribute the record instantiates. The paper's pruning
+/// test `|e ∧ q| = 0`, one level below the partition: a record whose
+/// signature shares no bit with a query's mask instantiates none of the
+/// query's attributes. Exact while the universe has at most 128 attributes;
+/// beyond that `id` aliases with `id + 128k`, which can make a record a
+/// candidate it need not have been and never the reverse.
+pub type Signature = u128;
+
+/// The signature bit of one attribute — the single definition of the fold,
+/// shared by the records' signatures and the queries' masks.
+pub fn signature_bit(attr: AttrId) -> Signature {
+    1 << (attr.0 % Signature::BITS)
+}
+
+/// The signature of one serialized record. Bytes that do not walk as a
+/// record get the all-ones signature: no mask skips them, so the scan that
+/// meets them still fails on them.
+pub(crate) fn signature(record: &[u8]) -> Signature {
+    let walk = || {
+        let mut view = RecordView::new(record)?;
+        let mut signature = 0;
+        while let Some((attr, _)) = view.next_attr()? {
+            signature |= signature_bit(attr);
+        }
+        view.finish()?;
+        Ok::<_, StorageError>(signature)
+    };
+    walk().unwrap_or(Signature::MAX)
+}
+
 /// A borrowed, zero-allocation cursor over one serialized record.
 ///
 /// [`RecordView::new`] reads the header; each [`RecordView::next_attr`]

@@ -87,6 +87,12 @@ impl Segment {
         self.pages.get(i as usize).map(Arc::as_ref)
     }
 
+    /// Mutable page `i` (copied first if shared), for seeding corruptions.
+    #[cfg(test)]
+    pub(crate) fn page_mut(&mut self, i: u32) -> Option<&mut Page> {
+        self.pages.get_mut(i as usize).map(Arc::make_mut)
+    }
+
     /// Inserts a serialized record, returning its address.
     ///
     /// # Errors
@@ -158,6 +164,17 @@ impl Segment {
         Arc::make_mut(page).delete(rid.slot);
         self.records -= 1;
         Ok(bytes)
+    }
+
+    /// [`Page::validate_signatures`] over every page: a diagnostic per
+    /// violation, naming the page.
+    pub fn validate_signatures(&self) -> Vec<String> {
+        let mut out = Vec::new();
+        for (i, page) in self.pages.iter().enumerate() {
+            let details = page.validate_signatures().into_iter();
+            out.extend(details.map(|detail| format!("page {i}: {detail}")));
+        }
+        out
     }
 
     /// Iterates `(address, record-bytes)` over all live records, page by

@@ -5,9 +5,9 @@ use std::collections::BTreeMap;
 use cind_model::{AttributeCatalog, Entity, EntityId};
 
 use crate::buffer::PageKey;
-use crate::record::{decode_entity, encode_entity};
+use crate::record::{decode_entity, encode_entity, Signature};
 use crate::segment::{RecordId, Segment, SegmentId};
-use crate::{BufferPool, IoStats, StorageError};
+use crate::{BufferPool, IoStats, PersistError, StorageError};
 
 /// A horizontally partitioned sparse universal table.
 ///
@@ -264,32 +264,39 @@ impl UniversalTable {
         Ok(id)
     }
 
-    /// Re-creates a segment with a specific id during snapshot restore.
-    /// Keeps `next_segment` ahead of every restored id so fresh segments
-    /// never clash.
-    pub(crate) fn restore_segment(
-        &mut self,
-        id: SegmentId,
-    ) -> Result<SegmentId, StorageError> {
-        assert!(
-            !self.segments.contains_key(&id),
-            "snapshot contains segment {id} twice"
-        );
+    /// Re-creates a segment with a specific id during snapshot restore or
+    /// WAL replay. Keeps `next_segment` ahead of every restored id so fresh
+    /// segments never clash.
+    ///
+    /// # Errors
+    /// [`PersistError::Corrupt`] if the stream names `id` twice.
+    pub(crate) fn restore_segment(&mut self, id: SegmentId) -> Result<SegmentId, PersistError> {
+        if self.segments.contains_key(&id) {
+            return Err(PersistError::Corrupt("duplicate segment"));
+        }
         self.segments.insert(id, Segment::new(id));
-        self.next_segment = self.next_segment.max(id.0 + 1);
+        self.next_segment = self.next_segment.max(id.0.saturating_add(1));
         Ok(id)
     }
 
-    /// Stores an already-encoded record during snapshot restore, indexing
-    /// it under `id` without re-encoding.
-    pub(crate) fn restore_record(
-        &mut self,
-        seg: SegmentId,
-        id: EntityId,
-        rec: &[u8],
-    ) -> Result<(), StorageError> {
+    /// Stores an already-encoded record during snapshot restore or WAL
+    /// replay, indexing it without re-encoding. The record is decoded in
+    /// full first, so one that is corrupt — or names an attribute the
+    /// restored catalog does not hold, which no synopsis could represent —
+    /// fails the restore, not a later scan or the partitioner's rebuild.
+    ///
+    /// # Errors
+    /// [`PersistError::Corrupt`] for an attribute id beyond the catalog;
+    /// [`PersistError::Storage`] for a record that does not decode, a
+    /// repeated entity id or an unknown segment.
+    pub(crate) fn restore_record(&mut self, seg: SegmentId, rec: &[u8]) -> Result<(), PersistError> {
+        let entity = decode_entity(rec)?;
+        if entity.attrs().last().is_some_and(|(attr, _)| attr.index() as usize >= self.catalog.len()) {
+            return Err(PersistError::Corrupt("attribute id beyond catalog"));
+        }
+        let id = entity.id();
         if self.locator.contains_key(&id) {
-            return Err(StorageError::DuplicateEntity(id));
+            return Err(StorageError::DuplicateEntity(id).into());
         }
         let segment = self
             .segments
@@ -415,6 +422,22 @@ impl UniversalTable {
     /// Collects all entities of `seg` into a vector (testing convenience).
     pub fn scan_collect(&self, seg: SegmentId) -> Result<Vec<Entity>, StorageError> {
         self.read_view().scan_collect(seg)
+    }
+
+    /// Proves bytes ⇔ signatures: cross-checks every page's signature
+    /// column against the records it describes (see
+    /// [`Page::validate_signatures`](crate::Page::validate_signatures)) and
+    /// returns a diagnostic per violation, naming segment and page. A scan
+    /// trusts the column to skip records unread, so this is the check that
+    /// a skipped record was rightly skipped. Walks every stored record; run
+    /// it at rest, not on the hot path.
+    pub fn validate_signatures(&self) -> Vec<String> {
+        let mut out = Vec::new();
+        for (id, segment) in &self.segments {
+            let details = segment.validate_signatures().into_iter();
+            out.extend(details.map(|detail| format!("{id} {detail}")));
+        }
+        out
     }
 }
 
@@ -547,6 +570,7 @@ impl ReadView<'_> {
     ) -> Result<(), StorageError> {
         self.scan_records(
             seg,
+            Signature::MAX,
             |bytes| {
                 f(&decode_entity(bytes)?);
                 Ok(())
@@ -555,9 +579,16 @@ impl ReadView<'_> {
         )
     }
 
-    /// The page walk under every scan: hands each live record's raw bytes
-    /// of `seg` to `f`, page by page in slot order, and stops at `f`'s
-    /// first error. What to decode is the caller's business (see
+    /// The page walk under every scan: hands the raw bytes of each live
+    /// record of `seg` whose [`Signature`] meets `mask` to `f`, page by page
+    /// in slot order, and stops at `f`'s first error. `Signature::MAX` is
+    /// the full scan — every page, every live record. Any other mask is a
+    /// query's (the bits of the attributes it names): a record that shares
+    /// no bit with it instantiates none of them and is not read, and a page
+    /// holding no candidate is skipped before the buffer pool hears of it —
+    /// no logical read, no LRU movement. A candidate need not match (ids
+    /// 128 apart share a bit); what to decode, and whether the record
+    /// matches, stays the caller's business (see
     /// [`crate::record::RecordView`]).
     ///
     /// Accumulates *this scan's* page accesses into `io` —
@@ -569,16 +600,12 @@ impl ReadView<'_> {
     pub fn scan_records(
         &self,
         seg: SegmentId,
+        mask: Signature,
         mut f: impl FnMut(&[u8]) -> Result<(), StorageError>,
         io: &mut IoStats,
     ) -> Result<(), StorageError> {
         let segment = self.segment(seg)?;
         for page_idx in 0..segment.page_count() as u32 {
-            let (hit, evicted) =
-                self.pool.access_tracked(PageKey { segment: seg, page: page_idx });
-            io.logical_reads += 1;
-            io.physical_reads += u64::from(!hit);
-            io.evictions += evicted;
             let Some(page) = segment.page(page_idx) else {
                 // page_count() bounds the loop; a miss means the segment
                 // mutated underneath us, which the scan treats as data loss.
@@ -590,7 +617,18 @@ impl ReadView<'_> {
                     },
                 ));
             };
-            for (_, bytes) in page.iter() {
+            let mut candidates = page.candidates(mask).peekable();
+            // A full scan reads every page, emptied ones included, as its
+            // I/O accounting always has; a query only where it has business.
+            if mask != Signature::MAX && candidates.peek().is_none() {
+                continue;
+            }
+            let (hit, evicted) =
+                self.pool.access_tracked(PageKey { segment: seg, page: page_idx });
+            io.logical_reads += 1;
+            io.physical_reads += u64::from(!hit);
+            io.evictions += evicted;
+            for (_, bytes) in candidates {
                 f(bytes)?;
             }
         }
@@ -681,6 +719,77 @@ mod tests {
             delta.logical_reads as usize,
             t.segment(seg).unwrap().page_count()
         );
+    }
+
+    #[test]
+    fn masked_scan_reads_candidates_and_touches_only_their_pages() {
+        let mut t = UniversalTable::new(64);
+        let seg = t.create_segment();
+        // ~20 records a page; only ids 0 and 70 carry "rare".
+        for i in 0..80u64 {
+            let mut attrs = vec![("common", 1), ("pad", 2)];
+            if i % 70 == 0 {
+                attrs.push(("rare", 3));
+            }
+            let mut e = entity(&mut t, i, &attrs);
+            e.set(AttrId(1), Value::Text("x".repeat(380)));
+            t.insert(seg, &e).unwrap();
+        }
+        let pages = t.segment(seg).unwrap().page_count() as u64;
+        assert!(pages >= 4);
+        let scan = |mask| {
+            let (mut ids, mut io) = (Vec::new(), IoStats::default());
+            let before = t.io_stats();
+            t.read_view()
+                .scan_records(
+                    seg,
+                    mask,
+                    |bytes| {
+                        ids.push(crate::record::decode_entity_id(bytes)?.0);
+                        Ok(())
+                    },
+                    &mut io,
+                )
+                .unwrap();
+            assert_eq!(t.io_stats().since(&before).logical_reads, io.logical_reads);
+            (ids, io.logical_reads)
+        };
+        let rare = crate::signature_bit(AttrId(2));
+        assert_eq!(scan(rare), (vec![0, 70], 2));
+        assert_eq!(scan(crate::signature_bit(AttrId(0))), ((0..80).collect(), pages));
+        assert_eq!(scan(Signature::MAX), ((0..80).collect(), pages));
+        // No candidate anywhere: the buffer pool never hears of the scan.
+        assert_eq!(scan(crate::signature_bit(AttrId(9))), (vec![], 0));
+        assert_eq!(scan(0), (vec![], 0));
+    }
+
+    #[test]
+    fn validate_signatures_names_segment_page_and_slot() {
+        let mut t = UniversalTable::new(64);
+        t.create_segment();
+        let seg = t.create_segment();
+        for i in 0..3 {
+            let e = entity(&mut t, i, &[("a", 1), ("b", 2)]);
+            t.insert(seg, &e).unwrap();
+        }
+        assert_eq!(t.validate_signatures(), Vec::<String>::new());
+        let page = t.segments.get_mut(&seg).unwrap().page_mut(0).unwrap();
+        page.corrupt_signature(crate::SlotId(2), 0b1);
+        assert_eq!(
+            t.validate_signatures(),
+            vec![
+                "seg1 page 0: live slot s2: stored signature \
+                 0x00000000000000000000000000000001, its bytes give \
+                 0x00000000000000000000000000000003"
+            ]
+        );
+        // What the corruption would cost: a scan for "b" skips the record.
+        let mut seen = 0;
+        let b = crate::signature_bit(AttrId(1));
+        t.read_view()
+            .scan_records(seg, b, |_| { seen += 1; Ok(()) }, &mut IoStats::default())
+            .unwrap();
+        assert_eq!(seen, 2);
     }
 
     #[test]

@@ -422,9 +422,7 @@ fn apply_entry(table: &mut UniversalTable, body: &[u8]) -> Result<(), PersistErr
             let seg = u32::try_from(next(rest)?).map_err(|_| corrupt("segment id"))?;
             let len = next(rest)? as usize;
             let record = rest.get(pos..pos + len).ok_or(corrupt("wal record"))?;
-            let id = crate::record::decode_entity_id(record)?;
-            crate::record::decode_entity(record)?;
-            table.restore_record(SegmentId(seg), id, record)?;
+            table.restore_record(SegmentId(seg), record)?;
         }
         OP_DELETE => {
             let id = EntityId(next(rest)?);

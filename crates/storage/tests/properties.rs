@@ -1,15 +1,15 @@
 //! Property tests on storage internals: the buffer pool against a
 //! reference LRU, pages under random operation sequences, snapshot
-//! corruption resistance, and the record cursor against the full decoder
-//! on arbitrary bytes.
+//! corruption resistance, the record cursor against the full decoder on
+//! arbitrary bytes, and the signature column's no-false-negative law.
 
 use cind_bitset as _; // silence unused-dep lint paths in some cargo setups
 use cind_model::{AttrId, Entity, EntityId, Value};
 use cind_storage::buffer::PageKey;
 use cind_storage::record::RecordView;
 use cind_storage::{
-    decode_entity, encode_entity, varint, BufferPool, Page, SegmentId, StorageError,
-    UniversalTable,
+    decode_entity, encode_entity, signature_bit, varint, BufferPool, Page, SegmentId,
+    StorageError, UniversalTable,
 };
 use proptest::prelude::*;
 use std::collections::VecDeque;
@@ -183,6 +183,61 @@ proptest! {
             (Err(_), Some(StorageError::CorruptRecord(_)) | None) => {}
             (d, s) => prop_assert!(false, "decode_entity {d:?} but skip walk stopped with {s:?}"),
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Signatures never hide a record: whatever bytes a page is given, a
+    /// mask naming any attribute a walk of the record would reach — even a
+    /// walk that then fails — keeps the record a candidate, and bytes that
+    /// do not walk as a record stay candidates of every mask, so the scan
+    /// that meets them still fails on them. The column follows the slots
+    /// through deletion, reuse and compaction, and the validator agrees
+    /// throughout.
+    #[test]
+    fn signatures_never_hide_a_record(
+        records in prop::collection::vec(record_like_bytes(), 1..40),
+        deletes in prop::collection::vec(any::<prop::sample::Index>(), 0..20),
+        probe in prop_oneof![0u32..20, 100u32..160, 16_000u32..17_000],
+    ) {
+        let mut page = Page::new();
+        let mut live: Vec<(cind_storage::SlotId, Vec<u8>)> = Vec::new();
+        let mut deletes = deletes.into_iter();
+        for (i, bytes) in records.into_iter().enumerate() {
+            if bytes.is_empty() {
+                continue;
+            }
+            if let Some(slot) = page.insert(&bytes) {
+                live.push((slot, bytes));
+            }
+            if i % 3 == 2 {
+                if let Some(pick) = deletes.next() {
+                    let (slot, _) = live.swap_remove(pick.index(live.len()));
+                    prop_assert!(page.delete(slot));
+                }
+            }
+        }
+        prop_assert_eq!(page.validate_signatures(), Vec::<String>::new());
+        let candidates_of = |mask| -> Vec<cind_storage::SlotId> {
+            page.candidates(mask).map(|(slot, _)| slot).collect()
+        };
+        for (slot, bytes) in &live {
+            let (ids, _, stopped) = walk(bytes, |_| false, true);
+            for id in ids {
+                let hit = candidates_of(signature_bit(id));
+                prop_assert!(hit.contains(slot), "{slot}: attribute {id} hidden");
+            }
+            if stopped.is_some() {
+                let hit = candidates_of(signature_bit(AttrId(probe)));
+                prop_assert!(hit.contains(slot), "{slot}: unwalkable bytes skipped");
+            }
+        }
+        let full: Vec<_> = candidates_of(cind_storage::Signature::MAX);
+        let mut want: Vec<_> = live.iter().map(|(slot, _)| *slot).collect();
+        want.sort_unstable();
+        prop_assert_eq!(full, want);
     }
 }
 

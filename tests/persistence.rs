@@ -140,3 +140,77 @@ fn online_modifications_continue_after_rebuild() {
     }
     common::assert_fully_valid(&rebuilt, &restored);
 }
+
+/// A checksum-valid snapshot built by hand (format in
+/// `cind-storage::persist`): the catalog's names, then per segment its id
+/// and its records — whatever they say.
+fn hand_built_snapshot(names: &[&str], segments: &[(u32, Vec<Vec<u8>>)]) -> Vec<u8> {
+    use cinderella::storage::varint::encode;
+    let mut buf = b"CINDSNP1".to_vec();
+    encode(names.len() as u64, &mut buf);
+    for name in names {
+        encode(name.len() as u64, &mut buf);
+        buf.extend_from_slice(name.as_bytes());
+    }
+    encode(segments.len() as u64, &mut buf);
+    for (id, records) in segments {
+        encode(u64::from(*id), &mut buf);
+        encode(records.len() as u64, &mut buf);
+        for rec in records {
+            encode(rec.len() as u64, &mut buf);
+            buf.extend_from_slice(rec);
+        }
+    }
+    let fnv1a = buf.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    buf.extend_from_slice(&fnv1a.to_le_bytes());
+    buf
+}
+
+/// `snapshot` must fail both ways a store file is read — the bare restore
+/// and the engine's open — with `PersistError::Corrupt(what)`, not a panic.
+fn assert_rejected_as_corrupt(snapshot: &[u8], what: &str, dir_name: &str) {
+    use cinderella::server::{Engine, EngineOptions, ServerError};
+    use cinderella::storage::PersistError;
+    match UniversalTable::restore(&mut &snapshot[..], 8) {
+        Err(PersistError::Corrupt(got)) => assert_eq!(got, what),
+        Err(other) => panic!("restore: expected corrupt snapshot ({what}), got {other}"),
+        Ok(_) => panic!("restore accepted a snapshot with: {what}"),
+    }
+    let dir = std::env::temp_dir().join(format!("{dir_name}_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("store dir");
+    std::fs::write(dir.join("store.cind"), snapshot).expect("store file");
+    let opened = Engine::open(&dir, EngineOptions::default());
+    let _ = std::fs::remove_dir_all(&dir);
+    match opened {
+        Err(ServerError::Persist(PersistError::Corrupt(got))) => assert_eq!(got, what),
+        Err(other) => panic!("open: expected corrupt snapshot ({what}), got {other}"),
+        Ok(_) => panic!("open accepted a snapshot with: {what}"),
+    }
+}
+
+fn record(id: u64, attr: u32) -> Vec<u8> {
+    use cinderella::model::{AttrId, Entity, Value};
+    let e = Entity::new(EntityId(id), [(AttrId(attr), Value::Int(1))]).expect("valid");
+    cinderella::storage::encode_entity(&e)
+}
+
+/// A record naming an attribute the snapshot's own catalog does not hold
+/// used to restore fine and then panic in `Cinderella::rebuild`, taking
+/// the process down on `Engine::open` of a bad store file.
+#[test]
+fn restore_rejects_an_attribute_id_beyond_the_catalog() {
+    let good = hand_built_snapshot(&["a", "b"], &[(0, vec![record(1, 0), record(2, 1)])]);
+    assert_eq!(UniversalTable::restore(&mut &good[..], 8).expect("valid").entity_count(), 2);
+    let bad = hand_built_snapshot(&["a", "b"], &[(0, vec![record(1, 0), record(2, 2)])]);
+    assert_rejected_as_corrupt(&bad, "attribute id beyond catalog", "cind_attr_beyond_catalog");
+}
+
+/// A snapshot listing one segment id twice used to hit an `assert!`.
+#[test]
+fn restore_rejects_a_duplicate_segment() {
+    let bad =
+        hand_built_snapshot(&["a"], &[(3, vec![record(1, 0)]), (3, vec![record(2, 0)])]);
+    assert_rejected_as_corrupt(&bad, "duplicate segment", "cind_duplicate_segment");
+}
