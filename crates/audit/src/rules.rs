@@ -152,7 +152,8 @@ fn stats_write_findings(f: &SourceFile) -> Vec<Finding> {
 
 /// CIND-A004: every field of a user-facing config struct —
 /// `cinderella_core::Config` and the serving layer's `ServeConfig` — is
-/// doc-commented and reachable from the CLI as `--kebab-case-name`.
+/// doc-commented and reachable from the CLI as `--kebab-case-name`. A field
+/// directly under `#[doc(hidden)]` is not user-facing and is skipped.
 ///
 /// The structs are parsed from their crate's raw text (doc comments do
 /// not survive the code view); the flag search runs over the raw text of
@@ -210,7 +211,8 @@ struct ConfigField {
 }
 
 /// Extracts `pub <name>:` fields of `pub struct <struct_name> { … }` with
-/// their line numbers and whether a `///` line directly precedes them.
+/// their line numbers and whether a `///` line directly precedes them;
+/// fields a `#[doc(hidden)]` line directly precedes are left out.
 fn config_fields(raw: &str, struct_name: &str) -> Vec<ConfigField> {
     let mut out = Vec::new();
     let all: Vec<&str> = raw.lines().collect();
@@ -232,8 +234,11 @@ fn config_fields(raw: &str, struct_name: &str) -> Vec<ConfigField> {
                 .and_then(|r| r.split_once(':'))
                 .map(|(n, _)| n.trim())
             {
-                if name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') {
-                    let documented = all[start + off - 1].trim_start().starts_with("///");
+                let above = all[start + off - 1].trim();
+                if above != "#[doc(hidden)]"
+                    && name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
+                {
+                    let documented = above.starts_with("///");
                     out.push(ConfigField {
                         name: name.to_owned(),
                         line: start + off + 1,
@@ -562,6 +567,27 @@ mod tests {
         assert_eq!(found.len(), 2, "{found:?}");
         assert!(found.iter().all(|f| f.message.contains("ServeConfig")), "{found:?}");
         assert!(found[1].message.contains("--queue-depth"), "{found:?}");
+    }
+
+    #[test]
+    fn a004_skips_doc_hidden_fields_only() {
+        let serve = |attr: &str| {
+            file(
+                "crates/server/src/config.rs",
+                &format!(
+                    "pub struct ServeConfig {{\n\
+                     \x20   /// Accepted and ignored.\n\
+                     {attr}\x20   pub query_threads: usize,\n\
+                     }}\n"
+                ),
+            )
+        };
+        let cli = || file("crates/cli/src/main.rs", "const USAGE: &str = \"\";\n");
+        assert!(config_coverage(&[serve("    #[doc(hidden)]\n"), cli()]).is_empty());
+        // The same field without the attribute is user-facing: it needs a flag.
+        let found = config_coverage(&[serve(""), cli()]);
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert!(found[0].message.contains("--query-threads"), "{found:?}");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use cind_baselines::{Partitioner, Unpartitioned};
 use cind_datagen::{DbpediaConfig, DbpediaGenerator, WorkloadBuilder};
 use cind_model::Synopsis;
-use cind_query::{execute, execute_parallel, plan, Query};
+use cind_query::{execute, plan, Query};
 use cind_storage::{BufferPool, SegmentId, UniversalTable};
 use cinderella_core::{Capacity, Cinderella, Config};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -73,27 +73,6 @@ fn bench_query(c: &mut Criterion) {
                 |bench, p| bench.iter(|| execute(&loaded.table, query, p).expect("run")),
             );
         }
-    }
-    g.finish();
-
-    // Parallel execution: the same pruned plans fanned over worker pools.
-    // Sequential vs 2/4 threads on the broad query (most surviving
-    // branches, the case parallelism targets). Speedup tracks the host's
-    // core count — on a single-core machine this group instead bounds the
-    // fan-out overhead (spawn + merge), which should stay within ~10 % of
-    // the sequential time.
-    let mut g = c.benchmark_group("query/execute_parallel_10k");
-    let (name, query, _) = queries.last().expect("three queries");
-    let p = plan(query, cindy.view.iter().map(|(s, syn, _)| (*s, syn)));
-    g.bench_function(format!("{name}/seq"), |b| {
-        b.iter(|| execute(&cindy.table, query, &p).expect("run"))
-    });
-    for threads in [2usize, 4] {
-        g.bench_with_input(
-            BenchmarkId::new(format!("{name}/threads"), threads),
-            &threads,
-            |b, &t| b.iter(|| execute_parallel(&cindy.table, query, &p, t).expect("run")),
-        );
     }
     g.finish();
 

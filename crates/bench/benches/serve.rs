@@ -73,7 +73,6 @@ fn run_scenario(sc: &Scenario) -> (LoadReport, u64) {
     let engine = Arc::new(ShardedEngine::in_memory(ShardedOptions::new(
         EngineOptions {
             pool_pages: 4096,
-            query_threads: sc.serve.query_threads,
             ..EngineOptions::default()
         },
         sc.serve.effective_shards(),

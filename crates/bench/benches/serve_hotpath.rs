@@ -127,7 +127,6 @@ fn store_dir(name: &str) -> PathBuf {
 fn run_scenario(sc: &Scenario) -> (LoadReport, IoCounters) {
     let eopts = EngineOptions {
         pool_pages: 4096,
-        query_threads: sc.serve.query_threads,
         group_commit_window: Duration::from_micros(sc.window_us),
         ..EngineOptions::default()
     };

@@ -33,17 +33,18 @@ use cind_model::{EntityId, Synopsis};
 use cind_storage::UniversalTable;
 use cinderella_core::{efficiency_of, Capacity, Cinderella, Config, SynopsisMode};
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let env = ExperimentEnv::from_args();
-    synopsis_mode_study(&env);
-    policy_shootout(&env);
-    merge_pass_study(&env);
-    bulk_load_study(&env);
-    workload_drift_study(&env);
+    synopsis_mode_study(&env)?;
+    policy_shootout(&env)?;
+    merge_pass_study(&env)?;
+    bulk_load_study(&env)?;
+    workload_drift_study(&env)?;
+    Ok(())
 }
 
 /// Study 2: entity-based vs workload-based synopses.
-fn synopsis_mode_study(env: &ExperimentEnv) {
+fn synopsis_mode_study(env: &ExperimentEnv) -> Result<(), Box<dyn std::error::Error>> {
     println!("== ablation 2: entity-based vs workload-based mode ==\n");
 
     // The workload must exist before workload-based partitioning can.
@@ -74,9 +75,9 @@ fn synopsis_mode_study(env: &ExperimentEnv) {
             mode,
             ..Config::default()
         });
-        load(&mut policy, &mut table, entities);
+        load(&mut policy, &mut table, entities)?;
         let eff = cinderella_core::efficiency(&table, &policy, &query_synopses);
-        let points = measure_queries(&table, &policy, &specs, env.runs);
+        let points = measure_queries(&table, &policy, &specs, env.runs)?;
         let selective: Vec<f64> = points
             .iter()
             .filter(|p| p.selectivity < 0.2)
@@ -91,12 +92,13 @@ fn synopsis_mode_study(env: &ExperimentEnv) {
         ]);
     }
     println!("{}", t.render());
-    env.maybe_csv("ablation_mode", &t);
+    env.maybe_csv("ablation_mode", &t)?;
     println!();
+    Ok(())
 }
 
 /// Study 3: all policies on the same data and workload.
-fn policy_shootout(env: &ExperimentEnv) {
+fn policy_shootout(env: &ExperimentEnv) -> Result<(), Box<dyn std::error::Error>> {
     println!("== ablation 3: policy shoot-out ==\n");
     let mut probe = UniversalTable::new(env.pool_pages);
     let entities = dbpedia_dataset(env, &mut probe);
@@ -137,7 +139,7 @@ fn policy_shootout(env: &ExperimentEnv) {
     for mut policy in policies {
         let mut table = UniversalTable::new(env.pool_pages);
         let entities = dbpedia_dataset(env, &mut table);
-        let d = load(&mut *policy, &mut table, entities);
+        let d = load(&mut *policy, &mut table, entities)?;
         let view = policy.pruning_view();
         let partitions: Vec<(Synopsis, u64)> =
             view.iter().map(|(_, syn, size)| (syn.clone(), *size)).collect();
@@ -146,7 +148,7 @@ fn policy_shootout(env: &ExperimentEnv) {
             &partitions,
             &query_synopses,
         );
-        let points = measure_queries(&table, policy.as_ref(), &specs, env.runs);
+        let points = measure_queries(&table, policy.as_ref(), &specs, env.runs)?;
         let mean_pages = |pred: &dyn Fn(f64) -> bool| {
             let v: Vec<f64> = points
                 .iter()
@@ -220,11 +222,12 @@ fn policy_shootout(env: &ExperimentEnv) {
         ]);
     }
     println!("{}", t.render());
-    env.maybe_csv("ablation_policies", &t);
+    env.maybe_csv("ablation_policies", &t)?;
+    Ok(())
 }
 
 /// Study 4: the merge pass after mass deletes.
-fn merge_pass_study(env: &ExperimentEnv) {
+fn merge_pass_study(env: &ExperimentEnv) -> Result<(), Box<dyn std::error::Error>> {
     println!("\n== ablation 4: merge pass after mass deletes ==\n");
     let mut table = UniversalTable::new(env.pool_pages);
     let entities = dbpedia_dataset(env, &mut table);
@@ -240,7 +243,7 @@ fn merge_pass_study(env: &ExperimentEnv) {
         ..Config::default()
     });
     let n = entities.len() as u64;
-    load(&mut policy, &mut table, entities);
+    load(&mut policy, &mut table, entities)?;
 
     let mut t = Table::new([
         "phase",
@@ -254,9 +257,10 @@ fn merge_pass_study(env: &ExperimentEnv) {
     let snapshot = |label: &str,
                     t: &mut Table,
                     table: &UniversalTable,
-                    policy: &Cinderella| {
+                    policy: &Cinderella|
+     -> Result<(), cind_storage::StorageError> {
         let eff = cinderella_core::efficiency(table, policy, &query_synopses);
-        let points = measure_queries(table, policy, &specs, 1);
+        let points = measure_queries(table, policy, &specs, 1)?;
         let mean_pages =
             points.iter().map(|p| p.pages).sum::<f64>() / points.len().max(1) as f64;
         t.row([
@@ -265,8 +269,9 @@ fn merge_pass_study(env: &ExperimentEnv) {
             format!("{eff:.4}"),
             format!("{mean_pages:.0}"),
         ]);
+        Ok(())
     };
-    snapshot("loaded", &mut t, &table, &policy);
+    snapshot("loaded", &mut t, &table, &policy)?;
 
     // Delete 85 % of the entities.
     for i in 0..n {
@@ -274,20 +279,21 @@ fn merge_pass_study(env: &ExperimentEnv) {
             policy.delete(&mut table, EntityId(i)).expect("delete");
         }
     }
-    snapshot("after 85% deletes", &mut t, &table, &policy);
+    snapshot("after 85% deletes", &mut t, &table, &policy)?;
 
     let report = policy.merge_pass(&mut table, 0.5).expect("merge pass");
-    snapshot("after merge pass", &mut t, &table, &policy);
+    snapshot("after merge pass", &mut t, &table, &policy)?;
     println!("{}", t.render());
     println!(
         "merge pass: {} merges, {} entities moved, {} kept\n",
         report.merges, report.entities_moved, report.kept
     );
-    env.maybe_csv("ablation_merge", &t);
+    env.maybe_csv("ablation_merge", &t)?;
+    Ok(())
 }
 
 /// Study 5: parallel bulk loading.
-fn bulk_load_study(env: &ExperimentEnv) {
+fn bulk_load_study(env: &ExperimentEnv) -> Result<(), Box<dyn std::error::Error>> {
     println!("== ablation 5: parallel bulk load ==\n");
     let mut t = Table::new([
         "threads",
@@ -332,11 +338,12 @@ fn bulk_load_study(env: &ExperimentEnv) {
         ]);
     }
     println!("{}", t.render());
-    env.maybe_csv("ablation_bulk", &t);
+    env.maybe_csv("ablation_bulk", &t)?;
+    Ok(())
 }
 
 /// Study 7: §II's robustness claim under workload drift.
-fn workload_drift_study(env: &ExperimentEnv) {
+fn workload_drift_study(env: &ExperimentEnv) -> Result<(), Box<dyn std::error::Error>> {
     println!("\n== ablation 7: workload drift (§II robustness claim) ==\n");
     let mut probe = UniversalTable::new(env.pool_pages);
     let entities = dbpedia_dataset(env, &mut probe);
@@ -373,7 +380,7 @@ fn workload_drift_study(env: &ExperimentEnv) {
             mode,
             ..Config::default()
         });
-        load(&mut policy, &mut table, entities);
+        load(&mut policy, &mut table, entities)?;
         let parts: Vec<(Synopsis, u64)> = Partitioner::pruning_view(&policy)
             .into_iter()
             .map(|(_, syn, size)| (syn, size))
@@ -392,5 +399,6 @@ fn workload_drift_study(env: &ExperimentEnv) {
     println!("§II: \"whenever a workload is not available or where the solution should be");
     println!("more general and robust, an entity-based solution is more appropriate\" —");
     println!("the drifted column quantifies that robustness gap.");
-    env.maybe_csv("ablation_drift", &t);
+    env.maybe_csv("ablation_drift", &t)?;
+    Ok(())
 }

@@ -12,7 +12,7 @@ use cind_bench::{dbpedia_dataset, ExperimentEnv};
 use cind_metrics::Table;
 use cind_storage::UniversalTable;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let env = ExperimentEnv::from_args();
     let mut table = UniversalTable::new(env.pool_pages);
     let entities = dbpedia_dataset(&env, &mut table);
@@ -50,7 +50,7 @@ fn main() {
         ]);
     }
     println!("{}", t.render());
-    env.maybe_csv("fig4a_bands", &t);
+    env.maybe_csv("fig4a_bands", &t)?;
 
     let mut curve = Table::new(["rank", "frequency"]);
     for (rank, f) in freqs.iter().enumerate() {
@@ -60,7 +60,7 @@ fn main() {
     }
     println!("\nfrequency by rank (head + every 10th):");
     println!("{}", curve.render());
-    env.maybe_csv("fig4a_curve", &curve);
+    env.maybe_csv("fig4a_curve", &curve)?;
 
     // Fig. 4(b): attributes per entity.
     let mut arity_hist = std::collections::BTreeMap::<usize, u64>::new();
@@ -79,7 +79,7 @@ fn main() {
         ]);
     }
     println!("{}", t.render());
-    env.maybe_csv("fig4b", &t);
+    env.maybe_csv("fig4b", &t)?;
 
     let sparseness = 1.0 - total_cells as f64 / (n * universe as f64);
     let in_band: u64 = arity_hist
@@ -125,5 +125,6 @@ fn main() {
         format!("{sparseness:.3}"),
     ]);
     println!("{}", t.render());
-    env.maybe_csv("fig4_calibration", &t);
+    env.maybe_csv("fig4_calibration", &t)?;
+    Ok(())
 }

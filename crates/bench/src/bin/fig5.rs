@@ -12,13 +12,13 @@
 
 use cind_baselines::{Partitioner, Unpartitioned};
 use cind_bench::{
-    cinderella, dbpedia_dataset, load, measure_queries_with, ms, representative_queries,
+    cinderella, dbpedia_dataset, load, measure_queries, ms, representative_queries,
     ExperimentEnv, QueryPoint,
 };
 use cind_metrics::Table;
-use cind_storage::UniversalTable;
+use cind_storage::{StorageError, UniversalTable};
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let env = ExperimentEnv::from_args();
     const WEIGHT: f64 = 0.5;
     let limits: [u64; 3] = [500, 5000, 50_000];
@@ -29,7 +29,7 @@ fn main() {
         let mut table = UniversalTable::new(env.pool_pages);
         let entities = dbpedia_dataset(&env, &mut table);
         let mut policy = Unpartitioned::new();
-        let t = load(&mut policy, &mut table, entities);
+        let t = load(&mut policy, &mut table, entities)?;
         eprintln!("loaded universal table in {}ms", ms(t).as_str());
         scenarios.push(("universal".into(), table, Box::new(policy)));
     }
@@ -37,7 +37,7 @@ fn main() {
         let mut table = UniversalTable::new(env.pool_pages);
         let entities = dbpedia_dataset(&env, &mut table);
         let mut policy = cinderella(b, WEIGHT);
-        let t = load(&mut policy, &mut table, entities);
+        let t = load(&mut policy, &mut table, entities)?;
         eprintln!(
             "loaded B={b} in {}ms ({} partitions, {} splits)",
             ms(t),
@@ -59,16 +59,9 @@ fn main() {
     let series: Vec<(String, Vec<QueryPoint>)> = scenarios
         .iter()
         .map(|(name, table, policy)| {
-            let pts = measure_queries_with(
-                table,
-                policy.as_ref(),
-                &specs,
-                env.runs,
-                env.parallelism(),
-            );
-            (name.clone(), pts)
+            Ok((name.clone(), measure_queries(table, policy.as_ref(), &specs, env.runs)?))
         })
-        .collect();
+        .collect::<Result<_, StorageError>>()?;
 
     // Answers must agree across scenarios.
     for (name, points) in &series[1..] {
@@ -77,11 +70,7 @@ fn main() {
         }
     }
 
-    println!(
-        "Fig. 5 — avg query execution time [ms] vs selectivity (w = {WEIGHT}, {} thread{})",
-        env.threads.max(1),
-        if env.threads > 1 { "s" } else { "" }
-    );
+    println!("Fig. 5 — avg query execution time [ms] vs selectivity (w = {WEIGHT})");
     let mut headers = vec!["selectivity".to_owned(), "rows".to_owned()];
     headers.extend(series.iter().map(|(n, _)| format!("{n} [ms]")));
     headers.extend(series.iter().map(|(n, _)| format!("{n} [pages]")));
@@ -96,7 +85,7 @@ fn main() {
         t.row(row);
     }
     println!("{}", t.render());
-    env.maybe_csv("fig5", &t);
+    env.maybe_csv("fig5", &t)?;
 
     // Aggregate the paper's headline: speedup for selectivity < 0.2.
     println!("\nspeedup vs universal (geometric mean of per-query page ratios):");
@@ -122,5 +111,6 @@ fn main() {
         ]);
     }
     println!("{}", t.render());
-    env.maybe_csv("fig5_speedup", &t);
+    env.maybe_csv("fig5_speedup", &t)?;
+    Ok(())
 }

@@ -10,13 +10,13 @@
 
 use cind_baselines::{Partitioner, Unpartitioned};
 use cind_bench::{
-    cinderella, dbpedia_dataset, load, measure_queries_with, ms, representative_queries,
+    cinderella, dbpedia_dataset, load, measure_queries, ms, representative_queries,
     ExperimentEnv, QueryPoint,
 };
 use cind_metrics::Table;
-use cind_storage::UniversalTable;
+use cind_storage::{StorageError, UniversalTable};
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let env = ExperimentEnv::from_args();
     const B: u64 = 5000;
     let weights = [0.0, 0.2, 0.5, 0.8];
@@ -26,14 +26,14 @@ fn main() {
         let mut table = UniversalTable::new(env.pool_pages);
         let entities = dbpedia_dataset(&env, &mut table);
         let mut policy = Unpartitioned::new();
-        load(&mut policy, &mut table, entities);
+        load(&mut policy, &mut table, entities)?;
         scenarios.push(("universal".into(), table, Box::new(policy)));
     }
     for w in weights {
         let mut table = UniversalTable::new(env.pool_pages);
         let entities = dbpedia_dataset(&env, &mut table);
         let mut policy = cinderella(B, w);
-        let t = load(&mut policy, &mut table, entities);
+        let t = load(&mut policy, &mut table, entities)?;
         eprintln!(
             "loaded w={w} in {}ms ({} partitions, {} splits)",
             ms(t),
@@ -53,16 +53,9 @@ fn main() {
     let series: Vec<(String, Vec<QueryPoint>)> = scenarios
         .iter()
         .map(|(name, table, policy)| {
-            let pts = measure_queries_with(
-                table,
-                policy.as_ref(),
-                &specs,
-                env.runs,
-                env.parallelism(),
-            );
-            (name.clone(), pts)
+            Ok((name.clone(), measure_queries(table, policy.as_ref(), &specs, env.runs)?))
         })
-        .collect();
+        .collect::<Result<_, StorageError>>()?;
 
     for (name, points) in &series[1..] {
         for (p, u) in points.iter().zip(&series[0].1) {
@@ -82,7 +75,7 @@ fn main() {
         t.row(row);
     }
     println!("{}", t.render());
-    env.maybe_csv("fig6", &t);
+    env.maybe_csv("fig6", &t)?;
 
     println!("\npartitions per weight:");
     let mut t = Table::new(["weight", "partitions"]);
@@ -91,5 +84,6 @@ fn main() {
         t.row([name.clone(), policy.partition_count().to_string()]);
     }
     println!("{}", t.render());
-    env.maybe_csv("fig6_partitions", &t);
+    env.maybe_csv("fig6_partitions", &t)?;
+    Ok(())
 }

@@ -14,7 +14,7 @@ use cind_metrics::{PartitioningReport, Table};
 use cind_metrics::partition_stats::PartitionNumbers;
 use cind_storage::UniversalTable;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let env = ExperimentEnv::from_args();
     const B: u64 = 5000;
     let weights: Vec<f64> = (0..=10).map(|i| f64::from(i) / 10.0).collect();
@@ -33,7 +33,7 @@ fn main() {
         overall_sparseness =
             1.0 - cells as f64 / (entities.len() as f64 * table.universe() as f64);
         let mut policy = cinderella(B, w);
-        let t = load(&mut policy, &mut table, entities);
+        let t = load(&mut policy, &mut table, entities)?;
         eprintln!("w={w}: loaded in {}ms", ms(t));
 
         let report = PartitioningReport::from_partitions(policy.catalog().iter().map(|m| {
@@ -84,8 +84,9 @@ fn main() {
     println!("\n(d) sparseness per partition (data set overall: {overall_sparseness:.3}):");
     println!("{}", td.render());
 
-    env.maybe_csv("fig7a", &ta);
-    env.maybe_csv("fig7b", &tb);
-    env.maybe_csv("fig7c", &tc);
-    env.maybe_csv("fig7d", &td);
+    env.maybe_csv("fig7a", &ta)?;
+    env.maybe_csv("fig7b", &tb)?;
+    env.maybe_csv("fig7c", &tc)?;
+    env.maybe_csv("fig7d", &td)?;
+    Ok(())
 }

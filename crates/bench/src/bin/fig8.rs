@@ -14,7 +14,7 @@ use cind_metrics::{LatencyHistogram, Table};
 use cind_storage::UniversalTable;
 use cinderella_core::{Capacity, Cinderella, Config};
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let env = ExperimentEnv::from_args();
     const WEIGHT: f64 = 0.5;
     let limits: [u64; 3] = [500, 5000, 50_000];
@@ -43,7 +43,7 @@ fn main() {
             record_events: true,
             ..Config::default()
         });
-        load(&mut policy, &mut table, entities);
+        load(&mut policy, &mut table, entities)?;
 
         let events = policy.take_events();
         let mut all = LatencyHistogram::new();
@@ -70,7 +70,7 @@ fn main() {
             ]);
         }
         println!("{}", t.render());
-        env.maybe_csv(&format!("fig8_b{b}"), &t);
+        env.maybe_csv(&format!("fig8_b{b}"), &t)?;
 
         split_table.row([
             b.to_string(),
@@ -88,5 +88,6 @@ fn main() {
 
     println!("\nsplit summary (paper at 100k entities: 448 / 100 / 0 splits):");
     println!("{}", split_table.render());
-    env.maybe_csv("fig8_summary", &split_table);
+    env.maybe_csv("fig8_summary", &split_table)?;
+    Ok(())
 }

@@ -16,7 +16,7 @@ use cind_bench::{cinderella, ms, ExperimentEnv};
 use cind_datagen::{tpch_query_columns, TpchConfig, TpchGenerator};
 use cind_metrics::Table;
 use cind_model::Synopsis;
-use cind_query::{execute, plan_with, Query};
+use cind_query::{execute, plan, Query};
 use cind_storage::{SegmentId, UniversalTable};
 use std::time::Duration;
 
@@ -31,7 +31,7 @@ struct Scenario {
     recovered: bool,
 }
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let env = ExperimentEnv::from_args();
     let scale = env.entities as f64 / SF1_ROWS;
     let gen = TpchGenerator::new(TpchConfig { scale, seed: env.seed });
@@ -73,7 +73,7 @@ fn main() {
         let mut table = UniversalTable::new(env.pool_pages);
         let (entities, _) = gen.generate(table.catalog_mut());
         let mut policy = cinderella(b, 0.5);
-        let t = cind_bench::load(&mut policy, &mut table, entities);
+        let t = cind_bench::load(&mut policy, &mut table, entities)?;
         eprintln!(
             "{label}: loaded in {}ms, {} partitions, {} splits",
             ms(t),
@@ -125,11 +125,7 @@ fn main() {
     for (qname, query) in &queries {
         let mut row = vec![qname.clone()];
         for (si, s) in scenarios.iter().enumerate() {
-            let p = plan_with(
-                query,
-                s.view.iter().map(|(seg, syn, _)| (*seg, syn)),
-                env.parallelism(),
-            );
+            let p = plan(query, s.view.iter().map(|(seg, syn, _)| (*seg, syn)));
             let mut best = Duration::MAX;
             let mut rows = 0;
             for run in 0..=env.runs {
@@ -154,13 +150,9 @@ fn main() {
         per_query.row(row);
     }
 
-    println!(
-        "Table I — query execution time on regular data (TPC-H), {} thread{}\n",
-        env.threads.max(1),
-        if env.threads > 1 { "s" } else { "" }
-    );
+    println!("Table I — query execution time on regular data (TPC-H)\n");
     println!("{}", per_query.render());
-    env.maybe_csv("table1_per_query", &per_query);
+    env.maybe_csv("table1_per_query", &per_query)?;
 
     let mut t = Table::new([
         "Scenario",
@@ -188,9 +180,10 @@ fn main() {
         ]);
     }
     println!("\n{}", t.render());
-    env.maybe_csv("table1", &t);
+    env.maybe_csv("table1", &t)?;
 
     for s in &scenarios[1..] {
         assert!(s.recovered, "{} failed to recover the TPC-H schema", s.name);
     }
+    Ok(())
 }

@@ -19,7 +19,7 @@ use cinderella_core::{efficiency, Capacity, Cinderella, Config};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let env = ExperimentEnv::from_args();
     let mut table = UniversalTable::new(env.pool_pages);
     let entities = dbpedia_dataset(&env, &mut table);
@@ -156,5 +156,6 @@ fn main() {
         cindy.stats().deletes,
         cindy.stats().splits,
     );
-    env.maybe_csv("timeline", &t);
+    env.maybe_csv("timeline", &t)?;
+    Ok(())
 }

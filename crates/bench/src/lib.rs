@@ -13,10 +13,8 @@
 //! | `ablations` | extensions: synopsis modes, baselines, merge, bulk load, drift |
 //!
 //! Every binary accepts `--entities N`, `--seed S`, `--runs R`,
-//! `--pool PAGES`, `--threads T` (fan surviving `UNION ALL` branches over
-//! `T` workers; 1 = the paper's sequential scans), and `--csv DIR` (write
-//! the series as CSV files), and prints fixed-width tables mirroring the
-//! paper's artifacts.
+//! `--pool PAGES`, and `--csv DIR` (write the series as CSV files), and
+//! prints fixed-width tables mirroring the paper's artifacts.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,9 +24,9 @@ use std::time::{Duration, Instant};
 use cind_baselines::Partitioner;
 use cind_datagen::{DbpediaConfig, DbpediaGenerator, QuerySpec, WorkloadBuilder};
 use cind_model::Entity;
-use cind_query::{execute, plan_with, Parallelism, Query};
-use cind_storage::UniversalTable;
-use cinderella_core::{Capacity, Cinderella, Config};
+use cind_query::{execute, plan, Query};
+use cind_storage::{StorageError, UniversalTable};
+use cinderella_core::{Capacity, Cinderella, Config, CoreError};
 
 /// Command-line knobs shared by all harness binaries.
 #[derive(Clone, Debug)]
@@ -41,9 +39,6 @@ pub struct ExperimentEnv {
     pub runs: usize,
     /// Buffer-pool pages (small relative to the data, so scans miss).
     pub pool_pages: usize,
-    /// Worker threads for query execution (1 = the paper's sequential
-    /// scans; >1 fans surviving `UNION ALL` branches over a pool).
-    pub threads: usize,
     /// Directory for CSV output (`None` = console only).
     pub csv_dir: Option<std::path::PathBuf>,
 }
@@ -55,61 +50,68 @@ impl Default for ExperimentEnv {
             seed: 0xC1DE,
             runs: 3,
             pool_pages: 256,
-            threads: 1,
             csv_dir: None,
         }
     }
 }
 
+/// The flags every harness binary takes.
+const USAGE: &str = "flags: --entities N --seed S --runs R --pool PAGES --csv DIR";
+
 impl ExperimentEnv {
-    /// Parses `--entities`, `--seed`, `--runs`, `--pool`, `--threads`,
-    /// `--csv` from the process arguments; unknown flags abort with a
-    /// usage message.
+    /// Parses `--entities`, `--seed`, `--runs`, `--pool`, `--csv` from the
+    /// process arguments. `--help` prints the flags and exits 0; a flag
+    /// that is unknown, has no value or has a bad one prints what was wrong
+    /// and the flags, and exits 2.
     pub fn from_args() -> Self {
-        let mut env = Self::default();
-        let mut args = std::env::args().skip(1);
-        while let Some(flag) = args.next() {
-            let mut value = |name: &str| {
-                args.next()
-                    .unwrap_or_else(|| panic!("missing value for {name}"))
-            };
-            match flag.as_str() {
-                "--entities" => env.entities = value("--entities").parse().expect("usize"),
-                "--seed" => env.seed = value("--seed").parse().expect("u64"),
-                "--runs" => env.runs = value("--runs").parse().expect("usize"),
-                "--pool" => env.pool_pages = value("--pool").parse().expect("usize"),
-                "--threads" => env.threads = value("--threads").parse().expect("usize"),
-                "--csv" => env.csv_dir = Some(value("--csv").into()),
-                "--help" | "-h" => {
-                    eprintln!(
-                        "flags: --entities N --seed S --runs R --pool PAGES --threads T \
-                         --csv DIR"
-                    );
-                    std::process::exit(0);
-                }
-                other => panic!("unknown flag {other}; try --help"),
+        match Self::parse(std::env::args().skip(1)) {
+            Ok(Some(env)) => env,
+            Ok(None) => {
+                eprintln!("{USAGE}");
+                std::process::exit(0);
+            }
+            Err(what) => {
+                eprintln!("error: {what}\n{USAGE}");
+                std::process::exit(2);
             }
         }
-        env
     }
 
-    /// The execution strategy the flags ask for.
-    pub fn parallelism(&self) -> Parallelism {
-        if self.threads <= 1 {
-            Parallelism::Sequential
-        } else {
-            Parallelism::Threads(self.threads)
+    /// The environment `args` describe; `None` when they ask for help.
+    fn parse(mut args: impl Iterator<Item = String>) -> Result<Option<Self>, String> {
+        fn number<T: std::str::FromStr>(flag: &str, raw: &str) -> Result<T, String> {
+            raw.parse().map_err(|_| format!("bad value for {flag}: {raw}"))
         }
+        let mut env = Self::default();
+        while let Some(flag) = args.next() {
+            if flag == "--help" || flag == "-h" {
+                return Ok(None);
+            }
+            let mut value = || args.next().ok_or_else(|| format!("missing value for {flag}"));
+            match flag.as_str() {
+                "--entities" => env.entities = number(&flag, &value()?)?,
+                "--seed" => env.seed = number(&flag, &value()?)?,
+                "--runs" => env.runs = number(&flag, &value()?)?,
+                "--pool" => env.pool_pages = number(&flag, &value()?)?,
+                "--csv" => env.csv_dir = Some(value()?.into()),
+                _ => return Err(format!("unknown flag {flag}")),
+            }
+        }
+        Ok(Some(env))
     }
 
     /// Writes `table` to `<csv_dir>/<name>.csv` when CSV output is on.
-    pub fn maybe_csv(&self, name: &str, table: &cind_metrics::Table) {
+    ///
+    /// # Errors
+    /// The directory cannot be created or the file cannot be written.
+    pub fn maybe_csv(&self, name: &str, table: &cind_metrics::Table) -> std::io::Result<()> {
         if let Some(dir) = &self.csv_dir {
-            std::fs::create_dir_all(dir).expect("create csv dir");
+            std::fs::create_dir_all(dir)?;
             let path = dir.join(format!("{name}.csv"));
-            table.write_csv(&path).expect("write csv");
+            table.write_csv(&path)?;
             eprintln!("wrote {}", path.display());
         }
+        Ok(())
     }
 }
 
@@ -133,16 +135,17 @@ pub fn cinderella(b: u64, w: f64) -> Cinderella {
 }
 
 /// Loads `entities` through `policy`, returning the wall-clock load time.
+///
+/// # Errors
+/// Whatever the policy's load reports.
 pub fn load(
     policy: &mut dyn Partitioner,
     table: &mut UniversalTable,
     entities: Vec<Entity>,
-) -> Duration {
+) -> Result<Duration, CoreError> {
     let t0 = Instant::now();
-    policy
-        .load(table, entities)
-        .expect("load must succeed on generated data");
-    t0.elapsed()
+    policy.load(table, entities)?;
+    Ok(t0.elapsed())
 }
 
 /// The representative query set of §V-B: all candidates binned by
@@ -172,37 +175,22 @@ pub struct QueryPoint {
 
 /// Runs each representative query `runs` times against `table` through the
 /// policy's pruning view; returns one point per query, in spec order.
-/// Sequential execution — the paper's configuration.
+///
+/// # Errors
+/// A storage error from a scan.
 pub fn measure_queries(
     table: &UniversalTable,
     policy: &dyn Partitioner,
     specs: &[QuerySpec],
     runs: usize,
-) -> Vec<QueryPoint> {
-    measure_queries_with(table, policy, specs, runs, Parallelism::Sequential)
-}
-
-/// [`measure_queries`] with an explicit execution strategy (the
-/// `--threads` knob). Aggregates are strategy-independent; only timing and
-/// hit ratios move.
-pub fn measure_queries_with(
-    table: &UniversalTable,
-    policy: &dyn Partitioner,
-    specs: &[QuerySpec],
-    runs: usize,
-    parallelism: Parallelism,
-) -> Vec<QueryPoint> {
+) -> Result<Vec<QueryPoint>, StorageError> {
     let view = policy.pruning_view();
     let universe = table.universe();
     specs
         .iter()
         .map(|spec| {
             let query = Query::from_attrs(universe, spec.attrs.iter().copied());
-            let p = plan_with(
-                &query,
-                view.iter().map(|(s, syn, _)| (*s, syn)),
-                parallelism,
-            );
+            let p = plan(&query, view.iter().map(|(s, syn, _)| (*s, syn)));
             // Warm-up run, then measured runs.
             let mut rows = 0;
             let mut total_time = Duration::ZERO;
@@ -210,7 +198,7 @@ pub fn measure_queries_with(
             let mut read = 0;
             let mut pruned = 0;
             for i in 0..=runs {
-                let r = execute(table, &query, &p).expect("plan segments are live");
+                let r = execute(table, &query, &p)?;
                 if i == 0 {
                     continue;
                 }
@@ -220,14 +208,14 @@ pub fn measure_queries_with(
                 read = r.segments_read;
                 pruned = r.segments_pruned;
             }
-            QueryPoint {
+            Ok(QueryPoint {
                 selectivity: spec.selectivity,
                 time: total_time / runs as u32,
                 pages: total_pages as f64 / runs as f64,
                 rows,
                 read,
                 pruned,
-            }
+            })
         })
         .collect()
 }
@@ -256,17 +244,17 @@ mod tests {
         assert!(!specs.is_empty());
 
         let mut cindy = cinderella(500, 0.5);
-        let load_time = load(&mut cindy, &mut table, entities.clone());
+        let load_time = load(&mut cindy, &mut table, entities.clone()).unwrap();
         assert!(load_time > Duration::ZERO);
         assert_eq!(table.entity_count(), 2_000);
 
         let mut universal_table = UniversalTable::new(env.pool_pages);
         let entities2 = dbpedia_dataset(&env, &mut universal_table);
         let mut universal = Unpartitioned::new();
-        load(&mut universal, &mut universal_table, entities2);
+        load(&mut universal, &mut universal_table, entities2).unwrap();
 
-        let cindy_points = measure_queries(&table, &cindy, &specs, env.runs);
-        let uni_points = measure_queries(&universal_table, &universal, &specs, env.runs);
+        let cindy_points = measure_queries(&table, &cindy, &specs, env.runs).unwrap();
+        let uni_points = measure_queries(&universal_table, &universal, &specs, env.runs).unwrap();
         // Same answers, fewer pages for selective queries under Cinderella.
         for (c, u) in cindy_points.iter().zip(&uni_points) {
             assert_eq!(c.rows, u.rows, "partitioning must not change answers");
@@ -283,22 +271,20 @@ mod tests {
             c_pages < u_pages,
             "selective queries must read fewer pages with Cinderella ({c_pages} vs {u_pages})"
         );
+    }
 
-        // Parallel measurement returns the same answers and pruning.
-        let par_points =
-            measure_queries_with(&table, &cindy, &specs, env.runs, Parallelism::Threads(4));
-        for (s, p) in cindy_points.iter().zip(&par_points) {
-            assert_eq!(s.rows, p.rows, "threads must not change answers");
-            assert_eq!(s.read, p.read);
-            assert_eq!(s.pruned, p.pruned);
-        }
+    fn parse(args: &[&str]) -> Result<Option<ExperimentEnv>, String> {
+        ExperimentEnv::parse(args.iter().map(|a| (*a).to_string()))
     }
 
     #[test]
-    fn env_parallelism_maps_threads() {
-        let env = ExperimentEnv::default();
-        assert_eq!(env.parallelism(), Parallelism::Sequential);
-        let env = ExperimentEnv { threads: 4, ..ExperimentEnv::default() };
-        assert_eq!(env.parallelism(), Parallelism::Threads(4));
+    fn flags_parse_and_bad_ones_are_errors_not_panics() {
+        let env = parse(&["--entities", "7", "--csv", "out", "--seed", "3"]).unwrap().unwrap();
+        assert_eq!((env.entities, env.seed, env.runs), (7, 3, ExperimentEnv::default().runs));
+        assert_eq!(env.csv_dir.as_deref(), Some(std::path::Path::new("out")));
+        assert!(parse(&["--runs", "2", "--help"]).unwrap().is_none());
+        assert_eq!(parse(&["--threads", "4"]).unwrap_err(), "unknown flag --threads");
+        assert_eq!(parse(&["--runs"]).unwrap_err(), "missing value for --runs");
+        assert_eq!(parse(&["--pool", "many"]).unwrap_err(), "bad value for --pool: many");
     }
 }

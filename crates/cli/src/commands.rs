@@ -3,7 +3,7 @@
 use std::path::Path;
 
 use cind_model::{AttributeCatalog, SizeModel, Value};
-use cind_query::{execute_collect, plan_from_survivors, Parallelism, Query};
+use cind_query::{execute_collect, plan_from_survivors, Query};
 use cind_storage::{PersistError, StorageError, UniversalTable};
 use cind_server::{EngineOptions, ServeConfig, Server, ServerError};
 use cinderella_core::{
@@ -242,9 +242,6 @@ pub struct QueryOptions {
     pub limit: Option<usize>,
     /// Buffer-pool pages.
     pub pool_pages: usize,
-    /// Worker threads for the scan (1 = sequential; >1 fans the surviving
-    /// `UNION ALL` branches over a pool).
-    pub threads: usize,
     /// Pruning-index tier (`exact`/`tiered`/`auto`); tiered planning is
     /// superset-sound, so the rendered rows are identical either way.
     pub tier: IndexTier,
@@ -255,7 +252,6 @@ impl Default for QueryOptions {
         Self {
             limit: Some(20),
             pool_pages: 1024,
-            threads: 1,
             tier: IndexTier::default(),
         }
     }
@@ -292,14 +288,9 @@ pub fn query(
             attrs
         ))
     })?;
-    let parallelism = if opts.threads > 1 {
-        Parallelism::Threads(opts.threads)
-    } else {
-        Parallelism::Sequential
-    };
     // Survivor set from the catalog's pruning index.
     let (segments, pruned) = cindy.catalog().survivors(q.synopsis());
-    let p = plan_from_survivors(segments, pruned).with_parallelism(parallelism);
+    let p = plan_from_survivors(segments, pruned);
     let (result, rows) = execute_collect(&table, &q, &p)?;
 
     let mut t = cind_metrics::Table::new(
@@ -680,7 +671,7 @@ mod tests {
         let out = query(
             &snap,
             &["a"],
-            &QueryOptions { limit: None, pool_pages: 64, threads: 2, ..QueryOptions::default() },
+            &QueryOptions { limit: None, pool_pages: 64, ..QueryOptions::default() },
         )
         .unwrap();
         assert!(out.contains("50 rows"), "{out}");

@@ -18,16 +18,14 @@ USAGE:
              [--weight W] [--capacity B] [--size-model cells|bytes]
              [--mode entity|workload:a,b;c,d] [--record-events true|false]
              [--threads N] [--tier exact|tiered|auto]
-  cind query --snapshot TABLE.cind --attrs a,b,c [--limit N] [--threads N]
+  cind query --snapshot TABLE.cind --attrs a,b,c [--limit N]
              [--tier exact|tiered|auto]
   cind stats --snapshot TABLE.cind
   cind merge --snapshot TABLE.cind [--threshold T]
   cind check --snapshot TABLE.cind
   cind serve --store DIR [--port P] [--workers N] [--queue-depth K]
-             [--pool-pages N] [--query-threads N] [--shards N]
-             [--group-commit-window USEC] [--reorg off|auto]
-             [--reorg-budget N] [--reorg-threshold T] [--reorg-epoch-ops N]
-             [--tier exact|tiered|auto]
+             [--pool-pages N] [--shards N] [--group-commit-window USEC]
+             [--reorg off|auto] [--tier exact|tiered|auto]
   cind workload --remote HOST:PORT [--connections N] [--entities N]
              [--attributes N] [--query-every K] [--seed S]
              [--pipeline K] [--batch N] [--shutdown true|false]
@@ -58,11 +56,11 @@ and serves it over a length-prefixed binary protocol on loopback until a
 client sends Shutdown: --port 0 picks a free port (printed on startup),
 --workers sizes the request worker pool, --queue-depth bounds the
 admission-control queue (a full queue answers Busy instead of stalling),
---pool-pages sizes the buffer pool, and --query-threads fans each query's
-UNION ALL scan over that many threads. --shards splits the store into N
+and --pool-pages sizes the buffer pool. --shards splits the store into N
 independent shards (own writer lock, WAL, and snapshot under
-shard-NNNN/); writes hash-route to one shard, queries fan out over all,
-and the on-disk MANIFEST pins the count for the store's lifetime.
+shard-NNNN/); writes hash-route to one shard, queries fan out one scan
+per shard, and the on-disk MANIFEST pins the count for the store's
+lifetime.
 --group-commit-window lets each shard's fsync leader linger that many
 microseconds collecting concurrent commits into one WAL append + fsync
 (0, the default, syncs every commit individually; durability semantics
@@ -72,10 +70,7 @@ shard tracks per-partition scan heat (decayed per epoch) and, between
 foreground writes, enacts the single best cost-modeled action — re-split
 a hot mixed partition, migrate an entity to the partition rating it
 highest, or merge cold underfull partitions — each WAL-framed so a crash
-mid-action recovers to a clean pre- or post-action state. --reorg-budget
-caps entities moved per step, --reorg-threshold sets the hysteresis
-fraction an action's predicted gain must clear, and --reorg-epoch-ops
-sets the heat-decay epoch length in recorded operations (off, the
+mid-action recovers to a clean pre- or post-action state (off, the
 default, disables stepping entirely).
 Sharded stores keep their snapshots at DIR/shard-NNNN/store.cind — point
 check/stats/query at those files individually.
@@ -182,7 +177,6 @@ fn run() -> Result<String, CliError> {
             let opts = QueryOptions {
                 limit: Some(args.get("limit", 20usize)?),
                 pool_pages: args.get("pool", 1024)?,
-                threads: args.get("threads", 1)?,
                 tier: args.get("tier", cinderella_core::IndexTier::default())?,
             };
             let snapshot = args.path("snapshot")?;
@@ -205,20 +199,16 @@ fn run() -> Result<String, CliError> {
             merge(&snapshot, threshold, pool)
         }
         "serve" => {
-            let reorg_defaults = cinderella_core::ReorgConfig::default();
             let cfg = cind_server::ServeConfig {
                 port: args.get("port", 0u16)?,
                 workers: args.get("workers", 4)?,
                 queue_depth: args.get("queue-depth", 64)?,
                 pool_pages: args.get("pool-pages", 1024)?,
-                query_threads: args.get("query-threads", 2)?,
                 shards: args.get("shards", 1)?,
                 group_commit_window: args.get("group-commit-window", 0)?,
                 reorg: args.get("reorg", cinderella_core::ReorgMode::Off)?,
-                reorg_budget: args.get("reorg-budget", reorg_defaults.budget)?,
-                reorg_threshold: args.get("reorg-threshold", reorg_defaults.threshold)?,
-                reorg_epoch_ops: args.get("reorg-epoch-ops", reorg_defaults.epoch_ops)?,
                 tier: args.get("tier", cinderella_core::IndexTier::default())?,
+                ..cind_server::ServeConfig::default()
             };
             let store = args.path("store")?;
             args.finish()?;

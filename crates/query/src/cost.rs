@@ -99,11 +99,7 @@ mod tests {
     #[test]
     fn empty_plan_costs_nothing() {
         let (t, _) = setup();
-        let p = Plan {
-            segments: Vec::new(),
-            pruned: 2,
-            parallelism: crate::Parallelism::Sequential,
-        };
+        let p = Plan { segments: Vec::new(), pruned: 2 };
         let est = estimate(&t, &p).unwrap();
         assert_eq!(est, CostEstimate { pages: 0, entities_scanned: 0, segments: 0 });
     }
@@ -111,11 +107,7 @@ mod tests {
     #[test]
     fn stale_plan_is_an_error() {
         let (t, _) = setup();
-        let p = Plan {
-            segments: vec![cind_storage::SegmentId(99)],
-            pruned: 0,
-            parallelism: crate::Parallelism::Sequential,
-        };
+        let p = Plan { segments: vec![cind_storage::SegmentId(99)], pruned: 0 };
         assert!(matches!(
             estimate(&t, &p),
             Err(StorageError::NoSuchSegment(_))

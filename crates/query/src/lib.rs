@@ -26,9 +26,6 @@
 //!   catalog or a baseline's).
 //! * [`executor::execute`] — runs the plan, returning a [`QueryResult`]
 //!   with logical/physical I/O deltas and timing.
-//! * [`executor::execute_parallel`] — the same scan with the `UNION ALL`
-//!   branches fanned over a worker pool and merged deterministically;
-//!   [`planner::Parallelism`] selects the strategy per plan.
 //! * [`mod@selectivity`] — the fraction of entities a query returns, the x-axis
 //!   of Figs. 5 and 6.
 //!
@@ -69,11 +66,8 @@ mod query;
 pub mod selectivity;
 
 pub use cost::{estimate, CostEstimate};
-pub use executor::{
-    execute, execute_collect, execute_collect_projection, execute_collect_view, execute_into,
-    execute_parallel, execute_parallel_view, execute_view, QueryResult,
-};
-pub use planner::{plan, plan_from_survivors, plan_with, Parallelism, Plan};
+pub use executor::{execute, execute_collect, execute_collect_view, execute_into, QueryResult};
+pub use planner::{plan, plan_from_survivors, Plan};
 pub use projection::{Projection, Row, RowSink};
 pub use query::Query;
 pub use selectivity::{selectivity, selectivity_of};

@@ -5,52 +5,15 @@ use cind_storage::SegmentId;
 
 use crate::Query;
 
-/// How the executor spreads the surviving `UNION ALL` branches over cores.
-///
-/// The pruned segment list is an embarrassingly parallel scan: each branch
-/// touches a disjoint segment, the buffer pool is sharded, and the result
-/// aggregates are sums — so the executor can fan branches out to a worker
-/// pool and merge deterministically in plan order.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Parallelism {
-    /// One thread, branch after branch — the paper's prototype behaviour
-    /// and the default.
-    #[default]
-    Sequential,
-    /// A fixed worker count (clamped to at least 1 and at most the number
-    /// of surviving branches at execution time).
-    Threads(usize),
-    /// One worker per available core, capped at the branch count.
-    Auto,
-}
-
-impl Parallelism {
-    /// Resolves the knob to a concrete worker count for a plan with
-    /// `branches` surviving segments. Returns 1 whenever parallel workers
-    /// cannot help (sequential mode, one branch, zero branches).
-    pub fn workers(self, branches: usize) -> usize {
-        let cap = branches.max(1);
-        match self {
-            Self::Sequential => 1,
-            Self::Threads(n) => n.clamp(1, cap),
-            Self::Auto => std::thread::available_parallelism()
-                .map_or(1, std::num::NonZeroUsize::get)
-                .min(cap),
-        }
-    }
-}
-
 /// An execution plan: the segments that survive pruning, in catalog order —
 /// the equivalent of the prototype's rewritten `UNION ALL` over partition
-/// tables — plus the parallelism the executor should use to run them.
+/// tables.
 #[derive(Clone, Debug)]
 pub struct Plan {
     /// Segments to scan.
     pub segments: Vec<SegmentId>,
     /// Partitions pruned by the synopsis test.
     pub pruned: usize,
-    /// How to spread the scan over cores.
-    pub parallelism: Parallelism,
 }
 
 impl Plan {
@@ -63,34 +26,15 @@ impl Plan {
             self.pruned as f64 / total as f64
         }
     }
-
-    /// Returns the plan with its parallelism knob set.
-    #[must_use]
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
-        self
-    }
 }
 
 /// Builds the plan for `query` against a partition view: any iterator of
 /// `(segment, attribute synopsis)` pairs, e.g.
 /// `cinderella_core::PartitionCatalog::pruning_view` or a baseline's
 /// assignment. A partition survives iff `|p ∧ q| ≠ 0`.
-///
-/// The plan defaults to [`Parallelism::Sequential`]; use [`plan_with`] or
-/// [`Plan::with_parallelism`] to fan the scan out.
 pub fn plan<'a>(
     query: &Query,
     partitions: impl IntoIterator<Item = (SegmentId, &'a Synopsis)>,
-) -> Plan {
-    plan_with(query, partitions, Parallelism::Sequential)
-}
-
-/// [`plan`], with the executor's parallelism chosen up front.
-pub fn plan_with<'a>(
-    query: &Query,
-    partitions: impl IntoIterator<Item = (SegmentId, &'a Synopsis)>,
-    parallelism: Parallelism,
 ) -> Plan {
     let q = query.synopsis();
     let mut segments = Vec::new();
@@ -102,7 +46,7 @@ pub fn plan_with<'a>(
             segments.push(seg);
         }
     }
-    Plan { segments, pruned, parallelism }
+    Plan { segments, pruned }
 }
 
 /// Builds the plan from a precomputed survivor set — the output of
@@ -114,10 +58,10 @@ pub fn plan_with<'a>(
 /// against each other; [`plan`] stays the oracle.
 ///
 /// `segments` must be in catalog (ascending segment) order — the executor
-/// merges results deterministically in plan order.
+/// scans, and rows come back, in plan order.
 pub fn plan_from_survivors(segments: Vec<SegmentId>, pruned: usize) -> Plan {
     debug_assert!(segments.windows(2).all(|w| w[0] < w[1]), "survivors not sorted");
-    Plan { segments, pruned, parallelism: Parallelism::Sequential }
+    Plan { segments, pruned }
 }
 
 #[cfg(test)]
@@ -151,18 +95,6 @@ mod tests {
         assert!(plan.segments.is_empty());
         assert_eq!(plan.pruned, 0);
         assert_eq!(plan.pruned_fraction(), 1.0);
-        assert_eq!(plan.parallelism, Parallelism::Sequential);
-    }
-
-    #[test]
-    fn parallelism_resolves_to_worker_counts() {
-        assert_eq!(Parallelism::Sequential.workers(8), 1);
-        assert_eq!(Parallelism::Threads(4).workers(8), 4);
-        assert_eq!(Parallelism::Threads(4).workers(2), 2, "capped at branches");
-        assert_eq!(Parallelism::Threads(0).workers(8), 1, "floored at one");
-        assert_eq!(Parallelism::Threads(4).workers(0), 1, "empty plan is fine");
-        assert!(Parallelism::Auto.workers(64) >= 1);
-        assert!(Parallelism::Auto.workers(2) <= 2);
     }
 
     #[test]
@@ -171,23 +103,7 @@ mod tests {
         assert_eq!(p.segments, vec![SegmentId(0), SegmentId(2)]);
         assert_eq!(p.pruned, 2);
         assert!((p.pruned_fraction() - 0.5).abs() < 1e-12);
-        assert_eq!(p.parallelism, Parallelism::Sequential);
         let empty = plan_from_survivors(Vec::new(), 0);
         assert_eq!(empty.pruned_fraction(), 1.0);
-    }
-
-    #[test]
-    fn plan_with_carries_the_knob() {
-        let q = Query::from_attrs(16, [AttrId(0)]);
-        let parts = [(SegmentId(0), syn(&[0]))];
-        let p = plan_with(
-            &q,
-            parts.iter().map(|(s, syn)| (*s, syn)),
-            Parallelism::Threads(3),
-        );
-        assert_eq!(p.parallelism, Parallelism::Threads(3));
-        let p = plan(&q, parts.iter().map(|(s, syn)| (*s, syn)))
-            .with_parallelism(Parallelism::Auto);
-        assert_eq!(p.parallelism, Parallelism::Auto);
     }
 }

@@ -25,10 +25,6 @@ pub trait RowSink: Default + Send {
     /// # Errors
     /// [`StorageError::CorruptRecord`] from decoding a cell.
     fn row(&mut self, cells: &[Option<RawValue<'_>>]) -> Result<(), StorageError>;
-
-    /// Takes over the rows `later` gathered, behind this sink's own — how
-    /// the branches of a fanned-out scan are put back in plan order.
-    fn append(&mut self, later: Self);
 }
 
 /// The sink of measurement runs: rows are counted by the kernel, never
@@ -42,8 +38,6 @@ impl RowSink for CountOnly {
     fn row(&mut self, _: &[Option<RawValue<'_>>]) -> Result<(), StorageError> {
         Ok(())
     }
-
-    fn append(&mut self, _: Self) {}
 }
 
 /// The typed sink: each row materialised as owned values.
@@ -53,10 +47,6 @@ impl RowSink for Vec<Row> {
             cells.iter().map(|cell| cell.map(|raw| raw.to_value()).transpose()).collect();
         self.push(row?);
         Ok(())
-    }
-
-    fn append(&mut self, mut later: Self) {
-        Vec::append(self, &mut later);
     }
 }
 

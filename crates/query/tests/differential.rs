@@ -1,13 +1,8 @@
-//! Differential suite: the parallel executor against the sequential
-//! reference, and the projection-pushdown scan against the decode-everything
-//! oracle, on randomized tables, synopses, and queries.
+//! Differential suite: the projection-pushdown scan against the
+//! decode-everything oracle, on randomized tables, synopses, and queries.
 //!
-//! For every generated instance, `execute_parallel` with 1, 2, and 8
-//! workers must report the same `rows`, `cells`, `entities_scanned`,
-//! `segments_read`, and `segments_pruned` as the sequential `execute`,
-//! and `execute_collect` must return the same rows in the same order
-//! regardless of the plan's parallelism knob. The scan kernel, which
-//! matches and projects straight off record bytes, must agree with
+//! The scan kernel, which matches and projects straight off record bytes,
+//! must agree with
 //! "`decode_entity`, then `Query::{matches, projected_cells, project}`"
 //! on rows, aggregates and I/O — reading only the records, and touching
 //! only the pages, that the entity signatures recomputed from the decoded
@@ -19,8 +14,8 @@ use std::collections::BTreeSet;
 
 use cind_model::{AttrId, Entity, EntityId, Synopsis, Value};
 use cind_query::{
-    execute, execute_collect, execute_collect_projection, execute_into, execute_parallel, plan,
-    plan_from_survivors, Parallelism, Plan, Projection, Query, Row,
+    execute, execute_collect, execute_into, plan, plan_from_survivors, Plan, Projection, Query,
+    Row,
 };
 use cind_server::protocol::{
     decode_response, encode_response, frame, frame_rows, split_frame, QueryStats, Response,
@@ -38,7 +33,6 @@ fn build(
     entity_attrs: &[Vec<u32>],
     nsegs: usize,
 ) -> (UniversalTable, Vec<(SegmentId, Synopsis)>) {
-    // Sharded pool: the parallel path must agree even when workers share it.
     let mut table = UniversalTable::with_pool(BufferPool::with_shards(64, 4));
     for i in 0..UNIVERSE {
         table.catalog_mut().intern(&format!("a{i}"));
@@ -167,7 +161,6 @@ proptest! {
         // Unsorted, and from a small domain so attributes repeat.
         qattrs in prop::collection::vec(wide_attr(), 1..6),
         pool_pages in 1usize..6,
-        threads in 1usize..4,
     ) {
         // A pool smaller than the data churns; both sides replay the same
         // page sequence against it, so even misses and evictions must agree.
@@ -207,24 +200,13 @@ proptest! {
         let narrow = Projection::of(&q);
         assert_wire_equals_typed(&table, &narrow, qattrs.len(), &p, &want_rows)?;
 
-        // Fanned out, workers interleave their page accesses, so only the
-        // pages touched — not which of them missed — are determined.
-        let p = p.with_parallelism(Parallelism::Threads(threads));
-        assert_wire_equals_typed(&table, &narrow, qattrs.len(), &p, &want_rows)?;
-        let (par, par_rows) = execute_collect(&table, &q, &p).expect("parallel pushdown");
-        prop_assert_eq!(&par_rows, &want_rows);
-        prop_assert_eq!(
-            (par.rows, par.cells, par.entities_scanned, par.io.logical_reads),
-            (got.rows, got.cells, got.entities_scanned, want_io.logical_reads)
-        );
-
         // A projection wider than the query (a shard leg that does not know
         // every requested attribute): the odd columns stay NULL.
         let wide = Projection::new(
             qattrs.iter().flat_map(|&a| [Some(AttrId(a)), None]),
         );
         let (got, got_rows) =
-            execute_collect_projection(table.read_view(), &wide, &p).expect("wide");
+            execute_into::<Vec<Row>>(table.read_view(), &wide, &p).expect("wide");
         let want_wide: Vec<Row> = want_rows
             .iter()
             .map(|row| row.iter().flat_map(|cell| [cell.clone(), None]).collect())
@@ -232,62 +214,6 @@ proptest! {
         prop_assert_eq!(&got_rows, &want_wide);
         prop_assert_eq!((got.rows, got.cells), (want_rows.len() as u64, want_cells));
         assert_wire_equals_typed(&table, &wide, 2 * qattrs.len(), &p, &want_wide)?;
-    }
-
-    #[test]
-    fn parallel_matches_sequential_aggregates(
-        entity_attrs in prop::collection::vec(
-            prop::collection::vec(0u32..UNIVERSE as u32, 1..6),
-            1..60,
-        ),
-        nsegs in 1usize..8,
-        qattrs in prop::collection::vec(0u32..UNIVERSE as u32, 1..5),
-    ) {
-        let (table, view) = build(&entity_attrs, nsegs);
-        let qset: BTreeSet<u32> = qattrs.iter().copied().collect();
-        let q = Query::from_attrs(UNIVERSE, qset.iter().map(|&a| AttrId(a)));
-        let p = plan(&q, view.iter().map(|(s, syn)| (*s, syn)));
-
-        let seq = execute(&table, &q, &p).expect("sequential");
-        for threads in [1usize, 2, 8] {
-            let par = execute_parallel(&table, &q, &p, threads).expect("parallel");
-            prop_assert_eq!(par.rows, seq.rows, "rows @ {} threads", threads);
-            prop_assert_eq!(par.cells, seq.cells, "cells @ {} threads", threads);
-            prop_assert_eq!(
-                par.entities_scanned, seq.entities_scanned,
-                "entities_scanned @ {} threads", threads
-            );
-            prop_assert_eq!(par.segments_read, seq.segments_read);
-            prop_assert_eq!(par.segments_pruned, seq.segments_pruned);
-            prop_assert_eq!(
-                par.io.logical_reads, seq.io.logical_reads,
-                "same branches scan the same pages"
-            );
-        }
-    }
-
-    #[test]
-    fn collected_rows_are_order_identical(
-        entity_attrs in prop::collection::vec(
-            prop::collection::vec(0u32..UNIVERSE as u32, 1..6),
-            1..40,
-        ),
-        nsegs in 1usize..6,
-        qattrs in prop::collection::vec(0u32..UNIVERSE as u32, 1..4),
-    ) {
-        let (table, view) = build(&entity_attrs, nsegs);
-        let qset: BTreeSet<u32> = qattrs.iter().copied().collect();
-        let q = Query::from_attrs(UNIVERSE, qset.iter().map(|&a| AttrId(a)));
-        let p = plan(&q, view.iter().map(|(s, syn)| (*s, syn)));
-
-        let (seq_r, seq_rows) = execute_collect(&table, &q, &p).expect("sequential");
-        for threads in [2usize, 8] {
-            let pp = p.clone().with_parallelism(Parallelism::Threads(threads));
-            let (par_r, par_rows) = execute_collect(&table, &q, &pp).expect("parallel");
-            prop_assert_eq!(par_r.rows, seq_r.rows);
-            prop_assert_eq!(par_rows.len(), seq_rows.len());
-            prop_assert_eq!(&par_rows, &seq_rows, "row order @ {} threads", threads);
-        }
     }
 
     #[test]
@@ -300,8 +226,8 @@ proptest! {
         qattrs in prop::collection::vec(0u32..UNIVERSE as u32, 1..4),
     ) {
         // The safety side of §II pruning: a pruned partition can never
-        // contain a matching entity, so parallel and sequential scans see
-        // the complete answer.
+        // contain a matching entity, so a scan of the survivors sees the
+        // complete answer.
         let (table, view) = build(&entity_attrs, nsegs);
         let qset: BTreeSet<u32> = qattrs.iter().copied().collect();
         let q = Query::from_attrs(UNIVERSE, qset.iter().map(|&a| AttrId(a)));

@@ -11,7 +11,7 @@
 use std::collections::BTreeSet;
 
 use cind_model::{AttrId, Entity, EntityId, Synopsis, Value};
-use cind_query::{execute, execute_collect, execute_parallel, plan, Query};
+use cind_query::{execute, execute_collect, plan, Query};
 use cind_storage::{BufferPool, SegmentId, UniversalTable};
 
 const UNIVERSE: usize = 12;
@@ -53,11 +53,6 @@ fn assert_reads_nothing(
     assert_eq!(seq.segments_read, 0, "no segment may be opened");
     assert_eq!(seq.segments_pruned, total_segments, "everything pruned");
     assert_eq!(seq.io.logical_reads, 0, "no page I/O at all");
-
-    let par = execute_parallel(table, q, &p, 4).expect("parallel");
-    assert_eq!(par.rows, 0);
-    assert_eq!(par.segments_read, 0);
-    assert_eq!(par.segments_pruned, total_segments);
 
     let (_, rows) = execute_collect(table, q, &p).expect("collect");
     assert!(rows.is_empty());

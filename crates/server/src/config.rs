@@ -1,11 +1,11 @@
 //! Serving-layer configuration.
 
-use cinderella_core::{IndexTier, ReorgConfig, ReorgMode};
+use cinderella_core::{IndexTier, ReorgMode};
 
 /// Tunables for one [`crate::Server`] instance.
 ///
-/// Every field is surfaced as a `cind serve` command-line flag (the
-/// workspace audit's CIND-A004 rule checks the parity).
+/// Every documented field is surfaced as a `cind serve` command-line flag
+/// (the workspace audit's CIND-A004 rule checks the parity).
 #[derive(Clone, Debug, PartialEq)]
 pub struct ServeConfig {
     /// TCP port to listen on (loopback only); `0` asks the OS for a free
@@ -25,8 +25,11 @@ pub struct ServeConfig {
     /// Buffer-pool capacity, in pages, for stores the server opens itself
     /// (ignored for pre-built engines handed to [`crate::Server::start`]).
     pub pool_pages: usize,
-    /// Scan threads *per query* for the `UNION ALL` fan-out; `1` keeps
-    /// query execution sequential.
+    /// Accepted and ignored: a shard leg scans its segments inline, and the
+    /// legs are a query's only fan-out. The field is still here because
+    /// `benchmark/src/harness.rs` names it in a struct literal; it goes when
+    /// the next `[benchmark]` PR drops that mention.
+    #[doc(hidden)]
     pub query_threads: usize,
     /// Engine shards: independent writer locks, WALs, and snapshot files.
     /// Writes hash-route to one shard; queries fan out across all of them.
@@ -48,20 +51,9 @@ pub struct ServeConfig {
     /// merge / re-split / migrate actions between foreground operations;
     /// `off` (the default) is provably inert — the differential test
     /// checks the WAL and snapshot bytes are identical to a build without
-    /// the subsystem.
+    /// the subsystem. Budget, hysteresis threshold and epoch length are
+    /// `cinderella_core::ReorgConfig`'s defaults.
     pub reorg: ReorgMode,
-    /// Reorganizer per-step work budget: the most entities one background
-    /// step may physically move (bounds the writer-lock hold to the same
-    /// order as one overflow split).
-    pub reorg_budget: u64,
-    /// Reorganizer hysteresis threshold in `[0, 1]`: an action is enacted
-    /// only when its priced gain clears this fraction of the affected
-    /// partitions' workload-weighted scan cost.
-    pub reorg_threshold: f64,
-    /// Reorganizer epoch length in *operations*: heat decays and a step
-    /// becomes due every this-many ops per shard (op-count based, never
-    /// wall-clock — the determinism rule the simulation relies on).
-    pub reorg_epoch_ops: u64,
     /// Pruning-index tier per shard (`exact`, `tiered`, or `auto`).
     /// `exact` keeps one presence bitmap per attribute; `tiered` swaps the
     /// bitmaps for blocked Bloom filter rows under group summaries
@@ -78,13 +70,10 @@ impl Default for ServeConfig {
             workers: 4,
             queue_depth: 64,
             pool_pages: 1024,
-            query_threads: 2,
+            query_threads: 1,
             shards: 1,
             group_commit_window: 0,
             reorg: ReorgMode::Off,
-            reorg_budget: ReorgConfig::default().budget,
-            reorg_threshold: ReorgConfig::default().threshold,
-            reorg_epoch_ops: ReorgConfig::default().epoch_ops,
             tier: IndexTier::Exact,
         }
     }
@@ -107,22 +96,6 @@ impl ServeConfig {
     #[must_use]
     pub fn effective_shards(&self) -> usize {
         self.shards.max(1)
-    }
-
-    /// The core-layer reorganizer knobs these serving flags describe
-    /// (threshold clamped into `[0, 1]`, epoch to at least one op).
-    #[must_use]
-    pub fn reorg_config(&self) -> ReorgConfig {
-        ReorgConfig {
-            mode: self.reorg,
-            budget: self.reorg_budget,
-            threshold: if self.reorg_threshold.is_finite() {
-                self.reorg_threshold.clamp(0.0, 1.0)
-            } else {
-                ReorgConfig::default().threshold
-            },
-            epoch_ops: self.reorg_epoch_ops.max(1),
-        }
     }
 }
 

@@ -32,12 +32,12 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::time::Duration;
 
 use cind_model::{Entity, EntityId};
-use cind_query::planner::{plan_from_survivors, Parallelism};
-use cind_query::{execute_into, Projection, Query, RowSink};
+use cind_query::{execute_into, plan_from_survivors, Projection, Query, RowSink};
 use cind_reorg::{ReorgDriver, ReorgStats, StepReport};
 use cind_storage::{wal, RealVfs, SegmentId, StorageError, TableSnapshot, UniversalTable, Vfs};
 use cinderella_core::{
     validate::render, Cinderella, Config, CoreError, IndexTier, MergeReport, PruningSnapshot,
+    ReorgConfig,
 };
 
 use crate::commit::{GroupCommit, GroupSink, WalCounters};
@@ -58,8 +58,6 @@ pub struct EngineOptions {
     pub config: Config,
     /// Buffer-pool capacity in pages.
     pub pool_pages: usize,
-    /// Scan threads per query (`1` = sequential execution).
-    pub query_threads: usize,
     /// How long a group-commit leader lingers gathering concurrent writers
     /// before flushing the group. `Duration::ZERO` flushes each group as
     /// soon as its leader arrives (per-op durability semantics; coalescing
@@ -76,7 +74,6 @@ impl std::fmt::Debug for EngineOptions {
         f.debug_struct("EngineOptions")
             .field("config", &self.config)
             .field("pool_pages", &self.pool_pages)
-            .field("query_threads", &self.query_threads)
             .field("group_commit_window", &self.group_commit_window)
             .field("vfs", &"<dyn Vfs>")
             .finish()
@@ -88,7 +85,6 @@ impl Default for EngineOptions {
         Self {
             config: Config::default(),
             pool_pages: 1024,
-            query_threads: 2,
             group_commit_window: Duration::ZERO,
             vfs: Arc::new(RealVfs),
         }
@@ -101,12 +97,11 @@ impl EngineOptions {
     pub fn from_serve(cfg: &ServeConfig) -> Self {
         Self {
             config: Config {
-                reorg: cfg.reorg_config(),
+                reorg: ReorgConfig { mode: cfg.reorg, ..ReorgConfig::default() },
                 tier: cfg.tier,
                 ..Config::default()
             },
             pool_pages: cfg.pool_pages.max(8),
-            query_threads: cfg.query_threads.max(1),
             group_commit_window: Duration::from_micros(cfg.group_commit_window),
             ..Self::default()
         }
@@ -155,7 +150,6 @@ pub struct Engine {
     /// after a write rebuilds it.
     snap_cache: Mutex<Option<(u64, Arc<EngineSnapshot>)>>,
     store: Option<PathBuf>,
-    query_threads: usize,
     /// Group-commit gather window, passed to every coordinator generation.
     window: Duration,
     /// Cumulative WAL I/O counters, surviving checkpoint's coordinator
@@ -186,7 +180,6 @@ impl Engine {
             epoch: AtomicU64::new(0),
             snap_cache: Mutex::new(None),
             store: None,
-            query_threads: opts.query_threads.max(1),
             window: opts.group_commit_window,
             wal_counters: Arc::new(WalCounters::default()),
             vfs: opts.vfs,
@@ -253,7 +246,6 @@ impl Engine {
             epoch: AtomicU64::new(0),
             snap_cache: Mutex::new(None),
             store: Some(dir.to_path_buf()),
-            query_threads: opts.query_threads.max(1),
             window: opts.group_commit_window,
             wal_counters,
             vfs,
@@ -481,12 +473,7 @@ impl Engine {
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .record_query(query.synopsis(), survivors.iter().copied());
-        let parallelism = if self.query_threads > 1 {
-            Parallelism::Threads(self.query_threads)
-        } else {
-            Parallelism::Sequential
-        };
-        let plan = plan_from_survivors(survivors, pruned).with_parallelism(parallelism);
+        let plan = plan_from_survivors(survivors, pruned);
         // Project at the request's width, so rows leave the scan final.
         let projection = Projection::new(ids.iter().copied());
         let (result, rows) = execute_into(snap.table.view(), &projection, &plan)?;

@@ -708,11 +708,6 @@ impl RowSink for WireRows {
         self.rows += 1;
         Ok(())
     }
-
-    fn append(&mut self, later: Self) {
-        self.cells.extend_from_slice(&later.cells);
-        self.rows += later.rows;
-    }
 }
 
 /// Appends the `Rows` answer whose rows lie in `legs`, in that order, to

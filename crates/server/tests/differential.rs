@@ -15,7 +15,7 @@ use std::time::Duration;
 
 use cind_datagen::{tpch_query_columns, TpchConfig, TpchGenerator};
 use cind_model::{AttributeCatalog, Entity, Synopsis, Value};
-use cind_query::{execute_collect, plan_with, Parallelism, Query};
+use cind_query::{execute_collect, plan, Query};
 use cind_server::{
     Client, EngineOptions, ServeConfig, Server, ServerError, ShardedEngine, ShardedOptions,
     WireEntity,
@@ -73,7 +73,6 @@ fn server_path_matches_in_process_under_concurrency() {
         EngineOptions {
             config: partitioner_config(),
             pool_pages: 256,
-            query_threads: 2,
             ..EngineOptions::default()
         },
         1,
@@ -137,11 +136,7 @@ fn server_path_matches_in_process_under_concurrency() {
     };
     for (name, cols) in tpch_query_columns() {
         let q = Query::from_names(table.catalog(), cols.iter().copied()).expect("known");
-        let p = plan_with(
-            &q,
-            cindy.catalog().pruning_view().map(|(s, syn, _)| (s, syn)),
-            Parallelism::Sequential,
-        );
+        let p = plan(&q, cindy.catalog().pruning_view().map(|(s, syn, _)| (s, syn)));
         let (_, local_rows) = execute_collect(&table, &q, &p).expect("local execute");
         let (remote_rows, rstats) = client.query(cols.iter().copied()).expect("remote query");
         assert_eq!(
@@ -278,11 +273,7 @@ fn assert_sharded_matches_reference(
         .map(|names| {
             let q = Query::from_names(table.catalog(), names.iter().map(String::as_str))
                 .expect("reference knows all queried attributes");
-            let p = plan_with(
-                &q,
-                cindy.catalog().pruning_view().map(|(s, syn, _)| (s, syn)),
-                Parallelism::Sequential,
-            );
+            let p = plan(&q, cindy.catalog().pruning_view().map(|(s, syn, _)| (s, syn)));
             let (_, rows) = execute_collect(&table, &q, &p).expect("reference execute");
             canonical(&rows)
         })

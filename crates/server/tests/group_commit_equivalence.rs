@@ -46,7 +46,6 @@ fn open_store(dir: &Path, window_us: u64) -> ShardedEngine {
     let opts = EngineOptions {
         config: test_config(),
         pool_pages: 256,
-        query_threads: 1,
         group_commit_window: std::time::Duration::from_micros(window_us),
         ..EngineOptions::default()
     };

@@ -36,7 +36,6 @@ fn options(reorg: ReorgConfig) -> ShardedOptions {
                 ..Config::default()
             },
             pool_pages: 256,
-            query_threads: 1,
             ..EngineOptions::default()
         },
         SHARDS,

@@ -33,7 +33,7 @@ fn fresh_dir(tag: &str) -> PathBuf {
 
 fn options(shards: usize) -> ShardedOptions {
     ShardedOptions::new(
-        EngineOptions { pool_pages: 64, query_threads: 1, ..EngineOptions::default() },
+        EngineOptions { pool_pages: 64, ..EngineOptions::default() },
         shards,
     )
 }

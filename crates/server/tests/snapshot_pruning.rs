@@ -64,7 +64,6 @@ fn engine(tier: IndexTier) -> Engine {
             },
             ..Config::default()
         },
-        query_threads: 1,
         ..EngineOptions::default()
     })
 }

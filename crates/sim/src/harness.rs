@@ -205,7 +205,6 @@ pub(crate) fn sim_engine_options(vfs: Arc<SimVfs>, tier: IndexTier) -> EngineOpt
             ..Config::default()
         },
         pool_pages: 64,
-        query_threads: 1,
         // Window zero keeps the schedule single-writer deterministic: the
         // submitting thread is always its own fsync leader, so no timing
         // dependence sneaks into the trace hash. Group-commit *timing* is

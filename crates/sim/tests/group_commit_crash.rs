@@ -49,7 +49,6 @@ fn opts(vfs: &Arc<SimVfs>, window: Duration) -> EngineOptions {
             ..Config::default()
         },
         pool_pages: 64,
-        query_threads: 1,
         group_commit_window: window,
         vfs: Arc::clone(vfs) as Arc<dyn Vfs>,
     }

@@ -30,9 +30,6 @@ pub enum StorageError {
     /// re-attached — durability is lost from the failed entry onward and
     /// the caller must take a fresh snapshot.
     WalAppend(std::io::ErrorKind),
-    /// A worker thread of a parallel scan panicked; its branch of the query
-    /// has no result.
-    ScanWorkerPanicked,
 }
 
 impl std::fmt::Display for StorageError {
@@ -49,7 +46,6 @@ impl std::fmt::Display for StorageError {
             StorageError::WalAppend(kind) => {
                 write!(f, "WAL append failed ({kind}); durability lost, re-attach the log")
             }
-            StorageError::ScanWorkerPanicked => write!(f, "a parallel scan worker panicked"),
         }
     }
 }

@@ -155,7 +155,6 @@ fn engine_snapshot_plans_like_live_catalog_and_feeds_heat_the_plan() {
             },
             ..config(6, IndexTier::Exact)
         },
-        query_threads: 1,
         ..EngineOptions::default()
     });
     let name = |a: u64| format!("a{a}");

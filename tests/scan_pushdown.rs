@@ -3,7 +3,7 @@
 //! decode every record in full (`common::scan_oracle`), then ask
 //! `Query::{matches, projected_cells, project}` — and the sharded engines'
 //! request-width projection against a plain model, with attributes one
-//! shard has never seen. Every strategy includes the wire sink: rows
+//! shard has never seen. Every case includes the wire sink: rows
 //! scanned straight into response bytes must be, byte for byte, the
 //! encoding of the typed answer. The wide variants live in
 //! `crates/query/tests/differential.rs` and
@@ -13,8 +13,7 @@ use std::collections::BTreeMap;
 
 use cind_model::{AttrId, Entity, EntityId, Value};
 use cind_query::{
-    execute, execute_collect, execute_into, plan_from_survivors, Parallelism, Projection, Query,
-    Row,
+    execute, execute_collect, execute_into, plan_from_survivors, Projection, Query, Row,
 };
 use cind_server::protocol::{
     decode_response, encode_response, frame, frame_rows, split_frame, WireRows,
@@ -66,7 +65,6 @@ proptest! {
         entities in prop::collection::vec(prop::collection::btree_map(attr(), value(), 0..7), 1..40),
         nsegs in 1usize..4,
         qattrs in prop::collection::vec(attr(), 1..5),
-        threads in 1usize..4,
     ) {
         let mut table = UniversalTable::new(64);
         for i in 0..UNIVERSE {
@@ -83,8 +81,7 @@ proptest! {
         }
         // Unsorted, possibly repeated attributes.
         let q = Query::from_attrs(UNIVERSE, qattrs.iter().map(|&a| AttrId(a)));
-        let p = plan_from_survivors(segs.clone(), 0)
-            .with_parallelism(Parallelism::Threads(threads));
+        let p = plan_from_survivors(segs.clone(), 0);
 
         // Attribute ids 128 apart share a signature bit here, so the scan
         // reads the matching records and the aliased ones — and no others.
@@ -141,54 +138,49 @@ fn sorted(mut rows: Vec<Row>) -> Vec<Row> {
 
 #[test]
 fn sharded_queries_match_the_model_when_a_shard_lacks_an_attribute() {
-    for query_threads in [1usize, 3] {
-        let engine = ShardedEngine::in_memory(ShardedOptions::new(
-            EngineOptions { query_threads, ..EngineOptions::default() },
-            2,
-        ));
-        // "zero"/"one" exist on one shard's catalog only; "both" on both;
-        // "noise" rides on entities no query below asks for.
-        let mut model = BTreeMap::new();
-        for id in 0..400u64 {
-            let local = if engine.shard_of(id) == 0 { "zero" } else { "one" };
-            let attrs: Vec<(String, Value)> = match id % 4 {
-                0 => vec![(local.into(), Value::Int(id as i64))],
-                1 => vec![
-                    ("both".into(), Value::Text(format!("é{id}"))),
-                    (local.into(), Value::Float(id as f64)),
-                ],
-                2 => vec![("both".into(), Value::Bool(id % 8 == 2))],
-                _ => vec![("noise".into(), Value::Int(0))],
-            };
-            engine.insert(&WireEntity { id, attrs: attrs.clone() }).expect("insert");
-            model.insert(id, attrs);
-        }
-        for attrs in [
-            &["zero", "both"][..],
-            &["one", "zero", "one"],
-            &["both"],
-            &["one"],
-            &["noise", "zero"],
-        ] {
-            let names: Vec<String> = attrs.iter().map(|a| (*a).to_string()).collect();
-            let (rows, stats) = engine.query(&names).expect("query");
-            assert!(rows.iter().all(|row| row.len() == attrs.len()), "{attrs:?}: row width");
-            let mut wire = Vec::new();
-            engine.query_frame(&names, &mut wire);
-            assert_eq!(
-                decode_response(framed_body(&wire)).expect("decodes"),
-                Response::Rows { rows: rows.clone(), stats },
-                "{attrs:?} @ {query_threads}: wire answer"
-            );
-            assert_eq!(sorted(rows), model_rows(&model, attrs), "{attrs:?} @ {query_threads}");
-            assert!(stats.entities_scanned > 0);
-        }
-        assert!(matches!(
-            engine.query(&["both".to_string(), "nowhere".to_string()]),
-            Err(ServerError::UnknownAttribute(name)) if name == "nowhere"
-        ));
-        assert!(engine.validate().expect("validate").is_empty());
+    let engine = ShardedEngine::in_memory(ShardedOptions::new(EngineOptions::default(), 2));
+    // "zero"/"one" exist on one shard's catalog only; "both" on both;
+    // "noise" rides on entities no query below asks for.
+    let mut model = BTreeMap::new();
+    for id in 0..400u64 {
+        let local = if engine.shard_of(id) == 0 { "zero" } else { "one" };
+        let attrs: Vec<(String, Value)> = match id % 4 {
+            0 => vec![(local.into(), Value::Int(id as i64))],
+            1 => vec![
+                ("both".into(), Value::Text(format!("é{id}"))),
+                (local.into(), Value::Float(id as f64)),
+            ],
+            2 => vec![("both".into(), Value::Bool(id % 8 == 2))],
+            _ => vec![("noise".into(), Value::Int(0))],
+        };
+        engine.insert(&WireEntity { id, attrs: attrs.clone() }).expect("insert");
+        model.insert(id, attrs);
     }
+    for attrs in [
+        &["zero", "both"][..],
+        &["one", "zero", "one"],
+        &["both"],
+        &["one"],
+        &["noise", "zero"],
+    ] {
+        let names: Vec<String> = attrs.iter().map(|a| (*a).to_string()).collect();
+        let (rows, stats) = engine.query(&names).expect("query");
+        assert!(rows.iter().all(|row| row.len() == attrs.len()), "{attrs:?}: row width");
+        let mut wire = Vec::new();
+        engine.query_frame(&names, &mut wire);
+        assert_eq!(
+            decode_response(framed_body(&wire)).expect("decodes"),
+            Response::Rows { rows: rows.clone(), stats },
+            "{attrs:?}: wire answer"
+        );
+        assert_eq!(sorted(rows), model_rows(&model, attrs), "{attrs:?}");
+        assert!(stats.entities_scanned > 0);
+    }
+    assert!(matches!(
+        engine.query(&["both".to_string(), "nowhere".to_string()]),
+        Err(ServerError::UnknownAttribute(name)) if name == "nowhere"
+    ));
+    assert!(engine.validate().expect("validate").is_empty());
 }
 
 #[test]

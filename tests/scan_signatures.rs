@@ -7,18 +7,18 @@
 //! records whose *recomputed* signature meets the mask, and
 //! `io.logical_reads` its count of pages holding one — under churn through
 //! every path that puts a record on a page, across `freeze()` snapshots
-//! taken mid-churn, after a snapshot restore and after a WAL replay, at
-//! 1 / 2 / 8 query threads. Once with every attribute id ≤ 100, where the
-//! signatures are exact (what is read ≡ what is returned), and once over
-//! 1 100 attributes, where `id mod 128` aliases and a scan may read records
-//! it then rejects, but never skip one it should have returned.
+//! taken mid-churn, after a snapshot restore and after a WAL replay. Once
+//! with every attribute id ≤ 100, where the signatures are exact (what is
+//! read ≡ what is returned), and once over 1 100 attributes, where
+//! `id mod 128` aliases and a scan may read records it then rejects, but
+//! never skip one it should have returned.
 
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 
 use cinderella::core::{Capacity, Cinderella, Config};
 use cinderella::model::{AttrId, Entity, EntityId, Value};
-use cinderella::query::{execute_collect_view, plan_from_survivors, Parallelism, Query, Row};
+use cinderella::query::{execute_collect_view, plan_from_survivors, Query, Row};
 use cinderella::storage::{replay, BufferPool, ReadView, SegmentId, TableSnapshot, UniversalTable};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -113,8 +113,8 @@ struct Tally {
 
 /// The differential itself: every query over every segment of `view`
 /// (no segment pruning — the record and page filters are what is under
-/// test), at three worker counts, against the oracle. Returns the answers
-/// so a snapshot can be asked again later.
+/// test) against the oracle. Returns the answers so a snapshot can be asked
+/// again later.
 fn check(view: ReadView<'_>, queries: &[Query], exact: bool, tally: &mut Tally) -> Vec<Vec<Row>> {
     let segments: Vec<SegmentId> = view.segment_ids().collect();
     let mut answers = Vec::new();
@@ -123,18 +123,15 @@ fn check(view: ReadView<'_>, queries: &[Query], exact: bool, tally: &mut Tally) 
         if exact {
             assert_eq!(want.candidates, want.rows.len() as u64, "≤ 128 attributes: no aliasing");
         }
-        for threads in [1usize, 2, 8] {
-            let plan = plan_from_survivors(segments.clone(), 0)
-                .with_parallelism(Parallelism::Threads(threads));
-            let (got, rows) = execute_collect_view(view, q, &plan).expect("masked scan");
-            assert_eq!(rows, want.rows, "{:?} @ {threads}: rows, cells, row order", q.attrs());
-            assert_eq!(
-                (got.rows, got.cells, got.entities_scanned, got.io.logical_reads),
-                (want.rows.len() as u64, want.cells, want.candidates, want.pages),
-                "{:?} @ {threads}: rows, cells, records read, pages touched",
-                q.attrs()
-            );
-        }
+        let plan = plan_from_survivors(segments.clone(), 0);
+        let (got, rows) = execute_collect_view(view, q, &plan).expect("masked scan");
+        assert_eq!(rows, want.rows, "{:?}: rows, cells, row order", q.attrs());
+        assert_eq!(
+            (got.rows, got.cells, got.entities_scanned, got.io.logical_reads),
+            (want.rows.len() as u64, want.cells, want.candidates, want.pages),
+            "{:?}: rows, cells, records read, pages touched",
+            q.attrs()
+        );
         tally.live += want.live;
         tally.candidates += want.candidates;
         tally.rows += want.rows.len() as u64;

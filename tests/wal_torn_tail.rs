@@ -32,7 +32,6 @@ fn options(vfs: Arc<SimVfs>) -> EngineOptions {
             ..Config::default()
         },
         pool_pages: 64,
-        query_threads: 1,
         // Per-op commits: the truncation sweep below reasons about the
         // exact bytes each acknowledged insert appended.
         group_commit_window: std::time::Duration::ZERO,
