@@ -425,8 +425,9 @@ impl Engine {
     /// shard's catalog does not know project as NULL columns instead of
     /// erroring, and the returned rows are at the *full* requested width in
     /// request order. `known[i]` reports whether this shard recognises
-    /// `attrs[i]` — the sharded engine errors only when an attribute is
-    /// unknown to every shard.
+    /// `attrs[i]`. A leg never fails a request over an unknown attribute:
+    /// the sharded engine does, before any leg runs, when *no* shard
+    /// [`Engine::knows`] it.
     ///
     /// # Errors
     /// Storage failures from the scan.
@@ -434,14 +435,18 @@ impl Engine {
         &self,
         attrs: &[String],
     ) -> Result<(Vec<crate::client::Row>, QueryStats, Vec<bool>), ServerError> {
-        self.query_leg(attrs, false)
+        self.query_leg(attrs)
+    }
+
+    /// Whether this shard's catalog has an attribute of this name. Catalogs
+    /// only grow, so a `true` still holds for every later snapshot.
+    pub(crate) fn knows(&self, attr: &str) -> bool {
+        self.read().table.catalog().lookup(attr).is_some()
     }
 
     /// [`Engine::query_subset`] with the rows handed to an `S` instead of
     /// materialised — the server's network path scans into
-    /// [`crate::protocol::WireRows`]. A `lone` shard's catalog is the whole
-    /// store's, so it refuses to scan (or heat anything) for a request it
-    /// can already see failing on an attribute it does not know.
+    /// [`crate::protocol::WireRows`].
     ///
     /// Planning and the scan run on the epoch snapshot, entirely outside
     /// the engine lock. The survivor set is computed once: the
@@ -455,7 +460,6 @@ impl Engine {
     pub(crate) fn query_leg<S: RowSink>(
         &self,
         attrs: &[String],
-        lone: bool,
     ) -> Result<(S, QueryStats, Vec<bool>), ServerError> {
         let snap = self.snapshot();
         let catalog = snap.table.catalog();
@@ -464,7 +468,7 @@ impl Engine {
         let known: Vec<bool> = ids.iter().map(Option::is_some).collect();
         // Nothing requested exists here: no entity of this shard can match
         // (matching needs at least one requested attribute).
-        if !known.contains(&true) || (lone && known.contains(&false)) {
+        if !known.contains(&true) {
             return Ok((S::default(), QueryStats::default(), known));
         }
         let query = Query::from_attrs(catalog.len(), ids.iter().copied().flatten());

@@ -304,7 +304,8 @@ impl ShardedEngine {
     /// in shard order (deterministic: each shard's rows are already in its
     /// own plan order). Per-shard stats are summed. An attribute unknown on
     /// *some* shards projects as NULL there; only an attribute unknown on
-    /// **every** shard is an error — one shard or many, the same legs run.
+    /// **every** shard is an error, returned before any shard scans — one
+    /// shard or many, the same rule and the same legs.
     ///
     /// # Errors
     /// [`ServerError::UnknownAttribute`], also for an empty attribute
@@ -329,9 +330,9 @@ impl ShardedEngine {
         }
     }
 
-    /// The fan-out under every query: one leg per shard, each scanning into
-    /// a sink of its own; the sinks come back in shard order with the
-    /// summed stats.
+    /// The fan-out under every query, and a query's only one: one leg per
+    /// shard, each scanning its surviving segments inline into a sink of its
+    /// own; the sinks come back in shard order with the summed stats.
     fn query_legs<S: RowSink>(
         &self,
         attrs: &[String],
@@ -340,28 +341,27 @@ impl ShardedEngine {
             return Err(ServerError::UnknownAttribute("<empty attribute list>".to_string()));
         }
         let engines = self.engines();
-        // An attribute no shard knows fails the query. A lone shard sees
-        // that for itself and fails before it scans; in a sharded store the
-        // legs that know the other attributes scan (and heat their
-        // partitions) first. The difference is visible only to the
-        // reorganizer, and the committed simulator traces pin both sides
-        // of it, so both stay.
-        let lone = engines.len() == 1;
+        // The one failure rule, one shard or many: an attribute no shard
+        // knows fails the query here, before any leg takes a snapshot,
+        // scans or heats a partition.
+        if let Some(ghost) = attrs.iter().find(|a| !engines.iter().any(|e| e.knows(a))) {
+            return Err(ServerError::UnknownAttribute(ghost.clone()));
+        }
         // Fan out on threads only when the machine can actually run legs
         // concurrently; on a single hardware thread the spawn/join overhead
         // is pure loss, so scan the shards inline. Either way the first leg
         // runs on the caller's thread. Merge order is by shard index in
         // both paths, so results are byte-identical.
         let legs: Vec<Result<_, ServerError>> = if hardware_threads() == 1 {
-            engines.iter().map(|engine| engine.query_leg::<S>(attrs, lone)).collect()
+            engines.iter().map(|engine| engine.query_leg::<S>(attrs)).collect()
         } else {
             std::thread::scope(|scope| {
                 let handles: Vec<_> = engines
                     .iter()
                     .skip(1)
-                    .map(|engine| scope.spawn(move || engine.query_leg::<S>(attrs, lone)))
+                    .map(|engine| scope.spawn(move || engine.query_leg::<S>(attrs)))
                     .collect();
-                let mut legs = vec![engines[0].query_leg(attrs, lone)];
+                let mut legs = vec![engines[0].query_leg(attrs)];
                 legs.extend(handles.into_iter().map(|h| {
                     h.join()
                         .map_err(|_| {
@@ -374,21 +374,14 @@ impl ShardedEngine {
         };
         let mut sinks = Vec::with_capacity(legs.len());
         let mut stats = QueryStats::default();
-        let mut known_any = vec![false; attrs.len()];
         for leg in legs {
-            let (sink, leg_stats, known) = leg?;
+            let (sink, leg_stats, _) = leg?;
             sinks.push(sink);
             stats.entities_scanned += leg_stats.entities_scanned;
             stats.segments_read += leg_stats.segments_read;
             stats.segments_pruned += leg_stats.segments_pruned;
             stats.logical_reads += leg_stats.logical_reads;
             stats.physical_reads += leg_stats.physical_reads;
-            for (any, k) in known_any.iter_mut().zip(known) {
-                *any |= k;
-            }
-        }
-        if let Some(i) = known_any.iter().position(|k| !k) {
-            return Err(ServerError::UnknownAttribute(attrs[i].clone()));
         }
         Ok((sinks, stats))
     }

@@ -23,6 +23,7 @@ use cind_server::{
     ShardedOptions, WireEntity,
 };
 use cind_storage::{SegmentId, UniversalTable};
+use cinderella_core::{Config, ReorgConfig, ReorgMode};
 use proptest::prelude::*;
 
 mod common;
@@ -181,6 +182,56 @@ fn sharded_queries_match_the_model_when_a_shard_lacks_an_attribute() {
         Err(ServerError::UnknownAttribute(name)) if name == "nowhere"
     ));
     assert!(engine.validate().expect("validate").is_empty());
+}
+
+/// The one failure rule: a query naming an attribute no shard knows is
+/// refused before any shard scans — no page read, no partition heated —
+/// whatever else it names and however many shards there are.
+#[test]
+fn an_everywhere_unknown_attribute_fails_before_any_shard_scans_or_heats() {
+    for shards in [1usize, 2, 4] {
+        let reorg = ReorgConfig { mode: ReorgMode::Auto, ..ReorgConfig::default() };
+        let engine = ShardedEngine::in_memory(ShardedOptions::new(
+            EngineOptions { config: Config { reorg, ..Config::default() }, ..Default::default() },
+            shards,
+        ));
+        for id in 0..200u64 {
+            let attrs = vec![("known".to_string(), Value::Int(id as i64))];
+            engine.insert(&WireEntity { id, attrs }).expect("insert");
+        }
+        // Per shard: pages read so far, and the heat of every partition.
+        let observe = || -> Vec<(u64, Vec<u64>)> {
+            (0..engine.shard_count())
+                .map(|i| {
+                    let shard = engine.shard_engine(i);
+                    let segs: Vec<SegmentId> = shard.with_parts(|t, _| t.segment_ids().collect());
+                    let heat = segs.iter().map(|&seg| shard.partition_heat(seg)).collect();
+                    (shard.stats().logical_reads, heat)
+                })
+                .collect()
+        };
+        let idle = observe();
+        engine.query(&["known".to_string()]).expect("a query that scans");
+        let before = observe();
+        for (shard, (was, now)) in idle.iter().zip(&before).enumerate() {
+            let heat = |(_, heat): &(u64, Vec<u64>)| heat.iter().sum::<u64>();
+            assert!(
+                now.0 > was.0 && heat(now) > heat(was),
+                "{shards} shards: a scan of shard {shard} must show"
+            );
+        }
+        for attrs in [["known", "nowhere"], ["nowhere", "known"]] {
+            let names: Vec<String> = attrs.iter().map(|a| (*a).to_string()).collect();
+            assert!(
+                matches!(
+                    engine.query(&names),
+                    Err(ServerError::UnknownAttribute(name)) if name == "nowhere"
+                ),
+                "{shards} shards: {attrs:?}"
+            );
+        }
+        assert_eq!(observe(), before, "{shards} shards: the refused queries left a trace");
+    }
 }
 
 #[test]
