@@ -426,8 +426,8 @@ impl Engine {
     /// erroring, and the returned rows are at the *full* requested width in
     /// request order. `known[i]` reports whether this shard recognises
     /// `attrs[i]`. A leg never fails a request over an unknown attribute:
-    /// the sharded engine does, before any leg runs, when *no* shard
-    /// [`Engine::knows`] it.
+    /// the sharded engine does, before any leg runs, when *no* shard's
+    /// catalog knows it.
     ///
     /// # Errors
     /// Storage failures from the scan.

@@ -61,8 +61,8 @@ fn hardware_threads() -> usize {
 /// How to build a [`ShardedEngine`].
 #[derive(Clone)]
 pub struct ShardedOptions {
-    /// Per-shard engine options (partitioner config, pool pages, query
-    /// threads, default VFS).
+    /// Per-shard engine options (partitioner config, pool pages, default
+    /// VFS).
     pub engine: EngineOptions,
     /// Requested shard count (clamped to ≥ 1). On reopen the on-disk
     /// manifest wins; this value only shapes a *fresh* store.

@@ -25,7 +25,7 @@ pub struct PageKey {
 ///
 /// **Concurrency.** The pool is sharded: a page key hashes to one of
 /// `shard_count()` independently locked LRU shards, so concurrent readers
-/// (parallel segment scans) contend only when they touch the same shard.
+/// (concurrent segment scans) contend only when they touch the same shard.
 /// The [`IoStats`] counters are lock-free atomics updated outside the shard
 /// locks. [`BufferPool::new`] builds a single-shard pool whose hit/miss/
 /// eviction sequence is exactly the classic global LRU (what the
@@ -66,7 +66,7 @@ impl BufferPool {
 
     /// Creates a pool of `capacity` total pages spread over `shards`
     /// independently locked LRU shards (rounded up to a power of two).
-    /// More shards reduce lock contention under parallel scans; eviction
+    /// More shards reduce lock contention under concurrent scans; eviction
     /// decisions become per-shard rather than globally recency-ordered.
     pub fn with_shards(capacity: usize, shards: usize) -> Self {
         let n = shards.max(1).next_power_of_two();

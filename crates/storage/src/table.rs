@@ -52,7 +52,7 @@ impl UniversalTable {
     }
 
     /// Creates an empty table over a caller-built buffer pool — the way to
-    /// get a sharded pool (`BufferPool::with_shards`) for parallel scans.
+    /// get a sharded pool (`BufferPool::with_shards`) for concurrent scans.
     pub fn with_pool(pool: BufferPool) -> Self {
         Self {
             catalog: AttributeCatalog::new(),
@@ -333,9 +333,9 @@ impl UniversalTable {
 
     /// A `Send + Sync` read handle over the table's immutable state: the
     /// catalog, the segments, the locator, and the (internally locked)
-    /// buffer pool. Parallel query execution shares one `ReadView` across
-    /// worker threads while the table's `&mut self` write API stays
-    /// single-writer by construction.
+    /// buffer pool. Concurrent query sessions share one `ReadView` across
+    /// threads while the table's `&mut self` write API stays single-writer
+    /// by construction.
     pub fn read_view(&self) -> ReadView<'_> {
         ReadView {
             catalog: &self.catalog,
@@ -448,7 +448,7 @@ impl UniversalTable {
 /// copy-on-write with the live table), and locator, plus a shared handle to
 /// the accounting buffer pool. [`TableSnapshot::view`] yields the same
 /// [`ReadView`] the live table produces, so every read path — point
-/// lookups, tracked scans, parallel query execution — runs unchanged
+/// lookups, tracked scans, concurrent query sessions — runs unchanged
 /// against a snapshot.
 pub struct TableSnapshot {
     catalog: AttributeCatalog,

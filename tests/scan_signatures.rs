@@ -117,13 +117,13 @@ struct Tally {
 /// again later.
 fn check(view: ReadView<'_>, queries: &[Query], exact: bool, tally: &mut Tally) -> Vec<Vec<Row>> {
     let segments: Vec<SegmentId> = view.segment_ids().collect();
+    let plan = plan_from_survivors(segments.clone(), 0);
     let mut answers = Vec::new();
     for q in queries {
         let want = common::scan_oracle(view, q, &segments);
         if exact {
             assert_eq!(want.candidates, want.rows.len() as u64, "≤ 128 attributes: no aliasing");
         }
-        let plan = plan_from_survivors(segments.clone(), 0);
         let (got, rows) = execute_collect_view(view, q, &plan).expect("masked scan");
         assert_eq!(rows, want.rows, "{:?}: rows, cells, row order", q.attrs());
         assert_eq!(
