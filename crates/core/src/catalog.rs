@@ -172,6 +172,10 @@ pub struct PartitionCatalog {
     tier: IndexTier,
     /// Knobs for the tiered storage, applied whenever it is (re)built.
     tier_params: TierParams,
+    /// Counts the mutations of what [`freeze`](Self::freeze) captures —
+    /// the attribute-space index, the slot→segment map, the partition
+    /// count. Two freezes at one generation are interchangeable.
+    attr_generation: u64,
 }
 
 impl PartitionCatalog {
@@ -190,6 +194,7 @@ impl PartitionCatalog {
             zero_size: FixedBitSet::default(),
             tier,
             tier_params: params,
+            attr_generation: 0,
         }
     }
 
@@ -210,6 +215,7 @@ impl PartitionCatalog {
     /// partition-count ratchet; an already-active tier stays active).
     pub fn set_tier(&mut self, tier: IndexTier) {
         self.tier = tier;
+        self.attr_generation += 1;
         self.apply_tier();
     }
 
@@ -276,6 +282,7 @@ impl PartitionCatalog {
             "partition {seg} already cataloged"
         );
         let slot = self.arena.alloc(seg);
+        self.attr_generation += 1;
         meta.segment = seg;
         meta.slot = slot;
         for bit in meta.rating_bits() {
@@ -297,6 +304,7 @@ impl PartitionCatalog {
     /// Panics if `seg` is not cataloged.
     pub fn remove_partition(&mut self, seg: SegmentId) -> PartitionMeta {
         let meta = self.parts.remove(&seg).expect("partition cataloged");
+        self.attr_generation += 1;
         self.index.remove_partition(&meta);
         self.zero_size.remove(meta.slot as u32);
         self.arena.release(meta.slot);
@@ -318,7 +326,7 @@ impl PartitionCatalog {
         size: u64,
         offer_starters: bool,
     ) {
-        let Self { parts, arena, index, zero_size, .. } = self;
+        let Self { parts, arena, index, zero_size, attr_generation, .. } = self;
         let meta = parts.get_mut(&seg).expect("partition cataloged");
         let slot = meta.slot;
         bump(&mut meta.rating_counts, rating_syn, |bit| {
@@ -330,6 +338,7 @@ impl PartitionCatalog {
             attr_synopsis.bits_mut().grow(bit as usize + 1);
             attr_synopsis.bits_mut().insert(bit);
             index.set(Space::Attr, bit, slot);
+            *attr_generation += 1;
         });
         meta.entities += 1;
         meta.size += size;
@@ -353,7 +362,7 @@ impl PartitionCatalog {
         attr_syn: &Synopsis,
         size: u64,
     ) -> u64 {
-        let Self { parts, arena, index, zero_size, .. } = self;
+        let Self { parts, arena, index, zero_size, attr_generation, .. } = self;
         let meta = parts.get_mut(&seg).expect("partition cataloged");
         let slot = meta.slot;
         drop_counts(&mut meta.rating_counts, rating_syn, |bit| {
@@ -364,6 +373,7 @@ impl PartitionCatalog {
         drop_counts(&mut meta.attr_counts, attr_syn, |bit| {
             attr_synopsis.bits_mut().remove(bit);
             index.clear(Space::Attr, bit, slot);
+            *attr_generation += 1;
         });
         meta.entities -= 1;
         meta.size -= size;
@@ -529,6 +539,16 @@ impl PartitionCatalog {
     /// snapshots).
     pub fn freeze(&self) -> PruningSnapshot {
         self.index.freeze(self.arena.segs().to_vec(), self.parts.len())
+    }
+
+    /// Moves whenever a [`freeze`](Self::freeze) would come out different:
+    /// a partition created or removed, an attribute's first or last member
+    /// entering or leaving a partition, the tier knob turned. While it
+    /// stands still an earlier freeze can be shared instead of retaken —
+    /// the steady state of a warmed-up store, where inserts land in
+    /// partitions that already carry their attributes.
+    pub fn attr_generation(&self) -> u64 {
+        self.attr_generation
     }
 
     /// Heap bytes resident in the plan-path index structures — the number
@@ -1228,6 +1248,71 @@ mod tests {
             assert_eq!(pruned, cat.len() - survivors.len());
             assert_eq!(cat.plan_survivors(&q), Some((survivors.clone(), pruned)));
             assert_eq!(cat.freeze().survivors(&q), (survivors, pruned));
+        }
+    }
+
+    /// The contract `Engine::snapshot` leans on: while `attr_generation`
+    /// stands still an old freeze plans exactly what the live catalog
+    /// plans, under churn of every kind and on both storages (the tiered
+    /// one rebuilds groups behind the catalog's back).
+    #[test]
+    fn a_freeze_stays_current_until_the_generation_moves() {
+        for tier in [IndexTier::Exact, IndexTier::Tiered] {
+            let mut cat = PartitionCatalog::new(tier);
+            let mut members: Vec<(SegmentId, u64, Vec<u32>)> = Vec::new();
+            let (mut segs, mut empties): (Vec<SegmentId>, Vec<SegmentId>) = (Vec::new(), Vec::new());
+            let (mut frozen, mut at) = (cat.freeze(), cat.attr_generation());
+            let (mut reused, mut retaken) = (0, 0);
+            let mut x = 0x2545_F491_4F6C_DD1Du64;
+            for step in 0..3_000u64 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                match x % 16 {
+                    0 => {
+                        let seg = SegmentId(step as u32);
+                        cat.create_partition(seg);
+                        segs.push(seg);
+                    }
+                    1 => {
+                        // Never populated: only the slot map and the
+                        // partition count know it came and went.
+                        let seg = SegmentId(step as u32);
+                        cat.create_partition(seg);
+                        empties.push(seg);
+                    }
+                    2 if !empties.is_empty() => {
+                        cat.remove_partition(empties.swap_remove(0));
+                    }
+                    3 if step % 5 == 0 => cat.set_tier(tier),
+                    4..=6 if !members.is_empty() => {
+                        let (seg, id, bits) = members.swap_remove((x >> 8) as usize % members.len());
+                        if cat.remove_entity(seg, EntityId(id), &syn(&bits), &syn(&bits), 1) == 0 {
+                            cat.remove_partition(seg);
+                            segs.retain(|s| *s != seg);
+                        }
+                    }
+                    _ if !segs.is_empty() => {
+                        let seg = segs[(x >> 8) as usize % segs.len()];
+                        // Few distinct attributes per partition, so most
+                        // adds are not an attribute's first member.
+                        let bits = vec![seg.0 % 7, 7 + (x >> 20) as u32 % 3];
+                        add(&mut cat, seg, step, &bits, 1);
+                        members.push((seg, step, bits));
+                    }
+                    _ => {}
+                }
+                if cat.attr_generation() == at {
+                    reused += 1;
+                } else {
+                    (frozen, at) = (cat.freeze(), cat.attr_generation());
+                    retaken += 1;
+                }
+                for bit in 0..10 {
+                    assert_eq!(frozen.survivors(&syn(&[bit])), cat.survivors(&syn(&[bit])), "step {step}");
+                }
+            }
+            assert!(reused > retaken, "{tier:?}: reused {reused}, retaken {retaken}");
         }
     }
 

@@ -2,6 +2,7 @@
 
 use crate::ModelError;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A dense identifier for an attribute of a universal table.
 ///
@@ -31,10 +32,16 @@ impl std::fmt::Display for AttrId {
 /// that no entity instantiates simply never matches a synopsis). This
 /// mirrors the paper's setup where the universal table's attribute set only
 /// grows as new kinds of entities appear.
+///
+/// Both directions sit behind [`Arc`]s, so `clone()` is two reference-count
+/// bumps and a clone shares its tables with the original until one of them
+/// interns a name the other has not seen: only that miss copies
+/// ([`Arc::make_mut`]). An epoch snapshot of a table whose attribute set has
+/// stopped growing therefore costs nothing per attribute.
 #[derive(Clone, Default, Debug)]
 pub struct AttributeCatalog {
-    names: Vec<String>,
-    by_name: HashMap<String, AttrId>,
+    names: Arc<Vec<String>>,
+    by_name: Arc<HashMap<String, AttrId>>,
 }
 
 impl AttributeCatalog {
@@ -61,15 +68,22 @@ impl AttributeCatalog {
         Ok(c)
     }
 
-    /// Returns the id for `name`, interning it if unseen.
+    /// Returns the id for `name`, interning it if unseen. A known name
+    /// never un-shares the catalog from its clones.
     pub fn intern(&mut self, name: &str) -> AttrId {
         if let Some(&id) = self.by_name.get(name) {
             return id;
         }
         let id = AttrId(self.names.len() as u32);
-        self.names.push(name.to_owned());
-        self.by_name.insert(name.to_owned(), id);
+        Arc::make_mut(&mut self.names).push(name.to_owned());
+        Arc::make_mut(&mut self.by_name).insert(name.to_owned(), id);
         id
+    }
+
+    /// Whether `self` and `other` still share both tables — true of a
+    /// clone until either side interns an unseen name.
+    pub fn shares_with(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.names, &other.names) && Arc::ptr_eq(&self.by_name, &other.by_name)
     }
 
     /// Returns the id for `name` if already interned.
@@ -114,6 +128,28 @@ mod tests {
         assert_eq!(b, AttrId(1));
         assert_eq!(c.intern("name"), a);
         assert_eq!(c.len(), 2);
+    }
+
+    #[test]
+    fn only_an_unseen_name_unshares_a_clone() {
+        let mut live = AttributeCatalog::from_names(["a", "b"]).unwrap();
+        let frozen = live.clone();
+        assert!(live.shares_with(&frozen));
+        assert_eq!(Arc::strong_count(&live.names), 2);
+        // A hit reads the shared map and copies nothing.
+        assert_eq!(live.intern("b"), AttrId(1));
+        assert!(live.shares_with(&frozen));
+        // A miss copies both tables, once; the clone keeps the old ones.
+        assert_eq!(live.intern("c"), AttrId(2));
+        assert!(!Arc::ptr_eq(&live.names, &frozen.names));
+        assert!(!Arc::ptr_eq(&live.by_name, &frozen.by_name));
+        assert_eq!((frozen.len(), frozen.lookup("c"), frozen.name(AttrId(2))), (2, None, None));
+        assert_eq!((live.len(), live.lookup("c"), live.name(AttrId(2))), (3, Some(AttrId(2)), Some("c")));
+        // Unshared again: further misses mutate in place.
+        let names = Arc::as_ptr(&live.names);
+        live.intern("d");
+        assert_eq!(Arc::as_ptr(&live.names), names);
+        assert_eq!(Arc::strong_count(&frozen.names), 1);
     }
 
     #[test]

@@ -10,9 +10,10 @@
 //! [`EngineSnapshot`] for the current epoch — an owned copy-on-write
 //! [`cind_storage::TableSnapshot`] plus the frozen pruning index — and
 //! scans it entirely outside the engine lock. Rebuilding a snapshot takes
-//! the read lock only for the O(segments + locator) clone, so a query
-//! never blocks writers for the duration of its scan, and a writer never
-//! blocks queries at all once their snapshot is in hand.
+//! the read lock only for O(segments) reference-count bumps (no entity, no
+//! attribute name and no page list is copied), so a query never blocks
+//! writers for the duration of its scan, and a writer never blocks queries
+//! at all once their snapshot is in hand.
 //!
 //! Durability: when opened on a store directory the engine replays
 //! `wal.log` over the `store.cind` snapshot (tolerating a torn tail),
@@ -122,7 +123,12 @@ struct EngineState {
 /// held.
 pub struct EngineSnapshot {
     table: TableSnapshot,
-    pruning: PruningSnapshot,
+    /// Shared from epoch to epoch for as long as the catalog's
+    /// `attr_generation` reads `pruning_generation`: a write that gives no
+    /// partition a new attribute (nor takes its last) leaves the frozen
+    /// index as current as a fresh copy would be.
+    pruning: Arc<PruningSnapshot>,
+    pruning_generation: u64,
 }
 
 impl EngineSnapshot {
@@ -291,29 +297,41 @@ impl Engine {
     /// lock only for the clone, never for a scan.
     pub fn snapshot(&self) -> Arc<EngineSnapshot> {
         let epoch = self.epoch.load(Ordering::Acquire);
-        {
+        let previous = {
             let cache = self.snap_cache.lock().unwrap_or_else(PoisonError::into_inner);
-            if let Some((cached_epoch, snap)) = &*cache {
-                if *cached_epoch == epoch {
-                    return Arc::clone(snap);
-                }
+            match &*cache {
+                Some((cached_epoch, snap)) if *cached_epoch == epoch => return Arc::clone(snap),
+                stale => stale.as_ref().map(|(_, snap)| Arc::clone(snap)),
             }
-        }
+        };
         let state = self.read();
         // Re-read under the read lock: no writer is active now, so the
         // clone below observes everything up to this epoch.
         let epoch = self.epoch.load(Ordering::Acquire);
+        let catalog = state.cindy.catalog();
+        let pruning_generation = catalog.attr_generation();
+        let pruning = match &previous {
+            Some(p) if p.pruning_generation == pruning_generation => Arc::clone(&p.pruning),
+            _ => Arc::new(catalog.freeze()),
+        };
         let snap = Arc::new(EngineSnapshot {
             table: state.table.freeze(),
-            pruning: state.cindy.catalog().freeze(),
+            pruning,
+            pruning_generation,
         });
         drop(state);
-        let mut cache = self.snap_cache.lock().unwrap_or_else(PoisonError::into_inner);
-        match &*cache {
-            // A concurrent reader may have cached an even fresher epoch.
-            Some((cached_epoch, _)) if *cached_epoch >= epoch => {}
-            _ => *cache = Some((epoch, Arc::clone(&snap))),
-        }
+        let superseded = {
+            let mut cache = self.snap_cache.lock().unwrap_or_else(PoisonError::into_inner);
+            match &*cache {
+                // A concurrent reader may have cached an even fresher epoch.
+                Some((cached_epoch, _)) if *cached_epoch >= epoch => None,
+                _ => cache.replace((epoch, Arc::clone(&snap))),
+            }
+        };
+        // The cache may have held the last reference: tear the old epoch
+        // down only now, with the mutex released, so no other leg's reader
+        // queues behind the deallocation.
+        drop(superseded);
         snap
     }
 
@@ -760,6 +778,34 @@ mod tests {
         let (rows, stats, known) = eng.query_subset(&["nope".to_string()]).unwrap();
         assert!(rows.is_empty());
         assert_eq!((stats, known), (QueryStats::default(), vec![false]));
+    }
+
+    #[test]
+    fn a_refreeze_shares_the_pruning_index_until_the_attribute_space_moves() {
+        let eng = Engine::in_memory(EngineOptions::default());
+        eng.insert(&wire(1, &[("rpm", 7200)])).unwrap();
+        let a = eng.snapshot();
+        assert!(Arc::ptr_eq(&a, &eng.snapshot()), "no write, same epoch");
+        // A second member of the same partition, same attribute: a new
+        // epoch and a new table snapshot over the index frozen for the last.
+        eng.insert(&wire(2, &[("rpm", 5400)])).unwrap();
+        let b = eng.snapshot();
+        assert!(!Arc::ptr_eq(&a, &b) && Arc::ptr_eq(&a.pruning, &b.pruning));
+        assert_eq!((a.table.entity_count(), b.table.entity_count()), (1, 2));
+        // A partition's first "mp", then the tier knob: each refreezes it.
+        eng.insert(&wire(3, &[("mp", 12)])).unwrap();
+        let c = eng.snapshot();
+        assert!(!Arc::ptr_eq(&b.pruning, &c.pruning));
+        eng.set_index_tier(IndexTier::Tiered);
+        let d = eng.snapshot();
+        assert!(!Arc::ptr_eq(&c.pruning, &d.pruning));
+        for attr in ["rpm", "mp"] {
+            let (rows, ..) = eng.query_subset(&[attr.to_string()]).unwrap();
+            assert_eq!(rows.len(), if attr == "rpm" { 2 } else { 1 });
+        }
+        // The last member gone takes the attribute out of the index again.
+        eng.delete(3).unwrap();
+        assert!(!Arc::ptr_eq(&d.pruning, &eng.snapshot().pruning));
     }
 
     #[test]

@@ -39,10 +39,12 @@ impl std::fmt::Display for RecordId {
 /// deletes.
 ///
 /// Pages are held behind [`Arc`] so a `clone()` of the segment is O(pages)
-/// pointer copies, not O(bytes): snapshot readers (see
-/// `UniversalTable::snapshot`) share page contents with the live segment,
-/// and the first mutation of a shared page copies just that 8 KiB page
-/// (`Arc::make_mut`) — copy-on-write at page granularity.
+/// pointer copies, not O(bytes). The table in turn holds each segment
+/// behind an `Arc`: a snapshot (see `UniversalTable::freeze`) shares whole
+/// segments with the live table, the first write to a shared segment
+/// clones it — this page list — and the first mutation of a page still
+/// shared with that clone copies just that 8 KiB page (`Arc::make_mut`) —
+/// copy-on-write at page granularity.
 #[derive(Clone, Debug)]
 pub struct Segment {
     id: SegmentId,

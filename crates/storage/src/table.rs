@@ -1,6 +1,7 @@
 //! The universal table: segments + attribute catalog + entity locator.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 use cind_model::{AttributeCatalog, Entity, EntityId};
 
@@ -13,10 +14,11 @@ use crate::{BufferPool, IoStats, PersistError, StorageError};
 ///
 /// One [`Segment`] per partition, an [`AttributeCatalog`] interning the
 /// table's (wide, growing) attribute set, a locator index mapping each
-/// entity to its physical address, and a [`BufferPool`] that accounts every
-/// page access. The partitioning *policy* lives above this layer
-/// (`cinderella-core` and `cind-baselines`); the table just provides
-/// mechanism: create/drop segments and insert/delete/move/scan entities.
+/// entity to its physical address (the only one: snapshots carry none), and
+/// a [`BufferPool`] that accounts every page access. The partitioning
+/// *policy* lives above this layer (`cinderella-core` and
+/// `cind-baselines`); the table just provides mechanism: create/drop
+/// segments and insert/delete/move/scan entities.
 ///
 /// ```
 /// use cind_model::{Entity, EntityId, Value};
@@ -36,11 +38,15 @@ use crate::{BufferPool, IoStats, PersistError, StorageError};
 /// ```
 pub struct UniversalTable {
     catalog: AttributeCatalog,
-    segments: BTreeMap<SegmentId, Segment>,
-    locator: std::collections::HashMap<EntityId, (SegmentId, RecordId)>,
+    /// Each segment behind its own `Arc`, shared with every outstanding
+    /// [`TableSnapshot`] until a write reaches it: the write paths go
+    /// through [`Self::segment_mut`], which copies a shared segment's page
+    /// *list* (not its pages) first.
+    segments: BTreeMap<SegmentId, Arc<Segment>>,
+    locator: HashMap<EntityId, (SegmentId, RecordId)>,
     /// Shared with any outstanding [`TableSnapshot`] so snapshot scans keep
     /// feeding the same I/O counters as live scans.
-    pool: std::sync::Arc<BufferPool>,
+    pool: Arc<BufferPool>,
     next_segment: u32,
     wal: Option<crate::wal::WalSink>,
 }
@@ -57,8 +63,8 @@ impl UniversalTable {
         Self {
             catalog: AttributeCatalog::new(),
             segments: BTreeMap::new(),
-            locator: std::collections::HashMap::new(),
-            pool: std::sync::Arc::new(pool),
+            locator: HashMap::new(),
+            pool: Arc::new(pool),
             next_segment: 0,
             wal: None,
         }
@@ -170,7 +176,7 @@ impl UniversalTable {
     pub fn create_segment(&mut self) -> SegmentId {
         let id = SegmentId(self.next_segment);
         self.next_segment += 1;
-        self.segments.insert(id, Segment::new(id));
+        self.segments.insert(id, Arc::new(Segment::new(id)));
         if let Some(wal) = &mut self.wal {
             wal.log_create_segment(&self.catalog, id);
         }
@@ -205,7 +211,17 @@ impl UniversalTable {
 
     /// Borrows a segment.
     pub fn segment(&self, id: SegmentId) -> Result<&Segment, StorageError> {
-        self.segments.get(&id).ok_or(StorageError::NoSuchSegment(id))
+        self.read_view().segment(id)
+    }
+
+    /// A segment for writing: un-shared from any snapshot still holding it
+    /// (a copy of its page list, O(pages) pointer bumps) on the first write
+    /// after a freeze, a plain borrow on every write after that.
+    fn segment_mut(&mut self, id: SegmentId) -> Result<&mut Segment, StorageError> {
+        self.segments
+            .get_mut(&id)
+            .map(Arc::make_mut)
+            .ok_or(StorageError::NoSuchSegment(id))
     }
 
     /// Total number of stored entities.
@@ -219,7 +235,8 @@ impl UniversalTable {
     }
 
     /// Detaches a segment wholesale: its pages leave the table untouched
-    /// (records stay encoded) and every member disappears from the locator.
+    /// (records stay encoded; a snapshot still holding the segment keeps
+    /// its own handle on them) and every member disappears from the locator.
     /// The inverse of [`UniversalTable::attach_segment`]; together they
     /// move whole partitions between tables at page granularity — the bulk
     /// loader's stitch path.
@@ -236,7 +253,7 @@ impl UniversalTable {
             self.locator.remove(&eid);
         }
         self.pool.invalidate_segment(id);
-        Ok(seg)
+        Ok(Arc::try_unwrap(seg).unwrap_or_else(|shared| (*shared).clone()))
     }
 
     /// Attaches a detached segment under a fresh id, indexing its records.
@@ -260,7 +277,7 @@ impl UniversalTable {
             let eid = crate::record::decode_entity_id(rec)?;
             self.locator.insert(eid, (id, rid));
         }
-        self.segments.insert(id, seg);
+        self.segments.insert(id, Arc::new(seg));
         Ok(id)
     }
 
@@ -274,7 +291,7 @@ impl UniversalTable {
         if self.segments.contains_key(&id) {
             return Err(PersistError::Corrupt("duplicate segment"));
         }
-        self.segments.insert(id, Segment::new(id));
+        self.segments.insert(id, Arc::new(Segment::new(id)));
         self.next_segment = self.next_segment.max(id.0.saturating_add(1));
         Ok(id)
     }
@@ -298,11 +315,7 @@ impl UniversalTable {
         if self.locator.contains_key(&id) {
             return Err(StorageError::DuplicateEntity(id).into());
         }
-        let segment = self
-            .segments
-            .get_mut(&seg)
-            .ok_or(StorageError::NoSuchSegment(seg))?;
-        let rid = segment.insert(rec)?;
+        let rid = self.segment_mut(seg)?.insert(rec)?;
         self.locator.insert(id, (seg, rid));
         Ok(())
     }
@@ -317,12 +330,8 @@ impl UniversalTable {
         if self.locator.contains_key(&entity.id()) {
             return Err(StorageError::DuplicateEntity(entity.id()));
         }
-        let segment = self
-            .segments
-            .get_mut(&seg)
-            .ok_or(StorageError::NoSuchSegment(seg))?;
         let record = encode_entity(entity);
-        let rid = segment.insert(&record)?;
+        let rid = self.segment_mut(seg)?.insert(&record)?;
         self.pool.write(PageKey { segment: seg, page: rid.page });
         self.locator.insert(entity.id(), (seg, rid));
         if let Some(wal) = &mut self.wal {
@@ -331,16 +340,15 @@ impl UniversalTable {
         self.wal_ok()
     }
 
-    /// A `Send + Sync` read handle over the table's immutable state: the
-    /// catalog, the segments, the locator, and the (internally locked)
-    /// buffer pool. Concurrent query sessions share one `ReadView` across
-    /// threads while the table's `&mut self` write API stays single-writer
-    /// by construction.
+    /// A `Send + Sync` scan handle over the table's immutable state: the
+    /// catalog, the segments, and the (internally locked) buffer pool.
+    /// Concurrent query sessions share one `ReadView` across threads while
+    /// the table's `&mut self` write API stays single-writer by
+    /// construction.
     pub fn read_view(&self) -> ReadView<'_> {
         ReadView {
             catalog: &self.catalog,
             segments: &self.segments,
-            locator: &self.locator,
             pool: &self.pool,
         }
     }
@@ -349,26 +357,34 @@ impl UniversalTable {
     /// state. (Named `freeze` to stay clear of the persistence-layer
     /// [`snapshot`](Self::snapshot), which serialises to a byte stream.)
     ///
-    /// Cheap by construction: segments clone as O(pages) `Arc` bumps (pages
-    /// are copy-on-write, see [`Segment`]), the catalog and locator clone
-    /// eagerly, and the buffer pool is shared so snapshot scans account I/O
-    /// in the same counters as live scans. The snapshot is `Send + Sync`
-    /// and observes none of the table's subsequent mutations — the
-    /// foundation for epoch-based snapshot reads that never block behind a
-    /// writer.
+    /// O(segments) reference-count bumps, whatever the table holds: each
+    /// segment is shared whole (a later write un-shares only the segment it
+    /// reaches, and within it only the page it writes — see [`Segment`]),
+    /// the catalog is shared until an unseen attribute is interned (see
+    /// [`AttributeCatalog`]), the locator is not captured at all — point
+    /// lookups are the live table's business — and the buffer pool is
+    /// shared so snapshot scans account I/O in the same counters as live
+    /// scans. The snapshot is `Send + Sync` and observes none of the
+    /// table's subsequent mutations — the foundation for epoch-based
+    /// snapshot reads that never block behind a writer.
     pub fn freeze(&self) -> TableSnapshot {
         TableSnapshot {
             catalog: self.catalog.clone(),
             segments: self.segments.clone(),
-            locator: self.locator.clone(),
-            pool: std::sync::Arc::clone(&self.pool),
+            pool: Arc::clone(&self.pool),
         }
     }
 
     /// Reads one entity by id (a point lookup through the locator; touches
     /// one page).
     pub fn get(&self, entity: EntityId) -> Result<Entity, StorageError> {
-        self.read_view().get(entity)
+        let &(seg, rid) = self
+            .locator
+            .get(&entity)
+            .ok_or(StorageError::NoSuchEntity(entity))?;
+        let segment = self.segment(seg)?;
+        self.pool.access(PageKey { segment: seg, page: rid.page });
+        decode_entity(segment.get(rid)?)
     }
 
     /// Deletes one entity, returning it.
@@ -377,11 +393,7 @@ impl UniversalTable {
             .locator
             .remove(&entity)
             .ok_or(StorageError::NoSuchEntity(entity))?;
-        let segment = self
-            .segments
-            .get_mut(&seg)
-            .ok_or(StorageError::NoSuchSegment(seg))?;
-        let bytes = segment.delete(rid)?;
+        let bytes = self.segment_mut(seg)?.delete(rid)?;
         self.pool.write(PageKey { segment: seg, page: rid.page });
         if let Some(wal) = &mut self.wal {
             wal.log_delete(&self.catalog, entity);
@@ -444,17 +456,15 @@ impl UniversalTable {
 /// An owned, immutable snapshot of a [`UniversalTable`]'s state at one
 /// instant (see [`UniversalTable::freeze`]).
 ///
-/// Holds its own copy of the catalog, segment map (pages shared
-/// copy-on-write with the live table), and locator, plus a shared handle to
-/// the accounting buffer pool. [`TableSnapshot::view`] yields the same
-/// [`ReadView`] the live table produces, so every read path — point
-/// lookups, tracked scans, concurrent query sessions — runs unchanged
-/// against a snapshot.
+/// Holds a handle on the catalog and on every segment (each shared with
+/// the live table until a write un-shares it), plus a shared handle to the
+/// accounting buffer pool; no locator. [`TableSnapshot::view`] yields the
+/// same [`ReadView`] the live table produces, so every scan path — tracked
+/// scans, concurrent query sessions — runs unchanged against a snapshot.
 pub struct TableSnapshot {
     catalog: AttributeCatalog,
-    segments: BTreeMap<SegmentId, Segment>,
-    locator: std::collections::HashMap<EntityId, (SegmentId, RecordId)>,
-    pool: std::sync::Arc<BufferPool>,
+    segments: BTreeMap<SegmentId, Arc<Segment>>,
+    pool: Arc<BufferPool>,
 }
 
 impl TableSnapshot {
@@ -464,7 +474,6 @@ impl TableSnapshot {
         ReadView {
             catalog: &self.catalog,
             segments: &self.segments,
-            locator: &self.locator,
             pool: &self.pool,
         }
     }
@@ -474,28 +483,31 @@ impl TableSnapshot {
         &self.catalog
     }
 
-    /// Total number of entities as of the snapshot instant.
+    /// Total number of entities as of the snapshot instant (summed over
+    /// the segments; the snapshot keeps no locator to ask).
     pub fn entity_count(&self) -> usize {
-        self.locator.len()
+        self.segments.values().map(|s| s.record_count()).sum()
     }
 }
 
-/// A `Send + Sync` read-only handle over a [`UniversalTable`].
+/// A `Send + Sync` scan handle over a [`UniversalTable`] or a
+/// [`TableSnapshot`].
 ///
-/// Obtained from [`UniversalTable::read_view`]; cheap to copy, and safe to
-/// share across scan worker threads: every field it borrows is either
-/// immutable for the borrow's duration (catalog, segments, locator — the
-/// borrow checker excludes writers) or internally synchronised (the
-/// [`BufferPool`]'s sharded locks and atomic counters).
+/// Obtained from [`UniversalTable::read_view`] or [`TableSnapshot::view`];
+/// cheap to copy, and safe to share across scan worker threads: every field
+/// it borrows is either immutable for the borrow's duration (catalog,
+/// segments — the borrow checker excludes writers) or internally
+/// synchronised (the [`BufferPool`]'s sharded locks and atomic counters).
+/// It is the scan surface only; point reads by entity id go through the
+/// live table, which owns the only locator.
 #[derive(Clone, Copy)]
 pub struct ReadView<'a> {
     catalog: &'a AttributeCatalog,
-    segments: &'a BTreeMap<SegmentId, Segment>,
-    locator: &'a std::collections::HashMap<EntityId, (SegmentId, RecordId)>,
+    segments: &'a BTreeMap<SegmentId, Arc<Segment>>,
     pool: &'a BufferPool,
 }
 
-impl ReadView<'_> {
+impl<'a> ReadView<'a> {
     /// The attribute catalog.
     pub fn catalog(&self) -> &AttributeCatalog {
         self.catalog
@@ -521,31 +533,13 @@ impl ReadView<'_> {
         self.segments.keys().copied()
     }
 
-    /// Borrows a segment.
-    pub fn segment(&self, id: SegmentId) -> Result<&Segment, StorageError> {
-        self.segments.get(&id).ok_or(StorageError::NoSuchSegment(id))
-    }
-
-    /// Total number of stored entities.
-    pub fn entity_count(&self) -> usize {
-        self.locator.len()
-    }
-
-    /// The segment currently holding `entity`.
-    pub fn location(&self, entity: EntityId) -> Option<SegmentId> {
-        self.locator.get(&entity).map(|(s, _)| *s)
-    }
-
-    /// Reads one entity by id (a point lookup through the locator; touches
-    /// one page).
-    pub fn get(&self, entity: EntityId) -> Result<Entity, StorageError> {
-        let &(seg, rid) = self
-            .locator
-            .get(&entity)
-            .ok_or(StorageError::NoSuchEntity(entity))?;
-        let segment = self.segment(seg)?;
-        self.pool.access(PageKey { segment: seg, page: rid.page });
-        decode_entity(segment.get(rid)?)
+    /// Borrows a segment (for as long as what the view was taken of, not
+    /// the view itself).
+    pub fn segment(&self, id: SegmentId) -> Result<&'a Segment, StorageError> {
+        self.segments
+            .get(&id)
+            .map(Arc::as_ref)
+            .ok_or(StorageError::NoSuchSegment(id))
     }
 
     /// Scans all entities of `seg`, invoking `f` for each. Touches the
@@ -773,7 +767,7 @@ mod tests {
             t.insert(seg, &e).unwrap();
         }
         assert_eq!(t.validate_signatures(), Vec::<String>::new());
-        let page = t.segments.get_mut(&seg).unwrap().page_mut(0).unwrap();
+        let page = t.segment_mut(seg).unwrap().page_mut(0).unwrap();
         page.corrupt_signature(crate::SlotId(2), 0b1);
         assert_eq!(
             t.validate_signatures(),
@@ -874,10 +868,9 @@ mod tests {
         t.insert(seg, &e).unwrap();
         let view = t.read_view();
         assert_send_sync(&view);
-        assert_eq!(view.entity_count(), 1);
         assert_eq!(view.universe(), t.universe());
-        assert_eq!(view.location(EntityId(1)), Some(seg));
-        assert_eq!(view.get(EntityId(1)).unwrap(), e);
+        assert_eq!(view.catalog().lookup("b"), t.catalog().lookup("b"));
+        assert_eq!(view.segment(seg).unwrap().record_count(), t.entity_count());
         assert_eq!(view.scan_collect(seg).unwrap(), vec![e]);
         assert_eq!(
             view.segment_ids().collect::<Vec<_>>(),
@@ -927,14 +920,78 @@ mod tests {
         let extra = t.create_segment();
         // The snapshot still sees exactly the pre-mutation state.
         let view = snap.view();
-        assert_eq!(view.entity_count(), 1);
-        assert_eq!(view.get(EntityId(1)).unwrap(), e1);
-        assert!(matches!(view.get(EntityId(2)), Err(StorageError::NoSuchEntity(_))));
+        assert_eq!(snap.entity_count(), 1);
+        assert_eq!(view.segment_ids().collect::<Vec<_>>(), vec![seg]);
         assert!(view.segment(extra).is_err());
         assert_eq!(view.scan_collect(seg).unwrap(), vec![e1]);
+        assert_eq!((snap.catalog().len(), snap.catalog().lookup("b")), (1, None));
         // The live table sees the post-mutation state.
         assert_eq!(t.entity_count(), 1);
         assert_eq!(t.get(EntityId(2)).unwrap(), e2);
+        assert_eq!(t.catalog().len(), 2);
+    }
+
+    #[test]
+    fn freezes_share_everything_a_write_did_not_reach() {
+        let mut t = UniversalTable::new(64);
+        let segs: Vec<SegmentId> = (0..5).map(|_| t.create_segment()).collect();
+        for i in 0..50u64 {
+            let e = entity(&mut t, i, &[("a", i as i64), ("b", 1)]);
+            t.insert(segs[(i % 5) as usize], &e).unwrap();
+        }
+        let a = t.freeze();
+        let written = segs[2];
+        let e = entity(&mut t, 50, &[("a", 50)]);
+        t.insert(written, &e).unwrap();
+        let b = t.freeze();
+        // One insert of known attributes: the two epochs share the catalog
+        // and every segment but the one written.
+        assert!(a.catalog.shares_with(&b.catalog));
+        for seg in &segs {
+            let shared = Arc::ptr_eq(&a.segments[seg], &b.segments[seg]);
+            assert_eq!(shared, *seg != written, "{seg}");
+        }
+        assert_eq!((a.entity_count(), b.entity_count()), (50, 51));
+        // A never-seen attribute un-shares the live catalog, not A's.
+        let e = entity(&mut t, 51, &[("fresh", 1)]);
+        t.insert(written, &e).unwrap();
+        let c = t.freeze();
+        assert!(a.catalog.shares_with(&b.catalog) && !b.catalog.shares_with(&c.catalog));
+        assert_eq!((a.catalog().len(), a.catalog().lookup("fresh")), (2, None));
+        assert_eq!((c.catalog().len(), c.catalog().lookup("fresh")), (3, Some(AttrId(2))));
+    }
+
+    #[test]
+    fn every_kind_of_write_leaves_an_earlier_freeze_answering_the_same() {
+        let mut t = UniversalTable::new(64);
+        let segs: Vec<SegmentId> = (0..4).map(|_| t.create_segment()).collect();
+        for i in 0..40u64 {
+            let e = entity(&mut t, i, &[("a", i as i64)]);
+            t.insert(segs[(i % 4) as usize], &e).unwrap();
+        }
+        let frozen = t.freeze();
+        let answers = |snap: &TableSnapshot| -> Vec<Vec<Entity>> {
+            segs.iter().map(|&s| snap.view().scan_collect(s).unwrap()).collect()
+        };
+        let before = answers(&frozen);
+        assert_eq!(before.iter().map(Vec::len).sum::<usize>(), 40);
+
+        // delete, move_entity, drop_segment (emptied first), detach + attach.
+        t.delete(EntityId(0)).unwrap();
+        t.move_entity(EntityId(1), segs[2]).unwrap();
+        for e in &before[3] {
+            t.move_entity(e.id(), segs[0]).unwrap();
+        }
+        t.drop_segment(segs[3]).unwrap();
+        let detached = t.detach_segment(segs[2]).unwrap();
+        assert_eq!(detached.record_count(), 11, "a shared segment detaches as a copy");
+        let reattached = t.attach_segment(detached).unwrap();
+        assert_eq!(t.scan_collect(reattached).unwrap().len(), 11);
+        assert!(t.segment(segs[2]).is_err() && t.segment(segs[3]).is_err());
+
+        assert_eq!(answers(&frozen), before);
+        assert_eq!(frozen.entity_count(), 40);
+        assert_eq!(t.entity_count(), 39);
     }
 
     #[test]

@@ -165,6 +165,150 @@ fn concurrent_read_views_agree_with_sequential_scan() {
     assert_eq!(s.physical_reads + s.hits(), s.logical_reads);
 }
 
+/// The live table plus what the writer's ops so far should have left in
+/// it, behind the lock discipline the server's engine uses: the writer
+/// holds the write lock per op, a reader the read lock only to `freeze()`.
+struct Churned {
+    table: UniversalTable,
+    /// Writer ops applied — which prefix of the op stream a freeze sees.
+    applied: usize,
+    /// Ids the model says are stored after that prefix.
+    live: Vec<u64>,
+}
+
+/// What a snapshot holds, segment by segment: sorted entity ids.
+fn contents(snap: &cind_storage::TableSnapshot) -> Vec<(SegmentId, Vec<u64>)> {
+    let view = snap.view();
+    view.segment_ids()
+        .map(|seg| {
+            let mut ids = Vec::new();
+            view.scan(seg, |e| ids.push(e.id().0)).unwrap();
+            ids.sort_unstable();
+            (seg, ids)
+        })
+        .collect()
+}
+
+/// One writer inserts, deletes, moves, interns never-seen attributes and
+/// creates and drops segments while `readers` threads loop freeze → scan
+/// everything → wait for the writer to move on → scan everything again.
+/// Each snapshot must answer the same both times — with writes in between,
+/// which the wait forces — and hold exactly the ids the model had after the
+/// prefix of ops it was frozen at.
+fn readers_against_a_live_writer(readers: usize, ops: usize) {
+    use std::sync::atomic::{AtomicBool, AtomicUsize};
+    use std::sync::{Barrier, RwLock};
+
+    let (table, mut segs) = build_table(6, 40);
+    let live: Vec<u64> = (0..240).collect();
+    let shared = RwLock::new(Churned { table, applied: 0, live });
+    let progress = AtomicUsize::new(0);
+    let done = AtomicBool::new(false);
+    // Every reader holds a scanned-once snapshot of the preload before the
+    // first write, so at least one snapshot per reader spans real churn.
+    let start = Barrier::new(readers + 1);
+
+    let snapshots: usize = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..readers)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut taken = 0usize;
+                    loop {
+                        let (snap, prefix, mut want) = {
+                            let g = shared.read().unwrap();
+                            (g.table.freeze(), g.applied, g.live.clone())
+                        };
+                        want.sort_unstable();
+                        let first = contents(&snap);
+                        if taken == 0 {
+                            start.wait();
+                        }
+                        while progress.load(Ordering::Acquire) <= prefix
+                            && !done.load(Ordering::Acquire)
+                        {
+                            std::thread::yield_now();
+                        }
+                        let second = contents(&snap);
+                        assert_eq!(first, second, "frozen at op {prefix}: answers moved");
+                        let mut have: Vec<u64> =
+                            first.into_iter().flat_map(|(_, ids)| ids).collect();
+                        have.sort_unstable();
+                        assert_eq!(have, want, "frozen at op {prefix}: not that prefix");
+                        assert_eq!(snap.entity_count(), want.len());
+                        taken += 1;
+                        if prefix == ops {
+                            return taken;
+                        }
+                    }
+                })
+            })
+            .collect();
+
+        start.wait();
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next_id = 240u64;
+        for step in 1..=ops {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let pick = (x >> 16) as usize;
+            let mut g = shared.write().unwrap();
+            let g = &mut *g;
+            match x % 16 {
+                0 => segs.push(g.table.create_segment()),
+                1 if segs.len() > 2 => {
+                    // Empty a segment into its neighbour, then drop it.
+                    let seg = segs.swap_remove(pick % segs.len());
+                    let to = segs[pick % segs.len()];
+                    for e in g.table.scan_collect(seg).unwrap() {
+                        g.table.move_entity(e.id(), to).unwrap();
+                    }
+                    g.table.drop_segment(seg).unwrap();
+                }
+                2..=5 if !g.live.is_empty() => {
+                    let id = g.live.swap_remove(pick % g.live.len());
+                    g.table.delete(EntityId(id)).unwrap();
+                }
+                6 if !g.live.is_empty() => {
+                    let id = g.live[pick % g.live.len()];
+                    g.table.move_entity(EntityId(id), segs[(pick >> 8) % segs.len()]).unwrap();
+                }
+                n => {
+                    let attr = if n == 7 {
+                        g.table.catalog_mut().intern(&format!("late{step}"))
+                    } else {
+                        AttrId((next_id % 8) as u32)
+                    };
+                    let e = Entity::new(EntityId(next_id), [(attr, Value::Int(step as i64))]);
+                    g.table.insert(segs[pick % segs.len()], &e.unwrap()).unwrap();
+                    g.live.push(next_id);
+                    next_id += 1;
+                }
+            }
+            g.applied = step;
+            progress.store(step, Ordering::Release);
+        }
+        done.store(true, Ordering::Release);
+        handles.into_iter().map(|h| h.join().unwrap()).sum()
+    });
+    // Each reader: the preload snapshot, and one frozen at the last op.
+    assert!(snapshots >= 2 * readers, "{snapshots} snapshots");
+    let g = shared.read().unwrap();
+    assert_eq!(g.table.entity_count(), g.live.len());
+}
+
+#[test]
+fn snapshot_readers_never_see_a_live_writer() {
+    readers_against_a_live_writer(2, 1_500);
+}
+
+/// Long-running variant for soak testing: `cargo test -- --ignored`.
+#[test]
+#[ignore = "long-running stress variant; run explicitly with --ignored"]
+fn snapshot_readers_never_see_a_live_writer_soak() {
+    readers_against_a_live_writer(4, 150_000);
+}
+
 /// Long-running variant for soak testing: `cargo test -- --ignored`.
 #[test]
 #[ignore = "long-running stress variant; run explicitly with --ignored"]

@@ -199,6 +199,27 @@ fn churn(shapes: &Shapes, seed: u64) -> Tally {
     let stats = cindy.stats();
     assert!(stats.splits > 0 && stats.reorg_resplits > 0, "churn must split and re-split: {stats:?}");
 
+    // One more freeze, then what a snapshot shares rather than copies
+    // moves under it: the catalog grows by a never-seen attribute, and
+    // entities carrying it overflow a partition until the split drops a
+    // segment the snapshot still holds.
+    let snapshot = table.freeze();
+    let answers = check(snapshot.view(), &queries, exact, &mut Tally::default());
+    let universe = table.universe();
+    let late = table.catalog_mut().intern("late");
+    assert_eq!(late, AttrId(shapes.universe));
+    let held: Vec<SegmentId> = snapshot.view().segment_ids().collect();
+    while held.iter().all(|&seg| table.segment(seg).is_ok()) {
+        let mut e = shapes.entity(next_id, &mut rng);
+        e.set(late, Value::Bool(true));
+        cindy.insert(&mut table, e).expect("insert");
+        next_id += 1;
+        assert!(next_id < 20_000, "no split of a held segment");
+    }
+    assert_eq!((snapshot.catalog().len(), snapshot.catalog().lookup("late")), (universe, None));
+    assert_eq!((table.universe(), table.catalog().lookup("late")), (universe + 1, Some(late)));
+    frozen.push((snapshot, answers));
+
     // Pages the live table has rewritten since are the snapshots' own
     // copies now: they answer as they did, signatures included.
     for (snapshot, answers) in &frozen {
