@@ -177,8 +177,10 @@ impl Default for LoadOptions {
     }
 }
 
+/// The partitioner config of a `cind load`; a knob out of range is a
+/// usage error naming it, not the constructor's panic.
 fn config_of(opts: &LoadOptions, catalog: &AttributeCatalog) -> Result<Config, CliError> {
-    Ok(Config {
+    let config = Config {
         weight: opts.weight,
         capacity: Capacity::MaxEntities(opts.capacity),
         size_model: opts.size_model,
@@ -188,7 +190,9 @@ fn config_of(opts: &LoadOptions, catalog: &AttributeCatalog) -> Result<Config, C
         // Reorg is a serving-time feature (`cind serve --reorg auto`);
         // an offline bulk load has no heat to react to.
         reorg: cinderella_core::ReorgConfig::default(),
-    })
+    };
+    config.validate().map_err(|why| CliError::Usage(why.to_string()))?;
+    Ok(config)
 }
 
 /// `cind load`: parse a CSV of irregular entities, partition it with
@@ -611,6 +615,32 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, CliError::Usage(_)), "{err:?}");
+    }
+
+    /// Loads a one-row CSV with `opts`, expecting the usage error `want`.
+    fn assert_load_usage_error(name: &str, opts: &LoadOptions, want: &str) {
+        let input = tmp(&format!("{name}.csv"));
+        std::fs::write(&input, "id,a\n1,1\n").unwrap();
+        let err = load(&input, &tmp(&format!("{name}.cind")), opts).unwrap_err();
+        assert!(matches!(&err, CliError::Usage(msg) if msg == want), "{err:?}");
+    }
+
+    #[test]
+    fn out_of_range_weight_is_a_usage_error() {
+        assert_load_usage_error(
+            "weight",
+            &LoadOptions { weight: 1.5, ..LoadOptions::default() },
+            "weight w must be in [0, 1], got 1.5",
+        );
+    }
+
+    #[test]
+    fn one_entity_capacity_is_a_usage_error() {
+        assert_load_usage_error(
+            "capacity",
+            &LoadOptions { capacity: 1, ..LoadOptions::default() },
+            "capacity must allow at least two entities per partition, got 1",
+        );
     }
 
     #[test]

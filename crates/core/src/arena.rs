@@ -15,8 +15,10 @@
 //! Both structures are maintained exactly on insert, delete, split, and
 //! merge by [`PartitionCatalog`](crate::PartitionCatalog); rows and presence
 //! columns clear when a partition is removed, so there are no stale entries
-//! to validate at read time. The bitmaps are the exact storage of the
-//! [`PruningIndex`](crate::PruningIndex).
+//! to validate at read time. A row is the materialised rating view of the
+//! partition's attribute synopsis, rewritten whenever an attribute enters
+//! or leaves the partition; the bitmaps are the exact storage of the
+//! [`PruningIndex`](crate::PruningIndex) over those attribute synopses.
 
 use cind_bitset::{BitSetOps, FixedBitSet};
 use cind_storage::SegmentId;
@@ -39,8 +41,6 @@ pub struct SynopsisArena {
     live: Vec<bool>,
     free: Vec<usize>,
 }
-
-const WORD_BITS: usize = u64::BITS as usize;
 
 impl SynopsisArena {
     /// An empty arena.
@@ -118,22 +118,18 @@ impl SynopsisArena {
         self.free.push(slot);
     }
 
-    /// Sets `bit` in the row of `slot`, widening the stride if the
-    /// attribute universe outgrew the current row width.
-    pub fn insert_bit(&mut self, slot: usize, bit: u32) {
-        let word = bit as usize / WORD_BITS;
-        if word >= self.stride {
-            self.grow_stride((word + 1).next_power_of_two());
+    /// Overwrites the row of `slot` with the bitset words `bits` (words
+    /// past their end read as zero), widening the stride if a set bit lies
+    /// beyond the current row width — the catalog's one row write, taken
+    /// whenever a partition's rating synopsis may have changed.
+    pub fn write_row(&mut self, slot: usize, bits: &[u64]) {
+        let used = bits.iter().rposition(|w| *w != 0).map_or(0, |last| last + 1);
+        if used > self.stride {
+            self.grow_stride(used.next_power_of_two());
         }
-        self.words[slot * self.stride + word] |= 1u64 << (bit as usize % WORD_BITS);
-    }
-
-    /// Clears `bit` in the row of `slot`.
-    pub fn remove_bit(&mut self, slot: usize, bit: u32) {
-        let word = bit as usize / WORD_BITS;
-        if word < self.stride {
-            self.words[slot * self.stride + word] &= !(1u64 << (bit as usize % WORD_BITS));
-        }
+        let row = &mut self.words[slot * self.stride..(slot + 1) * self.stride];
+        row[..used].copy_from_slice(&bits[..used]);
+        row[used..].fill(0);
     }
 
     fn grow_stride(&mut self, new_stride: usize) {
@@ -229,8 +225,8 @@ impl SynopsisArena {
 }
 
 /// Per-attribute partition-presence bitmaps: `rows[attr]` has bit `slot`
-/// set iff the partition in `slot` currently carries `attr` in the indexed
-/// synopsis space. Maintained exactly (set on refcount 0→1, cleared on
+/// set iff the partition in `slot` currently carries `attr` in its
+/// attribute synopsis. Maintained exactly (set on refcount 0→1, cleared on
 /// 1→0 and on partition removal).
 #[derive(Clone, Debug, Default)]
 pub struct PresenceIndex {
@@ -330,7 +326,7 @@ mod tests {
         let s0 = a.alloc(SegmentId(0));
         let s1 = a.alloc(SegmentId(1));
         assert_eq!((s0, s1), (0, 1));
-        a.insert_bit(s0, 5);
+        a.write_row(s0, &[1 << 5]);
         a.set_size(s0, 7);
         a.release(s0);
         // The recycled row comes back zeroed.
@@ -347,18 +343,19 @@ mod tests {
         let mut a = SynopsisArena::new();
         let s0 = a.alloc(SegmentId(0));
         let s1 = a.alloc(SegmentId(1));
-        a.insert_bit(s0, 3);
-        a.insert_bit(s1, 63);
+        a.write_row(s0, &[1 << 3]);
+        a.write_row(s1, &[1 << 63]);
         assert_eq!(a.stride(), 1);
-        a.insert_bit(s1, 200); // word 3 → stride rounds up to 4
+        a.write_row(s1, &[1 << 63, 0, 0, 1 << (200 - 192)]); // word 3 → stride 4
         assert_eq!(a.stride(), 4);
-        assert_eq!(a.row(s0)[0], 1 << 3);
+        assert_eq!(a.row(s0), &[1 << 3, 0, 0, 0]);
         assert_eq!(a.row(s1)[0], 1 << 63);
         assert_eq!(a.row(s1)[3], 1 << (200 - 192));
-        a.remove_bit(s1, 200);
-        assert_eq!(a.row(s1)[3], 0);
-        // Removing a bit beyond the stride is a no-op, not a panic.
-        a.remove_bit(s0, 100_000);
+        a.write_row(s1, &[1 << 63]);
+        assert_eq!(a.row(s1)[3], 0, "a shorter row clears the words past it");
+        // Trailing zero words never widen the stride.
+        a.write_row(s0, &[1 << 3, 0, 0, 0, 0, 0, 0, 0, 0]);
+        assert_eq!(a.stride(), 4);
     }
 
     /// A healthy arena under churn validates clean.
@@ -367,7 +364,10 @@ mod tests {
         let mut a = SynopsisArena::new();
         for i in 0..6u32 {
             let s = a.alloc(SegmentId(i));
-            a.insert_bit(s, i * 13);
+            let bit = i as usize * 13;
+            let mut row = vec![0u64; bit / 64 + 1];
+            row[bit / 64] = 1 << (bit % 64);
+            a.write_row(s, &row);
             a.set_size(s, u64::from(i));
         }
         a.release(1);
@@ -384,7 +384,7 @@ mod tests {
             let mut a = SynopsisArena::new();
             let s0 = a.alloc(SegmentId(0));
             let _s1 = a.alloc(SegmentId(1));
-            a.insert_bit(s0, 3);
+            a.write_row(s0, &[1 << 3]);
             a.release(s0);
             f(&mut a);
             let report = crate::validate::render(&a.validate());

@@ -66,14 +66,14 @@ pub struct BulkLoadReport {
 /// Storage errors from the load or the stitch phase.
 ///
 /// # Panics
-/// Panics if a worker thread panics.
+/// Panics if the configuration is invalid (see [`Config::validate`]).
 pub fn bulk_load(
     table: &mut UniversalTable,
     config: Config,
     entities: Vec<Entity>,
     threads: usize,
 ) -> Result<(Cinderella, BulkLoadReport), CoreError> {
-    config.validate();
+    config.assert_valid();
     if threads <= 1 {
         let mut cindy = Cinderella::new(config);
         let n = {

@@ -1,4 +1,11 @@
 //! The partition catalog: synopses, sizes, starters, candidate index.
+//!
+//! One synopsis space is maintained — attributes, by per-partition
+//! reference counts — and one presence index over it. The rating space is
+//! a view: a partition's rating synopsis is
+//! [`SynopsisMode::rating_of`] its attribute synopsis, materialised in the
+//! packed [`SynopsisArena`] row the rating kernel sweeps and rewritten only
+//! when an attribute refcount crosses 0↔1.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -10,9 +17,10 @@ use cind_storage::SegmentId;
 use crate::arena::SynopsisArena;
 use crate::config::IndexTier;
 use crate::index::{PruningIndex, PruningSnapshot};
+use crate::modes::SynopsisMode;
 use crate::rating::{global_rating, RatingInputs};
 use crate::starters::SplitStarters;
-use crate::tier::{Space, TierParams};
+use crate::tier::TierParams;
 use crate::validate::InvariantViolation;
 
 /// Catalog entry of one partition.
@@ -20,8 +28,9 @@ use crate::validate::InvariantViolation;
 pub struct PartitionMeta {
     /// The backing storage segment.
     pub segment: SegmentId,
-    /// Synopsis in *attribute* space, used for query-time pruning (and
-    /// equal to the rating synopsis in entity-based mode). Exact:
+    /// Synopsis in *attribute* space — the OR of the members' attribute
+    /// sets, used for query-time pruning and, through the catalog's
+    /// [`SynopsisMode`], the source of the rating synopsis. Exact:
     /// maintained by reference counts, so bits clear when the last member
     /// carrying them leaves.
     pub attr_synopsis: Synopsis,
@@ -31,11 +40,8 @@ pub struct PartitionMeta {
     pub entities: u64,
     /// The split-starter pair.
     pub starters: SplitStarters,
-    /// Per-attribute member counts in rating space. The set `{i :
-    /// rating_counts[i] > 0}` IS the partition's rating synopsis; the
-    /// packed copy the hot loops scan lives in the catalog's
-    /// [`SynopsisArena`] row of this partition.
-    rating_counts: Vec<u32>,
+    /// Per-attribute member counts. The set `{i : attr_counts[i] > 0}` IS
+    /// `attr_synopsis`.
     attr_counts: Vec<u32>,
     /// The partition's arena slot (meaningless while the meta is detached
     /// from a catalog, e.g. between `remove_partition` and `adopt`).
@@ -50,7 +56,6 @@ impl PartitionMeta {
             size: 0,
             entities: 0,
             starters: SplitStarters::new(),
-            rating_counts: Vec::new(),
             attr_counts: Vec::new(),
             slot: 0,
         }
@@ -59,32 +64,6 @@ impl PartitionMeta {
     /// The partition's arena slot.
     pub(crate) fn slot(&self) -> usize {
         self.slot
-    }
-
-    /// Materialises the partition's synopsis in *rating* space (attributes
-    /// in entity-based mode, queries in workload-based mode) from the
-    /// reference counts. The hot paths never call this — they sweep the
-    /// packed arena rows instead; it serves cold passes (merge rating) and
-    /// tests.
-    pub fn rating_synopsis(&self) -> Synopsis {
-        Synopsis::from_bits(
-            self.rating_counts.len(),
-            self.rating_counts
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| **c > 0)
-                .map(|(i, _)| i as u32),
-        )
-    }
-
-    /// The rating-space bits, ascending — the refcount view without
-    /// materialising a bitset.
-    pub(crate) fn rating_bits(&self) -> impl Iterator<Item = u32> + '_ {
-        self.rating_counts
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| **c > 0)
-            .map(|(i, _)| i as u32)
     }
 
     /// Sparseness of the partition: the fraction of empty cells in the
@@ -133,21 +112,23 @@ fn drop_counts(counts: &mut [u32], bits: &Synopsis, mut on_clear: impl FnMut(u32
 /// The partition catalog Cinderella scans on every insert (Algorithm 1,
 /// lines 3–7).
 ///
-/// Invariant (property-tested): each partition's synopses equal the OR of
-/// its members' synopses, maintained exactly via per-attribute reference
-/// counts; the packed arena row mirrors the refcount view exactly, and
-/// the pruning index admits every pair of it (holds exactly those pairs
-/// on exact storage).
+/// Invariant (property-tested): each partition's attribute synopsis equals
+/// the OR of its members' attribute synopses, maintained exactly via
+/// per-attribute reference counts; the packed arena row equals the mode's
+/// [`rating_of`](SynopsisMode::rating_of) that synopsis, and the pruning
+/// index admits every `(attribute, partition)` pair of it (holds exactly
+/// those pairs on exact storage).
 ///
 /// The two hot loops never walk the `BTreeMap`:
 ///
 /// * the rating scan first asks the [`PruningIndex`] for the candidate set
-///   (partitions that could rate `≥ 0`: those sharing a rating bit with
-///   the entity, plus those with `SIZE(p) = 0`) and rates only those rows
-///   of the [`SynopsisArena`] — one contiguous fixed-stride row per
-///   partition, rated with a single fused word pass;
-/// * the planner's survivor set is the index's attribute-space candidate
-///   set ([`PartitionCatalog::survivors`]).
+///   (partitions that could rate `≥ 0`: those carrying an attribute of the
+///   entity's [`attr_cover`](SynopsisMode::attr_cover) — i.e. sharing a
+///   rating bit with it — plus those with `SIZE(p) = 0`) and rates only
+///   those rows of the [`SynopsisArena`] — one contiguous fixed-stride row
+///   per partition, rated with a single fused word pass;
+/// * the planner's survivor set is the index's candidate set for the query
+///   ([`PartitionCatalog::survivors`]).
 ///
 /// Candidate soundness: with `w < 1` a disjoint pair with both sizes
 /// positive rates strictly negative, so skipping non-candidates cannot
@@ -161,12 +142,14 @@ pub struct PartitionCatalog {
     /// Packed rating synopses + `SIZE(p)` + segment, one slot per
     /// partition.
     arena: SynopsisArena,
-    /// The candidate / survivor index over both synopsis spaces, in
+    /// The candidate / survivor index over the attribute synopses, in
     /// whichever storage the knob selected.
     index: PruningIndex,
     /// Slots of partitions with `SIZE(p) = 0` (rate neutrally against
     /// anything, so they are always candidates).
     zero_size: FixedBitSet,
+    /// How the arena rows derive from the attribute synopses.
+    mode: SynopsisMode,
     /// The configured index-tier knob (`exact`, `tiered`, or the
     /// partition-count-gated `auto` ratchet).
     tier: IndexTier,
@@ -179,7 +162,7 @@ pub struct PartitionCatalog {
 }
 
 impl PartitionCatalog {
-    /// Creates an empty catalog with the given index tier.
+    /// Creates an empty entity-based catalog with the given index tier.
     pub fn new(tier: IndexTier) -> Self {
         Self::with_tier_params(tier, TierParams::default())
     }
@@ -192,10 +175,16 @@ impl PartitionCatalog {
             arena: SynopsisArena::new(),
             index: PruningIndex::new(tier, params),
             zero_size: FixedBitSet::default(),
+            mode: SynopsisMode::EntityBased,
             tier,
             tier_params: params,
             attr_generation: 0,
         }
+    }
+
+    /// An empty catalog rating in `mode`'s synopsis space.
+    pub fn with_mode(mode: SynopsisMode, tier: IndexTier) -> Self {
+        Self { mode, ..Self::new(tier) }
     }
 
     /// The configured index-tier knob.
@@ -232,7 +221,7 @@ impl PartitionCatalog {
     /// nothing is queued.
     fn service_index(&mut self) {
         let Self { parts, arena, index, .. } = self;
-        index.service(&|space, slot| exact_bits(arena, parts, space, slot));
+        index.service(&|slot| attr_bits(arena, parts, slot));
     }
 
     /// Number of partitions.
@@ -260,6 +249,15 @@ impl PartitionCatalog {
         self.parts.get_mut(&seg)
     }
 
+    /// The rating synopsis of partition `seg` (attributes in entity-based
+    /// mode, queries in workload-based mode), read off its packed arena
+    /// row. The hot paths sweep the rows directly; this serves cold passes
+    /// (merge rating) and tests.
+    pub fn rating_synopsis(&self, seg: SegmentId) -> Option<Synopsis> {
+        let row = self.arena.row(self.parts.get(&seg)?.slot);
+        Some(Synopsis::from_bits(row.len() * 64, words::iter_ones(row)))
+    }
+
     /// Registers a fresh, empty partition backed by `seg`.
     ///
     /// # Panics
@@ -285,9 +283,8 @@ impl PartitionCatalog {
         self.attr_generation += 1;
         meta.segment = seg;
         meta.slot = slot;
-        for bit in meta.rating_bits() {
-            self.arena.insert_bit(slot, bit);
-        }
+        self.arena
+            .write_row(slot, self.mode.rating_of(&meta.attr_synopsis).bits().blocks());
         self.arena.set_size(slot, meta.size);
         self.index.insert_partition(&meta);
         self.zero_size.grow(slot + 1);
@@ -312,7 +309,8 @@ impl PartitionCatalog {
         meta
     }
 
-    /// Accounts a new member entity of partition `seg`.
+    /// Accounts a new member entity of partition `seg`, given its
+    /// attribute synopsis; its rating synopsis is the mode's view of it.
     ///
     /// `offer_starters` runs the Algorithm 1 starter update; pass `false`
     /// when the caller already offered the entity (the insert path offers
@@ -321,30 +319,30 @@ impl PartitionCatalog {
         &mut self,
         seg: SegmentId,
         id: EntityId,
-        rating_syn: &Synopsis,
-        attr_syn: &Synopsis,
+        attrs: &Synopsis,
         size: u64,
         offer_starters: bool,
     ) {
-        let Self { parts, arena, index, zero_size, attr_generation, .. } = self;
+        let Self { parts, arena, index, zero_size, mode, attr_generation, .. } = self;
         let meta = parts.get_mut(&seg).expect("partition cataloged");
         let slot = meta.slot;
-        bump(&mut meta.rating_counts, rating_syn, |bit| {
-            arena.insert_bit(slot, bit);
-            index.set(Space::Rating, bit, slot);
-        });
         let attr_synopsis = &mut meta.attr_synopsis;
-        bump(&mut meta.attr_counts, attr_syn, |bit| {
+        let mut crossed = false;
+        bump(&mut meta.attr_counts, attrs, |bit| {
             attr_synopsis.bits_mut().grow(bit as usize + 1);
             attr_synopsis.bits_mut().insert(bit);
-            index.set(Space::Attr, bit, slot);
+            index.set(bit, slot);
             *attr_generation += 1;
+            crossed = true;
         });
+        if crossed {
+            arena.write_row(slot, mode.rating_of(attr_synopsis).bits().blocks());
+        }
         meta.entities += 1;
         meta.size += size;
         arena.set_size(slot, meta.size);
         if offer_starters {
-            meta.starters.offer(id, rating_syn);
+            meta.starters.offer(id, &mode.rating_of(attrs));
         }
         if meta.size > 0 {
             zero_size.remove(slot as u32);
@@ -352,29 +350,30 @@ impl PartitionCatalog {
         self.service_index();
     }
 
-    /// Accounts the removal of a member entity. Returns the remaining
-    /// member count (callers drop the partition at zero).
+    /// Accounts the removal of a member entity, given its attribute
+    /// synopsis. Returns the remaining member count (callers drop the
+    /// partition at zero).
     pub fn remove_entity(
         &mut self,
         seg: SegmentId,
         id: EntityId,
-        rating_syn: &Synopsis,
-        attr_syn: &Synopsis,
+        attrs: &Synopsis,
         size: u64,
     ) -> u64 {
-        let Self { parts, arena, index, zero_size, attr_generation, .. } = self;
+        let Self { parts, arena, index, zero_size, mode, attr_generation, .. } = self;
         let meta = parts.get_mut(&seg).expect("partition cataloged");
         let slot = meta.slot;
-        drop_counts(&mut meta.rating_counts, rating_syn, |bit| {
-            arena.remove_bit(slot, bit);
-            index.clear(Space::Rating, bit, slot);
-        });
         let attr_synopsis = &mut meta.attr_synopsis;
-        drop_counts(&mut meta.attr_counts, attr_syn, |bit| {
+        let mut crossed = false;
+        drop_counts(&mut meta.attr_counts, attrs, |bit| {
             attr_synopsis.bits_mut().remove(bit);
-            index.clear(Space::Attr, bit, slot);
+            index.clear(bit, slot);
             *attr_generation += 1;
+            crossed = true;
         });
+        if crossed {
+            arena.write_row(slot, mode.rating_of(attr_synopsis).bits().blocks());
+        }
         meta.entities -= 1;
         meta.size -= size;
         arena.set_size(slot, meta.size);
@@ -472,11 +471,11 @@ impl PartitionCatalog {
         (best, ratings)
     }
 
-    /// The indexed scan: the index's candidates for the entity's rating
-    /// bits, plus the zero-size slots, are the only partitions rated. Each
-    /// candidate is rated exactly once — the bitmap OR deduplicates
-    /// partitions that share several attributes with the entity by
-    /// construction.
+    /// The indexed scan: the index's candidates for the attribute cover of
+    /// the entity's rating bits, plus the zero-size slots, are the only
+    /// partitions rated. Each candidate is rated exactly once — the bitmap
+    /// OR deduplicates partitions that share several attributes with the
+    /// cover by construction.
     fn best_indexed(
         &self,
         rating_syn: &Synopsis,
@@ -484,7 +483,8 @@ impl PartitionCatalog {
         weight: f64,
     ) -> (Option<(SegmentId, f64)>, u32) {
         let mut candidates = self.zero_size.clone();
-        self.index.candidates_into(Space::Rating, rating_syn, &mut candidates);
+        self.index
+            .candidates_into(&self.mode.attr_cover(rating_syn), &mut candidates);
 
         let e_words = rating_syn.bits().blocks();
         let mut best: Option<(SegmentId, f64)> = None;
@@ -534,9 +534,8 @@ impl PartitionCatalog {
         Some(self.survivors(q))
     }
 
-    /// A frozen copy of the attribute-space index plus the slot→segment
-    /// map, for lock-free survivor planning (the server's epoch
-    /// snapshots).
+    /// A frozen copy of the index plus the slot→segment map, for lock-free
+    /// survivor planning (the server's epoch snapshots).
     pub fn freeze(&self) -> PruningSnapshot {
         self.index.freeze(self.arena.segs().to_vec(), self.parts.len())
     }
@@ -568,10 +567,12 @@ impl PartitionCatalog {
     }
 
     /// Cross-checks every catalog-internal invariant — the consistency of
-    /// the refcount view (source of truth) with the packed arena rows, the
-    /// pruning index, the zero-size candidate set, and the starter pairs
-    /// — returning every violation found. Metadata-only: no storage access;
-    /// the entity-level cross-check against stored segments is
+    /// the refcount view (source of truth) with the attribute synopses, the
+    /// packed arena rows (each must be the mode's `rating_of` its
+    /// partition's attribute synopsis), the pruning index, the zero-size
+    /// candidate set, and the starter pairs — returning every violation
+    /// found. Metadata-only: no storage access; the entity-level
+    /// cross-check against stored segments is
     /// [`Cinderella::validate`](crate::Cinderella::validate).
     pub fn validate(&self) -> Vec<InvariantViolation> {
         let mut out = self.arena.validate();
@@ -584,10 +585,9 @@ impl PartitionCatalog {
             ));
         }
 
-        // Expected presence-bit sets, rebuilt from the refcounts as the
+        // Expected presence pairs, rebuilt from the refcounts as the
         // per-partition checks walk the metas.
-        let mut want_rating: BTreeSet<(u32, usize)> = BTreeSet::new();
-        let mut want_attr: BTreeSet<(u32, usize)> = BTreeSet::new();
+        let mut want: BTreeSet<(u32, usize)> = BTreeSet::new();
         let mut slot_owner: BTreeMap<usize, SegmentId> = BTreeMap::new();
 
         for (seg, meta) in &self.parts {
@@ -626,25 +626,27 @@ impl PartitionCatalog {
                     meta.size
                 ));
             }
-            let row_bits: Vec<u32> = words::iter_ones(self.arena.row(slot)).collect();
-            let count_bits: Vec<u32> = meta.rating_bits().collect();
-            if row_bits != count_bits {
-                push_cat(&mut out, format!(
-                    "{seg}: packed row bits {row_bits:?} but rating refcounts say {count_bits:?}"
-                ));
-            }
             let attr_bits: Vec<u32> = meta.attr_synopsis.iter().map(|a| a.index()).collect();
-            let attr_count_bits: Vec<u32> = meta
+            let count_bits: Vec<u32> = meta
                 .attr_counts
                 .iter()
                 .enumerate()
                 .filter(|(_, c)| **c > 0)
                 .map(|(i, _)| i as u32)
                 .collect();
-            if attr_bits != attr_count_bits {
+            if attr_bits != count_bits {
                 push_cat(&mut out, format!(
                     "{seg}: attr synopsis bits {attr_bits:?} but attr refcounts say \
-                     {attr_count_bits:?}"
+                     {count_bits:?}"
+                ));
+            }
+            let row_bits: Vec<u32> = words::iter_ones(self.arena.row(slot)).collect();
+            let rating_bits: Vec<u32> =
+                self.mode.rating_of(&meta.attr_synopsis).iter().map(|a| a.index()).collect();
+            if row_bits != rating_bits {
+                push_cat(&mut out, format!(
+                    "{seg}: packed row bits {row_bits:?} but rating_of(attr synopsis) gives \
+                     {rating_bits:?}"
                 ));
             }
             let zero_bit = self.zero_size.contains(slot as u32);
@@ -656,31 +658,26 @@ impl PartitionCatalog {
             }
             if meta.entities == 0 && (meta.size != 0 || !count_bits.is_empty()) {
                 push_cat(&mut out, format!(
-                    "{seg}: no entities but size {} and {} rating bits",
+                    "{seg}: no entities but size {} and {} attr bits",
                     meta.size,
                     count_bits.len()
                 ));
             }
-            for (space, counts) in
-                [("rating", &meta.rating_counts), ("attr", &meta.attr_counts)]
-            {
-                for (bit, &c) in counts.iter().enumerate() {
-                    if u64::from(c) > meta.entities {
-                        push_cat(&mut out, format!(
-                            "{seg}: {space} refcount {c} for bit {bit} exceeds {} entities",
-                            meta.entities
-                        ));
-                    }
+            for (bit, &c) in meta.attr_counts.iter().enumerate() {
+                if u64::from(c) > meta.entities {
+                    push_cat(&mut out, format!(
+                        "{seg}: attr refcount {c} for bit {bit} exceeds {} entities",
+                        meta.entities
+                    ));
                 }
             }
             if let Err(why) = meta.starters.check() {
                 out.push(InvariantViolation::new("starters", format!("{seg}: {why}")));
             }
-            want_rating.extend(count_bits.iter().map(|&b| (b, slot)));
-            want_attr.extend(attr_bits.iter().map(|&b| (b, slot)));
+            want.extend(attr_bits.iter().map(|&b| (b, slot)));
         }
 
-        out.extend(self.index.validate(&self.arena, &want_rating, &want_attr));
+        out.extend(self.index.validate(&self.arena, &want));
 
         for slot in self.zero_size.iter_ones() {
             let slot = slot as usize;
@@ -695,14 +692,15 @@ impl PartitionCatalog {
     }
 
     /// Cross-checks partition `seg` against its actual stored members —
-    /// `(id, rating synopsis, attribute synopsis, SIZE(e))` per entity, as
-    /// recomputed from storage by the caller. Verifies the OR-of-members
-    /// synopsis law (via the full refcount recomputation), the entity and
-    /// size accounting, and starter membership. Returns every violation.
+    /// `(id, attribute synopsis, SIZE(e))` per entity, as recomputed from
+    /// storage by the caller. Verifies the OR-of-members synopsis law (via
+    /// the full refcount recomputation), the entity and size accounting,
+    /// and starter membership (each cached starter synopsis must be the
+    /// mode's rating synopsis of the member). Returns every violation.
     pub(crate) fn validate_members(
         &self,
         seg: SegmentId,
-        members: &[(EntityId, Synopsis, Synopsis, u64)],
+        members: &[(EntityId, Synopsis, u64)],
     ) -> Vec<InvariantViolation> {
         let mut out = Vec::new();
         let Some(meta) = self.parts.get(&seg) else {
@@ -716,40 +714,33 @@ impl PartitionCatalog {
                 members.len()
             ));
         }
-        let stored_size: u64 = members.iter().map(|(_, _, _, s)| s).sum();
+        let stored_size: u64 = members.iter().map(|(_, _, s)| s).sum();
         if meta.size != stored_size {
             push_cat(&mut out, format!(
                 "{seg}: meta size {} but members sum to {stored_size}",
                 meta.size
             ));
         }
-        // Recompute both refcount columns from the members and compare —
+        // Recompute the refcount column from the members and compare —
         // this subsumes "partition synopsis == OR of member synopses" and
         // catches count drift that the OR alone would mask.
-        for (space, counts, proj) in [
-            ("rating", &meta.rating_counts, 1usize),
-            ("attr", &meta.attr_counts, 2),
-        ] {
-            let mut want: Vec<u32> = Vec::new();
-            for m in members {
-                let syn = if proj == 1 { &m.1 } else { &m.2 };
-                for attr in syn.iter() {
-                    let idx = attr.index() as usize;
-                    if want.len() <= idx {
-                        want.resize(idx + 1, 0);
-                    }
-                    want[idx] += 1;
+        let mut want: Vec<u32> = Vec::new();
+        for (_, attrs, _) in members {
+            for attr in attrs.iter() {
+                let idx = attr.index() as usize;
+                if want.len() <= idx {
+                    want.resize(idx + 1, 0);
                 }
+                want[idx] += 1;
             }
-            let width = want.len().max(counts.len());
-            for bit in 0..width {
-                let w = want.get(bit).copied().unwrap_or(0);
-                let h = counts.get(bit).copied().unwrap_or(0);
-                if w != h {
-                    push_cat(&mut out, format!(
-                        "{seg}: {space} refcount for bit {bit} is {h}, members say {w}"
-                    ));
-                }
+        }
+        for bit in 0..want.len().max(meta.attr_counts.len()) {
+            let w = want.get(bit).copied().unwrap_or(0);
+            let h = meta.attr_counts.get(bit).copied().unwrap_or(0);
+            if w != h {
+                push_cat(&mut out, format!(
+                    "{seg}: attr refcount for bit {bit} is {h}, members say {w}"
+                ));
             }
         }
         for (name, starter) in [("A", meta.starters.a()), ("B", meta.starters.b())] {
@@ -759,7 +750,7 @@ impl PartitionCatalog {
                     "starters",
                     format!("{seg}: starter {name} ({id:?}) is not a member"),
                 )),
-                Some((_, rating, _, _)) if rating != cached => {
+                Some((_, attrs, _)) if *self.mode.rating_of(attrs) != *cached => {
                     out.push(InvariantViolation::new(
                         "starters",
                         format!(
@@ -774,25 +765,19 @@ impl PartitionCatalog {
     }
 }
 
-/// The refcount view of one slot in one space — its exact bits, ascending,
-/// or `None` for a dead slot: what the tiered storage rebuilds filter
-/// groups from.
-fn exact_bits(
+/// The refcount view of one slot — its exact attribute bits, ascending, or
+/// `None` for a dead slot: what the tiered storage rebuilds filter groups
+/// from.
+fn attr_bits(
     arena: &SynopsisArena,
     parts: &BTreeMap<SegmentId, PartitionMeta>,
-    space: Space,
     slot: usize,
 ) -> Option<Vec<u32>> {
     if slot >= arena.slots() || !arena.is_live(slot) {
         return None;
     }
-    Some(match space {
-        Space::Rating => words::iter_ones(arena.row(slot)).collect(),
-        Space::Attr => {
-            let meta = parts.get(&arena.seg(slot))?;
-            meta.attr_synopsis.iter().map(|a| a.index()).collect()
-        }
-    })
+    let meta = parts.get(&arena.seg(slot))?;
+    Some(meta.attr_synopsis.iter().map(|a| a.index()).collect())
 }
 
 /// Appends a catalog-structure violation (shared by the validators).
@@ -815,8 +800,7 @@ mod tests {
         bits: &[u32],
         size: u64,
     ) {
-        let s = syn(bits);
-        cat.add_entity(seg, EntityId(id), &s, &s, size, true);
+        cat.add_entity(seg, EntityId(id), &syn(bits), size, true);
     }
 
     #[test]
@@ -826,33 +810,42 @@ mod tests {
         add(&mut cat, SegmentId(0), 1, &[0, 1], 2);
         add(&mut cat, SegmentId(0), 2, &[1, 2], 2);
         let m = cat.get(SegmentId(0)).unwrap();
-        assert_eq!(m.rating_synopsis(), syn(&[0, 1, 2]));
+        assert_eq!(m.attr_synopsis, syn(&[0, 1, 2]));
+        assert_eq!(cat.rating_synopsis(SegmentId(0)), Some(syn(&[0, 1, 2])));
         assert_eq!(m.entities, 2);
         assert_eq!(m.size, 4);
         // Removing entity 1 clears bit 0 but keeps shared bit 1.
-        let s1 = syn(&[0, 1]);
-        let left = cat.remove_entity(SegmentId(0), EntityId(1), &s1, &s1, 2);
+        let left = cat.remove_entity(SegmentId(0), EntityId(1), &syn(&[0, 1]), 2);
         assert_eq!(left, 1);
         let m = cat.get(SegmentId(0)).unwrap();
-        assert_eq!(m.rating_synopsis(), syn(&[1, 2]));
+        assert_eq!(m.attr_synopsis, syn(&[1, 2]));
+        assert_eq!(cat.rating_synopsis(SegmentId(0)), Some(syn(&[1, 2])));
         assert_eq!(m.size, 2);
     }
 
     #[test]
     fn arena_row_mirrors_refcount_synopsis() {
         // The packed row the hot path scans must equal the refcount view
-        // through adds, removes, and partition removal/adoption.
-        let mut cat = PartitionCatalog::new(IndexTier::Exact);
-        cat.create_partition(SegmentId(0));
-        add(&mut cat, SegmentId(0), 1, &[0, 5, 31], 3);
-        add(&mut cat, SegmentId(0), 2, &[5, 7], 2);
-        let s = syn(&[0, 5, 31]);
-        cat.remove_entity(SegmentId(0), EntityId(1), &s, &s, 3);
-        let m = cat.get(SegmentId(0)).unwrap();
-        let row_bits: Vec<u32> = words::iter_ones(cat.arena.row(m.slot)).collect();
-        let syn_bits: Vec<u32> = m.rating_synopsis().iter().map(|a| a.index()).collect();
-        assert_eq!(row_bits, syn_bits);
-        assert_eq!(row_bits, vec![5, 7]);
+        // through adds, removes, and partition removal/adoption — in
+        // workload mode, the queries the partition's attributes meet.
+        let queries = vec![syn(&[0]), syn(&[5, 6]), syn(&[31]), syn(&[7, 0])];
+        let workload = SynopsisMode::WorkloadBased(queries);
+        for (mode, want) in [(SynopsisMode::EntityBased, vec![5, 7]), (workload, vec![1, 3])] {
+            let mut cat = PartitionCatalog::with_mode(mode, IndexTier::Exact);
+            cat.create_partition(SegmentId(0));
+            add(&mut cat, SegmentId(0), 1, &[0, 5, 31], 3);
+            add(&mut cat, SegmentId(0), 2, &[5, 7], 2);
+            cat.remove_entity(SegmentId(0), EntityId(1), &syn(&[0, 5, 31]), 3);
+            let m = cat.get(SegmentId(0)).unwrap();
+            let row_bits: Vec<u32> = words::iter_ones(cat.arena.row(m.slot)).collect();
+            assert_eq!(row_bits, want);
+            let meta = cat.remove_partition(SegmentId(0));
+            cat.adopt(meta, SegmentId(4));
+            let rating = cat.rating_synopsis(SegmentId(4)).unwrap();
+            assert_eq!(rating.iter().map(|a| a.index()).collect::<Vec<_>>(), want);
+            let report = crate::validate::render(&cat.validate());
+            assert!(report.is_empty(), "{report}");
+        }
     }
 
     /// A healthy two-partition catalog validates clean at every tier knob.
@@ -865,8 +858,7 @@ mod tests {
             add(&mut cat, SegmentId(0), 1, &[0, 1], 2);
             add(&mut cat, SegmentId(0), 2, &[1, 2], 2);
             add(&mut cat, SegmentId(1), 3, &[8], 1);
-            let s = syn(&[1, 2]);
-            cat.remove_entity(SegmentId(0), EntityId(2), &s, &s, 2);
+            cat.remove_entity(SegmentId(0), EntityId(2), &syn(&[1, 2]), 2);
             let report = crate::validate::render(&cat.validate());
             assert!(report.is_empty(), "{report}");
         }
@@ -891,14 +883,13 @@ mod tests {
             |c| c.parts.get_mut(&SegmentId(0)).unwrap().size += 1,
             "arena SIZE(p) 2 but meta size 3",
         );
-        // A rating refcount appears without its packed-row bit.
+        // The packed row gains a bit the attribute synopsis does not give.
         corrupted(
             |c| {
-                let m = c.parts.get_mut(&SegmentId(0)).unwrap();
-                m.rating_counts.resize(10, 0);
-                m.rating_counts[9] = 1;
+                let slot = c.parts[&SegmentId(0)].slot;
+                c.arena.write_row(slot, &[0b10_0000_0011]);
             },
-            "rating refcounts say [0, 1, 9]",
+            "packed row bits [0, 1, 9] but rating_of(attr synopsis) gives [0, 1]",
         );
         // The attr synopsis gains a bit its refcounts do not back.
         corrupted(
@@ -922,17 +913,17 @@ mod tests {
         corrupted(
             |c| {
                 let slot = c.parts[&SegmentId(0)].slot;
-                c.index.clear(Space::Rating, 0, slot);
+                c.index.clear(0, slot);
             },
-            "rating bit 0 of slot 0 (seg0) missing from the index",
+            "attr bit 0 of slot 0 (seg0) missing from the index",
         );
         // … or claims one they do not.
         corrupted(
             |c| {
                 let slot = c.parts[&SegmentId(7)].slot;
-                c.index.set(Space::Attr, 30, slot);
+                c.index.set(30, slot);
             },
-            "attr index claims bit 30 for slot 1, refcounts disagree",
+            "index claims attr bit 30 for slot 1, refcounts disagree",
         );
         // Two metas fighting over one arena slot.
         corrupted(
@@ -945,7 +936,7 @@ mod tests {
         // Refcount exceeding the member count.
         corrupted(
             |c| c.parts.get_mut(&SegmentId(7)).unwrap().entities = 0,
-            "rating refcount 1 for bit 4 exceeds 0 entities",
+            "attr refcount 1 for bit 4 exceeds 0 entities",
         );
         // Meta keyed under the wrong segment.
         corrupted(
@@ -966,9 +957,7 @@ mod tests {
         cat.create_partition(SegmentId(0));
         add(&mut cat, SegmentId(0), 1, &[0, 1], 2);
         add(&mut cat, SegmentId(0), 2, &[1, 2], 2);
-        let member = |id: u64, bits: &[u32], size: u64| {
-            (EntityId(id), syn(bits), syn(bits), size)
-        };
+        let member = |id: u64, bits: &[u32], size: u64| (EntityId(id), syn(bits), size);
         // The true membership: clean.
         let good = vec![member(1, &[0, 1], 2), member(2, &[1, 2], 2)];
         assert!(cat.validate_members(SegmentId(0), &good).is_empty());
@@ -1068,8 +1057,7 @@ mod tests {
             add(&mut cat, SegmentId(2), 3, &[9, 10, 11], 3);
             add(&mut cat, SegmentId(3), 4, &[0, 9], 2);
             // Shrink partition 0 so bit 2 clears from row and presence.
-            let s = syn(&[0, 1, 2]);
-            cat.remove_entity(SegmentId(0), EntityId(1), &s, &s, 3);
+            cat.remove_entity(SegmentId(0), EntityId(1), &syn(&[0, 1, 2]), 3);
             add(&mut cat, SegmentId(0), 5, &[0, 1], 2);
             for probe in &probes {
                 let s = syn(probe);
@@ -1209,16 +1197,14 @@ mod tests {
         cat.create_partition(SegmentId(0));
         cat.create_partition(SegmentId(1));
         let wide = |bit: u32| Synopsis::from_bits(128, [bit]);
-        cat.add_entity(SegmentId(0), EntityId(0), &wide(0), &wide(0), 1, true);
-        cat.add_entity(SegmentId(1), EntityId(1), &wide(10), &wide(10), 1, true);
+        cat.add_entity(SegmentId(0), EntityId(0), &wide(0), 1, true);
+        cat.add_entity(SegmentId(1), EntityId(1), &wide(10), 1, true);
         for i in 0..extra {
-            let s = wide(10 + i);
-            cat.add_entity(SegmentId(0), EntityId(u64::from(100 + i)), &s, &s, 1, true);
+            cat.add_entity(SegmentId(0), EntityId(u64::from(100 + i)), &wide(10 + i), 1, true);
         }
         assert_eq!(cat.survivors(&wide(10)).0, vec![SegmentId(0), SegmentId(1)]);
         for i in 0..extra {
-            let s = wide(10 + i);
-            cat.remove_entity(SegmentId(0), EntityId(u64::from(100 + i)), &s, &s, 1);
+            cat.remove_entity(SegmentId(0), EntityId(u64::from(100 + i)), &wide(10 + i), 1);
         }
         assert_eq!(cat.survivors(&wide(10)).0, vec![SegmentId(1)]);
         for i in 1..extra {
@@ -1287,7 +1273,7 @@ mod tests {
                     3 if step % 5 == 0 => cat.set_tier(tier),
                     4..=6 if !members.is_empty() => {
                         let (seg, id, bits) = members.swap_remove((x >> 8) as usize % members.len());
-                        if cat.remove_entity(seg, EntityId(id), &syn(&bits), &syn(&bits), 1) == 0 {
+                        if cat.remove_entity(seg, EntityId(id), &syn(&bits), 1) == 0 {
                             cat.remove_partition(seg);
                             segs.retain(|s| *s != seg);
                         }
@@ -1332,7 +1318,7 @@ mod tests {
         let mut cat = PartitionCatalog::new(IndexTier::Exact);
         cat.create_partition(SegmentId(0));
         // Partition 0 holds one zero-size entity with an empty synopsis.
-        cat.add_entity(SegmentId(0), EntityId(1), &syn(&[]), &syn(&[]), 0, true);
+        cat.add_entity(SegmentId(0), EntityId(1), &syn(&[]), 0, true);
         // A disjoint probe should still see partition 0 (rating 0 ≥ 0
         // beats creating a new partition in Algorithm 1's comparison).
         let (best, _) = cat.best_partition(&syn(&[5]), 1, 0.5);

@@ -201,29 +201,73 @@ impl Default for Config {
     }
 }
 
+/// A [`Config`] knob out of its range, named by the variant.
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub enum ConfigError {
+    /// `weight` outside `[0, 1]`.
+    Weight(f64),
+    /// A capacity that cannot hold two entities per partition.
+    Capacity(Capacity),
+    /// `reorg.threshold` outside `[0, 1]`.
+    ReorgThreshold(f64),
+    /// `reorg.epoch_ops` of zero.
+    ReorgEpoch,
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::Weight(w) => write!(f, "weight w must be in [0, 1], got {w}"),
+            Self::Capacity(Capacity::MaxEntities(b) | Capacity::MaxSize(b)) => write!(
+                f,
+                "capacity must allow at least two entities per partition, got {b}"
+            ),
+            Self::ReorgThreshold(t) => write!(f, "reorg threshold must be in [0, 1], got {t}"),
+            Self::ReorgEpoch => f.write_str("reorg epoch must be at least one op"),
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
 impl Config {
-    /// Validates the knobs (weight range, positive capacity).
+    /// Checks the knobs: weight range, a capacity of at least two entities,
+    /// reorg threshold range, a non-zero reorg epoch.
     ///
-    /// # Panics
-    /// Panics on an out-of-range weight or a zero capacity; configs are
-    /// build-time values, so failing fast beats threading errors.
-    pub fn validate(&self) {
-        assert!(
-            (0.0..=1.0).contains(&self.weight) && self.weight.is_finite(),
-            "weight w must be in [0, 1], got {}",
-            self.weight
-        );
+    /// # Errors
+    /// The first knob out of range.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let in_unit = |x: f64| (0.0..=1.0).contains(&x);
+        if !in_unit(self.weight) {
+            return Err(ConfigError::Weight(self.weight));
+        }
         let cap_ok = match self.capacity {
             Capacity::MaxEntities(b) => b >= 2,
             Capacity::MaxSize(b) => b >= 1,
         };
-        assert!(cap_ok, "capacity must allow at least two entities per partition");
+        if !cap_ok {
+            return Err(ConfigError::Capacity(self.capacity));
+        }
+        if !in_unit(self.reorg.threshold) {
+            return Err(ConfigError::ReorgThreshold(self.reorg.threshold));
+        }
+        if self.reorg.epoch_ops == 0 {
+            return Err(ConfigError::ReorgEpoch);
+        }
+        Ok(())
+    }
+
+    /// [`validate`](Self::validate) as the constructors' documented panic:
+    /// configs are build-time values, so failing fast beats threading
+    /// errors. Callers that read knobs from a user (the CLI) validate
+    /// first and report the [`ConfigError`].
+    pub(crate) fn assert_valid(&self) {
+        let verdict = self.validate();
         assert!(
-            (0.0..=1.0).contains(&self.reorg.threshold) && self.reorg.threshold.is_finite(),
-            "reorg threshold must be in [0, 1], got {}",
-            self.reorg.threshold
+            verdict.is_ok(),
+            "{}",
+            verdict.map_or_else(|why| why.to_string(), |()| String::new())
         );
-        assert!(self.reorg.epoch_ops >= 1, "reorg epoch must be at least one op");
     }
 }
 
@@ -247,7 +291,7 @@ mod tests {
 
     #[test]
     fn default_is_valid() {
-        Config::default().validate();
+        assert_eq!(Config::default().validate(), Ok(()));
     }
 
     #[test]
@@ -278,22 +322,35 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "reorg threshold")]
-    fn bad_reorg_threshold_panics() {
+    fn bad_reorg_threshold_is_an_error() {
         let mut cfg = Config::default();
         cfg.reorg.threshold = 2.0;
-        cfg.validate();
+        assert_eq!(cfg.validate(), Err(ConfigError::ReorgThreshold(2.0)));
+        cfg.reorg = ReorgConfig { epoch_ops: 0, ..ReorgConfig::default() };
+        assert_eq!(cfg.validate(), Err(ConfigError::ReorgEpoch));
     }
 
     #[test]
-    #[should_panic(expected = "weight")]
-    fn bad_weight_panics() {
-        Config { weight: 1.5, ..Config::default() }.validate();
+    fn bad_weight_is_an_error() {
+        for w in [1.5, -0.1, f64::INFINITY] {
+            let err = Config { weight: w, ..Config::default() }.validate();
+            assert_eq!(err, Err(ConfigError::Weight(w)));
+        }
+        let err = Config { weight: f64::NAN, ..Config::default() }.validate();
+        assert!(matches!(err, Err(ConfigError::Weight(w)) if w.is_nan()));
+        assert_eq!(
+            ConfigError::Weight(1.5).to_string(),
+            "weight w must be in [0, 1], got 1.5"
+        );
     }
 
     #[test]
-    #[should_panic(expected = "capacity")]
-    fn tiny_capacity_panics() {
-        Config { capacity: Capacity::MaxEntities(1), ..Config::default() }.validate();
+    fn tiny_capacity_is_an_error() {
+        let tiny = Capacity::MaxEntities(1);
+        let err = Config { capacity: tiny, ..Config::default() }.validate();
+        assert_eq!(err, Err(ConfigError::Capacity(tiny)));
+        assert!(err.unwrap_err().to_string().starts_with("capacity"));
+        let err = Config { capacity: Capacity::MaxSize(0), ..Config::default() }.validate();
+        assert!(err.is_err());
     }
 }

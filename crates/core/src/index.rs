@@ -2,19 +2,23 @@
 //! attribute with this synopsis?" — the paper's `|p ∧ q| = 0` test (§II,
 //! Definition 1) turned inside out.
 //!
-//! [`PruningIndex`] owns the rating-space and attribute-space presence
-//! metadata in one of two storages, chosen by the single
-//! [`IndexTier`] knob:
+//! [`PruningIndex`] owns the catalog's one presence space — attributes —
+//! in one of two storages, chosen by the single [`IndexTier`] knob:
 //!
-//! * **exact** — one [`PresenceIndex`] bitmap row per attribute and space;
-//!   candidate sets are exact;
+//! * **exact** — one [`PresenceIndex`] bitmap row per attribute; candidate
+//!   sets are exact;
 //! * **tiered** — the blocked-Bloom rows and group summaries of
 //!   [`crate::tier`]; candidate sets are supersets (no false negatives by
 //!   construction), an order of magnitude smaller on large catalogs.
 //!
+//! Both lookups go through it: the planner's survivors for a query
+//! synopsis, and the insert scan's candidates for an entity, keyed by the
+//! attribute cover of its rating synopsis
+//! ([`SynopsisMode::attr_cover`](crate::SynopsisMode::attr_cover) — the
+//! entity's attributes in entity-based mode).
 //! [`PartitionCatalog`](crate::PartitionCatalog) drives it through the
 //! methods below and never looks at which storage is live;
-//! [`PruningIndex::freeze`] copies the attribute space into an immutable
+//! [`PruningIndex::freeze`] clones it into an immutable
 //! [`PruningSnapshot`] that plans survivors through the very same
 //! [`PruningIndex::survivors`] walk, so the server's epoch reads and the
 //! live planner cannot drift apart.
@@ -28,19 +32,14 @@ use cind_storage::SegmentId;
 use crate::arena::{PresenceIndex, SynopsisArena};
 use crate::catalog::PartitionMeta;
 use crate::config::IndexTier;
-use crate::tier::{Space, TierParams, TieredIndex};
+use crate::tier::{TierParams, TieredIndex};
 use crate::validate::InvariantViolation;
 
-/// Presence metadata of both synopsis spaces, in either storage.
+/// Attribute presence metadata, in either storage.
 #[derive(Clone, Debug)]
 pub enum PruningIndex {
-    /// Exact per-attribute slot bitmaps.
-    Exact {
-        /// rating-bit → slot bitmap (candidates of the insert scan).
-        rating: PresenceIndex,
-        /// attribute-bit → slot bitmap (survivors of the planner).
-        attr: PresenceIndex,
-    },
+    /// Exact attribute-bit → slot bitmaps.
+    Exact(PresenceIndex),
     /// Approximate filter rows under group summaries.
     Tiered(Box<TieredIndex>),
 }
@@ -56,10 +55,7 @@ impl PruningIndex {
         if tiered {
             Self::Tiered(Box::new(TieredIndex::new(params)))
         } else {
-            Self::Exact {
-                rating: PresenceIndex::new(),
-                attr: PresenceIndex::new(),
-            }
+            Self::Exact(PresenceIndex::new())
         }
     }
 
@@ -102,19 +98,16 @@ impl PruningIndex {
         }
     }
 
-    /// Registers a partition's freshly allocated slot with every bit its
-    /// refcounts already carry (none for a new partition, all of them for
-    /// an adopted one).
+    /// Registers a partition's freshly allocated slot with every attribute
+    /// its refcounts already carry (none for a new partition, all of them
+    /// for an adopted one).
     pub(crate) fn insert_partition(&mut self, meta: &PartitionMeta) {
         let slot = meta.slot();
         if let Self::Tiered(t) = self {
             t.on_slot_alloc(slot);
         }
-        for bit in meta.rating_bits() {
-            self.set(Space::Rating, bit, slot);
-        }
         for bit in meta.attr_synopsis.iter() {
-            self.set(Space::Attr, bit.index(), slot);
+            self.set(bit.index(), slot);
         }
     }
 
@@ -125,62 +118,54 @@ impl PruningIndex {
         let slot = meta.slot();
         match self {
             Self::Tiered(t) => t.on_slot_release(slot),
-            Self::Exact { rating, attr } => {
-                for bit in meta.rating_bits() {
-                    rating.clear(bit, slot);
-                }
+            Self::Exact(rows) => {
                 for bit in meta.attr_synopsis.iter() {
-                    attr.clear(bit.index(), slot);
+                    rows.clear(bit.index(), slot);
                 }
             }
         }
     }
 
-    /// Records a refcount 0→1 transition of `(bit, slot)` in `space`.
-    pub(crate) fn set(&mut self, space: Space, bit: u32, slot: usize) {
-        match (self, space) {
-            (Self::Tiered(t), _) => t.set(space, bit, slot),
-            (Self::Exact { rating, .. }, Space::Rating) => rating.set(bit, slot),
-            (Self::Exact { attr, .. }, Space::Attr) => attr.set(bit, slot),
+    /// Records an attribute refcount 0→1 transition of `(bit, slot)`.
+    pub(crate) fn set(&mut self, bit: u32, slot: usize) {
+        match self {
+            Self::Tiered(t) => t.set(bit, slot),
+            Self::Exact(rows) => rows.set(bit, slot),
         }
     }
 
-    /// Records a refcount 1→0 transition of `(bit, slot)` in `space`.
-    pub(crate) fn clear(&mut self, space: Space, bit: u32, slot: usize) {
-        match (self, space) {
-            (Self::Tiered(t), _) => t.clear(space, slot),
-            (Self::Exact { rating, .. }, Space::Rating) => rating.clear(bit, slot),
-            (Self::Exact { attr, .. }, Space::Attr) => attr.clear(bit, slot),
+    /// Records an attribute refcount 1→0 transition of `(bit, slot)`.
+    pub(crate) fn clear(&mut self, bit: u32, slot: usize) {
+        match self {
+            Self::Tiered(t) => t.clear(slot),
+            Self::Exact(rows) => rows.clear(bit, slot),
         }
     }
 
     /// Drains the tier's pending maintenance against the catalog's exact
     /// refcount view (see [`TieredIndex::service`]; no-op on exact
     /// storage, which has none).
-    pub(crate) fn service(&mut self, exact: &impl Fn(Space, usize) -> Option<Vec<u32>>) {
+    pub(crate) fn service(&mut self, exact: &impl Fn(usize) -> Option<Vec<u32>>) {
         if let Self::Tiered(t) = self {
             t.service(exact);
         }
     }
 
-    /// ORs into `acc` every slot that may carry one of `syn`'s bits in
-    /// `space`: exactly those slots on exact storage, a superset on
-    /// tiered. Deduplicated by construction.
-    pub fn candidates_into(&self, space: Space, syn: &Synopsis, acc: &mut FixedBitSet) {
+    /// ORs into `acc` every slot that may carry one of `syn`'s attributes:
+    /// exactly those slots on exact storage, a superset on tiered.
+    /// Deduplicated by construction.
+    pub fn candidates_into(&self, syn: &Synopsis, acc: &mut FixedBitSet) {
         let bits = syn.iter().map(|a| a.index());
-        match (self, space) {
-            (Self::Tiered(t), _) => {
-                t.candidates_into(space, &bits.collect::<Vec<u32>>(), acc);
-            }
-            (Self::Exact { rating, .. }, Space::Rating) => rating.union_rows_into(bits, acc),
-            (Self::Exact { attr, .. }, Space::Attr) => attr.union_rows_into(bits, acc),
+        match self {
+            Self::Tiered(t) => t.candidates_into(&bits.collect::<Vec<u32>>(), acc),
+            Self::Exact(rows) => rows.union_rows_into(bits, acc),
         }
     }
 
     /// The planner's survivor set for query synopsis `q`: the segments of
-    /// the attribute-space candidates (ascending — plan order) plus the
-    /// pruned count. The one walk behind both the live catalog and the
-    /// frozen [`PruningSnapshot`]; they differ only in `seg_of`.
+    /// the candidates (ascending — plan order) plus the pruned count. The
+    /// one walk behind both the live catalog and the frozen
+    /// [`PruningSnapshot`]; they differ only in `seg_of`.
     pub fn survivors(
         &self,
         q: &Synopsis,
@@ -188,7 +173,7 @@ impl PruningIndex {
         partitions: usize,
     ) -> (Vec<SegmentId>, usize) {
         let mut acc = FixedBitSet::default();
-        self.candidates_into(Space::Attr, q, &mut acc);
+        self.candidates_into(q, &mut acc);
         let mut survivors: Vec<SegmentId> =
             acc.iter_ones().map(|slot| seg_of(slot as usize)).collect();
         survivors.sort_unstable();
@@ -196,18 +181,11 @@ impl PruningIndex {
         (survivors, pruned)
     }
 
-    /// Copies the attribute space plus the slot→segment map into an
-    /// immutable snapshot for lock-free planning.
+    /// Clones the index plus the slot→segment map into an immutable
+    /// snapshot for lock-free planning.
     pub fn freeze(&self, segs: Vec<SegmentId>, partitions: usize) -> PruningSnapshot {
-        let index = match self {
-            Self::Exact { attr, .. } => Self::Exact {
-                rating: PresenceIndex::new(),
-                attr: attr.clone(),
-            },
-            Self::Tiered(t) => Self::Tiered(Box::new(t.freeze_attr())),
-        };
         PruningSnapshot {
-            index,
+            index: self.clone(),
             segs,
             partitions,
         }
@@ -216,55 +194,51 @@ impl PruningIndex {
     /// Heap bytes resident in the index structures.
     pub fn resident_bytes(&self) -> usize {
         match self {
-            Self::Exact { rating, attr } => rating.resident_bytes() + attr.resident_bytes(),
+            Self::Exact(rows) => rows.resident_bytes(),
             Self::Tiered(t) => t.resident_bytes(),
         }
     }
 
     /// Cross-checks the index against the catalog's exact `(bit, slot)`
-    /// sets: exact storage must hold precisely those pairs (and only live
-    /// slots); tiered storage must admit every one of them (see
+    /// attribute pairs: exact storage must hold precisely those pairs (and
+    /// only live slots); tiered storage must admit every one of them (see
     /// [`TieredIndex::validate`]).
     pub(crate) fn validate(
         &self,
         arena: &SynopsisArena,
-        want_rating: &BTreeSet<(u32, usize)>,
-        want_attr: &BTreeSet<(u32, usize)>,
+        want: &BTreeSet<(u32, usize)>,
     ) -> Vec<InvariantViolation> {
-        let (rating, attr) = match self {
-            Self::Tiered(t) => return t.validate(arena, want_rating, want_attr),
-            Self::Exact { rating, attr } => (rating, attr),
+        let rows = match self {
+            Self::Tiered(t) => return t.validate(arena, want),
+            Self::Exact(rows) => rows,
         };
-        let mut out = Vec::new();
-        for (space, index, want) in [("rating", rating, want_rating), ("attr", attr, want_attr)] {
-            out.extend(index.validate(arena));
-            let mut have = BTreeSet::new();
-            for bit in 0..index.attrs() as u32 {
-                if let Some(row) = index.row(bit) {
-                    have.extend(row.iter_ones().map(|slot| (bit, slot as usize)));
-                }
+        let mut out = rows.validate(arena);
+        let mut have = BTreeSet::new();
+        for bit in 0..rows.attrs() as u32 {
+            if let Some(row) = rows.row(bit) {
+                have.extend(row.iter_ones().map(|slot| (bit, slot as usize)));
             }
-            for (bit, slot) in want.difference(&have) {
-                out.push(InvariantViolation::new(
-                    "presence",
-                    format!(
-                        "{space} bit {bit} of slot {slot} ({}) missing from the index",
-                        arena.seg(*slot)
-                    ),
-                ));
-            }
-            for (bit, slot) in have.difference(want) {
-                out.push(InvariantViolation::new(
-                    "presence",
-                    format!("{space} index claims bit {bit} for slot {slot}, refcounts disagree"),
-                ));
-            }
+        }
+        for (bit, slot) in want.difference(&have) {
+            out.push(InvariantViolation::new(
+                "presence",
+                format!(
+                    "attr bit {bit} of slot {slot} ({}) missing from the index",
+                    arena.seg(*slot)
+                ),
+            ));
+        }
+        for (bit, slot) in have.difference(want) {
+            out.push(InvariantViolation::new(
+                "presence",
+                format!("index claims attr bit {bit} for slot {slot}, refcounts disagree"),
+            ));
         }
         out
     }
 }
 
-/// A frozen attribute-space [`PruningIndex`] plus the slot→segment map of
+/// A frozen [`PruningIndex`] plus the slot→segment map of
 /// the instant it was taken — what an epoch snapshot needs to plan a query
 /// without the catalog or its lock. Survivors are exactly what
 /// [`PartitionCatalog::plan_survivors`](crate::PartitionCatalog::plan_survivors)

@@ -24,7 +24,8 @@
 //!   frozen [`PruningSnapshot`].
 //! * [`partitioner`] — Algorithm 1: `insert`, plus the paper's `delete` and
 //!   `update` adjustment routines and the split procedure.
-//! * [`modes`] — entity-based vs. workload-based entity synopses.
+//! * [`modes`] — entity-based vs. workload-based rating synopses, each a
+//!   view of the attribute synopsis.
 //! * [`mod@efficiency`] — Definition 1, `EFFICIENCY(P)`.
 //! * [`events`] — per-insert instrumentation consumed by the Fig. 8
 //!   experiment.
@@ -78,7 +79,7 @@ mod error;
 pub use arena::{PresenceIndex, SynopsisArena};
 pub use bulk::{bulk_load, BulkLoadReport};
 pub use catalog::{PartitionCatalog, PartitionMeta};
-pub use config::{Capacity, Config, IndexTier, ReorgConfig, ReorgMode};
+pub use config::{Capacity, Config, ConfigError, IndexTier, ReorgConfig, ReorgMode};
 pub use efficiency::{efficiency, efficiency_counters, efficiency_counters_for, efficiency_of};
 pub use error::CoreError;
 pub use events::{InsertEvent, InsertOutcome, Stats};
@@ -87,5 +88,5 @@ pub use merge::MergeReport;
 pub use modes::SynopsisMode;
 pub use partitioner::Cinderella;
 pub use rating::{global_rating, local_rating, RatingInputs};
-pub use tier::{Space, TierParams, TieredIndex};
+pub use tier::{TierParams, TieredIndex};
 pub use validate::InvariantViolation;

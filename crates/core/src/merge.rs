@@ -143,42 +143,36 @@ impl Cinderella {
         // The sweep re-checks liveness before calling, but the catalog may
         // shift under multi-candidate sweeps; a vanished candidate is
         // simply nothing to merge.
-        let Some(meta) = self.catalog().get(seg) else {
+        let (Some(meta), Some(src_syn)) =
+            (self.catalog().get(seg), self.catalog().rating_synopsis(seg))
+        else {
             return Ok(None);
         };
-        let (src_syn, src_size, src_entities) =
-            (meta.rating_synopsis(), meta.size, meta.entities);
+        let (src_size, src_entities) = (meta.size, meta.entities);
 
-        // Rate the whole partition like an entity against every peer.
-        let mut best: Option<(cind_storage::SegmentId, f64)> = None;
-        for peer in self.catalog().iter() {
-            if peer.segment == seg {
-                continue;
-            }
-            // Capacity: the peer must absorb the whole partition.
-            let fits = !self.config().capacity.would_overflow(
-                peer.entities + src_entities - 1,
-                peer.size + src_size.saturating_sub(1),
-                1,
-            ) && match self.config().capacity {
-                crate::Capacity::MaxEntities(b) => peer.entities + src_entities <= b,
-                crate::Capacity::MaxSize(b) => peer.size + src_size <= b,
-            };
-            if !fits {
-                continue;
-            }
-            let r = crate::rating::rate(
-                self.config().weight,
-                &src_syn,
-                src_size,
-                &peer.rating_synopsis(),
-                peer.size,
-            );
-            if r >= 0.0 && best.is_none_or(|(_, rb)| rb < r) {
-                best = Some((peer.segment, r));
-            }
-        }
-        let Some((target, _)) = best else {
+        // Rate the whole partition like an entity against every peer with
+        // room for all of it (ascending, so ties keep the lowest segment).
+        let peers: Vec<cind_storage::SegmentId> = self
+            .catalog()
+            .iter()
+            .filter(|peer| {
+                peer.segment != seg
+                    && !self.config().capacity.would_overflow(
+                        peer.entities + src_entities - 1,
+                        peer.size + src_size.saturating_sub(1),
+                        1,
+                    )
+                    && match self.config().capacity {
+                        crate::Capacity::MaxEntities(b) => peer.entities + src_entities <= b,
+                        crate::Capacity::MaxSize(b) => peer.size + src_size <= b,
+                    }
+            })
+            .map(|peer| peer.segment)
+            .collect();
+        let (best, _) =
+            self.catalog()
+                .best_among(&peers, &src_syn, src_size, self.config().weight);
+        let Some((target, _)) = best.filter(|&(_, r)| r >= 0.0) else {
             return Ok(None);
         };
 

@@ -1,4 +1,15 @@
 //! Entity-based vs. workload-based synopses (§II–III).
+//!
+//! The catalog maintains one synopsis space — attributes, by reference
+//! counts — and the rating space is a view of it: [`SynopsisMode::rating_of`]
+//! maps an attribute synopsis to its rating synopsis, and the same function
+//! serves entities and partitions. In entity-based mode it is the identity.
+//! In workload-based mode it is `{i : q_i ∧ s ≠ ∅}`, and because an OR over
+//! members commutes with that relevance test, the rating synopsis of a
+//! partition (the OR of its members' rating synopses) is the projection of
+//! its attribute synopsis.
+
+use std::borrow::Cow;
 
 use cind_model::{Entity, Synopsis};
 
@@ -12,8 +23,8 @@ use cind_model::{Entity, Synopsis};
 /// partitioning] an entity synopsis lists the attributes an entity
 /// instantiates."
 ///
-/// Query-time pruning always uses *attribute* synopses, which the partition
-/// catalog maintains in both modes.
+/// Query-time pruning always uses *attribute* synopses, the one space the
+/// partition catalog maintains.
 #[derive(Clone, Debug, Default)]
 pub enum SynopsisMode {
     /// Rating synopsis = the entity's attribute set.
@@ -27,31 +38,45 @@ pub enum SynopsisMode {
 }
 
 impl SynopsisMode {
-    /// The rating-synopsis universe size given the attribute universe.
-    pub fn universe(&self, attr_universe: usize) -> usize {
+    /// The rating synopsis of attribute synopsis `attrs` — an entity's or a
+    /// partition's. Entity-based: `attrs` itself, borrowed. Workload-based:
+    /// the queries `attrs` is relevant to.
+    pub fn rating_of<'a>(&self, attrs: &'a Synopsis) -> Cow<'a, Synopsis> {
         match self {
-            SynopsisMode::EntityBased => attr_universe,
-            SynopsisMode::WorkloadBased(queries) => queries.len(),
+            SynopsisMode::EntityBased => Cow::Borrowed(attrs),
+            SynopsisMode::WorkloadBased(queries) => Cow::Owned(Synopsis::from_bits(
+                queries.len(),
+                queries
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, q)| !q.is_disjoint(attrs))
+                    .map(|(i, _)| i as u32),
+            )),
+        }
+    }
+
+    /// The attributes a partition must carry one of to share a rating bit
+    /// with `rating`: `rating` itself entity-based, the union of the rated
+    /// queries' attributes workload-based. A partition's rating synopsis
+    /// meets `rating` iff its attribute synopsis meets this cover, so the
+    /// attribute index answers the insert scan's candidate lookup exactly.
+    pub fn attr_cover<'a>(&self, rating: &'a Synopsis) -> Cow<'a, Synopsis> {
+        match self {
+            SynopsisMode::EntityBased => Cow::Borrowed(rating),
+            SynopsisMode::WorkloadBased(queries) => {
+                let mut cover = Synopsis::default();
+                for i in rating.iter() {
+                    cover.merge(&queries[i.index() as usize]);
+                }
+                Cow::Owned(cover)
+            }
         }
     }
 
     /// Builds the rating synopsis of `entity` over `attr_universe`
     /// attributes.
     pub fn entity_synopsis(&self, entity: &Entity, attr_universe: usize) -> Synopsis {
-        match self {
-            SynopsisMode::EntityBased => entity.synopsis(attr_universe),
-            SynopsisMode::WorkloadBased(queries) => {
-                let attrs = entity.synopsis(attr_universe);
-                Synopsis::from_bits(
-                    queries.len(),
-                    queries
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, q)| !q.is_disjoint(&attrs))
-                        .map(|(i, _)| i as u32),
-                )
-            }
-        }
+        self.rating_of(&entity.synopsis(attr_universe)).into_owned()
     }
 }
 
@@ -73,7 +98,8 @@ mod tests {
         let e = entity(&[1, 3]);
         let s = SynopsisMode::EntityBased.entity_synopsis(&e, 8);
         assert_eq!(s, Synopsis::from_bits(8, [1, 3]));
-        assert_eq!(SynopsisMode::EntityBased.universe(8), 8);
+        assert!(matches!(SynopsisMode::EntityBased.rating_of(&s), Cow::Borrowed(_)));
+        assert!(matches!(SynopsisMode::EntityBased.attr_cover(&s), Cow::Borrowed(_)));
     }
 
     #[test]
@@ -84,12 +110,18 @@ mod tests {
             Synopsis::from_bits(8, [5]),    // q2: attr 5
         ];
         let mode = SynopsisMode::WorkloadBased(queries);
-        assert_eq!(mode.universe(8), 3);
         let e = entity(&[1, 3]); // relevant to q1 only
         let s = mode.entity_synopsis(&e, 8);
         assert_eq!(s, Synopsis::from_bits(3, [1]));
         // An entity matching nothing has an empty rating synopsis.
         let e = entity(&[7]);
         assert!(mode.entity_synopsis(&e, 8).is_empty());
+        // A partition {1, 3} ∨ {5} is relevant to q1 and q2 — the OR of its
+        // members' rating synopses.
+        let p = Synopsis::from_bits(8, [1, 3, 5]);
+        assert_eq!(*mode.rating_of(&p), Synopsis::from_bits(3, [1, 2]));
+        // The cover of rating {q0, q2} is q0 ∨ q2.
+        let rating = Synopsis::from_bits(3, [0, 2]);
+        assert_eq!(*mode.attr_cover(&rating), Synopsis::from_bits(8, [0, 5]));
     }
 }

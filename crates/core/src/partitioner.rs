@@ -45,8 +45,8 @@ impl Cinderella {
     /// # Panics
     /// Panics if the configuration is invalid (see [`Config::validate`]).
     pub fn new(config: Config) -> Self {
-        config.validate();
-        let catalog = PartitionCatalog::new(config.tier);
+        config.assert_valid();
+        let catalog = PartitionCatalog::with_mode(config.mode.clone(), config.tier);
         Self { config, catalog, stats: Stats::default(), events: Vec::new() }
     }
 
@@ -93,7 +93,6 @@ impl Cinderella {
     /// # Errors
     /// Storage errors from the scans.
     pub fn rebuild(table: &UniversalTable, config: Config) -> Result<Self, CoreError> {
-        config.validate();
         let mut cindy = Cinderella::new(config);
         for seg in table.segment_ids() {
             cindy.catalog.create_partition(seg);
@@ -103,10 +102,8 @@ impl Cinderella {
                 "restored table contains empty segment {seg}"
             );
             for e in members {
-                let (rating_syn, attr_syn, size) = cindy.synopses(table, &e);
-                cindy
-                    .catalog
-                    .add_entity(seg, e.id(), &rating_syn, &attr_syn, size, true);
+                let (attrs, size) = cindy.synopsis(table, &e);
+                cindy.catalog.add_entity(seg, e.id(), &attrs, size, true);
             }
         }
         cindy.debug_validate_catalog();
@@ -164,8 +161,8 @@ impl Cinderella {
                 .scan_collect(seg)?
                 .into_iter()
                 .map(|e| {
-                    let (rating_syn, attr_syn, size) = self.synopses(table, &e);
-                    (e.id(), rating_syn, attr_syn, size)
+                    let (attrs, size) = self.synopsis(table, &e);
+                    (e.id(), attrs, size)
                 })
                 .collect();
             for (id, ..) in &members {
@@ -211,17 +208,12 @@ impl Cinderella {
         self.stats.inserts += n;
     }
 
-    /// Builds `(rating synopsis, attribute synopsis, SIZE(e))` for an
-    /// entity against the table's current attribute universe.
-    fn synopses(&self, table: &UniversalTable, entity: &Entity) -> (Synopsis, Synopsis, u64) {
-        let universe = table.universe();
-        let attr_syn = entity.synopsis(universe);
-        let rating_syn = match &self.config.mode {
-            crate::SynopsisMode::EntityBased => attr_syn.clone(),
-            mode => mode.entity_synopsis(entity, universe),
-        };
-        let size = self.config.size_model.entity_size(entity);
-        (rating_syn, attr_syn, size)
+    /// Builds `(attribute synopsis, SIZE(e))` for an entity against the
+    /// table's current attribute universe. Its rating synopsis is
+    /// `self.config.mode.rating_of` the former.
+    fn synopsis(&self, table: &UniversalTable, entity: &Entity) -> (Synopsis, u64) {
+        let attrs = entity.synopsis(table.universe());
+        (attrs, self.config.size_model.entity_size(entity))
     }
 
     /// Closes the WAL transaction group opened around a partitioner
@@ -266,12 +258,13 @@ impl Cinderella {
             return Err(StorageError::DuplicateEntity(entity.id()).into());
         }
         let t0 = Instant::now();
-        let (rating_syn, attr_syn, size_e) = self.synopses(table, &entity);
+        let (attrs, size_e) = self.synopsis(table, &entity);
+        let rating = self.config.mode.rating_of(&attrs);
 
         // Lines 3–7: scan the partition catalog for the best rating.
         let (best, ratings) =
             self.catalog
-                .best_partition(&rating_syn, size_e, self.config.weight);
+                .best_partition(&rating, size_e, self.config.weight);
         self.stats.ratings_computed += u64::from(ratings);
 
         let outcome = match best {
@@ -283,7 +276,7 @@ impl Cinderella {
                     .get_mut(seg)
                     .ok_or(CoreError::Invariant("best partition cataloged"))?
                     .starters
-                    .offer(entity.id(), &rating_syn);
+                    .offer(entity.id(), &rating);
 
                 let meta = self
                     .catalog
@@ -299,8 +292,7 @@ impl Cinderella {
                 } else {
                     // Line 36.
                     table.insert(seg, &entity)?;
-                    self.catalog
-                        .add_entity(seg, entity.id(), &rating_syn, &attr_syn, size_e, false);
+                    self.catalog.add_entity(seg, entity.id(), &attrs, size_e, false);
                     InsertOutcome::Inserted(seg)
                 }
             }
@@ -309,8 +301,7 @@ impl Cinderella {
                 let seg = table.create_segment();
                 self.catalog.create_partition(seg);
                 table.insert(seg, &entity)?;
-                self.catalog
-                    .add_entity(seg, entity.id(), &rating_syn, &attr_syn, size_e, true);
+                self.catalog.add_entity(seg, entity.id(), &attrs, size_e, true);
                 self.stats.partitions_created += 1;
                 InsertOutcome::NewPartition(seg)
             }
@@ -389,10 +380,10 @@ impl Cinderella {
             }
         }
         for e in deferred {
-            let (rating_syn, _, size_e) = self.synopses(table, &e);
+            let (attrs, size_e) = self.synopsis(table, &e);
             let (best, ratings) = self.catalog.best_among(
                 &[seg_a, seg_b],
-                &rating_syn,
+                &self.config.mode.rating_of(&attrs),
                 size_e,
                 self.config.weight,
             );
@@ -436,15 +427,14 @@ impl Cinderella {
         e: Entity,
         new_id: Option<EntityId>,
     ) -> Result<(), CoreError> {
-        let (rating_syn, attr_syn, size_e) = self.synopses(table, &e);
+        let (attrs, size_e) = self.synopsis(table, &e);
         if new_id == Some(e.id()) {
             table.insert(target, &e)?;
         } else {
             table.move_entity(e.id(), target)?;
             self.stats.split_moves += 1;
         }
-        self.catalog
-            .add_entity(target, e.id(), &rating_syn, &attr_syn, size_e, true);
+        self.catalog.add_entity(target, e.id(), &attrs, size_e, true);
         Ok(())
     }
 
@@ -471,10 +461,9 @@ impl Cinderella {
     ) -> Result<(), CoreError> {
         self.catalog.remove_partition(from);
         for e in members {
-            let (rating_syn, attr_syn, size) = self.synopses(table, &e);
+            let (attrs, size) = self.synopsis(table, &e);
             table.move_entity(e.id(), into)?;
-            self.catalog
-                .add_entity(into, e.id(), &rating_syn, &attr_syn, size, true);
+            self.catalog.add_entity(into, e.id(), &attrs, size, true);
             self.stats.merge_moves += 1;
         }
         table.drop_segment(from)?;
@@ -505,10 +494,8 @@ impl Cinderella {
             .location(id)
             .ok_or(StorageError::NoSuchEntity(id))?;
         let entity = table.delete(id)?;
-        let (rating_syn, attr_syn, size) = self.synopses(table, &entity);
-        let remaining = self
-            .catalog
-            .remove_entity(seg, id, &rating_syn, &attr_syn, size);
+        let (attrs, size) = self.synopsis(table, &entity);
+        let remaining = self.catalog.remove_entity(seg, id, &attrs, size);
         if remaining == 0 {
             self.catalog.remove_partition(seg);
             table.drop_segment(seg)?;
@@ -543,10 +530,12 @@ impl Cinderella {
         let current = table
             .location(id)
             .ok_or(StorageError::NoSuchEntity(id))?;
-        let (new_rating, new_attr, new_size) = self.synopses(table, &entity);
-        let (best, ratings) =
-            self.catalog
-                .best_partition(&new_rating, new_size, self.config.weight);
+        let (new_attrs, new_size) = self.synopsis(table, &entity);
+        let (best, ratings) = self.catalog.best_partition(
+            &self.config.mode.rating_of(&new_attrs),
+            new_size,
+            self.config.weight,
+        );
         self.stats.ratings_computed += u64::from(ratings);
         self.stats.updates += 1;
 
@@ -554,12 +543,10 @@ impl Cinderella {
             Some((seg, r)) if r >= 0.0 && seg == current => {
                 // In place: swap the stored record, fix the accounting.
                 let old = table.delete(id)?;
-                let (old_rating, old_attr, old_size) = self.synopses(table, &old);
-                self.catalog
-                    .remove_entity(current, id, &old_rating, &old_attr, old_size);
+                let (old_attrs, old_size) = self.synopsis(table, &old);
+                self.catalog.remove_entity(current, id, &old_attrs, old_size);
                 table.insert(current, &entity)?;
-                self.catalog
-                    .add_entity(current, id, &new_rating, &new_attr, new_size, true);
+                self.catalog.add_entity(current, id, &new_attrs, new_size, true);
                 Ok(InsertOutcome::Inserted(current))
             }
             _ => {
@@ -654,57 +641,6 @@ impl Cinderella {
         Ok(Some(moved))
     }
 
-    /// Migrates up to `max_moves` members of `seg` whose rating now
-    /// favours a different partition: each candidate is deleted and
-    /// re-inserted through Algorithm 1 — exactly the paper's update-move
-    /// semantics, just triggered by workload drift instead of an attribute
-    /// change. Each migration is its own WAL transaction group, so a crash
-    /// between moves loses nothing and a crash inside one rolls that one
-    /// entity back atomically.
-    ///
-    /// Returns the number of entities migrated.
-    ///
-    /// # Errors
-    /// Storage errors from the moves; WAL commit failures.
-    pub fn rebalance_entities(
-        &mut self,
-        table: &mut UniversalTable,
-        seg: SegmentId,
-        max_moves: u64,
-    ) -> Result<u64, CoreError> {
-        if max_moves == 0 || self.catalog.get(seg).is_none() {
-            return Ok(0);
-        }
-        let members = table.scan_collect(seg)?;
-        let mut moved = 0u64;
-        for e in members {
-            if moved >= max_moves {
-                break;
-            }
-            // Pre-screen: only pay the move when Algorithm 1 would place
-            // the entity elsewhere today *and* the winner has room (the
-            // reorganizer must never trigger a split as a side effect of
-            // tidying up).
-            let (rating_syn, _, size_e) = self.synopses(table, &e);
-            let (best, ratings) =
-                self.catalog
-                    .best_partition(&rating_syn, size_e, self.config.weight);
-            self.stats.ratings_computed += u64::from(ratings);
-            let Some((target, r)) = best else { continue };
-            if target == seg || r < 0.0 {
-                continue;
-            }
-            let Some(meta) = self.catalog.get(target) else { continue };
-            if self.config.capacity.would_overflow(meta.entities, meta.size, size_e) {
-                continue;
-            }
-            self.migrate_entity(table, e.id())?;
-            moved += 1;
-        }
-        self.debug_validate_catalog();
-        Ok(moved)
-    }
-
     /// Migrates one entity: deletes it and re-inserts it through Algorithm
     /// 1, atomically in one WAL transaction group — a crash recovers to
     /// the entity fully in its old place or fully in its new one, never
@@ -762,6 +698,12 @@ mod tests {
             capacity: Capacity::MaxEntities(capacity),
             ..Config::default()
         })
+    }
+
+    #[test]
+    #[should_panic(expected = "weight w must be in [0, 1], got 1.5")]
+    fn new_panics_on_an_invalid_config() {
+        let _ = cindy(100, 1.5);
     }
 
     #[test]

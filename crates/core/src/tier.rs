@@ -4,17 +4,20 @@
 //! The exact [`PresenceIndex`](crate::PresenceIndex) keeps one partition
 //! bitmap per attribute: O(attrs × partitions) bits, the scaling ceiling a
 //! million-partition catalog hits first. This module replaces those bitmaps
-//! with two filter layers over one live-slot mask:
+//! with two filter layers over one live-slot mask, in the catalog's one
+//! synopsis space — attributes; the insert scan's rating-space candidates
+//! are looked up here too, through
+//! [`SynopsisMode::attr_cover`](crate::SynopsisMode::attr_cover):
 //!
 //! * **Blocked Bloom filter rows per partition group.** Slots are grouped
 //!   64 to a group (one `u64` mask word). Each group owns a power-of-two
-//!   array of 64-bit blocks; an attribute hashes to two blocks, and its
-//!   candidate mask for the group is the AND of the two. Setting
-//!   `(attr, slot)` ORs the slot's bit into *both* probed blocks, so the
+//!   array of 64-bit blocks; an attribute hashes to three blocks, and its
+//!   candidate mask for the group is the AND of the three. Setting
+//!   `(attr, slot)` ORs the slot's bit into *every* probed block, so the
 //!   AND always covers every slot genuinely carrying the attribute —
 //!   **no false negatives, by construction**. Collisions only ever *add*
 //!   candidate bits (false positives cost a rating/scan, never an answer).
-//! * **A group-level union synopsis.** Each group keeps a 1024-bit Bloom
+//! * **A group-level union synopsis.** Each group keeps a 4096-bit Bloom
 //!   summary (two probe bits per key) over the attributes any member
 //!   carries; a query attribute with either summary bit clear skips the
 //!   whole group without touching its blocks — the hierarchical miss path,
@@ -85,15 +88,6 @@ impl Default for TierParams {
     }
 }
 
-/// Which synopsis space a tier operation addresses.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Space {
-    /// Rating space (insert-scan candidates).
-    Rating,
-    /// Attribute space (query-survivor planning).
-    Attr,
-}
-
 /// splitmix64 finalizer — the deterministic hash behind block probes and
 /// summary bits.
 #[inline]
@@ -127,7 +121,8 @@ fn summary_indices(h: u64) -> (usize, usize) {
     )
 }
 
-/// One synopsis space's filter rows: a [`GroupFilter`] per 64-slot group.
+/// The attribute space's filter rows: a blocked Bloom block array and a
+/// union summary per 64-slot group.
 #[derive(Clone, Debug)]
 pub struct FilterBank {
     /// Every group's block words, packed back to back; `offs[g]` locates a
@@ -372,44 +367,26 @@ impl FilterBank {
     }
 }
 
-/// The tiered index: filter banks for both synopsis spaces, the live-slot
+/// The tiered index: the attribute space's filter bank, the live-slot
 /// mask, and the deferred group-rebuild queue.
 #[derive(Clone, Debug)]
 pub struct TieredIndex {
-    params: TierParams,
-    rating: FilterBank,
-    attr: FilterBank,
+    bank: FilterBank,
     /// Live-slot mask, one word per group — approximate candidates are
     /// ANDed with it so a stale filter bit can never resurrect a dead slot.
     live_words: Vec<u64>,
-    /// Groups to rebuild, `(space, group, grow)`, drained by
+    /// Groups to rebuild, `(group, grow)`, drained by
     /// [`TieredIndex::service`] with the catalog's exact state in hand.
-    pending: Vec<(Space, usize, bool)>,
+    pending: Vec<(usize, bool)>,
 }
 
 impl TieredIndex {
     /// An empty tiered index with the given knobs.
     pub fn new(params: TierParams) -> Self {
         Self {
-            rating: FilterBank::new(&params),
-            attr: FilterBank::new(&params),
-            params,
+            bank: FilterBank::new(&params),
             live_words: Vec::new(),
             pending: Vec::new(),
-        }
-    }
-
-    fn bank(&self, space: Space) -> &FilterBank {
-        match space {
-            Space::Rating => &self.rating,
-            Space::Attr => &self.attr,
-        }
-    }
-
-    fn bank_mut(&mut self, space: Space) -> &mut FilterBank {
-        match space {
-            Space::Rating => &mut self.rating,
-            Space::Attr => &mut self.attr,
         }
     }
 
@@ -420,62 +397,56 @@ impl TieredIndex {
             self.live_words.resize(g + 1, 0);
         }
         self.live_words[g] |= 1u64 << (slot % SLOTS_PER_GROUP);
-        self.rating.ensure_group(slot);
-        self.attr.ensure_group(slot);
+        self.bank.ensure_group(slot);
     }
 
     /// Unregisters a released slot: drops it from the live mask and queues
-    /// a rebuild of its group in both spaces. The arena hands a released
-    /// slot to the next partition created, and shared filter blocks cannot
-    /// be cleared per slot — without the rebuild the new occupant would
-    /// answer for every attribute of the old one.
+    /// a rebuild of its group. The arena hands a released slot to the next
+    /// partition created, and shared filter blocks cannot be cleared per
+    /// slot — without the rebuild the new occupant would answer for every
+    /// attribute of the old one.
     pub(crate) fn on_slot_release(&mut self, slot: usize) {
         let g = slot / SLOTS_PER_GROUP;
         if let Some(w) = self.live_words.get_mut(g) {
             *w &= !(1u64 << (slot % SLOTS_PER_GROUP));
         }
-        self.queue_rebuild(Space::Rating, g, false);
-        self.queue_rebuild(Space::Attr, g, false);
+        self.queue_rebuild(g, false);
     }
 
     /// Records a refcount 0→1 transition for `(attr, slot)`.
-    pub(crate) fn set(&mut self, space: Space, attr: u32, slot: usize) {
-        if self.bank_mut(space).set(attr, slot) {
-            self.queue_rebuild(space, slot / SLOTS_PER_GROUP, true);
+    pub(crate) fn set(&mut self, attr: u32, slot: usize) {
+        if self.bank.set(attr, slot) {
+            self.queue_rebuild(slot / SLOTS_PER_GROUP, true);
         }
     }
 
     /// Records a refcount 1→0 transition in `slot`. Filter blocks are
     /// shared, so only staleness is charged.
-    pub(crate) fn clear(&mut self, space: Space, slot: usize) {
-        if self.bank_mut(space).note_stale(slot) {
-            self.queue_rebuild(space, slot / SLOTS_PER_GROUP, false);
+    pub(crate) fn clear(&mut self, slot: usize) {
+        if self.bank.note_stale(slot) {
+            self.queue_rebuild(slot / SLOTS_PER_GROUP, false);
         }
     }
 
-    fn queue_rebuild(&mut self, space: Space, group: usize, grow: bool) {
-        if let Some(entry) = self
-            .pending
-            .iter_mut()
-            .find(|(s, g, _)| *s == space && *g == group)
-        {
-            entry.2 |= grow;
+    fn queue_rebuild(&mut self, group: usize, grow: bool) {
+        if let Some(entry) = self.pending.iter_mut().find(|(g, _)| *g == group) {
+            entry.1 |= grow;
         } else {
-            self.pending.push((space, group, grow));
+            self.pending.push((group, grow));
         }
     }
 
     /// Drains the deferred filter grows and rebuilds, deterministically,
-    /// after every catalog mutation; no background thread.
-    /// `exact(space, slot)` is the catalog's refcount view: the slot's
-    /// exact bits, or `None` for a dead slot.
-    pub(crate) fn service(&mut self, exact: &impl Fn(Space, usize) -> Option<Vec<u32>>) {
-        for (space, group, grow) in std::mem::take(&mut self.pending) {
+    /// after every catalog mutation; no background thread. `exact(slot)`
+    /// is the catalog's refcount view: the slot's exact attribute bits, or
+    /// `None` for a dead slot.
+    pub(crate) fn service(&mut self, exact: &impl Fn(usize) -> Option<Vec<u32>>) {
+        for (group, grow) in std::mem::take(&mut self.pending) {
             let lo = group * SLOTS_PER_GROUP;
             let members: Vec<(usize, Vec<u32>)> = (lo..lo + SLOTS_PER_GROUP)
-                .filter_map(|slot| Some((slot, exact(space, slot)?)))
+                .filter_map(|slot| Some((slot, exact(slot)?)))
                 .collect();
-            self.bank_mut(space).rebuild_group(group, grow, &members);
+            self.bank.rebuild_group(group, grow, &members);
         }
     }
 
@@ -488,8 +459,8 @@ impl TieredIndex {
     /// groups pay the random block-buffer probes, and each contributes
     /// one word-level OR into `acc`. Per-group or per-bit work over the
     /// whole catalog never happens here.
-    pub(crate) fn candidates_into(&self, space: Space, attrs: &[u32], acc: &mut FixedBitSet) {
-        let bank = self.bank(space);
+    pub(crate) fn candidates_into(&self, attrs: &[u32], acc: &mut FixedBitSet) {
+        let bank = &self.bank;
         let groups = bank.groups().min(self.live_words.len());
         if groups == 0 {
             return;
@@ -518,50 +489,29 @@ impl TieredIndex {
     /// Heap bytes resident in the tiered index (the number the `tier`
     /// bench compares against the exact presence bitmaps).
     pub fn resident_bytes(&self) -> usize {
-        self.rating.resident_bytes() + self.attr.resident_bytes() + self.live_words.len() * 8
+        self.bank.resident_bytes() + self.live_words.len() * 8
     }
 
     /// The tier's one invariant against the catalog's exact `(bit, slot)`
-    /// sets: every exact-present pair is admitted (no false negatives).
+    /// set: every exact-present pair is admitted (no false negatives).
     pub(crate) fn validate(
         &self,
         arena: &SynopsisArena,
-        want_rating: &BTreeSet<(u32, usize)>,
-        want_attr: &BTreeSet<(u32, usize)>,
+        want: &BTreeSet<(u32, usize)>,
     ) -> Vec<InvariantViolation> {
-        let mut out = Vec::new();
-        for (bank, label, want) in [
-            (&self.rating, "rating", want_rating),
-            (&self.attr, "attr", want_attr),
-        ] {
-            for &(bit, slot) in want {
-                if !bank.contains(bit, slot) {
-                    out.push(InvariantViolation::new(
-                        "tier",
-                        format!(
-                            "{label} bit {bit} of slot {slot} ({}) absent from the \
-                             approximate tier — a false negative",
-                            arena.seg(slot)
-                        ),
-                    ));
-                }
-            }
-        }
-        out
-    }
-
-    /// A compact clone of the attribute-space tier only — filter bank and
-    /// live mask — enough to answer `candidates_into(Space::Attr, ..)`
-    /// exactly as the live index does. The rating space and the rebuild
-    /// queue are left empty, so the result must never be mutated or
-    /// validated; it lives inside an immutable
-    /// [`PruningSnapshot`](crate::PruningSnapshot).
-    pub(crate) fn freeze_attr(&self) -> Self {
-        Self {
-            attr: self.attr.clone(),
-            live_words: self.live_words.clone(),
-            ..Self::new(self.params)
-        }
+        want.iter()
+            .filter(|&&(bit, slot)| !self.bank.contains(bit, slot))
+            .map(|&(bit, slot)| {
+                InvariantViolation::new(
+                    "tier",
+                    format!(
+                        "attr bit {bit} of slot {slot} ({}) absent from the \
+                         approximate tier — a false negative",
+                        arena.seg(slot)
+                    ),
+                )
+            })
+            .collect()
     }
 }
 
@@ -631,41 +581,19 @@ mod tests {
         for slot in 0..130 {
             t.on_slot_alloc(slot);
         }
-        t.set(Space::Attr, 7, 3);
-        t.set(Space::Attr, 7, 80);
-        t.set(Space::Attr, 8, 129);
+        t.set(7, 3);
+        t.set(7, 80);
+        t.set(8, 129);
         let mut acc = FixedBitSet::default();
-        t.candidates_into(Space::Attr, &[7], &mut acc);
+        t.candidates_into(&[7], &mut acc);
         assert!(acc.contains(3));
         assert!(acc.contains(80), "every group carrying the attribute contributes");
         assert!(!acc.contains(129), "attr 8 only");
         // A released slot can never be a candidate, even with stale bits.
         t.on_slot_release(3);
         let mut acc = FixedBitSet::default();
-        t.candidates_into(Space::Attr, &[7], &mut acc);
+        t.candidates_into(&[7], &mut acc);
         assert!(!acc.contains(3), "dead slots are masked out");
-    }
-
-    #[test]
-    fn frozen_attr_tier_answers_like_the_live_one() {
-        let mut t = TieredIndex::new(TierParams::default());
-        for slot in 0..100 {
-            t.on_slot_alloc(slot);
-        }
-        t.set(Space::Attr, 4, 10);
-        t.set(Space::Attr, 4, 65);
-        t.set(Space::Rating, 4, 30);
-        t.on_slot_release(20);
-        let frozen = t.freeze_attr();
-        let (mut live, mut cold) = (FixedBitSet::default(), FixedBitSet::default());
-        t.candidates_into(Space::Attr, &[4], &mut live);
-        frozen.candidates_into(Space::Attr, &[4], &mut cold);
-        assert!(live.contains(10) && live.contains(65));
-        assert_eq!(
-            live.iter_ones().collect::<Vec<_>>(),
-            cold.iter_ones().collect::<Vec<_>>()
-        );
-        assert!(frozen.resident_bytes() < t.resident_bytes(), "attr space only");
     }
 
     mod properties {

@@ -12,13 +12,17 @@
 //! partition — the indexed argmax equals the sweep argmax exactly,
 //! including the lowest-segment tie-break; when negative, both paths agree
 //! the best is negative (the caller creates a new partition either way).
-//! Survivors equal the oracle set on exact storage and contain it on
-//! tiered; the frozen `PruningSnapshot` answers exactly like the live
-//! index in both.
+//! That holds in both synopsis modes: in workload-based mode the rating
+//! rows are query bits while the index holds attributes, and the lookup
+//! key is the attribute cover of the entity's rating bits. On exact
+//! storage the indexed scan rates exactly the partitions sharing a rating
+//! bit with the entity plus the zero-size ones. Survivors equal the oracle
+//! set on exact storage and contain it on tiered; the frozen
+//! `PruningSnapshot` answers exactly like the live index in both.
 
 use cind_model::{EntityId, Synopsis};
 use cind_storage::SegmentId;
-use cinderella_core::{IndexTier, PartitionCatalog};
+use cinderella_core::{IndexTier, PartitionCatalog, SynopsisMode};
 use proptest::prelude::*;
 
 const UNIVERSE: usize = 24;
@@ -43,10 +47,24 @@ struct Script {
 /// Mirror member: (entity id, attrs, size).
 type Member = (u64, Vec<u32>, u64);
 
-/// Replays `script` on a fresh catalog of the given tier. Both tiers see
-/// byte-identical mutation sequences, so any divergence is the index's.
-fn build(script: &Script, tier: IndexTier) -> PartitionCatalog {
-    let mut cat = PartitionCatalog::new(tier);
+/// A workload for `SynopsisMode::WorkloadBased`: the random `queries`, one
+/// query no entity can match, and two that share attribute `shared`.
+fn workload(queries: &[Vec<u32>], overlap: (&[u32], &[u32]), shared: u32) -> SynopsisMode {
+    let wide = UNIVERSE + 8;
+    let mut qs: Vec<Synopsis> =
+        queries.iter().map(|q| Synopsis::from_bits(wide, q.iter().copied())).collect();
+    qs.push(Synopsis::from_bits(wide, [UNIVERSE as u32 + 4]));
+    for half in [overlap.0, overlap.1] {
+        qs.push(Synopsis::from_bits(wide, half.iter().copied().chain([shared])));
+    }
+    SynopsisMode::WorkloadBased(qs)
+}
+
+/// Replays `script` on a fresh catalog of the given mode and tier. Every
+/// catalog sees byte-identical mutation sequences, so any divergence is
+/// the index's.
+fn build(script: &Script, mode: &SynopsisMode, tier: IndexTier) -> PartitionCatalog {
+    let mut cat = PartitionCatalog::with_mode(mode.clone(), tier);
     // Mirror of live partitions: (seg, members).
     let mut live: Vec<(u32, Vec<Member>)> = Vec::new();
     let mut next_seg = 0u32;
@@ -60,7 +78,7 @@ fn build(script: &Script, tier: IndexTier) -> PartitionCatalog {
         let slot = pick.index(live.len());
         let (seg, members) = &mut live[slot];
         let s = syn(attrs);
-        cat.add_entity(SegmentId(*seg), EntityId(next_id), &s, &s, *size, true);
+        cat.add_entity(SegmentId(*seg), EntityId(next_id), &s, *size, true);
         members.push((next_id, attrs.clone(), *size));
         next_id += 1;
     }
@@ -72,7 +90,7 @@ fn build(script: &Script, tier: IndexTier) -> PartitionCatalog {
         }
         let (id, attrs, size) = members.remove(mpick.index(members.len()));
         let s = syn(&attrs);
-        let left = cat.remove_entity(SegmentId(*seg), EntityId(id), &s, &s, size);
+        let left = cat.remove_entity(SegmentId(*seg), EntityId(id), &s, size);
         if left == 0 {
             // The partitioner drops empty partitions; mirror that so the
             // sweep and the index both stop seeing them.
@@ -101,7 +119,7 @@ fn build(script: &Script, tier: IndexTier) -> PartitionCatalog {
         for (i, (id, attrs, size)) in members.into_iter().enumerate() {
             let target = if i % 2 == 0 { a } else { b };
             let s = syn(&attrs);
-            cat.add_entity(SegmentId(target), EntityId(id), &s, &s, size, true);
+            cat.add_entity(SegmentId(target), EntityId(id), &s, size, true);
             if i % 2 == 0 {
                 halves.0.push((id, attrs, size));
             } else {
@@ -137,12 +155,24 @@ proptest! {
             (prop::collection::vec(0u32..UNIVERSE as u32, 0..5), 0u64..4),
             1..6,
         ),
+        queries in prop::collection::vec(prop::collection::vec(0u32..UNIVERSE as u32, 1..4), 0..5),
+        overlap in (
+            prop::collection::vec(0u32..UNIVERSE as u32, 0..3),
+            prop::collection::vec(0u32..UNIVERSE as u32, 0..3),
+            0u32..UNIVERSE as u32,
+        ),
     ) {
         let script = Script { nparts, entities, removals, splits };
-        for tier in [IndexTier::Exact, IndexTier::Tiered] {
-            let cat = build(&script, tier);
+        let modes = [
+            SynopsisMode::EntityBased,
+            workload(&queries, (&overlap.0, &overlap.1), overlap.2),
+        ];
+        let cases = modes.iter().flat_map(|m| [(m, IndexTier::Exact), (m, IndexTier::Tiered)]);
+        for (mode, tier) in cases {
+            let cat = build(&script, mode, tier);
             for (attrs, size) in &probes {
                 let e = syn(attrs);
+                let e = mode.rating_of(&e);
                 // 1.0 exercises the w = 1 fallback; the rest the indexed path.
                 for w in [0.0, 0.3, 0.7, 1.0] {
                     let (a, swept) = cat.best_sweep(&e, *size, w);
@@ -154,12 +184,29 @@ proptest! {
                     if ra >= 0.0 {
                         prop_assert_eq!(
                             (sa, ra), (sb, rb),
-                            "{} probe {:?} size {} w {}", tier, attrs, size, w
+                            "{:?} {} probe {:?} size {} w {}", mode, tier, attrs, size, w
                         );
                     } else {
                         prop_assert!(
                             rb < 0.0,
-                            "{} probe {:?} w {}: sweep {} vs indexed {}", tier, attrs, w, ra, rb
+                            "{:?} {} probe {:?} w {}: sweep {} vs indexed {}",
+                            mode, tier, attrs, w, ra, rb
+                        );
+                    }
+                    if tier == IndexTier::Exact {
+                        // Exact candidates: a shared rating bit or SIZE(p) = 0
+                        // — or every partition where the scan must sweep.
+                        let indexed = *size > 0 && w < 1.0 && !e.is_empty();
+                        let want = cat
+                            .iter()
+                            .filter(|m| {
+                                let rating = cat.rating_synopsis(m.segment).expect("cataloged");
+                                !indexed || m.size == 0 || !rating.is_disjoint(&e)
+                            })
+                            .count();
+                        prop_assert_eq!(
+                            rated as usize, want,
+                            "{:?} probe {:?} w {}", mode, attrs, w
                         );
                     }
                 }
@@ -190,7 +237,7 @@ proptest! {
     ) {
         let script = Script { nparts, entities, removals, splits };
         for tier in [IndexTier::Exact, IndexTier::Tiered, IndexTier::Auto] {
-            let cat = build(&script, tier);
+            let cat = build(&script, &SynopsisMode::EntityBased, tier);
             let frozen = cat.freeze();
             prop_assert_eq!(frozen.partitions(), cat.len());
             for qattrs in &queries {

@@ -102,7 +102,7 @@ impl Harness {
     fn add_to(&mut self, seg: u32, id: u64, attrs: &[u32], size: u64) {
         let s = syn(attrs);
         for cat in [&mut self.tiered, &mut self.exact] {
-            cat.add_entity(SegmentId(seg), EntityId(id), &s, &s, size, true);
+            cat.add_entity(SegmentId(seg), EntityId(id), &s, size, true);
         }
     }
 
@@ -110,10 +110,10 @@ impl Harness {
         let s = syn(attrs);
         let left = self
             .tiered
-            .remove_entity(SegmentId(seg), EntityId(id), &s, &s, size);
+            .remove_entity(SegmentId(seg), EntityId(id), &s, size);
         let left2 = self
             .exact
-            .remove_entity(SegmentId(seg), EntityId(id), &s, &s, size);
+            .remove_entity(SegmentId(seg), EntityId(id), &s, size);
         assert_eq!(left, left2);
         left
     }

@@ -7,11 +7,15 @@
 //! starters, segment accounting — after every single operation of random
 //! insert/update/delete/merge interleavings. A tiny capacity keeps splits
 //! frequent, and explicit `merge_pass` ops exercise the merge boundary the
-//! insert path never takes.
+//! insert path never takes. Every interleaving runs in both synopsis
+//! modes; workload-based mode rates against a random query list plus one
+//! query no entity matches and two that overlap, so the validator proves
+//! each packed rating row equal to the relevant-query view of its
+//! partition's attribute synopsis.
 
-use cind_model::{AttrId, Entity, EntityId, Value};
+use cind_model::{AttrId, Entity, EntityId, Synopsis, Value};
 use cind_storage::UniversalTable;
-use cinderella_core::{validate, Capacity, Cinderella, Config};
+use cinderella_core::{validate, Capacity, Cinderella, Config, SynopsisMode};
 use proptest::prelude::*;
 
 const UNIVERSE: u32 = 10;
@@ -48,7 +52,24 @@ fn entity(id: u64, attrs: &[u32]) -> Entity {
     .expect("attrs are unique")
 }
 
-fn setup(universe: u32, capacity: u64) -> (UniversalTable, Cinderella) {
+/// A random workload: `queries`, one query on an attribute no entity
+/// carries, and two queries sharing attribute `shared`.
+fn workload() -> impl Strategy<Value = SynopsisMode> {
+    (prop::collection::vec(attrs(), 0..4), attrs(), attrs(), 0..UNIVERSE).prop_map(
+        |(queries, a, b, shared)| {
+            let wide = UNIVERSE as usize + 2;
+            let mut qs: Vec<Synopsis> =
+                queries.into_iter().map(|q| Synopsis::from_bits(wide, q)).collect();
+            qs.push(Synopsis::from_bits(wide, [UNIVERSE + 1]));
+            for half in [a, b] {
+                qs.push(Synopsis::from_bits(wide, half.into_iter().chain([shared])));
+            }
+            SynopsisMode::WorkloadBased(qs)
+        },
+    )
+}
+
+fn setup_in(mode: SynopsisMode, universe: u32, capacity: u64) -> (UniversalTable, Cinderella) {
     let mut table = UniversalTable::new(32);
     for i in 0..universe {
         table.catalog_mut().intern(&format!("a{i}"));
@@ -56,9 +77,14 @@ fn setup(universe: u32, capacity: u64) -> (UniversalTable, Cinderella) {
     let cindy = Cinderella::new(Config {
         weight: 0.3,
         capacity: Capacity::MaxEntities(capacity),
+        mode,
         ..Config::default()
     });
     (table, cindy)
+}
+
+fn setup(universe: u32, capacity: u64) -> (UniversalTable, Cinderella) {
+    setup_in(SynopsisMode::EntityBased, universe, capacity)
 }
 
 fn assert_valid(cindy: &Cinderella, table: &UniversalTable) -> Result<(), TestCaseError> {
@@ -72,35 +98,37 @@ proptest! {
 
     /// Every structure the catalog/arena/index triad maintains stays
     /// internally consistent after every operation, including the split
-    /// (capacity 4) and merge boundaries.
+    /// (capacity 4) and merge boundaries, in either synopsis mode.
     #[test]
-    fn full_validation_after_every_op(ops in ops()) {
-        let (mut table, mut cindy) = setup(UNIVERSE, 4);
-        let mut live: Vec<EntityId> = Vec::new();
-        let mut next = 0u64;
-        for op in ops {
-            match op {
-                Op::Insert(a) => {
-                    let e = entity(next, &a);
-                    next += 1;
-                    live.push(e.id());
-                    cindy.insert(&mut table, e).expect("insert");
+    fn full_validation_after_every_op(ops in ops(), workload in workload()) {
+        for mode in [SynopsisMode::EntityBased, workload] {
+            let (mut table, mut cindy) = setup_in(mode, UNIVERSE, 4);
+            let mut live: Vec<EntityId> = Vec::new();
+            let mut next = 0u64;
+            for op in &ops {
+                match op {
+                    Op::Insert(a) => {
+                        let e = entity(next, a);
+                        next += 1;
+                        live.push(e.id());
+                        cindy.insert(&mut table, e).expect("insert");
+                    }
+                    Op::Update(pick, a) => {
+                        if live.is_empty() { continue; }
+                        let id = live[pick % live.len()];
+                        cindy.update(&mut table, entity(id.0, a)).expect("update");
+                    }
+                    Op::Delete(pick) => {
+                        if live.is_empty() { continue; }
+                        let id = live.swap_remove(pick % live.len());
+                        cindy.delete(&mut table, id).expect("delete");
+                    }
+                    Op::Merge => {
+                        cindy.merge_pass(&mut table, 0.8).expect("merge pass");
+                    }
                 }
-                Op::Update(pick, a) => {
-                    if live.is_empty() { continue; }
-                    let id = live[pick % live.len()];
-                    cindy.update(&mut table, entity(id.0, &a)).expect("update");
-                }
-                Op::Delete(pick) => {
-                    if live.is_empty() { continue; }
-                    let id = live.swap_remove(pick % live.len());
-                    cindy.delete(&mut table, id).expect("delete");
-                }
-                Op::Merge => {
-                    cindy.merge_pass(&mut table, 0.8).expect("merge pass");
-                }
+                assert_valid(&cindy, &table)?;
             }
-            assert_valid(&cindy, &table)?;
         }
     }
 }

@@ -25,7 +25,7 @@
 
 use cind_model::{EntityId, Synopsis};
 use cind_storage::{SegmentId, UniversalTable};
-use cinderella_core::{Capacity, Cinderella, CoreError, ReorgConfig, SynopsisMode};
+use cinderella_core::{Capacity, Cinderella, CoreError, ReorgConfig};
 
 use crate::cost::{merge_damage, migrate_delta, resplit_saving, scan_cost};
 use crate::heat::HeatMap;
@@ -388,14 +388,14 @@ impl ReorgDriver {
         let mut best: Option<(EntityId, SegmentId, i128)> = None;
         for e in &members {
             let attr_syn = e.synopsis(universe);
-            let rating_syn = match &cfg.mode {
-                SynopsisMode::EntityBased => attr_syn.clone(),
-                mode => mode.entity_synopsis(e, universe),
-            };
             let size_e = cfg.size_model.entity_size(e);
-            // The same screen `rebalance_entities` applies: a strictly
-            // different, non-negatively rated target with room.
-            let (bp, _) = cindy.catalog().best_partition(&rating_syn, size_e, cfg.weight);
+            // Screen as Algorithm 1 would place the entity today: a
+            // strictly different, non-negatively rated target with room
+            // (a migration must never trigger a split).
+            let (bp, _) =
+                cindy
+                    .catalog()
+                    .best_partition(&cfg.mode.rating_of(&attr_syn), size_e, cfg.weight);
             let Some((target, r)) = bp else { continue };
             if target == seg || r < 0.0 {
                 continue;
