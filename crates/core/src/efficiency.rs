@@ -76,16 +76,10 @@ pub fn efficiency_counters_for(
     cindy: &Cinderella,
     queries: &[Synopsis],
 ) -> (u64, u64) {
-    let universe = table.universe();
-    let size_model = cindy.config().size_model;
-    let mut entities = Vec::with_capacity(table.entity_count());
-    for seg in table.segment_ids() {
-        table
-            .scan(seg, |e| {
-                entities.push((e.synopsis(universe), size_model.entity_size(e)));
-            })
-            .expect("segment ids are live");
-    }
+    let entities = table
+        .segment_ids()
+        .flat_map(|seg| cindy.members(table, seg).expect("segment ids are live"))
+        .map(|(_, attrs, size)| (attrs, size));
     let partitions: Vec<(Synopsis, u64)> = cindy
         .catalog()
         .pruning_view()

@@ -178,10 +178,7 @@ impl Cinderella {
 
         // Move every member; account in the catalog per entity so the
         // OR-of-members invariant and the starters stay exact.
-        let members = table.scan_collect(seg)?;
-        let moved = members.len() as u64;
-        self.absorb(table, seg, target, members)?;
-        Ok(Some(moved))
+        self.absorb(table, seg, target).map(Some)
     }
 }
 

@@ -11,7 +11,7 @@
 
 use std::borrow::Cow;
 
-use cind_model::{Entity, Synopsis};
+use cind_model::Synopsis;
 
 /// How entity (and hence partition) synopses are derived for *rating*.
 ///
@@ -72,18 +72,12 @@ impl SynopsisMode {
             }
         }
     }
-
-    /// Builds the rating synopsis of `entity` over `attr_universe`
-    /// attributes.
-    pub fn entity_synopsis(&self, entity: &Entity, attr_universe: usize) -> Synopsis {
-        self.rating_of(&entity.synopsis(attr_universe)).into_owned()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cind_model::{AttrId, EntityId, Value};
+    use cind_model::{AttrId, Entity, EntityId, Value};
 
     fn entity(attrs: &[u32]) -> Entity {
         Entity::new(
@@ -95,8 +89,7 @@ mod tests {
 
     #[test]
     fn entity_based_is_the_attribute_set() {
-        let e = entity(&[1, 3]);
-        let s = SynopsisMode::EntityBased.entity_synopsis(&e, 8);
+        let s = entity(&[1, 3]).synopsis(8);
         assert_eq!(s, Synopsis::from_bits(8, [1, 3]));
         assert!(matches!(SynopsisMode::EntityBased.rating_of(&s), Cow::Borrowed(_)));
         assert!(matches!(SynopsisMode::EntityBased.attr_cover(&s), Cow::Borrowed(_)));
@@ -111,11 +104,9 @@ mod tests {
         ];
         let mode = SynopsisMode::WorkloadBased(queries);
         let e = entity(&[1, 3]); // relevant to q1 only
-        let s = mode.entity_synopsis(&e, 8);
-        assert_eq!(s, Synopsis::from_bits(3, [1]));
+        assert_eq!(*mode.rating_of(&e.synopsis(8)), Synopsis::from_bits(3, [1]));
         // An entity matching nothing has an empty rating synopsis.
-        let e = entity(&[7]);
-        assert!(mode.entity_synopsis(&e, 8).is_empty());
+        assert!(mode.rating_of(&entity(&[7]).synopsis(8)).is_empty());
         // A partition {1, 3} ∨ {5} is relevant to q1 and q2 — the OR of its
         // members' rating synopses.
         let p = Synopsis::from_bits(8, [1, 3, 5]);

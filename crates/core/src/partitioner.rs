@@ -91,23 +91,43 @@ impl Cinderella {
     /// a fresh process that saw the same entities.
     ///
     /// # Errors
-    /// Storage errors from the scans.
+    /// Storage errors from the scans; [`CoreError::Invariant`] if a segment
+    /// is empty, which no Cinderella partition ever is.
     pub fn rebuild(table: &UniversalTable, config: Config) -> Result<Self, CoreError> {
         let mut cindy = Cinderella::new(config);
         for seg in table.segment_ids() {
+            let members = cindy.members(table, seg)?;
+            if members.is_empty() {
+                return Err(CoreError::Invariant("every stored segment has a member"));
+            }
             cindy.catalog.create_partition(seg);
-            let members = table.scan_collect(seg)?;
-            assert!(
-                !members.is_empty(),
-                "restored table contains empty segment {seg}"
-            );
-            for e in members {
-                let (attrs, size) = cindy.synopsis(table, &e);
-                cindy.catalog.add_entity(seg, e.id(), &attrs, size, true);
+            for (id, attrs, size) in members {
+                cindy.catalog.add_entity(seg, id, &attrs, size, true);
             }
         }
         cindy.debug_validate_catalog();
         Ok(cindy)
+    }
+
+    /// Every stored member of `seg` as `(id, attribute synopsis, SIZE)`, in
+    /// slot order: the one read of a partition that rebuild, validation,
+    /// splits, merges, efficiency and the reorganizer share. Reading the
+    /// whole partition is the split's dominant cost, as the paper notes; it
+    /// shows up in the I/O counters like any scan.
+    ///
+    /// # Errors
+    /// Storage errors from the scan.
+    pub fn members(
+        &self,
+        table: &UniversalTable,
+        seg: SegmentId,
+    ) -> Result<Vec<(EntityId, Synopsis, u64)>, CoreError> {
+        let mut out = Vec::with_capacity(table.segment(seg)?.record_count());
+        table.scan(seg, |e| {
+            let (attrs, size) = self.synopsis(table, e);
+            out.push((e.id(), attrs, size));
+        })?;
+        Ok(out)
     }
 
     /// Mutable catalog access for the in-crate bulk/merge machinery.
@@ -157,14 +177,7 @@ impl Cinderella {
         }
         let mut stored = 0usize;
         for &seg in catalog_segs.intersection(&table_segs) {
-            let members: Vec<_> = table
-                .scan_collect(seg)?
-                .into_iter()
-                .map(|e| {
-                    let (attrs, size) = self.synopsis(table, &e);
-                    (e.id(), attrs, size)
-                })
-                .collect();
+            let members = self.members(table, seg)?;
             for (id, ..) in &members {
                 if table.location(*id) != Some(seg) {
                     out.push(InvariantViolation::new(
@@ -209,8 +222,9 @@ impl Cinderella {
     }
 
     /// Builds `(attribute synopsis, SIZE(e))` for an entity against the
-    /// table's current attribute universe. Its rating synopsis is
-    /// `self.config.mode.rating_of` the former.
+    /// table's current attribute universe — the one definition of both,
+    /// stored members included (see [`Self::members`]). Its rating synopsis
+    /// is `self.config.mode.rating_of` the former.
     fn synopsis(&self, table: &UniversalTable, entity: &Entity) -> (Synopsis, u64) {
         let attrs = entity.synopsis(table.universe());
         (attrs, self.config.size_model.entity_size(entity))
@@ -288,7 +302,9 @@ impl Cinderella {
                     .would_overflow(meta.entities, meta.size, size_e)
                 {
                     // Lines 26–33.
-                    self.split_insert(table, seg, entity)?
+                    let into = self.split_partition(table, seg, Some(&entity))?;
+                    self.stats.splits += 1;
+                    InsertOutcome::Split { from: seg, into }
                 } else {
                     // Line 36.
                     table.insert(seg, &entity)?;
@@ -315,20 +331,6 @@ impl Cinderella {
         Ok(outcome)
     }
 
-    /// Lines 26–33: splits partition `seg`, distributing its members plus
-    /// the incoming `entity` over two new partitions seeded by the split
-    /// starters.
-    fn split_insert(
-        &mut self,
-        table: &mut UniversalTable,
-        seg: SegmentId,
-        entity: Entity,
-    ) -> Result<InsertOutcome, CoreError> {
-        let (seg_a, seg_b) = self.split_partition(table, seg, Some(entity))?;
-        self.stats.splits += 1;
-        Ok(InsertOutcome::Split { from: seg, into: (seg_a, seg_b) })
-    }
-
     /// The split mechanics shared by the overflow split (lines 26–33, with
     /// an `incoming` entity that triggered it) and the reorganizer's
     /// [`Cinderella::resplit`] (no incoming entity): distribute the members
@@ -337,9 +339,8 @@ impl Cinderella {
         &mut self,
         table: &mut UniversalTable,
         seg: SegmentId,
-        incoming: Option<Entity>,
+        incoming: Option<&Entity>,
     ) -> Result<(SegmentId, SegmentId), CoreError> {
-        let new_id = incoming.as_ref().map(Entity::id);
         // Resolve the starter pair *before* detaching the partition, so a
         // failed precondition leaves the catalog untouched. On the overflow
         // path the pair is complete by construction: the partition is
@@ -357,10 +358,11 @@ impl Cinderella {
         };
         self.catalog.remove_partition(seg);
 
-        // Reading the whole partition is the split's dominant cost, as the
-        // paper notes; it shows up in the I/O counters like any scan.
-        let mut members = table.scan_collect(seg)?;
-        members.extend(incoming);
+        let mut members = self.members(table, seg)?;
+        members.extend(incoming.map(|e| {
+            let (attrs, size) = self.synopsis(table, e);
+            (e.id(), attrs, size)
+        }));
 
         let seg_a = table.create_segment();
         let seg_b = table.create_segment();
@@ -370,17 +372,16 @@ impl Cinderella {
         // Lines 29–30: seeds move first; lines 31–33: the rest re-insert
         // restricted to the two new partitions.
         let mut deferred = Vec::with_capacity(members.len());
-        for e in members {
-            if e.id() == seed_a {
-                self.place(table, seg_a, e, new_id)?;
-            } else if e.id() == seed_b {
-                self.place(table, seg_b, e, new_id)?;
+        for member in members {
+            if member.0 == seed_a {
+                self.place(table, seg_a, member, incoming)?;
+            } else if member.0 == seed_b {
+                self.place(table, seg_b, member, incoming)?;
             } else {
-                deferred.push(e);
+                deferred.push(member);
             }
         }
-        for e in deferred {
-            let (attrs, size_e) = self.synopsis(table, &e);
+        for (id, attrs, size_e) in deferred {
             let (best, ratings) = self.catalog.best_among(
                 &[seg_a, seg_b],
                 &self.config.mode.rating_of(&attrs),
@@ -410,7 +411,7 @@ impl Cinderella {
                     target = other;
                 }
             }
-            self.place(table, target, e, new_id)?;
+            self.place(table, target, (id, attrs, size_e), incoming)?;
         }
 
         table.drop_segment(seg)?;
@@ -418,58 +419,52 @@ impl Cinderella {
         Ok((seg_a, seg_b))
     }
 
-    /// Physically places `e` into `target` (move for existing members,
-    /// insert for the triggering entity) and accounts it in the catalog.
+    /// Physically places a member into `target` (a byte move for a stored
+    /// member, an insert for the `incoming` entity that triggered the
+    /// split) and accounts it in the catalog.
     fn place(
         &mut self,
         table: &mut UniversalTable,
         target: SegmentId,
-        e: Entity,
-        new_id: Option<EntityId>,
+        (id, attrs, size): (EntityId, Synopsis, u64),
+        incoming: Option<&Entity>,
     ) -> Result<(), CoreError> {
-        let (attrs, size_e) = self.synopsis(table, &e);
-        if new_id == Some(e.id()) {
-            table.insert(target, &e)?;
-        } else {
-            table.move_entity(e.id(), target)?;
-            self.stats.split_moves += 1;
+        match incoming.filter(|e| e.id() == id) {
+            Some(e) => table.insert(target, e)?,
+            None => {
+                table.move_entity(id, target)?;
+                self.stats.split_moves += 1;
+            }
         }
-        self.catalog.add_entity(target, e.id(), &attrs, size_e, true);
+        self.catalog.add_entity(target, id, &attrs, size, true);
         Ok(())
     }
 
     /// Moves every member of `from` into `into` and drops `from` — the
     /// mechanics of a merge (see the [`merge`](crate::merge) module).
+    /// Returns the number of entities moved.
     pub(crate) fn absorb(
         &mut self,
         table: &mut UniversalTable,
         from: SegmentId,
         into: SegmentId,
-        members: Vec<Entity>,
-    ) -> Result<(), CoreError> {
+    ) -> Result<u64, CoreError> {
+        let members = self.members(table, from)?;
+        let moved = members.len() as u64;
         table.wal_txn_begin();
-        let result = self.absorb_impl(table, from, into, members);
+        let result = (|| {
+            self.catalog.remove_partition(from);
+            for (id, attrs, size) in members {
+                table.move_entity(id, into)?;
+                self.catalog.add_entity(into, id, &attrs, size, true);
+                self.stats.merge_moves += 1;
+            }
+            table.drop_segment(from)?;
+            self.stats.merges += 1;
+            self.debug_validate_catalog();
+            Ok(moved)
+        })();
         Self::finish_txn(table, result)
-    }
-
-    fn absorb_impl(
-        &mut self,
-        table: &mut UniversalTable,
-        from: SegmentId,
-        into: SegmentId,
-        members: Vec<Entity>,
-    ) -> Result<(), CoreError> {
-        self.catalog.remove_partition(from);
-        for e in members {
-            let (attrs, size) = self.synopsis(table, &e);
-            table.move_entity(e.id(), into)?;
-            self.catalog.add_entity(into, e.id(), &attrs, size, true);
-            self.stats.merge_moves += 1;
-        }
-        table.drop_segment(from)?;
-        self.stats.merges += 1;
-        self.debug_validate_catalog();
-        Ok(())
     }
 
     /// Deletes an entity. The partitioning stays as is; a partition that
@@ -635,10 +630,7 @@ impl Cinderella {
         if !fits {
             return Ok(None);
         }
-        let members = table.scan_collect(from)?;
-        let moved = members.len() as u64;
-        self.absorb(table, from, into, members)?;
-        Ok(Some(moved))
+        self.absorb(table, from, into).map(Some)
     }
 
     /// Migrates one entity: deletes it and re-inserts it through Algorithm
@@ -704,6 +696,20 @@ mod tests {
     #[should_panic(expected = "weight w must be in [0, 1], got 1.5")]
     fn new_panics_on_an_invalid_config() {
         let _ = cindy(100, 1.5);
+    }
+
+    #[test]
+    fn rebuild_refuses_an_empty_segment() {
+        let mut t = UniversalTable::new(16);
+        let e = make(&mut t, 1, &["a"]);
+        let seg = t.create_segment();
+        t.insert(seg, &e).unwrap();
+        assert!(Cinderella::rebuild(&t, Config::default()).is_ok());
+        t.create_segment();
+        assert!(matches!(
+            Cinderella::rebuild(&t, Config::default()),
+            Err(CoreError::Invariant("every stored segment has a member"))
+        ));
     }
 
     #[test]

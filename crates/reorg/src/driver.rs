@@ -382,13 +382,9 @@ impl ReorgDriver {
         psize: u64,
         workload: &[(Synopsis, u64)],
     ) -> Result<Option<(EntityId, SegmentId, i128)>, CoreError> {
-        let members = table.scan_collect(seg)?;
         let cfg = cindy.config();
-        let universe = table.universe();
         let mut best: Option<(EntityId, SegmentId, i128)> = None;
-        for e in &members {
-            let attr_syn = e.synopsis(universe);
-            let size_e = cfg.size_model.entity_size(e);
+        for (id, attr_syn, size_e) in cindy.members(table, seg)? {
             // Screen as Algorithm 1 would place the entity today: a
             // strictly different, non-negatively rated target with room
             // (a migration must never trigger a split).
@@ -411,7 +407,7 @@ impl ReorgDriver {
                 workload,
             );
             if delta < 0 && best.is_none_or(|(_, _, d)| delta < d) {
-                best = Some((e.id(), target, delta));
+                best = Some((id, target, delta));
             }
         }
         Ok(best)

@@ -330,12 +330,18 @@ impl UniversalTable {
         if self.locator.contains_key(&entity.id()) {
             return Err(StorageError::DuplicateEntity(entity.id()));
         }
-        let record = encode_entity(entity);
-        let rid = self.segment_mut(seg)?.insert(&record)?;
+        self.place_record(seg, entity.id(), &encode_entity(entity))
+    }
+
+    /// Stores the encoded `record` of entity `id` in `seg`: the segment
+    /// insert, the page write, the locator entry and the WAL insert frame
+    /// that [`Self::insert`] and [`Self::move_entity`] share.
+    fn place_record(&mut self, seg: SegmentId, id: EntityId, record: &[u8]) -> Result<(), StorageError> {
+        let rid = self.segment_mut(seg)?.insert(record)?;
         self.pool.write(PageKey { segment: seg, page: rid.page });
-        self.locator.insert(entity.id(), (seg, rid));
+        self.locator.insert(id, (seg, rid));
         if let Some(wal) = &mut self.wal {
-            wal.log_insert(&self.catalog, seg, &record);
+            wal.log_insert(&self.catalog, seg, record);
         }
         self.wal_ok()
     }
@@ -389,6 +395,13 @@ impl UniversalTable {
 
     /// Deletes one entity, returning it.
     pub fn delete(&mut self, entity: EntityId) -> Result<Entity, StorageError> {
+        decode_entity(&self.remove_record(entity)?)
+    }
+
+    /// Unlinks the record of `entity` and returns its bytes: the locator
+    /// removal, the segment delete, the page write and the WAL delete frame
+    /// that [`Self::delete`] and [`Self::move_entity`] share.
+    fn remove_record(&mut self, entity: EntityId) -> Result<Vec<u8>, StorageError> {
         let (seg, rid) = self
             .locator
             .remove(&entity)
@@ -399,12 +412,12 @@ impl UniversalTable {
             wal.log_delete(&self.catalog, entity);
         }
         self.wal_ok()?;
-        decode_entity(&bytes)
+        Ok(bytes)
     }
 
-    /// Moves one entity to another segment (delete + insert, one locator
-    /// update). Returns the entity's size class unchanged; a move between
-    /// the same segment is a no-op.
+    /// Moves one entity's stored bytes to another segment, never decoding
+    /// or re-encoding them; the WAL logs the delete + insert frames a delete
+    /// and an insert would. A move within the same segment is a no-op.
     pub fn move_entity(&mut self, entity: EntityId, to: SegmentId) -> Result<(), StorageError> {
         let &(from, _) = self
             .locator
@@ -416,8 +429,8 @@ impl UniversalTable {
         if !self.segments.contains_key(&to) {
             return Err(StorageError::NoSuchSegment(to));
         }
-        let e = self.delete(entity)?;
-        self.insert(to, &e)
+        let record = self.remove_record(entity)?;
+        self.place_record(to, entity, &record)
     }
 
     /// Scans all entities of `seg`, invoking `f` for each. Touches the
@@ -431,7 +444,9 @@ impl UniversalTable {
         self.read_view().scan(seg, f)
     }
 
-    /// Collects all entities of `seg` into a vector (testing convenience).
+    /// Collects all entities of `seg` into a vector: a convenience for
+    /// tests, the simulator's efficiency oracle and the standalone benchmark
+    /// (the partitioner reads members through `Cinderella::members`).
     pub fn scan_collect(&self, seg: SegmentId) -> Result<Vec<Entity>, StorageError> {
         self.read_view().scan_collect(seg)
     }
@@ -629,7 +644,7 @@ impl<'a> ReadView<'a> {
         Ok(())
     }
 
-    /// Collects all entities of `seg` into a vector (testing convenience).
+    /// Collects all entities of `seg` (see [`UniversalTable::scan_collect`]).
     pub fn scan_collect(&self, seg: SegmentId) -> Result<Vec<Entity>, StorageError> {
         let mut out = Vec::new();
         self.scan(seg, |e| out.push(e.clone()))?;

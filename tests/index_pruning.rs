@@ -8,18 +8,18 @@
 //!   tiered, identical query answers on both;
 //! * every rating scan Algorithm 1 performs against the full-sweep oracle
 //!   (`best_sweep`), so the index never changes a placement — and the two
-//!   storages produce the same partitioning;
-//! * the tier-1 slice of `crates/server/tests/snapshot_pruning.rs`: an
-//!   engine's epoch snapshot plans like its live catalog through a runtime
-//!   `set_index_tier` flip, and heat records exactly the planned segments.
+//!   storages produce the same partitioning.
+//!
+//! The engine-level half — an epoch snapshot plans like the live catalog
+//! and heat records exactly the planned segments — is
+//! `tests/snapshot_pruning.rs`.
 
 use std::collections::BTreeSet;
 
 use cind_model::{AttrId, Entity, EntityId, Value};
 use cind_query::{execute_collect, plan, plan_from_survivors, Query};
-use cind_server::{Engine, EngineOptions, WireEntity};
 use cind_storage::{SegmentId, UniversalTable};
-use cinderella_core::{Capacity, Cinderella, Config, IndexTier, ReorgConfig, ReorgMode};
+use cinderella_core::{Capacity, Cinderella, Config, IndexTier};
 use proptest::prelude::*;
 
 mod common;
@@ -139,78 +139,4 @@ proptest! {
         };
         prop_assert_eq!(shape(&exact), shape(&tiered));
     }
-}
-
-/// Tier-1 slice of the server's snapshot/heat suite.
-#[test]
-fn engine_snapshot_plans_like_live_catalog_and_feeds_heat_the_plan() {
-    let engine = Engine::in_memory(EngineOptions {
-        config: Config {
-            // Heat is recorded only while the reorganizer is on; an epoch
-            // the run never reaches keeps it from decaying or stepping.
-            reorg: ReorgConfig {
-                mode: ReorgMode::Auto,
-                epoch_ops: u64::MAX,
-                ..ReorgConfig::default()
-            },
-            ..config(6, IndexTier::Exact)
-        },
-        ..EngineOptions::default()
-    });
-    let name = |a: u64| format!("a{a}");
-    for id in 0..160u64 {
-        let base = id % 4 * 3;
-        let attrs: BTreeSet<u64> = [base, base + 1 + id % 2, id % 11].into_iter().collect();
-        engine
-            .insert(&WireEntity {
-                id,
-                attrs: attrs.iter().map(|&a| (name(a), Value::Int(a as i64))).collect(),
-            })
-            .expect("insert");
-        if id % 5 == 4 {
-            engine.delete(id - 3).expect("delete");
-        }
-        match id {
-            50 => engine.set_index_tier(IndexTier::Tiered),
-            110 => engine.set_index_tier(IndexTier::Exact),
-            _ => {}
-        }
-        if id % 10 != 9 {
-            continue;
-        }
-        let snap = engine.snapshot();
-        for probe in [vec![0], vec![3, 7], vec![1, 2, 5]] {
-            let names: Vec<String> = probe.iter().map(|&a| name(a)).collect();
-            let (query, live, oracle, all) = engine.with_parts(|table, cindy| {
-                let query = Query::from_names(table.catalog(), names.iter().map(String::as_str))
-                    .expect("every probed attribute is interned by now");
-                let oracle: Vec<SegmentId> = cindy
-                    .catalog()
-                    .pruning_view()
-                    .filter(|(_, p, _)| !query.synopsis().is_disjoint(p))
-                    .map(|(s, _, _)| s)
-                    .collect();
-                let all: Vec<SegmentId> = cindy.catalog().iter().map(|m| m.segment).collect();
-                let live = cindy.catalog().survivors(query.synopsis());
-                (query, live, oracle, all)
-            });
-            let (planned, pruned) = snap.survivors(&query);
-            assert_eq!((planned.clone(), pruned), live, "snapshot vs live at {id}");
-            assert!(oracle.iter().all(|s| planned.contains(s)), "oracle ⊆ planned at {id}");
-            if !engine.tier_active() {
-                assert_eq!(planned, oracle, "exact storage at {id}");
-            }
-            let before: Vec<u64> = all.iter().map(|&s| engine.partition_heat(s)).collect();
-            engine.query_subset(&names).expect("query");
-            for (seg, before) in all.iter().zip(before) {
-                assert_eq!(
-                    engine.partition_heat(*seg) - before,
-                    u64::from(planned.contains(seg)),
-                    "heat of {seg} must follow the plan at {id}"
-                );
-            }
-        }
-    }
-    assert!(engine.stats().partitions > 10, "the run must have split");
-    assert!(engine.validate().expect("validation scan").is_empty());
 }

@@ -214,3 +214,27 @@ fn restore_rejects_a_duplicate_segment() {
         hand_built_snapshot(&["a"], &[(3, vec![record(1, 0)]), (3, vec![record(2, 0)])]);
     assert_rejected_as_corrupt(&bad, "duplicate segment", "cind_duplicate_segment");
 }
+
+/// A snapshot holding an empty segment restores fine, and
+/// `Cinderella::rebuild` used to `assert!` on it, taking `Engine::open`
+/// down with it. The open now fails with a typed error.
+#[test]
+fn open_refuses_an_empty_segment_without_panicking() {
+    use cinderella::core::CoreError;
+    use cinderella::server::{Engine, EngineOptions, ServerError};
+    use cinderella::storage::RealVfs;
+    let mut table = UniversalTable::new(8);
+    table.create_segment();
+    let dir = std::env::temp_dir().join(format!("cind_empty_segment_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("store dir");
+    table.snapshot_to(&RealVfs, &dir.join("store.cind")).expect("snapshot");
+    let opened = Engine::open(&dir, EngineOptions::default());
+    let _ = std::fs::remove_dir_all(&dir);
+    match opened {
+        Err(ServerError::Core(CoreError::Invariant(what))) => {
+            assert_eq!(what, "every stored segment has a member");
+        }
+        Err(other) => panic!("open: expected the empty-segment invariant, got {other}"),
+        Ok(_) => panic!("open accepted a snapshot with an empty segment"),
+    }
+}
