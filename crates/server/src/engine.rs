@@ -24,7 +24,9 @@
 //! submits its framed transaction group and then blocks until the group
 //! it joined has been written *and fsynced* — concurrent writers share one
 //! append + one sync per flush group (WAL group commit), and an acked
-//! mutation is always durable.
+//! mutation is always durable. The log is opened with
+//! [`Vfs::create_log`], so a group's write lands on zeroed bytes the file
+//! already holds and its fsync does not also commit a new file size.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -237,7 +239,7 @@ impl Engine {
         // Checkpoint: fold the replayed suffix into the snapshot and reset
         // the log, so recovery cost stays proportional to one session.
         let epoch = table.snapshot_to(&*vfs, &snapshot_path)?;
-        let wal_file = vfs.create(&wal_path)?;
+        let wal_file = vfs.create_log(&wal_path)?;
         let wal_counters = Arc::new(WalCounters::default());
         let commit = Arc::new(GroupCommit::new(
             wal_file,
@@ -652,7 +654,7 @@ impl Engine {
                 return Err(e.into());
             }
         };
-        let wal_file = match self.vfs.create(&dir.join(WAL_FILE)) {
+        let wal_file = match self.vfs.create_log(&dir.join(WAL_FILE)) {
             Ok(f) => f,
             Err(e) => {
                 state.table.fail_wal(e.kind());

@@ -156,7 +156,7 @@ fn one_seed(seed: u64) -> Result<Outcome, String> {
         if router.route(id) == victim {
             victim_seen += 1;
             if victim_seen == victim_total / 2 {
-                mid_len = vfss[victim].file_len(&wal_path).unwrap_or(0);
+                mid_len = vfss[victim].log_end(&wal_path).unwrap_or(0);
             }
         }
     }

@@ -10,13 +10,23 @@
 //! fails until the harness "reboots" by clearing the crash and reopening
 //! the engine. All randomness flows from one seed, so a failing schedule
 //! replays byte-for-byte.
+//!
+//! A [`Vfs::create_log`] file is modelled as the real backend keeps it: its
+//! image grows by zero-filled [`LOG_CHUNK`]s inside the mutation of the
+//! write that crosses the image end (so crash-point counts match a plain
+//! file's), and each write overwrites the zeros at the log end. A crash
+//! mid-write then persists either a prefix of the write (as for a plain
+//! file) or, with dirty tears on, any subset of the write's 512-byte
+//! sectors; a lost sector keeps what it held before the write. The tear
+//! shape is drawn from a second stream derived from the seed, so every
+//! other fault draw is the one a plain file would get.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{Error, ErrorKind, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use cind_storage::vfs::{Vfs, VfsFile};
+use cind_storage::vfs::{Vfs, VfsFile, LOG_CHUNK};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use crate::clock::VirtualClock;
@@ -73,10 +83,21 @@ impl FaultPlan {
     }
 }
 
+/// The unit a torn in-place write persists or loses whole.
+const SECTOR: usize = 512;
+
+/// Mixed into the seed for the tear-shape stream.
+const TEAR_STREAM: u64 = 0x5EC7_0125_7EA2_5EC7;
+
 struct VfsState {
     files: BTreeMap<PathBuf, Vec<u8>>,
+    /// The log end of every [`Vfs::create_log`] file; its image is zeros
+    /// from there on.
+    log_ends: BTreeMap<PathBuf, usize>,
     dirs: BTreeSet<PathBuf>,
     rng: StdRng,
+    /// Tear shapes of crashed log writes (see the module docs).
+    tear_rng: StdRng,
     plan: FaultPlan,
     /// While set, no random faults fire (crash recovery escape hatch —
     /// armed crash-points are unaffected).
@@ -114,6 +135,59 @@ impl VfsState {
     fn roll(&mut self, permille: u32) -> bool {
         !self.suppress && permille > 0 && self.rng.gen_range(0u32..1000) < permille
     }
+
+    /// Renames `from` to `to`, log end included; `false` if `from` is
+    /// missing.
+    fn move_file(&mut self, from: &Path, to: &Path) -> bool {
+        let Some(data) = self.files.remove(from) else { return false };
+        self.files.insert(to.to_path_buf(), data);
+        match self.log_ends.remove(from) {
+            Some(end) => self.log_ends.insert(to.to_path_buf(), end),
+            None => self.log_ends.remove(to),
+        };
+        true
+    }
+
+    /// The log end of `path` and its image, grown by zero-filled chunks
+    /// until it holds `more` bytes past the end.
+    fn grow_log(&mut self, path: &Path, more: usize) -> Option<(usize, &mut Vec<u8>)> {
+        let end = *self.log_ends.get(path)?;
+        let image = self.files.get_mut(path)?;
+        let chunk = LOG_CHUNK as usize;
+        if end + more > image.len() {
+            image.resize((end + more).div_ceil(chunk) * chunk, 0);
+        }
+        Some((end, image))
+    }
+
+    /// A crash tore the log write `buf`: either its first `cut` bytes land,
+    /// followed by `garbage`, or (drawn from the tear stream) each 512-byte
+    /// sector it touches lands or keeps its old bytes independently.
+    fn tear_log(&mut self, path: &Path, buf: &[u8], cut: usize, garbage: &[u8]) {
+        let holes = self.plan.torn_write && self.tear_rng.gen_bool(0.5);
+        let Some(&end) = self.log_ends.get(path) else { return };
+        let kept: Vec<usize> = if holes {
+            let sectors = end / SECTOR..(end + buf.len()).div_ceil(SECTOR);
+            sectors.filter(|_| self.tear_rng.gen_bool(0.5)).collect()
+        } else {
+            Vec::new()
+        };
+        let Some((_, image)) = self.grow_log(path, buf.len()) else { return };
+        if holes {
+            for s in kept {
+                let lo = (s * SECTOR).max(end);
+                let hi = ((s + 1) * SECTOR).min(end + buf.len());
+                image[lo..hi].copy_from_slice(&buf[lo - end..hi - end]);
+            }
+        } else {
+            image[end..end + cut].copy_from_slice(&buf[..cut]);
+            let tail = end + cut + garbage.len();
+            if tail > image.len() {
+                image.resize(tail, 0);
+            }
+            image[end + cut..tail].copy_from_slice(garbage);
+        }
+    }
 }
 
 /// The fault backend. The engine holds it as its `Arc<dyn Vfs>` while the
@@ -131,8 +205,10 @@ impl SimVfs {
         Self {
             state: Arc::new(Mutex::new(VfsState {
                 files: BTreeMap::new(),
+                log_ends: BTreeMap::new(),
                 dirs: BTreeSet::new(),
                 rng: StdRng::seed_from_u64(seed),
+                tear_rng: StdRng::seed_from_u64(seed ^ TEAR_STREAM),
                 plan,
                 suppress: false,
                 crash_in: None,
@@ -198,10 +274,18 @@ impl SimVfs {
         self.st().mutations
     }
 
-    /// Current size of `path`, if it exists.
+    /// Current size of `path`, if it exists. For a log that is its
+    /// zero-padded image; [`Self::log_end`] is how much of it is log.
     #[must_use]
     pub fn file_len(&self, path: &Path) -> Option<usize> {
         self.st().files.get(path).map(Vec::len)
+    }
+
+    /// Where the next write to the [`Vfs::create_log`] file `path` lands
+    /// (the bytes its completed writes hold), if `path` is a log.
+    #[must_use]
+    pub fn log_end(&self, path: &Path) -> Option<usize> {
+        self.st().log_ends.get(path).copied()
     }
 
     /// A copy of `path`'s bytes, if it exists.
@@ -224,25 +308,42 @@ impl SimVfs {
     }
 }
 
-impl Vfs for SimVfs {
-    fn create(&self, path: &Path) -> std::io::Result<Box<dyn VfsFile>> {
+impl SimVfs {
+    /// `create` and `create_log`: one mutation either way.
+    fn create_file(&self, path: &Path, log: bool) -> std::io::Result<Box<dyn VfsFile>> {
         let mut g = self.st();
         self.tick(&mut g);
-        if g.begin_mutation()? {
-            // Crash at the create boundary: the file may or may not have
-            // come into (empty) existence.
-            if g.rng.gen_bool(0.5) {
-                g.files.insert(path.to_path_buf(), Vec::new());
+        let crashed = g.begin_mutation()?;
+        // Crash at the create boundary: the file may or may not have come
+        // into (empty) existence.
+        if !crashed || g.rng.gen_bool(0.5) {
+            g.files.insert(path.to_path_buf(), Vec::new());
+            if log {
+                g.log_ends.insert(path.to_path_buf(), 0);
+            } else {
+                g.log_ends.remove(path);
             }
+        }
+        if crashed {
             return Err(crash_err());
         }
-        g.files.insert(path.to_path_buf(), Vec::new());
         drop(g);
         Ok(Box::new(SimWriteFile {
             state: Arc::clone(&self.state),
             clock: Arc::clone(&self.clock),
             path: path.to_path_buf(),
+            log,
         }))
+    }
+}
+
+impl Vfs for SimVfs {
+    fn create(&self, path: &Path) -> std::io::Result<Box<dyn VfsFile>> {
+        self.create_file(path, false)
+    }
+
+    fn create_log(&self, path: &Path) -> std::io::Result<Box<dyn VfsFile>> {
+        self.create_file(path, true)
     }
 
     fn open_read(&self, path: &Path) -> std::io::Result<Box<dyn VfsFile>> {
@@ -275,18 +376,14 @@ impl Vfs for SimVfs {
             // Crash at the rename boundary: it either happened or it
             // didn't — never a half state (rename is atomic).
             if g.rng.gen_bool(0.5) {
-                if let Some(data) = g.files.remove(from) {
-                    g.files.insert(to.to_path_buf(), data);
-                }
+                g.move_file(from, to);
             }
             return Err(crash_err());
         }
-        match g.files.remove(from) {
-            Some(data) => {
-                g.files.insert(to.to_path_buf(), data);
-                Ok(())
-            }
-            None => Err(Error::new(ErrorKind::NotFound, "rename source missing")),
+        if g.move_file(from, to) {
+            Ok(())
+        } else {
+            Err(Error::new(ErrorKind::NotFound, "rename source missing"))
         }
     }
 
@@ -341,13 +438,16 @@ impl VfsFile for SimReadFile {
 
 /// Append-only write handle sharing the filesystem state. Every `write`
 /// is one mutation for crash-countdown purposes; a crash mid-write tears
-/// the buffer at a random byte (optionally followed by garbage), ENOSPC
-/// writes nothing at all, and a failed sync keeps the data (our model
-/// treats written bytes as durable — fsync only reports).
+/// the buffer at a random byte (optionally followed by garbage) or, on a
+/// log, may lose any of its sectors; ENOSPC writes nothing at all (not even
+/// a log's growth), and a failed sync keeps the data (our model treats
+/// written bytes as durable — fsync only reports).
 struct SimWriteFile {
     state: Arc<Mutex<VfsState>>,
     clock: Arc<VirtualClock>,
     path: PathBuf,
+    /// Opened by `create_log`: writes overwrite the zeros at the log end.
+    log: bool,
 }
 
 impl SimWriteFile {
@@ -379,7 +479,9 @@ impl Write for SimWriteFile {
             } else {
                 Vec::new()
             };
-            if let Some(f) = g.files.get_mut(&self.path) {
+            if self.log {
+                g.tear_log(&self.path, buf, cut, &garbage);
+            } else if let Some(f) = g.files.get_mut(&self.path) {
                 f.extend_from_slice(&buf[..cut]);
                 f.extend_from_slice(&garbage);
             }
@@ -388,6 +490,14 @@ impl Write for SimWriteFile {
         let enospc = g.plan.enospc_permille;
         if g.roll(enospc) {
             return Err(Error::new(ErrorKind::StorageFull, "simulated ENOSPC"));
+        }
+        if self.log {
+            let Some((end, image)) = g.grow_log(&self.path, buf.len()) else {
+                return Err(Error::new(ErrorKind::NotFound, "file vanished"));
+            };
+            image[end..end + buf.len()].copy_from_slice(buf);
+            g.log_ends.insert(self.path.clone(), end + buf.len());
+            return Ok(buf.len());
         }
         match g.files.get_mut(&self.path) {
             Some(f) => {
@@ -474,6 +584,89 @@ mod tests {
         let err = f.write_all(b"doomed").expect_err("always ENOSPC");
         assert_eq!(err.kind(), ErrorKind::StorageFull);
         assert_eq!(v.file_len(p), Some(0));
+    }
+
+    #[test]
+    fn a_log_image_grows_by_zero_chunks_inside_the_crossing_write() {
+        let v = vfs(2, FaultPlan::none());
+        let p = Path::new("/d/wal");
+        let chunk = LOG_CHUNK as usize;
+        let mut f = v.create_log(p).expect("create");
+        assert_eq!((v.file_len(p), v.log_end(p)), (Some(0), Some(0)));
+        let mut log = Vec::new();
+        for (i, n) in [100usize, chunk - 100, 1].into_iter().enumerate() {
+            let bytes = vec![u8::try_from(i + 1).expect("small"); n];
+            let before = v.mutation_count();
+            f.write_all(&bytes).expect("write");
+            assert_eq!(v.mutation_count(), before + 1, "write {i}: one mutation");
+            log.extend_from_slice(&bytes);
+            let image = v.file_bytes(p).expect("image");
+            assert_eq!(v.log_end(p), Some(log.len()), "write {i}");
+            assert_eq!(image.len(), log.len().div_ceil(chunk) * chunk, "write {i}");
+            assert_eq!(&image[..log.len()], &log[..], "write {i}");
+            assert!(image[log.len()..].iter().all(|&b| b == 0), "write {i}");
+        }
+    }
+
+    #[test]
+    fn enospc_on_an_extending_log_write_applies_nothing() {
+        let plan = FaultPlan { enospc_permille: 1000, ..FaultPlan::none() };
+        let v = vfs(3, plan);
+        let p = Path::new("/d/wal");
+        let mut f = v.create_log(p).expect("create");
+        let err = f.write_all(b"doomed").expect_err("always ENOSPC");
+        assert_eq!(err.kind(), ErrorKind::StorageFull);
+        assert_eq!((v.file_len(p), v.log_end(p)), (Some(0), Some(0)));
+    }
+
+    #[test]
+    fn a_crashed_log_write_lands_a_prefix_or_a_subset_of_its_sectors() {
+        let (old, new_len) = (700usize, 1300usize);
+        let new: Vec<u8> =
+            (0..new_len).map(|i| u8::try_from(i % 251 + 1).expect("small")).collect();
+        let mut hole_tears = 0;
+        for seed in 0..64u64 {
+            let v = vfs(seed, FaultPlan::crash_only());
+            let p = Path::new("/d/wal");
+            let mut f = v.create_log(p).expect("create");
+            f.write_all(&vec![0xA5; old]).expect("write");
+            v.arm_crash(0);
+            f.write_all(&new).expect_err("must crash");
+            v.clear_crash();
+            let image = v.file_bytes(p).expect("image");
+            assert!(image[..old].iter().all(|&b| b == 0xA5), "seed {seed}: old bytes kept");
+            let end = old + new_len;
+            // A prefix of the write, then at most 8 garbage bytes, then zeros.
+            let cut = image[old..].iter().zip(&new).take_while(|(a, b)| a == b).count();
+            let prefix = image[old + cut..].iter().skip(8).all(|&b| b == 0);
+            // Or each sector the write touches holds its new bytes or zeros.
+            let subset = image[end..].iter().all(|&b| b == 0)
+                && (old / SECTOR..end.div_ceil(SECTOR)).all(|s| {
+                    let (lo, hi) = ((s * SECTOR).max(old), ((s + 1) * SECTOR).min(end));
+                    image[lo..hi] == new[lo - old..hi - old]
+                        || image[lo..hi].iter().all(|&b| b == 0)
+                });
+            assert!(prefix || subset, "seed {seed}: neither a prefix nor a sector subset");
+            hole_tears += usize::from(subset && !prefix);
+        }
+        assert!(hole_tears > 0, "no crash lost an early sector but kept a later one");
+    }
+
+    #[test]
+    fn a_log_draws_the_faults_a_plain_file_draws() {
+        for seed in [0u64, 5, 99] {
+            let run = |log: bool| {
+                let clock = Arc::new(VirtualClock::new());
+                let v = SimVfs::new(seed, FaultPlan::all(), Arc::clone(&clock));
+                let p = Path::new("/d/z");
+                let mut f = if log { v.create_log(p) } else { v.create(p) }.expect("create");
+                let outcomes: Vec<(bool, bool)> = (0..200u32)
+                    .map(|i| (f.write_all(&i.to_le_bytes()).is_ok(), f.sync().is_ok()))
+                    .collect();
+                (outcomes, v.mutation_count(), clock.now_ns())
+            };
+            assert_eq!(run(false), run(true), "seed {seed}");
+        }
     }
 
     #[test]

@@ -10,9 +10,25 @@
 //! read/write/sync — because that is the complete set of filesystem
 //! operations the store performs; keeping it minimal keeps the fault model
 //! exhaustive.
+//!
+//! Two constructors make a file for writing. [`Vfs::create`] is the plain
+//! one (snapshots, manifests): every write extends the file. [`Vfs::create_log`]
+//! is for the append-only write-ahead log: it takes the same sequential
+//! writes, but keeps the durable file [`LOG_CHUNK`]-aligned and zero-filled
+//! past the log end, growing it a whole chunk at a time inside the write
+//! that crosses the allocated end. A commit's `write` + `sync` then
+//! overwrites bytes the file already holds instead of extending it, so the
+//! fsync does not also have to commit a new file size (one in
+//! `LOG_CHUNK` bytes of log pays that). The zeros are the clean end of the
+//! log to [`crate::wal::replay`].
 
-use std::io::{Read, Write};
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
+
+/// The growth step of a [`Vfs::create_log`] file, in bytes. A constant,
+/// not a knob: 4 KiB and 64 KiB measured the same durable-insert
+/// throughput, a 1 MiB chunk 6 % less.
+pub const LOG_CHUNK: u64 = 64 * 1024;
 
 /// One open file behind a [`Vfs`]: byte-stream reads and writes plus an
 /// explicit durability barrier. `sync` is separate from `flush` because the
@@ -35,6 +51,16 @@ pub trait Vfs: Send + Sync {
     /// # Errors
     /// I/O failure (real or injected).
     fn create(&self, path: &Path) -> std::io::Result<Box<dyn VfsFile>>;
+
+    /// Creates (or truncates) an append-only log. Writes land sequentially
+    /// exactly as on a [`Self::create`] file, but the durable file is kept
+    /// zero-filled ahead of the log end in [`LOG_CHUNK`] steps, so a write
+    /// overwrites allocated bytes rather than extending the file. Growth is
+    /// lazy: creating the log writes nothing.
+    ///
+    /// # Errors
+    /// I/O failure (real or injected).
+    fn create_log(&self, path: &Path) -> std::io::Result<Box<dyn VfsFile>>;
 
     /// Opens an existing file for reading.
     ///
@@ -96,9 +122,67 @@ impl VfsFile for RealFile {
     }
 }
 
+/// A [`Vfs::create_log`] file: the cursor sits at the log end `end`, and
+/// `[end, len)` of the file is zeros.
+struct RealLogFile {
+    file: std::fs::File,
+    /// Where the next write lands.
+    end: u64,
+    /// The file's length: a multiple of [`LOG_CHUNK`], zeros past `end`.
+    len: u64,
+}
+
+impl RealLogFile {
+    /// Zero-fills the file from its current length up to the chunk
+    /// boundary at or past `to`, then returns the cursor to the log end. A
+    /// failed fill leaves `len` as it was (the next write fills again).
+    fn grow(&mut self, to: u64) -> std::io::Result<()> {
+        let len = to.div_ceil(LOG_CHUNK) * LOG_CHUNK;
+        let zeros = vec![0u8; usize::try_from(len - self.len).map_err(std::io::Error::other)?];
+        self.file.seek(SeekFrom::Start(self.len))?;
+        let filled = self.file.write_all(&zeros);
+        self.file.seek(SeekFrom::Start(self.end))?;
+        filled?;
+        self.len = len;
+        Ok(())
+    }
+}
+
+impl Read for RealLogFile {
+    fn read(&mut self, _: &mut [u8]) -> std::io::Result<usize> {
+        Err(std::io::Error::other("write-only log handle"))
+    }
+}
+
+impl Write for RealLogFile {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let to = self.end + buf.len() as u64;
+        if to > self.len {
+            self.grow(to)?;
+        }
+        let n = self.file.write(buf)?;
+        self.end += n as u64;
+        Ok(n)
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.file.flush()
+    }
+}
+
+impl VfsFile for RealLogFile {
+    fn sync(&mut self) -> std::io::Result<()> {
+        self.file.sync_all()
+    }
+}
+
 impl Vfs for RealVfs {
     fn create(&self, path: &Path) -> std::io::Result<Box<dyn VfsFile>> {
         Ok(Box::new(RealFile(std::fs::File::create(path)?)))
+    }
+
+    fn create_log(&self, path: &Path) -> std::io::Result<Box<dyn VfsFile>> {
+        let file = std::fs::File::create(path)?;
+        Ok(Box::new(RealLogFile { file, end: 0, len: 0 }))
     }
 
     fn open_read(&self, path: &Path) -> std::io::Result<Box<dyn VfsFile>> {
@@ -151,6 +235,31 @@ mod tests {
         assert!(vfs.exists(&dst));
         assert!(!vfs.exists(&tmp));
         assert_eq!(vfs.read(&dst).unwrap(), b"hello");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn real_log_grows_in_zeroed_chunks_ahead_of_its_end() {
+        let dir = std::env::temp_dir().join(format!("cind_vfs_log_{}", std::process::id()));
+        let vfs = RealVfs;
+        vfs.create_dir_all(&dir).unwrap();
+        let path = dir.join("wal.log");
+        let chunk = usize::try_from(LOG_CHUNK).unwrap();
+        let mut f = vfs.create_log(&path).unwrap();
+        assert_eq!(vfs.read(&path).unwrap().len(), 0, "creating the log writes nothing");
+
+        let mut log = Vec::new();
+        for (i, n) in [100usize, chunk - 100, 1, chunk + 7].into_iter().enumerate() {
+            let bytes = vec![u8::try_from(i + 1).unwrap(); n];
+            f.write_all(&bytes).unwrap();
+            f.sync().unwrap();
+            log.extend_from_slice(&bytes);
+            let file = vfs.read(&path).unwrap();
+            assert_eq!(file.len(), log.len().div_ceil(chunk) * chunk, "after write {i}");
+            assert_eq!(&file[..log.len()], &log[..], "after write {i}");
+            assert!(file[log.len()..].iter().all(|&b| b == 0), "after write {i}");
+        }
+        drop(f);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -34,6 +34,20 @@
 //!   transaction and emits it as a single `write_all`, so a crash tears at
 //!   most one write surface; [`replay`] applies only complete groups and
 //!   discards an unterminated trailing group as a torn tail.
+//!
+//! A durable store writes its log through
+//! [`Vfs::create_log`](crate::vfs::Vfs::create_log), which keeps the file
+//! zero-filled past the log end. Two things follow for [`replay`]:
+//!
+//! * A zero byte where a frame would start, followed by nothing but zeros,
+//!   is the clean end of the log. No frame starts with a zero byte: its
+//!   length varint would say the body is empty, and bodies never are.
+//! * A write into that zeroed space overwrites in place, and a crash can
+//!   persist later 512-byte sectors of it while losing earlier ones. The
+//!   lost sectors read back as zeros (or as the old log bytes followed by
+//!   zeros), so valid frames may follow damage. Damage that contains such
+//!   a zero-filled hole is the torn tail of the last write; any other
+//!   damage followed by a valid frame is still mid-log corruption.
 
 use std::io::{Read, Write};
 
@@ -52,6 +66,9 @@ const OP_DELETE: u8 = 5;
 const OP_EPOCH: u8 = 6;
 const OP_BEGIN: u8 = 7;
 const OP_COMMIT: u8 = 8;
+
+/// The unit a torn in-place write persists or loses whole.
+const SECTOR: usize = 512;
 
 /// FNV-1a 64 (same as the snapshot checksum).
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -293,6 +310,23 @@ fn parse_frame(buf: &[u8], pos: usize, verify: bool) -> Option<(std::ops::Range<
     Some((body_start..sum_start, sum_start + 8))
 }
 
+fn all_zero(bytes: &[u8]) -> bool {
+    bytes.iter().all(|&b| b == 0)
+}
+
+/// Whether the damage `bad..next` (from the first invalid frame to the
+/// next valid one) holds a hole a torn in-place write leaves: zeros from
+/// `bad` to the end of its sector (the write's first sector was lost, so
+/// the log's old bytes end there), or a whole aligned all-zero sector (a
+/// later one was lost).
+fn zero_hole(buf: &[u8], bad: usize, next: usize) -> bool {
+    let first_end = (bad / SECTOR + 1) * SECTOR;
+    buf.get(bad..first_end).is_some_and(all_zero)
+        || (first_end..next)
+            .step_by(SECTOR)
+            .any(|s| s + SECTOR <= next && all_zero(&buf[s..s + SECTOR]))
+}
+
 /// Reads the epoch header from the start of a WAL byte stream, if present.
 ///
 /// Always verifies the real checksum (even under `sim-defect`): the epoch
@@ -319,12 +353,16 @@ pub fn read_epoch(buf: &[u8]) -> Option<u64> {
 ///
 /// The log is scanned structurally first: frames are grouped into units —
 /// standalone entries, and `Begin`..`Commit` transaction groups — and only
-/// complete units are applied. The first invalid frame ends the scan and
-/// is classified by *byte resync*: if any later offset parses as a valid
-/// checksummed frame the damage is in the middle of the log
-/// ([`PersistError::Corrupt`] — the log is broken, not merely cut short);
-/// if nothing after it parses, it is the torn tail of a crashed final
-/// write and is discarded (along with an unterminated trailing group).
+/// complete units are applied. The first invalid frame ends the scan. If
+/// it and everything after it are zeros, that is the clean end of a
+/// preallocated log. Otherwise it is classified by *byte resync*: if
+/// nothing after it parses as a valid checksummed frame, it is the torn
+/// tail of a crashed final write and is discarded (along with an
+/// unterminated trailing group). If a later frame is valid, the damage up
+/// to it is the torn tail of an in-place write only when it holds a
+/// zero-filled hole (see [`zero_hole`]); any other such damage is in the
+/// middle of the log ([`PersistError::Corrupt`] — the log is broken, not
+/// merely cut short).
 ///
 /// # Errors
 /// [`PersistError::Corrupt`] for mid-log corruption or transaction-framing
@@ -372,16 +410,20 @@ pub fn replay(table: &mut UniversalTable, input: &mut impl Read) -> Result<Repla
     }
 
     if let Some(bad) = invalid_at {
-        // Resync scan: a valid frame anywhere after the damage means the
-        // log continues past it — mid-log corruption, not a torn tail.
-        // (A garbage tail cannot alias a valid frame: the checksum would
-        // have to collide.)
-        for o in bad + 1..buf.len() {
-            if parse_frame(&buf, o, false).is_some() {
+        // Resync scan: a valid frame after the damage means the log
+        // continues past it — mid-log corruption, unless the damage is a
+        // hole a torn in-place write left. (A garbage tail cannot alias a
+        // valid frame: the checksum would have to collide.)
+        if !all_zero(&buf[bad..]) {
+            // No frame starts with a zero byte, so the zero tail is skipped
+            // without parsing.
+            let next = (bad + 1..buf.len())
+                .find(|&o| buf[o] != 0 && parse_frame(&buf, o, false).is_some());
+            if next.is_some_and(|next| !zero_hole(&buf, bad, next)) {
                 return Err(PersistError::Corrupt("wal entry checksum"));
             }
+            report.torn_tail = true;
         }
-        report.torn_tail = true;
     }
     if group.is_some() {
         // The final group never committed: the crash landed inside its
@@ -546,11 +588,140 @@ mod tests {
         assert!(report.torn_tail);
         assert!(report.applied > 0);
 
-        // Flip a byte early in the log: hard error.
+        // Flip a byte early in the log: hard error, zero tail or not.
         let mut bad = bytes.clone();
         bad[bytes.len() / 4] ^= 0xff;
+        assert_ne!(bad[bytes.len() / 4], 0);
+        for image in [bad.clone(), padded(&bad, chunk())] {
+            let mut recovered = UniversalTable::new(16);
+            assert!(replay(&mut recovered, &mut &image[..]).is_err());
+        }
+    }
+
+    fn chunk() -> usize {
+        usize::try_from(crate::vfs::LOG_CHUNK).unwrap()
+    }
+
+    /// `bytes` followed by zeros up to `len`: the image a preallocated log
+    /// leaves on disk.
+    fn padded(bytes: &[u8], len: usize) -> Vec<u8> {
+        let mut image = bytes.to_vec();
+        image.resize(len, 0);
+        image
+    }
+
+    #[test]
+    fn a_zero_padded_log_replays_like_the_unpadded_one() {
+        let log = SharedBuf::default();
+        let mut table = UniversalTable::new(16);
+        table.attach_wal(Box::new(log.clone()));
+        mutate(&mut table);
+        let bytes = log.0.lock().unwrap().clone();
+        let mut plain = UniversalTable::new(16);
+        let expect = replay(&mut plain, &mut &bytes[..]).unwrap();
+        assert!(!expect.torn_tail);
+
+        for len in [bytes.len() + 1, bytes.len() + 777, chunk()] {
+            let image = padded(&bytes, len);
+            let mut recovered = UniversalTable::new(16);
+            let report = replay(&mut recovered, &mut &image[..]).unwrap();
+            assert_eq!(report, expect, "padded to {len}");
+            tables_equal(&table, &recovered);
+        }
+    }
+
+    #[test]
+    fn cutting_the_last_group_inside_a_padded_image_recovers_the_prefix() {
+        let log = SharedBuf::default();
+        let mut table = UniversalTable::new(16);
+        table.attach_wal(Box::new(log.clone()));
+        let seg = table.create_segment();
+        one_insert_txn(&mut table, seg, 1);
+        let full = log.0.lock().unwrap().len();
+        one_insert_txn(&mut table, seg, 2);
+        let bytes = log.0.lock().unwrap().clone();
+
+        // The crash lost everything of the second group from `cut` on:
+        // those bytes are still the zeros the log was grown with.
+        for cut in full + 1..bytes.len() {
+            let image = padded(&bytes[..cut], chunk());
+            let mut recovered = UniversalTable::new(16);
+            let report = replay(&mut recovered, &mut &image[..]).unwrap();
+            assert!(report.torn_tail, "cut={cut}");
+            assert_eq!(recovered.entity_count(), 1, "cut={cut}");
+            assert!(recovered.get(EntityId(1)).is_ok(), "cut={cut}");
+        }
+        // Losing the whole group leaves a clean, shorter log.
+        let image = padded(&bytes[..full], chunk());
         let mut recovered = UniversalTable::new(16);
-        assert!(replay(&mut recovered, &mut &bad[..]).is_err());
+        assert!(!replay(&mut recovered, &mut &image[..]).unwrap().torn_tail);
+        assert_eq!(recovered.entity_count(), 1);
+    }
+
+    #[test]
+    fn hole_tears_of_a_three_sector_group_recover_the_committed_prefix() {
+        let log = SharedBuf::default();
+        let mut table = UniversalTable::new(16);
+        table.attach_wal(Box::new(log.clone()));
+        let seg = table.create_segment();
+        one_insert_txn(&mut table, seg, 1);
+        let full = log.0.lock().unwrap().len();
+        // One group whose bytes touch exactly three sectors.
+        let t = table.catalog_mut().intern("t");
+        let text = "x".repeat(1250 - full % SECTOR);
+        table.wal_txn_begin();
+        let e = Entity::new(EntityId(2), [(t, Value::Text(text))]).unwrap();
+        table.insert(seg, &e).unwrap();
+        table.wal_txn_commit().unwrap();
+        let bytes = log.0.lock().unwrap().clone();
+        let first = full / SECTOR;
+        assert_eq!((bytes.len() - 1) / SECTOR - first + 1, 3, "the group spans three sectors");
+        let image_len = (first + 4) * SECTOR;
+
+        // Bit k of `dropped`: sector `first + k` of the group's write did
+        // not persist, so it still reads as before the write — the old log
+        // bytes, then zeros.
+        for dropped in 0..8usize {
+            let mut image = padded(&bytes[..full], image_len);
+            for k in (0..3).filter(|k| dropped & (1 << k) == 0) {
+                let lo = ((first + k) * SECTOR).max(full);
+                let hi = ((first + k + 1) * SECTOR).min(bytes.len());
+                image[lo..hi].copy_from_slice(&bytes[lo..hi]);
+            }
+            let mut recovered = UniversalTable::new(16);
+            let report = replay(&mut recovered, &mut &image[..])
+                .unwrap_or_else(|e| panic!("dropped {dropped:03b}: {e}"));
+            let survivors = if dropped == 0 { 2 } else { 1 };
+            assert_eq!(recovered.entity_count(), survivors, "dropped {dropped:03b}");
+            assert!(recovered.get(EntityId(1)).is_ok(), "dropped {dropped:03b}");
+            // Every sector lost is a clean end; some lost is a torn tail.
+            assert_eq!(report.torn_tail, dropped != 0 && dropped != 7, "dropped {dropped:03b}");
+        }
+    }
+
+    #[test]
+    fn a_zeroed_sector_inside_the_log_ends_it() {
+        // The one case the zero-tail rule narrows: zero-filled damage among
+        // acknowledged frames reads as the torn tail of the last write, so
+        // replay stops there instead of failing.
+        let log = SharedBuf::default();
+        let mut table = UniversalTable::new(16);
+        table.attach_wal(Box::new(log.clone()));
+        let seg = table.create_segment();
+        let mut len_after = Vec::new();
+        for id in 0..100 {
+            one_insert_txn(&mut table, seg, id);
+            len_after.push(log.0.lock().unwrap().len());
+        }
+        let mut bytes = log.0.lock().unwrap().clone();
+        assert!(bytes.len() > 4 * SECTOR);
+        bytes[2 * SECTOR..3 * SECTOR].fill(0);
+
+        let mut recovered = UniversalTable::new(16);
+        let report = replay(&mut recovered, &mut &bytes[..]).unwrap();
+        assert!(report.torn_tail);
+        let survivors = len_after.iter().filter(|&&l| l <= 2 * SECTOR).count();
+        assert_eq!(recovered.entity_count(), survivors);
     }
 
     #[test]

@@ -215,6 +215,59 @@ fn restore_rejects_a_duplicate_segment() {
     assert_rejected_as_corrupt(&bad, "duplicate segment", "cind_duplicate_segment");
 }
 
+/// Where the log in `wal` ends: frames (`varint len`, body, 8-byte
+/// checksum) follow each other from offset 0 until a zero byte, which no
+/// frame starts with.
+fn wal_log_end(wal: &[u8]) -> usize {
+    let mut pos = 0;
+    while wal.get(pos).is_some_and(|&b| b != 0) {
+        let (len, n) = cinderella::storage::varint::decode(&wal[pos..]).expect("frame length");
+        pos += n + usize::try_from(len).expect("length fits") + 8;
+    }
+    pos
+}
+
+/// A durable store on the real filesystem writes its log into zero-filled
+/// chunks. Killed without a checkpoint, it leaves `wal.log` a whole number
+/// of chunks long with zeros past the log end, and reopening recovers
+/// every acknowledged insert from it.
+#[test]
+fn a_killed_durable_store_leaves_a_zero_padded_log_and_recovers_every_ack() {
+    use cinderella::model::Value;
+    use cinderella::server::{Engine, EngineOptions, WireEntity};
+    use cinderella::storage::vfs::LOG_CHUNK;
+    const INSERTS: u64 = 500;
+    let dir = std::env::temp_dir().join(format!("cind_padded_wal_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let engine = Engine::open(&dir, EngineOptions::default()).expect("open");
+    for id in 0..INSERTS {
+        let attrs = vec![
+            (format!("a{}", id % 7), Value::Int(i64::try_from(id).expect("small"))),
+            ("note".to_owned(), Value::Text(format!("{id:0>120}"))),
+        ];
+        engine.insert(&WireEntity { id, attrs }).expect("acked insert");
+    }
+    drop(engine); // no checkpoint: the inserts live only in the log
+
+    let wal = std::fs::read(dir.join("wal.log")).expect("wal.log");
+    let chunk = usize::try_from(LOG_CHUNK).expect("chunk fits");
+    let end = wal_log_end(&wal);
+    assert!(end > chunk, "the log grew past its first chunk ({end} bytes)");
+    assert_eq!(wal.len() % chunk, 0, "wal.log is {} bytes", wal.len());
+    assert!(end <= wal.len() && wal[end..].iter().all(|&b| b == 0));
+
+    let reopened = Engine::open(&dir, EngineOptions::default()).expect("reopen");
+    assert_eq!(reopened.stats().entities, INSERTS);
+    reopened.with_parts(|table, _| {
+        for id in 0..INSERTS {
+            assert!(table.get(EntityId(id)).is_ok(), "acked insert {id} lost");
+        }
+    });
+    assert_eq!(reopened.validate().expect("validate runs"), Vec::<String>::new());
+    drop(reopened);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A snapshot holding an empty segment restores fine, and
 /// `Cinderella::rebuild` used to `assert!` on it, taking `Engine::open`
 /// down with it. The open now fails with a typed error.

@@ -1,7 +1,8 @@
 //! Exhaustive WAL torn-tail recovery: a multi-entry log truncated at
-//! *every* byte offset must recover to exactly the prefix of committed
-//! entries, and the recovered store must pass the full structural
-//! validation (the same invariant sweep `cind check` runs).
+//! *every* byte offset — or zeroed from every byte offset to the end of
+//! its preallocated image — must recover to exactly the prefix of
+//! committed entries, and the recovered store must pass the full
+//! structural validation (the same invariant sweep `cind check` runs).
 //!
 //! The log is built in the simulator's in-memory VFS so each of the
 //! hundreds of truncation points gets a pristine copy of the original
@@ -79,26 +80,37 @@ fn every_truncation_offset_recovers_a_committed_prefix() {
     let mut len_after = Vec::new();
     for id in 0..ENTITIES {
         engine.insert(&entity(id)).expect("insert");
-        len_after.push(vfs.file_len(&wal_path).expect("wal exists"));
+        len_after.push(vfs.log_end(&wal_path).expect("wal is a log"));
     }
     let wal = vfs.file_bytes(&wal_path).expect("wal bytes");
     let snap = vfs.file_bytes(&snap_path).expect("snapshot bytes");
-    assert_eq!(*len_after.last().expect("non-empty"), wal.len());
+    let log_end = *len_after.last().expect("non-empty");
+    // The log file is preallocated: zeros from the log end to the image end.
+    assert!(wal.len() > log_end && wal[log_end..].iter().all(|&b| b == 0));
 
-    for cut in 0..=wal.len() {
+    // Each cut both ways: the file ends at the cut (a log that was never
+    // grown past it), or keeps its zeroed length (a crash lost the bytes
+    // of an in-place write from the cut on).
+    let images = (0..=log_end).flat_map(|cut| {
+        let mut padded = wal[..cut].to_vec();
+        padded.resize(wal.len(), 0);
+        [(cut, wal[..cut].to_vec()), (cut, padded)]
+    });
+    for (cut, image) in images {
+        let cut_desc = format!("cut {cut} of a {}-byte image", image.len());
         let copy = fresh_vfs();
         write_file(&*copy, &snap_path, &snap);
-        write_file(&*copy, &wal_path, &wal[..cut]);
+        write_file(&*copy, &wal_path, &image);
 
         let reopened = Engine::open(dir, options(copy.clone()))
-            .unwrap_or_else(|e| panic!("cut {cut}: recovery failed: {e}"));
+            .unwrap_or_else(|e| panic!("{cut_desc}: recovery failed: {e}"));
 
         // Exactly the entities whose commit group is fully inside the
         // retained prefix survive — never a later one, never a hole.
         let expect = len_after.iter().filter(|&&l| l <= cut).count() as u64;
         assert_eq!(
             reopened.stats().entities, expect,
-            "cut {cut}: wrong survivor count"
+            "{cut_desc}: wrong survivor count"
         );
         reopened.with_parts(|table, _| {
             for id in 0..ENTITIES {
@@ -106,7 +118,7 @@ fn every_truncation_offset_recovers_a_committed_prefix() {
                 assert_eq!(
                     present,
                     id < expect,
-                    "cut {cut}: entity {id} presence (expected first {expect})"
+                    "{cut_desc}: entity {id} presence (expected first {expect})"
                 );
             }
         });
@@ -114,6 +126,6 @@ fn every_truncation_offset_recovers_a_committed_prefix() {
         // The recovered store passes the full structural validation —
         // what `cind check` runs after restoring a snapshot.
         let violations = reopened.validate().expect("validate runs");
-        assert!(violations.is_empty(), "cut {cut}: {violations:?}");
+        assert!(violations.is_empty(), "{cut_desc}: {violations:?}");
     }
 }
