@@ -134,7 +134,7 @@ fn main() {
         let auto = run(mode, ReorgMode::Auto);
         println!(
             "{name:<12} off {:.4} ({:.2}s) -> auto {:.4} ({:.2}s), gain {:+.4}; auto took \
-             {} steps ({} resplits, {} migrations, {} merges, {} entities moved)\n  \
+             {} steps ({} resplits, {} merges, {} entities moved)\n  \
              off  timeline {:.4?}\n  auto timeline {:.4?}",
             off.final_eff,
             off.elapsed_s,
@@ -143,7 +143,6 @@ fn main() {
             auto.final_eff - off.final_eff,
             auto.stats.steps,
             auto.stats.resplits,
-            auto.stats.migrations,
             auto.stats.merges,
             auto.stats.entities_moved,
             off.eff_timeline,

@@ -68,10 +68,9 @@ are identical either way).
 --reorg auto turns on the workload-adaptive background reorganizer: each
 shard tracks per-partition scan heat (decayed per epoch) and, between
 foreground writes, enacts the single best cost-modeled action — re-split
-a hot mixed partition, migrate an entity to the partition rating it
-highest, or merge cold underfull partitions — each WAL-framed so a crash
-mid-action recovers to a clean pre- or post-action state (off, the
-default, disables stepping entirely).
+a hot mixed partition, else merge cold underfull partitions — each
+WAL-framed so a crash mid-action recovers to a clean pre- or post-action
+state (off, the default, disables stepping entirely).
 Sharded stores keep their snapshots at DIR/shard-NNNN/store.cind — point
 check/stats/query at those files individually.
 workload drives the load generator against a running server: N

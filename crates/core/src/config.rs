@@ -90,7 +90,7 @@ impl std::fmt::Display for IndexTier {
 /// no reorganization action runs, and the WAL/snapshot byte streams are
 /// identical to a build without the subsystem (the server's differential
 /// test checks exactly this). `Auto` lets the driver enact cost-modeled
-/// merge / re-split / migrate actions between foreground operations.
+/// re-split / merge actions between foreground operations.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum ReorgMode {
     /// Never reorganize (the default — the paper's behaviour).

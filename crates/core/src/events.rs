@@ -73,10 +73,6 @@ pub struct Stats {
     /// moves themselves count under `split_moves` — a re-split runs the
     /// same machinery as an overflow split).
     pub reorg_resplits: u64,
-    /// Entities migrated to a better-rated partition by the background
-    /// reorganizer (delete + re-insert through Algorithm 1, the same
-    /// semantics as an update-move).
-    pub reorg_migrations: u64,
 }
 
 #[cfg(test)]

@@ -632,38 +632,6 @@ impl Cinderella {
         }
         self.absorb(table, from, into).map(Some)
     }
-
-    /// Migrates one entity: deletes it and re-inserts it through Algorithm
-    /// 1, atomically in one WAL transaction group — a crash recovers to
-    /// the entity fully in its old place or fully in its new one, never
-    /// absent. Returns the segment the entity landed in (which may be its
-    /// old one if the rating flipped back between the caller's screen and
-    /// the re-insert).
-    ///
-    /// # Errors
-    /// [`StorageError::NoSuchEntity`] for unknown ids; storage errors from
-    /// the moves; WAL commit failures.
-    pub fn migrate_entity(
-        &mut self,
-        table: &mut UniversalTable,
-        id: EntityId,
-    ) -> Result<SegmentId, CoreError> {
-        table.wal_txn_begin();
-        let result = (|| {
-            let entity = self.delete_impl(table, id)?;
-            self.insert_impl(table, entity)?;
-            table
-                .location(id)
-                .ok_or(CoreError::Invariant("migrated entity located"))
-        })();
-        let seg = Self::finish_txn(table, result)?;
-        // The inner ops bump their own counters; fold them back so the
-        // migration accounts as one reorganizer move.
-        self.stats.deletes -= 1;
-        self.stats.inserts -= 1;
-        self.stats.reorg_migrations += 1;
-        Ok(seg)
-    }
 }
 
 #[cfg(test)]

@@ -26,11 +26,6 @@
 //!   using the starter pair as proxies for the halves (the same seeds the
 //!   actual split machinery uses), claiming a saving only for queries that
 //!   overlap exactly one seed.
-//! * **Migrate** `e: p → t`: `t` grows by exactly `e`'s synopsis and size;
-//!   `p` keeps at most its old synopsis at `SIZE(p) − SIZE(e)`.
-//!   [`migrate_delta`] prices `p`'s side conservatively (synopsis
-//!   unchanged), so the true delta is ≤ the prediction — a predicted
-//!   saving is a guaranteed saving.
 
 use cind_model::Synopsis;
 
@@ -117,38 +112,6 @@ pub fn resplit_saving(
     saving
 }
 
-/// Predicted scan-cost delta (negative = saving) of migrating entity `e`
-/// (attribute synopsis, size) from partition `from` to partition `to`.
-/// `to`'s side is exact (`to ∨ e` at `SIZE(to) + SIZE(e)`); `from`'s side
-/// is conservative — its synopsis is assumed unchanged, only its size
-/// shrinks — so the true delta is ≤ the returned value and a predicted
-/// saving is a guaranteed saving.
-#[must_use]
-pub fn migrate_delta(
-    e: (&Synopsis, u64),
-    from: (&Synopsis, u64),
-    to: (&Synopsis, u64),
-    workload: &WeightedQueries,
-) -> i128 {
-    let mut delta = 0i128;
-    for (q, w) in workload {
-        let w = i128::from(*w);
-        // Target side: already scanned → pays e's bytes on top; newly
-        // dragged in by e's attributes → pays its whole new size.
-        if !to.0.is_disjoint(q) {
-            delta += w * i128::from(e.1);
-        } else if !e.0.is_disjoint(q) {
-            delta += w * i128::from(to.1 + e.1);
-        }
-        // Source side: every query scanning `from` stops paying e's bytes
-        // (synopsis conservatively unchanged).
-        if !from.0.is_disjoint(q) {
-            delta -= w * i128::from(e.1);
-        }
-    }
-    delta
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,25 +152,5 @@ mod tests {
         assert_eq!(resplit_saving((&p.0, p.1), &sa, &sb, &w), 150);
         // Inseparable seeds predict nothing.
         assert_eq!(resplit_saving((&p.0, p.1), &sa, &sa, &w), 0);
-    }
-
-    #[test]
-    fn migrate_delta_signs() {
-        let e = (syn(&[9]), 5u64);
-        let from = (syn(&[1, 9]), 50u64);
-        let to = (syn(&[9]), 30u64);
-        // Query [1] scans `from` only: moving e out saves its 5 bytes.
-        let w1 = vec![(syn(&[1]), 1u64)];
-        assert_eq!(migrate_delta((&e.0, e.1), (&from.0, from.1), (&to.0, to.1), &w1), -5);
-        // Query [9] scans both: `to` pays 5 more, `from` pays 5 less — a wash.
-        let w2 = vec![(syn(&[9]), 1u64)];
-        assert_eq!(migrate_delta((&e.0, e.1), (&from.0, from.1), (&to.0, to.1), &w2), 0);
-        // Moving e into a partition the query did not scan drags it in.
-        let cold = (syn(&[20]), 40u64);
-        let w3 = vec![(syn(&[9]), 1u64)];
-        assert_eq!(
-            migrate_delta((&e.0, e.1), (&from.0, from.1), (&cold.0, cold.1), &w3),
-            40 + 5 - 5
-        );
     }
 }

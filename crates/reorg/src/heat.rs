@@ -37,13 +37,6 @@ pub const WORKLOAD_CAP: usize = 32;
 /// demonstrably moved on.
 pub const MERGE_COOLOFF_EPOCHS: u64 = 4;
 
-/// Per-partition heat counters for the current window.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PartitionHeat {
-    /// Queries this partition survived pruning for (it was scanned).
-    pub scans: u64,
-}
-
 /// The decayed view of the recent workload: who is hot, and what the
 /// queries looked like.
 #[derive(Clone, Debug)]
@@ -54,9 +47,10 @@ pub struct HeatMap {
     ops_in_epoch: u64,
     /// Epochs completed so far.
     epoch: u64,
-    /// Scan heat per partition. `BTreeMap` for deterministic iteration —
-    /// driver decisions must not depend on hash order.
-    parts: BTreeMap<SegmentId, PartitionHeat>,
+    /// Scan heat per partition: queries it survived pruning for (it was
+    /// scanned). `BTreeMap` for deterministic iteration — driver decisions
+    /// must not depend on hash order.
+    parts: BTreeMap<SegmentId, u64>,
     /// Epoch of each partition's most recent scan, un-decayed. Entries
     /// older than [`MERGE_COOLOFF_EPOCHS`] are pruned at epoch close.
     scan_epoch: BTreeMap<SegmentId, u64>,
@@ -87,7 +81,7 @@ impl HeatMap {
         scanned: impl IntoIterator<Item = SegmentId>,
     ) {
         for seg in scanned {
-            self.parts.entry(seg).or_default().scans += 1;
+            *self.parts.entry(seg).or_default() += 1;
             self.scan_epoch.insert(seg, self.epoch);
         }
         match self.workload.iter_mut().find(|(q, _)| q == query) {
@@ -131,9 +125,9 @@ impl HeatMap {
     /// partitions (and query shapes) the workload stopped touching fade
     /// from the model within a few epochs.
     fn decay(&mut self) {
-        self.parts.retain(|_, h| {
-            h.scans /= 2;
-            h.scans > 0
+        self.parts.retain(|_, scans| {
+            *scans /= 2;
+            *scans > 0
         });
         let epoch = self.epoch;
         self.scan_epoch.retain(|_, last| epoch - *last <= MERGE_COOLOFF_EPOCHS);
@@ -146,7 +140,7 @@ impl HeatMap {
     /// Scan heat of one partition in the current window.
     #[must_use]
     pub fn heat(&self, seg: SegmentId) -> u64 {
-        self.parts.get(&seg).map_or(0, |h| h.scans)
+        self.parts.get(&seg).copied().unwrap_or(0)
     }
 
     /// Whether the partition was scanned within the last
@@ -170,13 +164,6 @@ impl HeatMap {
     #[must_use]
     pub fn epoch(&self) -> u64 {
         self.epoch
-    }
-
-    /// Total scan heat across all partitions (the hysteresis denominator
-    /// scale when no partition-local cost is available).
-    #[must_use]
-    pub fn total_heat(&self) -> u64 {
-        self.parts.values().map(|h| h.scans).sum()
     }
 }
 

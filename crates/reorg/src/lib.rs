@@ -15,9 +15,8 @@
 //!   denominator delta *is* the efficiency delta.
 //! * [`driver`] — [`ReorgDriver::step`], the incremental executor: at
 //!   most one cost-cleared action per step (re-split a hot mixed
-//!   partition, migrate an entity to the partition rating it highest, or
-//!   merge two cold partitions), each WAL-framed by the core seams so a
-//!   crash recovers to the pre- or post-action state.
+//!   partition, else merge two cold partitions), each WAL-framed by the
+//!   core seams so a crash recovers to the pre- or post-action state.
 //!
 //! The server layer owns scheduling: it feeds queries and writes into the
 //! driver and invokes `step` between foreground operations when the
@@ -33,6 +32,6 @@ pub mod cost;
 pub mod driver;
 pub mod heat;
 
-pub use cost::{merge_damage, migrate_delta, resplit_saving, scan_cost};
+pub use cost::{merge_damage, resplit_saving, scan_cost};
 pub use driver::{ActionKind, ReorgDriver, ReorgStats, StepReport};
-pub use heat::{HeatMap, PartitionHeat, MERGE_COOLOFF_EPOCHS, WORKLOAD_CAP};
+pub use heat::{HeatMap, MERGE_COOLOFF_EPOCHS, WORKLOAD_CAP};

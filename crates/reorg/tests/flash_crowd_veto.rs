@@ -75,9 +75,8 @@ fn merge_waits_out_the_cooloff() {
 
     // Three disjoint attribute groups → three partitions (a disjoint
     // entity rates negative everywhere, so each group opens its own).
-    // Identical members per group: nothing for re-split (pair_diff 0) or
-    // migration (every entity already sits where it rates highest) to do,
-    // so the step's only candidate action is the cold merge.
+    // Identical members per group: nothing for re-split (pair_diff 0) to
+    // do, so the step's only candidate action is the cold merge.
     let mut next_id = 0u64;
     for g in &groups {
         for _ in 0..3 {

@@ -48,7 +48,7 @@ pub struct ServeConfig {
     pub group_commit_window: u64,
     /// Background reorganizer mode (`off` or `auto`). With `auto`, each
     /// shard's engine tracks partition heat and enacts cost-cleared
-    /// merge / re-split / migrate actions between foreground operations;
+    /// re-split / merge actions between foreground operations;
     /// `off` (the default) is provably inert — the differential test
     /// checks the WAL and snapshot bytes are identical to a build without
     /// the subsystem. Budget, hysteresis threshold and epoch length are

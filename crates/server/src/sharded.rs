@@ -500,7 +500,6 @@ impl ShardedEngine {
             let s = engine.reorg_stats();
             total.steps += s.steps;
             total.resplits += s.resplits;
-            total.migrations += s.migrations;
             total.merges += s.merges;
             total.entities_moved += s.entities_moved;
         }

@@ -50,7 +50,7 @@ pub enum Op {
     /// Run one partition merge pass.
     Merge,
     /// Run one background reorganization step on every shard (heat-driven
-    /// re-split / migrate / cold-merge, each WAL-framed as a transaction).
+    /// re-split / cold-merge, each WAL-framed as a transaction).
     Reorg,
     /// Checkpoint: fold the WAL into a fresh snapshot.
     Checkpoint,

@@ -171,7 +171,6 @@ fn split_path_is_pinned_byte_for_byte() {
             merges: 361,
             merge_moves: 798,
             reorg_resplits: 5,
-            reorg_migrations: 0,
         }
     );
 
