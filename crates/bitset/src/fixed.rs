@@ -190,42 +190,14 @@ impl BitSetOps for FixedBitSet {
         self.blocks.fill(0);
     }
 
-    fn iter_ones(&self) -> Box<dyn Iterator<Item = u32> + '_> {
-        Box::new(Ones {
-            blocks: &self.blocks,
-            current: self.blocks.first().copied().unwrap_or(0),
-            block_idx: 0,
-        })
+    fn iter_ones(&self) -> impl Iterator<Item = u32> + '_ {
+        words::iter_ones(&self.blocks)
     }
 }
 
 impl std::fmt::Debug for FixedBitSet {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_set().entries(self.iter_ones()).finish()
-    }
-}
-
-/// Iterator over set bits of a block slice, ascending.
-struct Ones<'a> {
-    blocks: &'a [u64],
-    current: u64,
-    block_idx: usize,
-}
-
-impl Iterator for Ones<'_> {
-    type Item = u32;
-
-    fn next(&mut self) -> Option<u32> {
-        while self.current == 0 {
-            self.block_idx += 1;
-            if self.block_idx >= self.blocks.len() {
-                return None;
-            }
-            self.current = self.blocks[self.block_idx];
-        }
-        let tz = self.current.trailing_zeros();
-        self.current &= self.current - 1; // clear lowest set bit
-        Some((self.block_idx * BITS) as u32 + tz)
     }
 }
 

@@ -97,7 +97,7 @@ impl BitSetOps for GrowableBitSet {
         self.inner.clear();
     }
 
-    fn iter_ones(&self) -> Box<dyn Iterator<Item = u32> + '_> {
+    fn iter_ones(&self) -> impl Iterator<Item = u32> + '_ {
         self.inner.iter_ones()
     }
 }

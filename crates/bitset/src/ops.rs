@@ -1,7 +1,9 @@
 //! The common operation set shared by all synopsis bitset representations.
 
-/// The four cardinalities one entity/partition rating needs, produced by a
-/// single fused pass over two bit sets: `|a ∧ b|`, `|a ∨ b|`, `|a|`, `|b|`.
+/// The four cardinalities one entity/partition rating needs: `|a ∧ b|`,
+/// `|a ∨ b|`, `|a|`, `|b|` — produced by a single fused pass over two bit
+/// sets, or assembled from `|a ∧ b|` and two cardinalities already known
+/// (`|a ∨ b| = |a| + |b| − |a ∧ b|`).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct FusedCounts {
     /// `|a ∧ b|` — intersection cardinality.
@@ -90,6 +92,8 @@ pub trait BitSetOps {
     /// Removes every bit set in `self` (resets to the empty set).
     fn clear(&mut self);
 
-    /// The set bits in ascending order.
-    fn iter_ones(&self) -> Box<dyn Iterator<Item = u32> + '_>;
+    /// The set bits in ascending order, as a concrete iterator (no heap box,
+    /// no virtual `next`: the indexed rating scan walks its candidates
+    /// through it on every insert).
+    fn iter_ones(&self) -> impl Iterator<Item = u32> + '_;
 }

@@ -60,19 +60,31 @@ pub fn or_into(dst: &mut [u64], src: &[u64]) {
     }
 }
 
-/// Iterator over the set bit indices of a word slice, ascending.
+/// Iterator over the set bit indices of a word slice, ascending — the one
+/// ones-walk behind every bitset's `iter_ones` as well.
 pub fn iter_ones(words: &[u64]) -> impl Iterator<Item = u32> + '_ {
-    words.iter().enumerate().flat_map(|(i, &w)| {
-        let mut w = w;
-        std::iter::from_fn(move || {
-            if w == 0 {
-                return None;
-            }
-            let tz = w.trailing_zeros();
-            w &= w - 1;
-            Some((i * crate::BITS) as u32 + tz)
-        })
-    })
+    Ones { words, current: words.first().copied().unwrap_or(0), word_idx: 0 }
+}
+
+/// The concrete iterator [`iter_ones`] returns: no box, no virtual `next`.
+struct Ones<'a> {
+    words: &'a [u64],
+    current: u64,
+    word_idx: usize,
+}
+
+impl Iterator for Ones<'_> {
+    type Item = u32;
+
+    fn next(&mut self) -> Option<u32> {
+        while self.current == 0 {
+            self.word_idx += 1;
+            self.current = *self.words.get(self.word_idx)?;
+        }
+        let tz = self.current.trailing_zeros();
+        self.current &= self.current - 1; // clear lowest set bit
+        Some((self.word_idx * crate::BITS) as u32 + tz)
+    }
 }
 
 #[cfg(test)]

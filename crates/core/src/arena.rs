@@ -5,12 +5,17 @@
 //! planner tests *every* partition for `|p ∧ q| = 0`. With per-partition
 //! heap-allocated synopses both loops pointer-chase one allocation per
 //! partition. This module packs all rating synopses into one contiguous
-//! `u64` arena (a fixed-stride row per partition, plus parallel `SegmentId`
-//! and `SIZE(p)` columns), so the scan is a linear walk over adjacent cache
-//! lines, and maintains per-attribute *partition-presence* bitmaps (one bit
-//! per arena slot) so the candidate set of an entity — and the survivor set
-//! of a query — is the OR of `|attrs|` bitmaps: `O(|q| · P/64)` words
-//! instead of `O(P · U/64)`.
+//! `u64` arena (a fixed-stride row per partition, plus parallel `SegmentId`,
+//! `SIZE(p)` and `|p|` columns), so the scan is a linear walk over adjacent
+//! cache lines, and maintains per-attribute *partition-presence* bitmaps
+//! (one bit per arena slot) so the candidate set of an entity — and the
+//! survivor set of a query — is the OR of `|attrs|` bitmaps: `O(|q| · P/64)`
+//! words instead of `O(P · U/64)`.
+//!
+//! The `|p|` column is the row's popcount, set by the one row write
+//! ([`SynopsisArena::write_row`]). A row changes only when an attribute
+//! enters or leaves its partition, so the rating scan reads `|p|` instead of
+//! recounting it, and pays one AND-popcount per row word.
 //!
 //! Both structures are maintained exactly on insert, delete, split, and
 //! merge by [`PartitionCatalog`](crate::PartitionCatalog); rows and presence
@@ -28,7 +33,8 @@ use crate::validate::InvariantViolation;
 /// Contiguous storage for partition rating synopses.
 ///
 /// Each live partition owns one *slot*: a `stride`-word row in the packed
-/// `words` buffer plus entries in the parallel `segs` / `sizes` columns.
+/// `words` buffer plus entries in the parallel `segs` / `sizes` / `cards`
+/// columns (`cards[slot]` is the popcount of the row, `|p|`).
 /// Slots of removed partitions are zeroed and recycled through a free list,
 /// so the arena stays dense under churn. The stride grows (rows re-laid out)
 /// when the attribute universe outgrows the current row width.
@@ -38,6 +44,7 @@ pub struct SynopsisArena {
     stride: usize,
     segs: Vec<SegmentId>,
     sizes: Vec<u64>,
+    cards: Vec<u32>,
     live: Vec<bool>,
     free: Vec<usize>,
 }
@@ -83,6 +90,12 @@ impl SynopsisArena {
         self.sizes[slot] = size;
     }
 
+    /// `|p|`: the number of set bits in the row of `slot`, cached by
+    /// [`write_row`](Self::write_row).
+    pub(crate) fn card(&self, slot: usize) -> u32 {
+        self.cards[slot]
+    }
+
     /// The packed synopsis row of `slot`.
     pub fn row(&self, slot: usize) -> &[u64] {
         &self.words[slot * self.stride..(slot + 1) * self.stride]
@@ -96,6 +109,7 @@ impl SynopsisArena {
             debug_assert!(self.row(slot).iter().all(|w| *w == 0));
             self.segs[slot] = seg;
             self.sizes[slot] = 0;
+            self.cards[slot] = 0;
             self.live[slot] = true;
             slot
         } else {
@@ -103,6 +117,7 @@ impl SynopsisArena {
             self.words.resize(self.words.len() + self.stride, 0);
             self.segs.push(seg);
             self.sizes.push(0);
+            self.cards.push(0);
             self.live.push(true);
             slot
         }
@@ -114,6 +129,7 @@ impl SynopsisArena {
         let stride = self.stride;
         self.words[slot * stride..(slot + 1) * stride].fill(0);
         self.sizes[slot] = 0;
+        self.cards[slot] = 0;
         self.live[slot] = false;
         self.free.push(slot);
     }
@@ -121,7 +137,8 @@ impl SynopsisArena {
     /// Overwrites the row of `slot` with the bitset words `bits` (words
     /// past their end read as zero), widening the stride if a set bit lies
     /// beyond the current row width — the catalog's one row write, taken
-    /// whenever a partition's rating synopsis may have changed.
+    /// whenever a partition's rating synopsis may have changed. Recounts the
+    /// slot's cached `|p|`.
     pub fn write_row(&mut self, slot: usize, bits: &[u64]) {
         let used = bits.iter().rposition(|w| *w != 0).map_or(0, |last| last + 1);
         if used > self.stride {
@@ -130,6 +147,7 @@ impl SynopsisArena {
         let row = &mut self.words[slot * self.stride..(slot + 1) * self.stride];
         row[..used].copy_from_slice(&bits[..used]);
         row[used..].fill(0);
+        self.cards[slot] = bits[..used].iter().map(|w| w.count_ones()).sum();
     }
 
     fn grow_stride(&mut self, new_stride: usize) {
@@ -155,17 +173,19 @@ impl SynopsisArena {
     /// Cross-checks the arena's structural invariants, returning every
     /// violation found: parallel-column lengths, packed-buffer sizing,
     /// free-list integrity (in-range, duplicate-free, dead, covering every
-    /// dead slot), and the zeroed-row / zero-size guarantee for recycled
-    /// slots that [`alloc`](Self::alloc) relies on.
+    /// dead slot), the zeroed-row / zero-size guarantee for recycled slots
+    /// that [`alloc`](Self::alloc) relies on, and the cached `|p|` of every
+    /// slot (the popcount of a live row, 0 for a dead one).
     pub fn validate(&self) -> Vec<InvariantViolation> {
         let mut out = Vec::new();
         let mut v = |detail: String| out.push(InvariantViolation::new("arena", detail));
         let slots = self.segs.len();
-        if self.sizes.len() != slots || self.live.len() != slots {
+        if self.sizes.len() != slots || self.cards.len() != slots || self.live.len() != slots {
             v(format!(
-                "parallel columns disagree: {} segs, {} sizes, {} live flags",
+                "parallel columns disagree: {} segs, {} sizes, {} cardinalities, {} live flags",
                 slots,
                 self.sizes.len(),
+                self.cards.len(),
                 self.live.len()
             ));
             return out; // Slot walks below would index out of bounds.
@@ -195,7 +215,15 @@ impl SynopsisArena {
             }
         }
         for (slot, &freed) in on_free.iter().enumerate().take(slots) {
-            if !self.live[slot] {
+            let card = self.cards[slot];
+            if self.live[slot] {
+                let ones: u32 = self.row(slot).iter().map(|w| w.count_ones()).sum();
+                if card != ones {
+                    v(format!(
+                        "live slot {slot} caches cardinality {card} but its row holds {ones} bits"
+                    ));
+                }
+            } else {
                 if !freed {
                     v(format!("dead slot {slot} is missing from the free list"));
                 }
@@ -207,6 +235,9 @@ impl SynopsisArena {
                         "dead slot {slot} has non-zero size {}",
                         self.sizes[slot]
                     ));
+                }
+                if card != 0 {
+                    v(format!("dead slot {slot} has non-zero cardinality {card}"));
                 }
             }
         }
@@ -328,12 +359,14 @@ mod tests {
         assert_eq!((s0, s1), (0, 1));
         a.write_row(s0, &[1 << 5]);
         a.set_size(s0, 7);
+        assert_eq!(a.card(s0), 1);
         a.release(s0);
         // The recycled row comes back zeroed.
         let s2 = a.alloc(SegmentId(2));
         assert_eq!(s2, s0);
         assert!(a.row(s2).iter().all(|w| *w == 0));
         assert_eq!(a.size(s2), 0);
+        assert_eq!(a.card(s2), 0);
         assert_eq!(a.seg(s2), SegmentId(2));
         assert_eq!(a.live_slots().collect::<Vec<_>>(), vec![0, 1]);
     }
@@ -351,8 +384,10 @@ mod tests {
         assert_eq!(a.row(s0), &[1 << 3, 0, 0, 0]);
         assert_eq!(a.row(s1)[0], 1 << 63);
         assert_eq!(a.row(s1)[3], 1 << (200 - 192));
+        assert_eq!((a.card(s0), a.card(s1)), (1, 2), "a relayout keeps the cached |p|");
         a.write_row(s1, &[1 << 63]);
         assert_eq!(a.row(s1)[3], 0, "a shorter row clears the words past it");
+        assert_eq!(a.card(s1), 1);
         // Trailing zero words never widen the stride.
         a.write_row(s0, &[1 << 3, 0, 0, 0, 0, 0, 0, 0, 0]);
         assert_eq!(a.stride(), 4);
@@ -389,6 +424,7 @@ mod tests {
             f(&mut a);
             let report = crate::validate::render(&a.validate());
             assert!(report.contains(needle), "wanted {needle:?} in:\n{report}");
+            report
         };
         corrupted(|a| a.free.push(99), "free list entry 99 out of range");
         corrupted(|a| a.free.push(0), "slot 0 appears twice on the free list");
@@ -396,6 +432,15 @@ mod tests {
         corrupted(|a| a.free.clear(), "dead slot 0 is missing from the free list");
         corrupted(|a| a.words[0] = 0b100, "dead slot 0 has a non-zero synopsis row");
         corrupted(|a| a.sizes[0] = 7, "dead slot 0 has non-zero size 7");
+        // The cached |p| is checked on its own: each report is exactly one line.
+        assert_eq!(
+            corrupted(|a| a.cards[1] = 5, "live slot 1"),
+            "[arena] live slot 1 caches cardinality 5 but its row holds 0 bits"
+        );
+        assert_eq!(
+            corrupted(|a| a.cards[0] = 2, "dead slot 0"),
+            "[arena] dead slot 0 has non-zero cardinality 2"
+        );
         corrupted(|a| a.live.pop().map_or((), |_| ()), "parallel columns disagree");
         corrupted(|a| a.words.push(0), "packed buffer holds 3 words");
     }

@@ -5,9 +5,11 @@ use cind_model::Synopsis;
 
 /// The raw ingredients of one entity/partition rating.
 ///
-/// All four set cardinalities come from a *single* fused word pass over the
-/// synopses ([`Synopsis::fused`] or the arena's word kernel); sizes come
-/// from the partition catalog.
+/// All four set cardinalities come either from a *single* fused word pass
+/// over the synopses ([`Synopsis::fused`], the reference) or from the
+/// catalog's scan kernel: one AND-popcount per word plus the cached `|p|`
+/// and the once-counted `|e|`, the same integers. Sizes come from the
+/// partition catalog.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub struct RatingInputs {
     /// `SIZE(e)`.

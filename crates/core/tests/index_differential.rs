@@ -19,16 +19,28 @@
 //! bit with the entity plus the zero-size ones. Survivors equal the oracle
 //! set on exact storage and contain it on tiered; the frozen
 //! `PruningSnapshot` answers exactly like the live index in both.
+//!
+//! Both of those paths run the catalog's rating kernel, so a third property
+//! checks all three scans (`best_partition`, `best_sweep`, `best_among`)
+//! against the definition: a brute-force argmax of `rating::rate` — the
+//! fused four-count reference — over every partition's rating synopsis,
+//! compared as `(segment, rating bits)`.
 
 use cind_model::{EntityId, Synopsis};
 use cind_storage::SegmentId;
+use cinderella_core::rating::rate;
 use cinderella_core::{IndexTier, PartitionCatalog, SynopsisMode};
 use proptest::prelude::*;
 
 const UNIVERSE: usize = 24;
+/// Attribute span of the definition property's probes: five words, past
+/// every arena stride the members can grow.
+const SPAN: usize = 320;
+/// A member attribute that widens the arena stride to two words.
+const GROW: u32 = 70;
 
 fn syn(bits: &[u32]) -> Synopsis {
-    Synopsis::from_bits(UNIVERSE, bits.iter().copied())
+    Synopsis::from_bits(SPAN, bits.iter().copied())
 }
 
 /// One randomized catalog history, replayed identically on any tier.
@@ -132,6 +144,43 @@ fn build(script: &Script, mode: &SynopsisMode, tier: IndexTier) -> PartitionCata
     cat
 }
 
+/// A workload for the definition property: the random `queries`, 64
+/// queries over attributes no member carries, then `{GROW}` — a rating bit
+/// ≥ 64 for any partition holding `GROW`, and rating bits past a one-word
+/// stride for probes carrying the filler attributes.
+fn wide_workload(queries: &[Vec<u32>]) -> SynopsisMode {
+    let mut qs: Vec<Synopsis> = queries.iter().map(|q| syn(q)).collect();
+    qs.extend((0..64).map(|k| syn(&[UNIVERSE as u32 + 4 * k + 1])));
+    qs.push(syn(&[GROW]));
+    SynopsisMode::WorkloadBased(qs)
+}
+
+/// `(segment, rating bits)`: ratings compared bit for bit.
+fn key(best: Option<(SegmentId, f64)>) -> Option<(SegmentId, u64)> {
+    best.map(|(seg, r)| (seg, r.to_bits()))
+}
+
+/// The definition's argmax over `segs`, in the order given: the first
+/// maximal `rate(w, e, SIZE(e), rating synopsis of p, SIZE(p))` wins ties.
+fn definition(
+    cat: &PartitionCatalog,
+    segs: impl Iterator<Item = SegmentId>,
+    e: &Synopsis,
+    size: u64,
+    w: f64,
+) -> Option<(SegmentId, f64)> {
+    let mut best: Option<(SegmentId, f64)> = None;
+    for seg in segs {
+        let Some(meta) = cat.get(seg) else { continue };
+        let p = cat.rating_synopsis(seg).expect("cataloged");
+        let r = rate(w, e, size, &p, meta.size);
+        if best.is_none_or(|(_, rb)| rb < r) {
+            best = Some((seg, r));
+        }
+    }
+    best
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -179,18 +228,18 @@ proptest! {
                     let (b, rated) = cat.best_partition(&e, *size, w);
                     prop_assert_eq!(swept as usize, cat.len());
                     prop_assert!(rated <= swept);
-                    let (sa, ra) = a.expect("catalog never empty");
-                    let (sb, rb) = b.expect("catalog never empty");
+                    let (sa, ra) = a.expect("the sweep rates every partition of a non-empty catalog");
                     if ra >= 0.0 {
                         prop_assert_eq!(
-                            (sa, ra), (sb, rb),
+                            Some((sa, ra)), b,
                             "{:?} {} probe {:?} size {} w {}", mode, tier, attrs, size, w
                         );
                     } else {
+                        // No candidate at all (`None`) is a negative best too.
                         prop_assert!(
-                            rb < 0.0,
-                            "{:?} {} probe {:?} w {}: sweep {} vs indexed {}",
-                            mode, tier, attrs, w, ra, rb
+                            b.is_none_or(|(_, rb)| rb < 0.0),
+                            "{:?} {} probe {:?} w {}: sweep {} vs indexed {:?}",
+                            mode, tier, attrs, w, ra, b
                         );
                     }
                     if tier == IndexTier::Exact {
@@ -258,6 +307,81 @@ proptest! {
                 }
                 prop_assert_eq!(pruned, cat.len() - survivors.len());
                 prop_assert_eq!(frozen.survivors(&q), (survivors, pruned));
+            }
+        }
+    }
+
+    #[test]
+    fn every_scan_matches_the_rating_definition(
+        nparts in 1usize..8,
+        entities in prop::collection::vec(
+            (
+                prop::collection::vec(0u32..UNIVERSE as u32, 0..5),
+                0u64..4,
+                any::<prop::sample::Index>(),
+            ),
+            1..60,
+        ),
+        grow in prop::option::of(any::<prop::sample::Index>()),
+        removals in prop::collection::vec(
+            (any::<prop::sample::Index>(), any::<prop::sample::Index>()),
+            0..12,
+        ),
+        splits in prop::collection::vec(any::<prop::sample::Index>(), 0..3),
+        probes in prop::collection::vec(
+            (
+                prop::collection::vec(
+                    prop_oneof![3 => 0u32..UNIVERSE as u32, 1 => UNIVERSE as u32..SPAN as u32],
+                    0..6,
+                ),
+                0u64..4,
+            ),
+            1..6,
+        ),
+        targets in prop::collection::vec(any::<prop::sample::Index>(), 0..6),
+        queries in prop::collection::vec(prop::collection::vec(0u32..UNIVERSE as u32, 1..4), 0..5),
+    ) {
+        let mut entities = entities;
+        if let Some(at) = grow {
+            // One member widens the stride mid-history; later removals
+            // and splits recycle slots under the wider layout.
+            let at = at.index(entities.len());
+            entities[at].0.push(GROW);
+        }
+        let script = Script { nparts, entities, removals, splits };
+        let modes = [SynopsisMode::EntityBased, wide_workload(&queries)];
+        let cases = modes.iter().flat_map(|m| [(m, IndexTier::Exact), (m, IndexTier::Tiered)]);
+        for (mode, tier) in cases {
+            let cat = build(&script, mode, tier);
+            let segs: Vec<SegmentId> = cat.iter().map(|m| m.segment).collect();
+            // Targets in pick order, repeats allowed, plus one segment the
+            // catalog never held (skipped by `best_among`).
+            let mut among: Vec<SegmentId> = targets.iter().map(|t| segs[t.index(segs.len())]).collect();
+            among.push(SegmentId(u32::MAX));
+            for (attrs, size) in &probes {
+                let e = mode.rating_of(&syn(attrs)).into_owned();
+                for w in [0.0, 0.3, 1.0] {
+                    let ctx = format!("{mode:?} {tier} probe {attrs:?} size {size} w {w}");
+                    let want = definition(&cat, segs.iter().copied(), &e, *size, w);
+                    let (swept, _) = cat.best_sweep(&e, *size, w);
+                    prop_assert_eq!(key(swept), key(want), "sweep: {}", ctx);
+
+                    let (indexed, _) = cat.best_partition(&e, *size, w);
+                    if want.is_some_and(|(_, r)| r >= 0.0) {
+                        prop_assert_eq!(key(indexed), key(want), "indexed: {}", ctx);
+                    } else if let Some((seg, r)) = indexed {
+                        // A negative best may be any candidate, but its
+                        // rating is still the definition's.
+                        prop_assert!(r < 0.0, "indexed: {}", ctx);
+                        let own = definition(&cat, [seg].into_iter(), &e, *size, w);
+                        prop_assert_eq!(key(indexed), key(own), "indexed: {}", ctx);
+                    }
+
+                    let (picked, rated) = cat.best_among(&among, &e, *size, w);
+                    let want = definition(&cat, among.iter().copied(), &e, *size, w);
+                    prop_assert_eq!(key(picked), key(want), "among {:?}: {}", among, ctx);
+                    prop_assert_eq!(rated as usize, among.len() - 1, "among: {}", ctx);
+                }
             }
         }
     }
