@@ -12,7 +12,7 @@
 //! single-hardware-thread host (this container) fan-out legs run inline,
 //! so the sweep instead bounds the *sharding tax* — shards > 1 must stay
 //! within noise of shards = 1.
-//! An overload shape (1 worker, depth-1 queue, 8 pushers, 4 shards) rides
+//! An overload shape (in-flight bound 1, 8 pushers, 4 shards) rides
 //! along to keep admission control measured under the sharded engine.
 //!
 //! Run with `cargo bench -p cind-bench --bench serve`. Not a criterion
@@ -37,15 +37,13 @@ struct Scenario {
 
 fn scenarios() -> Vec<Scenario> {
     let mut out = Vec::new();
-    // Workers fixed at 4 — the shape PR 4 measured — so the sweep
-    // isolates the effect of the shard count alone and the PR 4 numbers
-    // stay directly comparable.
+    // Queue depth fixed at 64, so the sweep isolates the effect of the
+    // shard count alone.
     for &shards in &[1usize, 2, 4, 8] {
         for &connections in &[1usize, 4, 8] {
             out.push(Scenario {
                 name: format!("shards_{shards}_connections_{connections}"),
                 serve: ServeConfig {
-                    workers: 4,
                     queue_depth: 64,
                     shards,
                     ..ServeConfig::default()
@@ -54,12 +52,12 @@ fn scenarios() -> Vec<Scenario> {
             });
         }
     }
-    // Deliberate overload: one worker, depth-1 queue, eight pushers —
+    // Deliberate overload: one request in flight, eight pushers —
     // measures that admission control still sheds instead of stalling
     // when the engine underneath is sharded.
     out.push(Scenario {
         name: "overload_queue_1".to_string(),
-        serve: ServeConfig { workers: 1, queue_depth: 1, shards: 4, ..ServeConfig::default() },
+        serve: ServeConfig { queue_depth: 1, shards: 4, ..ServeConfig::default() },
         load: LoadConfig { connections: 8, entities: 2_000, ..LoadConfig::default() },
     });
     out

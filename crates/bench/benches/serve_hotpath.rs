@@ -10,13 +10,13 @@
 //!   `shards_4_connections_8`): the same server shape driven closed-loop,
 //!   pipelined (16 in flight), and batched (32 inserts per frame) —
 //!   isolates the wire-level wins (frames per `read`/`write` syscall,
-//!   one response flush per drained queue batch);
+//!   one response write per socket read);
 //! * **durable** (on-disk sharded store): the same shapes with the
 //!   group-commit window at 0 vs 4000 µs, reading the server's
 //!   [`IoCounters`] after each run so `wal_syncs` per op and socket
 //!   syscalls per frame are recorded, not inferred.
 //!
-//! An overload shape (1 worker, depth-8 queue, 8 pipelined pushers)
+//! An overload shape (in-flight bound 8, 8 pipelined pushers)
 //! rides along: pipelining pushes admission control harder than a
 //! closed loop ever can, and the shed rate must stay a rate, not a
 //! stall.
@@ -54,13 +54,13 @@ fn shape(
     durable: bool,
 ) -> Scenario {
     // Pipelined shapes keep 8 × 16 = 128 frames in flight; the admission
-    // queue must be deeper than that or the bench measures artificial
+    // bound must be above that or the bench measures artificial
     // sheds, not the hot path (the dedicated overload scenario measures
     // shedding on purpose).
     let queue_depth = if pipeline > 1 { 256 } else { 64 };
     Scenario {
         name: name.to_string(),
-        serve: ServeConfig { workers: 4, queue_depth, shards: 4, ..ServeConfig::default() },
+        serve: ServeConfig { queue_depth, shards: 4, ..ServeConfig::default() },
         load: LoadConfig {
             connections: 8,
             entities: 4_000,
@@ -101,10 +101,10 @@ fn scenarios() -> Vec<Scenario> {
         shape("durable_w4000_pipelined_16", 16, 1, 0, 4_000, true),
     ];
     // Deliberate overload under pipelining: 8 connections each keeping 16
-    // frames in flight against one worker and a depth-8 queue.
+    // frames in flight against an in-flight bound of 8.
     out.push(Scenario {
         name: "overload_pipelined".to_string(),
-        serve: ServeConfig { workers: 1, queue_depth: 8, shards: 4, ..ServeConfig::default() },
+        serve: ServeConfig { queue_depth: 8, shards: 4, ..ServeConfig::default() },
         load: LoadConfig { connections: 8, entities: 2_000, pipeline: 16, ..LoadConfig::default() },
         window_us: 0,
         durable: false,

@@ -23,8 +23,8 @@ USAGE:
   cind stats --snapshot TABLE.cind
   cind merge --snapshot TABLE.cind [--threshold T]
   cind check --snapshot TABLE.cind
-  cind serve --store DIR [--port P] [--workers N] [--queue-depth K]
-             [--pool-pages N] [--shards N] [--group-commit-window USEC]
+  cind serve --store DIR [--port P] [--queue-depth K] [--pool-pages N]
+             [--shards N] [--group-commit-window USEC]
              [--reorg off|auto] [--tier exact|tiered|auto]
   cind workload --remote HOST:PORT [--connections N] [--entities N]
              [--attributes N] [--query-every K] [--seed S]
@@ -54,9 +54,10 @@ structural invariant validation (exit status 1 on violations).
 serve opens (or creates) a store directory — snapshot + write-ahead log —
 and serves it over a length-prefixed binary protocol on loopback until a
 client sends Shutdown: --port 0 picks a free port (printed on startup),
---workers sizes the request worker pool, --queue-depth bounds the
-admission-control queue (a full queue answers Busy instead of stalling),
-and --pool-pages sizes the buffer pool. --shards splits the store into N
+each connection's own thread executes the requests it reads,
+--queue-depth bounds the requests admitted but not yet answered across
+all connections (one more is answered Busy instead of stalling), and
+--pool-pages sizes the buffer pool. --shards splits the store into N
 independent shards (own writer lock, WAL, and snapshot under
 shard-NNNN/); writes hash-route to one shard, queries fan out one scan
 per shard, and the on-disk MANIFEST pins the count for the store's
@@ -200,7 +201,6 @@ fn run() -> Result<String, CliError> {
         "serve" => {
             let cfg = cind_server::ServeConfig {
                 port: args.get("port", 0u16)?,
-                workers: args.get("workers", 4)?,
                 queue_depth: args.get("queue-depth", 64)?,
                 pool_pages: args.get("pool-pages", 1024)?,
                 shards: args.get("shards", 1)?,

@@ -279,8 +279,8 @@ impl Client {
         })
     }
 
-    /// Health check; the server worker sleeps `delay_ms` before
-    /// answering. Subject to admission control like any other request.
+    /// Health check; the connection's server thread sleeps `delay_ms`
+    /// before answering. Subject to admission control like any other request.
     ///
     /// # Errors
     /// [`ServerError::Busy`] when shed; transport failures.

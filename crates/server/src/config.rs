@@ -11,14 +11,18 @@ pub struct ServeConfig {
     /// TCP port to listen on (loopback only); `0` asks the OS for a free
     /// port — read it back from [`crate::ServerHandle::port`].
     pub port: u16,
-    /// Worker threads draining the request queue. Writes serialise per
-    /// *shard* (each shard has its own writer lock), so with `shards > 1`
-    /// extra workers buy genuine write concurrency, not just read
-    /// concurrency; clamped to at least 1.
+    /// Accepted and ignored: each connection's own thread executes the
+    /// frames it reads, so there is no worker pool to size. The field is
+    /// still here because `benchmark/src/harness.rs` names it in a struct
+    /// literal; it goes when the next `[benchmark]` PR drops that mention.
+    #[doc(hidden)]
     pub workers: usize,
-    /// Bound on the shared request queue — the admission-control knob. A
-    /// request arriving while `queue_depth` others wait is answered
-    /// [`crate::Response::Busy`] immediately instead of queueing (load
+    /// Bound on the frames admitted but not yet answered, across all
+    /// connections — the admission-control knob. A frame is admitted when
+    /// its connection decodes it and released once the answers of the
+    /// read that carried it are written; a frame decoded while
+    /// `queue_depth` others are in flight is answered
+    /// [`crate::Response::Busy`] immediately instead of waiting (load
     /// shedding keeps latency bounded under overload). Clamped to at
     /// least 1.
     pub queue_depth: usize,
@@ -80,12 +84,6 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// `workers`, clamped to the documented minimum.
-    #[must_use]
-    pub fn effective_workers(&self) -> usize {
-        self.workers.max(1)
-    }
-
     /// `queue_depth`, clamped to the documented minimum.
     #[must_use]
     pub fn effective_queue_depth(&self) -> usize {
@@ -107,7 +105,6 @@ mod tests {
     fn defaults_are_sane() {
         let c = ServeConfig::default();
         assert_eq!(c.port, 0);
-        assert!(c.effective_workers() >= 1);
         assert!(c.effective_queue_depth() >= 1);
         // Group commit is opt-in: the default must keep the strictly
         // per-commit fsync discipline.
@@ -117,12 +114,10 @@ mod tests {
     #[test]
     fn zero_knobs_are_clamped() {
         let c = ServeConfig {
-            workers: 0,
             queue_depth: 0,
             shards: 0,
             ..ServeConfig::default()
         };
-        assert_eq!(c.effective_workers(), 1);
         assert_eq!(c.effective_queue_depth(), 1);
         assert_eq!(c.effective_shards(), 1);
     }

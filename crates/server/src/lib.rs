@@ -17,13 +17,15 @@
 //!   that coalesces them into one buffered append and one fsync
 //!   (leader/follower handoff), without weakening the ack-after-durable
 //!   contract.
-//! * [`server`] — pipelined per-connection readers (buffered multi-frame
-//!   decode) feeding a fixed worker pool with connection affinity and
-//!   sequence-ordered batched response writes; when the global queue
-//!   bound is hit the reader answers [`protocol::Response::Busy`] instead
-//!   of stalling (admission control / load shedding), and graceful
-//!   shutdown stops accepting, drains in-flight work, flushes the WAL,
-//!   snapshots, and runs the full structural validation before exit.
+//! * [`server`] — one thread per connection: it decodes every complete
+//!   frame a socket read delivered, executes them in frame order, and
+//!   writes all their answers with one write, so responses are in request
+//!   order by construction. When the global in-flight bound is hit a frame
+//!   is answered [`protocol::Response::Busy`] in its slot instead of
+//!   waiting (admission control / load shedding), and graceful shutdown
+//!   stops accepting, answers what was read, joins every connection
+//!   thread, flushes the WAL, snapshots, and runs the full structural
+//!   validation before exit.
 //! * [`client`] — a blocking request/reply client library, with an
 //!   explicit pipelined mode (K requests in flight per connection) and
 //!   typed batch calls.

@@ -67,9 +67,10 @@ pub enum Request {
     Validate,
     /// Graceful shutdown: stop accepting, drain, flush, validate.
     Shutdown,
-    /// Health check; the server's worker sleeps `delay_ms` before
-    /// answering [`Response::Pong`]. The delay exists so tests can pin a
-    /// worker deterministically and observe admission control.
+    /// Health check; the connection's server thread sleeps `delay_ms`
+    /// before answering [`Response::Pong`]. The delay exists so tests can
+    /// keep a request in flight deterministically and observe admission
+    /// control.
     Ping(u64),
     /// Insert a batch of entities in one frame: the server routes them per
     /// shard in one pass and amortises the writer-lock handoff and group

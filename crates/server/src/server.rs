@@ -1,82 +1,72 @@
-//! The TCP serving loop: accept thread, pipelined per-connection readers,
-//! a fixed worker pool with connection affinity, and the shutdown
-//! machinery.
+//! The TCP serving loop: the accept thread, one thread per connection that
+//! reads, executes and answers its own frames, and the shutdown machinery.
 //!
 //! # Threading model
 //!
 //! ```text
-//! accept thread ──spawns──▶ reader thread (one per connection)
-//!                               │ one read() → drain *all* complete frames
-//!                               │ admit → per-connection job queue
-//!                               │        │ full globally → answer Busy
-//!                               ▼        ▼
-//!                    ready queue (connections with pending jobs)
-//!                               │
-//!                   worker pool (cfg.workers threads)
-//!                               │ claims a connection, drains its batch,
-//!                               │ engine.answer_frame(req) per job
+//! accept thread ──spawns──▶ connection thread (one per connection)
+//!                               │ one read() → decode *all* complete frames
+//!                               │ admit each: in-flight bound hit → Busy
 //!                               ▼
-//!                 seq-ordered response writer (one write() per batch)
+//!                 answer in frame order into one buffer
+//!                   run of Inserts → engine.insert_batch
+//!                   IoCounters     → engine + socket counters
+//!                   anything else  → engine.answer_frame
+//!                               │
+//!                               ▼
+//!                     one write_all() per read
 //! ```
 //!
-//! **Pipelining.** A client may send any number of frames without waiting;
-//! the reader performs buffered multi-frame decode — every complete frame
-//! in one socket `read` is decoded and enqueued before the next syscall —
-//! so one syscall round-trip carries many requests. Each frame gets a
-//! per-connection sequence number at decode time, and *every* response
-//! (real result, `Busy` shed, malformed-body error, shutting-down error)
-//! flows through the connection's sequencer, which releases responses in
-//! frame order and writes consecutive ready responses with a single
-//! `write` call. Clients therefore always receive responses in request
-//! order, pipelined or not.
+//! **Pipelining.** A client may send any number of frames without waiting.
+//! Every complete frame one socket `read` delivered is decoded before any
+//! is answered, and the answers to all of them — real results, `Busy`
+//! sheds, malformed-body errors, shutting-down errors — leave in one
+//! `write`. The thread that read a frame answers it, in the order it read
+//! them, so clients receive responses in request order by construction:
+//! there is no hand-off between threads and nothing to reorder.
 //!
-//! **Connection affinity.** The shared queue holds *connections with
-//! pending jobs*, not individual jobs: a worker claims a connection,
-//! drains its whole backlog as one batch, answers the batch with one
-//! buffered write, and returns the connection to the pool only when its
-//! queue is empty. Jobs from one connection never execute concurrently or
-//! out of order, which is what makes per-connection response sequencing
-//! sound; different connections spread across the pool as before. The
-//! *global* job count is still bounded by `queue_depth` — a request
-//! arriving while that many are queued is answered [`Response::Busy`]
-//! immediately (admission control unchanged from the unpipelined server).
+//! **Admission control.** [`ServeConfig::queue_depth`] bounds the frames
+//! admitted but not yet answered, across all connections. A frame is
+//! admitted when it is decoded and released once its read's answers are
+//! written; a frame decoded while the bound is full is answered
+//! [`Response::Busy`] in its slot.
 //!
 //! # Shutdown
 //!
 //! *Graceful* ([`ServerHandle::shutdown`] or a wire [`Request::Shutdown`]):
-//! stop accepting, refuse new requests (typed `ShuttingDown` error), let
-//! the workers drain everything already queued, then flush the WAL through
-//! the group-commit coordinators, write a checkpoint snapshot, and run the
-//! full structural validation — the report is returned from
-//! [`ServerHandle::join`]. A wire `Shutdown` is acked *in sequence*: the
-//! ack never overtakes responses to requests the same connection sent
-//! before it.
+//! stop accepting, refuse new requests (typed `ShuttingDown` error), answer
+//! every frame already read, join every connection thread, then flush the
+//! WAL through the group-commit coordinators, write a checkpoint snapshot,
+//! and run the full structural validation — the report is returned from
+//! [`ServerHandle::join`]. A wire `Shutdown` is acked in its slot: after the
+//! answers to everything the same connection sent before it.
 //!
 //! *Hard kill* ([`ServerHandle::hard_kill`]): stop everything as fast as
-//! possible and skip the flush/checkpoint/validate entirely. This is the
-//! crash lever for recovery tests — whatever reached the WAL survives,
-//! everything else is lost, exactly like `SIGKILL`.
+//! possible and skip the flush/checkpoint/validate entirely. A connection
+//! thread abandons its read's remaining frames between two frames and
+//! writes nothing. This is the crash lever for recovery tests — whatever
+//! reached the WAL survives, everything else is lost, exactly like
+//! `SIGKILL`.
+//!
+//! Connection threads hold the engine, so the handle owns them: teardown
+//! shuts each connection's socket (the read half on graceful shutdown, both
+//! halves on a hard kill) to wake a blocked `read`, and joins the thread
+//! before anything else touches the engine.
 //!
 //! No socket or file is ever flushed/synced here — durability belongs to
 //! the commit coordinator alone (audit rule CIND-A007).
 
-use std::collections::{BTreeMap, VecDeque};
 use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use crate::protocol::{
     decode_request, encode_response, frame, split_frame, ErrorCode, Request, Response,
 };
 use crate::sharded::ShardedEngine;
 use crate::{ServeConfig, ServerError};
-
-/// How often idle workers re-check the drain/kill flags.
-const WORKER_POLL: Duration = Duration::from_millis(25);
 
 /// Reader buffer growth per socket `read` call.
 const READ_CHUNK: usize = 64 * 1024;
@@ -100,18 +90,19 @@ struct NetCounters {
 
 /// Flags shared by every thread of one server instance.
 struct Shared {
-    /// Set first on any shutdown path: the accept loop exits and readers
-    /// refuse new requests.
+    /// Set first on any shutdown path: the accept loop exits and
+    /// connection threads refuse new requests.
     closing: AtomicBool,
-    /// Set only on [`ServerHandle::hard_kill`]: workers abandon queued
-    /// jobs instead of draining them.
+    /// Set only on [`ServerHandle::hard_kill`]: connection threads abandon
+    /// admitted frames instead of answering them.
     killed: AtomicBool,
     /// Signalled when shutdown is requested (by the handle or by a wire
     /// `Shutdown` request); [`ServerHandle::join`] waits on it.
     requested: Mutex<bool>,
     cond: Condvar,
-    /// Jobs currently queued across all connections; the admission gate.
-    queued: AtomicUsize,
+    /// Frames admitted but not yet answered, across all connections; the
+    /// admission gate.
+    in_flight: AtomicUsize,
     /// The admission bound ([`ServeConfig::queue_depth`]).
     depth: usize,
     net: NetCounters,
@@ -143,50 +134,29 @@ impl Shared {
         }
     }
 
-    /// Admission control: reserve one queue slot, or refuse (`Busy`).
+    /// Admission control: reserve one in-flight slot, or refuse (`Busy`).
     fn try_admit(&self) -> bool {
-        let prev = self.queued.fetch_add(1, Ordering::SeqCst);
+        let prev = self.in_flight.fetch_add(1, Ordering::SeqCst);
         if prev >= self.depth {
-            self.queued.fetch_sub(1, Ordering::SeqCst);
+            self.in_flight.fetch_sub(1, Ordering::SeqCst);
             return false;
         }
         true
     }
 }
 
-/// The sequencer half of one connection: responses keyed by the sequence
-/// number their request frame was assigned, released strictly in order.
-/// The socket itself lives outside this mutex ([`Conn::stream`]) so the
-/// actual `write` syscall never runs under the sequencer lock.
-struct OutState {
-    /// The next sequence number the client is owed.
-    next_seq: u64,
-    /// Completed-but-not-yet-writable responses (framed bytes).
-    pending: BTreeMap<u64, Vec<u8>>,
-    /// Whether some thread currently owns the stream for writing. Set and
-    /// cleared under the lock: at most one writer at a time, so released
-    /// batches hit the socket in sequence order even when the reader
-    /// thread (Busy/Malformed/Shutdown answers) races a draining worker.
-    writing: bool,
+/// One connection thread and a clone of its socket: teardown shuts the
+/// socket to wake a blocked `read`, then joins the thread.
+struct Reader {
+    socket: TcpStream,
+    thread: JoinHandle<()>,
 }
 
-/// The per-connection job queue plus its scheduling state.
-struct ConnQueue {
-    jobs: VecDeque<(u64, Request)>,
-    /// Whether a ready-queue token for this connection is outstanding
-    /// (in the channel or held by a draining worker). Guarded by the same
-    /// mutex as `jobs` so enqueue/claim cannot race into a lost wakeup.
-    scheduled: bool,
-}
-
-/// One live connection, shared by its reader thread and whichever worker
-/// currently holds its token.
-struct Conn {
-    /// Writer half of the socket; guarded by `OutState::writing`, not a
-    /// mutex, so writes proceed without holding the sequencer lock.
-    stream: TcpStream,
-    out: Mutex<OutState>,
-    jobs: Mutex<ConnQueue>,
+/// What one decoded frame gets: run against the engine, or an answer
+/// settled at decode (`Busy`, `Malformed`, `ShuttingDown`, `ShutdownAck`).
+enum Slot {
+    Run(Request),
+    Answer(Response),
 }
 
 /// Namespace for [`Server::start`].
@@ -194,7 +164,7 @@ pub struct Server;
 
 impl Server {
     /// Binds `127.0.0.1:{cfg.port}` (port `0` = OS-assigned) and starts
-    /// the accept loop and worker pool over `engine`.
+    /// the accept loop over `engine`.
     ///
     /// # Errors
     /// Socket bind/inspect failures.
@@ -209,31 +179,17 @@ impl Server {
             killed: AtomicBool::new(false),
             requested: Mutex::new(false),
             cond: Condvar::new(),
-            queued: AtomicUsize::new(0),
+            in_flight: AtomicUsize::new(0),
             depth: cfg.effective_queue_depth(),
             net: NetCounters::default(),
         });
 
-        let (tx, rx) = std::sync::mpsc::channel::<Arc<Conn>>();
-        let rx = Arc::new(Mutex::new(rx));
-
-        let mut workers = Vec::with_capacity(cfg.effective_workers());
-        for i in 0..cfg.effective_workers() {
-            let engine = Arc::clone(&engine);
-            let rx = Arc::clone(&rx);
-            let shared = Arc::clone(&shared);
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("cind-worker-{i}"))
-                    .spawn(move || worker_loop(&engine, &rx, &shared))?,
-            );
-        }
-
         let accept = {
+            let engine = Arc::clone(&engine);
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("cind-accept".to_string())
-                .spawn(move || accept_loop(&listener, &tx, &shared))?
+                .spawn(move || accept_loop(&listener, &engine, &shared))?
         };
 
         Ok(ServerHandle {
@@ -241,7 +197,6 @@ impl Server {
             port,
             shared,
             accept: Some(accept),
-            workers,
         })
     }
 }
@@ -253,8 +208,8 @@ pub struct ServerHandle {
     engine: Arc<ShardedEngine>,
     port: u16,
     shared: Arc<Shared>,
-    accept: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    /// The accept thread; it returns the connection threads it started.
+    accept: Option<JoinHandle<Vec<Reader>>>,
 }
 
 impl ServerHandle {
@@ -278,374 +233,250 @@ impl ServerHandle {
 
     /// Waits until shutdown is requested (via [`ServerHandle::shutdown`]
     /// or a wire [`Request::Shutdown`]), then tears down gracefully:
-    /// stops accepting, drains the queued requests, joins the workers,
-    /// then flushes, checkpoints, and validates every shard.
+    /// stops accepting, lets every connection thread answer the frames it
+    /// has read and joins it, then flushes, checkpoints, and validates
+    /// every shard.
     ///
     /// # Errors
     /// WAL-flush / snapshot failures during the final checkpoint.
     pub fn join(mut self) -> Result<ShutdownReport, ServerError> {
         self.shared.wait_requested();
-        self.stop_threads();
+        self.stop_threads(Shutdown::Read);
         self.engine.flush_wal()?;
         self.engine.checkpoint()?;
         let violations = self.engine.validate()?;
         Ok(ShutdownReport { violations })
     }
 
-    /// Crash-stops the server: abandon queued requests, skip the WAL
+    /// Crash-stops the server: abandon admitted requests, skip the WAL
     /// flush, checkpoint, and validation. Only what already reached the
     /// WAL survives — the lever for recovery tests.
     pub fn hard_kill(mut self) {
         self.shared.killed.store(true, Ordering::SeqCst);
         self.shared.request_shutdown();
-        self.stop_threads();
+        self.stop_threads(Shutdown::Both);
     }
 
-    fn stop_threads(&mut self) {
+    /// Stops accepting, then shuts every connection's socket (`how`) and
+    /// joins its thread. The read half alone lets a thread still write
+    /// the answers to what it has read before it finds end of stream.
+    fn stop_threads(&mut self, how: Shutdown) {
         self.shared.closing.store(true, Ordering::SeqCst);
         // Poke the blocking accept() so the accept thread observes the
         // flag even if no client ever connects again.
         let _ = TcpStream::connect(("127.0.0.1", self.port));
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
+        let readers = self
+            .accept
+            .take()
+            .map(|accept| accept.join().unwrap_or_default())
+            .unwrap_or_default();
+        for r in &readers {
+            let _ = r.socket.shutdown(how);
         }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
+        for r in readers {
+            let _ = r.thread.join();
         }
     }
 }
 
-fn accept_loop(listener: &TcpListener, tx: &Sender<Arc<Conn>>, shared: &Arc<Shared>) {
+fn accept_loop(
+    listener: &TcpListener,
+    engine: &Arc<ShardedEngine>,
+    shared: &Arc<Shared>,
+) -> Vec<Reader> {
+    let mut readers: Vec<Reader> = Vec::new();
     loop {
         match listener.accept() {
             Ok((stream, _)) => {
                 if shared.closing() {
-                    return; // the poke connection, or a late client
+                    return readers; // the poke connection, or a late client
                 }
-                let tx = tx.clone();
+                // A thread that has exited has nothing left to join.
+                readers.retain(|r| !r.thread.is_finished());
+                let Ok(socket) = stream.try_clone() else { continue };
+                let engine = Arc::clone(engine);
                 let shared = Arc::clone(shared);
-                // Readers are detached: they exit when their connection
-                // closes, and never outlive usefulness because they only
-                // touch the ready queue and their own socket.
                 let spawned = std::thread::Builder::new()
                     .name("cind-reader".to_string())
-                    .spawn(move || reader_loop(stream, &tx, &shared));
-                if spawned.is_err() {
-                    return; // thread exhaustion: stop accepting
+                    .spawn(move || reader_loop(stream, &engine, &shared));
+                match spawned {
+                    Ok(thread) => readers.push(Reader { socket, thread }),
+                    Err(_) => return readers, // thread exhaustion: stop accepting
                 }
             }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => return,
+            Err(_) => return readers,
         }
     }
 }
 
-/// Pipelined reader: one `read` syscall, then decode and dispatch every
-/// complete frame it delivered before reading again.
-fn reader_loop(stream: TcpStream, ready: &Sender<Arc<Conn>>, shared: &Arc<Shared>) {
+/// One connection: one `read` syscall, then decode every complete frame it
+/// delivered, answer them all in frame order, and write the answers with
+/// one `write_all` before reading again.
+fn reader_loop(mut stream: TcpStream, engine: &ShardedEngine, shared: &Shared) {
     let _ = stream.set_nodelay(true);
-    let Ok(writer) = stream.try_clone() else { return };
-    let conn = Arc::new(Conn {
-        stream: writer,
-        out: Mutex::new(OutState {
-            next_seq: 0,
-            pending: BTreeMap::new(),
-            writing: false,
-        }),
-        jobs: Mutex::new(ConnQueue { jobs: VecDeque::new(), scheduled: false }),
-    });
-    let mut input = stream;
-    let mut buf: Vec<u8> = Vec::with_capacity(READ_CHUNK);
-    let mut seq = 0u64;
+    // Input bytes are `buf[..end]`. The buffer is zeroed once and reused;
+    // it grows only when a frame outgrows it.
+    let mut buf: Vec<u8> = vec![0; READ_CHUNK];
+    let mut end = 0usize;
+    let mut slots: Vec<Slot> = Vec::new();
+    let mut out: Vec<u8> = Vec::new();
     loop {
-        // Drain every complete frame already buffered.
         let mut consumed = 0usize;
+        let mut admitted = 0usize;
+        let mut damaged = false;
         loop {
-            match split_frame(&buf[consumed..]) {
+            match split_frame(&buf[consumed..end]) {
                 Ok(Some((body, used))) => {
                     shared.net.frames_in.fetch_add(1, Ordering::Relaxed);
-                    let this_seq = seq;
-                    seq += 1;
-                    dispatch_frame(&conn, this_seq, body, ready, shared);
+                    slots.push(admit(body, shared, &mut admitted));
                     consumed += used;
                 }
                 Ok(None) => break,
                 // Framing-level damage (oversize length, unterminated
                 // varint): the stream position is unrecoverable, so
-                // answer in sequence and close.
+                // answer in order and close.
                 Err(e) => {
-                    complete(
-                        &conn,
-                        seq,
-                        &Response::Error {
-                            code: ErrorCode::Malformed,
-                            message: e.to_string(),
-                        },
-                        shared,
-                    );
-                    return;
+                    slots.push(Slot::Answer(Response::Error {
+                        code: ErrorCode::Malformed,
+                        message: e.to_string(),
+                    }));
+                    damaged = true;
+                    break;
                 }
             }
         }
         if consumed > 0 {
-            buf.drain(..consumed);
+            buf.copy_within(consumed..end, 0);
+            end -= consumed;
+        }
+        let answers = slots.len() as u64;
+        let answered = answer(engine, &mut slots, &mut out, shared);
+        if answered && !out.is_empty() {
+            // A vanished client is not an error.
+            let _ = stream.write_all(&out);
+            shared.net.writes.fetch_add(1, Ordering::Relaxed);
+            shared.net.frames_out.fetch_add(answers, Ordering::Relaxed);
+        }
+        out.clear();
+        shared.in_flight.fetch_sub(admitted, Ordering::SeqCst);
+        if !answered || damaged || shared.closing() {
+            break;
         }
         // Refill: exactly one syscall per iteration, however many frames
         // it carries.
-        let old_len = buf.len();
-        buf.resize(old_len + READ_CHUNK, 0);
-        match input.read(&mut buf[old_len..]) {
-            Ok(0) => return,
+        if buf.len() < end + READ_CHUNK {
+            buf.resize(end + READ_CHUNK, 0);
+        }
+        match stream.read(&mut buf[end..]) {
+            Ok(0) => break,
             Ok(n) => {
-                buf.truncate(old_len + n);
+                end += n;
                 shared.net.reads.fetch_add(1, Ordering::Relaxed);
             }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {
-                buf.truncate(old_len);
-            }
-            Err(_) => return,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(_) => break,
         }
     }
+    // The accept loop holds a clone of this socket until it joins or
+    // prunes this thread, so dropping ours would not end the connection.
+    let _ = stream.shutdown(Shutdown::Both);
 }
 
-/// Routes one decoded frame: admission control and protocol errors are
-/// answered inline (through the sequencer, so ordering holds); real work
-/// joins the connection's job queue.
-fn dispatch_frame(
-    conn: &Arc<Conn>,
-    seq: u64,
-    body: &[u8],
-    ready: &Sender<Arc<Conn>>,
-    shared: &Arc<Shared>,
-) {
+/// Settles one decoded frame's slot: protocol errors, shutdown and
+/// admission are answered at decode; everything else is admitted to run.
+fn admit(body: &[u8], shared: &Shared, admitted: &mut usize) -> Slot {
     match decode_request(body) {
-        // Shutdown is acked in sequence and bypasses admission control —
-        // an overloaded server must still be stoppable.
+        // Shutdown bypasses admission control — an overloaded server must
+        // still be stoppable — and every frame decoded after it is refused.
         Ok(Request::Shutdown) => {
-            complete(conn, seq, &Response::ShutdownAck, shared);
             shared.request_shutdown();
+            Slot::Answer(Response::ShutdownAck)
         }
+        Ok(_) if shared.closing() => Slot::Answer(Response::Error {
+            code: ErrorCode::ShuttingDown,
+            message: "server is shutting down".to_string(),
+        }),
         Ok(req) => {
-            if shared.closing() {
-                complete(
-                    conn,
-                    seq,
-                    &Response::Error {
-                        code: ErrorCode::ShuttingDown,
-                        message: "server is shutting down".to_string(),
-                    },
-                    shared,
-                );
-            } else if !shared.try_admit() {
-                // Admission control: the global queue bound is hit, so
-                // shed the request instead of queueing behind it.
-                complete(conn, seq, &Response::Busy, shared);
+            if shared.try_admit() {
+                *admitted += 1;
+                Slot::Run(req)
             } else {
-                enqueue(conn, seq, req, ready);
+                // The in-flight bound is hit: shed the request instead
+                // of stalling behind it.
+                Slot::Answer(Response::Busy)
             }
         }
         // The frame arrived intact but its body is garbage: answer a
         // typed error and keep the connection usable.
-        Err(e) => complete(
-            conn,
-            seq,
-            &Response::Error {
-                code: ErrorCode::Malformed,
-                message: e.to_string(),
-            },
-            shared,
-        ),
+        Err(e) => Slot::Answer(Response::Error {
+            code: ErrorCode::Malformed,
+            message: e.to_string(),
+        }),
     }
 }
 
-/// Adds a job to the connection's queue and publishes a ready token if
-/// none is outstanding (the `scheduled` flag, updated under the queue
-/// lock, makes the token unique — so at most one worker drains a
-/// connection at a time and per-connection order is preserved).
-fn enqueue(conn: &Arc<Conn>, seq: u64, req: Request, ready: &Sender<Arc<Conn>>) {
-    let token = {
-        let mut q = conn.jobs.lock().unwrap_or_else(PoisonError::into_inner);
-        q.jobs.push_back((seq, req));
-        if q.scheduled {
-            false
-        } else {
-            q.scheduled = true;
-            true
-        }
-    };
-    if token {
-        // A send can only fail after every worker exited, i.e. during
-        // teardown; the job is then abandoned like any other in-flight
-        // work at that point.
-        let _ = ready.send(Arc::clone(conn));
-    }
-}
-
-fn worker_loop(
+/// Answers one read's slots in frame order, appending each answer frame to
+/// `out`. Returns `false` on hard kill: the remaining frames are abandoned
+/// and `out` must not be written.
+fn answer(
     engine: &ShardedEngine,
-    rx: &Arc<Mutex<Receiver<Arc<Conn>>>>,
-    shared: &Arc<Shared>,
-) {
-    loop {
+    slots: &mut Vec<Slot>,
+    out: &mut Vec<u8>,
+    shared: &Shared,
+) -> bool {
+    let mut it = slots.drain(..).peekable();
+    while let Some(slot) = it.next() {
         if shared.killed() {
-            return;
+            return false;
         }
-        let token = {
-            let guard = rx.lock().unwrap_or_else(PoisonError::into_inner);
-            // audit:allow(A009, the shared Receiver is only usable under its mutex and WORKER_POLL bounds the hold)
-            guard.recv_timeout(WORKER_POLL)
-        };
-        match token {
-            Ok(conn) => {
-                if !drain_conn(engine, &conn, shared) {
-                    return; // hard kill observed mid-batch
-                }
-            }
-            // Ready queue empty: during graceful shutdown that means the
-            // drain is complete.
-            Err(RecvTimeoutError::Timeout) => {
-                if shared.closing() {
-                    return;
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => return,
-        }
-    }
-}
-
-/// Executes one connection's backlog to exhaustion. Each sweep takes the
-/// whole current batch, handles it, and answers it with a single buffered
-/// write; the connection is released (token retired) only when its queue
-/// is observed empty under the lock. Returns `false` on hard kill.
-fn drain_conn(engine: &ShardedEngine, conn: &Arc<Conn>, shared: &Arc<Shared>) -> bool {
-    loop {
-        let batch: Vec<(u64, Request)> = {
-            let mut q = conn.jobs.lock().unwrap_or_else(PoisonError::into_inner);
-            if q.jobs.is_empty() {
-                q.scheduled = false;
-                return true;
-            }
-            q.jobs.drain(..).collect()
-        };
-        shared.queued.fetch_sub(batch.len(), Ordering::SeqCst);
-        let mut done: Vec<(u64, Vec<u8>)> = Vec::with_capacity(batch.len());
-        let mut it = batch.into_iter().peekable();
-        while let Some((seq, req)) = it.next() {
-            if shared.killed() {
-                return false; // crash-stop: abandon un-answered
-            }
-            match req {
-                // A run of consecutive pipelined inserts collapses into one
-                // engine batch: one routing pass, one shard-lock
-                // acquisition, and one durability wait per shard — the
-                // commit coordinator sees the whole run as a single group
-                // instead of `workers` trickled singletons. Per-item
-                // results are identical to per-op dispatch
-                // (`ShardedEngine::insert_batch` pins that down).
-                Request::Insert(first)
-                    if matches!(it.peek(), Some((_, Request::Insert(_)))) =>
+        match slot {
+            Slot::Answer(resp) => frame(&encode_response(&resp), out),
+            // A run of consecutive pipelined inserts collapses into one
+            // engine batch: one routing pass, one shard-lock acquisition,
+            // and one durability wait per shard — the commit coordinator
+            // sees the whole run as a single group. Per-item results are
+            // identical to per-op dispatch (`ShardedEngine::insert_batch`
+            // pins that down).
+            Slot::Run(Request::Insert(first))
+                if matches!(it.peek(), Some(Slot::Run(Request::Insert(_)))) =>
+            {
+                let mut entities = vec![first];
+                while let Some(Slot::Run(Request::Insert(e))) =
+                    it.next_if(|s| matches!(s, Slot::Run(Request::Insert(_))))
                 {
-                    let mut seqs = vec![seq];
-                    let mut entities = vec![first];
-                    while matches!(it.peek(), Some((_, Request::Insert(_)))) {
-                        if let Some((s, Request::Insert(e))) = it.next() {
-                            seqs.push(s);
-                            entities.push(e);
-                        }
-                    }
-                    for (s, r) in seqs.into_iter().zip(engine.insert_batch(&entities)) {
-                        let resp = crate::engine::to_frame(
-                            r.map(|(segment, split)| Response::Written { segment, split }),
-                        );
-                        done.push((s, framed(&resp)));
-                    }
+                    entities.push(e);
                 }
-                // Merge engine-side WAL counters with server-side net
-                // counters — the full syscall observability picture.
-                Request::IoCounters => {
-                    let mut io = engine.io_counters();
-                    io.net_reads = shared.net.reads.load(Ordering::Relaxed);
-                    io.net_writes = shared.net.writes.load(Ordering::Relaxed);
-                    io.frames_in = shared.net.frames_in.load(Ordering::Relaxed);
-                    io.frames_out = shared.net.frames_out.load(Ordering::Relaxed);
-                    done.push((seq, framed(&Response::IoCounters(io))));
-                }
-                // Everything else leaves the engine as a finished frame:
-                // query rows are scanned straight into wire bytes, and no
-                // typed answer is built — or freed — on this worker.
-                req => {
-                    let mut wire = Vec::new();
-                    engine.answer_frame(&req, &mut wire);
-                    done.push((seq, wire));
+                for r in engine.insert_batch(&entities) {
+                    let resp = crate::engine::to_frame(
+                        r.map(|(segment, split)| Response::Written { segment, split }),
+                    );
+                    frame(&encode_response(&resp), out);
                 }
             }
-        }
-        complete_many(conn, done, shared);
-    }
-}
-
-/// One typed response as a frame of its own.
-fn framed(resp: &Response) -> Vec<u8> {
-    let body = encode_response(resp);
-    let mut wire = Vec::with_capacity(body.len() + 4);
-    frame(&body, &mut wire);
-    wire
-}
-
-/// Completes one response through the sequencer.
-fn complete(conn: &Conn, seq: u64, resp: &Response, shared: &Shared) {
-    complete_many(conn, vec![(seq, framed(resp))], shared);
-}
-
-/// Parks framed responses in the sequencer and writes out every response
-/// that is now next-in-order — consecutive ready responses leave in one
-/// `write` call, and a lone one leaves as the buffer it arrived in,
-/// uncopied. A vanished client is not an error.
-///
-/// The `write` syscall runs with the sequencer lock *released*: a slow
-/// client must not stall the reader thread or another worker completing
-/// into the same connection (that hold was a CIND-A009 finding). The
-/// `writing` flag makes the stream single-writer — a completer that finds
-/// a writer active parks its items and returns; the active writer re-scans
-/// after every write and drains them in order before clearing the flag, so
-/// no response is ever stranded.
-fn complete_many(conn: &Conn, items: Vec<(u64, Vec<u8>)>, shared: &Shared) {
-    let mut out = conn.out.lock().unwrap_or_else(PoisonError::into_inner);
-    for (seq, wire) in items {
-        out.pending.insert(seq, wire);
-    }
-    if out.writing {
-        return; // the active writer will release these in order
-    }
-    out.writing = true;
-    loop {
-        let mut batch = Vec::new();
-        let mut released = 0u64;
-        loop {
-            let next = out.next_seq;
-            let Some(wire) = out.pending.remove(&next) else { break };
-            if released == 0 {
-                batch = wire;
-            } else {
-                batch.extend_from_slice(&wire);
+            // Merge engine-side WAL counters with server-side net
+            // counters — the full syscall observability picture.
+            Slot::Run(Request::IoCounters) => {
+                let mut io = engine.io_counters();
+                io.net_reads = shared.net.reads.load(Ordering::Relaxed);
+                io.net_writes = shared.net.writes.load(Ordering::Relaxed);
+                io.frames_in = shared.net.frames_in.load(Ordering::Relaxed);
+                io.frames_out = shared.net.frames_out.load(Ordering::Relaxed);
+                frame(&encode_response(&Response::IoCounters(io)), out);
             }
-            out.next_seq += 1;
-            released += 1;
+            // Everything else leaves the engine as a finished frame: query
+            // rows are scanned straight into wire bytes, and no typed
+            // answer is built — or freed — on this thread.
+            Slot::Run(req) => engine.answer_frame(&req, out),
         }
-        if released == 0 {
-            out.writing = false;
-            return;
-        }
-        drop(out);
-        let _ = (&conn.stream).write_all(&batch);
-        shared.net.writes.fetch_add(1, Ordering::Relaxed);
-        shared.net.frames_out.fetch_add(released, Ordering::Relaxed);
-        out = conn.out.lock().unwrap_or_else(PoisonError::into_inner);
     }
+    true
 }
 
 #[cfg(test)]
 mod tests {
+    use std::time::Duration;
+
     use super::*;
     use crate::{Client, EngineOptions, ShardedOptions, WireEntity};
     use cind_model::Value;

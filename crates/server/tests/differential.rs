@@ -79,7 +79,7 @@ fn server_path_matches_in_process_under_concurrency() {
     )));
     let handle = Server::start(
         Arc::clone(&engine),
-        &ServeConfig { workers: 4, queue_depth: 32, ..ServeConfig::default() },
+        &ServeConfig { queue_depth: 32, ..ServeConfig::default() },
     )
     .expect("server start");
     let addr = format!("127.0.0.1:{}", handle.port());

@@ -1,16 +1,17 @@
 //! Protocol robustness and admission control: malformed frames come back
 //! as typed errors (never a panic or a hang), overload produces bounded
-//! `Busy` sheds, and graceful shutdown drains in-flight work.
+//! `Busy` sheds, a pipelined burst is answered in frame order, and neither
+//! shutdown path waits on an idle or a blocked connection.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cind_model::Value;
-use cind_server::protocol::MAX_FRAME;
+use cind_server::protocol::{encode_request, frame, MAX_FRAME};
 use cind_server::{
-    Client, EngineOptions, ErrorCode, Request, Response, ServeConfig, Server, ServerError,
-    ShardedEngine, ShardedOptions, WireEntity,
+    Client, EngineOptions, ErrorCode, ProtoError, Request, Response, ServeConfig, Server,
+    ServerError, ShardedEngine, ShardedOptions, WireEntity,
 };
 use cind_storage::varint;
 
@@ -102,39 +103,28 @@ fn short_read_and_abrupt_close_never_take_the_server_down() {
     handle.join().expect("join");
 }
 
-/// Overload behaviour is bounded: with one worker pinned and the depth-1
-/// queue full, the next request is answered `Busy` within the client
-/// timeout rather than queueing indefinitely — and once load drops the
-/// same server serves normally again.
+/// Overload behaviour is bounded: with two slow pings in flight on two
+/// connections and an in-flight bound of 2, a request on a third
+/// connection is answered `Busy` within the client timeout rather than
+/// waiting — and once load drops the same server serves normally again.
 #[test]
 fn overload_sheds_with_busy_and_recovers() {
-    let (handle, addr) = start_server(&ServeConfig {
-        workers: 1,
-        queue_depth: 1,
-        ..ServeConfig::default()
-    });
+    let (handle, addr) = start_server(&ServeConfig { queue_depth: 2, ..ServeConfig::default() });
 
-    // Pin the single worker with a slow ping on its own connection.
-    let pin = {
-        let addr = addr.clone();
-        std::thread::spawn(move || {
-            let mut c = Client::connect(addr).expect("connect pin");
-            c.ping(600).expect("slow ping")
+    // One slow ping in flight per connection, on two connections.
+    let slow: Vec<_> = (0..2)
+        .map(|_| {
+            let addr = addr.clone();
+            std::thread::spawn(move || {
+                let mut c = Client::connect(addr).expect("connect slow");
+                c.set_timeout(Some(Duration::from_secs(5))).expect("timeout");
+                c.ping(600)
+            })
         })
-    };
-    std::thread::sleep(Duration::from_millis(150)); // worker is now busy
+        .collect();
+    std::thread::sleep(Duration::from_millis(150)); // both are now in flight
 
-    // Fill the depth-1 queue with a second slow ping.
-    let queued = {
-        let addr = addr.clone();
-        std::thread::spawn(move || {
-            let mut c = Client::connect(addr).expect("connect queued");
-            c.ping(0).expect("queued ping")
-        })
-    };
-    std::thread::sleep(Duration::from_millis(150)); // it is now queued
-
-    // The queue is saturated: this request must be shed, fast.
+    // The bound is saturated: this request must be shed, fast.
     let mut c = Client::connect(&addr).expect("connect shed");
     c.set_timeout(Some(Duration::from_secs(2))).expect("timeout");
     let t0 = Instant::now();
@@ -148,8 +138,9 @@ fn overload_sheds_with_busy_and_recovers() {
         t0.elapsed()
     );
 
-    pin.join().expect("pinned ping completes");
-    queued.join().expect("queued ping completes");
+    for t in slow {
+        t.join().expect("slow ping thread").expect("slow ping completes");
+    }
 
     // Load dropped: the very same server answers normally again.
     c.ping(0).expect("responsive after overload");
@@ -160,16 +151,157 @@ fn overload_sheds_with_busy_and_recovers() {
     assert!(report.violations.is_empty());
 }
 
-/// Graceful shutdown: requests already queued are drained (answered, and
+/// One pipelined burst on one connection, sent as one write so one server
+/// read carries it all: the answers come back in frame order — a
+/// malformed body, a query and a batch in their slots, exactly the inserts
+/// past the in-flight bound shed `Busy` — the shutdown ack last, and the
+/// final validate sees every acknowledged insert.
+#[test]
+fn a_pipelined_burst_is_answered_in_frame_order() {
+    const DEPTH: usize = 8;
+    let engine = Arc::new(ShardedEngine::in_memory(ShardedOptions::new(
+        EngineOptions::default(),
+        2,
+    )));
+    let handle = Server::start(
+        Arc::clone(&engine),
+        &ServeConfig { queue_depth: DEPTH, shards: 2, ..ServeConfig::default() },
+    )
+    .expect("server start");
+    let mut client = Client::connect(("127.0.0.1", handle.port())).expect("connect");
+    client.set_timeout(Some(Duration::from_secs(5))).expect("timeout");
+
+    let rpm = || vec!["rpm".to_string()];
+    let put = |req: &Request, burst: &mut Vec<u8>| frame(&encode_request(req), burst);
+    let mut burst = Vec::new();
+    for id in 0..3 {
+        put(&Request::Insert(wire(id, "rpm", id as i64)), &mut burst);
+    }
+    frame(&[99u8, 1, 2, 3][..], &mut burst); // an intact frame, a garbage body
+    put(&Request::Query(rpm()), &mut burst);
+    put(&Request::QueryBatch(vec![rpm(), vec!["ghost".to_string()]]), &mut burst);
+    // Three inserts, the query and the batch are admitted ahead of these,
+    // so DEPTH - 5 of the ten are admitted and the rest shed.
+    for id in 3..13 {
+        put(&Request::Insert(wire(id, "rpm", id as i64)), &mut burst);
+    }
+    put(&Request::Shutdown, &mut burst);
+    client.send_bytes(&burst).expect("send burst");
+
+    let admitted_late = DEPTH - 5;
+    let mut acked = Vec::new();
+    for id in 0..3u64 {
+        let resp = client.read_response().expect("insert answer");
+        assert!(matches!(resp, Response::Written { .. }), "insert {id}: {resp:?}");
+        acked.push(id);
+    }
+    let resp = client.read_response().expect("malformed answer");
+    assert!(matches!(resp, Response::Error { code: ErrorCode::Malformed, .. }), "{resp:?}");
+    match client.read_response().expect("query answer") {
+        Response::Rows { rows, .. } => assert_eq!(rows.len(), 3, "the query follows three inserts"),
+        other => panic!("expected rows, got {other:?}"),
+    }
+    match client.read_response().expect("batch answer") {
+        Response::Batch(items) => {
+            assert_eq!(items.len(), 2);
+            assert!(matches!(&items[0], Response::Rows { rows, .. } if rows.len() == 3));
+            assert!(matches!(items[1], Response::Error { code: ErrorCode::UnknownAttribute, .. }));
+        }
+        other => panic!("expected a batch, got {other:?}"),
+    }
+    for id in 3..13u64 {
+        let resp = client.read_response().expect("late insert answer");
+        if id < 3 + admitted_late as u64 {
+            assert!(matches!(resp, Response::Written { .. }), "insert {id}: {resp:?}");
+            acked.push(id);
+        } else {
+            assert!(matches!(resp, Response::Busy), "insert {id} must be shed: {resp:?}");
+        }
+    }
+    let resp = client.read_response().expect("shutdown ack");
+    assert!(matches!(resp, Response::ShutdownAck), "the ack comes last: {resp:?}");
+    assert!(
+        matches!(client.read_response(), Err(ServerError::Protocol(ProtoError::Closed))),
+        "nothing follows the ack"
+    );
+
+    let report = handle.join().expect("graceful join");
+    assert!(report.violations.is_empty(), "{:?}", report.violations);
+    assert_eq!(engine.stats().entities, acked.len() as u64);
+    let (rows, _) = engine.query(&rpm()).expect("query");
+    let mut stored: Vec<u64> = rows
+        .iter()
+        .map(|row| match row[..] {
+            [Some(Value::Int(v))] => v as u64,
+            _ => panic!("unexpected row {row:?}"),
+        })
+        .collect();
+    stored.sort_unstable();
+    assert_eq!(stored, acked, "exactly the acknowledged inserts are stored");
+}
+
+/// Neither shutdown path waits on a connection: one client holds an idle
+/// connection open while a second is blocked reading a slow ping, and
+/// `hard_kill()` and `shutdown(); join()` each return within 2 s. Every
+/// connection thread is gone when they return — the engine has no other
+/// owner left and the idle client reads end of stream.
+#[test]
+fn idle_and_blocked_connections_cannot_hang_teardown() {
+    for graceful in [false, true] {
+        let engine = Arc::new(ShardedEngine::in_memory(ShardedOptions::new(
+            EngineOptions::default(),
+            1,
+        )));
+        let handle = Server::start(Arc::clone(&engine), &ServeConfig::default()).expect("start");
+        let addr = format!("127.0.0.1:{}", handle.port());
+
+        let mut idle = Client::connect(&addr).expect("connect idle");
+        idle.set_timeout(Some(Duration::from_secs(5))).expect("timeout");
+        idle.ping(0).expect("the idle connection is being served");
+
+        let blocked = {
+            let addr = addr.clone();
+            std::thread::spawn(move || {
+                let mut c = Client::connect(addr).expect("connect blocked");
+                c.set_timeout(Some(Duration::from_secs(5))).expect("timeout");
+                c.ping(500)
+            })
+        };
+        std::thread::sleep(Duration::from_millis(100)); // the slow ping is running
+
+        let t0 = Instant::now();
+        if graceful {
+            handle.shutdown();
+            let report = handle.join().expect("join");
+            assert!(report.violations.is_empty());
+        } else {
+            handle.hard_kill();
+        }
+        let took = t0.elapsed();
+        assert!(took < Duration::from_secs(2), "graceful={graceful}: teardown took {took:?}");
+        assert_eq!(
+            Arc::strong_count(&engine),
+            1,
+            "graceful={graceful}: a connection thread outlived teardown"
+        );
+        match idle.read_response() {
+            Err(ServerError::Protocol(ProtoError::Closed)) => {}
+            other => panic!("graceful={graceful}: idle connection should be closed, got {other:?}"),
+        }
+
+        let slow = blocked.join().expect("blocked client thread");
+        if graceful {
+            slow.expect("a frame already read is answered on graceful shutdown");
+        }
+    }
+}
+
+/// Graceful shutdown: requests already admitted are answered (answered, and
 /// durably applied) before the final validate, and late requests get a
 /// typed `ShuttingDown` error rather than silence.
 #[test]
 fn graceful_shutdown_drains_in_flight_work() {
-    let (handle, addr) = start_server(&ServeConfig {
-        workers: 2,
-        queue_depth: 32,
-        ..ServeConfig::default()
-    });
+    let (handle, addr) = start_server(&ServeConfig { queue_depth: 32, ..ServeConfig::default() });
 
     let mut client = Client::connect(&addr).expect("connect");
     client.set_timeout(Some(Duration::from_secs(10))).expect("timeout");

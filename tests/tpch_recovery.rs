@@ -163,7 +163,7 @@ fn kill_mid_load_recovers_from_wal() {
     let engine = Arc::new(ShardedEngine::open(&dir, opts.clone()).expect("open store"));
     let handle = Server::start(
         Arc::clone(&engine),
-        &ServeConfig { workers: 3, queue_depth: 16, shards: 2, ..ServeConfig::default() },
+        &ServeConfig { queue_depth: 16, shards: 2, ..ServeConfig::default() },
     )
     .expect("server start");
     let addr = format!("127.0.0.1:{}", handle.port());
