@@ -1,11 +1,15 @@
 //! Macrobench: end-to-end query execution — pruned (Cinderella) vs full
-//! scan (universal table) at two selectivities. The microbench counterpart
-//! of Fig. 5's wall-clock measurements.
+//! scan (universal table) at three selectivities. The microbench counterpart
+//! of Fig. 5's wall-clock measurements. Each cell runs twice: rows counted
+//! only (`execute`), and rows encoded into response bytes by the server's
+//! wire sink (`execute_into::<WireRows>`), whose difference is the per-row
+//! encode cost.
 
 use cind_baselines::{Partitioner, Unpartitioned};
 use cind_datagen::{DbpediaConfig, DbpediaGenerator, WorkloadBuilder};
 use cind_model::Synopsis;
-use cind_query::{execute, plan, Query};
+use cind_query::{execute, execute_into, plan, Projection, Query};
+use cind_server::protocol::WireRows;
 use cind_storage::{BufferPool, SegmentId, UniversalTable};
 use cinderella_core::{Capacity, Cinderella, Config};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -65,6 +69,7 @@ fn bench_query(c: &mut Criterion) {
     let (uni, _) = load(false);
     let mut g = c.benchmark_group("query/execute_10k");
     for (name, query, _) in &queries {
+        let projection = Projection::of(query);
         for (label, loaded) in [("cinderella", &cindy), ("universal", &uni)] {
             let p = plan(query, loaded.view.iter().map(|(s, syn, _)| (*s, syn)));
             g.bench_with_input(
@@ -72,6 +77,12 @@ fn bench_query(c: &mut Criterion) {
                 &p,
                 |bench, p| bench.iter(|| execute(&loaded.table, query, p).expect("run")),
             );
+            g.bench_with_input(BenchmarkId::new(format!("{label}_wire"), name), &p, |bench, p| {
+                bench.iter(|| {
+                    execute_into::<WireRows>(loaded.table.read_view(), &projection, p)
+                        .expect("run")
+                })
+            });
         }
     }
     g.finish();

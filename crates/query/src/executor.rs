@@ -118,9 +118,10 @@ pub fn execute_into<S: RowSink>(
 
 /// The scan kernel, shared by every sink: one pass over the raw records
 /// of `seg` that the projection's signature mask leaves as candidates, each
-/// matched by `projection` and — if it matches — handed to `sink`, with the
-/// branch's counts added to `result`. `entities_scanned` counts the
-/// candidates: the records read.
+/// matched by `projection` — walked only as far as its stored signature
+/// says a requested attribute may lie — and, if it matches, handed to
+/// `sink`, with the branch's counts added to `result`. `entities_scanned`
+/// counts the candidates: the records read.
 fn scan_branch<S: RowSink>(
     view: ReadView<'_>,
     seg: SegmentId,
@@ -132,9 +133,9 @@ fn scan_branch<S: RowSink>(
     view.scan_records(
         seg,
         projection.mask(),
-        |record| {
+        |record, signature| {
             *entities_scanned += 1;
-            let n = projection.match_record(record, sink)?;
+            let n = projection.match_record(record, signature, sink)?;
             *rows += u64::from(n > 0);
             *cells += u64::from(n);
             Ok(())

@@ -62,15 +62,18 @@ const INLINE_WIDTH: usize = 8;
 /// an attribute (one the table's catalog does not know) stays NULL in every
 /// row.
 ///
-/// The projection also carries the query's [`Signature`] mask — the bits of
-/// its attributes — by which the page walk picks the records worth handing
-/// to [`Projection::match_record`]. The mask only ever narrows what is
-/// read; `match_record` remains the authority on what matches.
+/// The projection also carries, per sorted column, the [`Signature`] bits
+/// of that column's attribute and all after it. The first is the query's
+/// mask, by which the page walk picks the records worth handing to
+/// [`Projection::match_record`]; the rest bound how far into a record the
+/// match walks. Both only ever narrow what is read; `match_record` remains
+/// the authority on what matches.
 #[derive(Clone, Debug)]
 pub struct Projection {
     columns: Vec<(AttrId, usize)>,
+    /// `suffix_bits[i]`: the OR of the signature bits of `columns[i..]`.
+    suffix_bits: Vec<Signature>,
     width: usize,
-    mask: Signature,
 }
 
 impl Projection {
@@ -79,22 +82,26 @@ impl Projection {
     pub fn new(columns: impl IntoIterator<Item = Option<AttrId>>) -> Self {
         let mut width = 0;
         let mut sorted = Vec::new();
-        let mut mask = 0;
         for (column, attr) in columns.into_iter().enumerate() {
             width += 1;
             if let Some(attr) = attr {
                 sorted.push((attr, column));
-                mask |= signature_bit(attr);
             }
         }
         sorted.sort_unstable();
-        Self { columns: sorted, width, mask }
+        let mut suffix_bits = vec![0; sorted.len()];
+        let mut bits = 0;
+        for (i, &(attr, _)) in sorted.iter().enumerate().rev() {
+            bits |= signature_bit(attr);
+            suffix_bits[i] = bits;
+        }
+        Self { columns: sorted, suffix_bits, width }
     }
 
     /// The signature mask of the requested attributes: a record whose
     /// signature shares no bit with it instantiates none of them.
     pub(crate) fn mask(&self) -> Signature {
-        self.mask
+        self.suffix_bits.first().copied().unwrap_or(0)
     }
 
     /// The projection of `query`: its attributes in request order.
@@ -107,9 +114,14 @@ impl Projection {
     /// Returns the number of requested cells the record instantiates; `0`
     /// means it matched nothing and the sink was not called.
     ///
-    /// The walk stops at the first record attribute beyond the largest
-    /// requested one, so the tail of the record is neither read nor
-    /// checked.
+    /// `signature` is the record's stored [`Signature`]. A requested
+    /// attribute whose bit it lacks is not in the record, so the walk stops
+    /// at the last requested attribute the signature admits — the
+    /// first record attribute at or beyond it ends the walk, and the tail
+    /// of the record is neither read nor checked. Ids 128 apart share a
+    /// bit: an aliased attribute is admitted and keeps the walk going, so
+    /// the stop is exact only below 128 attributes and never early.
+    /// [`Signature::MAX`] admits every requested attribute.
     ///
     /// # Errors
     /// [`StorageError::CorruptRecord`] from the walked part of the record,
@@ -117,10 +129,16 @@ impl Projection {
     pub(crate) fn match_record<S: RowSink>(
         &self,
         record: &[u8],
+        signature: Signature,
         sink: &mut S,
     ) -> Result<u32, StorageError> {
         let mut view = RecordView::new(record)?;
-        let wanted = &self.columns[..];
+        // `suffix_bits` only loses bits left to right, so the columns whose
+        // suffix the signature meets are a prefix: the requested attributes
+        // up to the last one the signature admits. Past them nothing is
+        // wanted.
+        let admitted = self.suffix_bits.iter().take_while(|&&bits| bits & signature != 0).count();
+        let wanted = &self.columns[..admitted];
         let mut next = 0;
         let mut cells = 0u32;
         // The row in output-column order, gathered while the record is
@@ -166,20 +184,23 @@ mod tests {
     use cind_model::{Entity, EntityId};
     use cind_storage::encode_entity;
 
-    fn record(attrs: &[(u32, i64)]) -> Vec<u8> {
-        encode_entity(
+    /// A record's bytes and the signature a page stores beside them.
+    fn record(attrs: &[(u32, i64)]) -> (Vec<u8>, Signature) {
+        let bytes = encode_entity(
             &Entity::new(
                 EntityId(1),
                 attrs.iter().map(|&(a, v)| (AttrId(a), Value::Int(v))),
             )
             .unwrap(),
-        )
+        );
+        let signature = attrs.iter().fold(0, |sig, &(a, _)| sig | signature_bit(AttrId(a)));
+        (bytes, signature)
     }
 
     /// `(cells, rows handed to a typed sink)` for one record.
-    fn matched(p: &Projection, record: &[u8]) -> (u32, Vec<Row>) {
+    fn matched(p: &Projection, (bytes, signature): &(Vec<u8>, Signature)) -> (u32, Vec<Row>) {
         let mut rows = Vec::new();
-        let cells = p.match_record(record, &mut rows).unwrap();
+        let cells = p.match_record(bytes, *signature, &mut rows).unwrap();
         (cells, rows)
     }
 
@@ -193,7 +214,8 @@ mod tests {
             rows,
             vec![vec![Some(Value::Int(90)), Some(Value::Int(20)), Some(Value::Int(90)), None]]
         );
-        assert_eq!(p.match_record(&record(&[(9, 90)]), &mut CountOnly).unwrap(), 2);
+        let (bytes, signature) = record(&[(9, 90)]);
+        assert_eq!(p.match_record(&bytes, signature, &mut CountOnly).unwrap(), 2);
         assert_eq!(matched(&p, &record(&[(1, 10), (3, 30), (12, 1)])), (0, vec![]));
         assert_eq!(matched(&p, &record(&[])), (0, vec![]));
     }
@@ -219,14 +241,45 @@ mod tests {
     #[test]
     fn walk_stops_past_the_largest_requested_attribute() {
         let p = Projection::new([Some(AttrId(2))]);
-        let mut bytes = record(&[(2, 20), (7, 70)]);
-        // Garbage where attribute 7's tag was: never reached.
+        let (mut bytes, _) = record(&[(2, 20), (7, 70)]);
+        // Garbage where attribute 7's tag was: never reached, even by a
+        // walk that knows nothing of the record's signature.
         let tag_of_7 = bytes.len() - 9;
         bytes[tag_of_7] = 0xee;
-        assert_eq!(matched(&p, &bytes).0, 1);
+        assert_eq!(matched(&p, &(bytes, Signature::MAX)).0, 1);
         // The same garbage in front of the requested attribute is reached.
-        let mut bytes = record(&[(1, 10), (2, 20)]);
+        let (mut bytes, signature) = record(&[(1, 10), (2, 20)]);
         bytes[3] = 0xee;
-        assert!(p.match_record(&bytes, &mut Vec::<Row>::new()).is_err());
+        assert!(p.match_record(&bytes, signature, &mut Vec::<Row>::new()).is_err());
+    }
+
+    /// `record(attrs)` with garbage where its last attribute's tag was.
+    fn damaged_at_the_end(attrs: &[(u32, i64)]) -> (Vec<u8>, Signature) {
+        let (mut bytes, signature) = record(attrs);
+        let tag_of_last = bytes.len() - 9;
+        bytes[tag_of_last] = 0xee;
+        (bytes, signature)
+    }
+
+    #[test]
+    fn walk_stops_at_the_last_requested_attribute_the_signature_admits() {
+        // Attribute 5 is requested, but the record's signature lacks its
+        // bit: the walk ends after attribute 2 and never meets the garbage.
+        let p = Projection::new([Some(AttrId(5)), Some(AttrId(2))]);
+        let damaged = damaged_at_the_end(&[(2, 20), (7, 70)]);
+        assert_eq!(matched(&p, &damaged), (1, vec![vec![None, Some(Value::Int(20))]]));
+        // Without the signature the walk looks for attribute 5 and fails.
+        let blind = p.match_record(&damaged.0, Signature::MAX, &mut CountOnly);
+        assert!(matches!(blind, Err(StorageError::CorruptRecord(_))));
+
+        // 131 folds onto 3's bit, so a record with attribute 3 admits it:
+        // the walk goes on into the garbage where 200 was.
+        let aliased = Projection::new([Some(AttrId(3)), Some(AttrId(131))]);
+        let damaged = damaged_at_the_end(&[(3, 30), (200, 1)]);
+        let walked = aliased.match_record(&damaged.0, damaged.1, &mut Vec::<Row>::new());
+        assert!(matches!(walked, Err(StorageError::CorruptRecord(_))));
+        // 130 folds onto bit 2, which the record lacks: it stops after 3.
+        let exact = Projection::new([Some(AttrId(3)), Some(AttrId(130))]);
+        assert_eq!(matched(&exact, &damaged).0, 1);
     }
 }

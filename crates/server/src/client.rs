@@ -11,16 +11,26 @@
 //! server failures come back as [`ServerError::Remote`]; an admission-
 //! control shed comes back as [`ServerError::Busy`] so callers can back
 //! off and retry.
+//!
+//! Responses are cut from one receive buffer with [`split_frame`], the
+//! server's own framing path: a `read` that ends mid-frame, a timeout
+//! included, leaves the bytes it got in the buffer for the next
+//! [`Client::recv`], so the stream never loses its place.
 
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
+use cind_storage::varint;
+
 use crate::protocol::{
-    decode_response, encode_request, frame, read_frame, EngineStats, IoCounters, QueryStats,
-    Request, Response, WireEntity,
+    decode_response, encode_request, frame, split_frame, EngineStats, IoCounters, ProtoError,
+    QueryStats, Request, Response, WireEntity,
 };
 use crate::ServerError;
+
+/// Receive buffer growth while a response's length is not yet known.
+const READ_CHUNK: usize = 64 * 1024;
 
 /// One connection to a `cind serve` instance.
 pub struct Client {
@@ -30,6 +40,11 @@ pub struct Client {
     outbox: Vec<u8>,
     /// Requests sent (or buffered) whose responses have not been read.
     inflight: usize,
+    /// Received bytes are `inbox[..received]`: the front of the next
+    /// response, or several. It grows to the largest response met, zeroed
+    /// once as it grows, and is reused.
+    inbox: Vec<u8>,
+    received: usize,
 }
 
 /// Per-item outcomes of a wire-level batch, in input order — one rejected
@@ -47,7 +62,7 @@ impl Client {
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, ServerError> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        Ok(Self { stream, outbox: Vec::new(), inflight: 0 })
+        Ok(Self { stream, outbox: Vec::new(), inflight: 0, inbox: Vec::new(), received: 0 })
     }
 
     /// Sets (or clears) the read timeout for responses.
@@ -98,12 +113,41 @@ impl Client {
     /// shipping any still-buffered requests first.
     ///
     /// # Errors
-    /// Transport and decode failures.
+    /// Transport and decode failures. A read timeout keeps what arrived
+    /// of the response, and the next `recv` picks it up where it stopped.
     pub fn recv(&mut self) -> Result<Response, ServerError> {
         self.flush_out()?;
-        let resp = read_frame(&mut self.stream)?;
+        let resp = self.next_response()?;
         self.inflight = self.inflight.saturating_sub(1);
-        Ok(decode_response(&resp)?)
+        Ok(resp)
+    }
+
+    /// Cuts the next response off the receive buffer, reading only while
+    /// the buffered frame is incomplete. End of stream between frames is
+    /// [`ProtoError::Closed`], inside one [`ProtoError::ShortRead`].
+    fn next_response(&mut self) -> Result<Response, ServerError> {
+        loop {
+            if let Some((body, used)) = split_frame(&self.inbox[..self.received])? {
+                let resp = decode_response(body);
+                self.inbox.copy_within(used..self.received, 0);
+                self.received -= used;
+                return Ok(resp?);
+            }
+            if self.received == self.inbox.len() {
+                // To the whole frame once its length prefix is in (split_frame
+                // has bounded it), else by a chunk.
+                let size = varint::decode(&self.inbox[..self.received])
+                    .map_or(self.received + READ_CHUNK, |(len, prefix)| prefix + len as usize);
+                self.inbox.resize(size, 0);
+            }
+            match self.stream.read(&mut self.inbox[self.received..]) {
+                Ok(0) if self.received == 0 => return Err(ProtoError::Closed.into()),
+                Ok(0) => return Err(ProtoError::ShortRead.into()),
+                Ok(n) => self.received += n,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
     }
 
     /// Requests sent or queued whose responses have not been received.
@@ -308,8 +352,7 @@ impl Client {
         let mut wire = Vec::with_capacity(body.len() + 4);
         frame(body, &mut wire);
         self.stream.write_all(&wire)?;
-        let resp = read_frame(&mut self.stream)?;
-        Ok(decode_response(&resp)?)
+        self.next_response()
     }
 
     /// Writes arbitrary bytes *without* framing them — for tests that
@@ -328,7 +371,129 @@ impl Client {
     /// # Errors
     /// Transport and decode failures.
     pub fn read_response(&mut self) -> Result<Response, ServerError> {
-        let resp = read_frame(&mut self.stream)?;
-        Ok(decode_response(&resp)?)
+        self.next_response()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::encode_response;
+    use std::io::ErrorKind;
+    use std::net::TcpListener;
+    use std::thread;
+
+    /// A one-connection fake server. It reads one request frame if
+    /// `request` is set, then writes `chunks` with `pause` between them and
+    /// closes the connection.
+    fn fake_server(
+        request: bool,
+        chunks: Vec<Vec<u8>>,
+        pause: Duration,
+    ) -> (String, thread::JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("local addr").to_string();
+        let server = thread::spawn(move || {
+            let (mut conn, _) = listener.accept().expect("accept");
+            let mut got = Vec::new();
+            while request && !matches!(split_frame(&got), Ok(Some(_))) {
+                let mut byte = [0u8; 1];
+                assert_eq!(conn.read(&mut byte).expect("request"), 1, "request cut short");
+                got.push(byte[0]);
+            }
+            for (i, chunk) in chunks.iter().enumerate() {
+                if i > 0 {
+                    thread::sleep(pause);
+                }
+                conn.write_all(chunk).expect("write");
+            }
+        });
+        (addr, server)
+    }
+
+    fn framed(responses: &[Response]) -> Vec<u8> {
+        let mut wire = Vec::new();
+        for resp in responses {
+            frame(&encode_response(resp), &mut wire);
+        }
+        wire
+    }
+
+    #[test]
+    fn a_timeout_mid_frame_keeps_the_bytes_for_the_next_recv() {
+        let resp = Response::Validated(vec!["a".repeat(60), "b".repeat(60)]);
+        let wire = framed(std::slice::from_ref(&resp));
+        let half = wire.len() / 2;
+        let chunks = vec![wire[..half].to_vec(), wire[half..].to_vec()];
+        let (addr, server) = fake_server(true, chunks, Duration::from_millis(300));
+        let mut client = Client::connect(&addr).expect("connect");
+        client.set_timeout(Some(Duration::from_millis(100))).expect("timeout");
+        client.send(&Request::Validate).expect("send");
+        match client.recv() {
+            Err(ServerError::Io(e))
+                if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+            other => panic!("the first recv should time out, got {other:?}"),
+        }
+        assert_eq!((client.received, client.in_flight()), (half, 1), "the first half is kept");
+        client.set_timeout(Some(Duration::from_secs(5))).expect("timeout");
+        assert_eq!(client.recv().expect("the whole response"), resp);
+        assert_eq!((client.received, client.in_flight()), (0, 0));
+        server.join().expect("fake server");
+    }
+
+    #[test]
+    fn end_of_stream_is_closed_between_frames_and_a_short_read_inside_one() {
+        let mut wire = framed(&[Response::Pong, Response::Deleted, Response::Pong]);
+        let (addr, server) = fake_server(false, vec![wire.clone()], Duration::ZERO);
+        let mut client = Client::connect(&addr).expect("connect");
+        for want in [Response::Pong, Response::Deleted, Response::Pong] {
+            assert_eq!(client.read_response().expect("a whole frame"), want);
+        }
+        let end = client.read_response();
+        assert!(matches!(end, Err(ServerError::Protocol(ProtoError::Closed))), "{end:?}");
+        server.join().expect("fake server");
+
+        wire.pop();
+        let (addr, server) = fake_server(false, vec![wire], Duration::ZERO);
+        let mut client = Client::connect(&addr).expect("connect");
+        client.read_response().expect("pong");
+        client.read_response().expect("deleted");
+        let cut = client.read_response();
+        assert!(matches!(cut, Err(ServerError::Protocol(ProtoError::ShortRead))), "{cut:?}");
+        server.join().expect("fake server");
+    }
+
+    #[test]
+    fn oversize_length_is_rejected_without_allocating() {
+        let mut wire = Vec::new();
+        varint::encode(crate::protocol::MAX_FRAME + 1, &mut wire);
+        let (addr, server) = fake_server(false, vec![wire], Duration::ZERO);
+        let mut client = Client::connect(&addr).expect("connect");
+        let got = client.read_response();
+        assert!(matches!(got, Err(ServerError::Protocol(ProtoError::Oversize(_)))), "{got:?}");
+        assert!(client.inbox.len() <= READ_CHUNK, "sized by the hostile prefix");
+        server.join().expect("fake server");
+    }
+
+    #[test]
+    fn unterminated_varint_is_malformed() {
+        let (addr, server) = fake_server(false, vec![vec![0x80u8; 12]], Duration::ZERO);
+        let mut client = Client::connect(&addr).expect("connect");
+        let got = client.read_response();
+        assert!(matches!(got, Err(ServerError::Protocol(ProtoError::Malformed(_)))), "{got:?}");
+        server.join().expect("fake server");
+    }
+
+    #[test]
+    fn a_response_larger_than_the_buffer_grows_it_to_the_frame() {
+        let resp = Response::Validated(vec!["v".repeat(3 * READ_CHUNK)]);
+        let large = framed(std::slice::from_ref(&resp)).len();
+        let wire = framed(&[resp.clone(), Response::Pong]);
+        let (addr, server) = fake_server(false, vec![wire], Duration::ZERO);
+        let mut client = Client::connect(&addr).expect("connect");
+        assert_eq!(client.read_response().expect("large"), resp);
+        assert_eq!(client.inbox.len(), large, "sized by the length prefix");
+        assert_eq!(client.read_response().expect("after it"), Response::Pong);
+        server.join().expect("fake server");
     }
 }

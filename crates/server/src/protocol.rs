@@ -29,8 +29,6 @@
 //! lying in stored records — the server's network path, which never builds
 //! a typed row.
 
-use std::io::Read;
-
 use cind_model::{Value, ValueRef};
 use cind_query::{QueryResult, RowSink};
 use cind_storage::record::RawValue;
@@ -252,26 +250,23 @@ pub enum Response {
 pub enum ProtoError {
     /// The peer closed the connection between frames.
     Closed,
-    /// The stream ended (or errored) inside a frame.
-    ShortRead(std::io::ErrorKind),
+    /// The stream ended inside a frame.
+    ShortRead,
     /// A length prefix exceeded [`MAX_FRAME`].
     Oversize(u64),
     /// The body did not parse; the payload says what was expected.
     Malformed(&'static str),
-    /// Socket-level failure.
-    Io(std::io::Error),
 }
 
 impl std::fmt::Display for ProtoError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ProtoError::Closed => write!(f, "connection closed"),
-            ProtoError::ShortRead(k) => write!(f, "short read mid-frame ({k:?})"),
+            ProtoError::ShortRead => write!(f, "stream ended mid-frame"),
             ProtoError::Oversize(n) => {
                 write!(f, "frame length {n} exceeds the {MAX_FRAME}-byte cap")
             }
             ProtoError::Malformed(what) => write!(f, "malformed body: expected {what}"),
-            ProtoError::Io(e) => write!(f, "io: {e}"),
         }
     }
 }
@@ -286,57 +281,10 @@ pub fn frame(body: &[u8], buf: &mut Vec<u8>) {
     buf.extend_from_slice(body);
 }
 
-/// Reads one frame's body from `r`.
-///
-/// The length prefix is consumed byte-by-byte (it is at most
-/// [`varint::MAX_LEN`] bytes), checked against [`MAX_FRAME`], and the body
-/// read exactly. EOF before the first byte is the clean [`ProtoError::Closed`];
-/// EOF anywhere later is a [`ProtoError::ShortRead`].
-///
-/// # Errors
-/// [`ProtoError`] as described; never panics on any input.
-pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, ProtoError> {
-    let mut prefix = [0u8; varint::MAX_LEN];
-    let mut have = 0usize;
-    let len = loop {
-        if have == varint::MAX_LEN {
-            return Err(ProtoError::Malformed("a terminated varint length"));
-        }
-        let mut byte = [0u8; 1];
-        match r.read(&mut byte) {
-            Ok(0) if have == 0 => return Err(ProtoError::Closed),
-            Ok(0) => return Err(ProtoError::ShortRead(std::io::ErrorKind::UnexpectedEof)),
-            Ok(_) => {
-                prefix[have] = byte[0];
-                have += 1;
-                if byte[0] & 0x80 == 0 {
-                    match varint::decode(&prefix[..have]) {
-                        Some((len, used)) if used == have => break len,
-                        _ => return Err(ProtoError::Malformed("a varint length")),
-                    }
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) if have == 0 && would_block(&e) => return Err(ProtoError::Io(e)),
-            Err(e) => return Err(ProtoError::Io(e)),
-        }
-    };
-    if len > MAX_FRAME {
-        return Err(ProtoError::Oversize(len));
-    }
-    let mut body = vec![0u8; len as usize];
-    r.read_exact(&mut body).map_err(|e| match e.kind() {
-        std::io::ErrorKind::UnexpectedEof => {
-            ProtoError::ShortRead(std::io::ErrorKind::UnexpectedEof)
-        }
-        _ => ProtoError::Io(e),
-    })?;
-    Ok(body)
-}
-
-/// Attempts to split one complete frame off the front of `buf` — the
-/// zero-syscall path of the pipelined reader, which drains every complete
-/// frame from each socket `read` before reading again.
+/// Attempts to split one complete frame off the front of `buf` — the one
+/// framing path of both ends: the server's reader and the [`crate::Client`]
+/// drain every complete frame from their receive buffer before reading
+/// again.
 ///
 /// Returns `Ok(Some((body, consumed)))` when a whole frame is present
 /// (`consumed` covers the length prefix plus the body), `Ok(None)` when
@@ -344,7 +292,8 @@ pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, ProtoError> {
 ///
 /// # Errors
 /// [`ProtoError::Oversize`] / [`ProtoError::Malformed`] on a hostile
-/// length prefix — exactly the cases [`read_frame`] rejects.
+/// length prefix: a length above [`MAX_FRAME`] is refused before any
+/// buffer is sized for it.
 pub fn split_frame(buf: &[u8]) -> Result<Option<(&[u8], usize)>, ProtoError> {
     let mut used = 0usize;
     loop {
@@ -375,13 +324,6 @@ pub fn split_frame(buf: &[u8]) -> Result<Option<(&[u8], usize)>, ProtoError> {
         return Ok(None);
     }
     Ok(Some((&buf[used..end], end)))
-}
-
-fn would_block(e: &std::io::Error) -> bool {
-    matches!(
-        e.kind(),
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-    )
 }
 
 // ---- primitive codecs -------------------------------------------------
@@ -428,6 +370,10 @@ impl<'a> Cursor<'a> {
         String::from_utf8(raw.to_vec()).map_err(|_| ProtoError::Malformed(what))
     }
 
+    fn remaining(&self) -> usize {
+        self.buf.len().saturating_sub(self.pos)
+    }
+
     fn done(&self, what: &'static str) -> Result<(), ProtoError> {
         if self.pos == self.buf.len() {
             Ok(())
@@ -452,6 +398,10 @@ fn unzigzag(v: u64) -> i64 {
 
 /// The one value encoder: an owned [`Value`] and a cell still lying in a
 /// stored record both come here borrowed, so they cannot encode apart.
+/// Always inlined, with [`put_cell`]: [`WireRows::row`] pays it per cell
+/// of every matching record, and a call per cell cost as much as the
+/// encoding it made.
+#[inline(always)]
 fn put_value(v: ValueRef<'_>, out: &mut Vec<u8>) {
     match v {
         ValueRef::Bool(b) => {
@@ -474,6 +424,7 @@ fn put_value(v: ValueRef<'_>, out: &mut Vec<u8>) {
 }
 
 /// One cell of a `Rows` body: a flag byte, then the value unless NULL.
+#[inline(always)]
 fn put_cell(cell: Option<ValueRef<'_>>, out: &mut Vec<u8>) {
     match cell {
         None => out.push(0),
@@ -833,10 +784,15 @@ pub fn decode_response(body: &[u8]) -> Result<Response, ProtoError> {
             };
             let nrows = c.u64("a row count")?;
             let width = c.u64("a row width")?;
-            if nrows.saturating_mul(width.max(1)) > MAX_FRAME {
-                return Err(ProtoError::Malformed("a sane row count"));
+            // A row is at least its `width` cell flags, so the body bounds
+            // the row count before anything is sized by it.
+            if nrows > 0 && width == 0 {
+                return Err(ProtoError::Malformed("a nonzero row width"));
             }
-            let mut rows = Vec::with_capacity(nrows.min(4096) as usize);
+            if nrows.saturating_mul(width) > c.remaining() as u64 {
+                return Err(ProtoError::Malformed("a row count the body can hold"));
+            }
+            let mut rows = Vec::with_capacity(nrows as usize);
             for _ in 0..nrows {
                 let mut row = Vec::with_capacity(width as usize);
                 for _ in 0..width {
@@ -1066,43 +1022,6 @@ mod tests {
         for v in [0i64, 1, -1, i64::MAX, i64::MIN, 123_456, -123_456] {
             assert_eq!(unzigzag(zigzag(v)), v);
         }
-    }
-
-    #[test]
-    fn frames_roundtrip_through_a_stream() {
-        let mut wire = Vec::new();
-        let a = encode_request(&Request::Ping(1));
-        let b = encode_request(&Request::Stats);
-        frame(&a, &mut wire);
-        frame(&b, &mut wire);
-        let mut r = &wire[..];
-        assert_eq!(read_frame(&mut r).unwrap(), a);
-        assert_eq!(read_frame(&mut r).unwrap(), b);
-        assert!(matches!(read_frame(&mut r), Err(ProtoError::Closed)));
-    }
-
-    #[test]
-    fn oversize_length_is_rejected_without_allocating() {
-        let mut wire = Vec::new();
-        cind_storage::varint::encode(MAX_FRAME + 1, &mut wire);
-        let mut r = &wire[..];
-        assert!(matches!(read_frame(&mut r), Err(ProtoError::Oversize(_))));
-    }
-
-    #[test]
-    fn truncated_frame_is_a_short_read() {
-        let mut wire = Vec::new();
-        frame(&encode_request(&Request::Stats), &mut wire);
-        wire.pop(); // lose the last body byte
-        let mut r = &wire[..];
-        assert!(matches!(read_frame(&mut r), Err(ProtoError::ShortRead(_))));
-    }
-
-    #[test]
-    fn unterminated_varint_is_malformed() {
-        let wire = [0x80u8; 12];
-        let mut r = &wire[..];
-        assert!(matches!(read_frame(&mut r), Err(ProtoError::Malformed(_))));
     }
 
     #[test]

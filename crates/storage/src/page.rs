@@ -196,24 +196,30 @@ impl Page {
 
     /// Iterates `(slot, record-bytes)` over live records in slot order.
     pub fn iter(&self) -> impl Iterator<Item = (SlotId, &[u8])> {
-        self.candidates(Signature::MAX)
+        self.candidates(Signature::MAX).map(|(slot, bytes, _)| (slot, bytes))
     }
 
     /// [`Page::iter`] over the live records whose signature shares a bit
     /// with `mask` — the records that may instantiate one of the attributes
     /// folded into it; no other record's bytes are read. `Signature::MAX`
-    /// asks for every live record, one without attributes included.
-    pub fn candidates(&self, mask: Signature) -> impl Iterator<Item = (SlotId, &[u8])> {
+    /// asks for every live record, one without attributes included. Each
+    /// record comes with its stored signature, which bounds how far a
+    /// reader after some attributes has to walk it.
+    pub fn candidates(
+        &self,
+        mask: Signature,
+    ) -> impl Iterator<Item = (SlotId, &[u8], Signature)> {
         let all = mask == Signature::MAX;
         self.slots
             .iter()
             .zip(&self.signatures)
             .enumerate()
             .filter(move |(_, (s, &signature))| s.len != 0 && (all || signature & mask != 0))
-            .map(|(i, (s, _))| {
+            .map(|(i, (s, &signature))| {
                 (
                     SlotId(i as u16),
                     &self.data[s.offset as usize..(s.offset + s.len) as usize],
+                    signature,
                 )
             })
     }
@@ -338,7 +344,7 @@ mod tests {
     }
 
     fn slots_of(p: &Page, mask: Signature) -> Vec<SlotId> {
-        p.candidates(mask).map(|(slot, _)| slot).collect()
+        p.candidates(mask).map(|(slot, ..)| slot).collect()
     }
 
     #[test]

@@ -91,7 +91,12 @@ pub(crate) fn signature(record: &[u8]) -> Signature {
 /// step reads one attribute id and tag and *delimits* the payload by its
 /// tag and length without building a [`Value`]. A caller that does not want
 /// an attribute simply does not call [`RawValue::decode`] on it, and may
-/// stop stepping as soon as it has what it came for.
+/// stop stepping as soon as it has what it came for. A caller holding the
+/// record's stored [`Signature`] knows that far sooner: an attribute whose
+/// [`signature_bit`] the signature lacks is not in the record, so a reader
+/// after some attributes stops at the last one the signature admits. Ids
+/// 128 apart share a bit, so an admitted attribute may still be absent and
+/// the walk then runs on to where it would have been.
 ///
 /// Every step checks what the walk itself depends on: well-formed varints,
 /// attribute ids that fit `u32` and strictly ascend, a known tag, a payload

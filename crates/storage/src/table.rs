@@ -580,7 +580,7 @@ impl<'a> ReadView<'a> {
         self.scan_records(
             seg,
             Signature::MAX,
-            |bytes| {
+            |bytes, _| {
                 f(&decode_entity(bytes)?);
                 Ok(())
             },
@@ -589,15 +589,17 @@ impl<'a> ReadView<'a> {
     }
 
     /// The page walk under every scan: hands the raw bytes of each live
-    /// record of `seg` whose [`Signature`] meets `mask` to `f`, page by page
-    /// in slot order, and stops at `f`'s first error. `Signature::MAX` is
-    /// the full scan — every page, every live record. Any other mask is a
-    /// query's (the bits of the attributes it names): a record that shares
-    /// no bit with it instantiates none of them and is not read, and a page
-    /// holding no candidate is skipped before the buffer pool hears of it —
-    /// no logical read, no LRU movement. A candidate need not match (ids
-    /// 128 apart share a bit); what to decode, and whether the record
-    /// matches, stays the caller's business (see
+    /// record of `seg` whose [`Signature`] meets `mask` to `f`, beside the
+    /// record's stored signature, page by page in slot order, and stops at
+    /// `f`'s first error. `Signature::MAX` is the full scan — every page,
+    /// every live record. Any other mask is a query's (the bits of the
+    /// attributes it names): a record that shares no bit with it
+    /// instantiates none of them and is not read, and a page holding no
+    /// candidate is skipped before the buffer pool hears of it — no logical
+    /// read, no LRU movement. A candidate need not match (ids 128 apart
+    /// share a bit); what to decode, how far to walk — an attribute whose
+    /// bit the signature lacks is not in the record — and whether the
+    /// record matches stay the caller's business (see
     /// [`crate::record::RecordView`]).
     ///
     /// Accumulates *this scan's* page accesses into `io` —
@@ -610,7 +612,7 @@ impl<'a> ReadView<'a> {
         &self,
         seg: SegmentId,
         mask: Signature,
-        mut f: impl FnMut(&[u8]) -> Result<(), StorageError>,
+        mut f: impl FnMut(&[u8], Signature) -> Result<(), StorageError>,
         io: &mut IoStats,
     ) -> Result<(), StorageError> {
         let segment = self.segment(seg)?;
@@ -637,8 +639,8 @@ impl<'a> ReadView<'a> {
             io.logical_reads += 1;
             io.physical_reads += u64::from(!hit);
             io.evictions += evicted;
-            for (_, bytes) in candidates {
-                f(bytes)?;
+            for (_, bytes, signature) in candidates {
+                f(bytes, signature)?;
             }
         }
         Ok(())
@@ -753,7 +755,7 @@ mod tests {
                 .scan_records(
                     seg,
                     mask,
-                    |bytes| {
+                    |bytes, _| {
                         ids.push(crate::record::decode_entity_id(bytes)?.0);
                         Ok(())
                     },
@@ -796,7 +798,7 @@ mod tests {
         let mut seen = 0;
         let b = crate::signature_bit(AttrId(1));
         t.read_view()
-            .scan_records(seg, b, |_| { seen += 1; Ok(()) }, &mut IoStats::default())
+            .scan_records(seg, b, |_, _| { seen += 1; Ok(()) }, &mut IoStats::default())
             .unwrap();
         assert_eq!(seen, 2);
     }

@@ -8,6 +8,8 @@
 pub const MAX_LEN: usize = 10;
 
 /// Appends the LEB128 encoding of `v` to `out`. Returns the encoded length.
+/// Inlinable across crates: the server's wire sink pays it per integer cell.
+#[inline]
 pub fn encode(mut v: u64, out: &mut Vec<u8>) -> usize {
     let start = out.len();
     loop {

@@ -222,7 +222,7 @@ proptest! {
         }
         prop_assert_eq!(page.validate_signatures(), Vec::<String>::new());
         let candidates_of = |mask| -> Vec<cind_storage::SlotId> {
-            page.candidates(mask).map(|(slot, _)| slot).collect()
+            page.candidates(mask).map(|(slot, ..)| slot).collect()
         };
         for (slot, bytes) in &live {
             let (ids, _, stopped) = walk(bytes, |_| false, true);
@@ -282,7 +282,7 @@ fn stored_bytes(table: &UniversalTable) -> std::collections::BTreeMap<u64, (Segm
         view.scan_records(
             seg,
             cind_storage::Signature::MAX,
-            |bytes| {
+            |bytes, _| {
                 let id = cind_storage::record::decode_entity_id(bytes)?.0;
                 assert!(out.insert(id, (seg, bytes.to_vec())).is_none(), "entity {id} stored twice");
                 Ok(())

@@ -2,7 +2,11 @@
 # Alternating A/B of one benchmark workload between two checkouts — the
 # table every EXPERIMENTS.md section reports (choosing-metrics §8: N pairs,
 # the side that runs first alternating, medians and quartiles of both sides,
-# the change better in k of N, every run listed).
+# the change better in k of N, every run listed), then per metric the
+# change/parent ratio of every pair with their median, and the claim rule:
+# the change wins at least nine tenths of the pairs (ties count for neither)
+# and the medians differ, in the better direction, by more than the
+# parent's quartile spread.
 #
 #   scripts/pairs.sh PARENT_DIR CHANGE_DIR WORKLOAD [N] [SEED]
 #
@@ -15,7 +19,7 @@
 set -euo pipefail
 
 if [ $# -lt 3 ]; then
-    sed -n '2,14p' "$0" >&2
+    sed -n '2,18p' "$0" >&2
     exit 2
 fi
 parent=$(cd "$1" && pwd)
@@ -95,6 +99,25 @@ print()
 print("Every run, in pair order:")
 for line in listing:
     print(line)
+print()
+print("Change/parent ratio per pair, and the claim rule (choosing-metrics §8):")
+need = -(-9 * pairs // 10)
+for name, unit, better in metrics:
+    p = [r["metrics"][name]["value"] for r in runs["parent"]]
+    c = [r["metrics"][name]["value"] for r in runs["change"]]
+    if 0 in p:
+        print(f"`{name}`: a parent run reads 0, no ratios")
+        continue
+    ratios = [cv / pv for pv, cv in zip(p, c)]
+    (pm, p1, p3), (cm, _, _) = quartiles(p), quartiles(c)
+    wins = sum((cv < pv) if better == "lower" else (cv > pv) for pv, cv in zip(p, c))
+    gap = (pm - cm) if better == "lower" else (cm - pm)
+    met = wins >= need and gap > p3 - p1
+    print(f"`{name}` ratios: {' '.join(f'{x:.4f}' for x in ratios)}; "
+          f"median {quartiles(ratios)[0]:.4f}")
+    print(f"`{name}` claim rule: wins {wins}/{pairs} (need {need}), median gap "
+          f"{fmt(gap)} in the better direction vs parent spread {fmt(p3 - p1)}: "
+          f"{'met' if met else 'not met'}")
 for side in ("parent", "change"):
     failed = sum(r["failed"] for r in runs[side])
     attempted = sum(r["attempted"] for r in runs[side])

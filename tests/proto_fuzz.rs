@@ -22,9 +22,8 @@ use std::path::PathBuf;
 
 use cind_model::Value;
 use cind_server::protocol::{
-    decode_request, decode_response, encode_request, encode_response, frame, read_frame,
-    split_frame, EngineStats, ErrorCode, IoCounters, ProtoError, QueryStats, Request,
-    Response, WireEntity,
+    decode_request, decode_response, encode_request, encode_response, frame, split_frame,
+    EngineStats, ErrorCode, IoCounters, QueryStats, Request, Response, WireEntity,
 };
 use cind_server::{EngineOptions, ShardedEngine, ShardedOptions};
 use proptest::prelude::*;
@@ -245,17 +244,18 @@ proptest! {
     fn framing_roundtrips_any_body(bytes in prop::collection::vec(0u8..=255, 0..200)) {
         let mut wire = Vec::new();
         frame(&bytes, &mut wire);
-        let mut r = &wire[..];
-        prop_assert_eq!(read_frame(&mut r).expect("framed body"), bytes);
-        prop_assert!(matches!(read_frame(&mut r), Err(ProtoError::Closed)));
+        let (body, used) = split_frame(&wire).expect("valid framing").expect("a whole frame");
+        prop_assert_eq!((body, used), (&bytes[..], wire.len()));
+        prop_assert!(matches!(split_frame(&wire[used..]), Ok(None)));
     }
 
     #[test]
-    fn split_frame_agrees_with_read_frame(
+    fn split_frame_drains_every_frame_of_a_buffer(
         bodies in prop::collection::vec(prop::collection::vec(0u8..=255, 0..60), 1..5),
     ) {
-        // However many frames share one buffer (the pipelined reader's
-        // view), splitting must yield the same bodies read_frame would.
+        // However many frames share one buffer (what one socket read hands
+        // the server's reader or the client), splitting yields each body
+        // in turn and then asks for more bytes.
         let mut wire = Vec::new();
         for b in &bodies {
             frame(b, &mut wire);
@@ -270,6 +270,42 @@ proptest! {
         }
         prop_assert_eq!(at, wire.len());
         prop_assert!(matches!(split_frame(&wire[at..]), Ok(None)));
+    }
+
+    #[test]
+    fn an_accepted_rows_body_holds_its_rows(
+        nrows in prop_oneof![3 => 0u64..24, 1 => any::<u64>()],
+        width in prop_oneof![2 => Just(0u64), 3 => 0u64..5, 1 => any::<u64>()],
+        filled in any::<bool>(),
+        cells in prop::collection::vec(prop_oneof![3 => Just(0u8), 1 => 0u8..=255], 0..80),
+    ) {
+        // A `Rows` header with any row count and width, then either one
+        // NULL flag per cell it claims or bytes that are mostly NULL flags.
+        // Whatever decodes must have had a flag byte in the body for every
+        // cell of every row, and a row has at least one cell.
+        let mut body = vec![3u8, 0, 0, 0, 0, 0];
+        cind_storage::varint::encode(nrows, &mut body);
+        cind_storage::varint::encode(width, &mut body);
+        match nrows.checked_mul(width) {
+            Some(flags) if filled && flags <= 64 => body.resize(body.len() + flags as usize, 0),
+            _ => body.extend_from_slice(&cells),
+        }
+        if let Ok(Response::Rows { rows, .. }) = decode_response(&body) {
+            prop_assert_eq!(rows.len() as u64, nrows);
+            prop_assert!(rows.iter().all(|row| row.len() as u64 == width));
+            prop_assert!(nrows * width.max(1) <= body.len() as u64);
+        }
+    }
+}
+
+/// The rows of an accepted `Rows` body: each has at least one cell, and
+/// together they need no more flag bytes than the body has.
+fn assert_rows_fit(body: &[u8]) {
+    if let Ok(Response::Rows { rows, .. }) = decode_response(body) {
+        let width = rows.first().map_or(0, Vec::len);
+        assert!(rows.iter().all(|row| row.len() == width && width > 0), "a zero-width row");
+        let (n, len) = (rows.len(), body.len());
+        assert!(n * width <= len, "{n} rows of width {width} in a {len}-byte body");
     }
 }
 
@@ -451,6 +487,9 @@ fn malformed_bodies() -> Vec<(&'static str, Vec<u8>)> {
     // An insert batch that claims 2^40 entities up front.
     let mut huge_batch = vec![10u8];
     cind_storage::varint::encode(1 << 40, &mut huge_batch);
+    // Eleven bytes: a `Rows` tag, five zero stats, 2^24 rows of width 0.
+    // No byte per row bounds the count; it must not become 16 M rows.
+    let zero_width_rows = vec![3u8, 0, 0, 0, 0, 0, 0x80, 0x80, 0x80, 0x08, 0];
     vec![
         ("bad_req_tag", vec![99u8]),
         ("bad_resp_tag", vec![0xA0u8, 1, 2, 3]),
@@ -461,6 +500,7 @@ fn malformed_bodies() -> Vec<(&'static str, Vec<u8>)> {
         ("bad_unterminated_varint", vec![0x80u8; 12]),
         ("bad_resp_nested_batch", nested_batch),
         ("bad_req_huge_batch_count", huge_batch),
+        ("bad_resp_zero_width_rows", zero_width_rows),
     ]
 }
 
@@ -469,21 +509,18 @@ fn malformed_bodies() -> Vec<(&'static str, Vec<u8>)> {
 fn exercise(body: &[u8]) -> (bool, bool) {
     let req_ok = decode_request(body).is_ok();
     let resp_ok = decode_response(body).is_ok();
+    assert_rows_fit(body);
     // The body itself as hostile *framing* input: must return, not panic.
     let _ = split_frame(body);
     let mut wire = Vec::new();
     frame(body, &mut wire);
-    let mut r = &wire[..];
-    assert_eq!(read_frame(&mut r).expect("framed body"), body);
     let (split_body, used) = split_frame(&wire)
         .expect("valid framing")
         .expect("complete frame");
     assert_eq!((split_body, used), (body, wire.len()));
-    // Truncated at every prefix the framing layer must error (read_frame)
-    // or report incompleteness (split_frame), never panic or yield bytes.
-    let mut cut = &wire[..wire.len() - 1];
-    assert!(read_frame(&mut cut).is_err());
-    assert!(!matches!(split_frame(&wire[..wire.len() - 1]), Ok(Some(_))));
+    // Truncated, the framing layer reports incompleteness, never panics or
+    // yields bytes.
+    assert!(matches!(split_frame(&wire[..wire.len() - 1]), Ok(None)));
     (req_ok, resp_ok)
 }
 

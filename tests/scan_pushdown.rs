@@ -58,6 +58,62 @@ fn typed_frame(resp: &Response) -> Vec<u8> {
     wire
 }
 
+/// The scan kernel against the definition, over every sink: `entities`
+/// spread round-robin over `nsegs` segments, queried for `qattrs`.
+fn check_pushdown(
+    entities: &[BTreeMap<u32, Value>],
+    nsegs: usize,
+    qattrs: &[u32],
+) -> Result<(), TestCaseError> {
+    let mut table = UniversalTable::new(64);
+    for i in 0..UNIVERSE {
+        table.catalog_mut().intern(&format!("a{i}"));
+    }
+    let segs: Vec<SegmentId> = (0..nsegs).map(|_| table.create_segment()).collect();
+    for (i, attrs) in entities.iter().enumerate() {
+        let e = Entity::new(
+            EntityId(i as u64),
+            attrs.iter().map(|(&a, v)| (AttrId(a), v.clone())),
+        )
+        .expect("map keys are unique");
+        table.insert(segs[i % nsegs], &e).expect("insert");
+    }
+    // Unsorted, possibly repeated attributes.
+    let q = Query::from_attrs(UNIVERSE, qattrs.iter().map(|&a| AttrId(a)));
+    let p = plan_from_survivors(segs.clone(), 0);
+
+    // Attribute ids 128 apart share a signature bit here, so the scan
+    // reads the matching records and the aliased ones — and no others.
+    let want = common::scan_oracle(table.read_view(), &q, &segs);
+    let want_rows = want.rows;
+    let (got, got_rows) = execute_collect(&table, &q, &p).expect("pushdown");
+    prop_assert_eq!(&got_rows, &want_rows);
+    prop_assert_eq!(
+        (got.rows, got.cells, got.entities_scanned, got.io.logical_reads),
+        (want_rows.len() as u64, want.cells, want.candidates, want.pages)
+    );
+    let counted = execute(&table, &q, &p).expect("count only");
+    prop_assert_eq!(
+        (counted.rows, counted.cells, counted.entities_scanned, counted.io.logical_reads),
+        (got.rows, got.cells, got.entities_scanned, got.io.logical_reads)
+    );
+    // The wire sink: the same kernel, rows leaving as response bytes.
+    let (wired, wire_rows) =
+        execute_into::<WireRows>(table.read_view(), &Projection::of(&q), &p).expect("wire");
+    prop_assert_eq!(
+        (wired.rows, wired.cells, wired.entities_scanned),
+        (got.rows, got.cells, got.entities_scanned)
+    );
+    let stats = QueryStats::from(&wired);
+    let typed = Response::Rows { rows: want_rows, stats };
+    let mut wire = Vec::new();
+    frame_rows(&stats, q.attrs().len(), &[wire_rows], &mut wire);
+    prop_assert_eq!(&wire, &typed_frame(&typed));
+    prop_assert_eq!(decode_response(framed_body(&wire)).expect("decodes"), typed);
+    common::assert_pool_valid(&table);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -67,52 +123,30 @@ proptest! {
         nsegs in 1usize..4,
         qattrs in prop::collection::vec(attr(), 1..5),
     ) {
-        let mut table = UniversalTable::new(64);
-        for i in 0..UNIVERSE {
-            table.catalog_mut().intern(&format!("a{i}"));
-        }
-        let segs: Vec<SegmentId> = (0..nsegs).map(|_| table.create_segment()).collect();
-        for (i, attrs) in entities.iter().enumerate() {
-            let e = Entity::new(
-                EntityId(i as u64),
-                attrs.iter().map(|(&a, v)| (AttrId(a), v.clone())),
-            )
-            .expect("map keys are unique");
-            table.insert(segs[i % nsegs], &e).expect("insert");
-        }
-        // Unsorted, possibly repeated attributes.
-        let q = Query::from_attrs(UNIVERSE, qattrs.iter().map(|&a| AttrId(a)));
-        let p = plan_from_survivors(segs.clone(), 0);
+        check_pushdown(&entities, nsegs, &qattrs)?;
+    }
 
-        // Attribute ids 128 apart share a signature bit here, so the scan
-        // reads the matching records and the aliased ones — and no others.
-        let want = common::scan_oracle(table.read_view(), &q, &segs);
-        let want_rows = want.rows;
-        let (got, got_rows) = execute_collect(&table, &q, &p).expect("pushdown");
-        prop_assert_eq!(&got_rows, &want_rows);
-        prop_assert_eq!(
-            (got.rows, got.cells, got.entities_scanned, got.io.logical_reads),
-            (want_rows.len() as u64, want.cells, want.candidates, want.pages)
-        );
-        let counted = execute(&table, &q, &p).expect("count only");
-        prop_assert_eq!(
-            (counted.rows, counted.cells, counted.entities_scanned, counted.io.logical_reads),
-            (got.rows, got.cells, got.entities_scanned, got.io.logical_reads)
-        );
-        // The wire sink: the same kernel, rows leaving as response bytes.
-        let (wired, wire_rows) =
-            execute_into::<WireRows>(table.read_view(), &Projection::of(&q), &p).expect("wire");
-        prop_assert_eq!(
-            (wired.rows, wired.cells, wired.entities_scanned),
-            (got.rows, got.cells, got.entities_scanned)
-        );
-        let stats = QueryStats::from(&wired);
-        let typed = Response::Rows { rows: want_rows, stats };
-        let mut wire = Vec::new();
-        frame_rows(&stats, q.attrs().len(), &[wire_rows], &mut wire);
-        prop_assert_eq!(&wire, &typed_frame(&typed));
-        prop_assert_eq!(decode_response(framed_body(&wire)).expect("decodes"), typed);
-        common::assert_pool_valid(&table);
+    /// The largest requested attribute is on no record, but its signature
+    /// bit is that of an attribute the first record and maybe others
+    /// carry: the signature admits it, so those records are walked to
+    /// their end, and must still answer as the definition does.
+    #[test]
+    fn an_absent_but_aliased_last_attribute_answers_as_the_definition(
+        entities in prop::collection::vec(
+            prop::collection::btree_map(0u32..40, value(), 1..7),
+            1..40,
+        ),
+        nsegs in 1usize..4,
+        qattrs in prop::collection::vec(0u32..40, 0..3),
+        alias in 0u32..40,
+    ) {
+        let absent = alias + 128;
+        let mut entities = entities;
+        entities[0].insert(alias, Value::Int(1));
+        prop_assert!(entities.iter().all(|e| !e.contains_key(&absent)));
+        let mut qattrs = qattrs;
+        qattrs.push(absent);
+        check_pushdown(&entities, nsegs, &qattrs)?;
     }
 }
 
