@@ -1,6 +1,5 @@
 //! Per-segment synopsis and size accounting shared by the baselines.
 
-use cind_bitset::BitSetOps;
 use cind_model::{Entity, Synopsis};
 use cind_storage::SegmentId;
 

@@ -6,7 +6,7 @@
 //! produces (entities ≈ 7 bits, partitions ≈ 30–70 bits of a 100-bit
 //! universe).
 
-use cind_bitset::{BitSetOps, FixedBitSet};
+use cind_bitset::FixedBitSet;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 const UNIVERSE: usize = 100;

@@ -10,7 +10,7 @@ use cind_datagen::{DbpediaConfig, DbpediaGenerator, WorkloadBuilder};
 use cind_model::Synopsis;
 use cind_query::{execute, execute_into, plan, Projection, Query};
 use cind_server::protocol::WireRows;
-use cind_storage::{BufferPool, SegmentId, UniversalTable};
+use cind_storage::{SegmentId, UniversalTable};
 use cinderella_core::{Capacity, Cinderella, Config};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -26,8 +26,7 @@ fn load(cinderella: bool) -> (Loaded, Vec<(String, Query, f64)>) {
         entities: ENTITIES,
         ..DbpediaConfig::default()
     });
-    // Sharded pool: the parallel variants hammer it from several workers.
-    let mut table = UniversalTable::with_pool(BufferPool::with_shards(256, 8));
+    let mut table = UniversalTable::new(256);
     let entities = gen.generate(table.catalog_mut());
     let universe = table.universe();
     let specs = WorkloadBuilder::default().build(universe, &entities);

@@ -1,7 +1,7 @@
 //! Dense bitset with a fixed universe size.
 
-use crate::ops::{BitSetOps, FusedCounts};
-use crate::{blocks_for, words, BITS};
+use crate::words::{self, FusedCounts};
+use crate::{blocks_for, BITS};
 
 /// A dense bitset over a fixed universe `0..capacity`, stored as `u64`
 /// blocks.
@@ -99,30 +99,8 @@ impl FixedBitSet {
         (bit / BITS, 1u64 << (bit % BITS))
     }
 
-    /// Fused count over the zipped blocks of two bitsets, treating missing
-    /// trailing blocks as zero.
-    fn zip_count(&self, other: &Self, f: impl Fn(u64, u64) -> u64) -> u32 {
-        let (short, long) = if self.blocks.len() <= other.blocks.len() {
-            (&self.blocks, &other.blocks)
-        } else {
-            (&other.blocks, &self.blocks)
-        };
-        let mut n = 0u32;
-        for (a, b) in short.iter().zip(long.iter()) {
-            n += f(*a, *b).count_ones();
-        }
-        // Whether the tail contributes depends on f(0, x); and/or/xor are
-        // symmetric so orientation does not matter for them. Callers needing
-        // asymmetric ops (andnot) use the default trait formulation instead.
-        for b in &long[short.len()..] {
-            n += f(0, *b).count_ones();
-        }
-        n
-    }
-}
-
-impl BitSetOps for FixedBitSet {
-    fn insert(&mut self, bit: u32) -> bool {
+    /// Inserts `bit`. Returns `true` if the bit was newly set.
+    pub fn insert(&mut self, bit: u32) -> bool {
         assert!(
             (bit as usize) < self.capacity,
             "bit {bit} out of range for capacity {}",
@@ -134,7 +112,8 @@ impl BitSetOps for FixedBitSet {
         !was
     }
 
-    fn remove(&mut self, bit: u32) -> bool {
+    /// Removes `bit`. Returns `true` if the bit was previously set.
+    pub fn remove(&mut self, bit: u32) -> bool {
         let (blk, mask) = Self::split(bit);
         match self.blocks.get_mut(blk) {
             Some(b) => {
@@ -146,38 +125,61 @@ impl BitSetOps for FixedBitSet {
         }
     }
 
-    fn contains(&self, bit: u32) -> bool {
+    /// Whether `bit` is set.
+    pub fn contains(&self, bit: u32) -> bool {
         let (blk, mask) = Self::split(bit);
         self.blocks.get(blk).is_some_and(|b| b & mask != 0)
     }
 
-    fn count(&self) -> u32 {
+    /// Number of set bits (`|s|`).
+    pub fn count(&self) -> u32 {
         self.blocks.iter().map(|b| b.count_ones()).sum()
     }
 
-    fn and_count(&self, other: &Self) -> u32 {
-        self.zip_count(other, |a, b| a & b)
+    /// Whether no bit is set.
+    pub fn is_empty(&self) -> bool {
+        self.count() == 0
     }
 
-    fn fused_counts(&self, other: &Self) -> FusedCounts {
+    /// `|self ∧ other|` — size of the intersection.
+    pub fn and_count(&self, other: &Self) -> u32 {
+        words::and_count(&self.blocks, &other.blocks)
+    }
+
+    /// All four rating cardinalities (`|self ∧ other|`, `|self ∨ other|`,
+    /// `|self|`, `|other|`) from one word loop.
+    pub fn fused_counts(&self, other: &Self) -> FusedCounts {
         words::fused_counts(&self.blocks, &other.blocks)
     }
 
-    fn is_disjoint(&self, other: &Self) -> bool {
-        // Early exit on the first shared word, instead of popcounting the
-        // whole intersection — the planner's per-partition pruning test.
+    /// `|self ∨ other|` — size of the union.
+    pub fn or_count(&self, other: &Self) -> u32 {
+        self.fused_counts(other).or
+    }
+
+    /// `|self ⊕ other|` — size of the symmetric difference. This is the
+    /// paper's `DIFF(e₁, e₂)` used for split-starter maintenance.
+    pub fn xor_count(&self, other: &Self) -> u32 {
+        let c = self.fused_counts(other);
+        c.or - c.and
+    }
+
+    /// Whether the intersection is empty (`|self ∧ other| = 0`) — the
+    /// partition-pruning test. Stops at the first shared word instead of
+    /// popcounting the whole intersection.
+    pub fn is_disjoint(&self, other: &Self) -> bool {
         words::is_disjoint(&self.blocks, &other.blocks)
     }
 
-    fn or_count(&self, other: &Self) -> u32 {
-        self.zip_count(other, |a, b| a | b)
+    /// Whether every bit of `self` is also set in `other`.
+    pub fn is_subset(&self, other: &Self) -> bool {
+        self.and_count(other) == self.count()
     }
 
-    fn xor_count(&self, other: &Self) -> u32 {
-        self.zip_count(other, |a, b| a ^ b)
-    }
-
-    fn union_with(&mut self, other: &Self) {
+    /// Sets every bit of `other` in `self` (`self ∨= other`), growing the
+    /// universe if `other`'s is larger. Used to fold an entity synopsis into
+    /// a partition synopsis.
+    pub fn union_with(&mut self, other: &Self) {
         if other.capacity > self.capacity {
             self.grow(other.capacity);
         }
@@ -186,11 +188,15 @@ impl BitSetOps for FixedBitSet {
         }
     }
 
-    fn clear(&mut self) {
+    /// Removes every bit (resets to the empty set).
+    pub fn clear(&mut self) {
         self.blocks.fill(0);
     }
 
-    fn iter_ones(&self) -> impl Iterator<Item = u32> + '_ {
+    /// The set bits in ascending order, as a concrete iterator (no heap box,
+    /// no virtual `next`: the indexed rating scan walks its candidates
+    /// through it on every insert).
+    pub fn iter_ones(&self) -> impl Iterator<Item = u32> + '_ {
         words::iter_ones(&self.blocks)
     }
 }
@@ -240,8 +246,6 @@ mod tests {
         assert_eq!(a.and_count(&b), 2);
         assert_eq!(a.or_count(&b), 6);
         assert_eq!(a.xor_count(&b), 4);
-        assert_eq!(a.andnot_count(&b), 2);
-        assert_eq!(b.andnot_count(&a), 2);
         assert!(!a.is_disjoint(&b));
         let c = FixedBitSet::from_iter(200, [5, 77]);
         assert!(a.is_disjoint(&c));

@@ -4,24 +4,19 @@
 //! over attribute sets: `|e ∧ p|`, `|¬e ∧ p|`, `|e ∧ ¬p|`, `|e ∨ p|`, and the
 //! split-starter difference `|e₁ ⊕ e₂|`. This crate provides the bitset
 //! machinery those operators run on, built from scratch on `u64` blocks with
-//! *fused* count operations (`and_count`, `or_count`, `xor_count`,
-//! `andnot_count`) so that a rating never materialises a temporary bitset.
+//! *fused* count operations (`and_count`, `or_count`, `xor_count`) so that
+//! a rating never materialises a temporary bitset.
 //!
-//! Two representations are provided, both implementing [`BitSetOps`]:
-//!
-//! * [`FixedBitSet`] — dense `u64`-block bitset with a fixed universe size.
-//!   This is the workhorse for partition synopses, where the universe (the
-//!   attribute dictionary of the universal table) is known.
-//! * [`GrowableBitSet`] — wraps [`FixedBitSet`] with automatic universe
-//!   growth for callers that discover attributes on the fly.
-//!
-//! The [`words`] kernels run the same fused counts over raw `u64` slices,
-//! for the packed synopsis arena.
+//! There is one representation, [`FixedBitSet`]: a dense `u64`-block bitset
+//! over a universe (the attribute dictionary of the universal table) that
+//! grows when its owner calls `grow` or a union meets a larger one. The [`words`] kernels run the
+//! same fused counts over raw `u64` slices, for the packed synopsis arena,
+//! and [`FixedBitSet`]'s counts call them.
 //!
 //! # Example
 //!
 //! ```
-//! use cind_bitset::{BitSetOps, FixedBitSet};
+//! use cind_bitset::FixedBitSet;
 //!
 //! let mut e = FixedBitSet::new(100);
 //! e.insert(3);
@@ -32,20 +27,16 @@
 //! assert_eq!(e.and_count(&p), 1); // |e ∧ p|
 //! assert_eq!(e.xor_count(&p), 2); // |e ⊕ p|
 //! assert_eq!(e.or_count(&p), 3);  // |e ∨ p|
-//! assert_eq!(p.andnot_count(&e), 1); // |¬e ∧ p|
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod fixed;
-mod growable;
-mod ops;
 pub mod words;
 
 pub use fixed::FixedBitSet;
-pub use growable::GrowableBitSet;
-pub use ops::{BitSetOps, FusedCounts};
+pub use words::FusedCounts;
 
 /// Number of bits per storage block.
 pub(crate) const BITS: usize = u64::BITS as usize;

@@ -1,4 +1,5 @@
-//! Word-slice kernels shared by the bitset types and the synopsis arena.
+//! Word-slice kernels shared by [`FixedBitSet`](crate::FixedBitSet) and the
+//! synopsis arena.
 //!
 //! The rating and pruning hot paths operate on raw `&[u64]` rows (packed
 //! arena slots, query synopses) rather than on owned bitsets, so the fused
@@ -6,7 +7,21 @@
 //! implicitly zero-extended: trailing words missing from the shorter slice
 //! count as empty.
 
-use crate::ops::FusedCounts;
+/// The four cardinalities one entity/partition rating needs: `|a ∧ b|`,
+/// `|a ∨ b|`, `|a|`, `|b|` — produced by a single fused pass over two bit
+/// sets, or assembled from `|a ∧ b|` and two cardinalities already known
+/// (`|a ∨ b| = |a| + |b| − |a ∧ b|`).
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct FusedCounts {
+    /// `|a ∧ b|` — intersection cardinality.
+    pub and: u32,
+    /// `|a ∨ b|` — union cardinality.
+    pub or: u32,
+    /// `|a|` — cardinality of the left operand.
+    pub left: u32,
+    /// `|b|` — cardinality of the right operand.
+    pub right: u32,
+}
 
 /// Fused one-pass kernel: `|a ∧ b|`, `|a ∨ b|`, `|a|`, and `|b|` from a
 /// single walk over the zipped words. This replaces the three separate
@@ -49,19 +64,8 @@ pub fn and_count(a: &[u64], b: &[u64]) -> u32 {
     a.iter().zip(b).map(|(&wa, &wb)| (wa & wb).count_ones()).sum()
 }
 
-/// `dst ∨= src`. `dst` must be at least as long as `src`.
-///
-/// # Panics
-/// Panics if `dst` is shorter than `src`.
-pub fn or_into(dst: &mut [u64], src: &[u64]) {
-    assert!(dst.len() >= src.len(), "or_into destination too short");
-    for (d, &s) in dst.iter_mut().zip(src) {
-        *d |= s;
-    }
-}
-
 /// Iterator over the set bit indices of a word slice, ascending — the one
-/// ones-walk behind every bitset's `iter_ones` as well.
+/// ones-walk behind [`FixedBitSet::iter_ones`](crate::FixedBitSet::iter_ones) as well.
 pub fn iter_ones(words: &[u64]) -> impl Iterator<Item = u32> + '_ {
     Ones { words, current: words.first().copied().unwrap_or(0), word_idx: 0 }
 }
@@ -119,19 +123,6 @@ mod tests {
         assert!(!is_disjoint(&[0b01, 0b10], &[0b11, 0]));
         // Tail beyond the shorter operand never overlaps.
         assert!(is_disjoint(&[0b01], &[0b10, u64::MAX]));
-    }
-
-    #[test]
-    fn or_into_accumulates() {
-        let mut dst = [0b01u64, 0];
-        or_into(&mut dst, &[0b10]);
-        assert_eq!(dst, [0b11, 0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "too short")]
-    fn or_into_rejects_short_destination() {
-        or_into(&mut [0u64], &[1, 2]);
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! or leaves the partition; the bitmaps are the exact storage of the
 //! [`PruningIndex`](crate::PruningIndex) over those attribute synopses.
 
-use cind_bitset::{BitSetOps, FixedBitSet};
+use cind_bitset::FixedBitSet;
 use cind_storage::SegmentId;
 
 use crate::validate::InvariantViolation;

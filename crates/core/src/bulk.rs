@@ -76,15 +76,9 @@ pub fn bulk_load(
     config.assert_valid();
     if threads <= 1 {
         let mut cindy = Cinderella::new(config);
-        let n = {
-            let mut n = 0usize;
-            for e in entities {
-                cindy.insert(table, e)?;
-                n += 1;
-            }
-            n
-        };
-        let _ = n;
+        for e in entities {
+            cindy.insert(table, e)?;
+        }
         let partitions = cindy.catalog().len();
         return Ok((
             cindy,

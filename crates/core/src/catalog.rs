@@ -15,7 +15,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use cind_bitset::{words, BitSetOps, FixedBitSet, FusedCounts};
+use cind_bitset::{words, FixedBitSet, FusedCounts};
 
 use cind_model::{EntityId, Synopsis};
 use cind_storage::SegmentId;

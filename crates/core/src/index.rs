@@ -25,7 +25,7 @@
 
 use std::collections::BTreeSet;
 
-use cind_bitset::{BitSetOps, FixedBitSet};
+use cind_bitset::FixedBitSet;
 use cind_model::Synopsis;
 use cind_storage::SegmentId;
 

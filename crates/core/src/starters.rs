@@ -50,12 +50,6 @@ impl SplitStarters {
         }
     }
 
-    /// Whether `id` is one of the starters.
-    pub fn is_starter(&self, id: EntityId) -> bool {
-        self.a.as_ref().is_some_and(|(a, _)| *a == id)
-            || self.b.as_ref().is_some_and(|(b, _)| *b == id)
-    }
-
     /// Algorithm 1, lines 12 and 15–24: fold a newly inserted entity into
     /// the pair.
     ///
@@ -124,23 +118,6 @@ impl SplitStarters {
                 Ok(())
             }
             _ => Ok(()),
-        }
-    }
-
-    /// Replaces the cached synopsis of `id` (entity updated in place).
-    pub fn refresh(&mut self, id: EntityId, synopsis: &Synopsis) {
-        if let Some((a, s)) = &mut self.a {
-            if *a == id {
-                *s = synopsis.clone();
-            }
-        }
-        if let Some((b, s)) = &mut self.b {
-            if *b == id {
-                *s = synopsis.clone();
-            }
-        }
-        if let (Some((_, sa)), Some((_, sb))) = (&self.a, &self.b) {
-            self.diff_ab = sa.diff(sb);
         }
     }
 }
@@ -214,25 +191,5 @@ mod tests {
         assert!(!st.vacate(EntityId(9)));
         st.offer(EntityId(3), &syn(&[2, 3]));
         assert_eq!(st.b().unwrap().0, EntityId(3));
-    }
-
-    #[test]
-    fn is_starter_checks_both_slots() {
-        let mut st = SplitStarters::new();
-        st.offer(EntityId(1), &syn(&[0]));
-        st.offer(EntityId(2), &syn(&[1]));
-        assert!(st.is_starter(EntityId(1)));
-        assert!(st.is_starter(EntityId(2)));
-        assert!(!st.is_starter(EntityId(3)));
-    }
-
-    #[test]
-    fn refresh_updates_cached_synopsis_and_diff() {
-        let mut st = SplitStarters::new();
-        st.offer(EntityId(1), &syn(&[0]));
-        st.offer(EntityId(2), &syn(&[1]));
-        assert_eq!(st.pair_diff(), 2);
-        st.refresh(EntityId(2), &syn(&[0]));
-        assert_eq!(st.pair_diff(), 0);
     }
 }

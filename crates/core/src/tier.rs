@@ -519,8 +519,6 @@ impl TieredIndex {
 mod tests {
     use std::collections::BTreeMap;
 
-    use cind_bitset::BitSetOps;
-
     use super::*;
 
     #[test]

@@ -108,14 +108,6 @@ impl Entity {
         }
     }
 
-    /// Removes `attr`, returning its value if it was instantiated.
-    pub fn unset(&mut self, attr: AttrId) -> Option<Value> {
-        match self.attrs.binary_search_by_key(&attr, |(a, _)| *a) {
-            Ok(i) => Some(self.attrs.remove(i).1),
-            Err(_) => None,
-        }
-    }
-
     /// Sum of serialized value payload lengths — the entity's size in bytes
     /// (modulo per-record framing, which storage accounts separately).
     pub fn payload_bytes(&self) -> usize {
@@ -183,7 +175,7 @@ mod tests {
     }
 
     #[test]
-    fn get_set_unset() {
+    fn get_and_set() {
         let mut ent = e(1, &[(1, 10), (3, 30)]);
         assert_eq!(ent.get(AttrId(1)), Some(&Value::Int(10)));
         assert_eq!(ent.get(AttrId(2)), None);
@@ -193,10 +185,7 @@ mod tests {
         assert_eq!(ent.set(AttrId(2), Value::Int(20)), None);
         let ids: Vec<u32> = ent.attrs().iter().map(|(a, _)| a.0).collect();
         assert_eq!(ids, vec![1, 2, 3]);
-
-        assert_eq!(ent.unset(AttrId(2)), Some(Value::Int(20)));
-        assert_eq!(ent.unset(AttrId(2)), None);
-        assert_eq!(ent.arity(), 2);
+        assert_eq!(ent.arity(), 3);
     }
 
     #[test]
@@ -215,7 +204,6 @@ mod tests {
 
     #[test]
     fn synopsis_reflects_attr_set() {
-        use cind_bitset::BitSetOps;
         let ent = e(1, &[(0, 1), (7, 2)]);
         let s = ent.synopsis(10);
         assert_eq!(s.cardinality(), 2);

@@ -1,6 +1,6 @@
 //! Attribute-set synopses and the paper's set operators.
 
-use cind_bitset::{BitSetOps, FixedBitSet, FusedCounts};
+use cind_bitset::{FixedBitSet, FusedCounts};
 
 use crate::AttrId;
 
@@ -18,8 +18,6 @@ use crate::AttrId;
 /// let e = Synopsis::from_bits(16, [0, 2, 8]); // entity attributes
 /// let p = Synopsis::from_bits(16, [0, 3, 5, 8]); // partition attributes
 /// assert_eq!(e.overlap(&p), 2);        // |e ∧ p|
-/// assert_eq!(p.only_in_self(&e), 2);   // |¬e ∧ p|
-/// assert_eq!(e.only_in_self(&p), 1);   // |e ∧ ¬p|
 /// assert_eq!(e.union_count(&p), 5);    // |e ∨ p|
 /// assert_eq!(e.diff(&p), 3);           // |e ⊕ p| (split-starter DIFF)
 /// assert!(!e.is_disjoint(&p));         // would NOT be pruned
@@ -69,15 +67,6 @@ impl Synopsis {
     /// and the pruning test's `|p ∧ q|`.
     pub fn overlap(&self, other: &Self) -> u32 {
         self.bits.and_count(&other.bits)
-    }
-
-    /// `|self ∧ ¬other|` — attributes this synopsis has that `other` lacks.
-    ///
-    /// With `self = e`, `other = p` this is `|e ∧ ¬p|` (partition
-    /// heterogeneity count); swapped, it is `|¬e ∧ p|` (entity heterogeneity
-    /// count).
-    pub fn only_in_self(&self, other: &Self) -> u32 {
-        self.bits.andnot_count(&other.bits)
     }
 
     /// `|self ∨ other|` — the union cardinality used to normalise the global
@@ -146,8 +135,6 @@ mod tests {
         let e = syn(&[0, 2, 8]);
         let p = syn(&[0, 8, 3, 5]);
         assert_eq!(e.overlap(&p), 2); // |e ∧ p|
-        assert_eq!(e.only_in_self(&p), 1); // |e ∧ ¬p|
-        assert_eq!(p.only_in_self(&e), 2); // |¬e ∧ p|
         assert_eq!(e.union_count(&p), 5); // |e ∨ p|
         assert_eq!(e.diff(&p), 3); // |e ⊕ p|
         assert!(!e.is_disjoint(&p));

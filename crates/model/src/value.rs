@@ -65,15 +65,6 @@ impl Value {
         }
     }
 
-    /// A short type name for diagnostics.
-    pub fn type_name(&self) -> &'static str {
-        match self {
-            Value::Bool(_) => "bool",
-            Value::Int(_) => "int",
-            Value::Float(_) => "float",
-            Value::Text(_) => "text",
-        }
-    }
 }
 
 impl From<bool> for Value {
@@ -143,9 +134,8 @@ mod tests {
     }
 
     #[test]
-    fn display_and_type_name() {
+    fn display_renders_the_value() {
         assert_eq!(Value::Int(42).to_string(), "42");
         assert_eq!(Value::Text("hi".into()).to_string(), "hi");
-        assert_eq!(Value::Float(1.5).type_name(), "float");
     }
 }

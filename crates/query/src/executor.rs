@@ -44,18 +44,6 @@ pub struct QueryResult {
     pub duration: Duration,
 }
 
-impl QueryResult {
-    /// Fraction of scanned entities that matched (1.0 when nothing was
-    /// scanned).
-    pub fn scan_precision(&self) -> f64 {
-        if self.entities_scanned == 0 {
-            1.0
-        } else {
-            self.rows as f64 / self.entities_scanned as f64
-        }
-    }
-}
-
 /// Executes `plan`, discarding row data (measurement runs).
 pub fn execute(
     table: &UniversalTable,
@@ -193,7 +181,6 @@ mod tests {
         assert_eq!(r.entities_scanned, 5);
         assert_eq!(r.segments_read, 1);
         assert_eq!(r.segments_pruned, 1);
-        assert_eq!(r.scan_precision(), 1.0);
         assert!(r.io.logical_reads >= 1);
     }
 

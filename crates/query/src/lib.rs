@@ -58,16 +58,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cost;
 pub mod executor;
 pub mod planner;
 mod projection;
 mod query;
 pub mod selectivity;
 
-pub use cost::{estimate, CostEstimate};
 pub use executor::{execute, execute_collect, execute_collect_view, execute_into, QueryResult};
 pub use planner::{plan, plan_from_survivors, Plan};
 pub use projection::{Projection, Row, RowSink};
 pub use query::Query;
-pub use selectivity::{selectivity, selectivity_of};
+pub use selectivity::selectivity;

@@ -16,18 +16,6 @@ pub struct Plan {
     pub pruned: usize,
 }
 
-impl Plan {
-    /// Fraction of partitions pruned (1.0 when there were none at all).
-    pub fn pruned_fraction(&self) -> f64 {
-        let total = self.segments.len() + self.pruned;
-        if total == 0 {
-            1.0
-        } else {
-            self.pruned as f64 / total as f64
-        }
-    }
-}
-
 /// Builds the plan for `query` against a partition view: any iterator of
 /// `(segment, attribute synopsis)` pairs, e.g.
 /// `cinderella_core::PartitionCatalog::pruning_view` or a baseline's
@@ -85,7 +73,6 @@ mod tests {
         let plan = plan(&q, parts.iter().map(|(s, p)| (*s, p)));
         assert_eq!(plan.segments, vec![SegmentId(0), SegmentId(2)]);
         assert_eq!(plan.pruned, 2);
-        assert!((plan.pruned_fraction() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -94,7 +81,6 @@ mod tests {
         let plan = plan(&q, std::iter::empty());
         assert!(plan.segments.is_empty());
         assert_eq!(plan.pruned, 0);
-        assert_eq!(plan.pruned_fraction(), 1.0);
     }
 
     #[test]
@@ -102,8 +88,5 @@ mod tests {
         let p = plan_from_survivors(vec![SegmentId(0), SegmentId(2)], 2);
         assert_eq!(p.segments, vec![SegmentId(0), SegmentId(2)]);
         assert_eq!(p.pruned, 2);
-        assert!((p.pruned_fraction() - 0.5).abs() < 1e-12);
-        let empty = plan_from_survivors(Vec::new(), 0);
-        assert_eq!(empty.pruned_fraction(), 1.0);
     }
 }

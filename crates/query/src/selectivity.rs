@@ -1,38 +1,15 @@
 //! Query selectivity — the x-axis of Figs. 5 and 6.
 
-use cind_model::Synopsis;
 use cind_storage::{StorageError, UniversalTable};
 
 use crate::Query;
 
-/// Selectivity of a query synopsis against a set of entity synopses: the
+/// Selectivity of `query` against the whole stored table (a full scan): the
 /// fraction of entities relevant to the query (`|e ∧ q| ≥ 1`).
 ///
 /// Note the paper's convention: *lower* selectivity values mean *more
 /// selective* queries (fewer rows returned); "selectivity < 0.2" marks the
 /// regime where Cinderella wins.
-pub fn selectivity_of<'a>(
-    query: &Synopsis,
-    entities: impl IntoIterator<Item = &'a Synopsis>,
-) -> f64 {
-    let mut total = 0u64;
-    let mut matching = 0u64;
-    for e in entities {
-        total += 1;
-        if !query.is_disjoint(e) {
-            matching += 1;
-        }
-    }
-    if total == 0 {
-        0.0
-    } else {
-        matching as f64 / total as f64
-    }
-}
-
-/// Selectivity of `query` against the whole stored table (full scan; the
-/// harnesses use [`selectivity_of`] over pre-computed synopses instead when
-/// measuring I/O, so this scan does not pollute the counters mid-benchmark).
 pub fn selectivity(table: &UniversalTable, query: &Query) -> Result<f64, StorageError> {
     let mut total = 0u64;
     let mut matching = 0u64;
@@ -51,20 +28,6 @@ pub fn selectivity(table: &UniversalTable, query: &Query) -> Result<f64, Storage
 mod tests {
     use super::*;
     use cind_model::{AttrId, Entity, EntityId, Value};
-
-    #[test]
-    fn selectivity_over_synopses() {
-        let q = Synopsis::from_bits(8, [0]);
-        let entities = [
-            Synopsis::from_bits(8, [0, 1]),
-            Synopsis::from_bits(8, [1]),
-            Synopsis::from_bits(8, [0]),
-            Synopsis::from_bits(8, [2]),
-        ];
-        let s = selectivity_of(&q, entities.iter());
-        assert!((s - 0.5).abs() < 1e-12);
-        assert_eq!(selectivity_of(&q, std::iter::empty()), 0.0);
-    }
 
     #[test]
     fn selectivity_over_table() {

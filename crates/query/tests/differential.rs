@@ -22,7 +22,7 @@ use cind_server::protocol::{
     WireRows,
 };
 use cind_storage::buffer::PageKey;
-use cind_storage::{decode_entity, BufferPool, IoStats, SegmentId, UniversalTable};
+use cind_storage::{decode_entity, IoStats, SegmentId, UniversalTable};
 use proptest::prelude::*;
 
 const UNIVERSE: usize = 16;
@@ -33,7 +33,7 @@ fn build(
     entity_attrs: &[Vec<u32>],
     nsegs: usize,
 ) -> (UniversalTable, Vec<(SegmentId, Synopsis)>) {
-    let mut table = UniversalTable::with_pool(BufferPool::with_shards(64, 4));
+    let mut table = UniversalTable::new(64);
     for i in 0..UNIVERSE {
         table.catalog_mut().intern(&format!("a{i}"));
     }
@@ -164,7 +164,7 @@ proptest! {
     ) {
         // A pool smaller than the data churns; both sides replay the same
         // page sequence against it, so even misses and evictions must agree.
-        let mut table = UniversalTable::with_pool(BufferPool::new(pool_pages));
+        let mut table = UniversalTable::new(pool_pages);
         for i in 0..WIDE_UNIVERSE {
             table.catalog_mut().intern(&format!("a{i}"));
         }

@@ -12,14 +12,14 @@ use std::collections::BTreeSet;
 
 use cind_model::{AttrId, Entity, EntityId, Synopsis, Value};
 use cind_query::{execute, execute_collect, plan, Query};
-use cind_storage::{BufferPool, SegmentId, UniversalTable};
+use cind_storage::{SegmentId, UniversalTable};
 
 const UNIVERSE: usize = 12;
 
 /// A table with three segments holding entities over attrs 0..6; attrs
 /// 6.. exist in the catalog but in no entity.
 fn populated() -> (UniversalTable, Vec<(SegmentId, Synopsis)>) {
-    let mut table = UniversalTable::with_pool(BufferPool::with_shards(64, 2));
+    let mut table = UniversalTable::new(64);
     for i in 0..UNIVERSE {
         table.catalog_mut().intern(&format!("a{i}"));
     }

@@ -37,6 +37,8 @@ use std::time::Duration;
 
 use cind_storage::vfs::VfsFile;
 
+use crate::protocol::IoCounters;
+
 /// Cumulative WAL I/O counters for one engine, shared across the
 /// coordinator generations a checkpoint cycles through. All relaxed: these
 /// are observability counters, not synchronisation.
@@ -52,28 +54,18 @@ pub struct WalCounters {
     pub ops: AtomicU64,
 }
 
-/// A point-in-time copy of [`WalCounters`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WalCountersSnapshot {
-    /// See [`WalCounters::appends`].
-    pub appends: u64,
-    /// See [`WalCounters::syncs`].
-    pub syncs: u64,
-    /// See [`WalCounters::groups`].
-    pub groups: u64,
-    /// See [`WalCounters::ops`].
-    pub ops: u64,
-}
-
 impl WalCounters {
-    /// Reads all counters (relaxed; consistent enough for reporting).
+    /// Reads all counters into the `wal_*` fields of an [`IoCounters`]
+    /// (relaxed; consistent enough for reporting). The `net_*` and
+    /// `frames_*` fields are zero: the server layer fills them in.
     #[must_use]
-    pub fn snapshot(&self) -> WalCountersSnapshot {
-        WalCountersSnapshot {
-            appends: self.appends.load(Ordering::Relaxed),
-            syncs: self.syncs.load(Ordering::Relaxed),
-            groups: self.groups.load(Ordering::Relaxed),
-            ops: self.ops.load(Ordering::Relaxed),
+    pub fn snapshot(&self) -> IoCounters {
+        IoCounters {
+            wal_appends: self.appends.load(Ordering::Relaxed),
+            wal_syncs: self.syncs.load(Ordering::Relaxed),
+            wal_groups: self.groups.load(Ordering::Relaxed),
+            wal_ops: self.ops.load(Ordering::Relaxed),
+            ..IoCounters::default()
         }
     }
 }
@@ -355,9 +347,9 @@ mod tests {
         assert_eq!(&*probe.data.lock().unwrap(), b"aabb");
         assert_eq!(probe.syncs.load(Ordering::Relaxed), 2);
         let snap = counters.snapshot();
-        assert_eq!(snap.ops, 2);
-        assert_eq!(snap.syncs, 2);
-        assert_eq!(snap.groups, 2);
+        assert_eq!(snap.wal_ops, 2);
+        assert_eq!(snap.wal_syncs, 2);
+        assert_eq!(snap.wal_groups, 2);
     }
 
     #[test]
@@ -377,16 +369,16 @@ mod tests {
         });
         assert_eq!(probe.data.lock().unwrap().len(), N * 3);
         let snap = counters.snapshot();
-        assert_eq!(snap.ops, N as u64);
+        assert_eq!(snap.wal_ops, N as u64);
         // At least some coalescing must have happened: 16 units cannot
         // take 16 separate groups when a 4ms window gathers them.
         assert!(
-            snap.syncs < N as u64,
+            snap.wal_syncs < N as u64,
             "expected <{N} syncs, got {}",
-            snap.syncs
+            snap.wal_syncs
         );
-        assert_eq!(probe.syncs.load(Ordering::Relaxed) as u64, snap.syncs);
-        assert_eq!(probe.writes.load(Ordering::Relaxed) as u64, snap.appends);
+        assert_eq!(probe.syncs.load(Ordering::Relaxed) as u64, snap.wal_syncs);
+        assert_eq!(probe.writes.load(Ordering::Relaxed) as u64, snap.wal_appends);
     }
 
     #[test]
@@ -420,7 +412,7 @@ mod tests {
         let mut sink = GroupSink::new(Arc::clone(&c));
         sink.write_all(b"frame-one").unwrap();
         sink.write_all(b"frame-two").unwrap();
-        assert_eq!(counters.snapshot().ops, 2);
+        assert_eq!(counters.snapshot().wal_ops, 2);
         assert_eq!(probe.data.lock().unwrap().len(), 0, "buffered until flush");
         sink.flush().unwrap();
         assert_eq!(&*probe.data.lock().unwrap(), b"frame-oneframe-two");

@@ -621,14 +621,7 @@ impl Engine {
     /// server layer fills them in.
     #[must_use]
     pub fn io_counters(&self) -> IoCounters {
-        let w = self.wal_counters.snapshot();
-        IoCounters {
-            wal_appends: w.appends,
-            wal_syncs: w.syncs,
-            wal_groups: w.groups,
-            wal_ops: w.ops,
-            ..IoCounters::default()
-        }
+        self.wal_counters.snapshot()
     }
 
     /// Writes a fresh snapshot and truncates the WAL (durable stores

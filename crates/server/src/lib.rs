@@ -47,7 +47,7 @@ pub mod shard;
 pub mod sharded;
 
 pub use client::Client;
-pub use commit::{GroupCommit, WalCounters, WalCountersSnapshot};
+pub use commit::{GroupCommit, WalCounters};
 pub use config::ServeConfig;
 pub use engine::{Engine, EngineOptions, EngineSnapshot};
 pub use cind_datagen::DriftMode;

@@ -38,15 +38,6 @@ impl Json {
         }
     }
 
-    /// The integer inside, if this is a number.
-    #[must_use]
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
     /// The unsigned integer inside, if this is a non-negative number.
     #[must_use]
     pub fn as_u64(&self) -> Option<u64> {

@@ -230,11 +230,6 @@ impl SimVfs {
         }
     }
 
-    /// Replaces the fault plan.
-    pub fn set_plan(&self, plan: FaultPlan) {
-        self.st().plan = plan;
-    }
-
     /// While `true`, random faults are suppressed (recovery escape hatch).
     pub fn set_suppress(&self, on: bool) {
         self.st().suppress = on;
@@ -250,12 +245,6 @@ impl SimVfs {
     #[must_use]
     pub fn crashed(&self) -> bool {
         self.st().crashed
-    }
-
-    /// Whether a crash-point is armed but has not fired yet.
-    #[must_use]
-    pub fn crash_armed(&self) -> bool {
-        self.st().crash_in.is_some()
     }
 
     /// "Reboots" the filesystem: clears the crashed flag and any armed

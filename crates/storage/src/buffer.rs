@@ -1,10 +1,10 @@
-//! Accounting buffer pool: sharded LRU, safe for concurrent readers.
+//! Accounting buffer pool: one LRU behind one lock, safe for concurrent readers.
 
 use crate::iostats::AtomicIoStats;
 use crate::segment::SegmentId;
 use crate::IoStats;
 use std::collections::HashMap;
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Globally unique page address: a segment and a page index within it.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -20,26 +20,18 @@ pub struct PageKey {
 /// Page *contents* always live in their segment (this is a simulation
 /// substrate — see [`IoStats`]); the pool tracks only residency, so a scan
 /// over a table larger than the pool produces the same miss pattern a real
-/// buffer manager would, at zero copy cost. Each shard's LRU list is an
-/// intrusive doubly linked list over a slab, giving O(1) touch/evict.
+/// buffer manager would, at zero copy cost. The LRU list is an intrusive
+/// doubly linked list over a slab, giving O(1) touch/evict.
 ///
-/// **Concurrency.** The pool is sharded: a page key hashes to one of
-/// `shard_count()` independently locked LRU shards, so concurrent readers
-/// (concurrent segment scans) contend only when they touch the same shard.
-/// The [`IoStats`] counters are lock-free atomics updated outside the shard
-/// locks. [`BufferPool::new`] builds a single-shard pool whose hit/miss/
-/// eviction sequence is exactly the classic global LRU (what the
-/// reference-LRU property tests check); [`BufferPool::with_shards`] trades
-/// that global recency order for parallelism by giving each shard
-/// `capacity / shards` frames.
+/// **Concurrency.** One mutex guards the one LRU; every page access takes
+/// it once, so concurrent readers of a table serialise there. The
+/// [`IoStats`] counters are lock-free atomics updated outside the lock.
 pub struct BufferPool {
-    shards: Box<[Mutex<Shard>]>,
-    /// `shards.len() - 1`; the shard count is a power of two.
-    mask: usize,
+    lru: Mutex<Lru>,
     stats: AtomicIoStats,
 }
 
-struct Shard {
+struct Lru {
     capacity: usize,
     map: HashMap<PageKey, usize>, // key -> slab index
     slab: Vec<Node>,
@@ -57,53 +49,24 @@ struct Node {
 const NIL: usize = usize::MAX;
 
 impl BufferPool {
-    /// Creates a single-shard pool that can hold `capacity` pages — exact
-    /// global LRU semantics. A capacity of 0 disables caching (every
-    /// access is a miss).
+    /// Creates a pool that can hold `capacity` pages — exact global LRU
+    /// semantics. A capacity of 0 disables caching (every access is a miss).
     pub fn new(capacity: usize) -> Self {
-        Self::with_shards(capacity, 1)
-    }
-
-    /// Creates a pool of `capacity` total pages spread over `shards`
-    /// independently locked LRU shards (rounded up to a power of two).
-    /// More shards reduce lock contention under concurrent scans; eviction
-    /// decisions become per-shard rather than globally recency-ordered.
-    pub fn with_shards(capacity: usize, shards: usize) -> Self {
-        let n = shards.max(1).next_power_of_two();
-        let base = capacity / n;
-        let rem = capacity % n;
-        let shards: Vec<Mutex<Shard>> = (0..n)
-            .map(|i| {
-                Mutex::new(Shard {
-                    capacity: base + usize::from(i < rem),
-                    map: HashMap::new(),
-                    slab: Vec::new(),
-                    head: NIL,
-                    tail: NIL,
-                    free: Vec::new(),
-                })
-            })
-            .collect();
         Self {
-            shards: shards.into_boxed_slice(),
-            mask: n - 1,
+            lru: Mutex::new(Lru {
+                capacity,
+                map: HashMap::new(),
+                slab: Vec::new(),
+                head: NIL,
+                tail: NIL,
+                free: Vec::new(),
+            }),
             stats: AtomicIoStats::default(),
         }
     }
 
-    /// Number of LRU shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    fn shard(&self, key: PageKey) -> &Mutex<Shard> {
-        // Cheap multiplicative hash over (segment, page); the high bits
-        // carry the mixing, so fold them down before masking.
-        let h = (u64::from(key.segment.0))
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            ^ (u64::from(key.page)).wrapping_mul(0xD1B5_4A32_D192_ED03);
-        let idx = ((h ^ (h >> 32)) as usize) & self.mask;
-        &self.shards[idx]
+    fn lock(&self) -> MutexGuard<'_, Lru> {
+        self.lru.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Records a read access to `key`. Returns `true` on a hit.
@@ -119,7 +82,7 @@ impl BufferPool {
     /// double-count every other session's traffic in the window).
     pub fn access_tracked(&self, key: PageKey) -> (bool, u64) {
         let (hit, evicted) = {
-            let mut g = self.shard(key).lock().unwrap_or_else(PoisonError::into_inner);
+            let mut g = self.lock();
             if g.capacity == 0 {
                 (false, 0)
             } else if let Some(&idx) = g.map.get(&key) {
@@ -138,7 +101,7 @@ impl BufferPool {
     /// Records a write to `key` (also makes the page resident).
     pub fn write(&self, key: PageKey) {
         let evicted = {
-            let mut g = self.shard(key).lock().unwrap_or_else(PoisonError::into_inner);
+            let mut g = self.lock();
             if g.capacity == 0 {
                 0
             } else if let Some(&idx) = g.map.get(&key) {
@@ -154,17 +117,15 @@ impl BufferPool {
 
     /// Drops all pages of `segment` from the pool (segment dropped/split).
     pub fn invalidate_segment(&self, segment: SegmentId) {
-        for shard in self.shards.iter() {
-            let mut g = shard.lock().unwrap_or_else(PoisonError::into_inner);
-            let victims: Vec<usize> = g
-                .map
-                .iter()
-                .filter(|(k, _)| k.segment == segment)
-                .map(|(_, &i)| i)
-                .collect();
-            for idx in victims {
-                g.remove(idx);
-            }
+        let mut g = self.lock();
+        let victims: Vec<usize> = g
+            .map
+            .iter()
+            .filter(|(k, _)| k.segment == segment)
+            .map(|(_, &i)| i)
+            .collect();
+        for idx in victims {
+            g.remove(idx);
         }
     }
 
@@ -173,43 +134,24 @@ impl BufferPool {
         self.stats.snapshot()
     }
 
-    /// Resets counters to zero (residency is kept).
-    pub fn reset_stats(&self) {
-        self.stats.reset();
-    }
-
-    /// Merges an externally accumulated delta into the counters (used by
-    /// callers that account I/O in per-thread deltas and fold them in on
-    /// completion).
-    pub fn merge_stats(&self, delta: &IoStats) {
-        self.stats.add(delta);
-    }
-
-    /// Number of currently resident pages across all shards.
+    /// Number of currently resident pages.
     pub fn resident(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(PoisonError::into_inner).map.len())
-            .sum()
+        self.lock().map.len()
     }
 
-    /// Cross-checks every shard's LRU structure — capacity bound, map/list
-    /// agreement, doubly-linked-list coherence, free-list integrity, and
-    /// slab accounting — returning a diagnostic per violation. Takes each
-    /// shard lock in turn (never two at once, per the module's lock
-    /// discipline), so it is safe to call on a live pool.
+    /// Cross-checks the LRU structure — capacity bound, map/list agreement,
+    /// doubly-linked-list coherence, free-list integrity, and slab
+    /// accounting — returning a diagnostic per violation. Takes the pool
+    /// lock, so it is safe to call on a live pool.
     pub fn validate(&self) -> Vec<String> {
         let mut out = Vec::new();
-        for (si, shard) in self.shards.iter().enumerate() {
-            let g = shard.lock().unwrap_or_else(PoisonError::into_inner);
-            g.validate(si, &mut out);
-        }
+        self.lock().validate(&mut out);
         out
     }
 }
 
-impl Shard {
-    /// Admits `key`, evicting the shard-LRU page if full. Returns the
+impl Lru {
+    /// Admits `key`, evicting the least recently used page if full. Returns the
     /// number of evictions (0 or 1).
     fn admit(&mut self, key: PageKey) -> u64 {
         let mut evicted = 0;
@@ -269,11 +211,11 @@ impl Shard {
         }
     }
 
-    /// Appends a diagnostic for every violated shard invariant to `out`.
-    /// Written defensively: a corrupted shard (dangling index, cycle) must
+    /// Appends a diagnostic for every violated LRU invariant to `out`.
+    /// Written defensively: a corrupted LRU (dangling index, cycle) must
     /// produce a report, not a panic or an endless walk.
-    fn validate(&self, si: usize, out: &mut Vec<String>) {
-        let mut v = |detail: String| out.push(format!("[buffer-pool] shard {si}: {detail}"));
+    fn validate(&self, out: &mut Vec<String>) {
+        let mut v = |detail: String| out.push(format!("[buffer-pool] {detail}"));
         if self.map.len() > self.capacity {
             v(format!(
                 "{} resident pages exceed capacity {}",
@@ -439,7 +381,7 @@ mod tests {
     fn validate_accepts_healthy_pool() {
         // Exercise every structural transition: fill, hit, evict, write,
         // invalidate — the free list, LRU chain, and map must stay coherent.
-        let pool = BufferPool::with_shards(8, 4);
+        let pool = BufferPool::new(8);
         for p in 0..32 {
             pool.access(key(p));
         }
@@ -454,17 +396,17 @@ mod tests {
         assert!(BufferPool::new(0).validate().is_empty());
     }
 
-    /// Seeds one corruption per shard invariant directly into the private
+    /// Seeds one corruption per LRU invariant directly into the private
     /// LRU structures and asserts `validate` names each precisely — the
     /// regression net that keeps the validator itself honest.
     #[test]
-    fn validate_reports_each_seeded_shard_corruption() {
-        let corrupted = |sabotage: fn(&mut Shard), needle: &str| {
+    fn validate_reports_each_seeded_lru_corruption() {
+        let corrupted = |sabotage: fn(&mut Lru), needle: &str| {
             let pool = BufferPool::new(4);
             for p in 0..3 {
                 pool.access(key(p));
             }
-            sabotage(&mut pool.shards[0].lock().unwrap_or_else(PoisonError::into_inner));
+            sabotage(&mut pool.lock());
             let report = pool.validate();
             assert!(
                 report.iter().any(|d| d.contains(needle)),
@@ -554,85 +496,8 @@ mod tests {
     }
 
     #[test]
-    fn reset_stats_keeps_residency() {
-        let pool = BufferPool::new(4);
-        pool.access(key(5));
-        pool.reset_stats();
-        assert_eq!(pool.stats(), IoStats::default());
-        assert!(pool.access(key(5)));
-    }
-
-    #[test]
-    fn shard_count_rounds_to_power_of_two() {
-        assert_eq!(BufferPool::with_shards(64, 1).shard_count(), 1);
-        assert_eq!(BufferPool::with_shards(64, 3).shard_count(), 4);
-        assert_eq!(BufferPool::with_shards(64, 8).shard_count(), 8);
-        assert_eq!(BufferPool::new(64).shard_count(), 1);
-    }
-
-    #[test]
-    fn sharded_pool_respects_total_capacity() {
-        let pool = BufferPool::with_shards(16, 4);
-        for p in 0..1000 {
-            pool.access(key(p));
-        }
-        assert!(pool.resident() <= 16);
-        let s = pool.stats();
-        assert_eq!(s.logical_reads, 1000);
-        assert_eq!(s.physical_reads + s.hits(), s.logical_reads);
-    }
-
-    #[test]
-    fn sharded_pool_still_caches_hot_pages() {
-        let pool = BufferPool::with_shards(32, 4);
-        for round in 0..10 {
-            for p in 0..8 {
-                let hit = pool.access(key(p));
-                if round > 0 {
-                    assert!(hit, "page {p} should stay resident in round {round}");
-                }
-            }
-        }
-        assert_eq!(pool.stats().physical_reads, 8);
-    }
-
-    #[test]
-    fn sharded_invalidate_reaches_every_shard() {
-        // Capacity far above the working set: per-shard capacity is
-        // capacity/shards, and the hash can skew keys toward one shard,
-        // so a tight pool would evict and blur the resident count.
-        let pool = BufferPool::with_shards(512, 8);
-        for p in 0..32 {
-            pool.access(PageKey { segment: SegmentId(7), page: p });
-            pool.access(PageKey { segment: SegmentId(8), page: p });
-        }
-        pool.invalidate_segment(SegmentId(7));
-        assert_eq!(pool.resident(), 32);
-        for p in 0..32 {
-            assert!(!pool.access(PageKey { segment: SegmentId(7), page: p }));
-        }
-    }
-
-    #[test]
-    fn merge_stats_folds_external_deltas() {
-        let pool = BufferPool::new(4);
-        pool.access(key(1));
-        pool.merge_stats(&IoStats {
-            logical_reads: 10,
-            physical_reads: 4,
-            evictions: 1,
-            page_writes: 2,
-        });
-        let s = pool.stats();
-        assert_eq!(s.logical_reads, 11);
-        assert_eq!(s.physical_reads, 5);
-        assert_eq!(s.evictions, 1);
-        assert_eq!(s.page_writes, 2);
-    }
-
-    #[test]
     fn concurrent_access_is_safe_and_balanced() {
-        let pool = BufferPool::with_shards(64, 8);
+        let pool = BufferPool::new(64);
         std::thread::scope(|s| {
             for t in 0..8u32 {
                 let pool = &pool;

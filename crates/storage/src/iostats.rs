@@ -93,17 +93,6 @@ impl AtomicIoStats {
         }
     }
 
-    /// Folds a per-thread [`IoStats`] delta into the shared counters.
-    pub fn add(&self, delta: &IoStats) {
-        self.logical_reads
-            .fetch_add(delta.logical_reads, Ordering::Relaxed);
-        self.physical_reads
-            .fetch_add(delta.physical_reads, Ordering::Relaxed);
-        self.evictions.fetch_add(delta.evictions, Ordering::Relaxed);
-        self.page_writes
-            .fetch_add(delta.page_writes, Ordering::Relaxed);
-    }
-
     /// A plain-value snapshot of the counters.
     pub fn snapshot(&self) -> IoStats {
         IoStats {
@@ -112,14 +101,6 @@ impl AtomicIoStats {
             evictions: self.evictions.load(Ordering::Relaxed),
             page_writes: self.page_writes.load(Ordering::Relaxed),
         }
-    }
-
-    /// Resets every counter to zero.
-    pub fn reset(&self) {
-        self.logical_reads.store(0, Ordering::Relaxed);
-        self.physical_reads.store(0, Ordering::Relaxed);
-        self.evictions.store(0, Ordering::Relaxed);
-        self.page_writes.store(0, Ordering::Relaxed);
     }
 }
 
@@ -165,14 +146,11 @@ mod tests {
         stats.record_access(false, 1);
         stats.record_access(true, 0);
         stats.record_write(0);
-        stats.add(&IoStats { logical_reads: 8, physical_reads: 2, evictions: 0, page_writes: 3 });
         let s = stats.snapshot();
-        assert_eq!(s.logical_reads, 10);
-        assert_eq!(s.physical_reads, 3);
+        assert_eq!(s.logical_reads, 2);
+        assert_eq!(s.physical_reads, 1);
         assert_eq!(s.evictions, 1);
-        assert_eq!(s.page_writes, 4);
-        stats.reset();
-        assert_eq!(stats.snapshot(), IoStats::default());
+        assert_eq!(s.page_writes, 1);
     }
 
     #[test]

@@ -19,15 +19,15 @@
 //!   none of a query's attributes.
 //! * [`segment::Segment`] — an unordered heap of pages holding one
 //!   *partition* of the universal table.
-//! * [`buffer::BufferPool`] — a sharded LRU page cache that *accounts*
+//! * [`buffer::BufferPool`] — an LRU page cache that *accounts*
 //!   rather than caches: pages always live in memory (this is a simulation
 //!   substrate), but every access is classified as a hit or a miss so
 //!   experiments can report logical and "physical" I/O alongside wall time.
 //! * [`table::UniversalTable`] — the façade: attribute catalog, segments,
 //!   an entity locator index, and entity-level insert/delete/move/scan.
 //!
-//! Everything is deterministic and single-writer; readers go through
-//! per-shard locks and lock-free I/O counters so scans take `&self`, and
+//! Everything is deterministic and single-writer; readers go through the
+//! pool's one lock and lock-free I/O counters so scans take `&self`, and
 //! [`table::ReadView`] packages the read-only state as a `Send + Sync`
 //! handle for parallel segment scans (`UNION ALL` branches on separate
 //! threads).

@@ -21,21 +21,12 @@
 
 use std::path::Path;
 
+use crate::persist::fnv1a;
 use crate::varint;
 use crate::vfs::Vfs;
 use crate::PersistError;
 
 const MAGIC: &[u8; 8] = b"CINDMAN1";
-
-/// FNV-1a 64-bit, the manifest checksum (same polynomial as snapshots).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// The decoded contents of a shard manifest.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]

@@ -29,8 +29,8 @@ use crate::{StorageError, UniversalTable};
 
 const MAGIC: &[u8; 8] = b"CINDSNP1";
 
-/// FNV-1a 64-bit, the snapshot checksum.
-fn fnv1a(bytes: &[u8]) -> u64 {
+/// FNV-1a 64-bit: the snapshot, WAL frame and manifest checksum.
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= u64::from(b);

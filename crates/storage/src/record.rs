@@ -334,13 +334,6 @@ pub fn decode_entity_id(buf: &[u8]) -> Result<EntityId, StorageError> {
         .ok_or(StorageError::CorruptRecord("varint"))
 }
 
-/// Decodes only the record header `(entity id, arity)` — cheap size
-/// accounting without materialising values.
-pub fn decode_header(buf: &[u8]) -> Result<(EntityId, usize), StorageError> {
-    let (id, n) = varint::decode(buf).ok_or(StorageError::CorruptRecord("varint"))?;
-    let (arity, _) = varint::decode(&buf[n..]).ok_or(StorageError::CorruptRecord("varint"))?;
-    Ok((EntityId(id), arity as usize))
-}
 
 #[cfg(test)]
 mod tests {

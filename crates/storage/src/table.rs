@@ -53,18 +53,14 @@ pub struct UniversalTable {
 
 impl UniversalTable {
     /// Creates an empty table whose buffer pool holds `pool_pages` pages.
+    /// The pool is one LRU behind one mutex: every page access by this
+    /// table, its read views and its snapshots takes that lock once.
     pub fn new(pool_pages: usize) -> Self {
-        Self::with_pool(BufferPool::new(pool_pages))
-    }
-
-    /// Creates an empty table over a caller-built buffer pool — the way to
-    /// get a sharded pool (`BufferPool::with_shards`) for concurrent scans.
-    pub fn with_pool(pool: BufferPool) -> Self {
         Self {
             catalog: AttributeCatalog::new(),
             segments: BTreeMap::new(),
             locator: HashMap::new(),
-            pool: Arc::new(pool),
+            pool: Arc::new(BufferPool::new(pool_pages)),
             next_segment: 0,
             wal: None,
         }
@@ -512,7 +508,7 @@ impl TableSnapshot {
 /// cheap to copy, and safe to share across scan worker threads: every field
 /// it borrows is either immutable for the borrow's duration (catalog,
 /// segments — the borrow checker excludes writers) or internally
-/// synchronised (the [`BufferPool`]'s sharded locks and atomic counters).
+/// synchronised (the [`BufferPool`]'s one lock and atomic counters).
 /// It is the scan surface only; point reads by entity id go through the
 /// live table, which owns the only locator.
 #[derive(Clone, Copy)]
@@ -563,19 +559,7 @@ impl<'a> ReadView<'a> {
     pub fn scan(
         &self,
         seg: SegmentId,
-        f: impl FnMut(&Entity),
-    ) -> Result<(), StorageError> {
-        let mut io = IoStats::default();
-        self.scan_tracked(seg, f, &mut io)
-    }
-
-    /// Like [`ReadView::scan`], but additionally accumulates *this scan's*
-    /// page accesses into `io` (see [`ReadView::scan_records`]).
-    pub fn scan_tracked(
-        &self,
-        seg: SegmentId,
         mut f: impl FnMut(&Entity),
-        io: &mut IoStats,
     ) -> Result<(), StorageError> {
         self.scan_records(
             seg,
@@ -584,7 +568,7 @@ impl<'a> ReadView<'a> {
                 f(&decode_entity(bytes)?);
                 Ok(())
             },
-            io,
+            &mut IoStats::default(),
         )
     }
 
@@ -879,7 +863,7 @@ mod tests {
     #[test]
     fn read_view_is_send_sync_and_agrees_with_table() {
         fn assert_send_sync<T: Send + Sync>(_: &T) {}
-        let mut t = UniversalTable::with_pool(BufferPool::with_shards(64, 4));
+        let mut t = UniversalTable::new(64);
         let seg = t.create_segment();
         let e = entity(&mut t, 1, &[("a", 1), ("b", 2)]);
         t.insert(seg, &e).unwrap();
@@ -897,7 +881,7 @@ mod tests {
 
     #[test]
     fn read_view_scans_run_concurrently() {
-        let mut t = UniversalTable::with_pool(BufferPool::with_shards(32, 4));
+        let mut t = UniversalTable::new(32);
         let segs: Vec<SegmentId> = (0..4).map(|_| t.create_segment()).collect();
         for i in 0..200u64 {
             let e = entity(&mut t, i, &[("a", i as i64)]);

@@ -53,7 +53,7 @@ use std::io::{Read, Write};
 
 use cind_model::EntityId;
 
-use crate::persist::PersistError;
+use crate::persist::{fnv1a, PersistError};
 use crate::segment::SegmentId;
 use crate::varint;
 use crate::UniversalTable;
@@ -69,16 +69,6 @@ const OP_COMMIT: u8 = 8;
 
 /// The unit a torn in-place write persists or loses whole.
 const SECTOR: usize = 512;
-
-/// FNV-1a 64 (same as the snapshot checksum).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// The table-side WAL state: the sink, how many attributes have been
 /// defined in the log so far (for lazy `DefineAttr` emission), and the

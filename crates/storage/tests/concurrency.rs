@@ -1,4 +1,4 @@
-//! Concurrency stress tests for the sharded buffer pool and the
+//! Concurrency stress tests for the buffer pool and the
 //! `ReadView` scan path: many threads hammer overlapping segments while
 //! the test checks that the lock-free counters balance exactly and the
 //! pool's resident set never exceeds capacity.
@@ -10,9 +10,10 @@ use cind_storage::buffer::PageKey;
 use cind_storage::{BufferPool, SegmentId, UniversalTable};
 
 /// Drives `threads` workers over `keys_per_thread` accesses each, with all
-/// workers sharing the same small set of segments (maximum shard overlap),
-/// then checks the global counter identities.
+/// workers sharing the same small set of segments (maximum overlap), then
+/// checks the counter identities over this call's delta.
 fn hammer_pool(pool: &BufferPool, threads: u32, keys_per_thread: u32) {
+    let before = pool.stats();
     let hits = AtomicU64::new(0);
     std::thread::scope(|s| {
         for t in 0..threads {
@@ -37,7 +38,7 @@ fn hammer_pool(pool: &BufferPool, threads: u32, keys_per_thread: u32) {
         }
     });
 
-    let s = pool.stats();
+    let s = pool.stats().since(&before);
     let expected_logical = u64::from(threads) * u64::from(keys_per_thread);
     assert_eq!(s.logical_reads, expected_logical, "every access counted once");
     assert_eq!(
@@ -53,8 +54,8 @@ fn hammer_pool(pool: &BufferPool, threads: u32, keys_per_thread: u32) {
 }
 
 #[test]
-fn sharded_pool_survives_overlapping_writers() {
-    let pool = BufferPool::with_shards(64, 8);
+fn pool_survives_overlapping_writers() {
+    let pool = BufferPool::new(64);
     hammer_pool(&pool, 8, 2_000);
     assert!(pool.resident() <= 64, "capacity bound holds under contention");
 }
@@ -62,7 +63,7 @@ fn sharded_pool_survives_overlapping_writers() {
 #[test]
 fn tiny_pool_thrashes_without_losing_counts() {
     // Capacity far below the working set: almost every access evicts.
-    let pool = BufferPool::with_shards(4, 4);
+    let pool = BufferPool::new(4);
     hammer_pool(&pool, 8, 1_000);
     assert!(pool.resident() <= 4);
     let s = pool.stats();
@@ -74,7 +75,7 @@ fn invalidation_races_with_readers() {
     // Readers hammer two segments while another thread repeatedly
     // invalidates one of them; counters must still balance and the
     // invalidated segment's pages must be gone at the end.
-    let pool = BufferPool::with_shards(128, 8);
+    let pool = BufferPool::new(128);
     std::thread::scope(|s| {
         for t in 0..4u32 {
             let pool = &pool;
@@ -105,7 +106,7 @@ fn invalidation_races_with_readers() {
 
 /// Builds a table with `segments` segments × `per_segment` entities.
 fn build_table(segments: u32, per_segment: u64) -> (UniversalTable, Vec<SegmentId>) {
-    let mut table = UniversalTable::with_pool(BufferPool::with_shards(256, 8));
+    let mut table = UniversalTable::new(256);
     for i in 0..8 {
         table.catalog_mut().intern(&format!("a{i}"));
     }
@@ -312,12 +313,11 @@ fn snapshot_readers_never_see_a_live_writer_soak() {
 /// Long-running variant for soak testing: `cargo test -- --ignored`.
 #[test]
 #[ignore = "long-running stress variant; run explicitly with --ignored"]
-fn sharded_pool_soak() {
-    let pool = BufferPool::with_shards(256, 16);
+fn pool_soak() {
+    let pool = BufferPool::new(256);
     for round in 0..20 {
         hammer_pool(&pool, 16, 50_000);
         assert!(pool.resident() <= 256, "round {round}");
-        pool.reset_stats();
     }
     let (table, segs) = build_table(16, 500);
     let view = table.read_view();

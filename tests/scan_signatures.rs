@@ -19,7 +19,7 @@ use std::sync::{Arc, Mutex};
 use cinderella::core::{Capacity, Cinderella, Config};
 use cinderella::model::{AttrId, Entity, EntityId, Value};
 use cinderella::query::{execute_collect_view, plan_from_survivors, Query, Row};
-use cinderella::storage::{replay, BufferPool, ReadView, SegmentId, TableSnapshot, UniversalTable};
+use cinderella::storage::{replay, ReadView, SegmentId, TableSnapshot, UniversalTable};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -143,8 +143,8 @@ fn check(view: ReadView<'_>, queries: &[Query], exact: bool, tally: &mut Tally) 
 fn churn(shapes: &Shapes, seed: u64) -> Tally {
     let exact = shapes.universe <= 128;
     let mut rng = StdRng::seed_from_u64(seed);
-    // A pool far smaller than the data, sharded: scans churn it.
-    let mut table = UniversalTable::with_pool(BufferPool::with_shards(16, 4));
+    // A pool far smaller than the data: scans churn it.
+    let mut table = UniversalTable::new(16);
     let log = SharedLog::default();
     table.attach_wal(Box::new(log.clone()));
     for i in 0..shapes.universe {
