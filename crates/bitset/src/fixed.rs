@@ -171,11 +171,6 @@ impl FixedBitSet {
         words::is_disjoint(&self.blocks, &other.blocks)
     }
 
-    /// Whether every bit of `self` is also set in `other`.
-    pub fn is_subset(&self, other: &Self) -> bool {
-        self.and_count(other) == self.count()
-    }
-
     /// Sets every bit of `other` in `self` (`self ∨= other`), growing the
     /// universe if `other`'s is larger. Used to fold an entity synopsis into
     /// a partition synopsis.
@@ -186,11 +181,6 @@ impl FixedBitSet {
         for (dst, src) in self.blocks.iter_mut().zip(other.blocks.iter()) {
             *dst |= src;
         }
-    }
-
-    /// Removes every bit (resets to the empty set).
-    pub fn clear(&mut self) {
-        self.blocks.fill(0);
     }
 
     /// The set bits in ascending order, as a concrete iterator (no heap box,
@@ -270,17 +260,6 @@ mod tests {
         assert!(a.contains(1));
         assert!(a.contains(290));
         assert_eq!(a.capacity(), 300);
-    }
-
-    #[test]
-    fn subset_and_clear() {
-        let mut a = FixedBitSet::from_iter(100, [1, 2]);
-        let b = FixedBitSet::from_iter(100, [1, 2, 3]);
-        assert!(a.is_subset(&b));
-        assert!(!b.is_subset(&a));
-        a.clear();
-        assert!(a.is_empty());
-        assert!(a.is_subset(&b));
     }
 
     #[test]

@@ -2,12 +2,12 @@
 
 use std::path::Path;
 
-use cind_model::{AttributeCatalog, SizeModel, Value};
+use cind_model::{AttributeCatalog, Value};
 use cind_query::{execute_collect, plan_from_survivors, Query};
-use cind_storage::{PersistError, StorageError, UniversalTable};
-use cind_server::{EngineOptions, ServeConfig, Server, ServerError};
+use cind_storage::{PersistError, StorageError, UniversalTable, DEFAULT_POOL_PAGES};
+use cind_server::{EngineOptions, LoadConfig, ServeConfig, Server, ServerError};
 use cinderella_core::{
-    bulk_load, Capacity, Cinderella, Config, CoreError, IndexTier, SynopsisMode,
+    bulk_load, Cinderella, Config, CoreError, IndexTier, SynopsisMode,
 };
 
 use crate::csv::{parse_entities, CsvError};
@@ -138,59 +138,39 @@ impl ModeSpec {
     }
 }
 
-/// Options of [`load`].
+/// Options of [`load`]: the partitioner's own [`Config`], plus what a load
+/// needs that `Config` does not hold.
 #[derive(Clone, Debug)]
 pub struct LoadOptions {
-    /// Rating weight `w`.
-    pub weight: f64,
-    /// Partition capacity `B` (entities).
-    pub capacity: u64,
-    /// The `SIZE()` function (`cells`/`bytes`) behind sparseness and
-    /// capacity accounting.
-    pub size_model: SizeModel,
-    /// Entity-based or workload-based rating synopses.
-    pub mode: ModeSpec,
-    /// Record the per-insert event trace and summarise it in the report.
-    pub record_events: bool,
+    /// Partitioner knobs: weight, capacity, size model, event trace, tier.
+    pub config: Config,
+    /// Entity-based or workload-based rating synopses, resolved against the
+    /// catalog once the input is read; `None` keeps `config.mode`.
+    pub mode: Option<ModeSpec>,
     /// Parallel load workers (1 = sequential).
     pub threads: usize,
     /// Buffer-pool pages for the load.
     pub pool_pages: usize,
-    /// Pruning-index tier (`exact`/`tiered`/`auto`): `tiered` swaps the
-    /// exact presence bitmaps for blocked Bloom filters plus a bounded hot
-    /// tier; `auto` ratchets to tiered once the catalog is large enough.
-    pub tier: IndexTier,
 }
 
 impl Default for LoadOptions {
     fn default() -> Self {
         Self {
-            weight: 0.2,
-            capacity: 5_000,
-            size_model: SizeModel::Cells,
-            mode: ModeSpec::Entity,
-            record_events: false,
+            config: Config::default(),
+            mode: None,
             threads: 1,
-            pool_pages: 1024,
-            tier: IndexTier::default(),
+            pool_pages: DEFAULT_POOL_PAGES,
         }
     }
 }
 
-/// The partitioner config of a `cind load`; a knob out of range is a
-/// usage error naming it, not the constructor's panic.
+/// The partitioner config of a `cind load`: the mode resolved, and a knob
+/// out of range a usage error naming it, not the constructor's panic.
 fn config_of(opts: &LoadOptions, catalog: &AttributeCatalog) -> Result<Config, CliError> {
-    let config = Config {
-        weight: opts.weight,
-        capacity: Capacity::MaxEntities(opts.capacity),
-        size_model: opts.size_model,
-        mode: opts.mode.resolve(catalog)?,
-        record_events: opts.record_events,
-        tier: opts.tier,
-        // Reorg is a serving-time feature (`cind serve --reorg auto`);
-        // an offline bulk load has no heat to react to.
-        reorg: cinderella_core::ReorgConfig::default(),
-    };
+    let mut config = opts.config.clone();
+    if let Some(mode) = &opts.mode {
+        config.mode = mode.resolve(catalog)?;
+    }
     config.validate().map_err(|why| CliError::Usage(why.to_string()))?;
     Ok(config)
 }
@@ -225,7 +205,7 @@ pub fn load(input: &Path, snapshot: &Path, opts: &LoadOptions) -> Result<String,
         stats.partitions_created,
         snapshot.display(),
     );
-    if opts.record_events {
+    if opts.config.record_events {
         let events = cindy.take_events();
         let splits = events.iter().filter(|e| e.outcome.is_split()).count();
         let total: std::time::Duration = events.iter().map(|e| e.duration).sum();
@@ -255,10 +235,24 @@ impl Default for QueryOptions {
     fn default() -> Self {
         Self {
             limit: Some(20),
-            pool_pages: 1024,
+            pool_pages: DEFAULT_POOL_PAGES,
             tier: IndexTier::default(),
         }
     }
+}
+
+/// Restores `snapshot` and rebuilds its partitioning. A snapshot does not
+/// record the knobs it was loaded with, so the rebuild runs under
+/// [`Config::default`], with the pruning index stored as `tier`.
+fn open_snapshot(
+    snapshot: &Path,
+    pool_pages: usize,
+    tier: IndexTier,
+) -> Result<(UniversalTable, Cinderella), CliError> {
+    let mut file = std::io::BufReader::new(std::fs::File::open(snapshot)?);
+    let table = UniversalTable::restore(&mut file, pool_pages)?;
+    let cindy = Cinderella::rebuild(&table, Config { tier, ..Config::default() })?;
+    Ok((table, cindy))
 }
 
 fn render_value(v: &Option<Value>) -> String {
@@ -279,12 +273,7 @@ pub fn query(
     if attrs.is_empty() {
         return Err(CliError::Usage("query needs --attrs a,b,…".into()));
     }
-    let mut file = std::io::BufReader::new(std::fs::File::open(snapshot)?);
-    let table = UniversalTable::restore(&mut file, opts.pool_pages)?;
-    let cindy = Cinderella::rebuild(
-        &table,
-        Config { tier: opts.tier, ..Config::default() },
-    )?;
+    let (table, cindy) = open_snapshot(snapshot, opts.pool_pages, opts.tier)?;
 
     let q = Query::from_names(table.catalog(), attrs.iter().copied()).ok_or_else(|| {
         CliError::Usage(format!(
@@ -331,9 +320,7 @@ pub fn query(
 /// # Errors
 /// Snapshot and storage errors.
 pub fn stats(snapshot: &Path, pool_pages: usize) -> Result<String, CliError> {
-    let mut file = std::io::BufReader::new(std::fs::File::open(snapshot)?);
-    let table = UniversalTable::restore(&mut file, pool_pages)?;
-    let cindy = Cinderella::rebuild(&table, Config::default())?;
+    let (table, cindy) = open_snapshot(snapshot, pool_pages, IndexTier::default())?;
 
     let mut out = format!(
         "entities: {}\nattributes: {}\npartitions: {}\n\nper-partition:\n",
@@ -365,9 +352,7 @@ pub fn stats(snapshot: &Path, pool_pages: usize) -> Result<String, CliError> {
 /// # Errors
 /// Snapshot, storage, and partitioner errors.
 pub fn merge(snapshot: &Path, threshold: f64, pool_pages: usize) -> Result<String, CliError> {
-    let mut file = std::io::BufReader::new(std::fs::File::open(snapshot)?);
-    let mut table = UniversalTable::restore(&mut file, pool_pages)?;
-    let mut cindy = Cinderella::rebuild(&table, Config::default())?;
+    let (mut table, mut cindy) = open_snapshot(snapshot, pool_pages, IndexTier::default())?;
     let before = cindy.catalog().len();
     let report = cindy.merge_pass(&mut table, threshold)?;
     let mut out = std::io::BufWriter::new(std::fs::File::create(snapshot)?);
@@ -395,9 +380,7 @@ pub fn merge(snapshot: &Path, threshold: f64, pool_pages: usize) -> Result<Strin
 /// # Errors
 /// Snapshot/storage errors, and [`CliError::Invariant`] on violations.
 pub fn check(snapshot: &Path, pool_pages: usize) -> Result<String, CliError> {
-    let mut file = std::io::BufReader::new(std::fs::File::open(snapshot)?);
-    let table = UniversalTable::restore(&mut file, pool_pages)?;
-    let cindy = Cinderella::rebuild(&table, Config::default())?;
+    let (table, cindy) = open_snapshot(snapshot, pool_pages, IndexTier::default())?;
     let violations = cindy.validate(&table)?;
     if violations.is_empty() {
         Ok(format!(
@@ -441,68 +424,18 @@ pub fn serve(store: &Path, cfg: &ServeConfig) -> Result<String, CliError> {
     }
 }
 
-/// Knobs for `cind workload` (the remote load generator).
-#[derive(Clone, Debug)]
-pub struct WorkloadOptions {
-    /// Concurrent connections.
-    pub connections: usize,
-    /// Total entities to insert across the connections.
-    pub entities: usize,
-    /// Distinct attributes in the generated data.
-    pub attributes: usize,
-    /// Every k-th operation is a query (`0` = inserts only).
-    pub query_every: usize,
-    /// Workload RNG seed.
-    pub seed: u64,
-    /// Requests kept in flight per connection (`1` = closed loop).
-    pub pipeline: usize,
-    /// Inserts packed per wire-level batch frame (`1` = one per frame).
-    pub batch: usize,
-    /// Workload shape: `steady` (the classic DBpedia stream) or one of
-    /// the drift scenarios (`drift`, `flash-crowd`, `churn`) that give a
-    /// serving reorganizer something to chase.
-    pub mode: cind_server::DriftMode,
-    /// Send a graceful `Shutdown` to the server after the run.
-    pub shutdown: bool,
-}
-
-impl Default for WorkloadOptions {
-    fn default() -> Self {
-        Self {
-            connections: 4,
-            entities: 2_000,
-            attributes: 60,
-            query_every: 10,
-            seed: 0xC1DE,
-            pipeline: 1,
-            batch: 1,
-            mode: cind_server::DriftMode::Steady,
-            shutdown: false,
-        }
-    }
-}
-
 /// `cind workload --remote HOST:PORT`: drive the closed-loop load
-/// generator against a running `cind serve` and report throughput,
-/// admission-control sheds, and per-operation latency percentiles.
+/// generator against a running `cind serve`, report throughput,
+/// admission-control sheds, and per-operation latency percentiles, then,
+/// with `shutdown`, send the server a graceful `Shutdown`.
 ///
 /// # Errors
 /// Connection failures; remote errors during the run are counted in the
 /// report, not raised.
-pub fn workload(remote: &str, opts: &WorkloadOptions) -> Result<String, CliError> {
-    let cfg = cind_server::LoadConfig {
-        connections: opts.connections,
-        entities: opts.entities,
-        attributes: opts.attributes,
-        query_every: opts.query_every,
-        seed: opts.seed,
-        pipeline: opts.pipeline,
-        batch: opts.batch,
-        mode: opts.mode,
-    };
-    let mut report = cind_server::run_load(remote, &cfg)?;
+pub fn workload(remote: &str, cfg: &LoadConfig, shutdown: bool) -> Result<String, CliError> {
+    let mut report = cind_server::run_load(remote, cfg)?;
     let mut out = report.render();
-    if opts.shutdown {
+    if shutdown {
         cind_server::Client::connect(remote)?.shutdown()?;
         out.push_str("shutdown requested\n");
     }
@@ -512,6 +445,16 @@ pub fn workload(remote: &str, opts: &WorkloadOptions) -> Result<String, CliError
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cind_model::SizeModel;
+    use cinderella_core::Capacity;
+
+    /// Load options at rating weight `weight` and capacity `b` entities.
+    fn knobs(weight: f64, b: u64) -> LoadOptions {
+        LoadOptions {
+            config: Config { weight, capacity: Capacity::MaxEntities(b), ..Config::default() },
+            ..LoadOptions::default()
+        }
+    }
 
     fn tmp(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join("cind_cli_unit");
@@ -532,12 +475,7 @@ mod tests {
         )
         .unwrap();
         let snap = tmp("devices.cind");
-        let report = load(
-            &input,
-            &snap,
-            &LoadOptions { weight: 0.3, capacity: 100, ..LoadOptions::default() },
-        )
-        .unwrap();
+        let report = load(&input, &snap, &knobs(0.3, 100)).unwrap();
         assert!(report.contains("loaded 4 entities"), "{report}");
         assert!(report.contains("partitions: 2"), "{report}");
 
@@ -591,19 +529,11 @@ mod tests {
         )
         .unwrap();
         let snap = tmp("modes.cind");
-        let report = load(
-            &input,
-            &snap,
-            &LoadOptions {
-                weight: 0.3,
-                capacity: 100,
-                size_model: SizeModel::Bytes,
-                mode: "workload:a,b;c".parse().unwrap(),
-                record_events: true,
-                ..LoadOptions::default()
-            },
-        )
-        .unwrap();
+        let mut opts = knobs(0.3, 100);
+        opts.config.size_model = SizeModel::Bytes;
+        opts.config.record_events = true;
+        opts.mode = Some("workload:a,b;c".parse().unwrap());
+        let report = load(&input, &snap, &opts).unwrap();
         assert!(report.contains("loaded 4 entities"), "{report}");
         assert!(report.contains("events: 4 inserts recorded"), "{report}");
 
@@ -611,7 +541,7 @@ mod tests {
         let err = load(
             &input,
             &snap,
-            &LoadOptions { mode: "workload:nope".parse().unwrap(), ..LoadOptions::default() },
+            &LoadOptions { mode: Some("workload:nope".parse().unwrap()), ..LoadOptions::default() },
         )
         .unwrap_err();
         assert!(matches!(err, CliError::Usage(_)), "{err:?}");
@@ -629,7 +559,7 @@ mod tests {
     fn out_of_range_weight_is_a_usage_error() {
         assert_load_usage_error(
             "weight",
-            &LoadOptions { weight: 1.5, ..LoadOptions::default() },
+            &knobs(1.5, 5_000),
             "weight w must be in [0, 1], got 1.5",
         );
     }
@@ -638,7 +568,7 @@ mod tests {
     fn one_entity_capacity_is_a_usage_error() {
         assert_load_usage_error(
             "capacity",
-            &LoadOptions { capacity: 1, ..LoadOptions::default() },
+            &knobs(0.2, 1),
             "capacity must allow at least two entities per partition, got 1",
         );
     }
@@ -683,12 +613,7 @@ mod tests {
         }
         std::fs::write(&input, text).unwrap();
         let snap = tmp("frag.cind");
-        load(
-            &input,
-            &snap,
-            &LoadOptions { weight: 0.3, capacity: 5, ..LoadOptions::default() },
-        )
-        .unwrap();
+        load(&input, &snap, &knobs(0.3, 5)).unwrap();
         // B = 5 with identical entities fragments into many small
         // partitions (the exact count depends on the split asymmetry).
         let s = stats(&snap, 64).unwrap();

@@ -37,6 +37,11 @@ pub enum CsvError {
         /// The repeated id.
         id: u64,
     },
+    /// Two header columns name the same attribute (after trimming).
+    DuplicateColumn {
+        /// The repeated name.
+        name: String,
+    },
     /// The file has no header row.
     Empty,
 }
@@ -53,6 +58,9 @@ impl std::fmt::Display for CsvError {
             CsvError::BadId { line } => write!(f, "line {line}: id is not an unsigned integer"),
             CsvError::DuplicateId { line, id } => {
                 write!(f, "line {line}: duplicate entity id {id}")
+            }
+            CsvError::DuplicateColumn { name } => {
+                write!(f, "line 1: header column {name:?} appears twice")
             }
             CsvError::Empty => write!(f, "no header row"),
         }
@@ -144,10 +152,15 @@ pub fn parse_entities(
     idx += 1;
     let has_id = header.first().is_some_and(|h| h.trim() == "id");
     let attr_start = usize::from(has_id);
-    let attrs: Vec<AttrId> = header[attr_start..]
-        .iter()
-        .map(|name| catalog.intern(name.trim()))
-        .collect();
+    let mut attrs: Vec<AttrId> = Vec::new();
+    let mut named = std::collections::HashSet::new();
+    for name in &header[attr_start..] {
+        let id = catalog.intern(name.trim());
+        if !named.insert(id) {
+            return Err(CsvError::DuplicateColumn { name: name.trim().to_owned() });
+        }
+        attrs.push(id);
+    }
 
     let mut entities = Vec::new();
     let mut seen = std::collections::HashSet::new();
@@ -176,16 +189,13 @@ pub fn parse_entities(
         if !seen.insert(id) {
             return Err(CsvError::DuplicateId { line: line_no, id });
         }
-        let mut pairs = Vec::new();
+        let mut entity = Entity::empty(EntityId(id));
         for (col, cell) in cells.iter().skip(attr_start).enumerate() {
-            if cell.is_empty() {
-                continue;
+            if !cell.is_empty() {
+                entity.set(attrs[col], infer_value(cell));
             }
-            pairs.push((attrs[col], infer_value(cell)));
         }
-        entities.push(
-            Entity::new(EntityId(id), pairs).expect("header columns are distinct"),
-        );
+        entities.push(entity);
     }
     Ok(entities)
 }
@@ -284,6 +294,20 @@ mod tests {
             parse_entities("id,a\n1,\"open\n", &mut cat),
             Err(CsvError::UnterminatedQuote { line: 2 })
         );
+    }
+
+    #[test]
+    fn repeated_header_column_is_an_error() {
+        let err = parse_entities("id,a, b,a \n1,1,2,3\n", &mut AttributeCatalog::new());
+        assert_eq!(err, Err(CsvError::DuplicateColumn { name: "a".into() }));
+        assert_eq!(
+            err.unwrap_err().to_string(),
+            "line 1: header column \"a\" appears twice"
+        );
+        // `id` leads the row as the entity id, so a later `id` column is
+        // an attribute like any other.
+        let entities = parse_entities("id,id\n1,2\n", &mut AttributeCatalog::new()).unwrap();
+        assert_eq!(entities[0].arity(), 1);
     }
 
     #[test]

@@ -26,5 +26,5 @@ pub mod csv;
 
 pub use commands::{
     check, load, merge, query, serve, stats, workload, CliError, LoadOptions, ModeSpec,
-    QueryOptions, WorkloadOptions,
+    QueryOptions,
 };

@@ -7,8 +7,10 @@ use std::process::ExitCode;
 
 use cind_cli::{
     check, load, merge, query, serve, stats, workload, CliError, LoadOptions, QueryOptions,
-    WorkloadOptions,
 };
+use cind_server::{LoadConfig, ServeConfig};
+use cind_storage::DEFAULT_POOL_PAGES;
+use cinderella_core::Capacity;
 
 const USAGE: &str = "\
 cind — universal-table manager with Cinderella online partitioning
@@ -17,12 +19,12 @@ USAGE:
   cind load  --input DATA.csv --snapshot TABLE.cind
              [--weight W] [--capacity B] [--size-model cells|bytes]
              [--mode entity|workload:a,b;c,d] [--record-events true|false]
-             [--threads N] [--tier exact|tiered|auto]
+             [--threads N] [--tier exact|tiered|auto] [--pool N]
   cind query --snapshot TABLE.cind --attrs a,b,c [--limit N]
-             [--tier exact|tiered|auto]
-  cind stats --snapshot TABLE.cind
-  cind merge --snapshot TABLE.cind [--threshold T]
-  cind check --snapshot TABLE.cind
+             [--tier exact|tiered|auto] [--pool N]
+  cind stats --snapshot TABLE.cind [--pool N]
+  cind merge --snapshot TABLE.cind [--threshold T] [--pool N]
+  cind check --snapshot TABLE.cind [--pool N]
   cind serve --store DIR [--port P] [--queue-depth K] [--pool-pages N]
              [--shards N] [--group-commit-window USEC]
              [--reorg off|auto] [--tier exact|tiered|auto]
@@ -49,8 +51,12 @@ memory stays bounded at million-partition catalogs, answers are
 identical because the approximate tier never produces false negatives);
 auto starts exact and ratchets to tiered once the catalog crosses the
 partition-count threshold.
+--pool sizes the buffer pool in pages.
 check restores the snapshot, rebuilds the partitioning, and runs the full
 structural invariant validation (exit status 1 on violations).
+query, stats, check and merge rebuild the partitioning under the default
+partitioner knobs (weight, capacity, size model, mode), because a
+snapshot does not record the ones it was loaded with.
 serve opens (or creates) a store directory — snapshot + write-ahead log —
 and serves it over a length-prefixed binary protocol on loopback until a
 client sends Shutdown: --port 0 picks a free port (printed on startup),
@@ -124,13 +130,21 @@ impl Args {
         self.required(name, "PATH").map(PathBuf::from)
     }
 
-    fn get<T: std::str::FromStr>(&mut self, name: &str, default: T) -> Result<T, CliError> {
-        match self.flags.remove(name) {
-            None => Ok(default),
-            Some(raw) => raw
-                .parse()
-                .map_err(|_| CliError::Usage(format!("bad value for --{name}: {raw}"))),
+    /// The parsed value of `--name`, or `None` when the flag is absent.
+    fn take<T: std::str::FromStr>(&mut self, name: &str) -> Result<Option<T>, CliError> {
+        let Some(raw) = self.flags.remove(name) else { return Ok(None) };
+        raw.parse()
+            .map(Some)
+            .map_err(|_| CliError::Usage(format!("bad value for --{name}: {raw}")))
+    }
+
+    /// Overrides `field` with `--name`'s value; without the flag the field
+    /// keeps the default its struct gave it.
+    fn set<T: std::str::FromStr>(&mut self, name: &str, field: &mut T) -> Result<(), CliError> {
+        if let Some(value) = self.take(name)? {
+            *field = value;
         }
+        Ok(())
     }
 
     /// Rejects whatever flags the command did not take.
@@ -142,6 +156,56 @@ impl Args {
             Some(name) => Err(CliError::Usage(format!("unknown flag --{name}"))),
         }
     }
+}
+
+fn load_options(args: &mut Args) -> Result<LoadOptions, CliError> {
+    let mut opts = LoadOptions::default();
+    args.set("weight", &mut opts.config.weight)?;
+    if let Some(b) = args.take("capacity")? {
+        opts.config.capacity = Capacity::MaxEntities(b);
+    }
+    args.set("size-model", &mut opts.config.size_model)?;
+    opts.mode = args.take("mode")?;
+    args.set("record-events", &mut opts.config.record_events)?;
+    args.set("threads", &mut opts.threads)?;
+    args.set("pool", &mut opts.pool_pages)?;
+    args.set("tier", &mut opts.config.tier)?;
+    Ok(opts)
+}
+
+fn query_options(args: &mut Args) -> Result<QueryOptions, CliError> {
+    let mut opts = QueryOptions::default();
+    if let Some(limit) = args.take("limit")? {
+        opts.limit = Some(limit);
+    }
+    args.set("pool", &mut opts.pool_pages)?;
+    args.set("tier", &mut opts.tier)?;
+    Ok(opts)
+}
+
+fn serve_config(args: &mut Args) -> Result<ServeConfig, CliError> {
+    let mut cfg = ServeConfig::default();
+    args.set("port", &mut cfg.port)?;
+    args.set("queue-depth", &mut cfg.queue_depth)?;
+    args.set("pool-pages", &mut cfg.pool_pages)?;
+    args.set("shards", &mut cfg.shards)?;
+    args.set("group-commit-window", &mut cfg.group_commit_window)?;
+    args.set("reorg", &mut cfg.reorg)?;
+    args.set("tier", &mut cfg.tier)?;
+    Ok(cfg)
+}
+
+fn load_config(args: &mut Args) -> Result<LoadConfig, CliError> {
+    let mut cfg = LoadConfig::default();
+    args.set("connections", &mut cfg.connections)?;
+    args.set("entities", &mut cfg.entities)?;
+    args.set("attributes", &mut cfg.attributes)?;
+    args.set("query-every", &mut cfg.query_every)?;
+    args.set("seed", &mut cfg.seed)?;
+    args.set("pipeline", &mut cfg.pipeline)?;
+    args.set("batch", &mut cfg.batch)?;
+    args.set("mode", &mut cfg.mode)?;
+    Ok(cfg)
 }
 
 fn run() -> Result<String, CliError> {
@@ -156,16 +220,7 @@ fn run() -> Result<String, CliError> {
     let mut args = Args::parse(&argv[1..])?;
     match command.as_str() {
         "load" => {
-            let opts = LoadOptions {
-                weight: args.get("weight", 0.2)?,
-                capacity: args.get("capacity", 5_000)?,
-                size_model: args.get("size-model", cind_model::SizeModel::Cells)?,
-                mode: args.get("mode", cind_cli::ModeSpec::Entity)?,
-                record_events: args.get("record-events", false)?,
-                threads: args.get("threads", 1)?,
-                pool_pages: args.get("pool", 1024)?,
-                tier: args.get("tier", cinderella_core::IndexTier::default())?,
-            };
+            let opts = load_options(&mut args)?;
             let (input, snapshot) = (args.path("input")?, args.path("snapshot")?);
             args.finish()?;
             load(&input, &snapshot, &opts)
@@ -174,17 +229,14 @@ fn run() -> Result<String, CliError> {
             let attrs_raw = args.required("attrs", "a,b,…")?;
             let attrs: Vec<&str> =
                 attrs_raw.split(',').map(str::trim).filter(|s| !s.is_empty()).collect();
-            let opts = QueryOptions {
-                limit: Some(args.get("limit", 20usize)?),
-                pool_pages: args.get("pool", 1024)?,
-                tier: args.get("tier", cinderella_core::IndexTier::default())?,
-            };
+            let opts = query_options(&mut args)?;
             let snapshot = args.path("snapshot")?;
             args.finish()?;
             query(&snapshot, &attrs, &opts)
         }
         "stats" | "check" => {
-            let (snapshot, pool) = (args.path("snapshot")?, args.get("pool", 1024)?);
+            let snapshot = args.path("snapshot")?;
+            let pool = args.take("pool")?.unwrap_or(DEFAULT_POOL_PAGES);
             args.finish()?;
             if command == "stats" {
                 stats(&snapshot, pool)
@@ -194,40 +246,23 @@ fn run() -> Result<String, CliError> {
         }
         "merge" => {
             let snapshot = args.path("snapshot")?;
-            let (threshold, pool) = (args.get("threshold", 0.5)?, args.get("pool", 1024)?);
+            let threshold = args.take("threshold")?.unwrap_or(0.5);
+            let pool = args.take("pool")?.unwrap_or(DEFAULT_POOL_PAGES);
             args.finish()?;
             merge(&snapshot, threshold, pool)
         }
         "serve" => {
-            let cfg = cind_server::ServeConfig {
-                port: args.get("port", 0u16)?,
-                queue_depth: args.get("queue-depth", 64)?,
-                pool_pages: args.get("pool-pages", 1024)?,
-                shards: args.get("shards", 1)?,
-                group_commit_window: args.get("group-commit-window", 0)?,
-                reorg: args.get("reorg", cinderella_core::ReorgMode::Off)?,
-                tier: args.get("tier", cinderella_core::IndexTier::default())?,
-                ..cind_server::ServeConfig::default()
-            };
+            let cfg = serve_config(&mut args)?;
             let store = args.path("store")?;
             args.finish()?;
             serve(&store, &cfg)
         }
         "workload" => {
             let remote = args.required("remote", "HOST:PORT")?;
-            let opts = WorkloadOptions {
-                connections: args.get("connections", 4)?,
-                entities: args.get("entities", 2_000)?,
-                attributes: args.get("attributes", 60)?,
-                query_every: args.get("query-every", 10)?,
-                seed: args.get("seed", 0xC1DE)?,
-                pipeline: args.get("pipeline", 1)?,
-                batch: args.get("batch", 1)?,
-                mode: args.get("mode", cind_server::DriftMode::Steady)?,
-                shutdown: args.get("shutdown", false)?,
-            };
+            let cfg = load_config(&mut args)?;
+            let shutdown = args.take("shutdown")?.unwrap_or(false);
             args.finish()?;
-            workload(&remote, &opts)
+            workload(&remote, &cfg, shutdown)
         }
         "help" | "--help" | "-h" => Ok(USAGE.into()),
         other => Err(CliError::Usage(format!("unknown command {other}\n\n{USAGE}"))),
@@ -244,5 +279,71 @@ fn main() -> ExitCode {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(flags: &[&str]) -> Result<Args, CliError> {
+        Args::parse(&flags.iter().map(|f| (*f).to_owned()).collect::<Vec<_>>())
+    }
+
+    /// The options `parse` fills from `flags`, after checking that it took
+    /// every flag.
+    fn parsed<T>(
+        flags: &[&str],
+        parse: fn(&mut Args) -> Result<T, CliError>,
+    ) -> Result<T, CliError> {
+        let mut args = args(flags)?;
+        let opts = parse(&mut args)?;
+        args.finish()?;
+        Ok(opts)
+    }
+
+    #[test]
+    fn no_flag_yields_the_library_defaults() {
+        let dbg = |v: &dyn std::fmt::Debug| format!("{v:?}");
+        let load = parsed(&[], load_options).unwrap();
+        assert_eq!(dbg(&load.config), dbg(&cinderella_core::Config::default()));
+        assert_eq!(dbg(&load), dbg(&LoadOptions::default()));
+        assert_eq!(
+            dbg(&parsed(&[], query_options).unwrap()),
+            dbg(&QueryOptions::default())
+        );
+        assert_eq!(parsed(&[], serve_config).unwrap(), ServeConfig::default());
+        assert_eq!(dbg(&parsed(&[], load_config).unwrap()), dbg(&LoadConfig::default()));
+    }
+
+    #[test]
+    fn a_flag_overrides_only_its_field() {
+        let load = parsed(&["--capacity", "50", "--mode", "entity"], load_options).unwrap();
+        assert_eq!(load.config.capacity, Capacity::MaxEntities(50));
+        assert_eq!(load.mode, Some(cind_cli::ModeSpec::Entity));
+        assert_eq!(load.config.weight, cinderella_core::Config::default().weight);
+        let query = parsed(&["--limit", "3"], query_options).unwrap();
+        assert_eq!((query.limit, query.pool_pages), (Some(3), DEFAULT_POOL_PAGES));
+        let serve = parsed(&["--pool-pages", "64"], serve_config).unwrap();
+        assert_eq!(serve, ServeConfig { pool_pages: 64, ..ServeConfig::default() });
+    }
+
+    fn usage(result: Result<impl std::fmt::Debug, CliError>) -> String {
+        match result {
+            Err(CliError::Usage(msg)) => msg,
+            other => panic!("expected a usage error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn unknown_missing_and_bad_flags_are_usage_errors() {
+        assert_eq!(usage(parsed(&["--workers", "4"], serve_config)), "unknown flag --workers");
+        assert_eq!(usage(args(&["--port"]).map(|_| ())), "missing value for --port");
+        assert_eq!(
+            usage(parsed(&["--weight", "heavy"], load_options)),
+            "bad value for --weight: heavy"
+        );
+        assert_eq!(usage(parsed(&["--tier", "fast"], query_options)), "bad value for --tier: fast");
+        assert_eq!(usage(parsed(&["--seed", "-1"], load_config)), "bad value for --seed: -1");
     }
 }

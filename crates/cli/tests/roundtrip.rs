@@ -3,6 +3,7 @@
 //! answers.
 
 use cind_cli::{load, query, LoadOptions, QueryOptions};
+use cinderella_core::{Capacity, Config};
 use proptest::prelude::*;
 
 /// One generated row: id and an optional value per attribute column.
@@ -63,7 +64,14 @@ proptest! {
         load(
             &input,
             &snap,
-            &LoadOptions { weight: 0.3, capacity: 10, ..LoadOptions::default() },
+            &LoadOptions {
+                config: Config {
+                    weight: 0.3,
+                    capacity: Capacity::MaxEntities(10),
+                    ..Config::default()
+                },
+                ..LoadOptions::default()
+            },
         )
         .expect("load");
 

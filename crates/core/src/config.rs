@@ -149,7 +149,7 @@ pub struct ReorgConfig {
 
 impl Default for ReorgConfig {
     fn default() -> Self {
-        Self { mode: ReorgMode::Off, budget: 32, threshold: 0.05, epoch_ops: 64 }
+        Self { mode: ReorgMode::default(), budget: 32, threshold: 0.05, epoch_ops: 64 }
     }
 }
 
@@ -192,9 +192,9 @@ impl Default for Config {
         Self {
             weight: 0.2,
             capacity: Capacity::MaxEntities(5000),
-            size_model: SizeModel::Cells,
-            mode: SynopsisMode::EntityBased,
-            tier: IndexTier::Exact,
+            size_model: SizeModel::default(),
+            mode: SynopsisMode::default(),
+            tier: IndexTier::default(),
             record_events: false,
             reorg: ReorgConfig::default(),
         }

@@ -94,11 +94,6 @@ impl Synopsis {
         self.bits.is_disjoint(&other.bits)
     }
 
-    /// Whether every attribute of `self` also appears in `other`.
-    pub fn is_subset(&self, other: &Self) -> bool {
-        self.bits.is_subset(&other.bits)
-    }
-
     /// Folds `other` into `self` (`self ∨= other`) — partition synopsis
     /// maintenance on insert.
     pub fn merge(&mut self, other: &Self) {
@@ -151,14 +146,12 @@ mod tests {
     }
 
     #[test]
-    fn add_contains_subset() {
+    fn add_and_contains() {
         let mut s = Synopsis::empty(16);
         assert!(s.is_empty());
         assert!(s.add(AttrId(3)));
         assert!(!s.add(AttrId(3)));
         assert!(s.contains(AttrId(3)));
-        assert!(s.is_subset(&syn(&[3, 4])));
-        assert!(!syn(&[3, 4]).is_subset(&s));
     }
 
     #[test]

@@ -26,8 +26,6 @@
 //!   catalog or a baseline's).
 //! * [`executor::execute`] — runs the plan, returning a [`QueryResult`]
 //!   with logical/physical I/O deltas and timing.
-//! * [`mod@selectivity`] — the fraction of entities a query returns, the x-axis
-//!   of Figs. 5 and 6.
 //!
 //! ```
 //! use cind_model::{Entity, EntityId, Synopsis, Value};
@@ -62,10 +60,8 @@ pub mod executor;
 pub mod planner;
 mod projection;
 mod query;
-pub mod selectivity;
 
 pub use executor::{execute, execute_collect, execute_collect_view, execute_into, QueryResult};
 pub use planner::{plan, plan_from_survivors, Plan};
 pub use projection::{Projection, Row, RowSink};
 pub use query::Query;
-pub use selectivity::selectivity;

@@ -1,11 +1,15 @@
 //! Serving-layer configuration.
 
+use cind_storage::DEFAULT_POOL_PAGES;
 use cinderella_core::{IndexTier, ReorgMode};
 
 /// Tunables for one [`crate::Server`] instance.
 ///
-/// Every documented field is surfaced as a `cind serve` command-line flag
-/// (the workspace audit's CIND-A004 rule checks the parity).
+/// [`crate::Server::start`] reads only `port` and `queue_depth`; the other
+/// fields shape the engine it is handed, through
+/// [`crate::EngineOptions::from_serve`] and the shard count. Every
+/// documented field is surfaced as a `cind serve` command-line flag (the
+/// workspace audit's CIND-A004 rule checks the parity).
 #[derive(Clone, Debug, PartialEq)]
 pub struct ServeConfig {
     /// TCP port to listen on (loopback only); `0` asks the OS for a free
@@ -26,8 +30,7 @@ pub struct ServeConfig {
     /// shedding keeps latency bounded under overload). Clamped to at
     /// least 1.
     pub queue_depth: usize,
-    /// Buffer-pool capacity, in pages, for stores the server opens itself
-    /// (ignored for pre-built engines handed to [`crate::Server::start`]).
+    /// Buffer-pool capacity, in pages, of each shard's store.
     pub pool_pages: usize,
     /// Accepted and ignored: a shard leg scans its segments inline, and the
     /// legs are a query's only fan-out. The field is still here because
@@ -73,12 +76,12 @@ impl Default for ServeConfig {
             port: 0,
             workers: 4,
             queue_depth: 64,
-            pool_pages: 1024,
+            pool_pages: DEFAULT_POOL_PAGES,
             query_threads: 1,
             shards: 1,
             group_commit_window: 0,
-            reorg: ReorgMode::Off,
-            tier: IndexTier::Exact,
+            reorg: ReorgMode::default(),
+            tier: IndexTier::default(),
         }
     }
 }

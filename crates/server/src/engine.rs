@@ -85,12 +85,7 @@ impl std::fmt::Debug for EngineOptions {
 
 impl Default for EngineOptions {
     fn default() -> Self {
-        Self {
-            config: Config::default(),
-            pool_pages: 1024,
-            group_commit_window: Duration::ZERO,
-            vfs: Arc::new(RealVfs),
-        }
+        Self::from_serve(&ServeConfig::default())
     }
 }
 
@@ -106,7 +101,7 @@ impl EngineOptions {
             },
             pool_pages: cfg.pool_pages.max(8),
             group_commit_window: Duration::from_micros(cfg.group_commit_window),
-            ..Self::default()
+            vfs: Arc::new(RealVfs),
         }
     }
 }

@@ -81,7 +81,7 @@ impl Default for LoadConfig {
             seed: 0xC1DE,
             pipeline: 1,
             batch: 1,
-            mode: DriftMode::Steady,
+            mode: DriftMode::default(),
         }
     }
 }

@@ -82,12 +82,6 @@ impl ShardedOptions {
     }
 }
 
-impl Default for ShardedOptions {
-    fn default() -> Self {
-        Self::new(EngineOptions::default(), 1)
-    }
-}
-
 impl std::fmt::Debug for ShardedOptions {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedOptions")
@@ -197,12 +191,6 @@ impl ShardedEngine {
     #[must_use]
     pub fn shard_count(&self) -> usize {
         self.slots.len()
-    }
-
-    /// The routing function (exposed so harnesses can predict placement).
-    #[must_use]
-    pub fn router(&self) -> &ShardRouter {
-        &self.router
     }
 
     /// The shard owning entity `id`.

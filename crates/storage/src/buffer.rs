@@ -48,6 +48,10 @@ struct Node {
 
 const NIL: usize = usize::MAX;
 
+/// The buffer-pool size, in pages, of every store and command that is not
+/// given one.
+pub const DEFAULT_POOL_PAGES: usize = 1024;
+
 impl BufferPool {
     /// Creates a pool that can hold `capacity` pages — exact global LRU
     /// semantics. A capacity of 0 disables caching (every access is a miss).

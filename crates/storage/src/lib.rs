@@ -49,7 +49,7 @@ pub mod wal;
 mod error;
 mod iostats;
 
-pub use buffer::BufferPool;
+pub use buffer::{BufferPool, DEFAULT_POOL_PAGES};
 pub use error::StorageError;
 pub use iostats::{AtomicIoStats, IoStats};
 pub use page::{Page, SlotId, PAGE_SIZE};
