@@ -296,10 +296,11 @@ pub fn no_wall_clock(files: &[SourceFile]) -> Vec<Finding> {
 /// flush/checkpoint/merge) must clone the engine handles first
 /// (`engines()`) and run lock-free. A `let`-bound guard from
 /// `.read()`/`.write()`/`.lock(` still live at a call that fans over every
-/// shard (`.engines()`, `thread::scope`) would serialise the whole store
-/// behind one shard — the exact global-writer-lock regression sharding
-/// removed. Temporary guards in expression position drop within their own
-/// statement and are fine.
+/// shard — `.engines()`, a leg's hand-off to a standing worker
+/// (`.offer(`), or the wait for the legs' answers (`.recv()`) — would
+/// serialise the whole store behind one shard, the exact
+/// global-writer-lock regression sharding removed. Temporary guards in
+/// expression position drop within their own statement and are fine.
 #[must_use]
 pub fn shard_fanout_lock_freedom(files: &[SourceFile]) -> Vec<Finding> {
     let mut out = Vec::new();
@@ -352,35 +353,29 @@ pub fn commit_path_sync_discipline(files: &[SourceFile]) -> Vec<Finding> {
     out
 }
 
-/// Walker-backed port of the original A006 byte-machine: any guard
-/// (`.lock(`/`.read()`/`.write()`, `let`-bound) still live at a fan-out
-/// call — `.engines()` or a `thread::scope` mention.
+/// Any guard (`.lock(`/`.read()`/`.write()`, `let`-bound) still live at a
+/// fan-out call: `.engines()`, the hand-off `.offer(…)`, or the collect
+/// `.recv()`.
 fn fanout_findings(f: &SourceFile) -> Vec<Finding> {
     let mut out = Vec::new();
-    let mut push = |line: usize| {
-        out.push(Finding {
-            file: f.path.clone(),
-            line,
-            rule: "CIND-A006",
-            message: "lock guard held across a shard fan-out call \
-                      (clone the engine handles first, then drop the guard)"
-                .into(),
-        });
-    };
     for func in syntax::functions(f) {
         for ev in syntax::events(f, &func) {
-            match &ev {
-                syntax::Event::Call { line, name, empty_args: true, held, .. }
-                    if name == "engines" && !held.is_empty() =>
-                {
-                    push(*line);
+            if let syntax::Event::Call { line, name, empty_args, held, .. } = &ev {
+                let fans_out = match name.as_str() {
+                    "engines" | "recv" => *empty_args,
+                    "offer" => true,
+                    _ => false,
+                };
+                if fans_out && !held.is_empty() {
+                    out.push(Finding {
+                        file: f.path.clone(),
+                        line: *line,
+                        rule: "CIND-A006",
+                        message: "lock guard held across a shard fan-out call \
+                                  (clone the engine handles first, then drop the guard)"
+                            .into(),
+                    });
                 }
-                syntax::Event::PathCall { line, path, held }
-                    if path == "thread::scope" && !held.is_empty() =>
-                {
-                    push(*line);
-                }
-                _ => {}
             }
         }
     }
@@ -649,13 +644,28 @@ mod tests {
     }
 
     #[test]
-    fn a006_catches_guard_held_across_thread_scope() {
+    fn a006_catches_guard_held_across_a_leg_hand_off_or_collect() {
         let bad = file(
             "crates/server/src/sharded.rs",
             "fn query(&self) {\n    let g = self.slots[1].write();\n    \
-             std::thread::scope(|s| { let _ = s; });\n}\n",
+             self.legs.offer(|| job());\n    let _ = answers.recv();\n}\n",
         );
-        assert_eq!(shard_fanout_lock_freedom(&[bad]).len(), 1);
+        let found = shard_fanout_lock_freedom(&[bad]);
+        let lines: Vec<usize> = found.iter().map(|f| f.line).collect();
+        assert_eq!(lines, [3, 4], "{found:?}");
+    }
+
+    #[test]
+    fn a006_accepts_the_lock_free_leg_fan_out() {
+        let good = file(
+            "crates/server/src/sharded.rs",
+            "fn query_legs(&self) {\n    let engines = self.engines();\n    \
+             let (answer, answers) = channel();\n    \
+             for e in &engines[1..] { self.legs.offer(|| job(e, answer.clone())); }\n    \
+             drop(answer);\n    let leg = engines[0].query_leg(attrs);\n    \
+             while let Ok(leg) = answers.recv() { legs.push(leg); }\n}\n",
+        );
+        assert!(shard_fanout_lock_freedom(&[good]).is_empty());
     }
 
     #[test]

@@ -344,6 +344,9 @@ fn a003_walker_matches_legacy_on_the_real_tree() {
     assert_eq!(legacy_set, new_set);
 }
 
+/// A006 has since been re-keyed from `thread::scope` to the standing leg
+/// workers' hand-off and collect calls; on the real tree both key sets
+/// must still find the same (no) guard held across a fan-out.
 #[test]
 fn a006_walker_matches_legacy_on_the_real_tree() {
     let files = workspace();

@@ -40,6 +40,7 @@ pub mod client;
 pub mod commit;
 pub mod config;
 pub mod engine;
+mod legs;
 pub mod loadgen;
 pub mod protocol;
 pub mod server;

@@ -12,9 +12,13 @@
 //!
 //! Concurrency model: writes route to exactly one shard and serialise on
 //! *that shard's* writer lock only; a write to shard 2 never blocks a write
-//! to shard 5, and queries never block behind any writer at all — each
-//! shard hands out an epoch-tagged [`crate::engine::EngineSnapshot`] and
-//! the scan runs entirely off-lock. Queries fan out to every shard and
+//! to shard 5. A query waits at most for the one write in flight on each
+//! shard, and never for a scan: the unknown-attribute pre-check
+//! (`Engine::knows`) and a snapshot refreeze take the shard's state read
+//! lock, so they wait out a write in progress; a cached epoch-tagged
+//! [`crate::engine::EngineSnapshot`] is handed out without it, and the scan
+//! runs entirely off-lock. Queries fan out to every shard — the caller
+//! runs the first leg, standing leg workers the others when idle — and
 //! merge in shard order (each shard's rows are already in its own
 //! deterministic plan order), so results are reproducible run to run.
 //!
@@ -25,7 +29,9 @@
 //! by crashing individual shards mid-workload.
 
 use std::collections::BTreeSet;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
+use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, PoisonError, RwLock};
 
 use cind_query::RowSink;
@@ -33,6 +39,7 @@ use cind_storage::{Manifest, Vfs};
 use cinderella_core::MergeReport;
 
 use crate::engine::{to_frame, Engine, EngineOptions, SNAPSHOT_FILE, WAL_FILE};
+use crate::legs::{Job, LegWorkers};
 use crate::protocol::{
     begin_batch, encode_response, frame, frame_rows, EngineStats, IoCounters, QueryStats, Request,
     Response, WireEntity, WireRows,
@@ -49,13 +56,12 @@ pub fn shard_dir_name(i: usize) -> String {
     format!("shard-{i:04}")
 }
 
-/// Hardware threads available to this process, probed once. Gates whether
-/// query fan-out spawns OS threads at all: on a single hardware thread the
-/// legs run inline instead.
-fn hardware_threads() -> usize {
-    static THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *THREADS
-        .get_or_init(|| std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get))
+/// Standing leg workers for a store of `shards` shards: one per leg past
+/// the caller's own, none when this thread may run on one CPU only (legs
+/// then run inline, and a spawn or a hand-off would be pure loss).
+fn leg_workers(shards: usize) -> LegWorkers {
+    let cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    LegWorkers::start(if cpus == 1 { 0 } else { shards - 1 })
 }
 
 /// How to build a [`ShardedEngine`].
@@ -103,6 +109,8 @@ pub struct ShardedEngine {
     router: ShardRouter,
     store: Option<PathBuf>,
     opts: ShardedOptions,
+    /// Runs the legs of a query past the caller's own; joined on drop.
+    legs: LegWorkers,
 }
 
 impl ShardedEngine {
@@ -113,7 +121,13 @@ impl ShardedEngine {
         let slots = (0..shards)
             .map(|i| RwLock::new(Arc::new(Engine::in_memory(Self::shard_opts(&opts, i)))))
             .collect();
-        Self { slots, router: ShardRouter::new(shards), store: None, opts }
+        Self {
+            slots,
+            router: ShardRouter::new(shards),
+            store: None,
+            opts,
+            legs: leg_workers(shards),
+        }
     }
 
     /// Opens (or creates) a sharded store directory.
@@ -172,6 +186,7 @@ impl ShardedEngine {
             router: ShardRouter::new(shards),
             store: Some(dir.to_path_buf()),
             opts,
+            legs: leg_workers(shards),
         })
     }
 
@@ -319,9 +334,12 @@ impl ShardedEngine {
     }
 
     /// The fan-out under every query, and a query's only one: one leg per
-    /// shard, each scanning its surviving segments inline into a sink of its
-    /// own; the sinks come back in shard order with the summed stats.
-    fn query_legs<S: RowSink>(
+    /// shard, each scanning its surviving segments into a sink of its own;
+    /// the sinks come back in shard order with the summed stats. The caller
+    /// runs leg 0 and offers every other leg to an idle standing worker; a
+    /// leg no worker takes runs on the caller after leg 0. Merge order is
+    /// by shard index wherever a leg ran, so results are byte-identical.
+    fn query_legs<S: RowSink + 'static>(
         &self,
         attrs: &[String],
     ) -> Result<(Vec<S>, QueryStats), ServerError> {
@@ -335,35 +353,34 @@ impl ShardedEngine {
         if let Some(ghost) = attrs.iter().find(|a| !engines.iter().any(|e| e.knows(a))) {
             return Err(ServerError::UnknownAttribute(ghost.clone()));
         }
-        // Fan out on threads only when the machine can actually run legs
-        // concurrently; on a single hardware thread the spawn/join overhead
-        // is pure loss, so scan the shards inline. Either way the first leg
-        // runs on the caller's thread. Merge order is by shard index in
-        // both paths, so results are byte-identical.
-        let legs: Vec<Result<_, ServerError>> = if hardware_threads() == 1 {
-            engines.iter().map(|engine| engine.query_leg::<S>(attrs)).collect()
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = engines
-                    .iter()
-                    .skip(1)
-                    .map(|engine| scope.spawn(move || engine.query_leg::<S>(attrs)))
-                    .collect();
-                let mut legs = vec![engines[0].query_leg(attrs)];
-                legs.extend(handles.into_iter().map(|h| {
-                    h.join()
-                        .map_err(|_| {
-                            ServerError::Internal("shard query worker panicked".to_string())
-                        })
-                        .and_then(|leg| leg)
-                }));
-                legs
-            })
-        };
+        let (answer, answers) = channel();
+        let mut shared: Option<Arc<[String]>> = None;
+        let mut mine = vec![0];
+        for (i, engine) in engines.iter().enumerate().skip(1) {
+            let taken = self.legs.offer(|| {
+                let attrs = Arc::clone(shared.get_or_insert_with(|| attrs.into()));
+                leg_job::<S>(Arc::clone(engine), attrs, i, answer.clone())
+            });
+            if !taken {
+                mine.push(i);
+            }
+        }
+        drop(answer);
+        let handed = engines.len() - mine.len();
+        let mut legs: Vec<Option<Leg<S>>> = engines.iter().map(|_| None).collect();
+        for i in mine {
+            legs[i] = Some(engines[i].query_leg(attrs));
+        }
+        for _ in 0..handed {
+            let Ok((i, leg)) = answers.recv() else { break };
+            legs[i] = Some(leg);
+        }
         let mut sinks = Vec::with_capacity(legs.len());
         let mut stats = QueryStats::default();
         for leg in legs {
-            let (sink, leg_stats, _) = leg?;
+            let (sink, leg_stats, _) = leg.unwrap_or_else(|| {
+                Err(ServerError::Internal("shard query worker did not answer".to_string()))
+            })?;
             sinks.push(sink);
             stats.entities_scanned += leg_stats.entities_scanned;
             stats.segments_read += leg_stats.segments_read;
@@ -614,11 +631,39 @@ impl ShardedEngine {
     }
 }
 
+/// One shard's answer to a query: its sink, its stats, and which of the
+/// requested attributes it knows.
+type Leg<S> = Result<(S, QueryStats, Vec<bool>), ServerError>;
+
+/// Leg `i` of a query as a job for a standing worker. It scans, lets go of
+/// the engine, raises the worker's idle signal and only then answers: the
+/// caller, which holds its own handle until every leg has answered, drops
+/// the last engine handle, and its next query finds the worker idle.
+fn leg_job<S: RowSink + 'static>(
+    engine: Arc<Engine>,
+    attrs: Arc<[String]>,
+    i: usize,
+    answer: Sender<(usize, Leg<S>)>,
+) -> Job {
+    Box::new(move |idle| {
+        let leg = catch_unwind(AssertUnwindSafe(|| engine.query_leg::<S>(&attrs)))
+            .unwrap_or_else(|_| {
+                Err(ServerError::Internal("shard query worker panicked".to_string()))
+            });
+        drop(engine);
+        idle();
+        // The caller waits for every leg it handed out, so it is listening.
+        let _ = answer.send((i, leg));
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::protocol::WireEntity;
     use cind_model::Value;
+    use cind_storage::record::RawValue;
+    use cind_storage::StorageError;
 
     fn wire(id: u64, attrs: &[(&str, i64)]) -> WireEntity {
         WireEntity {
@@ -779,5 +824,151 @@ mod tests {
             ));
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    // ---- standing leg workers -------------------------------------------
+
+    /// Notes the thread its rows were gathered on.
+    #[derive(Default)]
+    struct Whereabouts(Option<std::thread::ThreadId>);
+
+    impl RowSink for Whereabouts {
+        fn row(&mut self, _: &[Option<RawValue<'_>>]) -> Result<(), StorageError> {
+            self.0 = Some(std::thread::current().id());
+            Ok(())
+        }
+    }
+
+    /// Panics when a standing worker hands it a row; gathers nothing on
+    /// the caller.
+    #[derive(Default)]
+    struct PanicsOnWorker;
+
+    impl RowSink for PanicsOnWorker {
+        fn row(&mut self, _: &[Option<RawValue<'_>>]) -> Result<(), StorageError> {
+            let name = std::thread::current().name().map(str::to_string);
+            assert!(!name.is_some_and(|n| n.starts_with("cind-leg-")), "a leg panics on its worker");
+            Ok(())
+        }
+    }
+
+    /// `shards` shards holding 64 entities with `x`, every shard some, and
+    /// `workers` standing leg workers whatever this machine's CPU count.
+    fn loaded(shards: usize, workers: usize) -> ShardedEngine {
+        let mut eng = ShardedEngine::in_memory(opts(shards));
+        eng.legs = LegWorkers::start(workers);
+        for id in 0..64u64 {
+            eng.insert(&wire(id, &[("x", id as i64)])).unwrap();
+        }
+        for i in 0..shards {
+            assert!(eng.shard_engine(i).stats().entities > 0, "shard {i} empty");
+        }
+        eng
+    }
+
+    fn x() -> Vec<String> {
+        vec!["x".to_string()]
+    }
+
+    #[test]
+    fn a_panicking_leg_answers_internal_and_its_worker_survives() {
+        let eng = loaded(2, 1);
+        match eng.query_legs::<PanicsOnWorker>(&x()) {
+            Err(ServerError::Internal(msg)) => assert_eq!(msg, "shard query worker panicked"),
+            Err(other) => panic!("expected Internal, got {other:?}"),
+            Ok(_) => panic!("expected Internal, got rows"),
+        }
+        // The same worker takes the next query's leg and answers it.
+        let (legs, _) = eng.query_legs::<Whereabouts>(&x()).unwrap();
+        let me = std::thread::current().id();
+        assert_eq!(legs[0].0, Some(me));
+        assert!(legs[1].0.is_some_and(|t| t != me), "leg 1 ran on the caller");
+        assert_eq!(eng.query(&x()).unwrap().0.len(), 64);
+    }
+
+    #[test]
+    fn a_leg_no_worker_takes_runs_on_the_caller_and_answers_the_same_bytes() {
+        let eng = loaded(4, 1);
+        let mut worker_free = Vec::new();
+        eng.query_frame(&x(), &mut worker_free);
+
+        // Hold the one worker busy: every leg finds no idle worker.
+        let (release, held) = channel::<()>();
+        assert!(eng.legs.offer(|| Box::new(move |idle| {
+            let _ = held.recv();
+            idle();
+        })));
+        let (legs, _) = eng.query_legs::<Whereabouts>(&x()).unwrap();
+        let me = std::thread::current().id();
+        assert!(legs.iter().all(|leg| leg.0 == Some(me)), "a leg waited for the busy worker");
+        let mut worker_busy = Vec::new();
+        eng.query_frame(&x(), &mut worker_busy);
+        assert_eq!(worker_busy, worker_free);
+        release.send(()).unwrap();
+    }
+
+    #[test]
+    fn dropping_the_engine_joins_every_worker() {
+        let eng = loaded(4, 3);
+        let (legs, _) = eng.query_legs::<Whereabouts>(&x()).unwrap();
+        let me = std::thread::current().id();
+        assert!(legs[1..].iter().all(|leg| leg.0.is_some_and(|t| t != me)));
+        let engines: Vec<_> = (0..4).map(|i| Arc::downgrade(&eng.shard_engine(i))).collect();
+        let workers = eng.legs.watch();
+        let t0 = std::time::Instant::now();
+        drop(eng);
+        assert!(t0.elapsed() < std::time::Duration::from_secs(1), "drop took {:?}", t0.elapsed());
+        assert!(engines.iter().all(|e| e.upgrade().is_none()), "a leg kept its engine");
+        assert!(workers.iter().all(|w| w.upgrade().is_none()), "a worker outlived the engine");
+
+        // A worker still running a job is waited for, not detached.
+        let eng = loaded(2, 1);
+        let workers = eng.legs.watch();
+        let (release, held) = channel::<()>();
+        let (started, running) = channel::<()>();
+        assert!(eng.legs.offer(|| Box::new(move |idle| {
+            started.send(()).unwrap();
+            let _ = held.recv();
+            idle();
+        })));
+        running.recv().unwrap();
+        let releaser = std::thread::spawn(move || {
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            release.send(()).unwrap();
+        });
+        drop(eng);
+        assert!(workers.iter().all(|w| w.upgrade().is_none()), "the drop left a busy worker running");
+        releaser.join().unwrap();
+    }
+
+    #[test]
+    fn an_engine_holds_at_most_one_leg_thread_per_shard_past_the_first() {
+        let cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        for shards in [1, 2, 4] {
+            let want = if cpus == 1 { 0 } else { shards - 1 };
+            assert_eq!(ShardedEngine::in_memory(opts(shards)).legs.len(), want);
+        }
+
+        // Eight callers at once: their legs spread over at most three
+        // threads that are not callers.
+        let eng = Arc::new(loaded(4, 3));
+        let callers: Vec<_> = (0..8)
+            .map(|_| {
+                let eng = Arc::clone(&eng);
+                std::thread::spawn(move || {
+                    let me = std::thread::current().id();
+                    let mut elsewhere = Vec::new();
+                    for _ in 0..25 {
+                        let (legs, _) = eng.query_legs::<Whereabouts>(&x()).unwrap();
+                        elsewhere.extend(legs.iter().filter_map(|leg| leg.0).filter(|&t| t != me));
+                    }
+                    elsewhere
+                })
+            })
+            .collect();
+        let mut threads: Vec<_> = callers.into_iter().flat_map(|c| c.join().unwrap()).collect();
+        threads.sort_by_key(|t| format!("{t:?}"));
+        threads.dedup();
+        assert!(!threads.is_empty() && threads.len() <= 3, "{} leg threads", threads.len());
     }
 }

@@ -1,14 +1,18 @@
 //! Protocol robustness and admission control: malformed frames come back
 //! as typed errors (never a panic or a hang), overload produces bounded
-//! `Busy` sheds, a pipelined burst is answered in frame order, and neither
-//! shutdown path waits on an idle or a blocked connection.
+//! `Busy` sheds, a pipelined burst is answered in frame order, concurrent
+//! connections' query legs share the standing leg workers and still get
+//! the model's answers, and neither shutdown path waits on an idle or a
+//! blocked connection.
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cind_model::Value;
 use cind_server::protocol::{encode_request, frame, MAX_FRAME};
+use cind_server::client::Row;
 use cind_server::{
     Client, EngineOptions, ErrorCode, ProtoError, Request, Response, ServeConfig, Server,
     ServerError, ShardedEngine, ShardedOptions, WireEntity,
@@ -293,6 +297,99 @@ fn idle_and_blocked_connections_cannot_hang_teardown() {
         if graceful {
             slow.expect("a frame already read is answered on graceful shutdown");
         }
+    }
+}
+
+/// The model's answer, as `scan_pushdown.rs` computes it: every entity
+/// with at least one requested attribute, projected in request order,
+/// sorted (shards merge in shard order, not id order).
+fn model_rows(model: &BTreeMap<u64, Vec<(String, Value)>>, attrs: &[&str]) -> Vec<Row> {
+    let rows = model
+        .values()
+        .filter(|have| attrs.iter().any(|a| have.iter().any(|(n, _)| n == a)))
+        .map(|have| {
+            attrs
+                .iter()
+                .map(|a| have.iter().find(|(n, _)| n == a).map(|(_, v)| v.clone()))
+                .collect()
+        })
+        .collect();
+    sorted(rows)
+}
+
+fn sorted(mut rows: Vec<Row>) -> Vec<Row> {
+    rows.sort_by_key(|row| format!("{row:?}"));
+    rows
+}
+
+/// Four connections interleave inserts and queries against a 4-shard
+/// server, so the legs of concurrent queries meet on the standing leg
+/// workers (or, finding none idle, run on their callers). Each connection
+/// owns its attributes, so every answer is exactly that connection's model
+/// at that point. Afterwards `hard_kill()` and `shutdown(); join()` each
+/// return within 2 s, and dropping the engine joins its leg workers.
+#[test]
+fn concurrent_connections_share_the_leg_workers_and_match_the_model() {
+    for graceful in [false, true] {
+        let engine = Arc::new(ShardedEngine::in_memory(ShardedOptions::new(
+            EngineOptions::default(),
+            4,
+        )));
+        let handle = Server::start(Arc::clone(&engine), &ServeConfig::default()).expect("start");
+        let addr = format!("127.0.0.1:{}", handle.port());
+
+        std::thread::scope(|scope| {
+            for conn in 0..4u64 {
+                let addr = &addr;
+                scope.spawn(move || {
+                    let mut client = Client::connect(addr).expect("connect");
+                    client.set_timeout(Some(Duration::from_secs(5))).expect("timeout");
+                    let [a, b, c] = ["a", "b", "c"].map(|n| format!("{n}{conn}"));
+                    let mut model: BTreeMap<u64, Vec<(String, Value)>> = BTreeMap::new();
+                    for k in 0..120u64 {
+                        let mut attrs = Vec::new();
+                        if k % 3 != 0 {
+                            attrs.push((a.clone(), Value::Int(k as i64)));
+                        }
+                        if k % 2 == 0 {
+                            attrs.push((b.clone(), Value::Text(format!("v{k}"))));
+                        }
+                        if attrs.is_empty() {
+                            attrs.push((c.clone(), Value::Bool(k % 4 == 1)));
+                        }
+                        let id = conn * 1_000 + k;
+                        client.insert(WireEntity { id, attrs: attrs.clone() }).expect("insert");
+                        model.insert(id, attrs);
+                        if k % 10 == 9 {
+                            for query in [vec![&a[..]], vec![&b[..], &a[..]], vec![&c[..], &b[..]]] {
+                                let (rows, _) = client.query(query.clone()).expect("query");
+                                assert_eq!(
+                                    sorted(rows),
+                                    model_rows(&model, &query),
+                                    "conn {conn}, after {k} inserts, query {query:?}"
+                                );
+                            }
+                        }
+                    }
+                });
+            }
+        });
+
+        let t0 = Instant::now();
+        if graceful {
+            handle.shutdown();
+            let report = handle.join().expect("join");
+            assert!(report.violations.is_empty(), "{:?}", report.violations);
+        } else {
+            handle.hard_kill();
+        }
+        let took = t0.elapsed();
+        assert!(took < Duration::from_secs(2), "graceful={graceful}: teardown took {took:?}");
+        let engine = Arc::into_inner(engine).expect("no connection thread outlived teardown");
+        let t0 = Instant::now();
+        drop(engine);
+        let took = t0.elapsed();
+        assert!(took < Duration::from_secs(2), "graceful={graceful}: engine drop took {took:?}");
     }
 }
 
