@@ -39,7 +39,9 @@ const RULE: &str = "CIND-A009";
 pub fn blocking_in_critical_section(files: &[SourceFile]) -> Vec<Finding> {
     let mut out = Vec::new();
     for f in files {
-        if !crate::rules::is_library_code(&f.path) {
+        // Binaries (`main.rs`, `src/bin/`) are out of scope: the rule
+        // protects code other crates link against.
+        if f.path.ends_with("/main.rs") || f.path.contains("/src/bin/") {
             continue;
         }
         let allows = parse_allows(f);

@@ -1,15 +1,20 @@
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 //! `cind-audit` — the workspace's own static pass.
 //!
-//! Clippy checks what the Rust compiler can see; this crate checks what only
-//! this codebase knows: that every crate root forbids `unsafe`, that library
-//! code stays panic-free outside a shrinking baseline, that the buffer
-//! pool's shard latches are never held across another acquisition, that
-//! every [`Config`] knob reaches the CLI, that deterministic
-//! replay/plan paths never read the wall clock, that no lock guard is
-//! held across the sharded engine's fan-out calls, and that every
+//! Clippy checks what the Rust compiler can see, and the workspace leans on
+//! it for every rule it can express: CIND-A002 (panic-free library code) is
+//! one `deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)` line
+//! per library root, CIND-A005 (no wall clock in deterministic crates) is a
+//! `clippy.toml` per deterministic crate, and `missing_docs` documents every
+//! config field. This crate checks what only this codebase knows: that
+//! every crate root forbids `unsafe` and every library root carries the
+//! panic-lint line, that the buffer pool's mutex is never re-acquired under
+//! a pool guard, that every [`Config`] knob reaches the CLI, that no lock
+//! guard is held across the sharded engine's fan-out calls, that every
 //! sync/flush decision in the serving crate stays inside the group-commit
-//! coordinator.
+//! coordinator, that lock acquisition order is acyclic, and that no
+//! blocking call runs under a lock guard.
 //!
 //! The pass is deliberately token-level, not AST-level: it has zero
 //! dependencies, so it builds and runs even when the rest of the workspace
@@ -19,33 +24,27 @@
 //! `#[cfg(test)]` regions replaced by spaces — length-preserving, so line
 //! numbers hold); line rules run over the view, structural rules
 //! ([`syntax`], [`locks`], [`blocking`]) walk the tokens through a
-//! brace-tree with function/impl scoping. Rules that need doc comments or
-//! CLI usage strings read the raw text explicitly.
+//! brace-tree with function/impl scoping. Rules that need CLI usage
+//! strings read the raw text explicitly.
 //!
 //! Rules:
 //!
 //! | id        | rule |
 //! |-----------|------|
-//! | CIND-A001 | every crate root starts with `#![forbid(unsafe_code)]` |
-//! | CIND-A002 | no `unwrap()`/`expect()`/`panic!` in non-test library code beyond `audit-baseline.toml` |
-//! | CIND-A003 | buffer-pool lock discipline: one shard latch at a time; `IoStats` only via its atomic API |
-//! | CIND-A004 | every `Config` field is documented and wired to a CLI flag |
-//! | CIND-A005 | no `Instant::now`/`SystemTime` in deterministic replay/plan paths |
+//! | CIND-A001 | every crate root starts with `#![forbid(unsafe_code)]`; every library root also carries CIND-A002's `deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)` line |
+//! | CIND-A003 | buffer-pool lock discipline: the pool's mutex is never acquired while a pool guard is held; `IoStats` only via its atomic API |
+//! | CIND-A004 | every `Config` field is wired to a CLI flag |
 //! | CIND-A006 | no lock guard held across a shard fan-out call in the sharded engine |
 //! | CIND-A007 | no `sync`/`flush` calls in the serving crate outside the group-commit coordinator |
 //! | CIND-A008 | the workspace-wide lock acquisition-order graph is acyclic (witness chain on failure) |
 //! | CIND-A009 | no blocking call (I/O, channel, condvar, join) while a lock guard is live, unless `audit:allow`ed with a reason |
 //!
-//! Run as `cargo run -p cind-audit -- check` (add `--format json` or
-//! `--format sarif` for machine-readable output, `--write-baseline` to
-//! ratchet the panic baseline down after a burn-down). Exit status is
-//! non-zero iff findings remain.
+//! Run as `cargo run -p cind-audit -- check` (add `--format sarif` for
+//! machine-readable output). Exit status is non-zero iff findings remain.
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-pub mod baseline;
 pub mod blocking;
 pub mod lexer;
 pub mod locks;
@@ -70,22 +69,6 @@ pub struct Finding {
 impl fmt::Display for Finding {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}:{}: {} {}", self.file, self.line, self.rule, self.message)
-    }
-}
-
-impl Finding {
-    /// Renders the finding as one JSON object (no escaping surprises: paths
-    /// and messages contain no control characters by construction).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let esc = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
-        format!(
-            "{{\"file\":\"{}\",\"line\":{},\"rule\":\"{}\",\"message\":\"{}\"}}",
-            esc(&self.file),
-            self.line,
-            self.rule,
-            esc(&self.message)
-        )
     }
 }
 
@@ -167,16 +150,14 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Runs every rule over `files`, applying the panic baseline, and returns
-/// all findings sorted by (file, line, rule).
+/// Runs every rule over `files` and returns all findings sorted by
+/// (file, line, rule).
 #[must_use]
-pub fn run_all(files: &[SourceFile], panic_baseline: &BTreeMap<String, u64>) -> Vec<Finding> {
+pub fn run_all(files: &[SourceFile]) -> Vec<Finding> {
     let mut out = Vec::new();
-    out.extend(rules::forbid_unsafe(files));
-    out.extend(baseline::apply(rules::panic_sites(files), panic_baseline));
+    out.extend(rules::crate_root_attributes(files));
     out.extend(rules::lock_discipline(files));
     out.extend(rules::config_coverage(files));
-    out.extend(rules::no_wall_clock(files));
     out.extend(rules::shard_fanout_lock_freedom(files));
     out.extend(rules::commit_path_sync_discipline(files));
     out.extend(locks::lock_order(files));
@@ -192,7 +173,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn finding_renders_grep_friendly_and_json() {
+    fn finding_renders_grep_friendly() {
         let f = Finding {
             file: "crates/x/src/lib.rs".into(),
             line: 7,
@@ -203,9 +184,6 @@ mod tests {
             f.to_string(),
             "crates/x/src/lib.rs:7: CIND-A001 missing #![forbid(unsafe_code)]"
         );
-        let json = f.to_json();
-        assert!(json.contains("\"line\":7"), "{json}");
-        assert!(json.contains("\"rule\":\"CIND-A001\""), "{json}");
     }
 
     /// The acceptance gate: the pass itself reports a clean tree. Seeded
@@ -222,9 +200,7 @@ mod tests {
             "loader missed the core crate — looked under {}",
             root.display()
         );
-        let baseline = baseline::read(&root.join("audit-baseline.toml"))
-            .expect("audit-baseline.toml parses");
-        let findings = run_all(&files, &baseline);
+        let findings = run_all(&files);
         assert!(
             findings.is_empty(),
             "audit found violations in the tree:\n{}",

@@ -4,17 +4,15 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use cind_audit::{baseline, rules, run_all, sarif};
+use cind_audit::{run_all, sarif};
 
 const USAGE: &str = "\
 cind-audit — workspace lint pass for the Cinderella codebase
 
 USAGE:
-  cind-audit check [--format text|json|sarif] [--write-baseline] [--root DIR]
+  cind-audit check [--format text|sarif] [--root DIR]
 
-Exit status: 0 clean, 1 findings, 2 usage/IO error.
---write-baseline regenerates audit-baseline.toml from the current tree
-(refusing to grow any entry: the panic baseline only shrinks).";
+Exit status: 0 clean, 1 findings, 2 usage/IO error.";
 
 fn workspace_root(explicit: Option<PathBuf>) -> PathBuf {
     explicit.unwrap_or_else(|| {
@@ -28,8 +26,7 @@ fn workspace_root(explicit: Option<PathBuf>) -> PathBuf {
 
 fn run() -> Result<bool, String> {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut format = Format::Text;
-    let mut write_baseline = false;
+    let mut as_sarif = false;
     let mut root: Option<PathBuf> = None;
     let mut saw_check = false;
     let mut it = argv.iter();
@@ -37,12 +34,10 @@ fn run() -> Result<bool, String> {
         match arg.as_str() {
             "check" => saw_check = true,
             "--format" => match it.next().map(String::as_str) {
-                Some("json") => format = Format::Json,
-                Some("text") => format = Format::Text,
-                Some("sarif") => format = Format::Sarif,
+                Some("text") => as_sarif = false,
+                Some("sarif") => as_sarif = true,
                 other => return Err(format!("bad --format {other:?}\n\n{USAGE}")),
             },
-            "--write-baseline" => write_baseline = true,
             "--root" => {
                 root = Some(PathBuf::from(
                     it.next().ok_or_else(|| format!("--root needs a value\n\n{USAGE}"))?,
@@ -58,56 +53,21 @@ fn run() -> Result<bool, String> {
 
     let root = workspace_root(root);
     let files = load(&root)?;
-    let baseline_path = root.join("audit-baseline.toml");
-    let old_baseline = baseline::read(&baseline_path)?;
-
-    if write_baseline {
-        let raw = rules::panic_sites(&files);
-        let new = baseline::shrink(&raw, &old_baseline).map_err(|grew| {
-            format!(
-                "refusing to grow the panic baseline:\n  {}",
-                grew.join("\n  ")
-            )
-        })?;
-        std::fs::write(&baseline_path, baseline::render(&new))
-            .map_err(|e| format!("writing {}: {e}", baseline_path.display()))?;
+    let findings = run_all(&files);
+    if as_sarif {
+        println!("{}", sarif::render(&findings));
+    } else {
+        for f in &findings {
+            println!("{f}");
+        }
         eprintln!(
-            "wrote {} ({} files, {} sites)",
-            baseline_path.display(),
-            new.len(),
-            new.values().sum::<u64>()
+            "cind-audit: {} finding{} over {} files",
+            findings.len(),
+            if findings.len() == 1 { "" } else { "s" },
+            files.len()
         );
     }
-
-    let current_baseline =
-        if write_baseline { baseline::read(&baseline_path)? } else { old_baseline };
-    let findings = run_all(&files, &current_baseline);
-    match format {
-        Format::Json => {
-            let objects: Vec<String> =
-                findings.iter().map(cind_audit::Finding::to_json).collect();
-            println!("[{}]", objects.join(","));
-        }
-        Format::Sarif => println!("{}", sarif::render(&findings)),
-        Format::Text => {
-            for f in &findings {
-                println!("{f}");
-            }
-            eprintln!(
-                "cind-audit: {} finding{} over {} files",
-                findings.len(),
-                if findings.len() == 1 { "" } else { "s" },
-                files.len()
-            );
-        }
-    }
     Ok(findings.is_empty())
-}
-
-enum Format {
-    Text,
-    Json,
-    Sarif,
 }
 
 fn load(root: &Path) -> Result<Vec<cind_audit::SourceFile>, String> {

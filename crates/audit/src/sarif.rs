@@ -8,12 +8,18 @@ use crate::Finding;
 
 /// All the rule ids the engine can emit, with one-line descriptions —
 /// SARIF wants the driver to declare its rules up front.
-const RULES: [(&str, &str); 9] = [
-    ("CIND-A001", "every crate root starts with #![forbid(unsafe_code)]"),
-    ("CIND-A002", "no unwrap/expect/panic! in non-test library code beyond the baseline"),
-    ("CIND-A003", "buffer-pool lock discipline"),
-    ("CIND-A004", "every config field is documented and wired to a CLI flag"),
-    ("CIND-A005", "no wall-clock reads in deterministic replay/plan paths"),
+const RULES: [(&str, &str); 7] = [
+    (
+        "CIND-A001",
+        "every crate root starts with #![forbid(unsafe_code)]; every library root \
+         carries the panic-lint line",
+    ),
+    (
+        "CIND-A003",
+        "buffer-pool lock discipline: the pool's mutex is never acquired while a pool \
+         guard is held",
+    ),
+    ("CIND-A004", "every config field is wired to a CLI flag"),
     ("CIND-A006", "no lock guard held across a shard fan-out call"),
     ("CIND-A007", "no sync/flush in the serving crate outside the group-commit coordinator"),
     ("CIND-A008", "the workspace lock acquisition-order graph is acyclic"),
@@ -104,7 +110,7 @@ mod tests {
         let f = Finding {
             file: "a.rs".into(),
             line: 1,
-            rule: "CIND-A002",
+            rule: "CIND-A004",
             message: "`\"quoted\"` and back\\slash".into(),
         };
         let s = render(&[f]);

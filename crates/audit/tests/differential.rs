@@ -6,9 +6,9 @@
 //! *real current workspace* we assert:
 //!
 //! 1. the legacy code view and the lexer's code view are byte-identical for
-//!    every file — which carries A001/A002/A004/A005/A007 with it, since
-//!    those rules still run line-wise over `SourceFile::code`/`raw` and were
-//!    not otherwise changed; and
+//!    every file — which carries A001, A007 and A003's `IoStats` check with
+//!    it, since those run line-wise over `SourceFile::code` and were not
+//!    otherwise changed (A004 reads the raw text); and
 //! 2. the legacy A003 and A006 walkers report exactly the same `file:line`
 //!    sets as their event-walker ports.
 //!
@@ -338,7 +338,7 @@ fn a003_walker_matches_legacy_on_the_real_tree() {
         .collect();
     let new_set: BTreeSet<(String, usize)> = rules::lock_discipline(&files)
         .into_iter()
-        .filter(|f| f.message.starts_with("shard latch"))
+        .filter(|f| f.message.starts_with("pool mutex"))
         .map(|f| (f.file, f.line))
         .collect();
     assert_eq!(legacy_set, new_set);

@@ -25,6 +25,7 @@
 //!   trait.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 #![warn(missing_docs)]
 
 mod accounting;

@@ -113,6 +113,10 @@ impl VerticalPartitioning {
             let mut per_group: HashMap<usize, Vec<(AttrId, cind_model::Value)>> =
                 HashMap::new();
             for (a, v) in e.attrs() {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the clustering pass above assigns every attribute a group"
+                )]
                 let g = *self.group_of.get(a).expect("attribute clustered");
                 per_group.entry(g).or_default().push((*a, v.clone()));
             }
@@ -121,6 +125,10 @@ impl VerticalPartitioning {
                 let sub_id = EntityId(
                     (g as u64) << 48 | (e.id().0 & 0xFFFF_FFFF_FFFF),
                 );
+                #[expect(
+                    clippy::expect_used,
+                    reason = "a sub-record's attributes are a subset of its entity's unique ones"
+                )]
                 let sub = Entity::new(sub_id, attrs).expect("unique attrs");
                 table.insert(self.groups[g].segment, &sub)?;
                 self.groups[g].size += cells;

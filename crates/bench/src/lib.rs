@@ -17,6 +17,7 @@
 //! prints fixed-width tables mirroring the paper's artifacts.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 #![warn(missing_docs)]
 
 use std::time::{Duration, Instant};

@@ -307,6 +307,7 @@ impl PartitionCatalog {
     /// # Panics
     /// Panics if `seg` is not cataloged.
     pub fn remove_partition(&mut self, seg: SegmentId) -> PartitionMeta {
+        #[expect(clippy::expect_used, reason = "callers remove only cataloged partitions")]
         let meta = self.parts.remove(&seg).expect("partition cataloged");
         self.attr_generation += 1;
         self.index.remove_partition(&meta);
@@ -331,6 +332,7 @@ impl PartitionCatalog {
         offer_starters: bool,
     ) {
         let Self { parts, arena, index, zero_size, mode, attr_generation, .. } = self;
+        #[expect(clippy::expect_used, reason = "callers account only cataloged partitions")]
         let meta = parts.get_mut(&seg).expect("partition cataloged");
         let slot = meta.slot;
         let attr_synopsis = &mut meta.attr_synopsis;
@@ -368,6 +370,7 @@ impl PartitionCatalog {
         size: u64,
     ) -> u64 {
         let Self { parts, arena, index, zero_size, mode, attr_generation, .. } = self;
+        #[expect(clippy::expect_used, reason = "callers account only cataloged partitions")]
         let meta = parts.get_mut(&seg).expect("partition cataloged");
         let slot = meta.slot;
         let attr_synopsis = &mut meta.attr_synopsis;

@@ -127,7 +127,8 @@ impl std::fmt::Display for ReorgMode {
 /// All cadence is *op-count based* — the heat window advances every
 /// `epoch_ops` partitioner operations, never on wall-clock time, so a run
 /// is a pure function of its operation sequence (the CIND-A005 property
-/// the simulation harness relies on).
+/// the simulation harness relies on; `cind-reorg`'s and this crate's
+/// `clippy.toml` ban wall-clock reads).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ReorgConfig {
     /// Whether the driver may act at all.

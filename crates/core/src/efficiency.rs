@@ -76,6 +76,7 @@ pub fn efficiency_counters_for(
     cindy: &Cinderella,
     queries: &[Synopsis],
 ) -> (u64, u64) {
+    #[expect(clippy::expect_used, reason = "the ids come from the table, so each is live")]
     let entities = table
         .segment_ids()
         .flat_map(|seg| cindy.members(table, seg).expect("segment ids are live"))

@@ -271,6 +271,10 @@ impl Cinderella {
         if table.location(entity.id()).is_some() {
             return Err(StorageError::DuplicateEntity(entity.id()).into());
         }
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "times the InsertEvent report; no placement decision reads it"
+        )]
         let t0 = Instant::now();
         let (attrs, size_e) = self.synopsis(table, &entity);
         let rating = self.config.mode.rating_of(&attrs);

@@ -208,6 +208,7 @@ impl DbpediaGenerator {
         out
     }
 
+    #[expect(clippy::expect_used, reason = "each attribute id is pushed at most once")]
     fn generate_one(&self, eid: u64, ids: &[AttrId], rng: &mut StdRng) -> Entity {
         let group = self.group_dist.sample(rng);
         let mut attrs: Vec<(AttrId, Value)> = Vec::with_capacity(8);

@@ -94,6 +94,10 @@ impl ProductGenerator {
                     attrs.push((catalog.intern(a), Self::value(a, cat.name, i, &mut rng)));
                 }
             }
+            #[expect(
+                clippy::expect_used,
+                reason = "a category's mandatory and optional attributes are distinct names"
+            )]
             entities.push(Entity::new(EntityId(i as u64), attrs).expect("unique attrs"));
             origin.push(cat_idx);
         }

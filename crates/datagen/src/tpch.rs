@@ -253,6 +253,7 @@ impl TpchGenerator {
         (entities, origin)
     }
 
+    #[expect(clippy::expect_used, reason = "a relation's schema columns are unique")]
     fn row(&self, rel: usize, ids: &[AttrId], eid: u64, rng: &mut StdRng) -> Entity {
         let schema = &self.schema[rel];
         let attrs: Vec<(AttrId, Value)> = schema

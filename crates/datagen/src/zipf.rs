@@ -37,7 +37,7 @@ impl Zipf {
             acc += 1.0 / ((k + 1) as f64).powf(s);
             cdf.push(acc);
         }
-        let total = *cdf.last().expect("n > 0");
+        let total = acc;
         for v in &mut cdf {
             *v /= total;
         }

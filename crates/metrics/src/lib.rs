@@ -10,6 +10,7 @@
 //!   binaries (hand-rolled; no serde dependency needed).
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 #![warn(missing_docs)]
 
 mod histogram;

@@ -47,7 +47,7 @@ impl Summary {
             q25: q(0.25),
             median: q(0.5),
             q75: q(0.75),
-            max: *sorted.last().expect("non-empty"),
+            max: *sorted.last()?,
             mean: sorted.iter().sum::<f64>() / sorted.len() as f64,
             count: sorted.len(),
         })

@@ -18,6 +18,7 @@
 //!   TPC-H experiment (Table I) where Cinderella must rediscover the schema.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 #![warn(missing_docs)]
 
 mod attribute;

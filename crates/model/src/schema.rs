@@ -69,6 +69,7 @@ impl RelationSchema {
     ///
     /// # Panics
     /// Panics if a column is missing from the catalog.
+    #[expect(clippy::panic, reason = "documented: every column is interned before the call")]
     pub fn synopsis(&self, catalog: &AttributeCatalog) -> Synopsis {
         Synopsis::from_attrs(
             catalog.len(),

@@ -86,6 +86,10 @@ pub fn execute_into<S: RowSink>(
     projection: &Projection,
     plan: &Plan,
 ) -> Result<(QueryResult, S), StorageError> {
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "times the QueryResult report; no scan decision reads it"
+    )]
     let start = Instant::now();
     let mut result = QueryResult {
         rows: 0,

@@ -9,7 +9,9 @@
 //! weights — the empirical workload the cost model prices candidate
 //! actions against.
 //!
-//! Decay is **op-count based, never wall-clock** (rule CIND-A005): after
+//! Decay is **op-count based, never wall-clock** (rule CIND-A005, which
+//! this crate's `clippy.toml` enforces by banning `Instant::now` and
+//! `SystemTime`): after
 //! `epoch_ops` recorded operations the epoch advances and every counter
 //! and weight is halved (integer division, entries reaching zero are
 //! dropped). A run is thus a pure function of its operation sequence —

@@ -26,6 +26,7 @@
 //! identical to a build without this subsystem.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 #![warn(missing_docs)]
 
 pub mod cost;

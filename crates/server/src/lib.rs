@@ -34,6 +34,7 @@
 //!   separate service time from end-to-end time under pipelining.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 #![warn(missing_docs)]
 
 pub mod client;

@@ -20,8 +20,9 @@
 //! and resolves names on queries (unknown name ⇒ typed error response).
 //!
 //! Decoding is total: every byte sequence either parses or produces a
-//! [`ProtoError`] — malformed input can never panic the server (audit rule
-//! CIND-A002 applies to this crate).
+//! [`ProtoError`] — malformed input can never panic the server (rule
+//! CIND-A002, which clippy enforces through the crate root's
+//! `deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)`).
 //!
 //! A `Rows` body has two producers that write the same bytes through the
 //! same cell codec: [`encode_response`] from typed rows (clients and

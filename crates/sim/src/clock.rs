@@ -1,5 +1,6 @@
-//! Virtual time for the simulation (rule A005: no wall clocks in
-//! deterministic paths).
+//! Virtual time for the simulation (rule CIND-A005: no wall clocks in
+//! deterministic paths; this crate's `clippy.toml` bans `Instant::now` and
+//! `SystemTime`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

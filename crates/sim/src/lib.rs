@@ -34,6 +34,7 @@
 //! time enters any decision, so runs are exactly reproducible.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 #![warn(missing_docs)]
 
 pub mod clock;

@@ -14,6 +14,7 @@
 //! * [`server`] — the concurrent wire-protocol serving layer.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 
 pub use cind_baselines as baselines;
 pub use cind_bitset as bitset;
