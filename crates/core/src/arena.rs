@@ -303,6 +303,27 @@ impl PresenceIndex {
         }
     }
 
+    /// [`union_rows_into`](Self::union_rows_into) that also counts: adds 1
+    /// to `counts[slot]` for every row of `attrs` holding `slot`, so each
+    /// slot of `acc` ends up with the number of `attrs` its partition
+    /// carries (`|e ∧ p|` when `attrs` is an entity's attribute set). One
+    /// increment per posting. `counts` must cover every slot a row holds.
+    pub fn count_rows_into(
+        &self,
+        attrs: impl Iterator<Item = u32>,
+        counts: &mut [u32],
+        acc: &mut FixedBitSet,
+    ) {
+        for attr in attrs {
+            if let Some(row) = self.rows.get(attr as usize) {
+                acc.union_with(row);
+                for slot in row.iter_ones() {
+                    counts[slot as usize] += 1;
+                }
+            }
+        }
+    }
+
     /// Number of attribute rows ever materialised (rows of attributes no
     /// partition carries any more stay allocated, with all bits clear).
     pub fn attrs(&self) -> usize {

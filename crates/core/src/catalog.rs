@@ -7,12 +7,15 @@
 //! packed [`SynopsisArena`] row the rating kernel sweeps and rewritten only
 //! when an attribute refcount crosses 0↔1.
 //!
-//! The rating kernel pays one AND-popcount per row word. Of the four counts
-//! a rating needs, `|e|` is counted once per scan, `|p|` is the arena's
-//! cached row popcount, and `|e ∨ p| = |e| + |p| − |e ∧ p|`. That identity is
-//! exact, so every rating is the same `f64` the fused four-count pass
-//! (`words::fused_counts`, the reference the tests compare against) gives.
+//! Of the four counts a rating needs, `|e|` is counted once per scan, `|p|`
+//! is the arena's cached row popcount, and `|e ∨ p| = |e| + |p| − |e ∧ p|`.
+//! `|e ∧ p|` comes from the exact presence rows on the served path (one
+//! increment per posting) and from one AND-popcount per row word
+//! elsewhere. Every count is exact, so every rating is the same `f64` the
+//! fused four-count pass (`words::fused_counts`, the reference the tests
+//! compare against) gives.
 
+use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 
 use cind_bitset::{words, FixedBitSet, FusedCounts};
@@ -24,7 +27,7 @@ use crate::arena::SynopsisArena;
 use crate::config::IndexTier;
 use crate::index::{PruningIndex, PruningSnapshot};
 use crate::modes::SynopsisMode;
-use crate::rating::{global_rating, RatingInputs};
+use crate::rating::{global_rating, nonnegative_rating, RatingInputs};
 use crate::starters::SplitStarters;
 use crate::tier::TierParams;
 use crate::validate::InvariantViolation;
@@ -131,9 +134,14 @@ fn drop_counts(counts: &mut [u32], bits: &Synopsis, mut on_clear: impl FnMut(u32
 ///   (partitions that could rate `≥ 0`: those carrying an attribute of the
 ///   entity's [`attr_cover`](SynopsisMode::attr_cover) — i.e. sharing a
 ///   rating bit with it — plus those with `SIZE(p) = 0`) and rates only
-///   those rows of the [`SynopsisArena`] — one contiguous fixed-stride row
-///   per partition, rated with one AND-popcount per word against the
-///   arena's cached `|p|` and the `|e|` counted once per scan;
+///   those. On exact storage in entity-based mode (the served default) the
+///   presence rows that name the candidates also count each one's
+///   `|e ∧ p|`, and a candidate's rating is divided out only where its
+///   numerator `r'` is `≥ 0` — where it can win; if none is, the scan
+///   reports `None`, as for no candidate. Elsewhere each candidate is
+///   rated from its [`SynopsisArena`] row — one contiguous fixed-stride
+///   row per partition, one AND-popcount per word. Both take `|p|` from the arena's cache and
+///   `|e|` counted once per scan;
 /// * the planner's survivor set is the index's candidate set for the query
 ///   ([`PartitionCatalog::survivors`]).
 ///
@@ -462,11 +470,23 @@ impl PartitionCatalog {
         weight: f64,
     ) -> (Option<(SegmentId, f64)>, u32) {
         let e = Probe::new(rating_syn, size_e, weight);
+        self.argmax(self.arena.live_slots(), |slot| Some(e.rate(&self.arena, slot)))
+    }
+
+    /// Rates every slot of `slots` with `rate` and keeps the best: the
+    /// higher rating, ties to the lower segment id — independent of the
+    /// order slots are visited in. A slot `rate` rules out (`None`) is
+    /// rated but never kept. The count is the number of slots rated.
+    fn argmax(
+        &self,
+        slots: impl Iterator<Item = usize>,
+        mut rate: impl FnMut(usize) -> Option<f64>,
+    ) -> (Option<(SegmentId, f64)>, u32) {
         let mut best: Option<(SegmentId, f64)> = None;
         let mut ratings = 0u32;
-        for slot in self.arena.live_slots() {
-            let r = e.rate(&self.arena, slot);
+        for slot in slots {
             ratings += 1;
+            let Some(r) = rate(slot) else { continue };
             let seg = self.arena.seg(slot);
             if best.is_none_or(|(bs, br)| br < r || (br == r && seg < bs)) {
                 best = Some((seg, r));
@@ -481,29 +501,45 @@ impl PartitionCatalog {
     /// OR deduplicates partitions that share several attributes with the
     /// cover by construction. No candidate means every partition rates
     /// negative, reported as `None`.
+    ///
+    /// On exact storage in entity-based mode — the served default — the
+    /// presence rows that give the candidates also give each candidate's
+    /// `|e ∧ p|`: one increment per posting, no arena row read. Each
+    /// candidate's numerator `r'` is then computed and only a rating that
+    /// can win (`≥ 0`) is divided ([`nonnegative_rating`], exact in `f64`);
+    /// when none can, the result is `None`, as for no candidate at all.
+    /// Tiered storage (no exact counts) and workload-based mode (rating
+    /// bits are queries, the rows attributes) rate every candidate from its
+    /// arena row with the per-slot kernel.
     fn best_indexed(
         &self,
         rating_syn: &Synopsis,
         size_e: u64,
         weight: f64,
     ) -> (Option<(SegmentId, f64)>, u32) {
-        let mut candidates = self.zero_size.clone();
-        self.index
-            .candidates_into(&self.mode.attr_cover(rating_syn), &mut candidates);
-
-        let e = Probe::new(rating_syn, size_e, weight);
-        let mut best: Option<(SegmentId, f64)> = None;
-        let mut ratings = 0u32;
-        for slot in candidates.iter_ones() {
-            let slot = slot as usize;
-            let r = e.rate(&self.arena, slot);
-            ratings += 1;
-            let seg = self.arena.seg(slot);
-            if best.is_none_or(|(bs, br)| br < r || (br == r && seg < bs)) {
-                best = Some((seg, r));
+        SCAN.with_borrow_mut(|ScanScratch { candidates, overlaps }| {
+            candidates.blocks_mut().fill(0);
+            candidates.union_with(&self.zero_size);
+            let e = Probe::new(rating_syn, size_e, weight);
+            let rows = match (&self.mode, self.index.exact_rows()) {
+                (SynopsisMode::EntityBased, Some(rows)) => rows,
+                _ => {
+                    self.index
+                        .candidates_into(&self.mode.attr_cover(rating_syn), candidates);
+                    let slots = candidates.iter_ones().map(|s| s as usize);
+                    return self.argmax(slots, |slot| Some(e.rate(&self.arena, slot)));
+                }
+            };
+            if overlaps.len() < self.arena.slots() {
+                overlaps.resize(self.arena.slots(), 0);
             }
-        }
-        (best, ratings)
+            rows.count_rows_into(rating_syn.iter().map(|a| a.index()), overlaps, candidates);
+            // Taken, not read: every count is back to 0 for the next scan.
+            self.argmax(candidates.iter_ones().map(|s| s as usize), |slot| {
+                let and = std::mem::take(&mut overlaps[slot]);
+                nonnegative_rating(weight, &e.inputs(&self.arena, slot, and))
+            })
+        })
     }
 
     /// The planner's survivor set for query synopsis `q`: segments whose
@@ -759,7 +795,26 @@ impl PartitionCatalog {
     }
 }
 
-/// The entity side of one rating scan, fixed for every slot it rates.
+/// The insert scan's working storage, reused by every scan on a thread so
+/// that, once it has seen its largest catalog, a scan allocates nothing:
+/// the candidate bitmap, and per slot the overlap count the presence rows
+/// give. Every count is 0 between scans.
+#[derive(Default)]
+struct ScanScratch {
+    candidates: FixedBitSet,
+    overlaps: Vec<u32>,
+}
+
+thread_local! {
+    static SCAN: RefCell<ScanScratch> = RefCell::default();
+}
+
+/// The entity side of one rating scan, fixed for every slot it rates. The
+/// indexed scan on exact storage in entity-based mode rates each candidate
+/// from the overlap count the presence rows give
+/// ([`inputs`](Self::inputs)); the paths without exact attribute → slot
+/// counts — the sweep, `best_among`, tiered storage, workload-based mode —
+/// rate a slot from its arena row ([`rate`](Self::rate)).
 struct Probe<'a> {
     /// The entity's rating synopsis words. Words past the arena stride meet
     /// no row bit, so the AND stops at the shorter operand.
@@ -775,15 +830,21 @@ impl<'a> Probe<'a> {
         Self { words: rating_syn.bits().blocks(), card: rating_syn.cardinality(), size, weight }
     }
 
-    /// The rating kernel: rates the partition in `slot` from one
-    /// AND-popcount per row word, the arena's cached `|p|` and `|e|`. The
-    /// counts are the integers the fused four-count pass yields, since
-    /// `|e ∨ p| = |e| + |p| − |e ∧ p|` holds exactly.
-    fn rate(&self, arena: &SynopsisArena, slot: usize) -> f64 {
-        let and = words::and_count(self.words, arena.row(slot));
+    /// The rating inputs of the partition in `slot`, given `and = |e ∧ p|`:
+    /// the arena's cached `|p|` and `|e|` supply the rest, since
+    /// `|e ∨ p| = |e| + |p| − |e ∧ p|` holds exactly. These are the
+    /// integers the fused four-count pass yields.
+    fn inputs(&self, arena: &SynopsisArena, slot: usize, and: u32) -> RatingInputs {
         let (left, right) = (self.card, arena.card(slot));
         let counts = FusedCounts { and, or: left + right - and, left, right };
-        global_rating(self.weight, &RatingInputs::from_fused(counts, self.size, arena.size(slot)))
+        RatingInputs::from_fused(counts, self.size, arena.size(slot))
+    }
+
+    /// The rating kernel: rates the partition in `slot` from one
+    /// AND-popcount per row word.
+    fn rate(&self, arena: &SynopsisArena, slot: usize) -> f64 {
+        let and = words::and_count(self.words, arena.row(slot));
+        global_rating(self.weight, &self.inputs(arena, slot, and))
     }
 }
 

@@ -15,9 +15,11 @@
 //! synopsis, and the insert scan's candidates for an entity, keyed by the
 //! attribute cover of its rating synopsis
 //! ([`SynopsisMode::attr_cover`](crate::SynopsisMode::attr_cover) — the
-//! entity's attributes in entity-based mode).
+//! entity's attributes in entity-based mode). Exact storage also hands the
+//! entity-based insert scan its overlap counts
+//! (`PruningIndex::exact_rows`).
 //! [`PartitionCatalog`](crate::PartitionCatalog) drives it through the
-//! methods below and never looks at which storage is live;
+//! methods below and asks which storage is live only for those counts;
 //! [`PruningIndex::freeze`] clones it into an immutable
 //! [`PruningSnapshot`] that plans survivors through the very same
 //! [`PruningIndex::survivors`] walk, so the server's epoch reads and the
@@ -62,6 +64,16 @@ impl PruningIndex {
     /// Whether the approximate storage is live.
     pub fn is_tiered(&self) -> bool {
         matches!(self, Self::Tiered(_))
+    }
+
+    /// The exact presence rows, when they are the live storage: the
+    /// attribute → slot counts the insert scan reads its overlaps from.
+    /// `None` on tiered storage, whose filter rows count nothing exactly.
+    pub(crate) fn exact_rows(&self) -> Option<&PresenceIndex> {
+        match self {
+            Self::Exact(rows) => Some(rows),
+            Self::Tiered(_) => None,
+        }
     }
 
     /// Builds the index in the given storage from the catalog's refcount

@@ -275,7 +275,7 @@ impl Cinderella {
             clippy::disallowed_methods,
             reason = "times the InsertEvent report; no placement decision reads it"
         )]
-        let t0 = Instant::now();
+        let t0 = self.config.record_events.then(Instant::now);
         let (attrs, size_e) = self.synopsis(table, &entity);
         let rating = self.config.mode.rating_of(&attrs);
 
@@ -328,7 +328,7 @@ impl Cinderella {
         };
 
         self.stats.inserts += 1;
-        if self.config.record_events {
+        if let Some(t0) = t0 {
             self.events
                 .push(InsertEvent { duration: t0.elapsed(), outcome, ratings });
         }

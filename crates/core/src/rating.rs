@@ -67,11 +67,46 @@ pub fn local_rating(w: f64, i: &RatingInputs) -> f64 {
 /// rating is defined as neutral 0 rather than NaN — such a pair neither
 /// attracts nor repels.
 pub fn global_rating(w: f64, i: &RatingInputs) -> f64 {
-    let denom = (i.size_p + i.size_e) as f64 * f64::from(i.union_count);
+    let denom = normaliser(i);
     if denom == 0.0 {
         return 0.0;
     }
     local_rating(w, i) / denom
+}
+
+/// `(SIZE(p) + SIZE(e)) · |e ∨ p|`, the global rating's normaliser.
+fn normaliser(i: &RatingInputs) -> f64 {
+    (i.size_p + i.size_e) as f64 * f64::from(i.union_count)
+}
+
+/// [`global_rating`] where it is `≥ 0`, `None` where it is negative —
+/// decided by the sign of `r'`, so only a rating that can win is divided.
+/// The catalog's sign-first scan rates its candidates through this.
+///
+/// Exact in `f64` for `w ≤ 1`: `Some(r)` carries the very `f64`
+/// `global_rating` returns, and `None` means that `f64` is strictly
+/// negative (never `-0.0`), so it can neither beat nor tie any rating
+/// `≥ 0`. With normaliser `d = 0` both give 0. With `d > 0`, `r = r' / d`:
+///
+/// * `r' ≥ 0` (`-0.0` included): the quotient is `≥ 0`, or `-0.0`, which
+///   compares `≥ 0` as well — the same test `global_rating`'s callers apply.
+/// * `r' < 0`: the quotient is negative unless it underflows to `-0.0`,
+///   and it cannot. `r' = a − b` with `a = w·h⁺ ≥ 0` and
+///   `b = (1−w)·(h⁻_e + h⁻_p) > a`. The heterogeneity sum is a positive
+///   integer-valued `f64`, so `≥ 1`, and `1 − w ≥ 2⁻⁵³` for every `f64`
+///   `w < 1` (at `w = 1`, `b = 0` and `r'` is never negative); rounding
+///   is monotone, so `b ≥ 2⁻⁵³`. If `a ≤ b/2`, `|r'| ≥ b/2 ≥ 2⁻⁵⁴`.
+///   Otherwise `a` and `b` are normal `f64`s `≥ 2⁻⁵⁴`, both multiples of
+///   `2⁻¹⁰⁶`, and so is their non-zero difference (exact, by Sterbenz):
+///   `|r'| ≥ 2⁻¹⁰⁶`. A `u64` sum times a `u32` count rounds to
+///   `d ≤ 2⁹⁶`, so `|r| ≥ 2⁻²⁰²`, far above the smallest subnormal.
+pub(crate) fn nonnegative_rating(w: f64, i: &RatingInputs) -> Option<f64> {
+    let denom = normaliser(i);
+    if denom == 0.0 {
+        return Some(0.0);
+    }
+    let local = local_rating(w, i);
+    (local >= 0.0).then(|| local / denom)
 }
 
 /// Convenience: global rating straight from synopses and sizes.
@@ -158,6 +193,34 @@ mod tests {
         // counts on the partition side).
         let p = syn(&[1, 2]);
         assert_eq!(rate(0.5, &empty, 0, &p, 10), 0.0);
+    }
+
+    /// The sign-first rating is `global_rating` wherever that is `≥ 0` and
+    /// `None` exactly where it is negative — at weights next to 1, where
+    /// `1 − w` is smallest, and with sizes near the top of `u64`, where the
+    /// normaliser is largest.
+    #[test]
+    fn nonnegative_rating_is_global_rating_where_it_can_win() {
+        let below_one = f64::from_bits(1.0f64.to_bits() - 1);
+        let weights = [0.0, 1e-300, 0.2, 0.5, 0.999, below_one, 1.0];
+        let sizes = [0, 1, 2, 7, 5_000, 1 << 40, u64::MAX / 2];
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..20_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let (left, right) = ((x % 9) as u32, ((x >> 8) % 9) as u32);
+            let and = ((x >> 16) as u32 % 9).min(left).min(right);
+            let counts = FusedCounts { and, or: left + right - and, left, right };
+            let size_e = sizes[(x >> 24) as usize % sizes.len()];
+            let size_p = sizes[(x >> 32) as usize % sizes.len()];
+            let i = RatingInputs::from_fused(counts, size_e, size_p);
+            for w in weights {
+                let r = global_rating(w, &i);
+                let want = (r >= 0.0).then_some(r.to_bits());
+                assert_eq!(nonnegative_rating(w, &i).map(f64::to_bits), want, "{i:?} w {w}");
+            }
+        }
     }
 
     #[test]

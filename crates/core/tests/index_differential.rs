@@ -54,6 +54,10 @@ struct Script {
     removals: Vec<(prop::sample::Index, prop::sample::Index)>,
     /// Partitions to split in two (remove + redistribute onto new segs).
     splits: Vec<prop::sample::Index>,
+    /// Partitions copied, members and all, onto a fresh segment after the
+    /// splits: equal ratings by construction, the twin's segment higher,
+    /// its slot often a recycled lower one.
+    twins: Vec<prop::sample::Index>,
 }
 
 /// Mirror member: (entity id, attrs, size).
@@ -141,6 +145,19 @@ fn build(script: &Script, mode: &SynopsisMode, tier: IndexTier) -> PartitionCata
         live.push((a, halves.0));
         live.push((b, halves.1));
     }
+    for pick in &script.twins {
+        let members = live[pick.index(live.len())].1.clone();
+        let seg = next_seg;
+        next_seg += 1;
+        cat.create_partition(SegmentId(seg));
+        let mut copies = Vec::new();
+        for (_, attrs, size) in members {
+            cat.add_entity(SegmentId(seg), EntityId(next_id), &syn(&attrs), size, true);
+            copies.push((next_id, attrs, size));
+            next_id += 1;
+        }
+        live.push((seg, copies));
+    }
     cat
 }
 
@@ -200,8 +217,15 @@ proptest! {
             0..12,
         ),
         splits in prop::collection::vec(any::<prop::sample::Index>(), 0..3),
+        twins in prop::collection::vec(any::<prop::sample::Index>(), 0..3),
         probes in prop::collection::vec(
-            (prop::collection::vec(0u32..UNIVERSE as u32, 0..5), 0u64..4),
+            (
+                prop::collection::vec(
+                    prop_oneof![4 => 0u32..UNIVERSE as u32, 1 => UNIVERSE as u32..SPAN as u32],
+                    0..7,
+                ),
+                0u64..4,
+            ),
             1..6,
         ),
         queries in prop::collection::vec(prop::collection::vec(0u32..UNIVERSE as u32, 1..4), 0..5),
@@ -211,19 +235,19 @@ proptest! {
             0u32..UNIVERSE as u32,
         ),
     ) {
-        let script = Script { nparts, entities, removals, splits };
+        let script = Script { nparts, entities, removals, splits, twins };
         let modes = [
             SynopsisMode::EntityBased,
             workload(&queries, (&overlap.0, &overlap.1), overlap.2),
         ];
-        let cases = modes.iter().flat_map(|m| [(m, IndexTier::Exact), (m, IndexTier::Tiered)]);
-        for (mode, tier) in cases {
+        let tiers = [IndexTier::Exact, IndexTier::Tiered, IndexTier::Auto];
+        for (mode, tier) in modes.iter().flat_map(|m| tiers.map(|t| (m, t))) {
             let cat = build(&script, mode, tier);
             for (attrs, size) in &probes {
                 let e = syn(attrs);
                 let e = mode.rating_of(&e);
                 // 1.0 exercises the w = 1 fallback; the rest the indexed path.
-                for w in [0.0, 0.3, 0.7, 1.0] {
+                for w in [0.0, 0.2, 0.3, 0.5, 0.7, 0.999, 1.0] {
                     let (a, swept) = cat.best_sweep(&e, *size, w);
                     let (b, rated) = cat.best_partition(&e, *size, w);
                     prop_assert_eq!(swept as usize, cat.len());
@@ -284,7 +308,7 @@ proptest! {
             1..6,
         ),
     ) {
-        let script = Script { nparts, entities, removals, splits };
+        let script = Script { nparts, entities, removals, splits, twins: Vec::new() };
         for tier in [IndexTier::Exact, IndexTier::Tiered, IndexTier::Auto] {
             let cat = build(&script, &SynopsisMode::EntityBased, tier);
             let frozen = cat.freeze();
@@ -348,7 +372,7 @@ proptest! {
             let at = at.index(entities.len());
             entities[at].0.push(GROW);
         }
-        let script = Script { nparts, entities, removals, splits };
+        let script = Script { nparts, entities, removals, splits, twins: Vec::new() };
         let modes = [SynopsisMode::EntityBased, wide_workload(&queries)];
         let cases = modes.iter().flat_map(|m| [(m, IndexTier::Exact), (m, IndexTier::Tiered)]);
         for (mode, tier) in cases {

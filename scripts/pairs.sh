@@ -16,17 +16,37 @@
 # result object. Both sides are built before the first timed run. The
 # metrics and their better-direction come from CHANGE_DIR/BENCHMARK.json.
 # Raw result objects are kept in $PAIRS_OUT (default: a fresh temp dir).
+#
+#   scripts/pairs.sh --counts PARENT_DIR CHANGE_DIR WORKLOAD [SEED]
+#
+# Checks that a change leaves the counts alone instead of timing it: one
+# `--trace 1` run per side (parent first), then every per-layer metric
+# whose unit in CHANGE_DIR/BENCHMARK.json is `count` or `bytes` — the
+# units `run.sh selfcheck` holds to exact repetition — is compared bit for
+# bit. Prints each side's `correct` and `failed`, each metric that differs
+# (or is missing on one side) with both values, then a summary line; exits
+# 1 if either run is not correct or failed an operation, or if any metric
+# differs, 0 otherwise.
 set -euo pipefail
 
+counts=0
+if [ "${1:-}" = "--counts" ]; then
+    counts=1
+    shift
+fi
 if [ $# -lt 3 ]; then
-    sed -n '2,18p' "$0" >&2
+    sed -n '2,29p' "$0" >&2
     exit 2
 fi
 parent=$(cd "$1" && pwd)
 change=$(cd "$2" && pwd)
 workload=$3
-pairs=${4:-10}
-seed=${5:-49630}
+if [ "$counts" = 1 ]; then
+    seed=${4:-49630}
+else
+    pairs=${4:-10}
+    seed=${5:-49630}
+fi
 out=${PAIRS_OUT:-$(mktemp -d)}
 mkdir -p "$out"
 command -v python3 >/dev/null || { echo "pairs.sh: python3 is needed for the table" >&2; exit 2; }
@@ -36,6 +56,39 @@ unset CARGO_TARGET_DIR
 for side in "$parent" "$change"; do
     "$side/benchmark/run.sh" fingerprint >/dev/null
 done
+
+if [ "$counts" = 1 ]; then
+    for side in parent change; do
+        dir=$parent
+        [ "$side" = change ] && dir=$change
+        "$dir/benchmark/run.sh" --workload "$workload" --seed "$seed" --trace 1 \
+            2>"$out/$side-traced.err" | tail -n 1 >"$out/$side-traced.json" || true
+    done
+    exec python3 - "$out" "$change/BENCHMARK.json" "$workload" "$seed" <<'PY'
+import json, sys
+
+out, decl, workload, seed = sys.argv[1:]
+exact = [m["name"] for m in json.load(open(decl))["per_layer"] if m["unit"] in ("count", "bytes")]
+results = {side: json.load(open(f"{out}/{side}-traced.json")) for side in ("parent", "change")}
+runs = {side: r["metrics"] for side, r in results.items()}
+print(f"{workload}, seed {seed}, one --trace 1 run a side: per-layer count and bytes metrics")
+bad = 0
+for side, r in results.items():
+    print(f"{side}: correct {r['correct']}, failed {r['failed']} of {r['attempted']} attempted")
+    bad += not r["correct"] or r["failed"] != 0
+differ = 0
+for name in exact:
+    p, c = (runs[side].get(name, {}).get("value") for side in ("parent", "change"))
+    if p is None and c is None:
+        continue
+    if p != c:
+        differ += 1
+        print(f"`{name}`: parent {p!r}, change {c!r}")
+compared = sum(1 for n in exact if n in runs["parent"] or n in runs["change"])
+print(f"{compared} compared, {differ} differ; raw result objects: {out}")
+sys.exit(1 if differ or bad else 0)
+PY
+fi
 
 run() { # side-name checkout pair
     # A run that fails its own checks exits 1 but still prints its object
