@@ -1,11 +1,11 @@
-//! Macrobench: the extension operations — merge pass and parallel bulk
-//! load — at realistic sizes.
+//! Macrobench: the merge pass (an extension operation) at a realistic
+//! size.
 
 use cind_datagen::{DbpediaConfig, DbpediaGenerator};
 use cind_model::EntityId;
 use cind_storage::UniversalTable;
-use cinderella_core::{bulk_load, Capacity, Cinderella, Config};
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use cinderella_core::{Capacity, Cinderella, Config};
+use criterion::{criterion_group, criterion_main, Criterion};
 
 const ENTITIES: usize = 10_000;
 
@@ -55,37 +55,5 @@ fn bench_merge_pass(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_bulk_load(c: &mut Criterion) {
-    let mut g = c.benchmark_group("maintenance/bulk_load_10k");
-    g.sample_size(10);
-    for threads in [1usize, 4] {
-        g.bench_with_input(
-            BenchmarkId::from_parameter(threads),
-            &threads,
-            |bench, &threads| {
-                bench.iter_batched(
-                    || {
-                        let mut table = UniversalTable::new(512);
-                        let entities = DbpediaGenerator::new(DbpediaConfig {
-                            entities: ENTITIES,
-                            ..DbpediaConfig::default()
-                        })
-                        .generate(table.catalog_mut());
-                        (table, entities)
-                    },
-                    |(mut table, entities)| {
-                        let (cindy, _) =
-                            bulk_load(&mut table, config(2_000), entities, threads)
-                                .expect("bulk load");
-                        (table, cindy)
-                    },
-                    criterion::BatchSize::LargeInput,
-                )
-            },
-        );
-    }
-    g.finish();
-}
-
-criterion_group!(benches, bench_merge_pass, bench_bulk_load);
+criterion_group!(benches, bench_merge_pass);
 criterion_main!(benches);

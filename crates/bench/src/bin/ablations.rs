@@ -2,8 +2,9 @@
 //!
 //! Studies the paper motivates but does not measure. The numbering is
 //! historical: study 1 (candidate index on/off) went with the index
-//! on/off knob it swept and study 6 (placement across nodes) with the parked
-//! multi-node module; their recorded results stay in EXPERIMENTS.md.
+//! on/off knob it swept, study 5 (parallel bulk load) with the bulk loader,
+//! and study 6 (placement across nodes) with the parked multi-node module;
+//! their recorded results stay in EXPERIMENTS.md and DESIGN.md.
 //!
 //! 2. **Synopsis mode** (§II): entity-based vs workload-based partitioning,
 //!    compared on Definition 1 efficiency and query pages.
@@ -12,8 +13,6 @@
 //!    partition counts, and selective-query cost.
 //! 4. **Merge pass** (extension): efficiency decay under mass deletes and
 //!    its repair by the merge pass.
-//! 5. **Parallel bulk load** (extension): wall-clock speedup and stitched
-//!    partitioning quality vs the sequential load.
 //! 7. **Workload drift** (§II's robustness claim): workload-based
 //!    partitioning tailored to workload A, evaluated under a disjoint
 //!    workload B — vs entity-based partitioning, which §II predicts is
@@ -38,7 +37,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     synopsis_mode_study(&env)?;
     policy_shootout(&env)?;
     merge_pass_study(&env)?;
-    bulk_load_study(&env)?;
     workload_drift_study(&env)?;
     Ok(())
 }
@@ -292,59 +290,9 @@ fn merge_pass_study(env: &ExperimentEnv) -> Result<(), Box<dyn std::error::Error
     Ok(())
 }
 
-/// Study 5: parallel bulk loading.
-fn bulk_load_study(env: &ExperimentEnv) -> Result<(), Box<dyn std::error::Error>> {
-    println!("== ablation 5: parallel bulk load ==\n");
-    let mut t = Table::new([
-        "threads",
-        "load [ms]",
-        "speedup",
-        "partitions",
-        "stitch merges",
-        "efficiency (Def. 1)",
-    ]);
-    let mut probe = UniversalTable::new(env.pool_pages);
-    let entities = dbpedia_dataset(env, &mut probe);
-    let universe = probe.universe();
-    let specs = representative_queries(universe, &entities);
-    let query_synopses: Vec<Synopsis> = specs
-        .iter()
-        .map(|s| Synopsis::from_attrs(universe, s.attrs.iter().copied()))
-        .collect();
-
-    let mut baseline = None;
-    for threads in [1usize, 2, 4, 8] {
-        let mut table = UniversalTable::new(env.pool_pages);
-        let entities = dbpedia_dataset(env, &mut table);
-        let config = Config {
-            weight: 0.3,
-            capacity: Capacity::MaxEntities(2_000),
-            ..Config::default()
-        };
-        let t0 = std::time::Instant::now();
-        let (policy, report) =
-            cinderella_core::bulk_load(&mut table, config, entities, threads)
-                .expect("bulk load");
-        let elapsed = t0.elapsed();
-        let base = *baseline.get_or_insert(elapsed);
-        let eff = cinderella_core::efficiency(&table, &policy, &query_synopses);
-        t.row([
-            threads.to_string(),
-            ms(elapsed),
-            format!("{:.2}x", base.as_secs_f64() / elapsed.as_secs_f64()),
-            report.partitions.to_string(),
-            report.stitch_merges.to_string(),
-            format!("{eff:.4}"),
-        ]);
-    }
-    println!("{}", t.render());
-    env.maybe_csv("ablation_bulk", &t)?;
-    Ok(())
-}
-
 /// Study 7: §II's robustness claim under workload drift.
 fn workload_drift_study(env: &ExperimentEnv) -> Result<(), Box<dyn std::error::Error>> {
-    println!("\n== ablation 7: workload drift (§II robustness claim) ==\n");
+    println!("== ablation 7: workload drift (§II robustness claim) ==\n");
     let mut probe = UniversalTable::new(env.pool_pages);
     let entities = dbpedia_dataset(env, &mut probe);
     let universe = probe.universe();

@@ -10,7 +10,7 @@
 //! | `fig7`   | Fig. 7 — influence of w on the partitioning |
 //! | `fig8`   | Fig. 8 — insert latency histograms and split counts |
 //! | `table1` | Table I — TPC-H schema recovery and query overhead |
-//! | `ablations` | extensions: synopsis modes, baselines, merge, bulk load, drift |
+//! | `ablations` | extensions: synopsis modes, baselines, merge, drift |
 //!
 //! Every binary accepts `--entities N`, `--seed S`, `--runs R`,
 //! `--pool PAGES`, and `--csv DIR` (write the series as CSV files), and

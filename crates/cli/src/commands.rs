@@ -6,9 +6,7 @@ use cind_model::{AttributeCatalog, Value};
 use cind_query::{execute_collect, plan_from_survivors, Query};
 use cind_storage::{PersistError, StorageError, UniversalTable, DEFAULT_POOL_PAGES};
 use cind_server::{EngineOptions, LoadConfig, ServeConfig, Server, ServerError};
-use cinderella_core::{
-    bulk_load, Cinderella, Config, CoreError, IndexTier, SynopsisMode,
-};
+use cinderella_core::{Cinderella, Config, CoreError, IndexTier, SynopsisMode};
 
 use crate::csv::{parse_entities, CsvError};
 
@@ -147,8 +145,6 @@ pub struct LoadOptions {
     /// Entity-based or workload-based rating synopses, resolved against the
     /// catalog once the input is read; `None` keeps `config.mode`.
     pub mode: Option<ModeSpec>,
-    /// Parallel load workers (1 = sequential).
-    pub threads: usize,
     /// Buffer-pool pages for the load.
     pub pool_pages: usize,
 }
@@ -158,7 +154,6 @@ impl Default for LoadOptions {
         Self {
             config: Config::default(),
             mode: None,
-            threads: 1,
             pool_pages: DEFAULT_POOL_PAGES,
         }
     }
@@ -187,7 +182,10 @@ pub fn load(input: &Path, snapshot: &Path, opts: &LoadOptions) -> Result<String,
     let n = entities.len();
     let config = config_of(opts, table.catalog())?;
     let t0 = std::time::Instant::now();
-    let (mut cindy, _) = bulk_load(&mut table, config, entities, opts.threads)?;
+    let mut cindy = Cinderella::new(config);
+    for e in entities {
+        cindy.insert(&mut table, e)?;
+    }
     let elapsed = t0.elapsed();
 
     let mut out = std::io::BufWriter::new(std::fs::File::create(snapshot)?);
@@ -350,8 +348,16 @@ pub fn stats(snapshot: &Path, pool_pages: usize) -> Result<String, CliError> {
 /// (re-partitioned) snapshot back.
 ///
 /// # Errors
-/// Snapshot, storage, and partitioner errors.
+/// A threshold outside (0, 1] is a usage error; plus snapshot, storage,
+/// and partitioner errors.
 pub fn merge(snapshot: &Path, threshold: f64, pool_pages: usize) -> Result<String, CliError> {
+    // `merge_pass` panics outside (0, 1]; the comparisons are false for NaN.
+    let in_range = threshold > 0.0 && threshold <= 1.0;
+    if !in_range {
+        return Err(CliError::Usage(format!(
+            "threshold must be in (0, 1], got {threshold}"
+        )));
+    }
     let (mut table, mut cindy) = open_snapshot(snapshot, pool_pages, IndexTier::default())?;
     let before = cindy.catalog().len();
     let report = cindy.merge_pass(&mut table, threshold)?;
@@ -430,9 +436,11 @@ pub fn serve(store: &Path, cfg: &ServeConfig) -> Result<String, CliError> {
 /// with `shutdown`, send the server a graceful `Shutdown`.
 ///
 /// # Errors
-/// Connection failures; remote errors during the run are counted in the
-/// report, not raised.
+/// A knob the stream generator cannot take ([`LoadConfig::validate`]) is a
+/// usage error, raised before connecting; connection failures; remote
+/// errors during the run are counted in the report, not raised.
 pub fn workload(remote: &str, cfg: &LoadConfig, shutdown: bool) -> Result<String, CliError> {
+    cfg.validate().map_err(CliError::Usage)?;
     let mut report = cind_server::run_load(remote, cfg)?;
     let mut out = report.render();
     if shutdown {
@@ -574,6 +582,39 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_merge_threshold_is_a_usage_error() {
+        let input = tmp("threshold.csv");
+        std::fs::write(&input, "id,a,b\n1,1,\n2,,2\n").unwrap();
+        let snap = tmp("threshold.cind");
+        load(&input, &snap, &LoadOptions::default()).unwrap();
+        let bytes = std::fs::read(&snap).unwrap();
+        for threshold in [0.0, 1.5, f64::NAN] {
+            let err = merge(&snap, threshold, 64).unwrap_err();
+            let want = format!("threshold must be in (0, 1], got {threshold}");
+            assert!(matches!(&err, CliError::Usage(msg) if *msg == want), "{err:?}");
+        }
+        assert_eq!(std::fs::read(&snap).unwrap(), bytes, "snapshot left as it was");
+        assert!(merge(&snap, 1.0, 64).is_ok());
+    }
+
+    #[test]
+    fn too_few_workload_attributes_is_a_usage_error_before_connecting() {
+        use cind_server::DriftMode;
+        // Nothing listens on port 1: a connect attempt would be an io error.
+        let cfg = LoadConfig { attributes: 15, ..LoadConfig::default() };
+        let err = workload("127.0.0.1:1", &cfg, false).unwrap_err();
+        assert!(
+            matches!(&err, CliError::Usage(msg)
+                if msg == "attributes must be at least 16 for the steady stream, got 15"),
+            "{err:?}"
+        );
+        assert!(LoadConfig { attributes: 16, ..LoadConfig::default() }.validate().is_ok());
+        // The drift modes do not read `attributes`.
+        let drift = LoadConfig { attributes: 4, mode: DriftMode::Drift, ..LoadConfig::default() };
+        assert!(drift.validate().is_ok());
+    }
+
+    #[test]
     fn check_command_validates_a_snapshot() {
         let input = tmp("check.csv");
         std::fs::write(&input, "id,a,b\n1,1,\n2,,2\n3,3,\n").unwrap();
@@ -582,6 +623,13 @@ mod tests {
         let report = check(&snap, 64).unwrap();
         assert!(report.contains("all structural invariants hold"), "{report}");
         assert!(report.contains("3 entities"), "{report}");
+
+        // A header-only input loads as an empty, valid table.
+        std::fs::write(&input, "id,a,b\n").unwrap();
+        let loaded = load(&input, &snap, &LoadOptions::default()).unwrap();
+        assert!(loaded.contains("partitions: 0 (0 splits, 0 created)"), "{loaded}");
+        let report = check(&snap, 64).unwrap();
+        assert!(report.contains("ok: 0 entities in 0 partitions"), "{report}");
     }
 
     #[test]

@@ -19,7 +19,7 @@ USAGE:
   cind load  --input DATA.csv --snapshot TABLE.cind
              [--weight W] [--capacity B] [--size-model cells|bytes]
              [--mode entity|workload:a,b;c,d] [--record-events true|false]
-             [--threads N] [--tier exact|tiered|auto] [--pool N]
+             [--tier exact|tiered|auto] [--pool N]
   cind query --snapshot TABLE.cind --attrs a,b,c [--limit N]
              [--tier exact|tiered|auto] [--pool N]
   cind stats --snapshot TABLE.cind [--pool N]
@@ -41,7 +41,7 @@ cells (default) or serialized bytes.
 --mode rates entities by their attribute set (entity, default) or by the
 relevant queries of a workload given inline (queries split by `;`,
 attribute names by `,`).
---record-events true traces every sequential insert (latency, split flag)
+--record-events true traces every insert (latency, split flag)
 and summarises the trace in the load report.
 --tier picks the storage of the pruning index every rating scan and
 query plan goes through: exact (one partition-presence bitmap per
@@ -167,7 +167,6 @@ fn load_options(args: &mut Args) -> Result<LoadOptions, CliError> {
     args.set("size-model", &mut opts.config.size_model)?;
     opts.mode = args.take("mode")?;
     args.set("record-events", &mut opts.config.record_events)?;
-    args.set("threads", &mut opts.threads)?;
     args.set("pool", &mut opts.pool_pages)?;
     args.set("tier", &mut opts.config.tier)?;
     Ok(opts)
@@ -338,6 +337,7 @@ mod tests {
     #[test]
     fn unknown_missing_and_bad_flags_are_usage_errors() {
         assert_eq!(usage(parsed(&["--workers", "4"], serve_config)), "unknown flag --workers");
+        assert_eq!(usage(parsed(&["--threads", "4"], load_options)), "unknown flag --threads");
         assert_eq!(usage(args(&["--port"]).map(|_| ())), "missing value for --port");
         assert_eq!(
             usage(parsed(&["--weight", "heavy"], load_options)),

@@ -38,7 +38,7 @@ use crate::validate::InvariantViolation;
 /// Slots of removed partitions are zeroed and recycled through a free list,
 /// so the arena stays dense under churn. The stride grows (rows re-laid out)
 /// when the attribute universe outgrows the current row width.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub struct SynopsisArena {
     words: Vec<u64>,
     stride: usize,

@@ -33,7 +33,7 @@ use crate::tier::TierParams;
 use crate::validate::InvariantViolation;
 
 /// Catalog entry of one partition.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct PartitionMeta {
     /// The backing storage segment.
     pub segment: SegmentId,
@@ -52,8 +52,8 @@ pub struct PartitionMeta {
     /// Per-attribute member counts. The set `{i : attr_counts[i] > 0}` IS
     /// `attr_synopsis`.
     attr_counts: Vec<u32>,
-    /// The partition's arena slot (meaningless while the meta is detached
-    /// from a catalog, e.g. between `remove_partition` and `adopt`).
+    /// The partition's arena slot (meaningless once `remove_partition` has
+    /// handed the meta back).
     slot: usize,
 }
 
@@ -151,7 +151,7 @@ fn drop_counts(counts: &mut [u32], bits: &Synopsis, mut on_clear: impl FnMut(u32
 /// zero and disjoint pairs rate `0`, so the scan falls back to the full
 /// sweep ([`PartitionCatalog::best_sweep`]), as it does for `SIZE(e) = 0`,
 /// where every partition rates neutrally.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct PartitionCatalog {
     parts: BTreeMap<SegmentId, PartitionMeta>,
     /// Packed rating synopses + `SIZE(p)` + segment, one slot per
@@ -225,7 +225,8 @@ impl PartitionCatalog {
 
     /// Lets the index follow the knob at the current partition count —
     /// the one place the `auto` ratchet is checked: wherever a slot is
-    /// allocated ([`adopt`](Self::adopt)) or the knob turned.
+    /// allocated ([`create_partition`](Self::create_partition)) or the knob
+    /// turned.
     fn apply_tier(&mut self) {
         self.index.retarget(self.tier, self.tier_params, self.parts.values());
         self.service_index();
@@ -273,30 +274,19 @@ impl PartitionCatalog {
         Some(Synopsis::from_bits(row.len() * 64, words::iter_ones(row)))
     }
 
-    /// Registers a fresh, empty partition backed by `seg`.
-    ///
-    /// # Panics
-    /// Panics if `seg` is already cataloged.
-    pub fn create_partition(&mut self, seg: SegmentId) {
-        self.adopt(PartitionMeta::new(seg), seg);
-    }
-
-    /// Adopts a ready-made partition under a (new) segment id — the bulk
-    /// loader's stitch path, and (with empty metadata) every fresh
-    /// partition. The metadata keeps its counts, synopses, and starters;
-    /// only the segment id and arena slot are rebound. The one place a
+    /// Registers a fresh, empty partition backed by `seg`. The one place a
     /// slot is allocated, so the one place the `auto` ratchet is checked.
     ///
     /// # Panics
     /// Panics if `seg` is already cataloged.
-    pub(crate) fn adopt(&mut self, mut meta: PartitionMeta, seg: SegmentId) {
+    pub fn create_partition(&mut self, seg: SegmentId) {
         assert!(
             !self.parts.contains_key(&seg),
             "partition {seg} already cataloged"
         );
         let slot = self.arena.alloc(seg);
         self.attr_generation += 1;
-        meta.segment = seg;
+        let mut meta = PartitionMeta::new(seg);
         meta.slot = slot;
         self.arena
             .write_row(slot, self.mode.rating_of(&meta.attr_synopsis).bits().blocks());
@@ -909,7 +899,7 @@ mod tests {
     #[test]
     fn arena_row_mirrors_refcount_synopsis() {
         // The packed row the hot path scans must equal the refcount view
-        // through adds, removes, and partition removal/adoption — in
+        // through adds, removes, and partition removal/re-creation — in
         // workload mode, the queries the partition's attributes meet.
         let queries = vec![syn(&[0]), syn(&[5, 6]), syn(&[31]), syn(&[7, 0])];
         let workload = SynopsisMode::WorkloadBased(queries);
@@ -922,8 +912,9 @@ mod tests {
             let m = cat.get(SegmentId(0)).unwrap();
             let row_bits: Vec<u32> = words::iter_ones(cat.arena.row(m.slot)).collect();
             assert_eq!(row_bits, want);
-            let meta = cat.remove_partition(SegmentId(0));
-            cat.adopt(meta, SegmentId(4));
+            cat.remove_partition(SegmentId(0));
+            cat.create_partition(SegmentId(4)); // recycles the freed slot
+            add(&mut cat, SegmentId(4), 2, &[5, 7], 2);
             let rating = cat.rating_synopsis(SegmentId(4)).unwrap();
             assert_eq!(rating.iter().map(|a| a.index()).collect::<Vec<_>>(), want);
             let report = crate::validate::render(&cat.validate());
@@ -1218,38 +1209,27 @@ mod tests {
     }
 
     #[test]
-    fn auto_ratchets_on_create_and_on_bulk_adopt() {
-        let fill = |cat: &mut PartitionCatalog, segs: std::ops::Range<usize>, via_adopt: bool| {
+    fn auto_ratchets_on_create() {
+        let fill = |cat: &mut PartitionCatalog, segs: std::ops::Range<usize>| {
             for s in segs.map(|s| s as u32) {
-                if via_adopt {
-                    // A detached single-member partition, as the bulk
-                    // loader's shards hand them over.
-                    let mut shard = PartitionCatalog::new(IndexTier::Exact);
-                    shard.create_partition(SegmentId(0));
-                    add(&mut shard, SegmentId(0), u64::from(s), &[s % 32], 2);
-                    cat.adopt(shard.remove_partition(SegmentId(0)), SegmentId(s));
-                } else {
-                    cat.create_partition(SegmentId(s));
-                    add(cat, SegmentId(s), u64::from(s), &[s % 32], 2);
-                }
+                cat.create_partition(SegmentId(s));
+                add(cat, SegmentId(s), u64::from(s), &[s % 32], 2);
             }
         };
-        for via_adopt in [false, true] {
-            let mut cat = PartitionCatalog::new(IndexTier::Auto);
-            let gate = IndexTier::AUTO_MIN_PARTITIONS;
-            fill(&mut cat, 0..gate - 1, via_adopt);
-            assert!(!cat.tier_active(), "below the ratchet point (adopt={via_adopt})");
-            fill(&mut cat, gate - 1..gate, via_adopt);
-            assert!(cat.tier_active(), "crossing it ratchets (adopt={via_adopt})");
-            // One way: shrinking does not ratchet back.
-            cat.remove_partition(SegmentId(0));
-            assert!(cat.tier_active());
-            let report = crate::validate::render(&cat.validate());
-            assert!(report.is_empty(), "{report}");
-            // The adopted bits made it into the rebuilt tier.
-            let (survivors, _) = cat.survivors(&syn(&[5]));
-            assert!(survivors.contains(&SegmentId(5)));
-        }
+        let mut cat = PartitionCatalog::new(IndexTier::Auto);
+        let gate = IndexTier::AUTO_MIN_PARTITIONS;
+        fill(&mut cat, 0..gate - 1);
+        assert!(!cat.tier_active(), "below the ratchet point");
+        fill(&mut cat, gate - 1..gate);
+        assert!(cat.tier_active(), "crossing it ratchets");
+        // One way: shrinking does not ratchet back.
+        cat.remove_partition(SegmentId(0));
+        assert!(cat.tier_active());
+        let report = crate::validate::render(&cat.validate());
+        assert!(report.is_empty(), "{report}");
+        // The bits added before the ratchet made it into the rebuilt tier.
+        let (survivors, _) = cat.survivors(&syn(&[5]));
+        assert!(survivors.contains(&SegmentId(5)));
     }
 
     #[test]

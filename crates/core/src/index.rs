@@ -112,7 +112,7 @@ impl PruningIndex {
 
     /// Registers a partition's freshly allocated slot with every attribute
     /// its refcounts already carry (none for a new partition, all of them
-    /// for an adopted one).
+    /// when the index is rebuilt).
     pub(crate) fn insert_partition(&mut self, meta: &PartitionMeta) {
         let slot = meta.slot();
         if let Self::Tiered(t) = self {

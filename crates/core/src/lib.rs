@@ -61,7 +61,6 @@
 #![warn(missing_docs)]
 
 pub mod arena;
-pub mod bulk;
 pub mod catalog;
 pub mod config;
 pub mod efficiency;
@@ -78,7 +77,6 @@ pub mod validate;
 mod error;
 
 pub use arena::{PresenceIndex, SynopsisArena};
-pub use bulk::{bulk_load, BulkLoadReport};
 pub use catalog::{PartitionCatalog, PartitionMeta};
 pub use config::{Capacity, Config, ConfigError, IndexTier, ReorgConfig, ReorgMode};
 pub use efficiency::{efficiency, efficiency_counters, efficiency_counters_for, efficiency_of};

@@ -130,11 +130,6 @@ impl Cinderella {
         Ok(out)
     }
 
-    /// Mutable catalog access for the in-crate bulk/merge machinery.
-    pub(crate) fn catalog_mut(&mut self) -> &mut PartitionCatalog {
-        &mut self.catalog
-    }
-
     /// Deep structural validation: the catalog's internal cross-checks
     /// ([`PartitionCatalog::validate`]) plus the entity-level laws that
     /// need storage — the catalog and the table agree on the segment set,
@@ -202,7 +197,7 @@ impl Cinderella {
     }
 
     /// Debug-build assertion of the catalog-internal invariants — the hook
-    /// the structural boundaries (split, merge, bulk stitch, rebuild) call.
+    /// the structural boundaries (split, merge, rebuild) call.
     /// Compiled to nothing in release builds.
     pub(crate) fn debug_validate_catalog(&self) {
         #[cfg(debug_assertions)]
@@ -214,11 +209,6 @@ impl Cinderella {
                 crate::validate::render(&violations)
             );
         }
-    }
-
-    /// Counts `n` inserts at once (segment adoption by the bulk loader).
-    pub(crate) fn bump_inserts_by(&mut self, n: u64) {
-        self.stats.inserts += n;
     }
 
     /// Builds `(attribute synopsis, SIZE(e))` for an entity against the

@@ -17,7 +17,7 @@ use cind_model::{EntityId, Synopsis};
 /// entities. A starter slot can be vacated by a delete; the pair is then
 /// backfilled by later inserts, or repaired by a scan at split time
 /// (`Cinderella::pick_seeds`).
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub struct SplitStarters {
     a: Option<(EntityId, Synopsis)>,
     b: Option<(EntityId, Synopsis)>,

@@ -14,7 +14,7 @@
 //! Where the checks run:
 //!
 //! * **Debug builds** assert a catalog-level sweep at every structural
-//!   boundary — split, merge, bulk stitch, rebuild, and arena stride
+//!   boundary — split, merge, rebuild, and arena stride
 //!   relayout — so any maintenance bug trips the nearest boundary instead
 //!   of surfacing queries later as a silently wrong pruning decision.
 //! * **`cind check`** (the CLI subcommand) runs the deep sweep — including

@@ -62,6 +62,12 @@ pub struct DbpediaConfig {
     pub seed: u64,
 }
 
+impl DbpediaConfig {
+    /// The fewest attributes the generator takes: the two universal
+    /// attributes, the eleven fairly common ones and a tail of Fig. 4.
+    pub const MIN_ATTRIBUTES: usize = 16;
+}
+
 impl Default for DbpediaConfig {
     fn default() -> Self {
         Self {
@@ -103,10 +109,14 @@ impl DbpediaGenerator {
     /// Builds the generator, solving the per-attribute probabilities.
     ///
     /// # Panics
-    /// Panics if the configuration is degenerate (fewer than 16 attributes,
-    /// no groups, or leakage outside `[0, 1]`).
+    /// Panics if the configuration is degenerate (fewer than
+    /// [`DbpediaConfig::MIN_ATTRIBUTES`] attributes, no groups, or leakage
+    /// outside `[0, 1]`).
     pub fn new(config: DbpediaConfig) -> Self {
-        assert!(config.attributes >= 16, "need the Fig. 4 head + tail");
+        assert!(
+            config.attributes >= DbpediaConfig::MIN_ATTRIBUTES,
+            "need the Fig. 4 head + tail"
+        );
         assert!(config.groups >= 1, "need at least one group");
         assert!((0.0..=1.0).contains(&config.leakage), "leakage in [0,1]");
         let n = config.attributes;

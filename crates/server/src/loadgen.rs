@@ -86,6 +86,26 @@ impl Default for LoadConfig {
     }
 }
 
+impl LoadConfig {
+    /// Checks the knobs the stream generator would otherwise reject with a
+    /// panic: the steady DBpedia stream needs at least
+    /// [`DbpediaConfig::MIN_ATTRIBUTES`] attributes (the drift modes do not
+    /// read `attributes`).
+    ///
+    /// # Errors
+    /// A message naming the knob and its minimum.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.mode == DriftMode::Steady && self.attributes < DbpediaConfig::MIN_ATTRIBUTES {
+            return Err(format!(
+                "attributes must be at least {} for the steady stream, got {}",
+                DbpediaConfig::MIN_ATTRIBUTES,
+                self.attributes
+            ));
+        }
+        Ok(())
+    }
+}
+
 /// What one load run did and how fast the server answered.
 pub struct LoadReport {
     /// Inserts acknowledged.
@@ -205,12 +225,16 @@ impl LoadOp {
 /// Generates the wire-ready entity stream and the query attribute pool for
 /// a load config. Exposed so tests and the benchmark harness can reuse the
 /// exact workload the generator drives.
+///
+/// # Panics
+/// Panics if `cfg.attributes` is below [`DbpediaConfig::MIN_ATTRIBUTES`]
+/// (see [`LoadConfig::validate`]).
 #[must_use]
 pub fn workload(cfg: &LoadConfig) -> (Vec<WireEntity>, Vec<String>) {
     let mut catalog = AttributeCatalog::new();
     let entities = DbpediaGenerator::new(DbpediaConfig {
         entities: cfg.entities,
-        attributes: cfg.attributes.max(4),
+        attributes: cfg.attributes,
         seed: cfg.seed,
         ..DbpediaConfig::default()
     })

@@ -64,7 +64,7 @@ impl Segment {
         self.id
     }
 
-    /// Re-brands a detached segment with a new id (attach path).
+    /// Re-brands the segment with the id a table gives it (attach path).
     pub(crate) fn set_id(&mut self, id: SegmentId) {
         self.id = id;
     }

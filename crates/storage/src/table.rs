@@ -230,29 +230,8 @@ impl UniversalTable {
         self.locator.get(&entity).map(|(s, _)| *s)
     }
 
-    /// Detaches a segment wholesale: its pages leave the table untouched
-    /// (records stay encoded; a snapshot still holding the segment keeps
-    /// its own handle on them) and every member disappears from the locator.
-    /// The inverse of [`UniversalTable::attach_segment`]; together they
-    /// move whole partitions between tables at page granularity — the bulk
-    /// loader's stitch path.
-    ///
-    /// # Errors
-    /// [`StorageError::NoSuchSegment`] if unknown.
-    pub fn detach_segment(&mut self, id: SegmentId) -> Result<Segment, StorageError> {
-        let seg = self
-            .segments
-            .remove(&id)
-            .ok_or(StorageError::NoSuchSegment(id))?;
-        for (_, rec) in seg.iter() {
-            let eid = crate::record::decode_entity_id(rec)?;
-            self.locator.remove(&eid);
-        }
-        self.pool.invalidate_segment(id);
-        Ok(Arc::try_unwrap(seg).unwrap_or_else(|shared| (*shared).clone()))
-    }
-
-    /// Attaches a detached segment under a fresh id, indexing its records.
+    /// Attaches a segment of already-encoded records under a fresh id,
+    /// indexing its records. Nothing but the entity ids is decoded.
     ///
     /// # Errors
     /// [`StorageError::DuplicateEntity`] if any member id is already stored
@@ -808,51 +787,40 @@ mod tests {
         let _ = t.drop_segment(seg);
     }
 
-    #[test]
-    fn detach_attach_moves_segments_between_tables() {
-        let mut src = UniversalTable::new(64);
-        let seg = src.create_segment();
-        let mut entities = Vec::new();
-        for i in 0..20 {
-            let e = entity(&mut src, i, &[("a", i as i64)]);
-            src.insert(seg, &e).unwrap();
-            entities.push(e);
+    /// A segment holding `entities` as encoded records, built by hand
+    /// under id 0 (attach re-brands it).
+    fn segment_of(entities: &[Entity]) -> Segment {
+        let mut seg = Segment::new(SegmentId(0));
+        for e in entities {
+            seg.insert(&encode_entity(e)).unwrap();
         }
-        src.delete(EntityId(3)).unwrap();
-        let detached = src.detach_segment(seg).unwrap();
-        assert_eq!(src.entity_count(), 0);
-        assert!(matches!(src.segment(seg), Err(StorageError::NoSuchSegment(_))));
+        seg
+    }
 
-        let mut dst = UniversalTable::new(64);
-        dst.catalog_mut().intern("a");
-        dst.create_segment(); // occupy id 0 so the attach re-brands
-        let new_id = dst.attach_segment(detached).unwrap();
-        assert_ne!(new_id, seg);
-        assert_eq!(dst.entity_count(), 19);
+    #[test]
+    fn attach_indexes_a_hand_built_segment() {
+        let mut t = UniversalTable::new(64);
+        let entities: Vec<Entity> =
+            (0..20).map(|i| entity(&mut t, i, &[("a", i as i64)])).collect();
+        let occupied = t.create_segment(); // takes id 0 so the attach re-brands
+        let new_id = t.attach_segment(segment_of(&entities)).unwrap();
+        assert_ne!(new_id, occupied);
+        assert_eq!(t.entity_count(), 20);
         for e in &entities {
-            if e.id() == EntityId(3) {
-                assert!(dst.get(e.id()).is_err());
-            } else {
-                assert_eq!(&dst.get(e.id()).unwrap(), e);
-                assert_eq!(dst.location(e.id()), Some(new_id));
-            }
+            assert_eq!(&t.get(e.id()).unwrap(), e);
+            assert_eq!(t.location(e.id()), Some(new_id));
         }
     }
 
     #[test]
     fn attach_rejects_duplicate_entities() {
-        let mut src = UniversalTable::new(64);
-        let seg = src.create_segment();
-        let e = entity(&mut src, 1, &[("a", 1)]);
-        src.insert(seg, &e).unwrap();
-        let detached = src.detach_segment(seg).unwrap();
-
         let mut dst = UniversalTable::new(64);
         let dseg = dst.create_segment();
         let clash = entity(&mut dst, 1, &[("a", 9)]);
         dst.insert(dseg, &clash).unwrap();
+        let incoming = entity(&mut dst, 1, &[("a", 1)]);
         assert!(matches!(
-            dst.attach_segment(detached),
+            dst.attach_segment(segment_of(&[incoming])),
             Err(StorageError::DuplicateEntity(EntityId(1)))
         ));
         // Nothing was mutated.
@@ -977,22 +945,21 @@ mod tests {
         let before = answers(&frozen);
         assert_eq!(before.iter().map(Vec::len).sum::<usize>(), 40);
 
-        // delete, move_entity, drop_segment (emptied first), detach + attach.
+        // delete, move_entity, drop_segment (emptied first), attach.
         t.delete(EntityId(0)).unwrap();
         t.move_entity(EntityId(1), segs[2]).unwrap();
         for e in &before[3] {
             t.move_entity(e.id(), segs[0]).unwrap();
         }
         t.drop_segment(segs[3]).unwrap();
-        let detached = t.detach_segment(segs[2]).unwrap();
-        assert_eq!(detached.record_count(), 11, "a shared segment detaches as a copy");
-        let reattached = t.attach_segment(detached).unwrap();
-        assert_eq!(t.scan_collect(reattached).unwrap().len(), 11);
-        assert!(t.segment(segs[2]).is_err() && t.segment(segs[3]).is_err());
+        let fresh = entity(&mut t, 100, &[("a", 100)]);
+        let attached = t.attach_segment(segment_of(&[fresh])).unwrap();
+        assert_eq!(t.scan_collect(attached).unwrap().len(), 1);
+        assert!(t.segment(segs[3]).is_err());
 
         assert_eq!(answers(&frozen), before);
         assert_eq!(frozen.entity_count(), 40);
-        assert_eq!(t.entity_count(), 39);
+        assert_eq!(t.entity_count(), 40);
     }
 
     #[test]

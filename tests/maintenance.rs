@@ -1,7 +1,7 @@
-//! Integration tests for the §VII extensions: the merge pass and the
-//! parallel bulk loader, exercised end to end on generated data.
+//! Integration tests for the §VII merge-pass extension, exercised end to
+//! end on generated data.
 
-use cinderella::core::{bulk_load, Capacity, Cinderella, Config};
+use cinderella::core::{Capacity, Cinderella, Config};
 use cinderella::datagen::{DbpediaConfig, DbpediaGenerator};
 use cinderella::model::{EntityId, Synopsis};
 use cinderella::storage::UniversalTable;
@@ -100,66 +100,4 @@ fn merge_pass_is_idempotent() {
     assert_eq!(report.merges, 0, "second pass must find nothing (fixpoint)");
     assert_eq!(cindy.catalog().len(), after_first);
     common::assert_fully_valid(&cindy, &table);
-}
-
-#[test]
-fn bulk_load_matches_sequential_quality() {
-    // Sequential reference.
-    let mut seq_table = UniversalTable::new(128);
-    let entities = dataset(&mut seq_table);
-    let mut seq = Cinderella::new(config(1_000));
-    for e in entities {
-        seq.insert(&mut seq_table, e).expect("insert");
-    }
-
-    // Parallel load of the same data.
-    let mut par_table = UniversalTable::new(128);
-    let entities = dataset(&mut par_table);
-    let (par, report) =
-        bulk_load(&mut par_table, config(1_000), entities, 4).expect("bulk load");
-    assert_eq!(par_table.entity_count(), ENTITIES);
-    assert_consistent(&par_table, &par);
-    for m in par.catalog().iter() {
-        assert!(m.entities <= 1_000);
-    }
-    // The stitched partitioning must be in the same ballpark as the
-    // sequential one — within 4× on partition count (the loads see
-    // different orders, identical quality is not expected; the stitch's
-    // merge pass also folds underfull partitions the order-dependent
-    // sequential load never revisits, so the parallel count runs lower).
-    let (s, p) = (seq.catalog().len(), par.catalog().len());
-    assert!(
-        p <= s * 4 && s <= p * 4,
-        "sequential {s} vs parallel {p} partitions (report {report:?})"
-    );
-}
-
-#[test]
-fn bulk_load_then_online_modifications() {
-    // The stitched partitioner must keep working as a normal online
-    // instance afterwards.
-    let mut table = UniversalTable::new(128);
-    let entities = dataset(&mut table);
-    let (mut cindy, _) = bulk_load(&mut table, config(500), entities, 3).expect("bulk");
-    // Online phase: delete some, insert new, update one.
-    for i in 0..100u64 {
-        cindy.delete(&mut table, EntityId(i)).expect("delete");
-    }
-    let mut probe = UniversalTable::new(16);
-    let fresh = DbpediaGenerator::new(DbpediaConfig {
-        entities: 50,
-        seed: 999,
-        ..DbpediaConfig::default()
-    })
-    .generate(probe.catalog_mut());
-    for e in fresh {
-        let e = cinderella::model::Entity::new(
-            EntityId(1_000_000 + e.id().0),
-            e.attrs().to_vec(),
-        )
-        .expect("valid");
-        cindy.insert(&mut table, e).expect("insert");
-    }
-    assert_eq!(table.entity_count(), ENTITIES - 100 + 50);
-    assert_consistent(&table, &cindy);
 }
