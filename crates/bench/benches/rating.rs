@@ -36,7 +36,7 @@ fn catalog_with(parts: usize) -> PartitionCatalog {
         // Each partition holds a 30-attribute synopsis from a distinct
         // region of the universe (12 latent groups).
         let syn = synopsis(s * 8, 30);
-        cat.add_entity(seg, EntityId(s as u64), &syn, 1_000, true);
+        cat.add_entity(seg, EntityId(s as u64), &syn, 1_000);
     }
     cat
 }

@@ -136,7 +136,7 @@ fn run(
             UNIVERSE,
             partition_attrs(i as u64, n, layout).into_iter().map(AttrId),
         );
-        cat.add_entity(seg, EntityId(i as u64), &syn, 8, true);
+        cat.add_entity(seg, EntityId(i as u64), &syn, 8);
     }
     let build_s = built.elapsed().as_secs_f64();
 

@@ -317,18 +317,8 @@ impl PartitionCatalog {
 
     /// Accounts a new member entity of partition `seg`, given its
     /// attribute synopsis; its rating synopsis is the mode's view of it.
-    ///
-    /// `offer_starters` runs the Algorithm 1 starter update; pass `false`
-    /// when the caller already offered the entity (the insert path offers
-    /// *before* the capacity check, per the paper).
-    pub fn add_entity(
-        &mut self,
-        seg: SegmentId,
-        id: EntityId,
-        attrs: &Synopsis,
-        size: u64,
-        offer_starters: bool,
-    ) {
+    /// Runs the Algorithm 1 starter update with it.
+    pub fn add_entity(&mut self, seg: SegmentId, id: EntityId, attrs: &Synopsis, size: u64) {
         let Self { parts, arena, index, zero_size, mode, attr_generation, .. } = self;
         #[expect(clippy::expect_used, reason = "callers account only cataloged partitions")]
         let meta = parts.get_mut(&seg).expect("partition cataloged");
@@ -348,9 +338,7 @@ impl PartitionCatalog {
         meta.entities += 1;
         meta.size += size;
         arena.set_size(slot, meta.size);
-        if offer_starters {
-            meta.starters.offer(id, &mode.rating_of(attrs));
-        }
+        meta.starters.offer(id, &mode.rating_of(attrs));
         if meta.size > 0 {
             zero_size.remove(slot as u32);
         }
@@ -727,6 +715,11 @@ impl PartitionCatalog {
             push_cat(&mut out, format!("{seg}: not cataloged but has stored members"));
             return out;
         };
+        // No Cinderella partition is ever empty, and a reopen refuses an
+        // empty segment (`Cinderella::rebuild`): a live check must see it.
+        if members.is_empty() {
+            push_cat(&mut out, format!("{seg}: cataloged partition has no member"));
+        }
         if meta.entities != members.len() as u64 {
             push_cat(&mut out, format!(
                 "{seg}: meta counts {} entities, segment stores {}",
@@ -873,7 +866,7 @@ mod tests {
         bits: &[u32],
         size: u64,
     ) {
-        cat.add_entity(seg, EntityId(id), &syn(bits), size, true);
+        cat.add_entity(seg, EntityId(id), &syn(bits), size);
     }
 
     #[test]
@@ -1023,8 +1016,8 @@ mod tests {
     }
 
     /// `validate_members` cross-checks the catalog against what a segment
-    /// actually stores: member counts, size sums, per-bit refcounts, and
-    /// split-starter membership.
+    /// actually stores: member counts, size sums, per-bit refcounts,
+    /// split-starter membership, and that there is a member at all.
     #[test]
     fn validate_members_reports_stored_vs_cataloged_drift() {
         let mut cat = PartitionCatalog::new(IndexTier::Exact);
@@ -1054,6 +1047,10 @@ mod tests {
         let report =
             crate::validate::render(&cat.validate_members(SegmentId(42), &good));
         assert!(report.contains("not cataloged but has stored members"), "{report}");
+        // A cataloged partition whose segment stores nothing.
+        cat.create_partition(SegmentId(5));
+        let report = crate::validate::render(&cat.validate_members(SegmentId(5), &[]));
+        assert!(report.contains("seg5: cataloged partition has no member"), "{report}");
     }
 
     #[test]
@@ -1275,10 +1272,10 @@ mod tests {
         cat.create_partition(SegmentId(0));
         cat.create_partition(SegmentId(1));
         let wide = |bit: u32| Synopsis::from_bits(128, [bit]);
-        cat.add_entity(SegmentId(0), EntityId(0), &wide(0), 1, true);
-        cat.add_entity(SegmentId(1), EntityId(1), &wide(10), 1, true);
+        cat.add_entity(SegmentId(0), EntityId(0), &wide(0), 1);
+        cat.add_entity(SegmentId(1), EntityId(1), &wide(10), 1);
         for i in 0..extra {
-            cat.add_entity(SegmentId(0), EntityId(u64::from(100 + i)), &wide(10 + i), 1, true);
+            cat.add_entity(SegmentId(0), EntityId(u64::from(100 + i)), &wide(10 + i), 1);
         }
         assert_eq!(cat.survivors(&wide(10)).0, vec![SegmentId(0), SegmentId(1)]);
         for i in 0..extra {
@@ -1396,7 +1393,7 @@ mod tests {
         let mut cat = PartitionCatalog::new(IndexTier::Exact);
         cat.create_partition(SegmentId(0));
         // Partition 0 holds one zero-size entity with an empty synopsis.
-        cat.add_entity(SegmentId(0), EntityId(1), &syn(&[]), 0, true);
+        cat.add_entity(SegmentId(0), EntityId(1), &syn(&[]), 0);
         // A disjoint probe should still see partition 0 (rating 0 ≥ 0
         // beats creating a new partition in Algorithm 1's comparison).
         let (best, _) = cat.best_partition(&syn(&[5]), 1, 0.5);

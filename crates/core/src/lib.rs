@@ -65,6 +65,7 @@ pub mod catalog;
 pub mod config;
 pub mod efficiency;
 pub mod events;
+pub mod incoming;
 pub mod index;
 pub mod merge;
 pub mod modes;
@@ -82,6 +83,7 @@ pub use config::{Capacity, Config, ConfigError, IndexTier, ReorgConfig, ReorgMod
 pub use efficiency::{efficiency, efficiency_counters, efficiency_counters_for, efficiency_of};
 pub use error::CoreError;
 pub use events::{InsertEvent, InsertOutcome, Stats};
+pub use incoming::Incoming;
 pub use index::{PruningIndex, PruningSnapshot};
 pub use merge::MergeReport;
 pub use modes::SynopsisMode;

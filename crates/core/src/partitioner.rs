@@ -3,11 +3,13 @@
 use std::time::Instant;
 
 use cind_model::{Entity, EntityId, Synopsis};
+use cind_storage::page::check_record_len;
 use cind_storage::{SegmentId, StorageError, UniversalTable};
 
 use crate::catalog::PartitionCatalog;
 use crate::config::Config;
 use crate::events::{InsertEvent, InsertOutcome, Stats};
+use crate::incoming::Incoming;
 use crate::validate::InvariantViolation;
 use crate::CoreError;
 
@@ -102,7 +104,7 @@ impl Cinderella {
             }
             cindy.catalog.create_partition(seg);
             for (id, attrs, size) in members {
-                cindy.catalog.add_entity(seg, id, &attrs, size, true);
+                cindy.catalog.add_entity(seg, id, &attrs, size);
             }
         }
         cindy.debug_validate_catalog();
@@ -234,58 +236,71 @@ impl Cinderella {
         }
     }
 
-    /// Algorithm 1: inserts `entity`, adjusting the partitioning.
-    ///
-    /// The whole operation — including any split it triggers — is logged
-    /// as one WAL transaction group, so recovery sees it entirely or not
-    /// at all.
+    /// Algorithm 1: inserts `entity`, adjusting the partitioning — an
+    /// adapter that encodes it ([`Incoming::of`]) and runs
+    /// [`Self::insert_encoded`].
     ///
     /// # Errors
-    /// [`StorageError::DuplicateEntity`] if the id is already stored; other
-    /// storage errors from the layers below.
+    /// As [`Self::insert_encoded`].
     pub fn insert(
         &mut self,
         table: &mut UniversalTable,
         entity: Entity,
     ) -> Result<InsertOutcome, CoreError> {
+        let incoming = self.encode(table, &entity);
+        self.insert_encoded(table, &incoming)
+    }
+
+    /// Encodes `entity` for [`Self::insert_encoded`] /
+    /// [`Self::update_encoded`] against the table's current universe.
+    fn encode(&self, table: &UniversalTable, entity: &Entity) -> Incoming {
+        Incoming::of(entity, table.universe(), self.config.size_model)
+    }
+
+    /// Algorithm 1 on an entity encoded once by the caller: the one insert
+    /// path every typed entry point adapts onto. The whole operation —
+    /// including any split it triggers — is logged as one WAL transaction
+    /// group, so recovery sees it entirely or not at all.
+    ///
+    /// A refused entity — its id already stored, its record larger than a
+    /// page — changes nothing: both are checked before the first mutation,
+    /// by the table's one locator probe on the plain paths and ahead of the
+    /// member moves on the overflow split.
+    ///
+    /// # Errors
+    /// [`StorageError::DuplicateEntity`] if the id is already stored,
+    /// [`StorageError::RecordTooLarge`] if no page holds the record; other
+    /// storage errors from the layers below.
+    pub fn insert_encoded(
+        &mut self,
+        table: &mut UniversalTable,
+        incoming: &Incoming,
+    ) -> Result<InsertOutcome, CoreError> {
         table.wal_txn_begin();
-        let result = self.insert_impl(table, entity);
+        let result = self.insert_impl(table, incoming);
         Self::finish_txn(table, result)
     }
 
     fn insert_impl(
         &mut self,
         table: &mut UniversalTable,
-        entity: Entity,
+        e: &Incoming,
     ) -> Result<InsertOutcome, CoreError> {
-        if table.location(entity.id()).is_some() {
-            return Err(StorageError::DuplicateEntity(entity.id()).into());
-        }
         #[allow(
             clippy::disallowed_methods,
             reason = "times the InsertEvent report; no placement decision reads it"
         )]
         let t0 = self.config.record_events.then(Instant::now);
-        let (attrs, size_e) = self.synopsis(table, &entity);
-        let rating = self.config.mode.rating_of(&attrs);
+        let rating = self.config.mode.rating_of(e.attrs());
 
         // Lines 3–7: scan the partition catalog for the best rating.
         let (best, ratings) =
             self.catalog
-                .best_partition(&rating, size_e, self.config.weight);
-        self.stats.ratings_computed += u64::from(ratings);
+                .best_partition(&rating, e.size(), self.config.weight);
 
         let outcome = match best {
             // Lines 14–36: a partition rated non-negatively.
             Some((seg, r)) if r >= 0.0 => {
-                // Lines 15–24: update the split starters *before* the
-                // capacity check — the new entity may become a seed.
-                self.catalog
-                    .get_mut(seg)
-                    .ok_or(CoreError::Invariant("best partition cataloged"))?
-                    .starters
-                    .offer(entity.id(), &rating);
-
                 let meta = self
                     .catalog
                     .get(seg)
@@ -293,30 +308,43 @@ impl Cinderella {
                 if self
                     .config
                     .capacity
-                    .would_overflow(meta.entities, meta.size, size_e)
+                    .would_overflow(meta.entities, meta.size, e.size())
                 {
+                    // The split moves members before it stores `e`, so
+                    // whatever would refuse `e` is asked first.
+                    table.admits(e.id(), e.record())?;
+                    // Lines 15–24: update the split starters *before* the
+                    // split — the new entity may become a seed.
+                    self.catalog
+                        .get_mut(seg)
+                        .ok_or(CoreError::Invariant("best partition cataloged"))?
+                        .starters
+                        .offer(e.id(), &rating);
                     // Lines 26–33.
-                    let into = self.split_partition(table, seg, Some(&entity))?;
+                    let into = self.split_partition(table, seg, Some(e))?;
                     self.stats.splits += 1;
                     InsertOutcome::Split { from: seg, into }
                 } else {
-                    // Line 36.
-                    table.insert(seg, &entity)?;
-                    self.catalog.add_entity(seg, entity.id(), &attrs, size_e, false);
+                    // Line 36. The starter update (lines 15–24) comes with
+                    // the accounting, once the table has taken the record:
+                    // no capacity check reads it on this path.
+                    table.insert_record(Some(seg), e.id(), e.record(), e.signature())?;
+                    self.catalog.add_entity(seg, e.id(), e.attrs(), e.size());
                     InsertOutcome::Inserted(seg)
                 }
             }
-            // Lines 9–13: negative best rating (or empty catalog).
+            // Lines 9–13: negative best rating (or empty catalog). The
+            // table creates the segment only once it takes the record.
             _ => {
-                let seg = table.create_segment();
+                let seg = table.insert_record(None, e.id(), e.record(), e.signature())?;
                 self.catalog.create_partition(seg);
-                table.insert(seg, &entity)?;
-                self.catalog.add_entity(seg, entity.id(), &attrs, size_e, true);
+                self.catalog.add_entity(seg, e.id(), e.attrs(), e.size());
                 self.stats.partitions_created += 1;
                 InsertOutcome::NewPartition(seg)
             }
         };
 
+        self.stats.ratings_computed += u64::from(ratings);
         self.stats.inserts += 1;
         if let Some(t0) = t0 {
             self.events
@@ -333,7 +361,7 @@ impl Cinderella {
         &mut self,
         table: &mut UniversalTable,
         seg: SegmentId,
-        incoming: Option<&Entity>,
+        incoming: Option<&Incoming>,
     ) -> Result<(SegmentId, SegmentId), CoreError> {
         // Resolve the starter pair *before* detaching the partition, so a
         // failed precondition leaves the catalog untouched. On the overflow
@@ -353,10 +381,7 @@ impl Cinderella {
         self.catalog.remove_partition(seg);
 
         let mut members = self.members(table, seg)?;
-        members.extend(incoming.map(|e| {
-            let (attrs, size) = self.synopsis(table, e);
-            (e.id(), attrs, size)
-        }));
+        members.extend(incoming.map(|e| (e.id(), e.attrs().clone(), e.size())));
 
         let seg_a = table.create_segment();
         let seg_b = table.create_segment();
@@ -421,16 +446,18 @@ impl Cinderella {
         table: &mut UniversalTable,
         target: SegmentId,
         (id, attrs, size): (EntityId, Synopsis, u64),
-        incoming: Option<&Entity>,
+        incoming: Option<&Incoming>,
     ) -> Result<(), CoreError> {
         match incoming.filter(|e| e.id() == id) {
-            Some(e) => table.insert(target, e)?,
+            Some(e) => {
+                table.insert_record(Some(target), id, e.record(), e.signature())?;
+            }
             None => {
                 table.move_entity(id, target)?;
                 self.stats.split_moves += 1;
             }
         }
-        self.catalog.add_entity(target, id, &attrs, size, true);
+        self.catalog.add_entity(target, id, &attrs, size);
         Ok(())
     }
 
@@ -450,7 +477,7 @@ impl Cinderella {
             self.catalog.remove_partition(from);
             for (id, attrs, size) in members {
                 table.move_entity(id, into)?;
-                self.catalog.add_entity(into, id, &attrs, size, true);
+                self.catalog.add_entity(into, id, &attrs, size);
                 self.stats.merge_moves += 1;
             }
             table.drop_segment(from)?;
@@ -495,34 +522,55 @@ impl Cinderella {
     }
 
     /// Updates an entity (replaces its stored version with `entity`, same
-    /// id). Runs the insert rating "without actually inserting": if the
-    /// entity's current partition still wins, the record is replaced in
-    /// place; otherwise the entity is moved through the full insert routine
-    /// (which may create a partition or split one). Logged as one WAL
-    /// transaction group (the inner delete + insert groups nest into it).
+    /// id) — an adapter that encodes it and runs [`Self::update_encoded`].
+    ///
+    /// # Errors
+    /// As [`Self::update_encoded`].
     pub fn update(
         &mut self,
         table: &mut UniversalTable,
         entity: Entity,
     ) -> Result<InsertOutcome, CoreError> {
+        let incoming = self.encode(table, &entity);
+        self.update_encoded(table, &incoming)
+    }
+
+    /// Replaces the stored version of `incoming`'s entity. Runs the insert
+    /// rating "without actually inserting": if the entity's current
+    /// partition still wins, the record is replaced in place; otherwise
+    /// the entity is moved through the full insert routine (which may
+    /// create a partition or split one). Logged as one WAL transaction
+    /// group (the inner delete + insert groups nest into it).
+    ///
+    /// An unknown id or a record larger than a page is refused before the
+    /// stored version is touched.
+    ///
+    /// # Errors
+    /// [`StorageError::NoSuchEntity`], [`StorageError::RecordTooLarge`];
+    /// storage errors from the layers below.
+    pub fn update_encoded(
+        &mut self,
+        table: &mut UniversalTable,
+        incoming: &Incoming,
+    ) -> Result<InsertOutcome, CoreError> {
         table.wal_txn_begin();
-        let result = self.update_impl(table, entity);
+        let result = self.update_impl(table, incoming);
         Self::finish_txn(table, result)
     }
 
     fn update_impl(
         &mut self,
         table: &mut UniversalTable,
-        entity: Entity,
+        e: &Incoming,
     ) -> Result<InsertOutcome, CoreError> {
-        let id = entity.id();
+        let id = e.id();
         let current = table
             .location(id)
             .ok_or(StorageError::NoSuchEntity(id))?;
-        let (new_attrs, new_size) = self.synopsis(table, &entity);
+        check_record_len(e.record())?;
         let (best, ratings) = self.catalog.best_partition(
-            &self.config.mode.rating_of(&new_attrs),
-            new_size,
+            &self.config.mode.rating_of(e.attrs()),
+            e.size(),
             self.config.weight,
         );
         self.stats.ratings_computed += u64::from(ratings);
@@ -534,8 +582,8 @@ impl Cinderella {
                 let old = table.delete(id)?;
                 let (old_attrs, old_size) = self.synopsis(table, &old);
                 self.catalog.remove_entity(current, id, &old_attrs, old_size);
-                table.insert(current, &entity)?;
-                self.catalog.add_entity(current, id, &new_attrs, new_size, true);
+                table.insert_record(Some(current), id, e.record(), e.signature())?;
+                self.catalog.add_entity(current, id, e.attrs(), e.size());
                 Ok(InsertOutcome::Inserted(current))
             }
             _ => {
@@ -543,7 +591,7 @@ impl Cinderella {
                 // inner calls bump their own counters; fold them back so
                 // `updates` alone accounts for this operation.
                 self.delete(table, id)?;
-                let outcome = self.insert(table, entity)?;
+                let outcome = self.insert_encoded(table, e)?;
                 self.stats.deletes -= 1;
                 self.stats.inserts -= 1;
                 self.stats.update_moves += 1;
@@ -672,6 +720,86 @@ mod tests {
             Cinderella::rebuild(&t, Config::default()),
             Err(CoreError::Invariant("every stored segment has a member"))
         ));
+    }
+
+    #[test]
+    fn validate_reports_an_empty_partition_rebuild_would_refuse() {
+        let mut t = UniversalTable::new(16);
+        let mut c = cindy(100, 0.5);
+        let e = make(&mut t, 1, &["a"]);
+        c.insert(&mut t, e).unwrap();
+        assert!(c.validate(&t).unwrap().is_empty());
+        // Seeded: a partition cataloged over a segment nothing was stored in.
+        let seg = t.create_segment();
+        c.catalog.create_partition(seg);
+        let report = crate::validate::render(&c.validate(&t).unwrap());
+        assert!(report.contains(&format!("{seg}: cataloged partition has no member")), "{report}");
+        assert!(matches!(
+            Cinderella::rebuild(&t, Config::default()),
+            Err(CoreError::Invariant("every stored segment has a member"))
+        ));
+    }
+
+    /// Whatever refuses an entity — a stored id, a record no page holds —
+    /// refuses it before anything changes: no segment, no partition, no
+    /// starter, no counter, on every placement path (a new partition, an
+    /// existing one, the overflow split).
+    #[test]
+    fn a_refused_insert_changes_nothing() {
+        let huge = |t: &mut UniversalTable, id: u64, names: &[&str]| {
+            let mut e = make(t, id, names);
+            e.set(t.catalog().lookup(names[0]).unwrap(), Value::Text("x".repeat(20_000)));
+            e
+        };
+        // B = 2 so the third similar entity overflows into a split.
+        let mut t = UniversalTable::new(64);
+        let mut c = cindy(2, 0.5);
+        let e = make(&mut t, 1, &["a", "b"]);
+        c.insert(&mut t, e).unwrap();
+        let state = |t: &UniversalTable, c: &Cinderella| {
+            let starters: Vec<_> = c
+                .catalog()
+                .iter()
+                .map(|m| (m.segment, m.starters.a().map(|s| s.0), m.starters.b().map(|s| s.0)))
+                .collect();
+            (t.segment_ids().collect::<Vec<_>>(), t.entity_count(), starters, c.stats())
+        };
+        let mut expect = state(&t, &c);
+        let refusals: [(&str, Entity); 4] = [
+            ("a new partition", huge(&mut t, 5, &["z"])),
+            ("the existing partition", huge(&mut t, 5, &["a", "b"])),
+            ("a stored id", make(&mut t, 1, &["a", "b"])),
+            ("a stored id, also too large", huge(&mut t, 1, &["a", "b"])),
+        ];
+        for (case, e) in refusals {
+            expect.0 = t.segment_ids().collect();
+            assert!(c.insert(&mut t, e).is_err(), "{case}");
+            assert_eq!(state(&t, &c), expect, "{case}");
+            assert!(c.validate(&t).unwrap().is_empty(), "{case}");
+        }
+        let e = make(&mut t, 2, &["a", "b"]);
+        c.insert(&mut t, e).unwrap();
+        let before = state(&t, &c);
+        for (case, id) in [("split, stored id", 2), ("split, too large", 9)] {
+            let e = if id == 2 { make(&mut t, id, &["a", "b"]) } else { huge(&mut t, id, &["a", "b"]) };
+            assert!(c.insert(&mut t, e).is_err(), "{case}");
+            assert_eq!(state(&t, &c), before, "{case}");
+            assert!(c.validate(&t).unwrap().is_empty(), "{case}");
+        }
+        let e = huge(&mut t, 9, &["a"]);
+        assert!(matches!(
+            c.insert(&mut t, e),
+            Err(CoreError::Storage(StorageError::RecordTooLarge { .. }))
+        ));
+        let e = huge(&mut t, 1, &["a"]);
+        assert!(matches!(
+            c.update(&mut t, e),
+            Err(CoreError::Storage(StorageError::RecordTooLarge { .. }))
+        ));
+        assert_eq!(t.get(EntityId(1)).unwrap(), make(&mut t, 1, &["a", "b"]), "kept on a refused update");
+        let e = make(&mut t, 9, &["a", "b"]);
+        assert!(c.insert(&mut t, e).unwrap().is_split(), "the split itself still happens");
+        assert!(c.validate(&t).unwrap().is_empty());
     }
 
     #[test]

@@ -94,7 +94,7 @@ fn build(script: &Script, mode: &SynopsisMode, tier: IndexTier) -> PartitionCata
         let slot = pick.index(live.len());
         let (seg, members) = &mut live[slot];
         let s = syn(attrs);
-        cat.add_entity(SegmentId(*seg), EntityId(next_id), &s, *size, true);
+        cat.add_entity(SegmentId(*seg), EntityId(next_id), &s, *size);
         members.push((next_id, attrs.clone(), *size));
         next_id += 1;
     }
@@ -135,7 +135,7 @@ fn build(script: &Script, mode: &SynopsisMode, tier: IndexTier) -> PartitionCata
         for (i, (id, attrs, size)) in members.into_iter().enumerate() {
             let target = if i % 2 == 0 { a } else { b };
             let s = syn(&attrs);
-            cat.add_entity(SegmentId(target), EntityId(id), &s, size, true);
+            cat.add_entity(SegmentId(target), EntityId(id), &s, size);
             if i % 2 == 0 {
                 halves.0.push((id, attrs, size));
             } else {
@@ -152,7 +152,7 @@ fn build(script: &Script, mode: &SynopsisMode, tier: IndexTier) -> PartitionCata
         cat.create_partition(SegmentId(seg));
         let mut copies = Vec::new();
         for (_, attrs, size) in members {
-            cat.add_entity(SegmentId(seg), EntityId(next_id), &syn(&attrs), size, true);
+            cat.add_entity(SegmentId(seg), EntityId(next_id), &syn(&attrs), size);
             copies.push((next_id, attrs, size));
             next_id += 1;
         }

@@ -102,7 +102,7 @@ impl Harness {
     fn add_to(&mut self, seg: u32, id: u64, attrs: &[u32], size: u64) {
         let s = syn(attrs);
         for cat in [&mut self.tiered, &mut self.exact] {
-            cat.add_entity(SegmentId(seg), EntityId(id), &s, size, true);
+            cat.add_entity(SegmentId(seg), EntityId(id), &s, size);
         }
     }
 

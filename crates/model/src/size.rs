@@ -1,6 +1,6 @@
 //! The paper's `SIZE()` function.
 
-use crate::Entity;
+use crate::{Entity, ValueRef};
 
 /// How `SIZE(e)` and `SIZE(p)` are measured (Definition 1).
 ///
@@ -26,9 +26,15 @@ pub enum SizeModel {
 impl SizeModel {
     /// `SIZE(e)` for one entity under this model.
     pub fn entity_size(&self, e: &Entity) -> u64 {
+        self.size_of(e.attrs().iter().map(|(_, v)| v.borrowed()))
+    }
+
+    /// `SIZE(e)` of an entity whose instantiated values are `values`,
+    /// wherever they lie — the one definition [`Self::entity_size`] reads.
+    pub fn size_of<'v>(&self, values: impl ExactSizeIterator<Item = ValueRef<'v>>) -> u64 {
         match self {
-            SizeModel::Cells => e.arity() as u64,
-            SizeModel::Bytes => e.payload_bytes() as u64,
+            SizeModel::Cells => values.len() as u64,
+            SizeModel::Bytes => values.map(|v| v.payload_len() as u64).sum(),
         }
     }
 }

@@ -33,7 +33,19 @@ pub enum ValueRef<'a> {
 }
 
 impl ValueRef<'_> {
+    /// Serialized payload size in bytes (type tag excluded), the one
+    /// definition [`Value::payload_len`] reads too.
+    #[inline]
+    pub fn payload_len(self) -> usize {
+        match self {
+            ValueRef::Bool(_) => 1,
+            ValueRef::Int(_) | ValueRef::Float(_) => 8,
+            ValueRef::Text(s) => s.len(),
+        }
+    }
+
     /// The owned value (copies text).
+    #[inline]
     pub fn to_value(self) -> Value {
         match self {
             ValueRef::Bool(b) => Value::Bool(b),
@@ -46,6 +58,7 @@ impl ValueRef<'_> {
 
 impl Value {
     /// This value, borrowed.
+    #[inline]
     pub fn borrowed(&self) -> ValueRef<'_> {
         match self {
             Value::Bool(b) => ValueRef::Bool(*b),
@@ -58,11 +71,7 @@ impl Value {
     /// Serialized payload size in bytes (type tag excluded). This feeds the
     /// byte-based [`SizeModel`](crate::SizeModel).
     pub fn payload_len(&self) -> usize {
-        match self {
-            Value::Bool(_) => 1,
-            Value::Int(_) | Value::Float(_) => 8,
-            Value::Text(s) => s.len(),
-        }
+        self.borrowed().payload_len()
     }
 
 }

@@ -34,18 +34,21 @@ use std::sync::PoisonError;
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Duration;
 
-use cind_model::{Entity, EntityId};
+use std::collections::HashMap;
+
+use cind_model::{AttrId, EntityId, ModelError};
 use cind_query::{execute_into, plan_from_survivors, Projection, Query, RowSink};
 use cind_reorg::{ReorgDriver, ReorgStats, StepReport};
+use cind_storage::page::check_record_len;
 use cind_storage::{wal, RealVfs, SegmentId, StorageError, TableSnapshot, UniversalTable, Vfs};
 use cinderella_core::{
-    validate::render, Cinderella, Config, CoreError, IndexTier, MergeReport, PruningSnapshot,
-    ReorgConfig,
+    validate::render, Cinderella, Config, CoreError, Incoming, IndexTier, InsertOutcome,
+    MergeReport, PruningSnapshot, ReorgConfig,
 };
 
 use crate::commit::{GroupCommit, GroupSink, WalCounters};
 use crate::protocol::{
-    EngineStats, ErrorCode, IoCounters, QueryStats, Response, WireEntity,
+    EngineStats, EntityView, ErrorCode, IoCounters, QueryStats, Response, WireCell, WireEntity,
 };
 use crate::{ServeConfig, ServerError};
 
@@ -112,6 +115,25 @@ struct EngineState {
     /// The commit coordinator for the *current* WAL generation (durable
     /// stores only). Replaced under the write lock at every checkpoint.
     commit: Option<Arc<GroupCommit>>,
+    /// The write path's buffers, reused from entity to entity.
+    scratch: WriteScratch,
+}
+
+/// What [`Engine::write_entity`] reuses across entities, so that once it has seen
+/// its widest entity it allocates nothing for the sort or the encoding.
+#[derive(Default)]
+struct WriteScratch {
+    /// `(attribute id, cell index)` per cell, sorted by attribute id.
+    sorted: Vec<(AttrId, u32)>,
+    /// The entity as Algorithm 1 and the table take it.
+    incoming: Incoming,
+}
+
+/// Which write [`Engine::write_entity`] runs.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Write {
+    Insert,
+    Update,
 }
 
 /// An owned, immutable view of the engine at one write epoch: the table
@@ -145,8 +167,9 @@ impl EngineSnapshot {
 pub struct Engine {
     state: RwLock<EngineState>,
     /// Bumped (under the write lock) by every write-path entry, including
-    /// failed ones — a failed insert may still have interned attribute
-    /// names, which a cached snapshot must not miss.
+    /// failed ones — a refused write changes nothing, but a failed merge
+    /// or reorganizer step may have moved entities before its error, which
+    /// a cached snapshot must not miss.
     epoch: AtomicU64,
     /// The newest snapshot built so far, keyed by the epoch it captured.
     /// Readers at the same epoch share one snapshot; the first reader
@@ -179,6 +202,7 @@ impl Engine {
                 table: UniversalTable::new(opts.pool_pages),
                 cindy: Cinderella::new(opts.config),
                 commit: None,
+                scratch: WriteScratch::default(),
             }),
             epoch: AtomicU64::new(0),
             snap_cache: Mutex::new(None),
@@ -245,7 +269,12 @@ impl Engine {
         table.wal_mark_epoch(epoch);
 
         Ok(Self {
-            state: RwLock::new(EngineState { table, cindy, commit: Some(commit) }),
+            state: RwLock::new(EngineState {
+                table,
+                cindy,
+                commit: Some(commit),
+                scratch: WriteScratch::default(),
+            }),
             epoch: AtomicU64::new(0),
             snap_cache: Mutex::new(None),
             store: Some(dir.to_path_buf()),
@@ -265,8 +294,8 @@ impl Engine {
     }
 
     /// Runs a mutation under the write lock and bumps the epoch before the
-    /// lock is released — success or failure, since even a failed write
-    /// may have interned attribute names into the catalog. Durable stores
+    /// lock is released — success or failure, since a failed merge or
+    /// reorganizer step may have moved entities. Durable stores
     /// then wait *outside* the lock for the group-commit coordinator to
     /// make the mutation's WAL group durable, so the lock is free for the
     /// next writer while this one's group is being fsynced.
@@ -332,32 +361,105 @@ impl Engine {
         snap
     }
 
-    fn build_entity(
+    /// The one write path, under the write lock: `view`'s names resolved
+    /// by lookup, its cells sorted by attribute id in reused scratch, its
+    /// record and signature encoded once, then Algorithm 1
+    /// ([`Cinderella::insert_encoded`] / [`Cinderella::update_encoded`]).
+    /// A name the catalog does not know is given the id interning would
+    /// give it and is interned only once nothing can refuse the write — a
+    /// repeated name, a stored (or, for an update, a missing) id, a record
+    /// no page holds — so a refused write changes nothing, the catalog
+    /// included. Returns `(segment, split?)`.
+    fn write_entity(
         state: &mut EngineState,
-        wire: &WireEntity,
-    ) -> Result<Entity, ServerError> {
-        let attrs: Vec<_> = wire
-            .attrs
-            .iter()
-            .map(|(name, value)| (state.table.catalog_mut().intern(name), value.clone()))
-            .collect();
-        Entity::new(EntityId(wire.id), attrs)
-            .map_err(|e| ServerError::Core(CoreError::Model(e)))
+        view: &EntityView<'_>,
+        kind: Write,
+    ) -> Result<(u32, bool), ServerError> {
+        let EngineState { table, cindy, scratch, .. } = state;
+        let WriteScratch { sorted, incoming } = scratch;
+        let id = EntityId(view.id);
+        let known = table.catalog().len();
+        let mut unseen: Vec<&str> = Vec::new();
+        let mut fresh: HashMap<&str, AttrId> = HashMap::new();
+        sorted.clear();
+        for (i, &(name, _)) in view.cells.iter().enumerate() {
+            let attr = table.catalog().lookup(name).unwrap_or_else(|| {
+                *fresh.entry(name).or_insert_with(|| {
+                    unseen.push(name);
+                    AttrId((known + unseen.len() - 1) as u32)
+                })
+            });
+            sorted.push((attr, i as u32));
+        }
+        sorted.sort_unstable_by_key(|&(attr, _)| attr);
+        if let Some(pair) = sorted.windows(2).find(|pair| pair[0].0 == pair[1].0) {
+            let attr = pair[0].0;
+            return Err(CoreError::Model(ModelError::DuplicateEntityAttribute { entity: id, attr }).into());
+        }
+        let cells = sorted.iter().map(|&(attr, i)| (attr, view.cells[i as usize].1));
+        incoming.encode(id, known + unseen.len(), cindy.config().size_model, cells);
+        // One WAL group around the write, the core's own nesting into it:
+        // a write refused below closes it empty, as one the core refuses
+        // does.
+        table.wal_txn_begin();
+        let result = (|| -> Result<InsertOutcome, ServerError> {
+            if !unseen.is_empty() {
+                // The core refuses these without changing anything;
+                // interning would change the catalog first, so they are
+                // asked here.
+                let refusal = match kind {
+                    Write::Insert => table.admits(id, incoming.record()),
+                    Write::Update => table
+                        .location(id)
+                        .ok_or(StorageError::NoSuchEntity(id))
+                        .and_then(|_| check_record_len(incoming.record())),
+                };
+                refusal.map_err(CoreError::from)?;
+                for name in unseen {
+                    table.catalog_mut().intern(name);
+                }
+            }
+            Ok(match kind {
+                Write::Insert => cindy.insert_encoded(table, incoming)?,
+                Write::Update => cindy.update_encoded(table, incoming)?,
+            })
+        })();
+        let outcome = match table.wal_txn_commit() {
+            Ok(()) => result,
+            Err(e) => result.and(Err(CoreError::from(e).into())),
+        }?;
+        let seg = match outcome {
+            InsertOutcome::Inserted(seg) | InsertOutcome::NewPartition(seg) => seg.0,
+            InsertOutcome::Split { .. } => table.location(id).map_or(0, |seg| seg.0),
+        };
+        Ok((seg, outcome.is_split()))
     }
 
-    /// Inserts an entity; returns `(segment, split?)`.
-    ///
-    /// # Errors
-    /// Duplicate ids, storage failures, attribute-less entities.
-    pub fn insert(&self, wire: &WireEntity) -> Result<(u32, bool), ServerError> {
-        let out = self.write_op(|state| {
-            let entity = Self::build_entity(state, wire)?;
-            let outcome = state.cindy.insert(&mut state.table, entity)?;
-            let seg = state.table.location(EntityId(wire.id)).map_or(0, |s| s.0);
-            Ok((seg, outcome.is_split()))
-        })?;
+    /// Runs one write through [`Self::write_entity`] as its own write-lock
+    /// acquisition and durability wait, then the reorganizer's cadence.
+    fn write_one(&self, view: &EntityView<'_>, kind: Write) -> Result<(u32, bool), ServerError> {
+        let out = self.write_op(|state| Self::write_entity(state, view, kind))?;
         self.after_write()?;
         Ok(out)
+    }
+
+    /// Inserts an entity; returns `(segment, split?)`. An adapter that
+    /// lends `wire`'s cells to `Self::insert_view`.
+    ///
+    /// # Errors
+    /// As `Self::insert_view`.
+    pub fn insert(&self, wire: &WireEntity) -> Result<(u32, bool), ServerError> {
+        let cells: Vec<WireCell<'_>> = wire.cells().collect();
+        self.insert_view(&EntityView { id: wire.id, cells: &cells })
+    }
+
+    /// Inserts an entity read in place; returns `(segment, split?)`.
+    ///
+    /// # Errors
+    /// Duplicate ids or attribute names, records larger than a page,
+    /// storage failures. A refused insert changes nothing.
+    pub(crate) fn insert_view(&self, view: &EntityView<'_>) -> Result<(u32, bool), ServerError> {
+        self.write_one(view, Write::Insert)
     }
 
     /// Inserts a batch of entities under **one** writer-lock acquisition
@@ -370,18 +472,11 @@ impl Engine {
     /// Per-item results in request order. If the shared durability wait
     /// fails, every item that succeeded in memory is converted to that
     /// error: nothing is acked that the log cannot replay.
-    pub fn insert_many(&self, wires: &[&WireEntity]) -> Vec<Result<(u32, bool), ServerError>> {
+    pub(crate) fn insert_many(&self, views: &[EntityView<'_>]) -> Vec<Result<(u32, bool), ServerError>> {
         let mut guard = self.write();
         let state = &mut *guard;
-        let mut results: Vec<Result<(u32, bool), ServerError>> = wires
-            .iter()
-            .map(|wire| {
-                let entity = Self::build_entity(state, wire)?;
-                let outcome = state.cindy.insert(&mut state.table, entity)?;
-                let seg = state.table.location(EntityId(wire.id)).map_or(0, |s| s.0);
-                Ok((seg, outcome.is_split()))
-            })
-            .collect();
+        let mut results: Vec<Result<(u32, bool), ServerError>> =
+            views.iter().map(|view| Self::write_entity(state, view, Write::Insert)).collect();
         self.epoch.fetch_add(1, Ordering::Release);
         let pending = state.commit.as_ref().map(|c| (Arc::clone(c), c.ticket()));
         drop(guard);
@@ -409,19 +504,24 @@ impl Engine {
         results
     }
 
-    /// Replaces a stored entity; returns `(segment, split?)`.
+    /// Replaces a stored entity; returns `(segment, split?)`. An adapter
+    /// that lends `wire`'s cells to `Self::update_view`.
     ///
     /// # Errors
-    /// Unknown ids, storage failures.
+    /// As `Self::update_view`.
     pub fn update(&self, wire: &WireEntity) -> Result<(u32, bool), ServerError> {
-        let out = self.write_op(|state| {
-            let entity = Self::build_entity(state, wire)?;
-            let outcome = state.cindy.update(&mut state.table, entity)?;
-            let seg = state.table.location(EntityId(wire.id)).map_or(0, |s| s.0);
-            Ok((seg, outcome.is_split()))
-        })?;
-        self.after_write()?;
-        Ok(out)
+        let cells: Vec<WireCell<'_>> = wire.cells().collect();
+        self.update_view(&EntityView { id: wire.id, cells: &cells })
+    }
+
+    /// Replaces a stored entity with one read in place; returns
+    /// `(segment, split?)`.
+    ///
+    /// # Errors
+    /// Unknown ids, duplicate attribute names, records larger than a page,
+    /// storage failures. A refused update changes nothing.
+    pub(crate) fn update_view(&self, view: &EntityView<'_>) -> Result<(u32, bool), ServerError> {
+        self.write_one(view, Write::Update)
     }
 
     /// Deletes an entity by id.
@@ -694,6 +794,11 @@ impl Engine {
             Ok(report)
         })
     }
+}
+
+/// A write's answer: `Written`, or its typed error.
+pub(crate) fn written(result: Result<(u32, bool), ServerError>) -> Response {
+    to_frame(result.map(|(segment, split)| Response::Written { segment, split }))
 }
 
 /// Folds an error into a typed error frame (the shared tail of every

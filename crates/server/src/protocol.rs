@@ -24,6 +24,16 @@
 //! CIND-A002, which clippy enforces through the crate root's
 //! `deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)`).
 //!
+//! The request side mirrors the response side. A write request's entities
+//! have one parser, [`decode_request_view`], which reads an `Insert`,
+//! `Update` or `InsertBatch` frame in place: each entity an
+//! [`EntityView`] of `(name, value)` cells — `(&str, ValueRef)` — that
+//! point into the connection's read buffer, so the server's write path
+//! builds no `String`, no `Value` and no [`WireEntity`] before the record
+//! is encoded. [`decode_request`]'s owned [`Request`] is that decoder plus
+//! [`RequestView::into_owned`]; a typed caller's [`WireEntity`]s are lent
+//! as views by [`Entities::of`], so both reach the same insert path.
+//!
 //! A `Rows` body has two producers that write the same bytes through the
 //! same cell codec: [`encode_response`] from typed rows (clients and
 //! in-process callers), and [`WireRows`] + [`frame_rows`] from cells still
@@ -46,6 +56,122 @@ pub struct WireEntity {
     pub id: u64,
     /// Instantiated attributes, by name.
     pub attrs: Vec<(String, Value)>,
+}
+
+/// One cell of a write request: an attribute name and its value, borrowed
+/// where they lie — in a request frame, or in a [`WireEntity`].
+pub type WireCell<'a> = (&'a str, ValueRef<'a>);
+
+/// One entity of a write request as the engine's insert path reads it: the
+/// id and the cells in wire order (names unresolved, unsorted, possibly
+/// repeated — the engine checks).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct EntityView<'a> {
+    /// The entity id.
+    pub id: u64,
+    /// The `(name, value)` cells, in wire order.
+    pub cells: &'a [WireCell<'a>],
+}
+
+/// The entities of one `Insert`, `Update` or `InsertBatch` frame, decoded
+/// in place ([`decode_request_view`]) or lent by owned entities
+/// ([`Entities::of`]): every cell in one vector, each entity a run of it.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct Entities<'a> {
+    cells: Vec<WireCell<'a>>,
+    /// Per entity: its id and the end of its run in `cells`.
+    ends: Vec<(u64, usize)>,
+}
+
+impl<'a> Entities<'a> {
+    /// `entities` lent as views: their names and values are borrowed, not
+    /// copied.
+    #[must_use]
+    pub fn of(entities: &'a [WireEntity]) -> Self {
+        let mut out = Self {
+            cells: Vec::with_capacity(entities.iter().map(|e| e.attrs.len()).sum()),
+            ends: Vec::with_capacity(entities.len()),
+        };
+        for e in entities {
+            out.cells.extend(e.cells());
+            out.ends.push((e.id, out.cells.len()));
+        }
+        out
+    }
+
+    /// Number of entities.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Whether there is no entity.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// The entities, in request order.
+    pub fn views(&self) -> impl ExactSizeIterator<Item = EntityView<'_>> + '_ {
+        (0..self.ends.len()).map(|i| {
+            let start = i.checked_sub(1).map_or(0, |prev| self.ends[prev].1);
+            let (id, end) = self.ends[i];
+            EntityView { id, cells: &self.cells[start..end] }
+        })
+    }
+
+    /// The entities, owned.
+    fn to_wire(&self) -> Vec<WireEntity> {
+        self.views()
+            .map(|view| WireEntity {
+                id: view.id,
+                attrs: view
+                    .cells
+                    .iter()
+                    .map(|&(name, value)| (name.to_owned(), value.to_value()))
+                    .collect(),
+            })
+            .collect()
+    }
+}
+
+/// One request as the server reads it off a frame: a write's entities in
+/// place, every other request owned — it is small, or (a query's names)
+/// handed on owned.
+#[derive(Clone, Debug, PartialEq)]
+pub enum RequestView<'a> {
+    /// [`Request::Insert`]: exactly one entity.
+    Insert(Entities<'a>),
+    /// [`Request::Update`]: exactly one entity.
+    Update(Entities<'a>),
+    /// [`Request::InsertBatch`].
+    InsertBatch(Entities<'a>),
+    /// Any other request.
+    Other(Request),
+}
+
+impl RequestView<'_> {
+    /// The owned request.
+    #[must_use]
+    pub fn into_owned(self) -> Request {
+        let one = |entities: Entities<'_>| {
+            entities.to_wire().pop().unwrap_or(WireEntity { id: 0, attrs: Vec::new() })
+        };
+        match self {
+            RequestView::Insert(e) => Request::Insert(one(e)),
+            RequestView::Update(e) => Request::Update(one(e)),
+            RequestView::InsertBatch(e) => Request::InsertBatch(e.to_wire()),
+            RequestView::Other(req) => req,
+        }
+    }
+}
+
+impl WireEntity {
+    /// The cells, borrowed: how a typed caller lends this entity to the
+    /// write path a frame's entities take.
+    pub(crate) fn cells(&self) -> impl ExactSizeIterator<Item = WireCell<'_>> + '_ {
+        self.attrs.iter().map(|(name, value)| (name.as_str(), value.borrowed()))
+    }
 }
 
 /// One client request.
@@ -247,7 +373,7 @@ pub enum Response {
 
 /// Decoding failures. `Closed` is the clean end-of-stream (no partial
 /// frame); everything else is a protocol violation or truncation.
-#[derive(Debug)]
+#[derive(Debug, PartialEq, Eq)]
 pub enum ProtoError {
     /// The peer closed the connection between frames.
     Closed,
@@ -362,13 +488,25 @@ impl<'a> Cursor<'a> {
         Ok(out)
     }
 
-    fn string(&mut self, what: &'static str) -> Result<String, ProtoError> {
+    /// The bytes of a length-prefixed string.
+    fn string_bytes(&mut self, what: &'static str) -> Result<&'a [u8], ProtoError> {
         let len = self.u64(what)?;
         if len > MAX_FRAME {
             return Err(ProtoError::Malformed(what));
         }
-        let raw = self.bytes(len as usize, what)?;
-        String::from_utf8(raw.to_vec()).map_err(|_| ProtoError::Malformed(what))
+        self.bytes(len as usize, what)
+    }
+
+    /// A length-prefixed UTF-8 string, borrowed where it lies.
+    fn str(&mut self, what: &'static str) -> Result<&'a str, ProtoError> {
+        std::str::from_utf8(self.string_bytes(what)?).map_err(|_| ProtoError::Malformed(what))
+    }
+
+    /// A length-prefixed UTF-8 string, owned: copied, then checked in the
+    /// copy (measurably cheaper on a `Rows` body than check-then-copy).
+    fn string(&mut self, what: &'static str) -> Result<String, ProtoError> {
+        let raw = self.string_bytes(what)?.to_vec();
+        String::from_utf8(raw).map_err(|_| ProtoError::Malformed(what))
     }
 
     fn remaining(&self) -> usize {
@@ -440,15 +578,30 @@ fn get_value(c: &mut Cursor<'_>) -> Result<Value, ProtoError> {
     match c.u8("a value tag")? {
         0 => Ok(Value::Bool(c.u8("a bool byte")? != 0)),
         1 => Ok(Value::Int(unzigzag(c.u64("an int")?))),
-        2 => {
-            let raw = c.bytes(8, "a float")?;
-            let mut bits = [0u8; 8];
-            bits.copy_from_slice(raw);
-            Ok(Value::Float(f64::from_bits(u64::from_le_bytes(bits))))
-        }
+        2 => Ok(Value::Float(get_float(c)?)),
         3 => Ok(Value::Text(c.string("a text value")?)),
         _ => Err(ProtoError::Malformed("a known value tag")),
     }
+}
+
+/// [`get_value`] borrowed where the value lies in the body — a write
+/// request's cells. The owned decoder stays its own: a `Rows` body pays it
+/// per cell, and an owned value made from a borrowed one costs more there.
+fn get_value_ref<'a>(c: &mut Cursor<'a>) -> Result<ValueRef<'a>, ProtoError> {
+    match c.u8("a value tag")? {
+        0 => Ok(ValueRef::Bool(c.u8("a bool byte")? != 0)),
+        1 => Ok(ValueRef::Int(unzigzag(c.u64("an int")?))),
+        2 => Ok(ValueRef::Float(get_float(c)?)),
+        3 => Ok(ValueRef::Text(c.str("a text value")?)),
+        _ => Err(ProtoError::Malformed("a known value tag")),
+    }
+}
+
+fn get_float(c: &mut Cursor<'_>) -> Result<f64, ProtoError> {
+    let raw = c.bytes(8, "a float")?;
+    let mut bits = [0u8; 8];
+    bits.copy_from_slice(raw);
+    Ok(f64::from_bits(u64::from_le_bytes(bits)))
 }
 
 fn put_entity(e: &WireEntity, out: &mut Vec<u8>) {
@@ -460,19 +613,21 @@ fn put_entity(e: &WireEntity, out: &mut Vec<u8>) {
     }
 }
 
-fn get_entity(c: &mut Cursor<'_>) -> Result<WireEntity, ProtoError> {
+/// Reads one entity's id and cells onto the end of `into`.
+fn get_entity<'a>(c: &mut Cursor<'a>, into: &mut Entities<'a>) -> Result<(), ProtoError> {
     let id = c.u64("an entity id")?;
     let n = c.u64("an attribute count")?;
     if n > MAX_FRAME {
         return Err(ProtoError::Malformed("a sane attribute count"));
     }
-    let mut attrs = Vec::with_capacity(n.min(1024) as usize);
+    into.cells.reserve(n.min(1024) as usize);
     for _ in 0..n {
-        let name = c.string("an attribute name")?;
-        let value = get_value(c)?;
-        attrs.push((name, value));
+        let name = c.str("an attribute name")?;
+        let value = get_value_ref(c)?;
+        into.cells.push((name, value));
     }
-    Ok(WireEntity { id, attrs })
+    into.ends.push((id, into.cells.len()));
+    Ok(())
 }
 
 // ---- request codec ----------------------------------------------------
@@ -542,17 +697,34 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
     out
 }
 
-/// Decodes one request body.
+/// The single entity of an `Insert` or `Update` body.
+fn one_entity<'a>(c: &mut Cursor<'a>) -> Result<Entities<'a>, ProtoError> {
+    let mut entities = Entities::default();
+    get_entity(c, &mut entities)?;
+    Ok(entities)
+}
+
+/// Decodes one request body into its owned form:
+/// [`decode_request_view`] + [`RequestView::into_owned`].
+///
+/// # Errors
+/// As [`decode_request_view`].
+pub fn decode_request(body: &[u8]) -> Result<Request, ProtoError> {
+    decode_request_view(body).map(RequestView::into_owned)
+}
+
+/// Decodes one request body — the one request parser. A write request's
+/// entities come back in place, as cells borrowing `body`.
 ///
 /// # Errors
 /// [`ProtoError::Malformed`] on any byte sequence that is not a complete,
 /// exact encoding of one request.
-pub fn decode_request(body: &[u8]) -> Result<Request, ProtoError> {
+pub fn decode_request_view(body: &[u8]) -> Result<RequestView<'_>, ProtoError> {
     let mut c = Cursor::new(body);
     let req = match c.u8("a request tag")? {
-        REQ_INSERT => Request::Insert(get_entity(&mut c)?),
-        REQ_UPDATE => Request::Update(get_entity(&mut c)?),
-        REQ_DELETE => Request::Delete(c.u64("an entity id")?),
+        REQ_INSERT => RequestView::Insert(one_entity(&mut c)?),
+        REQ_UPDATE => RequestView::Update(one_entity(&mut c)?),
+        REQ_DELETE => RequestView::Other(Request::Delete(c.u64("an entity id")?)),
         REQ_QUERY => {
             let n = c.u64("an attribute count")?;
             if n > MAX_FRAME {
@@ -562,22 +734,23 @@ pub fn decode_request(body: &[u8]) -> Result<Request, ProtoError> {
             for _ in 0..n {
                 attrs.push(c.string("an attribute name")?);
             }
-            Request::Query(attrs)
+            RequestView::Other(Request::Query(attrs))
         }
-        REQ_STATS => Request::Stats,
-        REQ_VALIDATE => Request::Validate,
-        REQ_SHUTDOWN => Request::Shutdown,
-        REQ_PING => Request::Ping(c.u64("a delay")?),
+        REQ_STATS => RequestView::Other(Request::Stats),
+        REQ_VALIDATE => RequestView::Other(Request::Validate),
+        REQ_SHUTDOWN => RequestView::Other(Request::Shutdown),
+        REQ_PING => RequestView::Other(Request::Ping(c.u64("a delay")?)),
         REQ_INSERT_BATCH => {
             let n = c.u64("a batch entity count")?;
             if n > MAX_FRAME {
                 return Err(ProtoError::Malformed("a sane batch entity count"));
             }
-            let mut entities = Vec::with_capacity(n.min(1024) as usize);
+            let mut entities = Entities::default();
+            entities.ends.reserve(n.min(1024) as usize);
             for _ in 0..n {
-                entities.push(get_entity(&mut c)?);
+                get_entity(&mut c, &mut entities)?;
             }
-            Request::InsertBatch(entities)
+            RequestView::InsertBatch(entities)
         }
         REQ_QUERY_BATCH => {
             let n = c.u64("a batch query count")?;
@@ -596,9 +769,9 @@ pub fn decode_request(body: &[u8]) -> Result<Request, ProtoError> {
                 }
                 queries.push(attrs);
             }
-            Request::QueryBatch(queries)
+            RequestView::Other(Request::QueryBatch(queries))
         }
-        REQ_IO_COUNTERS => Request::IoCounters,
+        REQ_IO_COUNTERS => RequestView::Other(Request::IoCounters),
         _ => return Err(ProtoError::Malformed("a known request tag")),
     };
     c.done("no trailing bytes")?;
@@ -685,16 +858,33 @@ pub fn frame_rows(stats: &QueryStats, width: usize, legs: &[WireRows], out: &mut
     }
 }
 
+/// A `Written` body.
+fn put_written(segment: u32, split: bool, out: &mut Vec<u8>) {
+    out.push(RESP_WRITTEN);
+    varint::encode(u64::from(segment), out);
+    out.push(u8::from(split));
+}
+
+/// Appends `resp` to `out` as `len:varint body` — one whole frame, or one
+/// item of a `Batch` body: the bytes of [`frame`]ing [`encode_response`]
+/// of it. A `Written` ack, the answer a write path sends per entity, is
+/// written in place, with no body of its own.
+pub fn frame_response(resp: &Response, out: &mut Vec<u8>) {
+    match *resp {
+        Response::Written { segment, split } => {
+            varint::encode(2 + varint::encoded_len(u64::from(segment)) as u64, out);
+            put_written(segment, split, out);
+        }
+        ref other => frame(&encode_response(other), out),
+    }
+}
+
 /// Encodes one response body (unframed).
 #[must_use]
 pub fn encode_response(resp: &Response) -> Vec<u8> {
     let mut out = Vec::new();
     match resp {
-        Response::Written { segment, split } => {
-            out.push(RESP_WRITTEN);
-            varint::encode(u64::from(*segment), &mut out);
-            out.push(u8::from(*split));
-        }
+        Response::Written { segment, split } => put_written(*segment, *split, &mut out),
         Response::Deleted => out.push(RESP_DELETED),
         Response::Rows { rows, stats } => {
             let width = rows.first().map_or(0, Vec::len);
@@ -747,7 +937,7 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
         Response::Batch(items) => {
             begin_batch(items.len(), &mut out);
             for item in items {
-                frame(&encode_response(item), &mut out);
+                frame_response(item, &mut out);
             }
         }
         Response::Busy => out.push(RESP_BUSY),

@@ -9,13 +9,19 @@
 //!                               │ admit each: in-flight bound hit → Busy
 //!                               ▼
 //!                 answer in frame order into one buffer
-//!                   run of Inserts → engine.insert_batch
+//!                   Insert / Update / InsertBatch → engine write path,
+//!                     entities read in place (run of Inserts → one batch)
 //!                   IoCounters     → engine + socket counters
 //!                   anything else  → engine.answer_frame
 //!                               │
 //!                               ▼
 //!                     one write_all() per read
 //! ```
+//!
+//! **Writes read in place.** A write frame is decoded by
+//! [`decode_request_view`]: its entities stay `(&str, ValueRef)` cells in
+//! the read buffer until the engine encodes each one's record, so the
+//! buffer is compacted only after the read's frames are answered.
 //!
 //! **Pipelining.** A client may send any number of frames without waiting.
 //! Every complete frame one socket `read` delivered is decoded before any
@@ -62,8 +68,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
+use crate::engine::written;
 use crate::protocol::{
-    decode_request, encode_response, frame, split_frame, ErrorCode, Request, Response,
+    begin_batch, decode_request_view, frame, frame_response, split_frame, Entities, EntityView,
+    ErrorCode, Request, RequestView, Response,
 };
 use crate::sharded::ShardedEngine;
 use crate::{ServeConfig, ServerError};
@@ -154,8 +162,9 @@ struct Reader {
 
 /// What one decoded frame gets: run against the engine, or an answer
 /// settled at decode (`Busy`, `Malformed`, `ShuttingDown`, `ShutdownAck`).
-enum Slot {
-    Run(Request),
+/// A write's entities borrow the read buffer.
+enum Slot<'a> {
+    Run(RequestView<'a>),
     Answer(Response),
 }
 
@@ -319,12 +328,13 @@ fn reader_loop(mut stream: TcpStream, engine: &ShardedEngine, shared: &Shared) {
     // it grows only when a frame outgrows it.
     let mut buf: Vec<u8> = vec![0; READ_CHUNK];
     let mut end = 0usize;
-    let mut slots: Vec<Slot> = Vec::new();
     let mut out: Vec<u8> = Vec::new();
+    let mut batch: Vec<u8> = Vec::new();
     loop {
         let mut consumed = 0usize;
         let mut admitted = 0usize;
         let mut damaged = false;
+        let mut slots: Vec<Slot<'_>> = Vec::new();
         loop {
             match split_frame(&buf[consumed..end]) {
                 Ok(Some((body, used))) => {
@@ -346,12 +356,12 @@ fn reader_loop(mut stream: TcpStream, engine: &ShardedEngine, shared: &Shared) {
                 }
             }
         }
+        let answers = slots.len() as u64;
+        let answered = answer(engine, slots, &mut out, &mut batch, shared);
         if consumed > 0 {
             buf.copy_within(consumed..end, 0);
             end -= consumed;
         }
-        let answers = slots.len() as u64;
-        let answered = answer(engine, &mut slots, &mut out, shared);
         if answered && !out.is_empty() {
             // A vanished client is not an error.
             let _ = stream.write_all(&out);
@@ -385,11 +395,11 @@ fn reader_loop(mut stream: TcpStream, engine: &ShardedEngine, shared: &Shared) {
 
 /// Settles one decoded frame's slot: protocol errors, shutdown and
 /// admission are answered at decode; everything else is admitted to run.
-fn admit(body: &[u8], shared: &Shared, admitted: &mut usize) -> Slot {
-    match decode_request(body) {
+fn admit<'a>(body: &'a [u8], shared: &Shared, admitted: &mut usize) -> Slot<'a> {
+    match decode_request_view(body) {
         // Shutdown bypasses admission control — an overloaded server must
         // still be stoppable — and every frame decoded after it is refused.
-        Ok(Request::Shutdown) => {
+        Ok(RequestView::Other(Request::Shutdown)) => {
             shared.request_shutdown();
             Slot::Answer(Response::ShutdownAck)
         }
@@ -417,57 +427,72 @@ fn admit(body: &[u8], shared: &Shared, admitted: &mut usize) -> Slot {
 }
 
 /// Answers one read's slots in frame order, appending each answer frame to
-/// `out`. Returns `false` on hard kill: the remaining frames are abandoned
-/// and `out` must not be written.
+/// `out` (`batch` is scratch for a `Batch` body). Returns `false` on hard
+/// kill: the remaining frames are abandoned and `out` must not be written.
 fn answer(
     engine: &ShardedEngine,
-    slots: &mut Vec<Slot>,
+    slots: Vec<Slot<'_>>,
     out: &mut Vec<u8>,
+    batch: &mut Vec<u8>,
     shared: &Shared,
 ) -> bool {
-    let mut it = slots.drain(..).peekable();
+    let is_insert = |s: &Slot<'_>| matches!(s, Slot::Run(RequestView::Insert(_)));
+    let mut it = slots.into_iter().peekable();
     while let Some(slot) = it.next() {
         if shared.killed() {
             return false;
         }
         match slot {
-            Slot::Answer(resp) => frame(&encode_response(&resp), out),
+            Slot::Answer(resp) => frame_response(&resp, out),
             // A run of consecutive pipelined inserts collapses into one
             // engine batch: one routing pass, one shard-lock acquisition,
             // and one durability wait per shard — the commit coordinator
             // sees the whole run as a single group. Per-item results are
             // identical to per-op dispatch (`ShardedEngine::insert_batch`
             // pins that down).
-            Slot::Run(Request::Insert(first))
-                if matches!(it.peek(), Some(Slot::Run(Request::Insert(_)))) =>
-            {
-                let mut entities = vec![first];
-                while let Some(Slot::Run(Request::Insert(e))) =
-                    it.next_if(|s| matches!(s, Slot::Run(Request::Insert(_))))
-                {
-                    entities.push(e);
+            Slot::Run(RequestView::Insert(first)) if it.peek().is_some_and(is_insert) => {
+                let mut run = vec![first];
+                while let Some(Slot::Run(RequestView::Insert(e))) = it.next_if(is_insert) {
+                    run.push(e);
                 }
-                for r in engine.insert_batch(&entities) {
-                    let resp = crate::engine::to_frame(
-                        r.map(|(segment, split)| Response::Written { segment, split }),
-                    );
-                    frame(&encode_response(&resp), out);
+                let views: Vec<EntityView<'_>> = run.iter().flat_map(Entities::views).collect();
+                for r in engine.insert_views(&views) {
+                    frame_response(&written(r), out);
                 }
+            }
+            Slot::Run(RequestView::Insert(e)) => {
+                for view in e.views() {
+                    frame_response(&written(engine.insert_view(&view)), out);
+                }
+            }
+            Slot::Run(RequestView::Update(e)) => {
+                for view in e.views() {
+                    frame_response(&written(engine.update_view(&view)), out);
+                }
+            }
+            Slot::Run(RequestView::InsertBatch(e)) => {
+                let views: Vec<EntityView<'_>> = e.views().collect();
+                batch.clear();
+                begin_batch(views.len(), batch);
+                for r in engine.insert_views(&views) {
+                    frame_response(&written(r), batch);
+                }
+                frame(batch, out);
             }
             // Merge engine-side WAL counters with server-side net
             // counters — the full syscall observability picture.
-            Slot::Run(Request::IoCounters) => {
+            Slot::Run(RequestView::Other(Request::IoCounters)) => {
                 let mut io = engine.io_counters();
                 io.net_reads = shared.net.reads.load(Ordering::Relaxed);
                 io.net_writes = shared.net.writes.load(Ordering::Relaxed);
                 io.frames_in = shared.net.frames_in.load(Ordering::Relaxed);
                 io.frames_out = shared.net.frames_out.load(Ordering::Relaxed);
-                frame(&encode_response(&Response::IoCounters(io)), out);
+                frame_response(&Response::IoCounters(io), out);
             }
             // Everything else leaves the engine as a finished frame: query
             // rows are scanned straight into wire bytes, and no typed
             // answer is built — or freed — on this thread.
-            Slot::Run(req) => engine.answer_frame(&req, out),
+            Slot::Run(RequestView::Other(req)) => engine.answer_frame(&req, out),
         }
     }
     true

@@ -38,11 +38,11 @@ use cind_query::RowSink;
 use cind_storage::{Manifest, Vfs};
 use cinderella_core::MergeReport;
 
-use crate::engine::{to_frame, Engine, EngineOptions, SNAPSHOT_FILE, WAL_FILE};
+use crate::engine::{to_frame, written, Engine, EngineOptions, SNAPSHOT_FILE, WAL_FILE};
 use crate::legs::{Job, LegWorkers};
 use crate::protocol::{
-    begin_batch, encode_response, frame, frame_rows, EngineStats, IoCounters, QueryStats, Request,
-    Response, WireEntity, WireRows,
+    begin_batch, encode_response, frame, frame_rows, EngineStats, Entities, EntityView,
+    IoCounters, QueryStats, Request, Response, WireEntity, WireRows,
 };
 use crate::shard::ShardRouter;
 use crate::ServerError;
@@ -237,39 +237,56 @@ impl ShardedEngine {
         self.shard_engine(self.router.route(wire.id)).insert(wire)
     }
 
-    /// Inserts a batch of entities: one pass groups them by owning shard,
-    /// then each shard runs its group under a single writer-lock
-    /// acquisition and a single group-commit durability wait
-    /// ([`Engine::insert_many`]). Placement is identical to inserting the
+    /// Inserts a batch of entities: an adapter that lends `wires` to
+    /// [`Self::insert_views`].
+    #[must_use]
+    pub fn insert_batch(
+        &self,
+        wires: &[WireEntity],
+    ) -> Vec<Result<(u32, bool), ServerError>> {
+        let lent = Entities::of(wires);
+        let views: Vec<EntityView<'_>> = lent.views().collect();
+        self.insert_views(&views)
+    }
+
+    /// Inserts a batch of entities read in place: one pass groups them by
+    /// owning shard, then each shard runs its group under a single
+    /// writer-lock acquisition and a single group-commit durability wait
+    /// (`Engine::insert_many`). Placement is identical to inserting the
     /// same entities one at a time in request order — within a shard the
     /// relative order is preserved, and entities on different shards never
     /// observe each other.
     ///
     /// Per-item results, scattered back to request order.
     #[must_use]
-    pub fn insert_batch(
+    pub fn insert_views(
         &self,
-        wires: &[WireEntity],
+        views: &[EntityView<'_>],
     ) -> Vec<Result<(u32, bool), ServerError>> {
-        let mut per_shard: Vec<Vec<usize>> = vec![Vec::new(); self.slots.len()];
-        for (i, wire) in wires.iter().enumerate() {
-            per_shard[self.router.route(wire.id)].push(i);
+        let mut per_shard: Vec<Vec<EntityView<'_>>> =
+            self.slots.iter().map(|_| Vec::with_capacity(views.len())).collect();
+        let mut order: Vec<usize> = Vec::with_capacity(views.len());
+        for view in views {
+            let shard = self.router.route(view.id);
+            per_shard[shard].push(*view);
+            order.push(shard);
         }
-        let mut out: Vec<Option<Result<(u32, bool), ServerError>>> =
-            wires.iter().map(|_| None).collect();
-        for (shard, idxs) in per_shard.iter().enumerate() {
-            if idxs.is_empty() {
-                continue;
-            }
-            let engine = self.shard_engine(shard);
-            let group: Vec<&WireEntity> = idxs.iter().map(|&i| &wires[i]).collect();
-            for (&i, result) in idxs.iter().zip(engine.insert_many(&group)) {
-                out[i] = Some(result);
-            }
-        }
-        out.into_iter()
-            .map(|r| {
-                r.unwrap_or_else(|| {
+        let mut results: Vec<_> = per_shard
+            .iter()
+            .enumerate()
+            .map(|(shard, group)| {
+                let done = if group.is_empty() {
+                    Vec::new()
+                } else {
+                    self.shard_engine(shard).insert_many(group)
+                };
+                done.into_iter()
+            })
+            .collect();
+        order
+            .into_iter()
+            .map(|shard| {
+                results[shard].next().unwrap_or_else(|| {
                     Err(ServerError::Internal("batch item lost in routing".to_string()))
                 })
             })
@@ -287,12 +304,29 @@ impl ShardedEngine {
         queries.iter().map(|attrs| self.query(attrs)).collect()
     }
 
+    /// Inserts one entity read in place on its owning shard.
+    ///
+    /// # Errors
+    /// As [`Engine::insert_view`].
+    pub(crate) fn insert_view(&self, view: &EntityView<'_>) -> Result<(u32, bool), ServerError> {
+        self.shard_engine(self.router.route(view.id)).insert_view(view)
+    }
+
     /// Replaces a stored entity on its owning shard.
     ///
     /// # Errors
     /// Unknown ids, storage failures.
     pub fn update(&self, wire: &crate::protocol::WireEntity) -> Result<(u32, bool), ServerError> {
         self.shard_engine(self.router.route(wire.id)).update(wire)
+    }
+
+    /// Replaces a stored entity with one read in place, on its owning
+    /// shard.
+    ///
+    /// # Errors
+    /// As [`Engine::update_view`].
+    pub(crate) fn update_view(&self, view: &EntityView<'_>) -> Result<(u32, bool), ServerError> {
+        self.shard_engine(self.router.route(view.id)).update_view(view)
     }
 
     /// Deletes an entity from its owning shard.
@@ -568,26 +602,14 @@ impl ShardedEngine {
     #[must_use]
     pub fn handle(&self, req: &Request) -> Response {
         let result = match req {
-            Request::Insert(e) => self
-                .insert(e)
-                .map(|(segment, split)| Response::Written { segment, split }),
-            Request::Update(e) => self
-                .update(e)
-                .map(|(segment, split)| Response::Written { segment, split }),
+            Request::Insert(e) => return written(self.insert(e)),
+            Request::Update(e) => return written(self.update(e)),
             Request::Delete(id) => self.delete(*id).map(|()| Response::Deleted),
             Request::Query(attrs) => self
                 .query(attrs)
                 .map(|(rows, stats)| Response::Rows { rows, stats }),
             Request::InsertBatch(entities) => Ok(Response::Batch(
-                self.insert_batch(entities)
-                    .into_iter()
-                    .map(|r| {
-                        to_frame(r.map(|(segment, split)| Response::Written {
-                            segment,
-                            split,
-                        }))
-                    })
-                    .collect(),
+                self.insert_batch(entities).into_iter().map(written).collect(),
             )),
             Request::QueryBatch(queries) => Ok(Response::Batch(
                 self.query_batch(queries)

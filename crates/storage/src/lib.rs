@@ -55,7 +55,7 @@ pub use error::StorageError;
 pub use iostats::{AtomicIoStats, IoStats};
 pub use page::{Page, SlotId, PAGE_SIZE};
 pub use persist::PersistError;
-pub use record::{decode_entity, encode_entity, signature_bit, Signature};
+pub use record::{decode_entity, encode_entity, encode_record, signature_bit, Signature};
 pub use segment::{RecordId, Segment, SegmentId};
 pub use manifest::Manifest;
 pub use table::{ReadView, TableSnapshot, UniversalTable};

@@ -1,6 +1,7 @@
 //! Slotted heap pages.
 
 use crate::record::{self, Signature};
+use crate::StorageError;
 
 /// Page size in bytes. 8 KiB, matching the PostgreSQL default the paper's
 /// prototype ran on.
@@ -14,6 +15,18 @@ const SLOT: usize = 4;
 
 /// Maximum serialized record size a single (empty) page can hold.
 pub const MAX_RECORD: usize = PAGE_SIZE - HEADER - SLOT;
+
+/// Refuses a record no page can hold — the one size gate, which every
+/// store path passes before it changes anything.
+///
+/// # Errors
+/// [`StorageError::RecordTooLarge`] past [`MAX_RECORD`] bytes.
+pub fn check_record_len(record: &[u8]) -> Result<(), StorageError> {
+    if record.len() > MAX_RECORD {
+        return Err(StorageError::RecordTooLarge { len: record.len(), max: MAX_RECORD });
+    }
+    Ok(())
+}
 
 /// Index of a record slot within a page.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -43,8 +56,9 @@ struct Slot {
 /// and reused.
 ///
 /// Beside the slot directory the page keeps one [`Signature`] per slot:
-/// derived state — computed from the record bytes by [`Page::insert`], the
-/// only writer, and never stored, logged or sent — that lets a scan tell,
+/// derived state — computed from the record bytes by [`Page::insert`], or
+/// handed in with them by the encoder that made them
+/// (`Page::insert_signed`), and never stored, logged or sent — that lets a scan tell,
 /// without reading a record, that it instantiates none of the attributes a
 /// query names.
 #[derive(Clone, Debug)]
@@ -110,6 +124,17 @@ impl Page {
     /// Panics if `rec` is empty or longer than [`MAX_RECORD`] — the segment
     /// layer screens both before calling.
     pub fn insert(&mut self, rec: &[u8]) -> Option<SlotId> {
+        self.insert_signed(rec, record::signature(rec))
+    }
+
+    /// [`Page::insert`] of a record whose [`Signature`] the caller already
+    /// has — the encoder returns it with the bytes — so the record is not
+    /// walked again. `signature` must be what the bytes give;
+    /// [`Page::validate_signatures`] proves it.
+    ///
+    /// # Panics
+    /// As [`Page::insert`].
+    pub(crate) fn insert_signed(&mut self, rec: &[u8], signature: Signature) -> Option<SlotId> {
         assert!(!rec.is_empty(), "records are never empty");
         assert!(rec.len() <= MAX_RECORD, "record exceeds page capacity");
         if !self.fits(rec.len()) {
@@ -128,7 +153,6 @@ impl Page {
         self.data[offset..offset + rec.len()].copy_from_slice(rec);
         self.free_start += rec.len();
         let slot = Slot { offset: offset as u16, len: rec.len() as u16 };
-        let signature = record::signature(rec);
         let id = match reuse {
             Some(i) => {
                 self.slots[i] = slot;

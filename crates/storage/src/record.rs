@@ -24,34 +24,52 @@ const TAG_TEXT: u8 = 3;
 /// Payload bytes by tag; a text payload carries its own length.
 const FIXED_LEN: [usize; 4] = [1, 8, 8, 0];
 
-/// Serializes `entity` into a fresh byte vector.
+/// Serializes `entity` into a fresh byte vector ([`encode_record`] of its
+/// id and attributes).
 pub fn encode_entity(entity: &Entity) -> Vec<u8> {
     let mut out = Vec::with_capacity(8 + entity.arity() * 12);
-    varint::encode(entity.id().0, &mut out);
-    varint::encode(entity.arity() as u64, &mut out);
-    for (attr, value) in entity.attrs() {
-        varint::encode(attr.index() as u64, &mut out);
+    let attrs = entity.attrs().iter().map(|(attr, value)| (*attr, value.borrowed()));
+    encode_record(entity.id(), attrs, &mut out);
+    out
+}
+
+/// Appends the record of entity `id` holding `attrs` to `out` and returns
+/// its [`Signature`] — the one record encoder: an [`Entity`] and cells still
+/// lying in a request frame both come here borrowed, so they cannot encode
+/// apart. `attrs` must come in strictly ascending id order, as an entity
+/// keeps them; the encoder does not sort.
+pub fn encode_record<'v>(
+    id: EntityId,
+    attrs: impl ExactSizeIterator<Item = (AttrId, ValueRef<'v>)>,
+    out: &mut Vec<u8>,
+) -> Signature {
+    varint::encode(id.0, out);
+    varint::encode(attrs.len() as u64, out);
+    let mut signature = 0;
+    for (attr, value) in attrs {
+        signature |= signature_bit(attr);
+        varint::encode(u64::from(attr.index()), out);
         match value {
-            Value::Bool(b) => {
+            ValueRef::Bool(b) => {
                 out.push(TAG_BOOL);
-                out.push(u8::from(*b));
+                out.push(u8::from(b));
             }
-            Value::Int(i) => {
+            ValueRef::Int(i) => {
                 out.push(TAG_INT);
                 out.extend_from_slice(&i.to_le_bytes());
             }
-            Value::Float(x) => {
+            ValueRef::Float(x) => {
                 out.push(TAG_FLOAT);
                 out.extend_from_slice(&x.to_le_bytes());
             }
-            Value::Text(s) => {
+            ValueRef::Text(s) => {
                 out.push(TAG_TEXT);
-                varint::encode(s.len() as u64, &mut out);
+                varint::encode(s.len() as u64, out);
                 out.extend_from_slice(s.as_bytes());
             }
         }
     }
-    out
+    signature
 }
 
 /// An entity's attribute synopsis folded to one word: bit `attr id mod 128`
@@ -359,6 +377,16 @@ mod tests {
         let bytes = encode_entity(&e);
         let back = decode_entity(&bytes).unwrap();
         assert_eq!(back, e);
+    }
+
+    #[test]
+    fn the_encoder_signature_is_the_walked_one() {
+        let e = sample();
+        let mut bytes = Vec::new();
+        let attrs = e.attrs().iter().map(|(a, v)| (*a, v.borrowed()));
+        let signature = encode_record(e.id(), attrs, &mut bytes);
+        assert_eq!(bytes, encode_entity(&e));
+        assert_eq!(signature, super::signature(&bytes));
     }
 
     #[test]

@@ -2,7 +2,8 @@
 
 use std::sync::Arc;
 
-use crate::page::{Page, SlotId, MAX_RECORD};
+use crate::page::{check_record_len, Page, SlotId, MAX_RECORD};
+use crate::record::Signature;
 use crate::StorageError;
 
 /// Identifier of a segment (and thus of the partition stored in it).
@@ -101,15 +102,22 @@ impl Segment {
     /// [`StorageError::RecordTooLarge`] if the record cannot fit even an
     /// empty page.
     pub fn insert(&mut self, rec: &[u8]) -> Result<RecordId, StorageError> {
-        if rec.len() > MAX_RECORD {
-            return Err(StorageError::RecordTooLarge { len: rec.len(), max: MAX_RECORD });
-        }
+        self.insert_signed(rec, crate::record::signature(rec))
+    }
+
+    /// [`Segment::insert`] of a record whose [`Signature`] the caller
+    /// already has (see [`Page::insert_signed`]).
+    ///
+    /// # Errors
+    /// As [`Segment::insert`].
+    pub(crate) fn insert_signed(&mut self, rec: &[u8], signature: Signature) -> Result<RecordId, StorageError> {
+        check_record_len(rec)?;
         // Fast path: the active page. `fits` is checked on the shared page
         // before `Arc::make_mut` so a full page is never copied just to
         // discover there is no room.
         if let Some(page) = self.pages.get_mut(self.active) {
             if page.fits(rec.len()) {
-                if let Some(slot) = Arc::make_mut(page).insert(rec) {
+                if let Some(slot) = Arc::make_mut(page).insert_signed(rec, signature) {
                     self.records += 1;
                     return Ok(RecordId { page: self.active as u32, slot });
                 }
@@ -120,7 +128,7 @@ impl Segment {
             if i == self.active || !page.fits(rec.len()) {
                 continue;
             }
-            if let Some(slot) = Arc::make_mut(page).insert(rec) {
+            if let Some(slot) = Arc::make_mut(page).insert_signed(rec, signature) {
                 self.active = i;
                 self.records += 1;
                 return Ok(RecordId { page: i as u32, slot });
@@ -130,7 +138,7 @@ impl Segment {
         // record, so a `None` here can only mean that gate is broken —
         // surface it as the same typed error instead of panicking.
         let mut page = Page::new();
-        let Some(slot) = page.insert(rec) else {
+        let Some(slot) = page.insert_signed(rec, signature) else {
             return Err(StorageError::RecordTooLarge { len: rec.len(), max: MAX_RECORD });
         };
         self.pages.push(Arc::new(page));

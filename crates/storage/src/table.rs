@@ -1,12 +1,14 @@
 //! The universal table: segments + attribute catalog + entity locator.
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use cind_model::{AttributeCatalog, Entity, EntityId};
 
 use crate::buffer::PageKey;
-use crate::record::{decode_entity, encode_entity, Signature};
+use crate::page::check_record_len;
+use crate::record::{decode_entity, encode_record, Signature};
 use crate::segment::{RecordId, Segment, SegmentId};
 use crate::{BufferPool, IoStats, PersistError, StorageError};
 
@@ -170,13 +172,7 @@ impl UniversalTable {
 
     /// Allocates a fresh, empty segment.
     pub fn create_segment(&mut self) -> SegmentId {
-        let id = SegmentId(self.next_segment);
-        self.next_segment += 1;
-        self.segments.insert(id, Arc::new(Segment::new(id)));
-        if let Some(wal) = &mut self.wal {
-            wal.log_create_segment(&self.catalog, id);
-        }
-        id
+        new_segment(&mut self.segments, &mut self.next_segment, &mut self.wal, &self.catalog)
     }
 
     /// Drops an **empty** segment.
@@ -295,30 +291,74 @@ impl UniversalTable {
         Ok(())
     }
 
-    /// Inserts `entity` into `seg`.
+    /// Inserts `entity` into `seg`: [`Self::insert_record`] of its encoding.
     ///
     /// # Errors
     /// [`StorageError::DuplicateEntity`] if the id is already stored,
     /// [`StorageError::NoSuchSegment`] / [`StorageError::RecordTooLarge`]
     /// from the layers below.
     pub fn insert(&mut self, seg: SegmentId, entity: &Entity) -> Result<(), StorageError> {
-        if self.locator.contains_key(&entity.id()) {
-            return Err(StorageError::DuplicateEntity(entity.id()));
-        }
-        self.place_record(seg, entity.id(), &encode_entity(entity))
+        let mut record = Vec::with_capacity(8 + entity.arity() * 12);
+        let attrs = entity.attrs().iter().map(|(attr, value)| (*attr, value.borrowed()));
+        let signature = encode_record(entity.id(), attrs, &mut record);
+        self.insert_record(Some(seg), entity.id(), &record, signature).map(drop)
     }
 
-    /// Stores the encoded `record` of entity `id` in `seg`: the segment
-    /// insert, the page write, the locator entry and the WAL insert frame
-    /// that [`Self::insert`] and [`Self::move_entity`] share.
-    fn place_record(&mut self, seg: SegmentId, id: EntityId, record: &[u8]) -> Result<(), StorageError> {
-        let rid = self.segment_mut(seg)?.insert(record)?;
-        self.pool.write(PageKey { segment: seg, page: rid.page });
-        self.locator.insert(id, (seg, rid));
-        if let Some(wal) = &mut self.wal {
-            wal.log_insert(&self.catalog, seg, record);
+    /// Whether entity `id` with encoded `record` could be stored: its id is
+    /// not, and the record fits a page. [`Self::insert_record`] makes the
+    /// same two checks, in the same order, at its one locator probe; this is
+    /// for a caller that must know before it changes anything else.
+    ///
+    /// # Errors
+    /// [`StorageError::DuplicateEntity`], then
+    /// [`StorageError::RecordTooLarge`].
+    pub fn admits(&self, id: EntityId, record: &[u8]) -> Result<(), StorageError> {
+        if self.locator.contains_key(&id) {
+            return Err(StorageError::DuplicateEntity(id));
         }
-        self.wal_ok()
+        check_record_len(record)
+    }
+
+    /// Stores the encoded `record` of entity `id`, whose [`Signature`] the
+    /// encoder returned with it ([`encode_record`]), in segment `into` — or,
+    /// for `None`, in a segment created for it once the checks pass — and
+    /// returns that segment. One locator probe both rejects a stored id and
+    /// indexes the new record; a record too large for a page is refused at
+    /// the same point. Either refusal leaves the table, its segments and
+    /// its log as they were.
+    ///
+    /// # Errors
+    /// [`StorageError::DuplicateEntity`], [`StorageError::RecordTooLarge`],
+    /// [`StorageError::NoSuchSegment`] for an unknown `into`; a sticky WAL
+    /// failure.
+    pub fn insert_record(
+        &mut self,
+        into: Option<SegmentId>,
+        id: EntityId,
+        record: &[u8],
+        signature: Signature,
+    ) -> Result<SegmentId, StorageError> {
+        let Self { catalog, segments, locator, pool, next_segment, wal } = self;
+        let Entry::Vacant(slot) = locator.entry(id) else {
+            return Err(StorageError::DuplicateEntity(id));
+        };
+        check_record_len(record)?;
+        let seg = match into {
+            Some(seg) => seg,
+            None => new_segment(segments, next_segment, wal, catalog),
+        };
+        let segment = segments
+            .get_mut(&seg)
+            .map(Arc::make_mut)
+            .ok_or(StorageError::NoSuchSegment(seg))?;
+        let rid = segment.insert_signed(record, signature)?;
+        slot.insert((seg, rid));
+        pool.write(PageKey { segment: seg, page: rid.page });
+        if let Some(wal) = wal {
+            wal.log_insert(catalog, seg, record);
+        }
+        self.wal_ok()?;
+        Ok(seg)
     }
 
     /// A `Send + Sync` scan handle over the table's immutable state: the
@@ -391,8 +431,9 @@ impl UniversalTable {
     }
 
     /// Moves one entity's stored bytes to another segment, never decoding
-    /// or re-encoding them; the WAL logs the delete + insert frames a delete
-    /// and an insert would. A move within the same segment is a no-op.
+    /// or re-encoding them: [`Self::insert_record`] of the unlinked bytes,
+    /// so the WAL logs the delete + insert frames a delete and an insert
+    /// would. A move within the same segment is a no-op.
     pub fn move_entity(&mut self, entity: EntityId, to: SegmentId) -> Result<(), StorageError> {
         let &(from, _) = self
             .locator
@@ -405,7 +446,8 @@ impl UniversalTable {
             return Err(StorageError::NoSuchSegment(to));
         }
         let record = self.remove_record(entity)?;
-        self.place_record(to, entity, &record)
+        let signature = crate::record::signature(&record);
+        self.insert_record(Some(to), entity, &record, signature).map(drop)
     }
 
     /// Scans all entities of `seg`, invoking `f` for each. Touches the
@@ -441,6 +483,25 @@ impl UniversalTable {
         }
         out
     }
+}
+
+/// Allocates a fresh, empty segment under the next id and logs it: the one
+/// body of [`UniversalTable::create_segment`] and of an
+/// [`UniversalTable::insert_record`] into a new segment, which holds the
+/// locator borrowed meanwhile.
+fn new_segment(
+    segments: &mut BTreeMap<SegmentId, Arc<Segment>>,
+    next_segment: &mut u32,
+    wal: &mut Option<crate::wal::WalSink>,
+    catalog: &AttributeCatalog,
+) -> SegmentId {
+    let id = SegmentId(*next_segment);
+    *next_segment += 1;
+    segments.insert(id, Arc::new(Segment::new(id)));
+    if let Some(wal) = wal {
+        wal.log_create_segment(catalog, id);
+    }
+    id
 }
 
 /// An owned, immutable snapshot of a [`UniversalTable`]'s state at one
@@ -620,6 +681,7 @@ impl<'a> ReadView<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::encode_entity;
     use cind_model::{AttrId, Value};
 
     fn entity(table: &mut UniversalTable, id: u64, attrs: &[(&str, i64)]) -> Entity {
@@ -658,6 +720,54 @@ mod tests {
             t.insert(seg, &e),
             Err(StorageError::DuplicateEntity(EntityId(1)))
         ));
+    }
+
+    #[test]
+    fn insert_record_refuses_before_it_changes_anything() {
+        /// The log's bytes, readable while the table owns the writer.
+        #[derive(Clone, Default)]
+        struct Log(Arc<std::sync::Mutex<Vec<u8>>>);
+        impl std::io::Write for Log {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0.lock().unwrap().extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let wal = Log::default();
+        let logged_bytes = || wal.0.lock().unwrap().len();
+        let mut t = UniversalTable::new(64);
+        t.attach_wal(Box::new(wal.clone()));
+        let seg = t.create_segment();
+        let e = entity(&mut t, 1, &[("a", 1)]);
+        t.insert(seg, &e).unwrap();
+        let logged = logged_bytes();
+        let record = |id: u64, text: usize| {
+            let e = Entity::new(EntityId(id), [(AttrId(0), Value::Text("x".repeat(text)))]).unwrap();
+            let mut out = Vec::new();
+            let sig = encode_record(e.id(), e.attrs().iter().map(|(a, v)| (*a, v.borrowed())), &mut out);
+            (out, sig)
+        };
+        let (dup, dup_sig) = record(1, 3);
+        let (big, big_sig) = record(2, 9_000);
+        for (into, bytes, sig, id) in [(None, &dup, dup_sig, 1), (Some(seg), &dup, dup_sig, 1), (None, &big, big_sig, 2)] {
+            assert!(t.insert_record(into, EntityId(id), bytes, sig).is_err());
+            assert_eq!((t.segment_count(), t.entity_count(), logged_bytes()), (1, 1, logged));
+        }
+        assert!(matches!(
+            t.insert_record(Some(SegmentId(7)), EntityId(3), &record(3, 1).0, 0),
+            Err(StorageError::NoSuchSegment(SegmentId(7)))
+        ));
+        assert_eq!(t.admits(EntityId(1), &dup), Err(StorageError::DuplicateEntity(EntityId(1))));
+        assert!(matches!(t.admits(EntityId(2), &big), Err(StorageError::RecordTooLarge { .. })));
+        let (ok, ok_sig) = record(3, 3);
+        assert_eq!(t.admits(EntityId(3), &ok), Ok(()));
+        let fresh = t.insert_record(None, EntityId(3), &ok, ok_sig).unwrap();
+        assert_ne!(fresh, seg);
+        assert_eq!((t.location(EntityId(3)), t.segment_count()), (Some(fresh), 2));
+        assert_eq!(t.validate_signatures(), Vec::<String>::new());
     }
 
     #[test]

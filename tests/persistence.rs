@@ -291,3 +291,125 @@ fn open_refuses_an_empty_segment_without_panicking() {
         Ok(_) => panic!("open accepted a snapshot with an empty segment"),
     }
 }
+
+/// A 1-shard durable store in a fresh temporary directory named `name`.
+fn durable_store(name: &str) -> (std::path::PathBuf, cinderella::server::ShardedEngine) {
+    use cinderella::server::{EngineOptions, ShardedEngine, ShardedOptions};
+    let dir = std::env::temp_dir().join(format!("cind_{name}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let engine = ShardedEngine::open(&dir, ShardedOptions::new(EngineOptions::default(), 1))
+        .expect("open");
+    (dir, engine)
+}
+
+fn reopen(dir: &std::path::Path) -> cinderella::server::ShardedEngine {
+    use cinderella::server::{EngineOptions, ShardedEngine, ShardedOptions};
+    ShardedEngine::open(dir, ShardedOptions::new(EngineOptions::default(), 1)).expect("reopen")
+}
+
+fn wire(id: u64, attrs: &[(&str, cinderella::model::Value)]) -> cinderella::server::WireEntity {
+    let attrs = attrs.iter().map(|(name, value)| ((*name).to_owned(), value.clone())).collect();
+    cinderella::server::WireEntity { id, attrs }
+}
+
+/// Text no 8 KiB page can hold.
+fn huge() -> cinderella::model::Value {
+    cinderella::model::Value::Text("x".repeat(20_000))
+}
+
+/// An entity whose record no page holds rates negative against every
+/// partition, so Algorithm 1 would open a partition for it. It is refused
+/// before that: no empty segment reaches the log, and the store reopens —
+/// `Cinderella::rebuild` refuses an empty segment.
+#[test]
+fn an_oversized_record_leaves_a_store_that_reopens() {
+    use cinderella::model::Value;
+    use cinderella::server::ServerError;
+    use cinderella::storage::StorageError;
+    let (dir, engine) = durable_store("oversized_reopen");
+    engine.insert(&wire(1, &[("a", Value::Int(1))])).expect("insert");
+    match engine.insert(&wire(5, &[("huge", huge())])) {
+        Err(ServerError::Core(cinderella::core::CoreError::Storage(
+            StorageError::RecordTooLarge { .. },
+        ))) => {}
+        other => panic!("expected RecordTooLarge, got {other:?}"),
+    }
+    engine.insert(&wire(2, &[("a", Value::Int(2))])).expect("insert");
+    assert_eq!(engine.validate().expect("validate"), Vec::<String>::new());
+    assert_eq!(engine.stats().partitions, 1);
+    drop(engine);
+
+    let engine = reopen(&dir);
+    assert_eq!((engine.stats().entities, engine.stats().partitions), (2, 1));
+    assert_eq!(engine.validate().expect("validate"), Vec::<String>::new());
+    drop(engine);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An entity whose record no page holds, rating into an existing
+/// partition, is not left behind as that partition's split starter.
+#[test]
+fn an_oversized_record_is_no_split_starter() {
+    use cinderella::model::Value;
+    let (dir, engine) = durable_store("oversized_starter");
+    engine.insert(&wire(1, &[("a", Value::Int(1))])).expect("insert");
+    assert!(engine.insert(&wire(5, &[("a", huge())])).is_err());
+    assert_eq!(engine.validate().expect("validate"), Vec::<String>::new());
+    let seg = engine.shard_engine(0).with_parts(|table, cindy| {
+        let seg = table.location(EntityId(1)).expect("stored");
+        let starters = &cindy.catalog().get(seg).expect("cataloged").starters;
+        assert_eq!((starters.a().map(|s| s.0), starters.b()), (Some(EntityId(1)), None));
+        seg
+    });
+    assert!(seg.0 < 1, "no segment was created for the refused entity");
+    drop(engine);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every kind of refused write — a repeated attribute name, a stored id,
+/// an update of a missing id, a record no page holds — leaves the catalog
+/// as it was: the name it carried is unknown to a query, uncounted by
+/// `Stats`, and absent from the log, so a reopen does not find it either.
+#[test]
+fn a_refused_write_interns_no_attribute() {
+    use cinderella::model::Value;
+    use cinderella::server::{ErrorCode, Request, Response};
+    let (dir, engine) = durable_store("refused_ghosts");
+    engine.insert(&wire(1, &[("a", Value::Int(1))])).expect("insert");
+    let refused = [
+        Request::Insert(wire(2, &[("ghost_repeated", Value::Int(1)), ("ghost_repeated", Value::Int(2))])),
+        Request::Insert(wire(1, &[("ghost_stored_id", Value::Int(1))])),
+        Request::Update(wire(9, &[("ghost_missing_id", Value::Int(1))])),
+        Request::Insert(wire(3, &[("ghost_too_large", huge())])),
+        Request::InsertBatch(vec![wire(1, &[("ghost_in_batch", Value::Int(1))])]),
+    ];
+    let ghosts = ["ghost_repeated", "ghost_stored_id", "ghost_missing_id", "ghost_too_large", "ghost_in_batch"];
+    let unknown = |engine: &cinderella::server::ShardedEngine, ghost: &str| {
+        matches!(
+            engine.handle(&Request::Query(vec![ghost.to_owned()])),
+            Response::Error { code: ErrorCode::UnknownAttribute, .. }
+        )
+    };
+    for (request, ghost) in refused.iter().zip(ghosts) {
+        let answer = engine.handle(request);
+        let refused = match &answer {
+            Response::Batch(items) => items.iter().all(|i| matches!(i, Response::Error { .. })),
+            other => matches!(other, Response::Error { code: ErrorCode::Engine, .. }),
+        };
+        assert!(refused, "{ghost}: expected a refusal, got {answer:?}");
+        assert!(unknown(&engine, ghost), "{ghost} was interned");
+        assert_eq!(engine.stats().attributes, 1, "{ghost}");
+    }
+    // The next logged write would carry any interned name into the log.
+    engine.insert(&wire(2, &[("a", Value::Int(2))])).expect("insert");
+    assert_eq!(engine.validate().expect("validate"), Vec::<String>::new());
+    drop(engine);
+
+    let engine = reopen(&dir);
+    assert_eq!((engine.stats().entities, engine.stats().attributes), (2, 1));
+    for ghost in ghosts {
+        assert!(unknown(&engine, ghost), "{ghost} came back from the log");
+    }
+    drop(engine);
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -9,6 +9,9 @@
 //!    single-byte mutations of valid encodings must *decode or error* —
 //!    never panic, never hang, never allocate unboundedly. The decoders
 //!    return `Result`, so totality here means these tests complete.
+//!    The owned decoder and the in-place one (`decode_request_view`, the
+//!    server's) accept and reject every one of these inputs alike, with
+//!    equal values and equal errors.
 //! 3. **Committed corpus**: the byte files under
 //!    `crates/server/tests/corpus/` pin
 //!    known-interesting inputs (one valid encoding per variant family
@@ -20,10 +23,11 @@
 
 use std::path::PathBuf;
 
-use cind_model::Value;
+use cind_model::{Value, ValueRef};
 use cind_server::protocol::{
-    decode_request, decode_response, encode_request, encode_response, frame, split_frame,
-    EngineStats, ErrorCode, IoCounters, QueryStats, Request, Response, WireEntity,
+    decode_request, decode_request_view, decode_response, encode_request, encode_response, frame,
+    split_frame, EngineStats, ErrorCode, IoCounters, QueryStats, Request, RequestView, Response,
+    WireCell, WireEntity,
 };
 use cind_server::{EngineOptions, ShardedEngine, ShardedOptions};
 use proptest::prelude::*;
@@ -73,6 +77,7 @@ proptest! {
         let e = entity_from(id, &raw);
         let req = if update { Request::Update(e) } else { Request::Insert(e) };
         let body = encode_request(&req);
+        assert_decoders_agree(&body);
         prop_assert_eq!(decode_request(&body).expect("valid encoding"), req);
     }
 
@@ -504,9 +509,47 @@ fn malformed_bodies() -> Vec<(&'static str, Vec<u8>)> {
     ]
 }
 
+/// Whether a cell read in place holds what the owned decode holds (floats
+/// by bits, so a NaN equals itself).
+fn same_cell((name, value): WireCell<'_>, (owned_name, owned): &(String, Value)) -> bool {
+    let same_value = match (value, owned.borrowed()) {
+        (ValueRef::Float(a), ValueRef::Float(b)) => a.to_bits() == b.to_bits(),
+        (a, b) => a == b,
+    };
+    name == owned_name && same_value
+}
+
+/// The owned decoder and the in-place one accept and reject the same
+/// bodies, with equal errors; where they accept, every entity and cell read
+/// in place equals its owned counterpart, and every other request is the
+/// owned one.
+fn assert_decoders_agree(body: &[u8]) {
+    let (owned, view) = match (decode_request(body), decode_request_view(body)) {
+        (Ok(owned), Ok(view)) => (owned, view),
+        (Err(a), Err(b)) => return assert_eq!(a, b, "the decoders refuse alike"),
+        (a, b) => panic!("one decoder accepts: owned {a:?}, in place {b:?}"),
+    };
+    let entities = match (&owned, &view) {
+        (Request::Insert(e), RequestView::Insert(v)) | (Request::Update(e), RequestView::Update(v)) => {
+            (std::slice::from_ref(e), v)
+        }
+        (Request::InsertBatch(es), RequestView::InsertBatch(v)) => (es.as_slice(), v),
+        (owned, RequestView::Other(other)) => return assert_eq!(owned, other),
+        (owned, view) => panic!("decoded as different requests: {owned:?} vs {view:?}"),
+    };
+    let (owned_entities, views) = entities;
+    assert_eq!(views.len(), owned_entities.len());
+    for (view, owned) in views.views().zip(owned_entities) {
+        assert_eq!((view.id, view.cells.len()), (owned.id, owned.attrs.len()));
+        assert!(view.cells.iter().zip(&owned.attrs).all(|(v, o)| same_cell(*v, o)), "{view:?}");
+    }
+    assert_eq!(encode_request(&view.into_owned()), encode_request(&owned));
+}
+
 /// Feed a body to everything that consumes untrusted bytes. Totality =
 /// this returns (no panic); callers add per-case expectations on top.
 fn exercise(body: &[u8]) -> (bool, bool) {
+    assert_decoders_agree(body);
     let req_ok = decode_request(body).is_ok();
     let resp_ok = decode_response(body).is_ok();
     assert_rows_fit(body);
