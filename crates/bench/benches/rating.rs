@@ -7,7 +7,7 @@ use cind_datagen::{DbpediaConfig, DbpediaGenerator};
 use cind_model::{EntityId, Synopsis};
 use cind_storage::{SegmentId, UniversalTable};
 use cinderella_core::catalog::PartitionCatalog;
-use cinderella_core::rating::rate;
+use cinderella_core::rating::{can_win_threshold, rate};
 use cinderella_core::{global_rating, Cinderella, Config, IndexTier, RatingInputs};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
@@ -91,24 +91,40 @@ fn dbpedia_catalog() -> (Cinderella, Vec<(Synopsis, u64)>) {
 fn bench_dbpedia_scan(c: &mut Criterion) {
     let (cindy, probes) = dbpedia_catalog();
     let (cat, w) = (cindy.catalog(), cindy.config().weight);
-    let rated: u32 = probes.iter().map(|(e, size)| cat.best_partition(e, *size, w).1).sum();
-    // What the sign-first scan exploits: of the rated candidates only
-    // these need a division. (At w < 1 a non-candidate rates < 0, so
-    // counting over every partition counts the candidates.)
-    let winnable = probes
-        .iter()
-        .flat_map(|(e, size)| {
-            cat.iter().filter(move |m| {
-                let p = cat.rating_synopsis(m.segment).expect("cataloged");
-                rate(w, e, *size, &p, m.size) >= 0.0
-            })
-        })
-        .count();
+    let mut rated = 0u32;
+    for (e, size) in &probes {
+        // The masked scan against the sweep oracle, before any timing.
+        let (indexed, ratings) = cat.best_partition(e, *size, w);
+        let (swept, _) = cat.best_sweep(e, *size, w);
+        if let Some((_, r)) = swept.filter(|(_, r)| *r >= 0.0) {
+            assert_eq!(indexed, swept, "rating/dbpedia: probe {e:?} best rates {r}");
+        }
+        rated += ratings;
+    }
+    // What the masked scan exploits: of the rated candidates only those
+    // whose overlap reaches a can-win threshold are rated at all, and of
+    // those only the ones that rate >= 0 need a division. (At w < 1 a
+    // non-candidate rates < 0 and misses both thresholds, so counting over
+    // every partition counts candidates.)
+    let (mut masked, mut winnable) = (0usize, 0usize);
+    for (e, size) in &probes {
+        for m in cat.iter() {
+            let p = cat.rating_synopsis(m.segment).expect("cataloged");
+            let and = e.overlap(&p);
+            let candidate = m.size == 0 || and > 0;
+            let (t_e, t_p) = (can_win_threshold(w, e.cardinality()), can_win_threshold(w, p.cardinality()));
+            masked += usize::from(candidate && (and >= t_e || and >= t_p));
+            winnable += usize::from(rate(w, e, *size, &p, m.size) >= 0.0);
+        }
+    }
+    let per_probe = |n: usize| n as f64 / probes.len() as f64;
     println!(
-        "rating/dbpedia: {} partitions, {:.1} rated per probe, {:.1} of them rate >= 0",
+        "rating/dbpedia: {} partitions, {:.1} rated per probe, {:.1} of them pass the \
+         can-win mask, {:.1} rate >= 0",
         cat.len(),
         f64::from(rated) / probes.len() as f64,
-        winnable as f64 / probes.len() as f64
+        per_probe(masked),
+        per_probe(winnable)
     );
     let mut g = c.benchmark_group("rating/dbpedia");
     g.sample_size(50);

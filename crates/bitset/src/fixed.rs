@@ -13,10 +13,23 @@ use crate::{blocks_for, BITS};
 ///
 /// Out-of-range bits: `insert` panics (it indicates a catalog bug),
 /// `contains`/`remove` simply report the bit as unset.
-#[derive(Clone, Default)]
+#[derive(Default)]
 pub struct FixedBitSet {
     blocks: Vec<u64>,
     capacity: usize,
+}
+
+/// `clone_from` reuses the destination's block buffer: a split starter
+/// swapped in place allocates nothing once its buffer is wide enough.
+impl Clone for FixedBitSet {
+    fn clone(&self) -> Self {
+        Self { blocks: self.blocks.clone(), capacity: self.capacity }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.blocks.clone_from(&source.blocks);
+        self.capacity = source.capacity;
+    }
 }
 
 /// Equality is *set* equality: two bitsets with the same set bits compare
@@ -303,6 +316,17 @@ mod tests {
         assert_ne!(a, c);
         assert_ne!(c, a);
         assert_eq!(FixedBitSet::new(0), FixedBitSet::new(300));
+    }
+
+    #[test]
+    fn clone_from_reuses_the_buffer() {
+        let mut dst = FixedBitSet::from_iter(256, [3, 200]);
+        let before = dst.blocks().as_ptr();
+        let src = FixedBitSet::from_iter(130, [1, 129]);
+        dst.clone_from(&src);
+        assert_eq!(dst.blocks(), src.blocks());
+        assert_eq!(dst.capacity(), 130);
+        assert_eq!(dst.blocks().as_ptr(), before, "no new buffer for a narrower source");
     }
 
     #[test]

@@ -17,6 +17,14 @@
 //! enters or leaves its partition, so the rating scan reads `|p|` instead of
 //! recounting it, and pays one AND-popcount per row word.
 //!
+//! Beside `|p|` the arena keeps, bit-sliced across slots, each slot's
+//! can-win threshold `⌈(1−w)·|p|⌉` ([`can_win_threshold`]) for one rating
+//! weight `w`: plane `j` holds bit `j` of every slot's threshold, so the
+//! masked rating scan compares 64 slots' overlap counts with their
+//! thresholds in a few word operations. The planes change wherever `|p|`
+//! does (`write_row`, `alloc`, `release`) and are rebuilt only when the
+//! weight they are kept for is set.
+//!
 //! Both structures are maintained exactly on insert, delete, split, and
 //! merge by [`PartitionCatalog`](crate::PartitionCatalog); rows and presence
 //! columns clear when a partition is removed, so there are no stale entries
@@ -28,13 +36,15 @@
 use cind_bitset::FixedBitSet;
 use cind_storage::SegmentId;
 
+use crate::rating::can_win_threshold;
 use crate::validate::InvariantViolation;
 
 /// Contiguous storage for partition rating synopses.
 ///
 /// Each live partition owns one *slot*: a `stride`-word row in the packed
 /// `words` buffer plus entries in the parallel `segs` / `sizes` / `cards`
-/// columns (`cards[slot]` is the popcount of the row, `|p|`).
+/// columns (`cards[slot]` is the popcount of the row, `|p|`) and a bit in
+/// each of the threshold planes derived from `cards`.
 /// Slots of removed partitions are zeroed and recycled through a free list,
 /// so the arena stays dense under churn. The stride grows (rows re-laid out)
 /// when the attribute universe outgrows the current row width.
@@ -45,6 +55,7 @@ pub struct SynopsisArena {
     segs: Vec<SegmentId>,
     sizes: Vec<u64>,
     cards: Vec<u32>,
+    thresholds: ThresholdPlanes,
     live: Vec<bool>,
     free: Vec<usize>,
 }
@@ -96,9 +107,39 @@ impl SynopsisArena {
         self.cards[slot]
     }
 
+    /// Keeps the threshold planes for rating weight `weight` from now on,
+    /// rebuilding them from `cards` if they were kept for another one.
+    pub(crate) fn set_weight(&mut self, weight: f64) {
+        if weight.to_bits() != self.thresholds.weight.to_bits() {
+            self.thresholds.rebuild(weight, &self.cards, &self.live);
+        }
+    }
+
+    /// The threshold planes for `weight`: the kept ones if they were built
+    /// for it, else `spare`, rebuilt from `cards` for this one call.
+    pub(crate) fn thresholds<'a>(
+        &'a self,
+        weight: f64,
+        spare: &'a mut ThresholdPlanes,
+    ) -> &'a ThresholdPlanes {
+        if weight.to_bits() == self.thresholds.weight.to_bits() {
+            &self.thresholds
+        } else {
+            spare.rebuild(weight, &self.cards, &self.live);
+            spare
+        }
+    }
+
     /// The packed synopsis row of `slot`.
     pub fn row(&self, slot: usize) -> &[u64] {
         &self.words[slot * self.stride..(slot + 1) * self.stride]
+    }
+
+    /// Overwrites the threshold of `slot` behind the arena's back: the
+    /// catalog's seeded-corruption tests.
+    #[cfg(test)]
+    pub(crate) fn corrupt_threshold(&mut self, slot: usize, t: u32) {
+        self.thresholds.set(slot, t);
     }
 
     /// Allocates a zeroed slot for `seg`, recycling a freed row if one
@@ -107,6 +148,7 @@ impl SynopsisArena {
         if let Some(slot) = self.free.pop() {
             debug_assert!(!self.live[slot]);
             debug_assert!(self.row(slot).iter().all(|w| *w == 0));
+            debug_assert_eq!(self.thresholds.get(slot), 0);
             self.segs[slot] = seg;
             self.sizes[slot] = 0;
             self.cards[slot] = 0;
@@ -130,6 +172,7 @@ impl SynopsisArena {
         self.words[slot * stride..(slot + 1) * stride].fill(0);
         self.sizes[slot] = 0;
         self.cards[slot] = 0;
+        self.thresholds.set(slot, 0);
         self.live[slot] = false;
         self.free.push(slot);
     }
@@ -138,7 +181,7 @@ impl SynopsisArena {
     /// past their end read as zero), widening the stride if a set bit lies
     /// beyond the current row width — the catalog's one row write, taken
     /// whenever a partition's rating synopsis may have changed. Recounts the
-    /// slot's cached `|p|`.
+    /// slot's cached `|p|` and rewrites its threshold.
     pub fn write_row(&mut self, slot: usize, bits: &[u64]) {
         let used = bits.iter().rposition(|w| *w != 0).map_or(0, |last| last + 1);
         if used > self.stride {
@@ -147,7 +190,9 @@ impl SynopsisArena {
         let row = &mut self.words[slot * self.stride..(slot + 1) * self.stride];
         row[..used].copy_from_slice(&bits[..used]);
         row[used..].fill(0);
-        self.cards[slot] = bits[..used].iter().map(|w| w.count_ones()).sum();
+        let card = bits[..used].iter().map(|w| w.count_ones()).sum();
+        self.cards[slot] = card;
+        self.thresholds.set(slot, can_win_threshold(self.thresholds.weight, card));
     }
 
     fn grow_stride(&mut self, new_stride: usize) {
@@ -174,8 +219,10 @@ impl SynopsisArena {
     /// violation found: parallel-column lengths, packed-buffer sizing,
     /// free-list integrity (in-range, duplicate-free, dead, covering every
     /// dead slot), the zeroed-row / zero-size guarantee for recycled slots
-    /// that [`alloc`](Self::alloc) relies on, and the cached `|p|` of every
-    /// slot (the popcount of a live row, 0 for a dead one).
+    /// that [`alloc`](Self::alloc) relies on, the cached `|p|` of every
+    /// slot (the popcount of a live row, 0 for a dead one), and the
+    /// threshold planes (a live slot's [`can_win_threshold`] of its `|p|`
+    /// at the planes' weight, 0 for a dead slot and past the last slot).
     pub fn validate(&self) -> Vec<InvariantViolation> {
         let mut out = Vec::new();
         let mut v = |detail: String| out.push(InvariantViolation::new("arena", detail));
@@ -214,10 +261,15 @@ impl SynopsisArena {
                 v(format!("slot {slot} is on the free list but marked live"));
             }
         }
+        let weight = self.thresholds.weight;
         for (slot, &freed) in on_free.iter().enumerate().take(slots) {
             let card = self.cards[slot];
+            // A live slot's threshold follows its card; a wrong card is
+            // reported once, as itself.
+            let mut want = Some(0);
             if self.live[slot] {
                 let ones: u32 = self.row(slot).iter().map(|w| w.count_ones()).sum();
+                want = (card == ones).then(|| can_win_threshold(weight, card));
                 if card != ones {
                     v(format!(
                         "live slot {slot} caches cardinality {card} but its row holds {ones} bits"
@@ -240,6 +292,16 @@ impl SynopsisArena {
                     v(format!("dead slot {slot} has non-zero cardinality {card}"));
                 }
             }
+            let held = self.thresholds.get(slot);
+            if let Some(want) = want.filter(|&want| want != held) {
+                v(format!("slot {slot}: threshold planes hold {held}, want {want} (w {weight})"));
+            }
+        }
+        let planes = &self.thresholds.planes;
+        for (j, plane) in planes.iter().enumerate() {
+            if let Some(slot) = plane.iter_ones().find(|&s| s as usize >= slots) {
+                v(format!("threshold plane {j} sets bit {slot} past the {slots} slots"));
+            }
         }
         out
     }
@@ -252,6 +314,62 @@ impl SynopsisArena {
             .iter()
             .enumerate()
             .filter_map(|(slot, &alive)| alive.then_some(slot))
+    }
+}
+
+/// Per-slot unsigned thresholds, bit-sliced: `planes[j]` has bit `slot` set
+/// iff bit `j` of the slot's threshold is. The arena keeps one set for the
+/// weight it was told; the rating scan rebuilds a spare for any other.
+#[derive(Debug, Default)]
+pub(crate) struct ThresholdPlanes {
+    /// The rating weight the thresholds are [`can_win_threshold`]s of.
+    weight: f64,
+    /// As many planes as the widest threshold written since the last
+    /// rebuild needs.
+    planes: Vec<FixedBitSet>,
+}
+
+impl ThresholdPlanes {
+    /// Writes threshold `t` for `slot`.
+    fn set(&mut self, slot: usize, t: u32) {
+        let width = (u32::BITS - t.leading_zeros()) as usize;
+        if self.planes.len() < width {
+            self.planes.resize_with(width, FixedBitSet::default);
+        }
+        for (j, plane) in self.planes.iter_mut().enumerate() {
+            if t >> j & 1 == 1 {
+                plane.grow(slot + 1);
+                plane.insert(slot as u32);
+            } else {
+                plane.remove(slot as u32);
+            }
+        }
+    }
+
+    /// The threshold of `slot` (0 past every plane).
+    fn get(&self, slot: usize) -> u32 {
+        let bit = |(j, plane): (usize, &FixedBitSet)| u32::from(plane.contains(slot as u32)) << j;
+        self.planes.iter().enumerate().map(bit).sum()
+    }
+
+    /// Recomputes every threshold for `weight` from the `|p|` column.
+    fn rebuild(&mut self, weight: f64, cards: &[u32], live: &[bool]) {
+        self.weight = weight;
+        self.planes.clear();
+        for (slot, (&card, &alive)) in cards.iter().zip(live).enumerate() {
+            if alive {
+                self.set(slot, can_win_threshold(weight, card));
+            }
+        }
+    }
+
+    /// Word `word` of every plane, lowest plane first, into `out`; returns
+    /// how many planes there are. Words past a plane's end read as zero.
+    pub(crate) fn word_into(&self, word: usize, out: &mut [u64; 32]) -> usize {
+        for (dst, plane) in out.iter_mut().zip(&self.planes) {
+            *dst = plane.blocks().get(word).copied().unwrap_or(0);
+        }
+        self.planes.len()
     }
 }
 
@@ -299,27 +417,6 @@ impl PresenceIndex {
         for attr in attrs {
             if let Some(row) = self.rows.get(attr as usize) {
                 acc.union_with(row);
-            }
-        }
-    }
-
-    /// [`union_rows_into`](Self::union_rows_into) that also counts: adds 1
-    /// to `counts[slot]` for every row of `attrs` holding `slot`, so each
-    /// slot of `acc` ends up with the number of `attrs` its partition
-    /// carries (`|e ∧ p|` when `attrs` is an entity's attribute set). One
-    /// increment per posting. `counts` must cover every slot a row holds.
-    pub fn count_rows_into(
-        &self,
-        attrs: impl Iterator<Item = u32>,
-        counts: &mut [u32],
-        acc: &mut FixedBitSet,
-    ) {
-        for attr in attrs {
-            if let Some(row) = self.rows.get(attr as usize) {
-                acc.union_with(row);
-                for slot in row.iter_ones() {
-                    counts[slot as usize] += 1;
-                }
             }
         }
     }
@@ -464,6 +561,47 @@ mod tests {
         );
         corrupted(|a| a.live.pop().map_or((), |_| ()), "parallel columns disagree");
         corrupted(|a| a.words.push(0), "packed buffer holds 3 words");
+        // The threshold planes: a live slot's, a dead slot's, one past the
+        // last slot — each one line, naming the slot.
+        assert_eq!(
+            corrupted(|a| a.thresholds.set(1, 3), "slot 1"),
+            "[arena] slot 1: threshold planes hold 3, want 0 (w 0)"
+        );
+        assert_eq!(
+            corrupted(|a| a.thresholds.set(0, 2), "slot 0"),
+            "[arena] slot 0: threshold planes hold 2, want 0 (w 0)"
+        );
+        assert_eq!(
+            corrupted(|a| a.thresholds.set(70, 1), "past the"),
+            "[arena] threshold plane 0 sets bit 70 past the 2 slots"
+        );
+    }
+
+    /// The threshold planes follow `|p|` through row writes, releases and
+    /// recycling, and a new weight rebuilds them; planes left at another
+    /// weight's thresholds are reported.
+    #[test]
+    fn threshold_planes_follow_cards_and_weight() {
+        let mut a = SynopsisArena::new();
+        a.set_weight(0.5);
+        let s0 = a.alloc(SegmentId(0));
+        let s1 = a.alloc(SegmentId(1));
+        a.write_row(s0, &[0b111]); // |p| 3 → ⌈1.5⌉
+        a.write_row(s1, &[0xF, 1]); // |p| 5 → ⌈2.5⌉
+        assert_eq!((a.thresholds.get(s0), a.thresholds.get(s1)), (2, 3));
+        a.set_weight(0.0);
+        assert_eq!((a.thresholds.get(s0), a.thresholds.get(s1)), (3, 5));
+        a.release(s1);
+        assert_eq!(a.thresholds.get(s1), 0, "a released slot's threshold clears");
+        let s2 = a.alloc(SegmentId(2));
+        assert_eq!((s2, a.thresholds.get(s2)), (s1, 0));
+        assert!(a.validate().is_empty(), "{:?}", a.validate());
+        // Planes kept at another weight's thresholds disagree with cards.
+        a.thresholds.weight = 0.5;
+        assert_eq!(
+            crate::validate::render(&a.validate()),
+            "[arena] slot 0: threshold planes hold 3, want 2 (w 0.5)"
+        );
     }
 
     /// Presence bits pointing at dead or out-of-range slots are reported

@@ -9,11 +9,13 @@
 //!
 //! Of the four counts a rating needs, `|e|` is counted once per scan, `|p|`
 //! is the arena's cached row popcount, and `|e ∨ p| = |e| + |p| − |e ∧ p|`.
-//! `|e ∧ p|` comes from the exact presence rows on the served path (one
-//! increment per posting) and from one AND-popcount per row word
-//! elsewhere. Every count is exact, so every rating is the same `f64` the
-//! fused four-count pass (`words::fused_counts`, the reference the tests
-//! compare against) gives.
+//! `|e ∧ p|` comes from the exact presence rows on the served path —
+//! bit-sliced, added 64 slots per word — and from one AND-popcount per row
+//! word elsewhere. The served path rates only the candidates whose overlap
+//! reaches a can-win threshold ([`can_win_threshold`]), which no candidate
+//! that can rate `≥ 0` misses. Every count is exact, so every rating is the
+//! same `f64` the fused four-count pass (`words::fused_counts`, the
+//! reference the tests compare against) gives.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
@@ -23,11 +25,11 @@ use cind_bitset::{words, FixedBitSet, FusedCounts};
 use cind_model::{EntityId, Synopsis};
 use cind_storage::SegmentId;
 
-use crate::arena::SynopsisArena;
-use crate::config::IndexTier;
+use crate::arena::{PresenceIndex, SynopsisArena, ThresholdPlanes};
+use crate::config::{Config, IndexTier};
 use crate::index::{PruningIndex, PruningSnapshot};
 use crate::modes::SynopsisMode;
-use crate::rating::{global_rating, nonnegative_rating, RatingInputs};
+use crate::rating::{can_win_threshold, global_rating, nonnegative_rating, RatingInputs};
 use crate::starters::SplitStarters;
 use crate::tier::TierParams;
 use crate::validate::InvariantViolation;
@@ -135,13 +137,15 @@ fn drop_counts(counts: &mut [u32], bits: &Synopsis, mut on_clear: impl FnMut(u32
 ///   entity's [`attr_cover`](SynopsisMode::attr_cover) — i.e. sharing a
 ///   rating bit with it — plus those with `SIZE(p) = 0`) and rates only
 ///   those. On exact storage in entity-based mode (the served default) the
-///   presence rows that name the candidates also count each one's
-///   `|e ∧ p|`, and a candidate's rating is divided out only where its
-///   numerator `r'` is `≥ 0` — where it can win; if none is, the scan
-///   reports `None`, as for no candidate. Elsewhere each candidate is
-///   rated from its [`SynopsisArena`] row — one contiguous fixed-stride
-///   row per partition, one AND-popcount per word. Both take `|p|` from the arena's cache and
-///   `|e|` counted once per scan;
+///   presence rows that name the candidates are added into bit-sliced
+///   `|e ∧ p|` counts, a mask of the candidates that can rate `≥ 0` is
+///   taken word by word against the arena's threshold planes, and only
+///   masked candidates are rated, each divided out only where its
+///   numerator `r'` is `≥ 0`; if none is, the scan reports `None`, as for
+///   no candidate. Elsewhere each candidate is rated from its
+///   [`SynopsisArena`] row — one contiguous fixed-stride row per
+///   partition, one AND-popcount per word. Both take `|p|` from the
+///   arena's cache and `|e|` counted once per scan;
 /// * the planner's survivor set is the index's candidate set for the query
 ///   ([`PartitionCatalog::survivors`]).
 ///
@@ -185,9 +189,11 @@ impl PartitionCatalog {
     /// [`PartitionCatalog::new`] with explicit tier knobs (tests and
     /// benches tune group filter sizes).
     pub fn with_tier_params(tier: IndexTier, params: TierParams) -> Self {
+        let mut arena = SynopsisArena::new();
+        arena.set_weight(Config::default().weight);
         Self {
             parts: BTreeMap::new(),
-            arena: SynopsisArena::new(),
+            arena,
             index: PruningIndex::new(tier, params),
             zero_size: FixedBitSet::default(),
             mode: SynopsisMode::EntityBased,
@@ -200,6 +206,14 @@ impl PartitionCatalog {
     /// An empty catalog rating in `mode`'s synopsis space.
     pub fn with_mode(mode: SynopsisMode, tier: IndexTier) -> Self {
         Self { mode, ..Self::new(tier) }
+    }
+
+    /// Keeps the arena's can-win threshold planes for rating weight
+    /// `weight` — the [`Config::weight`] the partitioner rates at (a new
+    /// catalog keeps them for the default weight). A scan at any other
+    /// weight gives the same result, but rebuilds the planes for its call.
+    pub fn set_rating_weight(&mut self, weight: f64) {
+        self.arena.set_weight(weight);
     }
 
     /// The configured index-tier knob.
@@ -464,60 +478,122 @@ impl PartitionCatalog {
         let mut ratings = 0u32;
         for slot in slots {
             ratings += 1;
-            let Some(r) = rate(slot) else { continue };
-            let seg = self.arena.seg(slot);
-            if best.is_none_or(|(bs, br)| br < r || (br == r && seg < bs)) {
-                best = Some((seg, r));
+            if let Some(r) = rate(slot) {
+                self.keep(&mut best, slot, r);
             }
         }
         (best, ratings)
     }
 
+    /// Keeps `slot`'s rating `r` in `best` if it is higher, or equal with a
+    /// lower segment id: the scan tie-break, whatever the visiting order.
+    fn keep(&self, best: &mut Option<(SegmentId, f64)>, slot: usize, r: f64) {
+        let seg = self.arena.seg(slot);
+        if best.is_none_or(|(bs, br)| br < r || (br == r && seg < bs)) {
+            *best = Some((seg, r));
+        }
+    }
+
     /// The indexed scan: the index's candidates for the attribute cover of
-    /// the entity's rating bits, plus the zero-size slots, are the only
-    /// partitions rated. Each candidate is rated exactly once — the bitmap
-    /// OR deduplicates partitions that share several attributes with the
-    /// cover by construction. No candidate means every partition rates
-    /// negative, reported as `None`.
+    /// the entity's rating bits, plus the zero-size slots, are the
+    /// partitions the scan counts as rated. Each candidate counts once —
+    /// the bitmap OR deduplicates partitions that share several attributes
+    /// with the cover by construction. No candidate means every partition
+    /// rates negative, reported as `None`.
     ///
     /// On exact storage in entity-based mode — the served default — the
-    /// presence rows that give the candidates also give each candidate's
-    /// `|e ∧ p|`: one increment per posting, no arena row read. Each
-    /// candidate's numerator `r'` is then computed and only a rating that
-    /// can win (`≥ 0`) is divided ([`nonnegative_rating`], exact in `f64`);
-    /// when none can, the result is `None`, as for no candidate at all.
-    /// Tiered storage (no exact counts) and workload-based mode (rating
-    /// bits are queries, the rows attributes) rate every candidate from its
-    /// arena row with the per-slot kernel.
+    /// scan is word-parallel ([`best_masked`](Self::best_masked)): it rates
+    /// only the candidates that can rate `≥ 0`. Tiered storage (no exact
+    /// counts) and workload-based mode (rating bits are queries, the rows
+    /// attributes) rate every candidate from its arena row with the
+    /// per-slot kernel.
     fn best_indexed(
         &self,
         rating_syn: &Synopsis,
         size_e: u64,
         weight: f64,
     ) -> (Option<(SegmentId, f64)>, u32) {
-        SCAN.with_borrow_mut(|ScanScratch { candidates, overlaps }| {
+        let e = Probe::new(rating_syn, size_e, weight);
+        SCAN.with_borrow_mut(|scratch| {
+            if let (SynopsisMode::EntityBased, Some(rows)) = (&self.mode, self.index.exact_rows()) {
+                return self.best_masked(rows, rating_syn, &e, scratch);
+            }
+            let candidates = &mut scratch.candidates;
             candidates.blocks_mut().fill(0);
             candidates.union_with(&self.zero_size);
-            let e = Probe::new(rating_syn, size_e, weight);
-            let rows = match (&self.mode, self.index.exact_rows()) {
-                (SynopsisMode::EntityBased, Some(rows)) => rows,
-                _ => {
-                    self.index
-                        .candidates_into(&self.mode.attr_cover(rating_syn), candidates);
-                    let slots = candidates.iter_ones().map(|s| s as usize);
-                    return self.argmax(slots, |slot| Some(e.rate(&self.arena, slot)));
-                }
-            };
-            if overlaps.len() < self.arena.slots() {
-                overlaps.resize(self.arena.slots(), 0);
-            }
-            rows.count_rows_into(rating_syn.iter().map(|a| a.index()), overlaps, candidates);
-            // Taken, not read: every count is back to 0 for the next scan.
-            self.argmax(candidates.iter_ones().map(|s| s as usize), |slot| {
-                let and = std::mem::take(&mut overlaps[slot]);
-                nonnegative_rating(weight, &e.inputs(&self.arena, slot, and))
-            })
+            self.index.candidates_into(&self.mode.attr_cover(rating_syn), candidates);
+            let slots = candidates.iter_ones().map(|s| s as usize);
+            self.argmax(slots, |slot| Some(e.rate(&self.arena, slot)))
         })
+    }
+
+    /// The word-parallel rating scan (O'Neil & Quass's bit-sliced
+    /// counting), 64 slots per word:
+    ///
+    /// 1. Each presence row of `e`'s attributes is added into the bit
+    ///    planes of `|e ∧ p|` with a ripple-carry add — `⌈log₂(|e|+1)⌉`
+    ///    planes, so no count overflows.
+    /// 2. The candidates are the slots with a non-zero count, plus the
+    ///    zero-size ones; all of them count as rated.
+    /// 3. A candidate can rate `≥ 0` only if its count reaches the can-win
+    ///    threshold of `|e|` (one constant) or of its `|p|` (the arena's
+    ///    threshold planes), both [`can_win_threshold`]; the mask is two
+    ///    bit-sliced `≥` comparisons.
+    /// 4. Only masked candidates are rated: `|e ∧ p|` is gathered from the
+    ///    planes and [`nonnegative_rating`] divides where `r' ≥ 0`.
+    ///
+    /// The threshold rounds down, so the mask never drops a slot the sign
+    /// test would keep: the result is the per-candidate scan's, bit for
+    /// bit, ratings count included.
+    fn best_masked(
+        &self,
+        rows: &PresenceIndex,
+        rating_syn: &Synopsis,
+        e: &Probe<'_>,
+        scratch: &mut ScanScratch,
+    ) -> (Option<(SegmentId, f64)>, u32) {
+        let ScanScratch { sums, spare, .. } = scratch;
+        let planes = (u32::BITS - e.card.leading_zeros()) as usize;
+        let words = self.arena.slots().div_ceil(64);
+        sums.clear();
+        sums.resize(words * planes, 0);
+        for attr in rating_syn.iter() {
+            if let Some(row) = rows.row(attr.index()) {
+                add_row(sums, planes, row.blocks());
+            }
+        }
+        let thresholds = self.arena.thresholds(e.weight, spare);
+        let mut e_planes = [0u64; 32];
+        let t_e = can_win_threshold(e.weight, e.card);
+        for (j, plane) in e_planes.iter_mut().enumerate().take(planes) {
+            *plane = 0u64.wrapping_sub(u64::from(t_e >> j & 1));
+        }
+        let zero = self.zero_size.blocks();
+        let mut p_planes = [0u64; 32];
+        let (mut best, mut ratings) = (None, 0u32);
+        for (word, counts) in sums.chunks_exact(planes).enumerate() {
+            let nonzero = counts.iter().fold(0, |acc, c| acc | c);
+            let candidates = nonzero | zero.get(word).copied().unwrap_or(0);
+            ratings += candidates.count_ones();
+            let width = thresholds.word_into(word, &mut p_planes);
+            let can_win = at_least(counts, &e_planes[..planes])
+                | at_least(counts, &p_planes[..width]);
+            let mut mask = candidates & can_win;
+            while mask != 0 {
+                let bit = mask.trailing_zeros();
+                mask &= mask - 1;
+                let slot = word * 64 + bit as usize;
+                let and = counts
+                    .iter()
+                    .enumerate()
+                    .map(|(j, c)| ((c >> bit) as u32 & 1) << j)
+                    .sum();
+                if let Some(r) = nonnegative_rating(e.weight, &e.inputs(&self.arena, slot, and)) {
+                    self.keep(&mut best, slot, r);
+                }
+            }
+        }
+        (best, ratings)
     }
 
     /// The planner's survivor set for query synopsis `q`: segments whose
@@ -780,12 +856,48 @@ impl PartitionCatalog {
 
 /// The insert scan's working storage, reused by every scan on a thread so
 /// that, once it has seen its largest catalog, a scan allocates nothing:
-/// the candidate bitmap, and per slot the overlap count the presence rows
-/// give. Every count is 0 between scans.
+/// the candidate bitmap of the per-slot paths, the bit-sliced overlap
+/// counts of the masked scan (word-major: the planes of word `i` are
+/// `sums[i·planes..][..planes]`), and threshold planes rebuilt for a weight
+/// the arena does not keep them for.
 #[derive(Default)]
 struct ScanScratch {
     candidates: FixedBitSet,
-    overlaps: Vec<u32>,
+    sums: Vec<u64>,
+    spare: ThresholdPlanes,
+}
+
+/// Adds one presence row into bit-sliced counts, word by word: a
+/// ripple-carry add of a 0/1 digit per slot into the count's planes.
+fn add_row(sums: &mut [u64], planes: usize, row: &[u64]) {
+    for (counts, &bits) in sums.chunks_exact_mut(planes).zip(row) {
+        let mut carry = bits;
+        for plane in counts {
+            if carry == 0 {
+                break;
+            }
+            let sum = *plane ^ carry;
+            carry &= *plane;
+            *plane = sum;
+        }
+    }
+}
+
+/// The slots of one word whose count (bit-sliced over `counts`, lowest
+/// plane first) is at least their threshold (bit-sliced over
+/// `thresholds`); a missing plane on either side reads as zero. One
+/// most-significant-first pass: a slot is greater once a plane has its
+/// count bit set and its threshold bit clear while all higher planes were
+/// equal.
+fn at_least(counts: &[u64], thresholds: &[u64]) -> u64 {
+    let (mut greater, mut equal) = (0u64, !0u64);
+    for j in (0..counts.len().max(thresholds.len())).rev() {
+        let c = counts.get(j).copied().unwrap_or(0);
+        let t = thresholds.get(j).copied().unwrap_or(0);
+        greater |= equal & c & !t;
+        equal &= !(c ^ t);
+    }
+    greater | equal
 }
 
 thread_local! {
@@ -793,8 +905,8 @@ thread_local! {
 }
 
 /// The entity side of one rating scan, fixed for every slot it rates. The
-/// indexed scan on exact storage in entity-based mode rates each candidate
-/// from the overlap count the presence rows give
+/// masked scan on exact storage in entity-based mode rates each candidate
+/// that can win from the overlap count the bit planes give
 /// ([`inputs`](Self::inputs)); the paths without exact attribute → slot
 /// counts — the sweep, `best_among`, tiered storage, workload-based mode —
 /// rate a slot from its arena row ([`rate`](Self::rate)).
@@ -991,6 +1103,20 @@ mod tests {
                 c.index.set(30, slot);
             },
             "index claims attr bit 30 for slot 1, refcounts disagree",
+        );
+        // A threshold plane out of step with |p| (2 attributes at the
+        // default w 0.2 → ⌈1.6⌉ = 2), and one left set for a removed slot.
+        corrupted(
+            |c| c.arena.corrupt_threshold(c.parts[&SegmentId(0)].slot, 1),
+            "slot 0: threshold planes hold 1, want 2 (w 0.2)",
+        );
+        corrupted(
+            |c| {
+                let slot = c.parts[&SegmentId(7)].slot;
+                c.remove_partition(SegmentId(7));
+                c.arena.corrupt_threshold(slot, 4);
+            },
+            "slot 1: threshold planes hold 4, want 0 (w 0.2)",
         );
         // Two metas fighting over one arena slot.
         corrupted(

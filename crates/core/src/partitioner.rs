@@ -48,7 +48,8 @@ impl Cinderella {
     /// Panics if the configuration is invalid (see [`Config::validate`]).
     pub fn new(config: Config) -> Self {
         config.assert_valid();
-        let catalog = PartitionCatalog::with_mode(config.mode.clone(), config.tier);
+        let mut catalog = PartitionCatalog::with_mode(config.mode.clone(), config.tier);
+        catalog.set_rating_weight(config.weight);
         Self { config, catalog, stats: Stats::default(), events: Vec::new() }
     }
 

@@ -81,7 +81,8 @@ fn normaliser(i: &RatingInputs) -> f64 {
 
 /// [`global_rating`] where it is `≥ 0`, `None` where it is negative —
 /// decided by the sign of `r'`, so only a rating that can win is divided.
-/// The catalog's sign-first scan rates its candidates through this.
+/// The catalog's masked scan rates the candidates that pass its can-win
+/// mask through this.
 ///
 /// Exact in `f64` for `w ≤ 1`: `Some(r)` carries the very `f64`
 /// `global_rating` returns, and `None` means that `f64` is strictly
@@ -107,6 +108,38 @@ pub(crate) fn nonnegative_rating(w: f64, i: &RatingInputs) -> Option<f64> {
     }
     let local = local_rating(w, i);
     (local >= 0.0).then(|| local / denom)
+}
+
+/// The can-win threshold `⌈(1−w)·n⌉`, rounded down where `f64` rounding
+/// could matter: a partition can rate `≥ 0` against an entity only if
+/// their overlap `a = |e ∧ p|` reaches this threshold for `n = |e|` or for
+/// `n = |p|`. The catalog's masked scan compares bit-sliced overlap counts
+/// with it, so only slots that pass are rated.
+///
+/// Sound for every `w < 1` whenever `SIZE(e) > 0` (the indexed scan's
+/// precondition): if [`nonnegative_rating`] returns `Some`, then
+/// `a ≥ can_win_threshold(w, |e|)` or `a ≥ can_win_threshold(w, |p|)`.
+/// Exactly, `r' = SIZE(p)·(a − (1−w)|e|) + SIZE(e)·(a − (1−w)|p|)`, so a
+/// non-negative `r'` needs one bracket `≥ 0`. In `f64`, with
+/// `v = fl(1 − w)` (the very factor [`local_rating`] uses) and `u = 2⁻⁵³`,
+/// `local_rating ≥ 0` means `fl(w·h⁺) ≥ fl(v·(h⁻_e + h⁻_p))`. For
+/// `w ≥ 0` each side is its exact value within three, resp. four,
+/// roundings (the heterogeneity side is an integer sum, 0 or `≥ v ≥ 2⁻⁵³`,
+/// never subnormal; if `w·h⁺` is, that sum must be 0, so `a = |p|`, which
+/// passes). Hence `a·s ≥ v·|e|` or `a·s ≥ v·|p|` with
+/// `s = w·(1+u)³/(1−u)⁴ + v ≤ 1 + 8.01u`. The threshold computed here is
+/// at most `fl(v·n)·(1 − 2⁻⁴⁰)·(1+u) < v·n / (1 + 8.01u)`, so every
+/// integer `a` that passes the exact test passes this one. For `w < 0`
+/// (which [`Config`](crate::Config) rejects) `r' ≥ 0` in `f64` needs a
+/// zero heterogeneity sum, so `a = |p|` again, and `fl(w·h⁺) = 0` leaves
+/// only `a = |p| = 0` or `w = -0.0` (threshold `|p|`). Rounding down only
+/// ever lets an extra slot through to the exact sign test.
+pub fn can_win_threshold(w: f64, n: u32) -> u32 {
+    /// `1 − 2⁻⁴⁰`: far above the ~10 ulps of slack the bound needs, far
+    /// below the gap between two thresholds of cardinalities below 2⁴⁰.
+    const ROUND_DOWN: f64 = 1.0 - 1.0 / (1u64 << 40) as f64;
+    // A saturating cast: NaN (a NaN weight) reads 0, which passes all.
+    ((1.0 - w) * f64::from(n) * ROUND_DOWN).ceil() as u32
 }
 
 /// Convenience: global rating straight from synopses and sizes.
@@ -221,6 +254,39 @@ mod tests {
                 assert_eq!(nonnegative_rating(w, &i).map(f64::to_bits), want, "{i:?} w {w}");
             }
         }
+    }
+
+    /// Wherever the sign-first rating is `Some`, the overlap reaches the
+    /// can-win threshold of `|e|` or of `|p|` — at weights whose `(1−w)·n`
+    /// lands on an integer, next to 1, and with sizes near the top of
+    /// `u64`. At `w = 0` the thresholds are the cardinalities themselves.
+    #[test]
+    fn a_rating_that_can_win_reaches_a_threshold() {
+        let below_one = f64::from_bits(1.0f64.to_bits() - 1);
+        let weights = [0.0, 1e-300, 0.2, 0.25, 0.3, 0.5, 0.7, 0.75, 0.999, below_one];
+        let sizes = [0, 1, 2, 7, 5_000, 1 << 40, u64::MAX / 2];
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        for _ in 0..20_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let (left, right) = (1 + (x % 40) as u32, ((x >> 8) % 40) as u32);
+            let and = ((x >> 16) as u32 % 41).min(left).min(right);
+            let counts = FusedCounts { and, or: left + right - and, left, right };
+            let size_e = sizes[1 + (x >> 24) as usize % (sizes.len() - 1)];
+            let size_p = sizes[(x >> 32) as usize % sizes.len()];
+            let i = RatingInputs::from_fused(counts, size_e, size_p);
+            for w in weights {
+                if nonnegative_rating(w, &i).is_some() {
+                    let (te, tp) = (can_win_threshold(w, left), can_win_threshold(w, right));
+                    assert!(and >= te || and >= tp, "{i:?} w {w}: thresholds {te} {tp}");
+                }
+            }
+        }
+        assert_eq!(can_win_threshold(0.0, 7), 7);
+        assert_eq!(can_win_threshold(0.25, 4), 3, "an integer threshold stays put");
+        assert_eq!(can_win_threshold(0.2, 7), 6);
+        assert_eq!(can_win_threshold(0.5, 0), 0);
     }
 
     #[test]

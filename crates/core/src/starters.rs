@@ -57,24 +57,27 @@ impl SplitStarters {
     /// * empty slot B → `e` becomes starter B (lines 15–16);
     /// * otherwise `e` replaces the starter it is *less* different from,
     ///   if that improves on the current pair difference (lines 17–24).
+    ///
+    /// A replaced starter's synopsis is overwritten in place, reusing its
+    /// buffer.
     pub fn offer(&mut self, id: EntityId, synopsis: &Synopsis) {
-        match (&self.a, &self.b) {
+        match (&mut self.a, &mut self.b) {
             (None, _) => self.a = Some((id, synopsis.clone())),
             (Some((_, sa)), None) => {
                 self.diff_ab = sa.diff(synopsis);
                 self.b = Some((id, synopsis.clone()));
             }
-            (Some((_, sa)), Some((_, sb))) => {
+            (Some((a, sa)), Some((b, sb))) => {
                 let r_ea = synopsis.diff(sa);
                 let r_eb = synopsis.diff(sb);
                 let r_ab = self.diff_ab;
                 // Paper order: prefer replacing B (e pairs with A), then A.
                 if r_ea >= r_eb && r_ea >= r_ab {
-                    self.b = Some((id, synopsis.clone()));
-                    self.diff_ab = r_ea;
+                    (*b, self.diff_ab) = (id, r_ea);
+                    sb.clone_from(synopsis);
                 } else if r_eb >= r_ab {
-                    self.a = Some((id, synopsis.clone()));
-                    self.diff_ab = r_eb;
+                    (*a, self.diff_ab) = (id, r_eb);
+                    sa.clone_from(synopsis);
                 }
             }
         }

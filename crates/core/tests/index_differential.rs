@@ -25,11 +25,17 @@
 //! against the definition: a brute-force argmax of `rating::rate` — the
 //! fused four-count reference — over every partition's rating synopsis,
 //! compared as `(segment, rating bits)`.
+//!
+//! A fourth holds the served scan — bit-sliced overlap counts and the
+//! can-win mask — to a copy of the per-candidate loop it replaced, on
+//! `(segment, rating bits, ratings)`, on catalogs wider than two words of
+//! slots with entities of up to 100 attributes.
 
+use cind_bitset::FusedCounts;
 use cind_model::{EntityId, Synopsis};
 use cind_storage::SegmentId;
-use cinderella_core::rating::rate;
-use cinderella_core::{IndexTier, PartitionCatalog, SynopsisMode};
+use cinderella_core::rating::{local_rating, rate};
+use cinderella_core::{IndexTier, PartitionCatalog, RatingInputs, SynopsisMode};
 use proptest::prelude::*;
 
 const UNIVERSE: usize = 24;
@@ -198,8 +204,138 @@ fn definition(
     best
 }
 
+/// Attribute span of the masked-scan property: wide enough for 100-attribute
+/// probes, with a dense low region so overlaps run high.
+const WIDE: u32 = 160;
+/// The weights the masked-scan property rates at: `(1−w)·n` lands on an
+/// integer for every `n` at 0, for even `n` at 0.5, for `n` divisible by 4
+/// at 0.25 (and by 10 at 0.7, up to rounding of `1 − 0.7`).
+const WEIGHTS: [f64; 7] = [0.0, 0.2, 0.25, 0.3, 0.5, 0.7, 0.999];
+
+/// A catalog of `nparts` partitions (more than 128 slots) filled with
+/// `members`, then `recycle` partitions emptied, removed and re-created on
+/// fresh segments, which take the freed slots. Partitions no member lands
+/// in stay zero-size with empty synopses; size-0 members make zero-size
+/// partitions with attributes.
+fn wide_catalog(
+    nparts: usize,
+    members: &[(Vec<u32>, u64, prop::sample::Index)],
+    recycle: &[prop::sample::Index],
+) -> PartitionCatalog {
+    let mut cat = PartitionCatalog::new(IndexTier::Exact);
+    let mut parts: Vec<(u32, Vec<Member>)> = Vec::new();
+    for seg in 0..nparts as u32 {
+        cat.create_partition(SegmentId(seg));
+        parts.push((seg, Vec::new()));
+    }
+    for (id, (attrs, size, pick)) in members.iter().enumerate() {
+        let (seg, held) = &mut parts[pick.index(nparts)];
+        cat.add_entity(SegmentId(*seg), EntityId(id as u64), &syn(attrs), *size);
+        held.push((id as u64, attrs.clone(), *size));
+    }
+    for (fresh, pick) in (nparts as u32..).zip(recycle) {
+        let (seg, held) = std::mem::take(&mut parts[pick.index(nparts)]);
+        for (id, attrs, size) in &held {
+            cat.remove_entity(SegmentId(seg), EntityId(*id), &syn(attrs), *size);
+        }
+        cat.remove_partition(SegmentId(seg));
+        cat.create_partition(SegmentId(fresh));
+        for (id, attrs, size) in &held {
+            cat.add_entity(SegmentId(fresh), EntityId(*id), &syn(attrs), *size);
+        }
+        parts[pick.index(nparts)] = (fresh, held);
+    }
+    cat
+}
+
+/// The per-candidate indexed scan the masked scan replaced, on the
+/// catalog's public view: every partition sharing an attribute with `e` or
+/// of size 0 is a candidate and counts as rated; each gets its overlap,
+/// `r'` in `local_rating`'s expressions, and a division only where
+/// `r' ≥ 0`. Segment order with a strict `<` keeps the lowest segment on
+/// ties.
+fn per_candidate(
+    cat: &PartitionCatalog,
+    e: &Synopsis,
+    size_e: u64,
+    w: f64,
+) -> (Option<(SegmentId, u64)>, u32) {
+    let (mut best, mut ratings): (Option<(SegmentId, f64)>, u32) = (None, 0);
+    let left = e.cardinality();
+    for m in cat.iter() {
+        let p = cat.rating_synopsis(m.segment).expect("cataloged");
+        let (and, right) = (e.overlap(&p), p.cardinality());
+        if and == 0 && m.size != 0 {
+            continue;
+        }
+        ratings += 1;
+        let counts = FusedCounts { and, or: left + right - and, left, right };
+        let i = RatingInputs::from_fused(counts, size_e, m.size);
+        let denom = (i.size_p + i.size_e) as f64 * f64::from(i.union_count);
+        let r = if denom == 0.0 {
+            0.0
+        } else {
+            let local = local_rating(w, &i);
+            if local < 0.0 {
+                continue;
+            }
+            local / denom
+        };
+        if best.is_none_or(|(_, rb)| rb < r) {
+            best = Some((m.segment, r));
+        }
+    }
+    (key(best), ratings)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn masked_scan_matches_the_per_candidate_loop(
+        nparts in 129usize..200,
+        members in prop::collection::vec(
+            (
+                prop::collection::vec(
+                    prop_oneof![3 => 0u32..12, 1 => 0u32..WIDE],
+                    0..40,
+                ),
+                prop_oneof![1 => 0u64..1, 4 => 1u64..6],
+                any::<prop::sample::Index>(),
+            ),
+            100..400,
+        ),
+        recycle in prop::collection::vec(any::<prop::sample::Index>(), 0..12),
+        kept in any::<prop::sample::Index>(),
+        probes in prop::collection::vec(
+            (
+                prop::collection::vec(
+                    prop_oneof![2 => 0u32..12, 1 => 0u32..WIDE],
+                    1..101,
+                ),
+                1u64..6,
+            ),
+            1..6,
+        ),
+    ) {
+        let mut cat = wide_catalog(nparts, &members, &recycle);
+        // One weight's planes kept; every other weight is rebuilt per call.
+        cat.set_rating_weight(WEIGHTS[kept.index(WEIGHTS.len())]);
+        let report = cinderella_core::validate::render(&cat.validate());
+        prop_assert!(report.is_empty(), "{}", report);
+        for (attrs, size) in &probes {
+            let e = syn(attrs);
+            for w in WEIGHTS {
+                let (best, ratings) = cat.best_partition(&e, *size, w);
+                prop_assert_eq!(
+                    (key(best), ratings),
+                    per_candidate(&cat, &e, *size, w),
+                    "{} partitions, probe of {} attributes, size {}, w {}",
+                    cat.len(), e.cardinality(), size, w
+                );
+            }
+        }
+    }
 
     #[test]
     fn indexed_argmax_matches_full_scan(

@@ -22,9 +22,20 @@ use crate::AttrId;
 /// assert_eq!(e.diff(&p), 3);           // |e ⊕ p| (split-starter DIFF)
 /// assert!(!e.is_disjoint(&p));         // would NOT be pruned
 /// ```
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
+#[derive(PartialEq, Eq, Debug, Default)]
 pub struct Synopsis {
     bits: FixedBitSet,
+}
+
+/// `clone_from` reuses the destination's buffer (see [`FixedBitSet`]'s).
+impl Clone for Synopsis {
+    fn clone(&self) -> Self {
+        Self { bits: self.bits.clone() }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.bits.clone_from(&source.bits);
+    }
 }
 
 impl Synopsis {
