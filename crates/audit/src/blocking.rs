@@ -1,6 +1,6 @@
 //! CIND-A009: no blocking call while a lock guard is live.
 //!
-//! Generalizes A003/A006/A007 into one engine-backed analysis: every
+//! One engine-backed analysis over every lock in the workspace: every
 //! function body in non-test library code is walked and every *blocking*
 //! operation — file sync, socket/WAL writes, `Vfs` I/O, channel
 //! send/recv, condvar waits, `thread::join`/`thread::sleep` — that is

@@ -8,16 +8,11 @@
 //!    as does raw-string hash counting and block-comment nesting);
 //! 2. the **blanked view**: the source with comments, string literals and
 //!    char literals replaced by spaces, length- and newline-preserving, so
-//!    a byte offset in the view is the same line/column in the file.
-//!
-//! The blanking rules are bit-for-bit the ones the original per-rule
-//! byte-walkers used (the differential test in `tests/differential.rs`
-//! pins that down against an inlined copy of the legacy pass), so every
-//! line-oriented rule ported onto the lexer reports identical findings.
+//!    a byte offset in the view is the same line/column in the file. Only
+//!    [`crate::scan::test_region_ranges`] reads it.
 //!
 //! Tokens carry a `masked` flag, set by [`crate::SourceFile::new`] for
-//! tokens inside `#[cfg(test)]` regions: structural analyses skip masked
-//! tokens the same way line rules skip blanked test code.
+//! tokens inside `#[cfg(test)]` regions: every rule skips masked tokens.
 
 /// Token classification.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -2,45 +2,41 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 //! `cind-audit` — the workspace's own static pass.
 //!
-//! Clippy checks what the Rust compiler can see, and the workspace leans on
-//! it for every rule it can express: CIND-A002 (panic-free library code) is
-//! one `deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)` line
-//! per library root, CIND-A005 (no wall clock in deterministic crates) is a
-//! `clippy.toml` per deterministic crate, and `missing_docs` documents every
-//! config field. This crate checks what only this codebase knows: that
-//! every crate root forbids `unsafe` and every library root carries the
-//! panic-lint line, that the buffer pool's mutex is never re-acquired under
-//! a pool guard, that every [`Config`] knob reaches the CLI, that no lock
-//! guard is held across the sharded engine's fan-out calls, that every
-//! sync/flush decision in the serving crate stays inside the group-commit
-//! coordinator, that lock acquisition order is acyclic, and that no
-//! blocking call runs under a lock guard.
+//! The workspace leans on the toolchain for every rule it can express:
+//! CIND-A002 (panic-free library code) is one `deny(clippy::unwrap_used,
+//! clippy::expect_used, clippy::panic)` line per library root, CIND-A005
+//! (no wall clock in deterministic crates) and CIND-A007 (no sync/flush in
+//! the serving crate outside the group-commit coordinator) are
+//! `disallowed-methods` in a crate's `clippy.toml`, CIND-A004 (every config
+//! knob reaches the CLI) is a struct pattern in `cind`'s flag parsing, the
+//! buffer pool's `IoStats` counters are atomics behind `&self`, and
+//! `missing_docs` documents every config field. This crate checks what only
+//! this codebase knows: that every crate root forbids `unsafe` and every
+//! library root carries the panic-lint line (a lint binds only the crates
+//! that opt in), that no lock guard is held across the sharded engine's
+//! fan-out calls, that lock acquisition order is acyclic and no mutex is
+//! re-acquired under its own guard, and that no blocking call runs under a
+//! lock guard.
 //!
 //! The pass is deliberately token-level, not AST-level: it has zero
 //! dependencies, so it builds and runs even when the rest of the workspace
 //! is mid-refactor, and its rules survive syntax the paper-reproduction
-//! code does not use. A single lexer pass ([`lexer`]) yields both a token
-//! stream and a blanked "code view" (comments, string literals, and
-//! `#[cfg(test)]` regions replaced by spaces — length-preserving, so line
-//! numbers hold); line rules run over the view, structural rules
-//! ([`syntax`], [`locks`], [`blocking`]) walk the tokens through a
-//! brace-tree with function/impl scoping. Rules that need CLI usage
-//! strings read the raw text explicitly.
+//! code does not use. A single lexer pass ([`lexer`]) yields the token
+//! stream; tokens inside `#[cfg(test)]` regions are masked, and every rule
+//! walks the unmasked tokens ([`syntax`] adds the brace-tree with
+//! function/impl scoping that [`locks`], [`blocking`] and A006 run on).
 //!
 //! Rules:
 //!
 //! | id        | rule |
 //! |-----------|------|
 //! | CIND-A001 | every crate root starts with `#![forbid(unsafe_code)]`; every library root also carries CIND-A002's `deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)` line |
-//! | CIND-A003 | buffer-pool lock discipline: the pool's mutex is never acquired while a pool guard is held; `IoStats` only via its atomic API |
-//! | CIND-A004 | every `Config` field is wired to a CLI flag |
 //! | CIND-A006 | no lock guard held across a shard fan-out call in the sharded engine |
-//! | CIND-A007 | no `sync`/`flush` calls in the serving crate outside the group-commit coordinator |
-//! | CIND-A008 | the workspace-wide lock acquisition-order graph is acyclic (witness chain on failure) |
+//! | CIND-A008 | the workspace-wide lock acquisition-order graph is acyclic (witness chain on failure), and no `.lock()` is taken while a guard of the same class is live |
 //! | CIND-A009 | no blocking call (I/O, channel, condvar, join) while a lock guard is live, unless `audit:allow`ed with a reason |
 //!
-//! Run as `cargo run -p cind-audit -- check` (add `--format sarif` for
-//! machine-readable output). Exit status is non-zero iff findings remain.
+//! Run as `cargo run -p cind-audit -- check`. Exit status is non-zero iff
+//! findings remain.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -49,7 +45,6 @@ pub mod blocking;
 pub mod lexer;
 pub mod locks;
 pub mod rules;
-pub mod sarif;
 pub mod scan;
 pub mod syntax;
 
@@ -72,24 +67,20 @@ impl fmt::Display for Finding {
     }
 }
 
-/// A workspace source file: raw text, lexed tokens, and the blanked code
-/// view — all derived in one lexer pass.
+/// A workspace source file: raw text and its lexed tokens.
 pub struct SourceFile {
     /// Workspace-relative path, `/`-separated.
     pub path: String,
     /// The file exactly as on disk.
     pub raw: String,
-    /// `raw` with comments, string literals, and `#[cfg(test)]` regions
-    /// replaced by spaces — same length, same line structure.
-    pub code: String,
     /// The token stream; tokens inside `#[cfg(test)]` regions are
-    /// `masked` and skipped by structural rules.
+    /// `masked` and skipped by every rule.
     pub tokens: Vec<lexer::Token>,
 }
 
 impl SourceFile {
     /// Builds a file from its path and raw content, deriving the token
-    /// stream and the code view.
+    /// stream and its test-region mask.
     #[must_use]
     pub fn new(path: impl Into<String>, raw: impl Into<String>) -> Self {
         let raw = raw.into();
@@ -98,8 +89,7 @@ impl SourceFile {
         for t in &mut tokens {
             t.masked = ranges.iter().any(|&(s, e)| t.start >= s && t.start < e);
         }
-        let code = scan::mask_test_regions(&stripped);
-        Self { path: path.into(), raw, code, tokens }
+        Self { path: path.into(), raw, tokens }
     }
 }
 
@@ -156,10 +146,7 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
 pub fn run_all(files: &[SourceFile]) -> Vec<Finding> {
     let mut out = Vec::new();
     out.extend(rules::crate_root_attributes(files));
-    out.extend(rules::lock_discipline(files));
-    out.extend(rules::config_coverage(files));
     out.extend(rules::shard_fanout_lock_freedom(files));
-    out.extend(rules::commit_path_sync_discipline(files));
     out.extend(locks::lock_order(files));
     out.extend(blocking::blocking_in_critical_section(files));
     out.sort_by(|a, b| {

@@ -1,4 +1,5 @@
-//! CIND-A008: the workspace-wide lock acquisition-order graph is acyclic.
+//! CIND-A008: the workspace-wide lock acquisition-order graph is acyclic,
+//! and no mutex is locked again under its own guard.
 //!
 //! Every function body in the workspace is walked ([`crate::syntax`]);
 //! whenever a lock is acquired while other guards are live, one directed
@@ -18,8 +19,11 @@
 //!
 //! A cycle fails the audit with the full witness chain, one hop per edge:
 //! which file:line acquired what while holding what. Same-class nesting
-//! (an edge `c → c`) is deliberately not an A008 cycle — that is A003's
-//! single-latch domain.
+//! adds no edge. A `.lock()` taken while a `.lock()` guard of its own class
+//! is live is a finding of its own: a `std::sync::Mutex` is not reentrant,
+//! so on one mutex it self-deadlocks, and the class cannot tell two
+//! mutexes of the same name apart. Nested `read`/`write` guards of one
+//! class stay unflagged: shared read guards nest.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -33,15 +37,32 @@ struct Witness {
     held_line: usize,
 }
 
-/// CIND-A008 entry point: build the graph, fail on cycles.
+/// CIND-A008 entry point: build the graph, fail on cycles and on a mutex
+/// re-locked under its own guard.
 #[must_use]
 pub fn lock_order(files: &[SourceFile]) -> Vec<Finding> {
     let mut edges: BTreeMap<(String, String), Witness> = BTreeMap::new();
+    let mut relocks = Vec::new();
     for f in files {
         for func in syntax::functions(f) {
             for ev in syntax::events(f, &func) {
                 let (line, target, held) = match &ev {
-                    Event::Acquire { line, class, held, .. } => {
+                    Event::Acquire { line, class, method, held, .. } => {
+                        let relocked = held
+                            .iter()
+                            .find(|h| method == "lock" && h.method == "lock" && h.class == *class);
+                        if let Some(h) = relocked {
+                            relocks.push(Finding {
+                                file: f.path.clone(),
+                                line: *line,
+                                rule: "CIND-A008",
+                                message: format!(
+                                    "`{class}` locked while its guard from line {} is live \
+                                     (std::sync::Mutex is not reentrant; drop the guard first)",
+                                    h.line
+                                ),
+                            });
+                        }
                         (*line, Some(class.clone()), held)
                     }
                     Event::Call { line, name, recv_tail, empty_args, held, .. } => {
@@ -113,6 +134,7 @@ pub fn lock_order(files: &[SourceFile]) -> Vec<Finding> {
                 message: format!("lock-order cycle: {chain}; {}", hops.join("; ")),
             }
         })
+        .chain(relocks)
         .collect()
 }
 
@@ -229,12 +251,92 @@ mod tests {
     }
 
     #[test]
-    fn same_class_nesting_is_not_a_cycle() {
+    fn nested_same_class_lock_is_a_finding() {
         let a = file(
+            "crates/storage/src/buffer.rs",
+            "impl P {\n\
+             fn steal(&self) {\n\
+                 let mut g = self.shards[0].lock().unwrap();\n\
+                 let other = self.shards[1].lock().unwrap();\n\
+                 g.merge(other);\n\
+             }\n\
+             fn relock(&self) {\n\
+                 let g = self.lock();\n\
+                 self.lock().len();\n\
+             }\n\
+             }\n",
+        );
+        let found = lock_order(&[a]);
+        let at: Vec<(usize, &str)> = found.iter().map(|f| (f.line, f.rule)).collect();
+        assert_eq!(at, [(4, "CIND-A008"), (9, "CIND-A008")], "{found:?}");
+        assert!(found[0].message.starts_with("`shard` locked while its guard from line 3"));
+        assert!(found[1].message.starts_with("`P` locked while its guard from line 8"));
+    }
+
+    #[test]
+    fn sequential_same_class_locks_are_not_a_finding() {
+        let good = file(
+            "crates/storage/src/buffer.rs",
+            "impl P {\n\
+             fn sweep(&self) {\n\
+                 for shard in self.shards.iter() {\n\
+                     let g = shard.lock().unwrap();\n\
+                     g.touch();\n\
+                 }\n\
+                 let h = self.shards[0].lock().unwrap();\n\
+                 drop(h);\n\
+                 let k = self.shards[1].lock().unwrap();\n\
+             }\n\
+             fn count(&self) -> usize {\n\
+                 self.shards.iter().map(|s| s.lock().unwrap().len()).sum()\n\
+             }\n\
+             }\n",
+        );
+        let found = lock_order(&[good]);
+        assert!(found.is_empty(), "{found:?}");
+    }
+
+    #[test]
+    fn same_class_nesting_is_not_a_cycle() {
+        let locks = file(
             "crates/x/src/a.rs",
             "impl A {\nfn f(&self) {\n    let x = self.shards[0].lock().unwrap();\n    \
              let y = self.shards[1].lock().unwrap();\n}\n}\n",
         );
-        assert!(lock_order(&[a]).is_empty(), "A003's domain, not A008's");
+        // No `shard -> shard` edge, so no cycle: the one finding is the
+        // re-lock itself.
+        let found = lock_order(&[locks]);
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert!(!found[0].message.contains("cycle"), "{}", found[0].message);
+        assert!(found[0].message.contains("not reentrant"), "{}", found[0].message);
+        // Read/write guards of one class nest without a finding.
+        let rw = file(
+            "crates/x/src/a.rs",
+            "impl A {\nfn f(&self) {\n    let x = self.slots[0].read();\n    \
+             let y = self.slots[1].write();\n}\n}\n",
+        );
+        assert!(lock_order(&[rw]).is_empty());
+    }
+
+    #[test]
+    fn nested_locks_of_two_classes_add_an_edge_but_no_finding() {
+        let nested = || {
+            file(
+                "crates/core/src/catalog.rs",
+                "impl C {\nfn f(&self) {\n    let a = self.x.lock().unwrap();\n    \
+                 let b = self.y.lock().unwrap();\n}\n}\n",
+            )
+        };
+        // Alone, x → y closes no cycle …
+        assert!(lock_order(&[nested()]).is_empty());
+        // … but the edge is there: the opposite order elsewhere closes one.
+        let inverted = file(
+            "crates/core/src/other.rs",
+            "impl D {\nfn g(&self) {\n    let b = self.y.lock().unwrap();\n    \
+             let a = self.x.lock().unwrap();\n}\n}\n",
+        );
+        let found = lock_order(&[nested(), inverted]);
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert!(found[0].message.starts_with("lock-order cycle: x -> y -> x;"), "{found:?}");
     }
 }

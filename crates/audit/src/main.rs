@@ -4,13 +4,13 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use cind_audit::{run_all, sarif};
+use cind_audit::run_all;
 
 const USAGE: &str = "\
 cind-audit — workspace lint pass for the Cinderella codebase
 
 USAGE:
-  cind-audit check [--format text|sarif] [--root DIR]
+  cind-audit check [--root DIR]
 
 Exit status: 0 clean, 1 findings, 2 usage/IO error.";
 
@@ -26,18 +26,12 @@ fn workspace_root(explicit: Option<PathBuf>) -> PathBuf {
 
 fn run() -> Result<bool, String> {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut as_sarif = false;
     let mut root: Option<PathBuf> = None;
     let mut saw_check = false;
     let mut it = argv.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "check" => saw_check = true,
-            "--format" => match it.next().map(String::as_str) {
-                Some("text") => as_sarif = false,
-                Some("sarif") => as_sarif = true,
-                other => return Err(format!("bad --format {other:?}\n\n{USAGE}")),
-            },
             "--root" => {
                 root = Some(PathBuf::from(
                     it.next().ok_or_else(|| format!("--root needs a value\n\n{USAGE}"))?,
@@ -54,19 +48,15 @@ fn run() -> Result<bool, String> {
     let root = workspace_root(root);
     let files = load(&root)?;
     let findings = run_all(&files);
-    if as_sarif {
-        println!("{}", sarif::render(&findings));
-    } else {
-        for f in &findings {
-            println!("{f}");
-        }
-        eprintln!(
-            "cind-audit: {} finding{} over {} files",
-            findings.len(),
-            if findings.len() == 1 { "" } else { "s" },
-            files.len()
-        );
+    for f in &findings {
+        println!("{f}");
     }
+    eprintln!(
+        "cind-audit: {} finding{} over {} files",
+        findings.len(),
+        if findings.len() == 1 { "" } else { "s" },
+        files.len()
+    );
     Ok(findings.is_empty())
 }
 

@@ -1,14 +1,10 @@
-//! Length-preserving source transforms built on the lexer: blank comments,
-//! string literals, and `#[cfg(test)]` regions so rules can match tokens
-//! without a parser.
+//! Source positions for the token rules: where the `#[cfg(test)]` regions
+//! are, and which line a byte offset sits on.
 //!
-//! Everything here replaces text with spaces rather than removing it, so a
-//! byte offset in the transformed text is the same line and column in the
-//! file — findings point at real locations. The blanking itself happens in
-//! [`crate::lexer::lex`] (one pass yields tokens *and* the blanked view);
-//! this module layers the test-region mask on top.
-
-use crate::lexer;
+//! The regions are found in the lexer's blanked view
+//! ([`crate::lexer::lex`]), which replaces comments and literals with
+//! spaces and keeps every byte offset, so a brace inside a string cannot
+//! unbalance the walk and each range maps straight back onto the tokens.
 
 /// Byte ranges of `#[cfg(test)]`-attributed items in already-blanked text:
 /// from the attribute through the item's matching `}` (or `;` for non-block
@@ -51,32 +47,6 @@ pub fn test_region_ranges(stripped: &str) -> Vec<(usize, usize)> {
     out
 }
 
-/// Blanks every [`test_region_ranges`] region in already-blanked text,
-/// preserving newlines and length.
-#[must_use]
-pub fn mask_test_regions(stripped: &str) -> String {
-    let mut out = stripped.as_bytes().to_vec();
-    for (start, end) in test_region_ranges(stripped) {
-        for c in &mut out[start..end] {
-            if *c != b'\n' {
-                *c = b' ';
-            }
-        }
-    }
-    String::from_utf8_lossy(&out).into_owned()
-}
-
-/// The full code view: comments and strings blanked, test regions masked.
-#[must_use]
-pub fn code_view(raw: &str) -> String {
-    mask_test_regions(&lexer::lex(raw).1)
-}
-
-/// Yields `(1-based line number, line)` pairs.
-pub fn lines(text: &str) -> impl Iterator<Item = (usize, &str)> {
-    text.lines().enumerate().map(|(i, l)| (i + 1, l))
-}
-
 /// 1-based line number of byte offset `at`.
 #[must_use]
 pub fn line_of(text: &str, at: usize) -> usize {
@@ -86,6 +56,7 @@ pub fn line_of(text: &str, at: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{lexer, SourceFile};
 
     fn strip(src: &str) -> String {
         lexer::lex(src).1
@@ -116,6 +87,16 @@ mod tests {
         assert!(s.contains("<'a, 'b>"), "lifetimes survive: {s}");
     }
 
+    /// The unmasked identifiers of `src`, in order.
+    fn live_idents(src: &str) -> Vec<String> {
+        let f = SourceFile::new("crates/x/src/lib.rs", src);
+        f.tokens
+            .iter()
+            .filter(|t| !t.masked && t.kind == lexer::TokenKind::Ident)
+            .map(|t| t.text(src).to_owned())
+            .collect()
+    }
+
     #[test]
     fn masks_cfg_test_mod_but_not_library_code() {
         let src = "\
@@ -126,21 +107,14 @@ mod tests {
 }
 fn also_real() {}
 ";
-        let v = code_view(src);
-        assert!(v.contains("fn real"), "{v}");
-        assert!(v.contains("maybe.unwrap()"), "{v}");
-        assert!(v.contains("fn also_real"), "{v}");
-        assert!(!v.contains("fn t"), "{v}");
-        assert!(!v.contains("panic!"), "{v}");
-        assert_eq!(v.lines().count(), src.lines().count());
+        let live = live_idents(src);
+        assert_eq!(live, ["fn", "real", "maybe", "unwrap", "fn", "also_real"], "{live:?}");
     }
 
     #[test]
     fn masks_cfg_test_on_statement_without_eating_rest_of_file() {
-        let src = "#[cfg(test)]\nuse foo::bar;\nfn real() {}\n";
-        let v = code_view(src);
-        assert!(!v.contains("foo::bar"), "{v}");
-        assert!(v.contains("fn real"), "{v}");
+        let live = live_idents("#[cfg(test)]\nuse foo::bar;\nfn real() {}\n");
+        assert_eq!(live, ["fn", "real"], "{live:?}");
     }
 
     #[test]

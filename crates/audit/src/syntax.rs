@@ -1,5 +1,5 @@
 //! The brace-tree: function/impl scoping and the guard-tracking event
-//! walker every structural rule (A003, A006, A008, A009) runs on.
+//! walker every structural rule (A006, A008, A009) runs on.
 //!
 //! [`functions`] finds every `fn` body in a file together with the impl
 //! type it belongs to; [`events`] walks one body and emits a flat event
@@ -7,7 +7,7 @@
 //! a snapshot of the lock guards lexically live at that point.
 //!
 //! Guard tracking is deliberately conservative and mirrors the original
-//! A003/A006 byte-walkers: a `let`-bound guard from `.lock(…)` /
+//! byte-walkers (`tests/differential.rs` keeps A006's as the reference): a `let`-bound guard from `.lock(…)` /
 //! `.read()` / `.write()` is held until its enclosing block closes or a
 //! `drop(<var>)` names it. Expression-position temporaries
 //! (`self.write().table.flush()`) and non-`let` reassignments
@@ -25,8 +25,6 @@ pub struct Function {
     /// Enclosing `impl` target type (`impl Engine`, `impl Display for X`
     /// → `X`), if any.
     pub impl_type: Option<String>,
-    /// 1-based line of the `fn` keyword.
-    pub line: usize,
     /// Token-index range of the body: first token after `{` .. index of
     /// the matching `}`.
     pub body: std::ops::Range<usize>,
@@ -90,18 +88,6 @@ pub enum Event {
         /// Guards live at the mention.
         held: Vec<Held>,
     },
-}
-
-impl Event {
-    /// The event's line, whatever its kind.
-    #[must_use]
-    pub fn line(&self) -> usize {
-        match self {
-            Event::Acquire { line, .. }
-            | Event::Call { line, .. }
-            | Event::PathCall { line, .. } => *line,
-        }
-    }
 }
 
 /// Names the lock class of an acquisition or channel endpoint from its
@@ -261,7 +247,6 @@ pub fn functions(f: &SourceFile) -> Vec<Function> {
                             out.push(Function {
                                 name: toks[ni].text(src).to_owned(),
                                 impl_type: impls.last().map(|(_, ty)| ty.clone()),
-                                line: line_of(src, t.start),
                                 body: open + 1..close,
                             });
                         }
@@ -332,7 +317,7 @@ fn let_var(toks: &[Token], src: &str, after_let: usize) -> Option<String> {
 }
 
 /// Walks one function body and emits its event stream. Guards held are
-/// tracked exactly as the legacy A003/A006 walkers did (see module docs);
+/// tracked exactly as the legacy byte-walkers did (see module docs);
 /// nested `fn` items are skipped (they get their own walk).
 #[must_use]
 pub fn events(f: &SourceFile, func: &Function) -> Vec<Event> {

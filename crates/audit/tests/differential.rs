@@ -1,21 +1,10 @@
-//! Differential test: the lexer-backed engine is a drop-in replacement for
-//! the retired byte-walkers.
+//! Differential test: the event-walker port of A006 is a drop-in
+//! replacement for the retired byte-walker.
 //!
 //! `mod legacy` below is the pre-engine implementation, inlined verbatim
-//! (blanking, test-region masking, and the A003/A006 walkers). Over the
-//! *real current workspace* we assert:
-//!
-//! 1. the legacy code view and the lexer's code view are byte-identical for
-//!    every file — which carries A001, A007 and A003's `IoStats` check with
-//!    it, since those run line-wise over `SourceFile::code` and were not
-//!    otherwise changed (A004 reads the raw text); and
-//! 2. the legacy A003 and A006 walkers report exactly the same `file:line`
-//!    sets as their event-walker ports.
-//!
-//! Known, accepted divergence (not present in the tree, and caught by
-//! assertion 1 if it ever appears): an identifier ending in `b` followed
-//! directly by a string literal (`ab"x"`) — the legacy blanker ate the `b`
-//! as a byte-string prefix; the lexer keeps `ab` one identifier.
+//! (blanking, test-region masking, and the A006 walker over the view they
+//! make). Over the *real current workspace* the legacy walker must report
+//! exactly the same `file:line` set as [`rules::shard_fanout_lock_freedom`].
 
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -23,12 +12,17 @@ use std::path::Path;
 use cind_audit::{load_workspace, rules, SourceFile};
 
 mod legacy {
-    //! The pre-engine byte-walkers, verbatim.
+    //! The pre-engine byte-walker, verbatim.
 
     use cind_audit::SourceFile;
 
-    #[must_use]
-    pub fn strip_comments_and_strings(src: &str) -> String {
+    /// The view the walker reads: comments and literals blanked, then
+    /// `#[cfg(test)]` regions masked.
+    fn code_view(raw: &str) -> String {
+        mask_test_regions(&strip_comments_and_strings(raw))
+    }
+
+    fn strip_comments_and_strings(src: &str) -> String {
         let b = src.as_bytes();
         let mut out = b.to_vec();
         let mut i = 0;
@@ -165,8 +159,7 @@ mod legacy {
             && (i == 0 || !b[i - 1].is_ascii_alphanumeric() && b[i - 1] != b'_')
     }
 
-    #[must_use]
-    pub fn mask_test_regions(stripped: &str) -> String {
+    fn mask_test_regions(stripped: &str) -> String {
         const ATTR: &str = "#[cfg(test)]";
         let mut out = stripped.as_bytes().to_vec();
         let mut from = 0;
@@ -212,55 +205,14 @@ mod legacy {
         i > 0 && (code[i - 1].is_ascii_alphanumeric() || code[i - 1] == b'_')
     }
 
-    /// Legacy A003 walker; returns 1-based finding lines.
-    #[must_use]
-    pub fn nested_lock_lines(f: &SourceFile) -> Vec<usize> {
-        let mut out = Vec::new();
-        let code = f.code.as_bytes();
-        let mut depth: usize = 0;
-        let mut held: Vec<usize> = Vec::new();
-        let mut stmt_is_let = false;
-        let mut i = 0;
-        while i < code.len() {
-            match code[i] {
-                b'{' => {
-                    depth += 1;
-                    stmt_is_let = false;
-                }
-                b'}' => {
-                    depth = depth.saturating_sub(1);
-                    held.retain(|&d| d <= depth);
-                    stmt_is_let = false;
-                }
-                b';' => stmt_is_let = false,
-                b'l' if f.code[i..].starts_with("let")
-                    && !prev_is_ident(code, i)
-                    && code.get(i + 3).is_some_and(|c| c.is_ascii_whitespace()) =>
-                {
-                    stmt_is_let = true;
-                }
-                b'.' if f.code[i..].starts_with(".lock(") => {
-                    if !held.is_empty() {
-                        out.push(line_of(&f.code, i));
-                    }
-                    if stmt_is_let {
-                        held.push(depth);
-                    }
-                }
-                _ => {}
-            }
-            i += 1;
-        }
-        out
-    }
-
     /// Legacy A006 walker; returns 1-based finding lines.
     #[must_use]
     pub fn fanout_lines(f: &SourceFile) -> Vec<usize> {
         const GUARDS: [&str; 3] = [".read()", ".write()", ".lock("];
         const FANOUT: [&str; 2] = [".engines()", "thread::scope"];
         let mut out = Vec::new();
-        let code = f.code.as_bytes();
+        let view = code_view(&f.raw);
+        let code = view.as_bytes();
         let mut depth: usize = 0;
         let mut held: Vec<usize> = Vec::new();
         let mut stmt_is_let = false;
@@ -277,22 +229,22 @@ mod legacy {
                     stmt_is_let = false;
                 }
                 b';' => stmt_is_let = false,
-                b'l' if f.code[i..].starts_with("let")
+                b'l' if view[i..].starts_with("let")
                     && !prev_is_ident(code, i)
                     && code.get(i + 3).is_some_and(|c| c.is_ascii_whitespace()) =>
                 {
                     stmt_is_let = true;
                 }
-                b'.' if stmt_is_let && GUARDS.iter().any(|g| f.code[i..].starts_with(g)) => {
+                b'.' if stmt_is_let && GUARDS.iter().any(|g| view[i..].starts_with(g)) => {
                     held.push(depth);
                 }
                 _ => {}
             }
             if (code[i] == b'.' || !prev_is_ident(code, i))
-                && FANOUT.iter().any(|t| f.code[i..].starts_with(t))
+                && FANOUT.iter().any(|t| view[i..].starts_with(t))
                 && !held.is_empty()
             {
-                out.push(line_of(&f.code, i));
+                out.push(line_of(&view, i));
             }
             i += 1;
         }
@@ -303,45 +255,6 @@ mod legacy {
 fn workspace() -> Vec<SourceFile> {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     load_workspace(&root).expect("workspace loads")
-}
-
-#[test]
-fn code_views_are_byte_identical_to_legacy_blanking() {
-    let files = workspace();
-    assert!(!files.is_empty());
-    for f in &files {
-        let legacy_view = legacy::mask_test_regions(&legacy::strip_comments_and_strings(&f.raw));
-        if legacy_view != f.code {
-            let at = legacy_view
-                .bytes()
-                .zip(f.code.bytes())
-                .position(|(a, b)| a != b)
-                .unwrap_or(legacy_view.len().min(f.code.len()));
-            panic!(
-                "{}: code views diverge at byte {at} (line {}): legacy {:?} vs lexer {:?}",
-                f.path,
-                f.code[..at].lines().count(),
-                &legacy_view[at..(at + 40).min(legacy_view.len())],
-                &f.code[at..(at + 40).min(f.code.len())],
-            );
-        }
-    }
-}
-
-#[test]
-fn a003_walker_matches_legacy_on_the_real_tree() {
-    let files = workspace();
-    let legacy_set: BTreeSet<(String, usize)> = files
-        .iter()
-        .filter(|f| f.path.ends_with("storage/src/buffer.rs"))
-        .flat_map(|f| legacy::nested_lock_lines(f).into_iter().map(|l| (f.path.clone(), l)))
-        .collect();
-    let new_set: BTreeSet<(String, usize)> = rules::lock_discipline(&files)
-        .into_iter()
-        .filter(|f| f.message.starts_with("pool mutex"))
-        .map(|f| (f.file, f.line))
-        .collect();
-    assert_eq!(legacy_set, new_set);
 }
 
 /// A006 has since been re-keyed from `thread::scope` to the standing leg

@@ -1,15 +1,18 @@
 //! Fig. 8 — insert execution time for different partition size limits B.
 //!
-//! Loads the DBpedia-like set at w = 0.5 with per-insert event recording
-//! and prints a log-bucketed latency histogram per B, plus the split
-//! counts. Paper shape: most inserts fall in a narrow band; a small hump of
-//! much slower inserts are the splits; split *count* falls with B (paper:
-//! 448 / 100 / 0 for B = 500 / 5000 / 50000 at 100 k entities) while the
-//! *cost* of each split grows with B.
+//! Loads the DBpedia-like set at w = 0.5, timing each `Cinderella::insert`
+//! call (the entity's encode included) and taking its split flag from the
+//! returned `InsertOutcome`, and prints a log-bucketed latency histogram
+//! per B, plus the split counts. Paper shape: most inserts fall in a
+//! narrow band; a small hump of much slower inserts are the splits; split
+//! *count* falls with B (paper: 448 / 100 / 0 for B = 500 / 5000 / 50000
+//! at 100 k entities) while the *cost* of each split grows with B.
 
 #![forbid(unsafe_code)]
 
-use cind_bench::{dbpedia_dataset, load, ms, ExperimentEnv};
+use std::time::Instant;
+
+use cind_bench::{dbpedia_dataset, ms, ExperimentEnv};
 use cind_metrics::{LatencyHistogram, Table};
 use cind_storage::UniversalTable;
 use cinderella_core::{Capacity, Cinderella, Config};
@@ -40,18 +43,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut policy = Cinderella::new(Config {
             weight: WEIGHT,
             capacity: Capacity::MaxEntities(b),
-            record_events: true,
             ..Config::default()
         });
-        load(&mut policy, &mut table, entities)?;
-
-        let events = policy.take_events();
         let mut all = LatencyHistogram::new();
         let mut splits = LatencyHistogram::new();
-        for ev in &events {
-            all.record(ev.duration);
-            if ev.outcome.is_split() {
-                splits.record(ev.duration);
+        for e in entities {
+            let t0 = Instant::now();
+            let outcome = policy.insert(&mut table, e)?;
+            let took = t0.elapsed();
+            all.record(took);
+            if outcome.is_split() {
+                splits.record(took);
             }
         }
 
@@ -76,9 +78,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             b.to_string(),
             policy.stats().splits.to_string(),
             policy.catalog().len().to_string(),
-            ms(all.percentile(50.0).expect("events recorded")),
-            ms(all.percentile(99.0).expect("events recorded")),
-            ms(all.percentile(100.0).expect("events recorded")),
+            ms(all.percentile(50.0).expect("inserts timed")),
+            ms(all.percentile(99.0).expect("inserts timed")),
+            ms(all.percentile(100.0).expect("inserts timed")),
             splits
                 .mean()
                 .map(ms)

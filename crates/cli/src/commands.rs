@@ -140,7 +140,7 @@ impl ModeSpec {
 /// needs that `Config` does not hold.
 #[derive(Clone, Debug)]
 pub struct LoadOptions {
-    /// Partitioner knobs: weight, capacity, size model, event trace, tier.
+    /// Partitioner knobs: weight, capacity, size model, tier.
     pub config: Config,
     /// Entity-based or workload-based rating synopses, resolved against the
     /// catalog once the input is read; `None` keeps `config.mode`.
@@ -193,7 +193,7 @@ pub fn load(input: &Path, snapshot: &Path, opts: &LoadOptions) -> Result<String,
     drop(out);
 
     let stats = cindy.stats();
-    let mut report = format!(
+    Ok(format!(
         "loaded {n} entities ({} attributes) in {elapsed:.2?}\n\
          partitions: {} ({} splits, {} created)\n\
          snapshot: {}",
@@ -202,19 +202,7 @@ pub fn load(input: &Path, snapshot: &Path, opts: &LoadOptions) -> Result<String,
         stats.splits,
         stats.partitions_created,
         snapshot.display(),
-    );
-    if opts.config.record_events {
-        let events = cindy.take_events();
-        let splits = events.iter().filter(|e| e.outcome.is_split()).count();
-        let total: std::time::Duration = events.iter().map(|e| e.duration).sum();
-        report.push_str(&format!(
-            "\nevents: {} inserts recorded ({} splits, {:.2?} total insert time)",
-            events.len(),
-            splits,
-            total,
-        ));
-    }
-    Ok(report)
+    ))
 }
 
 /// Options of [`query`].
@@ -529,7 +517,7 @@ mod tests {
     }
 
     #[test]
-    fn load_honours_mode_size_model_and_event_trace() {
+    fn load_honours_mode_and_size_model() {
         let input = tmp("modes.csv");
         std::fs::write(
             &input,
@@ -539,11 +527,10 @@ mod tests {
         let snap = tmp("modes.cind");
         let mut opts = knobs(0.3, 100);
         opts.config.size_model = SizeModel::Bytes;
-        opts.config.record_events = true;
         opts.mode = Some("workload:a,b;c".parse().unwrap());
         let report = load(&input, &snap, &opts).unwrap();
         assert!(report.contains("loaded 4 entities"), "{report}");
-        assert!(report.contains("events: 4 inserts recorded"), "{report}");
+        assert!(report.contains("(0 splits, 2 created)"), "{report}");
 
         // A workload query naming an unknown attribute is a usage error.
         let err = load(

@@ -10,7 +10,7 @@ use cind_cli::{
 };
 use cind_server::{LoadConfig, ServeConfig};
 use cind_storage::DEFAULT_POOL_PAGES;
-use cinderella_core::Capacity;
+use cinderella_core::{Capacity, Config};
 
 const USAGE: &str = "\
 cind — universal-table manager with Cinderella online partitioning
@@ -18,8 +18,8 @@ cind — universal-table manager with Cinderella online partitioning
 USAGE:
   cind load  --input DATA.csv --snapshot TABLE.cind
              [--weight W] [--capacity B] [--size-model cells|bytes]
-             [--mode entity|workload:a,b;c,d] [--record-events true|false]
-             [--tier exact|tiered|auto] [--pool N]
+             [--mode entity|workload:a,b;c,d] [--tier exact|tiered|auto]
+             [--pool N]
   cind query --snapshot TABLE.cind --attrs a,b,c [--limit N]
              [--tier exact|tiered|auto] [--pool N]
   cind stats --snapshot TABLE.cind [--pool N]
@@ -41,8 +41,6 @@ cells (default) or serialized bytes.
 --mode rates entities by their attribute set (entity, default) or by the
 relevant queries of a workload given inline (queries split by `;`,
 attribute names by `,`).
---record-events true traces every insert (latency, split flag)
-and summarises the trace in the load report.
 --tier picks the storage of the pruning index every rating scan and
 query plan goes through: exact (one partition-presence bitmap per
 attribute, the default) or tiered (blocked
@@ -158,17 +156,29 @@ impl Args {
     }
 }
 
+/// The pattern names every `Config` field and has no `..`: a new knob does
+/// not build until it gets a flag here or a `_` with the reason it has none.
 fn load_options(args: &mut Args) -> Result<LoadOptions, CliError> {
     let mut opts = LoadOptions::default();
-    args.set("weight", &mut opts.config.weight)?;
+    let Config {
+        weight,
+        capacity,
+        size_model,
+        // `--mode` fills `LoadOptions::mode`: a workload mode names
+        // attributes, so it resolves only against the input's catalog.
+        mode: _,
+        tier,
+        // A load runs no reorganizer; `cind serve --reorg` is its flag.
+        reorg: _,
+    } = &mut opts.config;
+    args.set("weight", weight)?;
     if let Some(b) = args.take("capacity")? {
-        opts.config.capacity = Capacity::MaxEntities(b);
+        *capacity = Capacity::MaxEntities(b);
     }
-    args.set("size-model", &mut opts.config.size_model)?;
+    args.set("size-model", size_model)?;
     opts.mode = args.take("mode")?;
-    args.set("record-events", &mut opts.config.record_events)?;
     args.set("pool", &mut opts.pool_pages)?;
-    args.set("tier", &mut opts.config.tier)?;
+    args.set("tier", tier)?;
     Ok(opts)
 }
 
@@ -182,15 +192,31 @@ fn query_options(args: &mut Args) -> Result<QueryOptions, CliError> {
     Ok(opts)
 }
 
+/// Names every `ServeConfig` field, as [`load_options`] does `Config`'s.
 fn serve_config(args: &mut Args) -> Result<ServeConfig, CliError> {
     let mut cfg = ServeConfig::default();
-    args.set("port", &mut cfg.port)?;
-    args.set("queue-depth", &mut cfg.queue_depth)?;
-    args.set("pool-pages", &mut cfg.pool_pages)?;
-    args.set("shards", &mut cfg.shards)?;
-    args.set("group-commit-window", &mut cfg.group_commit_window)?;
-    args.set("reorg", &mut cfg.reorg)?;
-    args.set("tier", &mut cfg.tier)?;
+    let ServeConfig {
+        port,
+        // Accepted and ignored by the server (each connection's thread
+        // executes its own frames), so no flag sets it.
+        workers: _,
+        queue_depth,
+        pool_pages,
+        // Accepted and ignored by the server (a leg scans inline), so no
+        // flag sets it.
+        query_threads: _,
+        shards,
+        group_commit_window,
+        reorg,
+        tier,
+    } = &mut cfg;
+    args.set("port", port)?;
+    args.set("queue-depth", queue_depth)?;
+    args.set("pool-pages", pool_pages)?;
+    args.set("shards", shards)?;
+    args.set("group-commit-window", group_commit_window)?;
+    args.set("reorg", reorg)?;
+    args.set("tier", tier)?;
     Ok(cfg)
 }
 

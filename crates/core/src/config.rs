@@ -180,9 +180,6 @@ pub struct Config {
     /// partition-count-gated ratchet (`auto`).
     /// Superset-sound at every setting; see [`IndexTier`].
     pub tier: IndexTier,
-    /// Record a per-insert [`InsertEvent`](crate::InsertEvent) trace
-    /// (latency, split flag, ratings computed) for the Fig. 8 experiment.
-    pub record_events: bool,
     /// Background reorganizer knobs (`--reorg off|auto` plus budget /
     /// threshold / epoch cadence). Off by default; see [`ReorgConfig`].
     pub reorg: ReorgConfig,
@@ -196,7 +193,6 @@ impl Default for Config {
             size_model: SizeModel::default(),
             mode: SynopsisMode::default(),
             tier: IndexTier::default(),
-            record_events: false,
             reorg: ReorgConfig::default(),
         }
     }

@@ -1,6 +1,4 @@
-//! Instrumentation: per-insert events and cumulative statistics.
-
-use std::time::Duration;
+//! Instrumentation: where an insert landed, and cumulative statistics.
 
 use cind_storage::SegmentId;
 
@@ -25,18 +23,6 @@ impl InsertOutcome {
     pub fn is_split(&self) -> bool {
         matches!(self, InsertOutcome::Split { .. })
     }
-}
-
-/// One insert's trace record (Fig. 8 raw data).
-#[derive(Clone, Copy, Debug)]
-pub struct InsertEvent {
-    /// Wall-clock latency of the whole insert (rating scan + storage write
-    /// + split work if any).
-    pub duration: Duration,
-    /// Which exit the insert took.
-    pub outcome: InsertOutcome,
-    /// Partitions rated during the catalog scan.
-    pub ratings: u32,
 }
 
 /// Cumulative counters of one [`Cinderella`](crate::Cinderella) instance.

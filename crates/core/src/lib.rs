@@ -27,8 +27,8 @@
 //! * [`modes`] — entity-based vs. workload-based rating synopses, each a
 //!   view of the attribute synopsis.
 //! * [`mod@efficiency`] — Definition 1, `EFFICIENCY(P)`.
-//! * [`events`] — per-insert instrumentation consumed by the Fig. 8
-//!   experiment.
+//! * [`events`] — where an insert landed ([`InsertOutcome`]) and the
+//!   cumulative [`Stats`].
 //!
 //! # Example
 //!
@@ -82,7 +82,7 @@ pub use catalog::{PartitionCatalog, PartitionMeta};
 pub use config::{Capacity, Config, ConfigError, IndexTier, ReorgConfig, ReorgMode};
 pub use efficiency::{efficiency, efficiency_counters, efficiency_counters_for, efficiency_of};
 pub use error::CoreError;
-pub use events::{InsertEvent, InsertOutcome, Stats};
+pub use events::{InsertOutcome, Stats};
 pub use incoming::Incoming;
 pub use index::{PruningIndex, PruningSnapshot};
 pub use merge::MergeReport;

@@ -1,14 +1,12 @@
 //! Algorithm 1 and the modification routines (§III).
 
-use std::time::Instant;
-
 use cind_model::{Entity, EntityId, Synopsis};
 use cind_storage::page::check_record_len;
 use cind_storage::{SegmentId, StorageError, UniversalTable};
 
 use crate::catalog::PartitionCatalog;
 use crate::config::Config;
-use crate::events::{InsertEvent, InsertOutcome, Stats};
+use crate::events::{InsertOutcome, Stats};
 use crate::incoming::Incoming;
 use crate::validate::InvariantViolation;
 use crate::CoreError;
@@ -38,7 +36,6 @@ pub struct Cinderella {
     config: Config,
     catalog: PartitionCatalog,
     stats: Stats,
-    events: Vec<InsertEvent>,
 }
 
 impl Cinderella {
@@ -50,7 +47,7 @@ impl Cinderella {
         config.assert_valid();
         let mut catalog = PartitionCatalog::with_mode(config.mode.clone(), config.tier);
         catalog.set_rating_weight(config.weight);
-        Self { config, catalog, stats: Stats::default(), events: Vec::new() }
+        Self { config, catalog, stats: Stats::default() }
     }
 
     /// The configuration.
@@ -74,16 +71,6 @@ impl Cinderella {
     /// Cumulative statistics.
     pub fn stats(&self) -> Stats {
         self.stats
-    }
-
-    /// Recorded insert events (empty unless `record_events` is on).
-    pub fn events(&self) -> &[InsertEvent] {
-        &self.events
-    }
-
-    /// Drains the recorded insert events.
-    pub fn take_events(&mut self) -> Vec<InsertEvent> {
-        std::mem::take(&mut self.events)
     }
 
     /// Rebuilds a partitioner for an already-partitioned table — e.g. one
@@ -287,11 +274,6 @@ impl Cinderella {
         table: &mut UniversalTable,
         e: &Incoming,
     ) -> Result<InsertOutcome, CoreError> {
-        #[allow(
-            clippy::disallowed_methods,
-            reason = "times the InsertEvent report; no placement decision reads it"
-        )]
-        let t0 = self.config.record_events.then(Instant::now);
         let rating = self.config.mode.rating_of(e.attrs());
 
         // Lines 3–7: scan the partition catalog for the best rating.
@@ -347,10 +329,6 @@ impl Cinderella {
 
         self.stats.ratings_computed += u64::from(ratings);
         self.stats.inserts += 1;
-        if let Some(t0) = t0 {
-            self.events
-                .push(InsertEvent { duration: t0.elapsed(), outcome, ratings });
-        }
         Ok(outcome)
     }
 
@@ -1024,23 +1002,22 @@ mod tests {
     }
 
     #[test]
-    fn events_record_latency_and_splits() {
+    fn insert_outcomes_name_the_three_exits() {
         let mut t = UniversalTable::new(256);
         let mut c = Cinderella::new(Config {
             capacity: Capacity::MaxEntities(2),
             weight: 1.0,
-            record_events: true,
             ..Config::default()
         });
-        for i in 0..3 {
-            let e = make(&mut t, i, &["a"]);
-            c.insert(&mut t, e).unwrap();
-        }
-        let events = c.events();
-        assert_eq!(events.len(), 3);
-        assert!(matches!(events[0].outcome, InsertOutcome::NewPartition(_)));
-        assert!(matches!(events[1].outcome, InsertOutcome::Inserted(_)));
-        assert!(events[2].outcome.is_split());
+        let outcomes: Vec<InsertOutcome> = (0..3)
+            .map(|i| {
+                let e = make(&mut t, i, &["a"]);
+                c.insert(&mut t, e).unwrap()
+            })
+            .collect();
+        assert!(matches!(outcomes[0], InsertOutcome::NewPartition(_)));
+        assert!(matches!(outcomes[1], InsertOutcome::Inserted(_)));
+        assert!(outcomes[2].is_split());
     }
 
     #[test]

@@ -28,7 +28,14 @@
 //! commit is therefore always durable; a failed one never acks.
 //!
 //! This module is the **only** place in `cind-server` allowed to call
-//! `sync`/`flush` on a file (audit rule CIND-A007).
+//! `sync`/`flush` (CIND-A007): `crates/server/clippy.toml` disallows
+//! `VfsFile::sync`, `File::{sync_all, sync_data}` and `Write::flush`
+//! everywhere else in the crate.
+
+#![expect(
+    clippy::disallowed_methods,
+    reason = "CIND-A007: the group-commit coordinator is where the serving crate syncs"
+)]
 
 use std::io::{self, ErrorKind, Write};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -7,9 +7,9 @@ use cinderella_core::{IndexTier, ReorgMode};
 ///
 /// [`crate::Server::start`] reads only `port` and `queue_depth`; the other
 /// fields shape the engine it is handed, through
-/// [`crate::EngineOptions::from_serve`] and the shard count. Every
-/// documented field is surfaced as a `cind serve` command-line flag (the
-/// workspace audit's CIND-A004 rule checks the parity).
+/// [`crate::EngineOptions::from_serve`] and the shard count. `cind serve`
+/// binds every field in a struct pattern without `..` (CIND-A004), so a
+/// new field does not build until it has a flag or a reason it has none.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ServeConfig {
     /// TCP port to listen on (loopback only); `0` asks the OS for a free

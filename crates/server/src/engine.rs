@@ -182,13 +182,20 @@ pub struct Engine {
     /// replacement (the coordinator holds a clone of this `Arc`).
     wal_counters: Arc<WalCounters>,
     vfs: Arc<dyn Vfs>,
-    /// The background reorganizer for this engine (one per shard). Heat
-    /// recording locks this mutex *alone*; [`Engine::reorg_step`] locks it
-    /// inside the state write lock — the only edge is state → reorg, so
-    /// the lock-order graph stays acyclic. Driver state is advisory and
-    /// in-memory: a reopened engine starts with a cold heat map, while the
-    /// WAL-framed actions carry all durability.
-    reorg: Mutex<ReorgDriver>,
+    /// The background reorganizer for this engine (one per shard), `None`
+    /// when [`ReorgConfig::enabled`] is false: an off driver records
+    /// nothing and never steps, so no query or write takes a lock for it.
+    /// Heat recording locks this mutex *alone*; [`Engine::reorg_step`]
+    /// locks it inside the state write lock — the only edge is state →
+    /// reorg, so the lock-order graph stays acyclic. Driver state is
+    /// advisory and in-memory: a reopened engine starts with a cold heat
+    /// map, while the WAL-framed actions carry all durability.
+    reorg: Option<Mutex<ReorgDriver>>,
+}
+
+/// The engine's reorganizer: a driver only when `cfg` lets it act.
+fn reorg_driver(cfg: ReorgConfig) -> Option<Mutex<ReorgDriver>> {
+    cfg.enabled().then(|| Mutex::new(ReorgDriver::new(cfg)))
 }
 
 impl Engine {
@@ -196,7 +203,7 @@ impl Engine {
     /// in-process benchmark harness.
     #[must_use]
     pub fn in_memory(opts: EngineOptions) -> Self {
-        let reorg_cfg = opts.config.reorg;
+        let reorg = reorg_driver(opts.config.reorg);
         Self {
             state: RwLock::new(EngineState {
                 table: UniversalTable::new(opts.pool_pages),
@@ -210,7 +217,7 @@ impl Engine {
             window: opts.group_commit_window,
             wal_counters: Arc::new(WalCounters::default()),
             vfs: opts.vfs,
-            reorg: Mutex::new(ReorgDriver::new(reorg_cfg)),
+            reorg,
         }
     }
 
@@ -252,7 +259,7 @@ impl Engine {
                 wal::replay(&mut table, &mut &bytes[..])?;
             }
         }
-        let reorg_cfg = opts.config.reorg;
+        let reorg = reorg_driver(opts.config.reorg);
         let cindy = Cinderella::rebuild(&table, opts.config)?;
 
         // Checkpoint: fold the replayed suffix into the snapshot and reset
@@ -281,7 +288,7 @@ impl Engine {
             window: opts.group_commit_window,
             wal_counters,
             vfs,
-            reorg: Mutex::new(ReorgDriver::new(reorg_cfg)),
+            reorg,
         })
     }
 
@@ -493,8 +500,8 @@ impl Engine {
         // due step to the next single-op entry point: per-item results are
         // already sealed, so a step failure here would have no honest place
         // to surface.
-        {
-            let mut driver = self.reorg.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(reorg) = &self.reorg {
+            let mut driver = reorg.lock().unwrap_or_else(PoisonError::into_inner);
             for r in &results {
                 if r.is_ok() {
                     driver.record_write();
@@ -567,8 +574,9 @@ impl Engine {
     /// the engine lock. The survivor set is computed once: the
     /// reorganizer's heat map records exactly the segments the plan then
     /// scans (a partition heats when it survives pruning). Heat recording
-    /// locks the reorg mutex *alone*; queries never trigger a step
-    /// themselves, so the read path stays write-lock-free.
+    /// locks the reorg mutex *alone*, and only when the reorganizer is on;
+    /// queries never trigger a step themselves, so the read path stays
+    /// write-lock-free.
     ///
     /// # Errors
     /// Storage failures from the scan or the sink.
@@ -588,10 +596,12 @@ impl Engine {
         }
         let query = Query::from_attrs(catalog.len(), ids.iter().copied().flatten());
         let (survivors, pruned) = snap.survivors(&query);
-        self.reorg
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .record_query(query.synopsis(), survivors.iter().copied());
+        if let Some(reorg) = &self.reorg {
+            reorg
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .record_query(query.synopsis(), survivors.iter().copied());
+        }
         let plan = plan_from_survivors(survivors, pruned);
         // Project at the request's width, so rows leave the scan final.
         let projection = Projection::new(ids.iter().copied());
@@ -601,13 +611,10 @@ impl Engine {
 
     /// Advances the reorganizer's cadence clock after a committed mutation
     /// and runs one background step when the configured epoch has elapsed.
-    /// Inert (no lock contention beyond one uncontended mutex) when the
-    /// reorganizer is off.
+    /// Takes no lock when the reorganizer is off.
     fn after_write(&self) -> Result<(), ServerError> {
-        let due = {
-            let mut driver = self.reorg.lock().unwrap_or_else(PoisonError::into_inner);
-            driver.record_write()
-        };
+        let Some(reorg) = &self.reorg else { return Ok(()) };
+        let due = reorg.lock().unwrap_or_else(PoisonError::into_inner).record_write();
         if due {
             self.reorg_step()?;
         }
@@ -626,18 +633,24 @@ impl Engine {
     /// action is WAL-framed as one transaction, so recovery lands on the
     /// pre- or post-action state.
     pub fn reorg_step(&self) -> Result<StepReport, ServerError> {
-        self.write_op(|state| {
-            let mut driver = self.reorg.lock().unwrap_or_else(PoisonError::into_inner);
-            let report = driver.step(&mut state.table, &mut state.cindy)?;
-            Ok(report)
+        // Off, the step is still a write: the epoch bump and the durability
+        // wait stay as an off driver had them.
+        self.write_op(|state| match &self.reorg {
+            Some(reorg) => {
+                let mut driver = reorg.lock().unwrap_or_else(PoisonError::into_inner);
+                Ok(driver.step(&mut state.table, &mut state.cindy)?)
+            }
+            None => Ok(StepReport::default()),
         })
     }
 
     /// Cumulative reorganizer counters (steps, enacted actions, entities
-    /// moved).
+    /// moved); all zero while the reorganizer is off.
     #[must_use]
     pub fn reorg_stats(&self) -> ReorgStats {
-        self.reorg.lock().unwrap_or_else(PoisonError::into_inner).stats()
+        self.reorg.as_ref().map_or_else(ReorgStats::default, |reorg| {
+            reorg.lock().unwrap_or_else(PoisonError::into_inner).stats()
+        })
     }
 
     /// The decayed scan heat the reorganizer currently holds for `seg`: one
@@ -645,7 +658,9 @@ impl Engine {
     /// is off).
     #[must_use]
     pub fn partition_heat(&self, seg: SegmentId) -> u64 {
-        self.reorg.lock().unwrap_or_else(PoisonError::into_inner).heat().heat(seg)
+        self.reorg.as_ref().map_or(0, |reorg| {
+            reorg.lock().unwrap_or_else(PoisonError::into_inner).heat().heat(seg)
+        })
     }
 
     /// Runs `f` with shared read access to the table and partitioner —

@@ -60,7 +60,8 @@
 //! before anything else touches the engine.
 //!
 //! No socket or file is ever flushed/synced here — durability belongs to
-//! the commit coordinator alone (audit rule CIND-A007).
+//! the commit coordinator alone (CIND-A007, which `crates/server/clippy.toml`
+//! enforces).
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
