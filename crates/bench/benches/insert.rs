@@ -3,7 +3,7 @@
 
 use cind_datagen::{DbpediaConfig, DbpediaGenerator};
 use cind_storage::UniversalTable;
-use cinderella_core::{Capacity, Cinderella, Config};
+use cinderella_core::{Cinderella, Config};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 const ENTITIES: usize = 5_000;
@@ -30,7 +30,7 @@ fn bench_insert(c: &mut Criterion) {
                     |(mut table, entities)| {
                         let mut cindy = Cinderella::new(Config {
                             weight: w,
-                            capacity: Capacity::MaxEntities(b),
+                            capacity: b,
                             ..Config::default()
                         });
                         for e in entities {

@@ -4,7 +4,7 @@
 use cind_datagen::{DbpediaConfig, DbpediaGenerator};
 use cind_model::EntityId;
 use cind_storage::UniversalTable;
-use cinderella_core::{Capacity, Cinderella, Config};
+use cinderella_core::{Cinderella, Config};
 use criterion::{criterion_group, criterion_main, Criterion};
 
 const ENTITIES: usize = 10_000;
@@ -12,7 +12,7 @@ const ENTITIES: usize = 10_000;
 fn config(b: u64) -> Config {
     Config {
         weight: 0.3,
-        capacity: Capacity::MaxEntities(b),
+        capacity: b,
         ..Config::default()
     }
 }

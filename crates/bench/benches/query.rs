@@ -11,7 +11,7 @@ use cind_model::Synopsis;
 use cind_query::{execute, execute_into, plan, Projection, Query};
 use cind_server::protocol::WireRows;
 use cind_storage::{SegmentId, UniversalTable};
-use cinderella_core::{Capacity, Cinderella, Config};
+use cinderella_core::{Cinderella, Config};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 const ENTITIES: usize = 10_000;
@@ -50,7 +50,7 @@ fn load(cinderella: bool) -> (Loaded, Vec<(String, Query, f64)>) {
     let view = if cinderella {
         let mut policy = Cinderella::new(Config {
             weight: 0.2,
-            capacity: Capacity::MaxEntities(2_000),
+            capacity: 2_000,
             ..Config::default()
         });
         policy.load(&mut table, entities).expect("load");

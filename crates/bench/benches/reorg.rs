@@ -23,7 +23,7 @@ use cind_datagen::{DriftConfig, DriftMode, DriftOp, DriftScenario};
 use cind_model::Synopsis;
 use cind_reorg::{ReorgDriver, ReorgStats};
 use cind_storage::UniversalTable;
-use cinderella_core::{efficiency, Capacity, Cinderella, Config, ReorgConfig, ReorgMode};
+use cinderella_core::{efficiency, Cinderella, Config, ReorgConfig, ReorgMode};
 
 const OPS: usize = 6_000;
 const GROUPS: usize = 8;
@@ -74,7 +74,7 @@ fn run(mode: DriftMode, reorg: ReorgMode) -> RunOut {
     let universe = table.universe();
     let rc = reorg_cfg(reorg);
     let mut cindy = Cinderella::new(Config {
-        capacity: Capacity::MaxEntities(CAPACITY),
+        capacity: CAPACITY,
         reorg: rc,
         ..Config::default()
     });

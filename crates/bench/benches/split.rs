@@ -4,7 +4,7 @@
 
 use cind_model::{AttrId, Entity, EntityId, Value};
 use cind_storage::UniversalTable;
-use cinderella_core::{Capacity, Cinderella, Config};
+use cinderella_core::{Cinderella, Config};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 /// Builds a table + partitioner with exactly one full partition of `b`
@@ -17,7 +17,7 @@ fn full_partition(b: u64) -> (UniversalTable, Cinderella, Entity) {
     // w = 1 piles both shapes into one partition.
     let mut cindy = Cinderella::new(Config {
         weight: 1.0,
-        capacity: Capacity::MaxEntities(b),
+        capacity: b,
         ..Config::default()
     });
     for i in 0..b {

@@ -30,7 +30,7 @@ use cind_bench::{
 use cind_metrics::Table;
 use cind_model::{EntityId, Synopsis};
 use cind_storage::UniversalTable;
-use cinderella_core::{efficiency_of, Capacity, Cinderella, Config, SynopsisMode};
+use cinderella_core::{efficiency_of, Cinderella, Config, SynopsisMode};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let env = ExperimentEnv::from_args();
@@ -69,7 +69,7 @@ fn synopsis_mode_study(env: &ExperimentEnv) -> Result<(), Box<dyn std::error::Er
         let entities = dbpedia_dataset(env, &mut table);
         let mut policy = Cinderella::new(Config {
             weight: 0.2,
-            capacity: Capacity::MaxEntities(5000),
+            capacity: 5000,
             mode,
             ..Config::default()
         });
@@ -121,7 +121,7 @@ fn policy_shootout(env: &ExperimentEnv) -> Result<(), Box<dyn std::error::Error>
         })),
         Box::new(Cinderella::new(Config {
             weight: 0.2,
-            capacity: Capacity::MaxEntities(5000),
+            capacity: 5000,
             ..Config::default()
         })),
     ];
@@ -237,7 +237,7 @@ fn merge_pass_study(env: &ExperimentEnv) -> Result<(), Box<dyn std::error::Error
         .collect();
     let mut policy = Cinderella::new(Config {
         weight: 0.3,
-        capacity: Capacity::MaxEntities(500),
+        capacity: 500,
         ..Config::default()
     });
     let n = entities.len() as u64;
@@ -324,7 +324,7 @@ fn workload_drift_study(env: &ExperimentEnv) -> Result<(), Box<dyn std::error::E
         let entities = dbpedia_dataset(env, &mut table);
         let mut policy = Cinderella::new(Config {
             weight: 0.2,
-            capacity: Capacity::MaxEntities(5000),
+            capacity: 5000,
             mode,
             ..Config::default()
         });

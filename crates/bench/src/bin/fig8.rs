@@ -15,7 +15,7 @@ use std::time::Instant;
 use cind_bench::{dbpedia_dataset, ms, ExperimentEnv};
 use cind_metrics::{LatencyHistogram, Table};
 use cind_storage::UniversalTable;
-use cinderella_core::{Capacity, Cinderella, Config};
+use cinderella_core::{Cinderella, Config};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let env = ExperimentEnv::from_args();
@@ -42,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let entities = dbpedia_dataset(&env, &mut table);
         let mut policy = Cinderella::new(Config {
             weight: WEIGHT,
-            capacity: Capacity::MaxEntities(b),
+            capacity: b,
             ..Config::default()
         });
         let mut all = LatencyHistogram::new();

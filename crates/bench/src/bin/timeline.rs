@@ -15,7 +15,7 @@ use cind_bench::{dbpedia_dataset, representative_queries, ExperimentEnv};
 use cind_metrics::Table;
 use cind_model::{Entity, EntityId, Synopsis};
 use cind_storage::UniversalTable;
-use cinderella_core::{efficiency, Capacity, Cinderella, Config};
+use cinderella_core::{efficiency, Cinderella, Config};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -32,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let mut cindy = Cinderella::new(Config {
         weight: 0.2,
-        capacity: Capacity::MaxEntities(2_000),
+        capacity: 2_000,
         ..Config::default()
     });
     let mut rng = StdRng::seed_from_u64(env.seed);

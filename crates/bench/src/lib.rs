@@ -27,7 +27,7 @@ use cind_datagen::{DbpediaConfig, DbpediaGenerator, QuerySpec, WorkloadBuilder};
 use cind_model::Entity;
 use cind_query::{execute, plan, Query};
 use cind_storage::{StorageError, UniversalTable};
-use cinderella_core::{Capacity, Cinderella, Config, CoreError};
+use cinderella_core::{Cinderella, Config, CoreError};
 
 /// Command-line knobs shared by all harness binaries.
 #[derive(Clone, Debug)]
@@ -130,7 +130,7 @@ pub fn dbpedia_dataset(env: &ExperimentEnv, table: &mut UniversalTable) -> Vec<E
 pub fn cinderella(b: u64, w: f64) -> Cinderella {
     Cinderella::new(Config {
         weight: w,
-        capacity: Capacity::MaxEntities(b),
+        capacity: b,
         ..Config::default()
     })
 }

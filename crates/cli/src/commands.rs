@@ -339,16 +339,16 @@ pub fn stats(snapshot: &Path, pool_pages: usize) -> Result<String, CliError> {
 /// A threshold outside (0, 1] is a usage error; plus snapshot, storage,
 /// and partitioner errors.
 pub fn merge(snapshot: &Path, threshold: f64, pool_pages: usize) -> Result<String, CliError> {
-    // `merge_pass` panics outside (0, 1]; the comparisons are false for NaN.
-    let in_range = threshold > 0.0 && threshold <= 1.0;
-    if !in_range {
-        return Err(CliError::Usage(format!(
-            "threshold must be in (0, 1], got {threshold}"
-        )));
-    }
     let (mut table, mut cindy) = open_snapshot(snapshot, pool_pages, IndexTier::default())?;
     let before = cindy.catalog().len();
-    let report = cindy.merge_pass(&mut table, threshold)?;
+    let report = cindy
+        .merge_pass(&mut table, threshold)
+        .map_err(|e| match e {
+            CoreError::MergeThreshold => {
+                CliError::Usage(format!("threshold must be in (0, 1], got {threshold}"))
+            }
+            other => CliError::Core(other),
+        })?;
     let mut out = std::io::BufWriter::new(std::fs::File::create(snapshot)?);
     table.snapshot(&mut out)?;
     Ok(format!(
@@ -442,12 +442,11 @@ pub fn workload(remote: &str, cfg: &LoadConfig, shutdown: bool) -> Result<String
 mod tests {
     use super::*;
     use cind_model::SizeModel;
-    use cinderella_core::Capacity;
 
     /// Load options at rating weight `weight` and capacity `b` entities.
     fn knobs(weight: f64, b: u64) -> LoadOptions {
         LoadOptions {
-            config: Config { weight, capacity: Capacity::MaxEntities(b), ..Config::default() },
+            config: Config { weight, capacity: b, ..Config::default() },
             ..LoadOptions::default()
         }
     }

@@ -10,7 +10,7 @@ use cind_cli::{
 };
 use cind_server::{LoadConfig, ServeConfig};
 use cind_storage::DEFAULT_POOL_PAGES;
-use cinderella_core::{Capacity, Config};
+use cinderella_core::Config;
 
 const USAGE: &str = "\
 cind — universal-table manager with Cinderella online partitioning
@@ -172,9 +172,7 @@ fn load_options(args: &mut Args) -> Result<LoadOptions, CliError> {
         reorg: _,
     } = &mut opts.config;
     args.set("weight", weight)?;
-    if let Some(b) = args.take("capacity")? {
-        *capacity = Capacity::MaxEntities(b);
-    }
+    args.set("capacity", capacity)?;
     args.set("size-model", size_model)?;
     opts.mode = args.take("mode")?;
     args.set("pool", &mut opts.pool_pages)?;
@@ -344,7 +342,7 @@ mod tests {
     #[test]
     fn a_flag_overrides_only_its_field() {
         let load = parsed(&["--capacity", "50", "--mode", "entity"], load_options).unwrap();
-        assert_eq!(load.config.capacity, Capacity::MaxEntities(50));
+        assert_eq!(load.config.capacity, 50);
         assert_eq!(load.mode, Some(cind_cli::ModeSpec::Entity));
         assert_eq!(load.config.weight, cinderella_core::Config::default().weight);
         let query = parsed(&["--limit", "3"], query_options).unwrap();

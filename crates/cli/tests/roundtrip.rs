@@ -3,7 +3,7 @@
 //! answers.
 
 use cind_cli::{load, query, LoadOptions, QueryOptions};
-use cinderella_core::{Capacity, Config};
+use cinderella_core::Config;
 use proptest::prelude::*;
 
 /// One generated row: id and an optional value per attribute column.
@@ -67,7 +67,7 @@ proptest! {
             &LoadOptions {
                 config: Config {
                     weight: 0.3,
-                    capacity: Capacity::MaxEntities(10),
+                    capacity: 10,
                     ..Config::default()
                 },
                 ..LoadOptions::default()

@@ -4,29 +4,6 @@ use cind_model::SizeModel;
 
 use crate::modes::SynopsisMode;
 
-/// Partition capacity limit — the paper's `B` / `MAXSIZE`.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Capacity {
-    /// At most this many entities per partition. This is the limit the
-    /// paper's evaluation uses (B ∈ {500, 5000, 50000} entities).
-    MaxEntities(u64),
-    /// At most this much `SIZE()` per partition (cells or bytes, per the
-    /// configured [`SizeModel`]). Matches Algorithm 1's
-    /// `SIZE(p) + SIZE(e) > MAXSIZE` check literally.
-    MaxSize(u64),
-}
-
-impl Capacity {
-    /// Whether adding an entity of size `entity_size` to a partition of
-    /// `entities` entities and total size `part_size` would overflow.
-    pub fn would_overflow(&self, entities: u64, part_size: u64, entity_size: u64) -> bool {
-        match *self {
-            Capacity::MaxEntities(b) => entities + 1 > b,
-            Capacity::MaxSize(b) => part_size + entity_size > b,
-        }
-    }
-}
-
 /// How the catalog's [`PruningIndex`](crate::PruningIndex) *stores* the
 /// attribute→partition presence metadata every rating scan and query plan
 /// goes through: exact bitmaps for every partition, or the tiered
@@ -169,8 +146,12 @@ pub struct Config {
     /// (§IV). `w = 0` admits only perfectly homogeneous partitions; the
     /// paper finds 0.2–0.5 reasonable and uses 0.2 for DBpedia.
     pub weight: f64,
-    /// Partition capacity `B`.
-    pub capacity: Capacity,
+    /// Partition capacity `B`: the most entities a partition holds. An
+    /// insert into a partition that already holds `B` splits it. The
+    /// evaluation counts `B` in entities (B ∈ {500, 5000, 50000}), so
+    /// [`SizeModel`] shapes the ratings and Definition 1 but not the
+    /// capacity.
+    pub capacity: u64,
     /// The `SIZE()` function of Definition 1.
     pub size_model: SizeModel,
     /// Entity-based or workload-based partitioning (§II).
@@ -189,7 +170,7 @@ impl Default for Config {
     fn default() -> Self {
         Self {
             weight: 0.2,
-            capacity: Capacity::MaxEntities(5000),
+            capacity: 5000,
             size_model: SizeModel::default(),
             mode: SynopsisMode::default(),
             tier: IndexTier::default(),
@@ -203,8 +184,8 @@ impl Default for Config {
 pub enum ConfigError {
     /// `weight` outside `[0, 1]`.
     Weight(f64),
-    /// A capacity that cannot hold two entities per partition.
-    Capacity(Capacity),
+    /// A capacity `B` below two entities per partition.
+    Capacity(u64),
     /// `reorg.threshold` outside `[0, 1]`.
     ReorgThreshold(f64),
     /// `reorg.epoch_ops` of zero.
@@ -215,7 +196,7 @@ impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Self::Weight(w) => write!(f, "weight w must be in [0, 1], got {w}"),
-            Self::Capacity(Capacity::MaxEntities(b) | Capacity::MaxSize(b)) => write!(
+            Self::Capacity(b) => write!(
                 f,
                 "capacity must allow at least two entities per partition, got {b}"
             ),
@@ -238,11 +219,7 @@ impl Config {
         if !in_unit(self.weight) {
             return Err(ConfigError::Weight(self.weight));
         }
-        let cap_ok = match self.capacity {
-            Capacity::MaxEntities(b) => b >= 2,
-            Capacity::MaxSize(b) => b >= 1,
-        };
-        if !cap_ok {
+        if self.capacity < 2 {
             return Err(ConfigError::Capacity(self.capacity));
         }
         if !in_unit(self.reorg.threshold) {
@@ -271,20 +248,6 @@ impl Config {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn overflow_by_entities() {
-        let c = Capacity::MaxEntities(3);
-        assert!(!c.would_overflow(2, 999, 999));
-        assert!(c.would_overflow(3, 0, 0));
-    }
-
-    #[test]
-    fn overflow_by_size() {
-        let c = Capacity::MaxSize(100);
-        assert!(!c.would_overflow(999, 90, 10));
-        assert!(c.would_overflow(0, 90, 11));
-    }
 
     #[test]
     fn default_is_valid() {
@@ -343,11 +306,16 @@ mod tests {
 
     #[test]
     fn tiny_capacity_is_an_error() {
-        let tiny = Capacity::MaxEntities(1);
-        let err = Config { capacity: tiny, ..Config::default() }.validate();
-        assert_eq!(err, Err(ConfigError::Capacity(tiny)));
-        assert!(err.unwrap_err().to_string().starts_with("capacity"));
-        let err = Config { capacity: Capacity::MaxSize(0), ..Config::default() }.validate();
-        assert!(err.is_err());
+        for tiny in [0, 1] {
+            let cfg = Config {
+                capacity: tiny,
+                ..Config::default()
+            };
+            assert_eq!(cfg.validate(), Err(ConfigError::Capacity(tiny)));
+        }
+        assert_eq!(
+            ConfigError::Capacity(1).to_string(),
+            "capacity must allow at least two entities per partition, got 1"
+        );
     }
 }

@@ -130,14 +130,14 @@ mod tests {
 
     #[test]
     fn end_to_end_partitioned_beats_universal() {
-        use crate::{Capacity, Config};
+        use crate::Config;
         use cind_model::{AttrId, Entity, EntityId, Value};
         use cind_storage::UniversalTable;
 
         let mut t = UniversalTable::new(256);
         let mut c = Cinderella::new(Config {
             weight: 0.3,
-            capacity: Capacity::MaxEntities(100),
+            capacity: 100,
             ..Config::default()
         });
         // Two shapes.

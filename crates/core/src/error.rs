@@ -15,6 +15,8 @@ pub enum CoreError {
     /// Always a bug; surfaced as a typed error so a server turns it into
     /// an error frame instead of tearing the whole process down.
     Invariant(&'static str),
+    /// A merge pass asked for a fill threshold outside `(0, 1]` (or NaN).
+    MergeThreshold,
 }
 
 impl From<StorageError> for CoreError {
@@ -35,6 +37,7 @@ impl std::fmt::Display for CoreError {
             CoreError::Storage(e) => write!(f, "storage: {e}"),
             CoreError::Model(e) => write!(f, "model: {e}"),
             CoreError::Invariant(what) => write!(f, "invariant violated: {what}"),
+            CoreError::MergeThreshold => f.write_str("merge threshold must be in (0, 1]"),
         }
     }
 }
@@ -44,7 +47,7 @@ impl std::error::Error for CoreError {
         match self {
             CoreError::Storage(e) => Some(e),
             CoreError::Model(e) => Some(e),
-            CoreError::Invariant(_) => None,
+            CoreError::Invariant(_) | CoreError::MergeThreshold => None,
         }
     }
 }

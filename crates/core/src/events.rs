@@ -46,10 +46,6 @@ pub struct Stats {
     pub split_moves: u64,
     /// Ratings computed across all catalog scans.
     pub ratings_computed: u64,
-    /// Split re-inserts that exceeded the target's capacity because neither
-    /// seed partition could take the entity (only possible under
-    /// `Capacity::MaxSize` with skewed entity sizes).
-    pub forced_overflows: u64,
     /// Partitions folded into a peer by a merge pass (extension, see the
     /// `merge` module).
     pub merges: u64,

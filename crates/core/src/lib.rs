@@ -79,7 +79,7 @@ mod error;
 
 pub use arena::{PresenceIndex, SynopsisArena};
 pub use catalog::{PartitionCatalog, PartitionMeta};
-pub use config::{Capacity, Config, ConfigError, IndexTier, ReorgConfig, ReorgMode};
+pub use config::{Config, ConfigError, IndexTier, ReorgConfig, ReorgMode};
 pub use efficiency::{efficiency, efficiency_counters, efficiency_counters_for, efficiency_of};
 pub use error::CoreError;
 pub use events::{InsertOutcome, Stats};

@@ -26,12 +26,12 @@ use crate::CoreError;
 /// ```
 /// use cind_model::{AttrId, Entity, EntityId, Value};
 /// use cind_storage::UniversalTable;
-/// use cinderella_core::{Capacity, Cinderella, Config};
+/// use cinderella_core::{Cinderella, Config};
 ///
 /// let mut table = UniversalTable::new(64);
 /// let a = table.catalog_mut().intern("a");
 /// let mut cindy = Cinderella::new(Config {
-///     capacity: Capacity::MaxEntities(4),
+///     capacity: 4,
 ///     weight: 0.3,
 ///     ..Config::default()
 /// });
@@ -61,7 +61,7 @@ pub struct MergeReport {
 }
 
 impl Cinderella {
-    /// Folds underfull partitions (fill below `threshold` of the capacity)
+    /// Folds underfull partitions (fewer entities than `threshold` × B)
     /// into their best-rated peer, if that peer rates non-negatively and
     /// has room for the whole partition. Returns what happened.
     ///
@@ -69,20 +69,19 @@ impl Cinderella {
     /// *not* triggered automatically by `delete` — the paper's delete is
     /// O(1) and keeping it that way preserves the measured behaviour.
     ///
-    /// # Panics
-    /// Panics unless `0.0 < threshold <= 1.0`.
-    ///
     /// # Errors
-    /// Storage errors from moving entities.
+    /// [`CoreError::MergeThreshold`] unless `0.0 < threshold <= 1.0` (NaN
+    /// included), before anything moves; storage errors from moving
+    /// entities.
     pub fn merge_pass(
         &mut self,
         table: &mut UniversalTable,
         threshold: f64,
     ) -> Result<MergeReport, CoreError> {
-        assert!(
-            threshold > 0.0 && threshold <= 1.0,
-            "threshold must be in (0, 1], got {threshold}"
-        );
+        // The comparisons are false for NaN.
+        if !(threshold > 0.0 && threshold <= 1.0) {
+            return Err(CoreError::MergeThreshold);
+        }
         let mut report = MergeReport::default();
         // Sweep until quiescent: a merge grows its target, which can make
         // further merges viable. Each merge removes one partition, so the
@@ -127,10 +126,7 @@ impl Cinderella {
     }
 
     fn is_underfull(&self, meta: &crate::PartitionMeta, threshold: f64) -> bool {
-        match self.config().capacity {
-            crate::Capacity::MaxEntities(b) => (meta.entities as f64) < b as f64 * threshold,
-            crate::Capacity::MaxSize(b) => (meta.size as f64) < b as f64 * threshold,
-        }
+        (meta.entities as f64) < self.config().capacity as f64 * threshold
     }
 
     /// Tries to fold partition `seg` into its best-rated peer. Returns the
@@ -149,24 +145,14 @@ impl Cinderella {
             return Ok(None);
         };
         let (src_size, src_entities) = (meta.size, meta.entities);
+        let capacity = self.config().capacity;
 
         // Rate the whole partition like an entity against every peer with
         // room for all of it (ascending, so ties keep the lowest segment).
         let peers: Vec<cind_storage::SegmentId> = self
             .catalog()
             .iter()
-            .filter(|peer| {
-                peer.segment != seg
-                    && !self.config().capacity.would_overflow(
-                        peer.entities + src_entities - 1,
-                        peer.size + src_size.saturating_sub(1),
-                        1,
-                    )
-                    && match self.config().capacity {
-                        crate::Capacity::MaxEntities(b) => peer.entities + src_entities <= b,
-                        crate::Capacity::MaxSize(b) => peer.size + src_size <= b,
-                    }
-            })
+            .filter(|peer| peer.segment != seg && peer.entities + src_entities <= capacity)
             .map(|peer| peer.segment)
             .collect();
         let (best, _) =
@@ -185,7 +171,7 @@ impl Cinderella {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Capacity, Config};
+    use crate::Config;
     use cind_model::{AttrId, Entity, EntityId, Value};
 
     fn entity(id: u64, attrs: &[u32]) -> Entity {
@@ -203,7 +189,7 @@ mod tests {
         }
         let cindy = Cinderella::new(Config {
             weight: 0.3,
-            capacity: Capacity::MaxEntities(b),
+            capacity: b,
             ..Config::default()
         });
         (table, cindy)
@@ -300,9 +286,17 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "threshold")]
-    fn bad_threshold_panics() {
-        let (mut table, mut cindy) = setup(8);
-        let _ = cindy.merge_pass(&mut table, 0.0);
+    fn bad_threshold_is_an_error() {
+        let (mut table, mut cindy) = fragmented(8);
+        let before = cindy.catalog().len();
+        for threshold in [0.0, 1.5, f64::NAN] {
+            assert_eq!(
+                cindy.merge_pass(&mut table, threshold),
+                Err(CoreError::MergeThreshold),
+                "{threshold}"
+            );
+        }
+        assert_eq!(cindy.catalog().len(), before, "nothing merged");
+        assert_eq!(cindy.stats().merges, 0);
     }
 }

@@ -288,11 +288,7 @@ impl Cinderella {
                     .catalog
                     .get(seg)
                     .ok_or(CoreError::Invariant("best partition cataloged"))?;
-                if self
-                    .config
-                    .capacity
-                    .would_overflow(meta.entities, meta.size, e.size())
-                {
+                if meta.entities >= self.config.capacity {
                     // The split moves members before it stores `e`, so
                     // whatever would refuse `e` is asked first.
                     table.admits(e.id(), e.record())?;
@@ -387,28 +383,13 @@ impl Cinderella {
                 self.config.weight,
             );
             self.stats.ratings_computed += u64::from(ratings);
-            let (mut target, _) =
+            // No capacity check: a split redistributes at most B+1 entities
+            // over two seeded targets, so neither holds B before the last
+            // member lands. (A partition rebuilt above B, from a store
+            // loaded at a larger B, may leave a side above B; the next
+            // insert into that side splits it again.)
+            let (target, _) =
                 best.ok_or(CoreError::Invariant("two live targets at split"))?;
-            // A target the catalog no longer knows counts as overflowing:
-            // the redirect below then routes the entity to its sibling.
-            let overflows = |cat: &PartitionCatalog, s: SegmentId| {
-                cat.get(s).is_none_or(|m| {
-                    self.config.capacity.would_overflow(m.entities, m.size, size_e)
-                })
-            };
-            // Under entity-count capacity a target can never fill during a
-            // split (at most B+1 entities are redistributed over two
-            // partitions); under byte capacity with skewed sizes it can —
-            // redirect to the sibling, or force-overflow as a last resort
-            // rather than cascade (see DESIGN.md §5).
-            if overflows(&self.catalog, target) {
-                let other = if target == seg_a { seg_b } else { seg_a };
-                if overflows(&self.catalog, other) {
-                    self.stats.forced_overflows += 1;
-                } else {
-                    target = other;
-                }
-            }
             self.place(table, target, (id, attrs, size_e), incoming)?;
         }
 
@@ -644,11 +625,7 @@ impl Cinderella {
         else {
             return Ok(None);
         };
-        let fits = match self.config.capacity {
-            crate::Capacity::MaxEntities(b) => dst.entities + src.entities <= b,
-            crate::Capacity::MaxSize(b) => dst.size + src.size <= b,
-        };
-        if !fits {
+        if dst.entities + src.entities > self.config.capacity {
             return Ok(None);
         }
         self.absorb(table, from, into).map(Some)
@@ -658,7 +635,6 @@ impl Cinderella {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Capacity;
     use cind_model::{AttrId, Value};
 
     fn make(
@@ -676,7 +652,7 @@ mod tests {
     fn cindy(capacity: u64, weight: f64) -> Cinderella {
         Cinderella::new(Config {
             weight,
-            capacity: Capacity::MaxEntities(capacity),
+            capacity,
             ..Config::default()
         })
     }
@@ -1005,7 +981,7 @@ mod tests {
     fn insert_outcomes_name_the_three_exits() {
         let mut t = UniversalTable::new(256);
         let mut c = Cinderella::new(Config {
-            capacity: Capacity::MaxEntities(2),
+            capacity: 2,
             weight: 1.0,
             ..Config::default()
         });
@@ -1018,42 +994,6 @@ mod tests {
         assert!(matches!(outcomes[0], InsertOutcome::NewPartition(_)));
         assert!(matches!(outcomes[1], InsertOutcome::Inserted(_)));
         assert!(outcomes[2].is_split());
-    }
-
-    #[test]
-    fn split_forces_overflow_when_neither_seed_fits() {
-        use cind_model::SizeModel;
-        // Capacity in cells: 11. e1 = {a0..a3}, e2 = {a4..a7} (4 cells
-        // each), e3 = {a0..a7} (8 cells). The third insert overflows and
-        // splits; e3 then fits neither seed partition (4 + 8 = 12 > 11),
-        // so it must be force-placed rather than cascade.
-        let mut t = UniversalTable::new(256);
-        for i in 0..8 {
-            t.catalog_mut().intern(&format!("a{i}"));
-        }
-        let mut c = Cinderella::new(Config {
-            capacity: Capacity::MaxSize(11),
-            size_model: SizeModel::Cells,
-            weight: 1.0,
-            ..Config::default()
-        });
-        let ent = |id: u64, range: std::ops::Range<u32>| {
-            Entity::new(
-                EntityId(id),
-                range.map(|a| (cind_model::AttrId(a), Value::Int(1))),
-            )
-            .unwrap()
-        };
-        c.insert(&mut t, ent(1, 0..4)).unwrap();
-        c.insert(&mut t, ent(2, 4..8)).unwrap();
-        let out = c.insert(&mut t, ent(3, 0..8)).unwrap();
-        assert!(out.is_split());
-        assert_eq!(c.stats().forced_overflows, 1);
-        assert_eq!(t.entity_count(), 3);
-        // One partition exceeds the limit (the forced one) — data is never
-        // lost to enforce the bound.
-        let oversize = c.catalog().iter().filter(|m| m.size > 11).count();
-        assert_eq!(oversize, 1);
     }
 
     #[test]
@@ -1108,23 +1048,34 @@ mod tests {
     }
 
     #[test]
-    fn byte_capacity_splits_too() {
+    fn byte_size_model_splits_at_b_entities_whatever_the_bytes() {
         use cind_model::SizeModel;
+        // SIZE in bytes shapes the ratings and Definition 1, not the
+        // capacity: B = 4 entities of a few bytes or of kilobytes alike.
         let mut t = UniversalTable::new(256);
         let mut c = Cinderella::new(Config {
-            capacity: Capacity::MaxSize(64),
+            capacity: 4,
             size_model: SizeModel::Bytes,
             weight: 1.0,
             ..Config::default()
         });
-        // Each entity is 16 bytes (two ints): five of them exceed 64 bytes.
-        for i in 0..5 {
-            let e = make(&mut t, i, &["a", "b"]);
-            c.insert(&mut t, e).unwrap();
+        let (a, b) = (t.catalog_mut().intern("a"), t.catalog_mut().intern("b"));
+        let ent = |id: u64, text_len: usize| {
+            let text = Value::Text("x".repeat(text_len));
+            Entity::new(EntityId(id), [(a, Value::Int(1)), (b, text)]).unwrap()
+        };
+        for (id, text_len) in [(0, 1), (1, 900), (2, 2), (3, 1500)] {
+            let out = c.insert(&mut t, ent(id, text_len)).unwrap();
+            assert!(!out.is_split(), "entity {id}");
         }
-        assert!(c.stats().splits >= 1);
-        assert_eq!(t.entity_count(), 5);
-        let total: u64 = c.catalog().iter().map(|m| m.entities).sum();
-        assert_eq!(total, 5);
+        let full = c.catalog().iter().next().unwrap();
+        assert_eq!((c.catalog().len(), full.entities), (1, 4));
+        assert!(full.size > 2400, "{} bytes", full.size);
+        assert!(c.insert(&mut t, ent(4, 1)).unwrap().is_split());
+        assert_eq!(c.stats().splits, 1);
+        let mut fills: Vec<u64> = c.catalog().iter().map(|m| m.entities).collect();
+        fills.sort_unstable();
+        assert_eq!(fills.iter().sum::<u64>(), 5);
+        assert!(fills.iter().all(|&n| n <= 4), "{fills:?}");
     }
 }

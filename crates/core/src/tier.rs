@@ -180,11 +180,6 @@ impl FilterBank {
         self.offs.len()
     }
 
-    /// Block words of group `g` (tests chart growth through this).
-    pub fn group_blocks(&self, g: usize) -> usize {
-        1usize << self.offs[g].1
-    }
-
     fn ensure_group(&mut self, slot: usize) {
         let g = slot / SLOTS_PER_GROUP;
         while self.offs.len() <= g {
@@ -560,7 +555,7 @@ mod tests {
                 );
             }
         }
-        assert!(bank.group_blocks(0) > 2, "grow must widen the block array");
+        assert!(bank.offs[0].1 > 1, "grow must widen the block array");
     }
 
     #[test]
@@ -654,7 +649,7 @@ mod tests {
                         bank.rebuild_group(0, true, &members[..1]);
                     }
                 }
-                prop_assert!(bank.group_blocks(0) <= 16);
+                prop_assert!(bank.offs[0].1 <= 4, "at most 16 block words");
                 for &attr in &attrs {
                     prop_assert!(bank.contains(attr, 0), "({}, 0) lost", attr);
                 }

@@ -12,7 +12,7 @@
 
 use cind_model::{AttrId, Entity, EntityId, Synopsis, Value};
 use cind_storage::UniversalTable;
-use cinderella_core::{efficiency, efficiency_of, Capacity, Cinderella, Config};
+use cinderella_core::{efficiency, efficiency_of, Cinderella, Config};
 
 fn syn(bits: &[u32]) -> Synopsis {
     Synopsis::from_bits(16, bits.iter().copied())
@@ -73,7 +73,7 @@ fn small_store() -> (UniversalTable, Cinderella) {
     let mut t = UniversalTable::new(64);
     let mut c = Cinderella::new(Config {
         weight: 0.3,
-        capacity: Capacity::MaxEntities(4),
+        capacity: 4,
         ..Config::default()
     });
     for i in 0..12u64 {

@@ -5,7 +5,7 @@
 
 use cind_model::{AttrId, Entity, EntityId, Synopsis, Value};
 use cind_storage::UniversalTable;
-use cinderella_core::{efficiency, efficiency_of, Capacity, Cinderella, Config};
+use cinderella_core::{efficiency, efficiency_of, Cinderella, Config};
 
 const UNIVERSE: usize = 6;
 
@@ -91,7 +91,7 @@ fn end_to_end_table_reproduces_a_hand_derived_value() {
     }
     let mut cindy = Cinderella::new(Config {
         weight: 0.3,
-        capacity: Capacity::MaxEntities(10),
+        capacity: 10,
         ..Config::default()
     });
     let shapes: [&[u32]; 4] = [&[0, 1], &[0, 1, 2], &[3, 4], &[3, 4]];

@@ -16,12 +16,12 @@ use std::collections::BTreeMap;
 use cind_datagen::{DbpediaConfig, DbpediaGenerator, TpchConfig, TpchGenerator};
 use cind_model::{Entity, EntityId, Synopsis};
 use cind_storage::{SegmentId, UniversalTable};
-use cinderella_core::{Capacity, Cinderella, Config, IndexTier};
+use cinderella_core::{Cinderella, Config, IndexTier};
 
 fn config(tier: IndexTier) -> Config {
     Config {
         weight: 0.3,
-        capacity: Capacity::MaxEntities(32),
+        capacity: 32,
         tier,
         ..Config::default()
     }

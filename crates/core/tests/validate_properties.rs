@@ -11,11 +11,14 @@
 //! modes; workload-based mode rates against a random query list plus one
 //! query no entity matches and two that overlap, so the validator proves
 //! each packed rating row equal to the relevant-query view of its
-//! partition's attribute synopsis.
+//! partition's attribute synopsis. After every operation each partition
+//! also holds at most B entities: the bound no split, update move or merge
+//! may break. (`Cinderella::validate` cannot check it: a store does not
+//! record its B, so a reopened one is rebuilt under the default.)
 
 use cind_model::{AttrId, Entity, EntityId, Synopsis, Value};
 use cind_storage::UniversalTable;
-use cinderella_core::{validate, Capacity, Cinderella, Config, SynopsisMode};
+use cinderella_core::{validate, Cinderella, Config, SynopsisMode};
 use proptest::prelude::*;
 
 const UNIVERSE: u32 = 10;
@@ -76,7 +79,7 @@ fn setup_in(mode: SynopsisMode, universe: u32, capacity: u64) -> (UniversalTable
     }
     let cindy = Cinderella::new(Config {
         weight: 0.3,
-        capacity: Capacity::MaxEntities(capacity),
+        capacity,
         mode,
         ..Config::default()
     });
@@ -93,12 +96,26 @@ fn assert_valid(cindy: &Cinderella, table: &UniversalTable) -> Result<(), TestCa
     Ok(())
 }
 
+fn assert_within_capacity(cindy: &Cinderella) -> Result<(), TestCaseError> {
+    let b = cindy.config().capacity;
+    for m in cindy.catalog().iter() {
+        prop_assert!(
+            m.entities <= b,
+            "{} holds {} > B = {b}",
+            m.segment,
+            m.entities
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Every structure the catalog/arena/index triad maintains stays
     /// internally consistent after every operation, including the split
-    /// (capacity 4) and merge boundaries, in either synopsis mode.
+    /// (capacity 4) and merge boundaries, in either synopsis mode, and no
+    /// partition ever holds more than B entities.
     #[test]
     fn full_validation_after_every_op(ops in ops(), workload in workload()) {
         for mode in [SynopsisMode::EntityBased, workload] {
@@ -128,6 +145,7 @@ proptest! {
                     }
                 }
                 assert_valid(&cindy, &table)?;
+                assert_within_capacity(&cindy)?;
             }
         }
     }

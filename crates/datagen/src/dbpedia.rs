@@ -181,11 +181,6 @@ impl DbpediaGenerator {
         }
     }
 
-    /// The target marginal frequencies, by attribute index.
-    pub fn target_frequencies(&self) -> &[f64] {
-        &self.freqs
-    }
-
     /// The configuration.
     pub fn config(&self) -> &DbpediaConfig {
         &self.config
@@ -295,7 +290,7 @@ mod tests {
         let rare = f.iter().filter(|&&x| x < 0.10).count();
         assert!(rare >= 85, "rare count {rare}");
         // Realized marginals track the targets (group solving works).
-        for (i, (got, want)) in f.iter().zip(gen.target_frequencies()).enumerate() {
+        for (i, (got, want)) in f.iter().zip(&gen.freqs).enumerate() {
             assert!(
                 (got - want).abs() < 0.05,
                 "attr {i}: realized {got:.3} vs target {want:.3}"

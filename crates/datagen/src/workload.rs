@@ -315,12 +315,6 @@ impl DriftScenario {
         }
     }
 
-    /// The (clamped) configuration.
-    #[must_use]
-    pub fn config(&self) -> &DriftConfig {
-        &self.cfg
-    }
-
     /// Interns the grouped attribute names (`g{group}_a{slot}`) into
     /// `catalog` and returns them as `ids[group][slot]`.
     pub fn intern_attributes(&self, catalog: &mut AttributeCatalog) -> Vec<Vec<AttrId>> {

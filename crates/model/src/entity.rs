@@ -108,12 +108,6 @@ impl Entity {
         }
     }
 
-    /// Sum of serialized value payload lengths — the entity's size in bytes
-    /// (modulo per-record framing, which storage accounts separately).
-    pub fn payload_bytes(&self) -> usize {
-        self.attrs.iter().map(|(_, v)| v.payload_len()).sum()
-    }
-
     /// Builds the entity synopsis `s_e` over a universe of `universe`
     /// attributes.
     ///
@@ -199,7 +193,7 @@ mod tests {
             ],
         )
         .unwrap();
-        assert_eq!(ent.payload_bytes(), 4 + 8 + 1);
+        assert_eq!(crate::SizeModel::Bytes.entity_size(&ent), 4 + 8 + 1);
     }
 
     #[test]
@@ -216,7 +210,7 @@ mod tests {
     fn empty_entity() {
         let ent = Entity::empty(EntityId(4));
         assert_eq!(ent.arity(), 0);
-        assert_eq!(ent.payload_bytes(), 0);
+        assert_eq!(crate::SizeModel::Bytes.entity_size(&ent), 0);
         assert_eq!(ent.synopsis(8).cardinality(), 0);
     }
 }

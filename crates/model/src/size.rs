@@ -9,11 +9,12 @@ use crate::{Entity, ValueRef};
 ///
 /// * [`SizeModel::Cells`] — the number of instantiated attributes. This is
 ///   the logical reading cost in an interpreted sparse format and the model
-///   used throughout the evaluation (partition size limits `B` are given in
-///   *entities*, and the capacity check then degenerates to an entity count,
-///   see `cinderella-core::Capacity`).
-/// * [`SizeModel::Bytes`] — the serialized payload size, for byte-budgeted
-///   partitions (e.g. when a partition is a NUMA-local memory region).
+///   used throughout the evaluation.
+/// * [`SizeModel::Bytes`] — the serialized payload size.
+///
+/// Either way the partition capacity `B` counts entities, as the evaluation
+/// gives it (`cinderella_core::Config::capacity`): `SIZE()` shapes the
+/// ratings and Definition 1, not when a partition splits.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum SizeModel {
     /// `SIZE(e)` = number of instantiated attributes (cells).

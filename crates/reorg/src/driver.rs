@@ -23,7 +23,7 @@
 
 use cind_model::{EntityId, Synopsis};
 use cind_storage::{SegmentId, UniversalTable};
-use cinderella_core::{Capacity, Cinderella, CoreError, PartitionMeta, ReorgConfig};
+use cinderella_core::{Cinderella, CoreError, PartitionMeta, ReorgConfig};
 
 use crate::cost::{merge_damage, resplit_saving, scan_cost, WeightedQueries};
 use crate::heat::HeatMap;
@@ -284,28 +284,18 @@ impl ReorgDriver {
             .catalog()
             .iter()
             .filter(|m| {
-                let underfull = match capacity {
-                    Capacity::MaxEntities(b) => m.entities * 2 <= b,
-                    Capacity::MaxSize(b) => m.size * 2 <= b,
-                };
                 self.heat.heat(m.segment) == 0
                     && !self.heat.recently_scanned(m.segment)
-                    && underfull
+                    && m.entities * 2 <= capacity
                     && m.entities <= self.cfg.budget
             })
             .collect();
         cold.sort_unstable_by_key(|m| (m.entities, m.segment));
         cold.truncate(MERGE_POOL);
+        // Two partitions of at most B/2 entities each always fit in one.
         let mut best: Option<(SegmentId, SegmentId, u128)> = None;
         for (i, a) in cold.iter().enumerate() {
             for b in &cold[i + 1..] {
-                let fits = match capacity {
-                    Capacity::MaxEntities(cap) => a.entities + b.entities <= cap,
-                    Capacity::MaxSize(cap) => a.size + b.size <= cap,
-                };
-                if !fits {
-                    continue;
-                }
                 let (pa, pb) = ((&a.attr_synopsis, a.size), (&b.attr_synopsis, b.size));
                 let damage = merge_damage(pa, pb, workload);
                 let bar = (scan_cost([pa, pb], workload) as f64 * self.cfg.threshold) as u128;

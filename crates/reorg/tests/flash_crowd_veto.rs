@@ -24,7 +24,7 @@ use cind_datagen::{DriftConfig, DriftMode, DriftOp, DriftScenario};
 use cind_model::{AttrId, EntityId, Synopsis, Value};
 use cind_reorg::{ActionKind, ReorgDriver, MERGE_COOLOFF_EPOCHS};
 use cind_storage::{SegmentId, UniversalTable};
-use cinderella_core::{efficiency, Capacity, Cinderella, Config, ReorgConfig, ReorgMode};
+use cinderella_core::{efficiency, Cinderella, Config, ReorgConfig, ReorgMode};
 
 fn reorg_cfg(mode: ReorgMode, epoch_ops: u64) -> ReorgConfig {
     ReorgConfig { mode, budget: 64, threshold: 0.05, epoch_ops }
@@ -67,7 +67,7 @@ fn merge_waits_out_the_cooloff() {
     let universe = table.universe();
     let rc = reorg_cfg(ReorgMode::Auto, 4);
     let mut cindy = Cinderella::new(Config {
-        capacity: Capacity::MaxEntities(24),
+        capacity: 24,
         reorg: rc,
         ..Config::default()
     });
@@ -148,7 +148,7 @@ fn crowd_monopoly_suspends_merges() {
     let universe = table.universe();
     let rc = reorg_cfg(ReorgMode::Auto, 4);
     let mut cindy = Cinderella::new(Config {
-        capacity: Capacity::MaxEntities(24),
+        capacity: 24,
         reorg: rc,
         ..Config::default()
     });
@@ -200,7 +200,7 @@ fn flash_crowd_no_longer_regresses_efficiency() {
         let universe = table.universe();
         let rc = reorg_cfg(reorg, 32);
         let mut cindy = Cinderella::new(Config {
-            capacity: Capacity::MaxEntities(64),
+            capacity: 64,
             reorg: rc,
             ..Config::default()
         });

@@ -22,9 +22,7 @@
 use cind_model::{AttrId, EntityId, Synopsis, Value};
 use cind_reorg::{ActionKind, ReorgDriver};
 use cind_storage::UniversalTable;
-use cinderella_core::{
-    efficiency_counters_for, Capacity, Cinderella, Config, ReorgConfig, ReorgMode,
-};
+use cinderella_core::{efficiency_counters_for, Cinderella, Config, ReorgConfig, ReorgMode};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -80,7 +78,7 @@ fn build_world() -> World {
         epoch_ops: 8,
     };
     let config = Config {
-        capacity: Capacity::MaxEntities(CAPACITY),
+        capacity: CAPACITY,
         reorg,
         ..Config::default()
     };
@@ -307,7 +305,7 @@ fn a_step_prices_from_the_catalog_alone() {
         epoch_ops: 4,
     };
     let mut cindy = Cinderella::new(Config {
-        capacity: Capacity::MaxEntities(24),
+        capacity: 24,
         reorg,
         ..Config::default()
     });

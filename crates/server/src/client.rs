@@ -6,8 +6,8 @@
 //! callers there is an explicit *pipelined* mode — [`Client::send`]
 //! buffers encoded request frames locally and [`Client::recv`] ships the
 //! whole buffer in one `write` before reading the next in-order response
-//! — and wire-level batch calls ([`Client::insert_batch`],
-//! [`Client::query_batch`]) that move many operations per frame. Typed
+//! — and a wire-level batch call ([`Client::insert_batch`]) that moves
+//! many inserts per frame. Typed
 //! server failures come back as [`ServerError::Remote`]; an admission-
 //! control shed comes back as [`ServerError::Busy`] so callers can back
 //! off and retry.
@@ -213,57 +213,11 @@ impl Client {
         Ok(items.into_iter().map(Self::written_item).collect())
     }
 
-    /// Runs many queries in **one** request frame. Per-item results in
-    /// input order.
-    ///
-    /// # Errors
-    /// As [`Client::insert_batch`].
-    pub fn query_batch(
-        &mut self,
-        queries: Vec<Vec<String>>,
-    ) -> Result<BatchResults<(Vec<Row>, QueryStats)>, ServerError> {
-        let resp = self.roundtrip(&Request::QueryBatch(queries))?;
-        let items = Self::expect(resp, |r| match r {
-            Response::Batch(items) => Some(items),
-            _ => None,
-        })?;
-        Ok(items
-            .into_iter()
-            .map(|item| {
-                Self::expect(item, |r| match r {
-                    Response::Rows { rows, stats } => Some((rows, stats)),
-                    _ => None,
-                })
-            })
-            .collect())
-    }
-
     fn written_item(item: Response) -> Result<(u32, bool), ServerError> {
         Self::expect(item, |r| match r {
             Response::Written { segment, split } => Some((segment, split)),
             _ => None,
         })
-    }
-
-    /// Replaces a stored entity; returns `(segment, split?)`.
-    ///
-    /// # Errors
-    /// As [`Client::insert`].
-    pub fn update(&mut self, entity: WireEntity) -> Result<(u32, bool), ServerError> {
-        let resp = self.roundtrip(&Request::Update(entity))?;
-        Self::expect(resp, |r| match r {
-            Response::Written { segment, split } => Some((segment, split)),
-            _ => None,
-        })
-    }
-
-    /// Deletes an entity by id.
-    ///
-    /// # Errors
-    /// As [`Client::insert`].
-    pub fn delete(&mut self, id: u64) -> Result<(), ServerError> {
-        let resp = self.roundtrip(&Request::Delete(id))?;
-        Self::expect(resp, |r| matches!(r, Response::Deleted).then_some(()))
     }
 
     /// Runs a query by attribute names; returns the rows plus execution

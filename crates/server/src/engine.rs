@@ -624,8 +624,9 @@ impl Engine {
     /// Runs one bounded background reorganization step: under the writer
     /// lock the driver prices candidate actions against the decayed
     /// workload and enacts at most one that clears the hysteresis bar; the
-    /// durability wait happens outside the lock like any other write. A
-    /// no-op returning the default report when the reorganizer is off.
+    /// durability wait happens outside the lock like any other write. With
+    /// the reorganizer off it returns the default report and takes no
+    /// lock, bumps no epoch and waits on nothing.
     ///
     /// # Errors
     /// Storage failures from the enacted action's moves; WAL durability
@@ -633,14 +634,12 @@ impl Engine {
     /// action is WAL-framed as one transaction, so recovery lands on the
     /// pre- or post-action state.
     pub fn reorg_step(&self) -> Result<StepReport, ServerError> {
-        // Off, the step is still a write: the epoch bump and the durability
-        // wait stay as an off driver had them.
-        self.write_op(|state| match &self.reorg {
-            Some(reorg) => {
-                let mut driver = reorg.lock().unwrap_or_else(PoisonError::into_inner);
-                Ok(driver.step(&mut state.table, &mut state.cindy)?)
-            }
-            None => Ok(StepReport::default()),
+        let Some(reorg) = &self.reorg else {
+            return Ok(StepReport::default());
+        };
+        self.write_op(|state| {
+            let mut driver = reorg.lock().unwrap_or_else(PoisonError::into_inner);
+            Ok(driver.step(&mut state.table, &mut state.cindy)?)
         })
     }
 
@@ -795,15 +794,15 @@ impl Engine {
         self.read().cindy.catalog().tier_active()
     }
 
-    /// Runs one partition merge pass (threshold in `(0, 1]`; out-of-range
-    /// values are clamped). Takes the write lock — merges move entities
-    /// and drop segments, the same churn class as splits.
+    /// Runs one partition merge pass at `threshold`. Takes the write lock —
+    /// merges move entities and drop segments, the same churn class as
+    /// splits.
     ///
     /// # Errors
-    /// Storage failures from the moves; WAL failures from the logged
+    /// [`CoreError::MergeThreshold`] for a threshold outside `(0, 1]`;
+    /// storage failures from the moves; WAL failures from the logged
     /// mutations.
     pub fn merge_pass(&self, threshold: f64) -> Result<MergeReport, ServerError> {
-        let threshold = if threshold > 0.0 { threshold.min(1.0) } else { f64::MIN_POSITIVE };
         self.write_op(|state| {
             let report = state.cindy.merge_pass(&mut state.table, threshold)?;
             Ok(report)
@@ -916,6 +915,31 @@ mod tests {
         // The last member gone takes the attribute out of the index again.
         eng.delete(3).unwrap();
         assert!(!Arc::ptr_eq(&d.pruning, &eng.snapshot().pruning));
+    }
+
+    #[test]
+    fn an_off_reorganizer_step_leaves_the_snapshot_epoch_alone() {
+        let eng = Engine::in_memory(EngineOptions::default());
+        eng.insert(&wire(1, &[("rpm", 7200)])).unwrap();
+        let before = eng.snapshot();
+        eng.reorg_step().unwrap();
+        assert!(Arc::ptr_eq(&before, &eng.snapshot()), "no write, same epoch");
+    }
+
+    #[test]
+    fn an_out_of_range_merge_threshold_is_the_core_error() {
+        let eng = Engine::in_memory(EngineOptions::default());
+        eng.insert(&wire(1, &[("rpm", 7200)])).unwrap();
+        for threshold in [0.0, 1.5, f64::NAN] {
+            assert!(
+                matches!(
+                    eng.merge_pass(threshold),
+                    Err(ServerError::Core(CoreError::MergeThreshold))
+                ),
+                "{threshold}"
+            );
+        }
+        assert_eq!(eng.merge_pass(1.0).unwrap().kept, 1);
     }
 
     #[test]

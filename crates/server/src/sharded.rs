@@ -556,7 +556,9 @@ impl ShardedEngine {
     /// Runs one partition merge pass on every shard; reports are summed.
     ///
     /// # Errors
-    /// Storage/WAL failures from the moves.
+    /// [`cinderella_core::CoreError::MergeThreshold`] for a threshold
+    /// outside `(0, 1]`, from the first shard, before anything moves;
+    /// storage/WAL failures from the moves.
     pub fn merge_pass(&self, threshold: f64) -> Result<MergeReport, ServerError> {
         let mut total = MergeReport::default();
         for engine in self.engines() {

@@ -21,14 +21,14 @@ use cind_server::{
     WireEntity,
 };
 use cind_storage::UniversalTable;
-use cinderella_core::{efficiency, efficiency_counters_for, Capacity, Cinderella, Config};
+use cinderella_core::{efficiency, efficiency_counters_for, Cinderella, Config};
 
 const CONNECTIONS: usize = 4;
 
 fn partitioner_config() -> Config {
     Config {
         weight: 0.5,
-        capacity: Capacity::MaxEntities(10_000),
+        capacity: 10_000,
         ..Config::default()
     }
 }
@@ -366,7 +366,7 @@ fn sharded_matches_unsharded_on_dbpedia() {
     .collect();
     let config = Config {
         weight: 0.2,
-        capacity: Capacity::MaxEntities(400),
+        capacity: 400,
         ..Config::default()
     };
     // Irregular data: split boundaries shift with each shard's 1/N sample,

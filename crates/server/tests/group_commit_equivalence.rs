@@ -21,14 +21,14 @@ use cind_server::engine::{SNAPSHOT_FILE, WAL_FILE};
 use cind_server::{
     shard_dir_name, EngineOptions, ShardedEngine, ShardedOptions, WireEntity,
 };
-use cinderella_core::{Capacity, Config};
+use cinderella_core::Config;
 
 const SHARDS: usize = 2;
 
 fn test_config() -> Config {
     Config {
         weight: 0.3,
-        capacity: Capacity::MaxEntities(64),
+        capacity: 64,
         ..Config::default()
     }
 }

@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use cind_datagen::{DbpediaConfig, DbpediaGenerator, TpchConfig, TpchGenerator};
 use cind_model::{AttributeCatalog, Entity};
 use cind_server::{EngineOptions, ShardedEngine, ShardedOptions, WireEntity};
-use cinderella_core::{Capacity, Config, ReorgConfig, ReorgMode};
+use cinderella_core::{Config, ReorgConfig, ReorgMode};
 
 const SHARDS: usize = 2;
 
@@ -31,7 +31,7 @@ fn options(reorg: ReorgConfig) -> ShardedOptions {
     ShardedOptions::new(
         EngineOptions {
             config: Config {
-                capacity: Capacity::MaxEntities(200),
+                capacity: 200,
                 reorg,
                 ..Config::default()
             },

@@ -44,7 +44,7 @@ use cind_server::{
 use cind_storage::{StorageError, Vfs};
 use cind_storage::UniversalTable;
 use cinderella_core::{
-    efficiency_counters_for, Capacity, Config, CoreError, IndexTier, ReorgConfig, ReorgMode,
+    efficiency_counters_for, Config, CoreError, IndexTier, ReorgConfig, ReorgMode,
 };
 
 use crate::clock::VirtualClock;
@@ -192,7 +192,7 @@ pub(crate) fn sim_engine_options(vfs: Arc<SimVfs>, tier: IndexTier) -> EngineOpt
             weight: 0.3,
             tier,
             // Small capacity so the schedule actually exercises splits.
-            capacity: Capacity::MaxEntities(8),
+            capacity: 8,
             // Reorganizer on with a short op-count epoch so both trigger
             // paths — write-cadence steps and explicit `Op::Reorg` — fire
             // often enough that the crash sweep lands inside reorg actions.

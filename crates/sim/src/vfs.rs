@@ -263,13 +263,6 @@ impl SimVfs {
         self.st().mutations
     }
 
-    /// Current size of `path`, if it exists. For a log that is its
-    /// zero-padded image; [`Self::log_end`] is how much of it is log.
-    #[must_use]
-    pub fn file_len(&self, path: &Path) -> Option<usize> {
-        self.st().files.get(path).map(Vec::len)
-    }
-
     /// Where the next write to the [`Vfs::create_log`] file `path` lands
     /// (the bytes its completed writes hold), if `path` is a log.
     #[must_use]
@@ -559,7 +552,7 @@ mod tests {
         // garbage), never the full durable write plus success.
         assert!(v.open_read(p).is_err(), "post-crash ops fail");
         v.clear_crash();
-        let len = v.file_len(p).expect("file exists");
+        let len = v.file_bytes(p).map(|b| b.len()).expect("file exists");
         assert!(len <= 64 + 8, "prefix + bounded garbage, got {len}");
         assert!(v.open_read(p).is_ok(), "reboot restores service");
     }
@@ -572,7 +565,7 @@ mod tests {
         let mut f = v.create(p).expect("create");
         let err = f.write_all(b"doomed").expect_err("always ENOSPC");
         assert_eq!(err.kind(), ErrorKind::StorageFull);
-        assert_eq!(v.file_len(p), Some(0));
+        assert_eq!(v.file_bytes(p).map(|b| b.len()), Some(0));
     }
 
     #[test]
@@ -581,7 +574,10 @@ mod tests {
         let p = Path::new("/d/wal");
         let chunk = LOG_CHUNK as usize;
         let mut f = v.create_log(p).expect("create");
-        assert_eq!((v.file_len(p), v.log_end(p)), (Some(0), Some(0)));
+        assert_eq!(
+            (v.file_bytes(p).map(|b| b.len()), v.log_end(p)),
+            (Some(0), Some(0))
+        );
         let mut log = Vec::new();
         for (i, n) in [100usize, chunk - 100, 1].into_iter().enumerate() {
             let bytes = vec![u8::try_from(i + 1).expect("small"); n];
@@ -605,7 +601,10 @@ mod tests {
         let mut f = v.create_log(p).expect("create");
         let err = f.write_all(b"doomed").expect_err("always ENOSPC");
         assert_eq!(err.kind(), ErrorKind::StorageFull);
-        assert_eq!((v.file_len(p), v.log_end(p)), (Some(0), Some(0)));
+        assert_eq!(
+            (v.file_bytes(p).map(|b| b.len()), v.log_end(p)),
+            (Some(0), Some(0))
+        );
     }
 
     #[test]

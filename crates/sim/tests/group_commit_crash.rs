@@ -33,7 +33,7 @@ use cind_server::{Engine, EngineOptions, WireEntity};
 use cind_sim::clock::VirtualClock;
 use cind_sim::{FaultPlan, SimVfs};
 use cind_storage::Vfs;
-use cinderella_core::{Capacity, Config};
+use cinderella_core::Config;
 
 const STORE: &str = "/gc/store";
 
@@ -45,7 +45,7 @@ fn opts(vfs: &Arc<SimVfs>, window: Duration) -> EngineOptions {
     EngineOptions {
         config: Config {
             weight: 0.3,
-            capacity: Capacity::MaxEntities(8),
+            capacity: 8,
             ..Config::default()
         },
         pool_pages: 64,

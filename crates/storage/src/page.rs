@@ -100,11 +100,6 @@ impl Page {
         self.live
     }
 
-    /// Bytes reclaimable by [`Page::compact`].
-    pub fn dead_bytes(&self) -> usize {
-        self.dead_bytes
-    }
-
     /// Contiguous free bytes available right now (before compaction),
     /// excluding space needed for a new slot entry.
     fn contiguous_free(&self) -> usize {
@@ -301,7 +296,7 @@ mod tests {
         assert!(!p.delete(a));
         assert_eq!(p.get(a), None);
         assert_eq!(p.live_count(), 1);
-        assert_eq!(p.dead_bytes(), 4);
+        assert_eq!(p.dead_bytes, 4);
     }
 
     #[test]
@@ -338,7 +333,7 @@ mod tests {
         for s in slots.iter().step_by(2) {
             p.delete(*s);
         }
-        assert_eq!(p.dead_bytes(), 4000);
+        assert_eq!(p.dead_bytes, 4000);
         // A 2000-byte record only fits after compaction (contiguous free is
         // 8192-4-8000-32 = 156 bytes).
         let big = vec![9u8; 2000];

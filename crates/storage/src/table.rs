@@ -574,11 +574,6 @@ impl<'a> ReadView<'a> {
         self.pool
     }
 
-    /// Cumulative I/O counters.
-    pub fn io_stats(&self) -> IoStats {
-        self.pool.stats()
-    }
-
     /// Ids of all live segments, ascending.
     pub fn segment_ids(&self) -> impl Iterator<Item = SegmentId> + '_ {
         self.segments.keys().copied()

@@ -14,7 +14,7 @@
 //! and verify the prediction held up.
 
 use cinderella::core::{
-    efficiency, efficiency_of, Capacity, Cinderella, Config, CoreError,
+    efficiency, efficiency_of, Cinderella, Config, CoreError,
 };
 use cinderella::datagen::{DbpediaConfig, DbpediaGenerator, WorkloadBuilder};
 use cinderella::model::{Entity, Synopsis};
@@ -117,7 +117,7 @@ fn recommend(
             }
             let mut cindy = Cinderella::new(Config {
                 weight: w,
-                capacity: Capacity::MaxEntities(b),
+                capacity: b,
                 ..Config::default()
             });
             for e in sample {
@@ -227,7 +227,7 @@ fn main() {
         let entities = gen.generate(table.catalog_mut());
         let mut cindy = Cinderella::new(Config {
             weight: w,
-            capacity: Capacity::MaxEntities(b),
+            capacity: b,
             ..Config::default()
         });
         for e in entities {

@@ -11,7 +11,7 @@
 //! Definition 1 efficiency.
 
 use cinderella::baselines::{Partitioner, Unpartitioned};
-use cinderella::core::{efficiency_of, Capacity, Cinderella, Config};
+use cinderella::core::{efficiency_of, Cinderella, Config};
 use cinderella::datagen::{DbpediaConfig, DbpediaGenerator, WorkloadBuilder};
 use cinderella::model::Synopsis;
 use cinderella::query::{execute, plan, Query};
@@ -38,7 +38,7 @@ fn main() {
     let cindy_entities = gen.generate(cindy_table.catalog_mut());
     let mut cindy = Cinderella::new(Config {
         weight: 0.2,
-        capacity: Capacity::MaxEntities(5_000),
+        capacity: 5_000,
         ..Config::default()
     });
     let t0 = std::time::Instant::now();

@@ -11,7 +11,7 @@
 //! the partitioning fit *online*, while the catalog is modified — no
 //! re-partitioning job, no DBA.
 
-use cinderella::core::{efficiency, Capacity, Cinderella, Config};
+use cinderella::core::{efficiency, Cinderella, Config};
 use cinderella::datagen::ProductGenerator;
 use cinderella::model::{EntityId, Synopsis, Value};
 use cinderella::storage::UniversalTable;
@@ -20,7 +20,7 @@ fn main() {
     let mut table = UniversalTable::new(256);
     let mut cindy = Cinderella::new(Config {
         weight: 0.3,
-        capacity: Capacity::MaxEntities(200),
+        capacity: 200,
         ..Config::default()
     });
 

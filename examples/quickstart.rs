@@ -9,7 +9,7 @@
 //! splitting as needed), then run a selective query that prunes the
 //! irrelevant partitions.
 
-use cinderella::core::{Capacity, Cinderella, Config, InsertOutcome};
+use cinderella::core::{Cinderella, Config, InsertOutcome};
 use cinderella::model::{Entity, EntityId, Value};
 use cinderella::query::{execute_collect, plan, Query};
 use cinderella::storage::UniversalTable;
@@ -21,7 +21,7 @@ fn main() {
     let mut table = UniversalTable::new(64);
     let mut cindy = Cinderella::new(Config {
         weight: 0.3,
-        capacity: Capacity::MaxEntities(3),
+        capacity: 3,
         ..Config::default()
     });
 

@@ -9,7 +9,7 @@
 //! coincide exactly with the TPC-H relations: partitioning irregular data
 //! online costs nothing when the data turns out to be regular.
 
-use cinderella::core::{Capacity, Cinderella, Config};
+use cinderella::core::{Cinderella, Config};
 use cinderella::datagen::{TpchConfig, TpchGenerator};
 use cinderella::query::{execute, plan, Query};
 use cinderella::storage::UniversalTable;
@@ -27,7 +27,7 @@ fn main() {
 
     let mut cindy = Cinderella::new(Config {
         weight: 0.5,
-        capacity: Capacity::MaxEntities(2_000),
+        capacity: 2_000,
         ..Config::default()
     });
     for e in entities {

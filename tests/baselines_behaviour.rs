@@ -5,7 +5,7 @@ use cinderella::baselines::{
     HashPartitioner, OfflineClustering, OfflineConfig, Partitioner, RangePartitioner,
     Unpartitioned,
 };
-use cinderella::core::{efficiency_of, Capacity, Cinderella, Config};
+use cinderella::core::{efficiency_of, Cinderella, Config};
 use cinderella::datagen::{DbpediaConfig, DbpediaGenerator, WorkloadBuilder};
 use cinderella::model::Synopsis;
 use cinderella::query::{execute, plan, Query};
@@ -26,7 +26,7 @@ fn policies() -> Vec<Box<dyn Partitioner>> {
         })),
         Box::new(Cinderella::new(Config {
             weight: 0.2,
-            capacity: Capacity::MaxEntities(500),
+            capacity: 500,
             ..Config::default()
         })),
     ]

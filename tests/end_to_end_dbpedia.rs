@@ -2,7 +2,7 @@
 //! table — correctness and the paper's headline claims.
 
 use cinderella::baselines::{Partitioner, Unpartitioned};
-use cinderella::core::{efficiency_of, Capacity, Cinderella, Config};
+use cinderella::core::{efficiency_of, Cinderella, Config};
 use cinderella::datagen::{DbpediaConfig, DbpediaGenerator, WorkloadBuilder};
 use cinderella::model::Synopsis;
 use cinderella::query::{execute, plan, Query};
@@ -25,7 +25,7 @@ fn load_cinderella(b: u64, w: f64) -> (UniversalTable, Cinderella) {
     let entities = dataset(&mut table);
     let mut cindy = Cinderella::new(Config {
         weight: w,
-        capacity: Capacity::MaxEntities(b),
+        capacity: b,
         ..Config::default()
     });
     for e in entities {

@@ -19,7 +19,7 @@ use std::collections::BTreeSet;
 use cind_model::{AttrId, Entity, EntityId, Value};
 use cind_query::{execute_collect, plan, plan_from_survivors, Query};
 use cind_storage::{SegmentId, UniversalTable};
-use cinderella_core::{Capacity, Cinderella, Config, IndexTier};
+use cinderella_core::{Cinderella, Config, IndexTier};
 use proptest::prelude::*;
 
 mod common;
@@ -30,7 +30,7 @@ const TIERS: [IndexTier; 2] = [IndexTier::Exact, IndexTier::Tiered];
 fn config(capacity: u64, tier: IndexTier) -> Config {
     Config {
         weight: 0.3,
-        capacity: Capacity::MaxEntities(capacity),
+        capacity,
         tier,
         ..Config::default()
     }

@@ -1,7 +1,7 @@
 //! Integration tests for the §VII merge-pass extension, exercised end to
 //! end on generated data.
 
-use cinderella::core::{Capacity, Cinderella, Config};
+use cinderella::core::{Cinderella, Config};
 use cinderella::datagen::{DbpediaConfig, DbpediaGenerator};
 use cinderella::model::{EntityId, Synopsis};
 use cinderella::storage::UniversalTable;
@@ -21,7 +21,7 @@ fn dataset(table: &mut UniversalTable) -> Vec<cinderella::model::Entity> {
 fn config(b: u64) -> Config {
     Config {
         weight: 0.3,
-        capacity: Capacity::MaxEntities(b),
+        capacity: b,
         ..Config::default()
     }
 }

@@ -3,7 +3,7 @@
 
 use std::collections::HashMap;
 
-use cinderella::core::{Capacity, Cinderella, Config};
+use cinderella::core::{Cinderella, Config};
 use cinderella::model::{AttrId, Entity, EntityId, Synopsis, Value};
 use cinderella::query::{execute, plan, Query};
 use cinderella::storage::UniversalTable;
@@ -87,7 +87,7 @@ fn random_churn_stays_consistent() {
     }
     let mut cindy = Cinderella::new(Config {
         weight: 0.3,
-        capacity: Capacity::MaxEntities(40),
+        capacity: 40,
         ..Config::default()
     });
     let mut model: HashMap<EntityId, Entity> = HashMap::new();
@@ -150,7 +150,7 @@ fn delete_everything_leaves_nothing() {
     }
     let mut cindy = Cinderella::new(Config {
         weight: 0.3,
-        capacity: Capacity::MaxEntities(25),
+        capacity: 25,
         ..Config::default()
     });
     let n = 500u64;

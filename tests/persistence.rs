@@ -1,7 +1,7 @@
 //! Full durability cycle: partition online → snapshot → restore → rebuild
 //! the partitioner → continue modifying and querying.
 
-use cinderella::core::{Capacity, Cinderella, Config};
+use cinderella::core::{Cinderella, Config};
 use cinderella::datagen::{DbpediaConfig, DbpediaGenerator, WorkloadBuilder};
 use cinderella::model::{EntityId, Synopsis};
 use cinderella::query::{execute, plan, Query};
@@ -14,7 +14,7 @@ const ENTITIES: usize = 5_000;
 fn config() -> Config {
     Config {
         weight: 0.3,
-        capacity: Capacity::MaxEntities(400),
+        capacity: 400,
         ..Config::default()
     }
 }

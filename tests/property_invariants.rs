@@ -3,7 +3,7 @@
 
 use std::collections::HashMap;
 
-use cinderella::core::{Capacity, Cinderella, Config};
+use cinderella::core::{Cinderella, Config};
 use cinderella::model::{AttrId, Entity, EntityId, Synopsis, Value};
 use cinderella::storage::UniversalTable;
 use proptest::prelude::*;
@@ -49,7 +49,7 @@ fn setup() -> (UniversalTable, Cinderella) {
     }
     let cindy = Cinderella::new(Config {
         weight: 0.3,
-        capacity: Capacity::MaxEntities(5),
+        capacity: 5,
         ..Config::default()
     });
     (table, cindy)
@@ -131,7 +131,7 @@ proptest! {
         }
         let mut cindy = Cinderella::new(Config {
             weight: 0.0,
-            capacity: Capacity::MaxEntities(1000),
+            capacity: 1000,
             ..Config::default()
         });
         for (i, shape) in shapes.iter().enumerate() {

@@ -16,7 +16,7 @@
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 
-use cinderella::core::{Capacity, Cinderella, Config};
+use cinderella::core::{Cinderella, Config};
 use cinderella::model::{AttrId, Entity, EntityId, Value};
 use cinderella::query::{execute_collect_view, plan_from_survivors, Query, Row};
 use cinderella::storage::{replay, ReadView, SegmentId, TableSnapshot, UniversalTable};
@@ -150,7 +150,7 @@ fn churn(shapes: &Shapes, seed: u64) -> Tally {
     for i in 0..shapes.universe {
         table.catalog_mut().intern(&format!("a{i}"));
     }
-    let config = Config { weight: 0.5, capacity: Capacity::MaxEntities(24), ..Config::default() };
+    let config = Config { weight: 0.5, capacity: 24, ..Config::default() };
     let mut cindy = Cinderella::new(config.clone());
     let queries = shapes.queries(&mut rng);
     let mut live: Vec<EntityId> = Vec::new();

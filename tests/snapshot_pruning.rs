@@ -19,7 +19,7 @@ use cind_model::Value;
 use cind_query::Query;
 use cind_server::{Engine, EngineOptions, WireEntity};
 use cind_storage::SegmentId;
-use cinderella_core::{Capacity, Config, IndexTier, ReorgConfig, ReorgMode};
+use cinderella_core::{Config, IndexTier, ReorgConfig, ReorgMode};
 use proptest::prelude::*;
 
 const ATTRS: u32 = 12;
@@ -53,7 +53,7 @@ fn engine(tier: IndexTier) -> Engine {
         config: Config {
             weight: 0.3,
             // Small partitions: a few dozen inserts split several times.
-            capacity: Capacity::MaxEntities(6),
+            capacity: 6,
             tier,
             // Heat is recorded only while the reorganizer is on; an epoch
             // no run reaches keeps it from decaying or stepping.

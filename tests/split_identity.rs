@@ -11,7 +11,7 @@ use std::sync::{Arc, Mutex};
 
 use cind_model::{AttrId, Entity, EntityId, Value};
 use cind_storage::{wal, SegmentId, UniversalTable};
-use cinderella_core::{Capacity, Cinderella, Config, Stats};
+use cinderella_core::{Cinderella, Config, Stats};
 
 mod common;
 
@@ -87,7 +87,7 @@ fn split_path_is_pinned_byte_for_byte() {
     table.attach_wal(Box::new(log.clone()));
     let mut cindy = Cinderella::new(Config {
         weight: 0.5,
-        capacity: Capacity::MaxEntities(B),
+        capacity: B,
         ..Config::default()
     });
 
@@ -167,7 +167,6 @@ fn split_path_is_pinned_byte_for_byte() {
             splits: 512,
             split_moves: 6177,
             ratings_computed: 151_720,
-            forced_overflows: 0,
             merges: 361,
             merge_moves: 798,
             reorg_resplits: 5,

@@ -1,7 +1,7 @@
 //! Table I correctness: Cinderella on perfectly regular data must
 //! rediscover the schema and add only bounded scan overhead.
 
-use cinderella::core::{Capacity, Cinderella, Config};
+use cinderella::core::{Cinderella, Config};
 use cinderella::datagen::{tpch_query_columns, TpchConfig, TpchGenerator};
 use cinderella::model::Synopsis;
 use cinderella::query::{execute, plan, Query};
@@ -15,7 +15,7 @@ fn load(b: u64) -> (UniversalTable, Cinderella, TpchGenerator) {
     let (entities, _) = gen.generate(table.catalog_mut());
     let mut cindy = Cinderella::new(Config {
         weight: 0.5,
-        capacity: Capacity::MaxEntities(b),
+        capacity: b,
         ..Config::default()
     });
     for e in entities {

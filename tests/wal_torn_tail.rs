@@ -18,7 +18,7 @@ use cind_server::WireEntity;
 use cind_sim::clock::VirtualClock;
 use cind_sim::{FaultPlan, SimVfs};
 use cind_storage::Vfs;
-use cinderella_core::{Capacity, Config};
+use cinderella_core::Config;
 
 const STORE: &str = "/torn/store";
 const ENTITIES: u64 = 10;
@@ -29,7 +29,7 @@ fn options(vfs: Arc<SimVfs>) -> EngineOptions {
             weight: 0.3,
             // Small partitions so the replayed entities actually exercise
             // splits, not one flat segment.
-            capacity: Capacity::MaxEntities(4),
+            capacity: 4,
             ..Config::default()
         },
         pool_pages: 64,

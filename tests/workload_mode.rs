@@ -2,7 +2,7 @@
 //! queries should land in the same partitions, even when their attribute
 //! sets differ.
 
-use cinderella::core::{Capacity, Cinderella, Config, SynopsisMode};
+use cinderella::core::{Cinderella, Config, SynopsisMode};
 use cinderella::model::{AttrId, Entity, EntityId, Synopsis, Value};
 use cinderella::query::{execute, plan, Query};
 use cinderella::storage::UniversalTable;
@@ -37,7 +37,7 @@ fn groups_by_query_relevance_not_attribute_shape() {
     let mut t = table();
     let mut cindy = Cinderella::new(Config {
         weight: 0.5,
-        capacity: Capacity::MaxEntities(100),
+        capacity: 100,
         mode: SynopsisMode::WorkloadBased(queries),
         ..Config::default()
     });
@@ -58,7 +58,7 @@ fn groups_by_query_relevance_not_attribute_shape() {
     let mut t2 = table();
     let mut entity_based = Cinderella::new(Config {
         weight: 0.5,
-        capacity: Capacity::MaxEntities(100),
+        capacity: 100,
         mode: SynopsisMode::EntityBased,
         ..Config::default()
     });
@@ -77,7 +77,7 @@ fn workload_mode_still_prunes_by_attributes() {
     let mut t = table();
     let mut cindy = Cinderella::new(Config {
         weight: 0.5,
-        capacity: Capacity::MaxEntities(100),
+        capacity: 100,
         mode: SynopsisMode::WorkloadBased(queries),
         ..Config::default()
     });
@@ -112,7 +112,7 @@ fn workload_irrelevant_entities_pool_together() {
     let mut t = table();
     let mut cindy = Cinderella::new(Config {
         weight: 0.5,
-        capacity: Capacity::MaxEntities(100),
+        capacity: 100,
         mode: SynopsisMode::WorkloadBased(queries),
         ..Config::default()
     });
